@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-fast test-dynamic test-backend test-serving api-check \
 	smoke-obs baselines \
-	compare-baselines bench bench-snapshot bench-kernels compare-kernels \
+	compare-baselines bench bench-snapshot bench-perf-smoke compare-kernels \
 	chaos bench-supervisor bench-dynamic bench-backend bench-serving \
 	doctor obs-report ci
 
@@ -69,10 +69,10 @@ bench:
 bench-snapshot:
 	$(PYTHON) -m repro.obs.bench emit --snapshot-only
 
-## Refresh only the kernel snapshot (BENCH_PR4.json): vectorized-vs-
-## reference speedups plus end-to-end parity rows.
-bench-kernels:
-	$(PYTHON) -m repro.obs.bench emit --snapshot-only
+## Wall-clock perf benchmark harness tests (benchmarks/perf, ~15 s): tiny
+## inputs through every workload, output checks and the layer tracer.
+bench-perf-smoke:
+	$(PYTHON) -m pytest benchmarks/perf -q
 
 ## Re-measure the kernel snapshot into a scratch dir and compare against
 ## the committed BENCH_PR4.json.  Wall-clock speedup ratios are noisier
@@ -159,9 +159,9 @@ obs-report: doctor
 ## committed-baseline regression compare (including the kernel snapshot),
 ## the supervised chaos matrix, the run doctor + HTML report, the
 ## execution-backend parity/speedup bench, the serving-gateway
-## equivalence/speedup bench, and the <3% overhead benches (disabled
-## instrumentation, no-fault supervision).
+## equivalence/speedup bench, the wall-clock perf harness smoke, and the
+## <3% overhead benches (disabled instrumentation, no-fault supervision).
 ci: test api-check smoke-obs compare-baselines compare-kernels chaos \
-	bench-dynamic bench-backend bench-serving obs-report
+	bench-dynamic bench-backend bench-serving bench-perf-smoke obs-report
 	$(PYTHON) -m pytest -x -q benchmarks/bench_obs_overhead.py \
 	    benchmarks/bench_supervisor.py

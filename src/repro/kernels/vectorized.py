@@ -2,26 +2,35 @@
 
 The batch's CSR slices are expanded to flat ``(vertex, neighbor_cluster,
 weight)`` triples via :func:`~repro.parallel.primitives.
-ragged_gather_indices`, the packed ``row * n + cluster`` keys are sorted
-once (stable), and one segment reduction over the sorted weights
-produces every per-(vertex, cluster) sum at once — the semisort-style
-aggregation the paper uses for compression (Appendix B), applied to
-move evaluation.
-The per-vertex argmax (with the stay-put / fresh-singleton candidates
-and the ``GAIN_EPS`` strict-improvement guard) is then a handful of
-segment reductions: Python-level work is O(1) calls regardless of batch
-size.
+ragged_gather_indices`.  Each flat entry gets a *unique* packed key
+``((row*n + cluster) << p) | position`` (``p`` bits hold the entry's
+flat position), one in-place value sort orders the keys, and one segment
+reduction over the weights in that order produces every per-(vertex,
+cluster) sum at once — the semisort-style aggregation the paper uses for
+compression (Appendix B), applied to move evaluation.  The per-vertex
+argmax (with the stay-put / fresh-singleton candidates and the
+``GAIN_EPS`` strict-improvement guard) is then a handful of segment
+reductions: Python-level work is O(1) calls regardless of batch size.
 
 Bit-identity with the dict oracle is by construction:
 
-* the stable sort keeps each (vertex, cluster) segment in CSR adjacency
-  order, and the segment reduction preserves the dict accumulation's
-  addition semantics: integer-valued weights (exact under any order)
-  use ``add.reduceat``, fractional weights use a ``bincount``
-  scatter-add that sums each bucket strictly left-to-right;
+* unique keys have exactly one sorted order, and the position bits break
+  (row, cluster) ties in gather order, so NumPy's (SIMD, unstable)
+  quicksort returns precisely the stable permutation: ``key & mask`` is
+  the permutation and ``key >> p`` the sorted (row, cluster) key.  Each
+  (vertex, cluster) segment therefore stays in CSR adjacency order, and
+  the segment reduction preserves the dict accumulation's addition
+  semantics: integer-valued weights (exact under any order) use
+  ``add.reduceat``, fractional weights use a ``bincount`` scatter-add
+  that sums each bucket strictly left-to-right;
+* a batch whose keys would need more than ``KEY_BITS`` bits is sorted
+  in row-contiguous chunks that fit (halving by rows); rows are
+  independent against one snapshot, and chunks keep the row order, so
+  the concatenated segments are exactly the unchunked ones;
 * the argmax takes, per vertex, the first segment (= lowest cluster id,
   segments being cluster-sorted) whose gain equals the exact segment
-  maximum — the oracle's lowest-id tiebreak;
+  maximum — the oracle's lowest-id tiebreak; own-cluster and
+  swap-blocked segments score ``-inf`` so they can never win;
 * IEEE addition is commutative, so assembling ``stay`` as
   ``-λ·k·(K-k) + S_own`` here and ``S_own - λ·k·(K-k)`` there is the
   same float.
@@ -43,17 +52,21 @@ from repro.kernels.base import GAIN_EPS, MoveKernel
 from repro.kernels.reference import reference_batch_moves, reference_single_move
 from repro.kernels.sweep import speculative_sweep
 from repro.obs.instrument import M_KERNEL_FALLBACK, M_KERNEL_SEGMENTS
+from repro.parallel.primitives import ragged_gather_indices
 
 #: Below this many scanned entries (batch edges + vertices) the dict loop
 #: beats the ~40 fixed NumPy calls of the segment path (measured on the
 #: PR3 RMAT workload, where async windows are ~8 vertices of degree ~11).
 SMALL_BATCH_WORK = 192
 
+#: Bits a packed sort key may use: an int64 without its sign bit.
+KEY_BITS = 63
+
 
 class _KernelScratch:
     """Per-process pool of flat work arrays, grown to the largest batch.
 
-    The segment path's O(deg_sum) intermediates (gather indices, packed
+    The segment path's O(deg_sum) intermediates (gathered values, packed
     keys, sorted copies) used to be reallocated on every call; across a
     run that is thousands of multi-megabyte allocations for buffers whose
     size only ever tracks the current batch.  Buffers here grow to the
@@ -89,67 +102,89 @@ class _KernelScratch:
             self._bufs["iota"] = buf
         return buf[:size]
 
-    def stats(self) -> dict:
-        return {name: int(buf.size) for name, buf in sorted(self._bufs.items())}
-
-    def clear(self) -> None:
-        self._bufs.clear()
-
 
 #: The process-wide pool (one per OS process; no threads share it).
 _SCRATCH = _KernelScratch()
 
 
-def kernel_scratch_stats() -> dict:
-    """Current scratch capacities by buffer name (tests, diagnostics)."""
-    return _SCRATCH.stats()
+def _key_bits(rows: int, edges: int, n: int) -> int:
+    """Bits of a packed ``((row*n + cluster) << p) | position`` key."""
+    return (rows * n - 1).bit_length() + (edges - 1).bit_length()
 
 
-def reset_kernel_scratch() -> None:
-    """Drop all pooled buffers (tests that measure allocation behavior)."""
-    _SCRATCH.clear()
+def _row_chunks(degrees: np.ndarray, deg_sum: int, n: int):
+    """Row-contiguous ``(r0, e0, e1)`` slices whose packed keys fit ``KEY_BITS``.
 
-
-def _flat_gather(offsets: np.ndarray, ids: np.ndarray):
-    """(edge_idx, row) like ``ragged_gather_indices``, on pooled buffers.
-
-    Identical values to :func:`repro.parallel.primitives.
-    ragged_gather_indices`; both outputs are scratch views.
+    Rows are independent against one snapshot, so a batch too wide for
+    one key is halved by rows until every piece fits; rows without edges
+    produce no segments and pieces holding only such rows are dropped.
     """
-    starts = _SCRATCH.get("row_starts", ids.size, np.int64)
-    np.take(offsets, ids, out=starts)
-    tmp_ids = _SCRATCH.get("row_tmp", ids.size, np.int64)
-    np.add(ids, 1, out=tmp_ids)
-    lens = _SCRATCH.get("row_lens", ids.size, np.int64)
-    np.take(offsets, tmp_ids, out=lens)
-    np.subtract(lens, starts, out=lens)
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    first = _SCRATCH.get("row_first", ids.size, np.int64)
-    first[0] = 0
-    np.cumsum(lens[:-1], out=first[1:])
-    # row-of-edge: mark each row boundary, inclusive-scan.  Boundary
-    # positions repeat when zero-degree rows sit between marks, so the
-    # marks must accumulate (add.at) rather than overwrite; marks at
-    # ``total`` come from trailing zero-degree rows and are dropped.
-    row = _SCRATCH.get("row", total, np.int64)
-    row[:] = 0
-    if ids.size > 1:
-        if bool(lens.min() > 0):
-            row[first[1:]] = 1
+    if _key_bits(degrees.size, deg_sum, n) <= KEY_BITS:
+        return [(0, 0, deg_sum)]
+    bounds = np.zeros(degrees.size + 1, dtype=np.int64)
+    np.cumsum(degrees, out=bounds[1:])
+    chunks = []
+    pending = [(0, degrees.size)]
+    while pending:
+        r0, r1 = pending.pop()
+        e0, e1 = int(bounds[r0]), int(bounds[r1])
+        if e0 == e1:
+            continue
+        if _key_bits(r1 - r0, e1 - e0, n) <= KEY_BITS:
+            chunks.append((r0, e0, e1))
+        elif r1 - r0 == 1:
+            raise ValueError(
+                f"a degree-{e1 - e0} row over {n} clusters needs more than "
+                f"{KEY_BITS} key bits"
+            )
         else:
-            marks = first[1:]
-            np.add.at(row, marks[marks < total], 1)
-    np.cumsum(row, out=row)
-    # ragged arange: iota - first[row] + starts[row]
-    edge_idx = _SCRATCH.get("edge_idx", total, np.int64)
-    tmp = _SCRATCH.get("gather_tmp", total, np.int64)
-    np.take(first, row, out=tmp)
-    np.subtract(_SCRATCH.iota(total), tmp, out=edge_idx)
-    np.take(starts, row, out=tmp)
-    np.add(edge_idx, tmp, out=edge_idx)
-    return edge_idx, row
+            mid = (r0 + r1) // 2
+            pending.append((mid, r1))
+            pending.append((r0, mid))
+    return chunks
+
+
+def _segment_sums(row, clusters, weights, r0: int, n: int, integer_weights: bool):
+    """``(seg_row, seg_cluster, seg_sum)`` of one row-contiguous gather slice.
+
+    ``r0`` is the slice's first row; keys count rows from it, so a chunk
+    needs only its own row range's bits.  Segments come out ordered by
+    (row, cluster), summed in CSR order (module docstring).
+    """
+    total = row.size
+    shift = (total - 1).bit_length()
+    key = _SCRATCH.get("key", total, np.int64)
+    np.multiply(row - r0 if r0 else row, np.int64(n), out=key)
+    np.add(key, clusters, out=key)
+    np.left_shift(key, shift, out=key)
+    np.bitwise_or(key, _SCRATCH.iota(total), out=key)
+    key.sort()
+    order = _SCRATCH.get("order", total, np.int64)
+    np.bitwise_and(key, np.int64((1 << shift) - 1), out=order)
+    np.right_shift(key, shift, out=key)
+    sorted_w = _SCRATCH.get("sorted_weights", total, weights.dtype)
+    np.take(weights, order, out=sorted_w)
+    boundary = _SCRATCH.get("boundary", total, bool)
+    boundary[0] = True
+    np.not_equal(key[1:], key[:-1], out=boundary[1:])
+    seg_start = np.flatnonzero(boundary)
+    # reduceat's reduce loop uses SIMD partial accumulators, which
+    # reorders float addition within a segment (1-ULP drift against the
+    # dict oracle on fractional weights).  Integer-valued weights sum
+    # exactly under any order, so they take the faster reduceat;
+    # everything else goes through bincount — a plain sequential
+    # scatter-add, accumulating each segment strictly left-to-right in CSR
+    # adjacency order, the dict oracle's exact addition order.
+    if integer_weights:
+        sums = np.add.reduceat(sorted_w, seg_start)
+    else:
+        seg_id = _SCRATCH.get("seg_id", total, np.int64)
+        np.cumsum(boundary, out=seg_id)
+        np.subtract(seg_id, 1, out=seg_id)
+        sums = np.bincount(seg_id, weights=sorted_w, minlength=seg_start.size)
+    # The sort only permutes entries within a row, so the gathered row
+    # array already holds each sorted position's row.
+    return row[seg_start], clusters[order[seg_start]], sums
 
 
 def vectorized_batch_moves(
@@ -182,64 +217,56 @@ def vectorized_batch_moves(
             instr=instr,
         )
 
-    edge_idx, row = _flat_gather(graph.offsets, batch)
     k_batch = graph.node_weights[batch]
     current = assignments[batch]
     stay_gain = -resolution * k_batch * (cluster_weights[current] - k_batch)
     targets = current.copy()
 
-    if edge_idx.size:
-        total = edge_idx.size
-        nbrs = _SCRATCH.get("nbrs", total, graph.neighbors.dtype)
+    if deg_sum:
+        edge_idx, row = ragged_gather_indices(
+            graph.offsets, batch, lens=degrees
+        )
+        nbrs = _SCRATCH.get("nbrs", deg_sum, graph.neighbors.dtype)
         np.take(graph.neighbors, edge_idx, out=nbrs)
-        nbr_clusters = _SCRATCH.get("clusters", total, assignments.dtype)
+        nbr_clusters = _SCRATCH.get("clusters", deg_sum, assignments.dtype)
         np.take(assignments, nbrs, out=nbr_clusters)
-        edge_w = _SCRATCH.get("weights", total, graph.weights.dtype)
+        edge_w = _SCRATCH.get("weights", deg_sum, graph.weights.dtype)
         np.take(graph.weights, edge_idx, out=edge_w)
-        # One stable sort groups the flat (vertex, cluster) pairs; reduceat
-        # then emits every S(v, c') segment sum in CSR order.
-        key = _SCRATCH.get("key", total, np.int64)
-        np.multiply(row, np.int64(n), out=key)
-        np.add(key, nbr_clusters, out=key)
-        order = np.argsort(key, kind="stable")
-        sorted_key = _SCRATCH.get("sorted_key", total, np.int64)
-        np.take(key, order, out=sorted_key)
-        sorted_w = _SCRATCH.get("sorted_weights", total, edge_w.dtype)
-        np.take(edge_w, order, out=sorted_w)
-        boundary = _SCRATCH.get("boundary", total, bool)
-        boundary[0] = True
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=boundary[1:])
-        seg_start = np.flatnonzero(boundary)
-        # reduceat's reduce loop uses SIMD partial accumulators, which
-        # reorders float addition within a segment (1-ULP drift against
-        # the dict oracle on fractional weights).  Integer-valued weights
-        # sum exactly under any order, so they take the faster reduceat;
-        # everything else goes through bincount — a plain sequential
-        # scatter-add, accumulating each segment strictly left-to-right
-        # in CSR adjacency order, the dict oracle's exact addition order.
-        if graph.has_integer_weights:
-            sums = np.add.reduceat(sorted_w, seg_start)
-        else:
-            seg_id = _SCRATCH.get("seg_id", total, np.int64)
-            np.cumsum(boundary, out=seg_id)
-            np.subtract(seg_id, 1, out=seg_id)
-            sums = np.bincount(
-                seg_id, weights=sorted_w, minlength=seg_start.size
+        parts = [
+            _segment_sums(
+                row[e0:e1], nbr_clusters[e0:e1], edge_w[e0:e1], r0, n,
+                graph.has_integer_weights,
             )
-        seg_key = sorted_key[seg_start]
-        cand_row = seg_key // np.int64(n)
-        cand_cluster = seg_key - cand_row * np.int64(n)
+            for r0, e0, e1 in _row_chunks(degrees, deg_sum, n)
+        ]
+        if len(parts) == 1:
+            seg_row, seg_cluster, sums = parts[0]
+        else:
+            seg_row, seg_cluster, sums = (np.concatenate(p) for p in zip(*parts))
         if instr is not None and instr.enabled:
-            instr.observe(M_KERNEL_SEGMENTS, float(seg_start.size))
+            instr.observe(M_KERNEL_SEGMENTS, float(seg_row.size))
 
-        own = cand_cluster == current[cand_row]
-        if own.any():
-            # At most one "own cluster" segment per row: direct scatter.
-            stay_gain[cand_row[own]] += sums[own]
+        # Segments arrive grouped by row: per-row values expand to the
+        # segments by repeat, which beats a gather on long rows.
+        row_start = np.empty(seg_row.size, dtype=bool)
+        row_start[0] = True
+        np.not_equal(seg_row[1:], seg_row[:-1], out=row_start[1:])
+        row_first = np.flatnonzero(row_start)
+        row_len = np.empty_like(row_first)
+        np.subtract(row_first[1:], row_first[:-1], out=row_len[:-1])
+        row_len[-1] = seg_row.size - row_first[-1]
+        rows = seg_row[row_first]
+        seg_current = np.repeat(current[rows], row_len)
+        own = np.flatnonzero(seg_cluster == seg_current)
+        # At most one "own cluster" segment per row: direct scatter.
+        stay_gain[seg_row[own]] += sums[own]
         best_gain = stay_gain.copy()
-
-        ext = ~own
-        if swap_avoidance and ext.any():
+        # Score every segment; the own cluster is the stay option, not a
+        # move, so it drops out of the argmax at -inf.
+        scale = resolution * k_batch[rows]
+        gain = sums - np.repeat(scale, row_len) * cluster_weights[seg_cluster]
+        gain[own] = -np.inf
+        if swap_avoidance:
             # Swap-avoidance heuristic for *synchronous* scheduling (Lu et
             # al. [27], used by Grappolo): a singleton vertex may merge
             # into another singleton cluster only when the target id is
@@ -248,42 +275,31 @@ def vectorized_batch_moves(
             # runs never converge.  Asynchronous and sequential schedules
             # self-heal (the second vertex of a pair sees the first's
             # move), so they run pure best moves.
+            sizes = state.cluster_sizes
             blocked = (
-                (state.cluster_sizes[current[cand_row]] == 1)
-                & (state.cluster_sizes[cand_cluster] == 1)
-                & (cand_cluster > current[cand_row])
+                (sizes[seg_current] == 1)
+                & (sizes[seg_cluster] == 1)
+                & (seg_cluster > seg_current)
             )
-            ext &= ~blocked
-        ext_idx = np.flatnonzero(ext)
-        if ext_idx.size:
-            ext_row = cand_row[ext_idx]
-            ext_cluster = cand_cluster[ext_idx]
-            ext_gain = (
-                sums[ext_idx]
-                - resolution * k_batch[ext_row] * cluster_weights[ext_cluster]
-            )
-            # Per-row argmax without a second sort: segments arrive sorted
-            # by (row, cluster), so the row maximum comes from one more
-            # reduceat and the winner is the first (= lowest cluster id)
-            # segment matching it exactly — the oracle's tiebreak.
-            row_start = np.empty(ext_row.size, dtype=bool)
-            row_start[0] = True
-            np.not_equal(ext_row[1:], ext_row[:-1], out=row_start[1:])
-            starts = np.flatnonzero(row_start)
-            row_max = np.maximum.reduceat(ext_gain, starts)
-            counts = np.diff(np.append(starts, ext_row.size))
-            hit = np.flatnonzero(ext_gain == np.repeat(row_max, counts))
-            rows_of_hit = ext_row[hit]
-            keep = np.empty(hit.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(rows_of_hit[1:], rows_of_hit[:-1], out=keep[1:])
-            sel = hit[keep]
-            rows_present = rows_of_hit[keep]
-            chosen_gain = ext_gain[sel]
-            improved = chosen_gain > stay_gain[rows_present] + GAIN_EPS
-            winners = rows_present[improved]
-            targets[winners] = ext_cluster[sel][improved]
-            best_gain[winners] = chosen_gain[improved]
+            gain[blocked] = -np.inf
+        # Per-row argmax without a second sort: segments arrive sorted by
+        # (row, cluster), so the row maximum comes from one reduceat and
+        # the winner is the first (= lowest cluster id) segment matching
+        # it exactly — the oracle's tiebreak.  A row whose segments are
+        # all -inf "wins" at -inf and fails the improvement test below.
+        row_max = np.maximum.reduceat(gain, row_first)
+        hit = np.flatnonzero(gain == np.repeat(row_max, row_len))
+        rows_of_hit = seg_row[hit]
+        keep = np.empty(hit.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(rows_of_hit[1:], rows_of_hit[:-1], out=keep[1:])
+        sel = hit[keep]
+        rows_present = rows_of_hit[keep]
+        chosen_gain = gain[sel]
+        improved = chosen_gain > stay_gain[rows_present] + GAIN_EPS
+        winners = rows_present[improved]
+        targets[winners] = seg_cluster[sel[improved]]
+        best_gain[winners] = chosen_gain[improved]
     else:
         best_gain = stay_gain.copy()
 

@@ -626,14 +626,15 @@ class ProcessBackend(ExecutionBackend):
         Returns a view of a reusable slab — valid until the next backend
         call; callers consume it immediately (``np.unique`` dedup).
         """
+        degs = graph.offsets[ids + 1] - graph.offsets[ids]
+
         def inline():
-            edge_idx, _ = ragged_gather_indices(graph.offsets, ids)
+            edge_idx, _ = ragged_gather_indices(graph.offsets, ids, lens=degs)
             return graph.neighbors[edge_idx]
 
         if not self._usable(graph):
             return inline()
         size = ids.size
-        degs = graph.offsets[ids + 1] - graph.offsets[ids]
         deg_sum = int(degs.sum())
         if size + deg_sum < self.min_dispatch:
             self._inline_small += 1

@@ -64,7 +64,7 @@ def edge_map(graph, frontier: VertexSubset, sched=None, label: str = "edge-map")
             graph, ids, instr=getattr(sched, "instr", None)
         )
     else:
-        edge_idx, _ = ragged_gather_indices(graph.offsets, ids)
+        edge_idx, _ = ragged_gather_indices(graph.offsets, ids, lens=degs)
         nbrs = graph.neighbors[edge_idx]
     if sched is not None:
         sched.charge(

@@ -99,7 +99,12 @@ def parallel_histogram(
 
 
 def ragged_gather_indices(
-    offsets: np.ndarray, ids: np.ndarray, sched=None, label: str = "gather"
+    offsets: np.ndarray,
+    ids: np.ndarray,
+    sched=None,
+    label: str = "gather",
+    *,
+    lens: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten the CSR rows ``ids`` into (edge_indices, row_of_edge).
 
@@ -108,23 +113,28 @@ def ragged_gather_indices(
     index (position within ``ids``) owning each entry.  This is the
     vectorized equivalent of a nested parallel-for over rows and their
     edges: work O(sum of degrees), depth O(log n).
+
+    ``lens`` passes the rows' degrees when the caller already holds them.
     """
     ids = np.asarray(ids, dtype=np.int64)
     starts = offsets[ids]
-    lens = offsets[ids + 1] - starts
+    if lens is None:
+        lens = offsets[ids + 1] - starts
     total = int(lens.sum())
     if total == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
     row_of_edge = np.repeat(np.arange(ids.size, dtype=np.int64), lens)
-    # ragged arange: for each row, starts[row] .. starts[row]+len[row]
-    first_edge_of_row = np.zeros(ids.size, dtype=np.int64)
-    np.cumsum(lens[:-1], out=first_edge_of_row[1:])
-    edge_indices = (
-        np.arange(total, dtype=np.int64)
-        - first_edge_of_row[row_of_edge]
-        + starts[row_of_edge]
-    )
+    # ragged arange: entry e of row r is starts[r] + (e - first[r]), where
+    # first[r] is the row's first flat position, so the per-row shift
+    # ``starts - first`` repeated over the row plus the flat iota gives
+    # them all.
+    shift = np.empty(ids.size, dtype=np.int64)
+    shift[0] = 0
+    np.cumsum(lens[:-1], out=shift[1:])
+    np.subtract(starts, shift, out=shift)
+    edge_indices = np.repeat(shift, lens)
+    edge_indices += np.arange(total, dtype=np.int64)
     if sched is not None:
         sched.charge(work=float(total + ids.size), depth=_log2(total), label=label)
     return edge_indices, row_of_edge

@@ -16,7 +16,11 @@ left-to-right CSR order as the dict loop, so every comparison here uses
   objective under both kernels;
 * the same end-to-end equivalence under fault injection — the sweep
   kernel detects the ``FaultyClusterState`` wrapper and falls back, so
-  injected hazards perturb both kernels identically.
+  injected hazards perturb both kernels identically;
+* the default ``cluster()`` config at a scale where most concurrency
+  windows take the segment path rather than the dict fallback, on
+  integer and fractional weights;
+* the row-chunked sort path, forced by shrinking the key bit budget.
 """
 
 import numpy as np
@@ -24,17 +28,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import cluster
 from repro.core.config import ClusteringConfig
 from repro.core.engines import ENGINES, multilevel_with_engine
 from repro.core.objective import lambdacc_objective
 from repro.core.state import ClusterState
+from repro.generators.knn import knn_graph
 from repro.generators.lfr import lfr_like_graph
 from repro.generators.planted import planted_partition_graph
 from repro.generators.rmat import rmat_graph
 from repro.graphs.builders import graph_from_edges
 from repro.kernels.reference import reference_batch_moves, reference_sweep
 from repro.kernels.sweep import speculative_sweep
-from repro.kernels.vectorized import vectorized_batch_moves
+from repro.kernels import vectorized
+from repro.kernels.vectorized import VectorizedKernel, vectorized_batch_moves
 from repro.parallel.scheduler import SimulatedScheduler
 from repro.resilience import FaultPlan, ResilienceContext, ResiliencePolicy
 
@@ -66,6 +73,21 @@ def state_instance(draw):
     return graph, labels, lam
 
 
+def _assert_batch_parity(graph, state, batch, lam, escape, swap):
+    ref_t, ref_g = reference_batch_moves(
+        graph, state, batch, lam, allow_escape=escape, swap_avoidance=swap
+    )
+    # small_batch_work=0 forces the segment-reduction path even on tiny
+    # hypothesis graphs (the adaptive fallback would otherwise route them
+    # all through the reference kernel).
+    vec_t, vec_g = vectorized_batch_moves(
+        graph, state, batch, lam,
+        allow_escape=escape, swap_avoidance=swap, small_batch_work=0,
+    )
+    assert np.array_equal(ref_t, vec_t)
+    assert np.array_equal(ref_g, vec_g)
+
+
 class TestBatchKernelEquivalence:
     @given(state_instance(), st.booleans(), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -73,19 +95,7 @@ class TestBatchKernelEquivalence:
         graph, labels, lam = instance
         state = ClusterState.from_assignments(graph, labels)
         batch = np.arange(graph.num_vertices, dtype=np.int64)
-        ref_t, ref_g = reference_batch_moves(
-            graph, state, batch, lam,
-            allow_escape=escape, swap_avoidance=swap,
-        )
-        # small_batch_work=0 forces the segment-reduction path even on
-        # tiny hypothesis graphs (the adaptive fallback would otherwise
-        # route them all through the reference kernel).
-        vec_t, vec_g = vectorized_batch_moves(
-            graph, state, batch, lam,
-            allow_escape=escape, swap_avoidance=swap, small_batch_work=0,
-        )
-        assert np.array_equal(ref_t, vec_t), (labels, lam)
-        assert np.array_equal(ref_g, vec_g), (labels, lam)
+        _assert_batch_parity(graph, state, batch, lam, escape, swap)
 
     @given(state_instance())
     @settings(max_examples=100, deadline=None)
@@ -103,6 +113,61 @@ class TestBatchKernelEquivalence:
             ref_state.cluster_weights, vec_state.cluster_weights
         )
         assert np.array_equal(ref_state.cluster_sizes, vec_state.cluster_sizes)
+
+
+class TestChunkedSort:
+    """Batches whose packed keys exceed ``KEY_BITS`` sort in row chunks."""
+
+    @given(state_instance(), st.booleans(), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_chunked_batch_moves_bit_identical(self, instance, escape, swap, data):
+        graph, labels, lam = instance
+        state = ClusterState.from_assignments(graph, labels)
+        batch = np.asarray(
+            data.draw(st.permutations(range(graph.num_vertices))), dtype=np.int64
+        )
+        # n <= 16 and degree <= 15 keep one row within 8 bits, so every
+        # budget here is legal while whole batches need up to ~16 bits.
+        key_bits = data.draw(st.integers(min_value=8, max_value=12))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vectorized, "KEY_BITS", key_bits)
+            _assert_batch_parity(graph, state, batch, lam, escape, swap)
+
+    def _sparse_instance(self):
+        # Rows 0, 3, 6 and 9 have no edges, so halving the batch puts
+        # zero-degree rows at chunk edges.
+        edges = np.asarray(
+            [(1, 2), (2, 4), (4, 5), (5, 7), (7, 8), (8, 1), (1, 4), (5, 8)],
+            dtype=np.int64,
+        )
+        weights = np.asarray([1.5, -0.5, 2.0, 0.25, 1.0, -1.0, 0.75, 0.5])
+        graph = graph_from_edges(edges, weights=weights, num_vertices=10)
+        labels = np.asarray([0, 1, 1, 3, 4, 4, 6, 4, 1, 9], dtype=np.int64)
+        return graph, ClusterState.from_assignments(graph, labels)
+
+    @pytest.mark.parametrize("escape", [False, True])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_zero_degree_rows_at_chunk_edges(self, monkeypatch, escape, swap):
+        graph, state = self._sparse_instance()
+        batch = np.arange(graph.num_vertices, dtype=np.int64)
+        degrees = graph.offsets[batch + 1] - graph.offsets[batch]
+        monkeypatch.setattr(vectorized, "KEY_BITS", 7)
+        chunks = vectorized._row_chunks(degrees, int(degrees.sum()), 10)
+        assert len(chunks) > 1
+        assert any(degrees[r0] == 0 for r0, _, _ in chunks)
+        # Chunks tile the edge range in row order.
+        assert chunks[0][1] == 0 and chunks[-1][2] == degrees.sum()
+        assert all(a[2] == b[1] for a, b in zip(chunks, chunks[1:]))
+        _assert_batch_parity(graph, state, batch, 0.2, escape, swap)
+
+    def test_row_wider_than_budget_raises(self, monkeypatch):
+        graph, state = self._sparse_instance()
+        monkeypatch.setattr(vectorized, "KEY_BITS", 4)
+        with pytest.raises(ValueError, match="key bits"):
+            vectorized_batch_moves(
+                graph, state, np.arange(10, dtype=np.int64), 0.2,
+                small_batch_work=0,
+            )
 
 
 def _run_engine(graph, engine, kernel, resolution, seed, plan=None):
@@ -173,3 +238,58 @@ class TestEngineEquivalence:
         vec_labels, vec_sim = results["vectorized"]
         assert np.array_equal(ref_labels, vec_labels)
         assert ref_sim == vec_sim
+
+
+def _knn_fractional(seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 3.0, size=(12, 8))
+    labels = rng.integers(0, 12, size=1500)
+    return knn_graph(centers[labels] + rng.normal(size=(1500, 8)), k=10)
+
+
+class TestDefaultConfigParity:
+    """Kernel parity on the default ``cluster()`` config at segment scale.
+
+    ``TestEngineEquivalence``'s graphs are small enough that nearly every
+    one of the 32 asynchronous windows drops below ``SMALL_BATCH_WORK``
+    and takes the dict fallback; here most windows take the segment path.
+    """
+
+    @pytest.mark.parametrize(
+        "make_graph, integer_weights",
+        [
+            (lambda: rmat_graph(11, 8 * 2**11, seed=1), True),
+            (lambda: _knn_fractional(3), False),
+        ],
+        ids=["rmat11", "knn-fractional"],
+    )
+    def test_default_config_bit_identical(
+        self, monkeypatch, make_graph, integer_weights
+    ):
+        graph = make_graph()
+        assert graph.has_integer_weights is integer_weights
+        calls = {"windows": 0, "fallbacks": 0}
+        batch_moves = VectorizedKernel.batch_moves
+        fallback = vectorized.reference_batch_moves
+
+        def counted_batch_moves(self, *args, **kwargs):
+            calls["windows"] += 1
+            return batch_moves(self, *args, **kwargs)
+
+        def counted_fallback(*args, **kwargs):
+            calls["fallbacks"] += 1
+            return fallback(*args, **kwargs)
+
+        monkeypatch.setattr(VectorizedKernel, "batch_moves", counted_batch_moves)
+        monkeypatch.setattr(vectorized, "reference_batch_moves", counted_fallback)
+        results = {
+            kernel: cluster(
+                graph, ClusteringConfig(resolution=0.05, seed=3, kernel=kernel)
+            )
+            for kernel in ("reference", "vectorized")
+        }
+        ref, vec = results["reference"], results["vectorized"]
+        assert np.array_equal(ref.assignments, vec.assignments)
+        assert ref.objective == vec.objective
+        assert ref.sim_time() == vec.sim_time()
+        assert calls["fallbacks"] < calls["windows"]
