@@ -2,8 +2,8 @@
 
 ISSUE 10's contract: under a mixed read/write workload on the
 simulated clock, snapshot-isolated reads (dedicated read lanes, commits
-on their own lane) must beat the old serial ClusterServer discipline
-(reads queue behind every commit) on read throughput — while the
+on their own lane) must beat a serial single-lane discipline (reads
+queue behind every commit) on read throughput — while the
 committed label sequence stays bit-identical to a serial replay of the
 same coalesced batches, with every request accounted to exactly one
 terminal status.

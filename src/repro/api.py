@@ -50,7 +50,6 @@ from repro import (
     supervise,
 )
 from repro.dynamic.clusterer import DriftGuard, DynamicClusterer
-from repro.dynamic.serve import ClusterServer
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
 from repro.errors import (
     ConfigError,
@@ -99,8 +98,7 @@ __all__ = [
     "RunSupervisor",
     "Watchdog",
     "supervise",
-    # dynamic clustering + serving facade
-    "ClusterServer",
+    # dynamic clustering
     "DriftGuard",
     "DynamicClusterer",
     "EdgeUpdate",

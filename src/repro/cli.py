@@ -19,7 +19,8 @@ Subcommands:
 * ``doctor``   — health-check a finished run from its artifacts
   (registry record, trace, metrics, stats) against declarative health
   rules and serving SLOs; exit 1 on any crit finding;
-* ``update`` / ``serve-sim`` — dynamic clustering (DESIGN.md §11);
+* ``update`` / ``serve`` — dynamic clustering behind the serving
+  gateway (DESIGN.md §11, §14);
 * ``obs``      — timelines, the runs registry, and the self-contained
   HTML observability report (``obs report --html``).
 
@@ -355,7 +356,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _dynamic_config(args) -> ClusteringConfig:
-    """The correlation-only config shared by ``update`` and ``serve-sim``.
+    """The correlation-only config shared by ``update`` and ``serve``.
 
     Must be flag-compatible with the ``cluster`` subcommand so a snapshot
     written after ``repro cluster --output-labels`` + ``repro update``
@@ -420,25 +421,27 @@ def _dynamic_graph_name(args) -> str:
 
 
 def _cmd_update(args) -> int:
-    from repro.dynamic import (
-        ClusterServer,
-        SnapshotStore,
-        batched,
-        read_update_log,
-        save_snapshot,
-    )
+    from repro.dynamic import SnapshotStore, read_update_log, save_snapshot
+    from repro.serving import GatewayPolicy, Request, ServingGateway
+    from repro.serving.session import commit_staged
 
     config = _dynamic_config(args)
     store = SnapshotStore(args.snapshot_dir) if args.snapshot_dir else None
     clusterer = _load_dynamic(args, config, store)
-    # Batches route through the serving facade so instrumented sessions
-    # populate the per-op SLO latency histograms (commit/save).
-    server = ClusterServer(clusterer, store)
     updates = read_update_log(args.updates)
     batch_size = args.batch_size if args.batch_size else max(len(updates), 1)
+    # Batches commit through the gateway, so instrumented sessions
+    # populate the per-op SLO latency histograms (commit/save).
+    gateway = ServingGateway(
+        clusterer, GatewayPolicy(write_queue_limit=batch_size)
+    )
     start = time.perf_counter()
-    for batch in batched(updates, batch_size):
-        report = server.apply(batch)
+    for first in range(0, len(updates), batch_size):
+        now = time.perf_counter() - start
+        for rid in range(first, min(first + batch_size, len(updates))):
+            request = Request.write(rid, updates[rid], submitted_at=now)
+            gateway.stage_write(request, now)
+        report = commit_staged(gateway, time.perf_counter() - start)
         counts = " ".join(
             f"{op}={k}" for op, k in report.op_counts.items() if k
         )
@@ -466,21 +469,21 @@ def _cmd_update(args) -> int:
         if issues:
             for issue in issues:
                 print(f"  ! audit: {issue}", file=sys.stderr)
-            server.close()
+            gateway.close()
             return 1
         print("audit: clean")
     if args.output_labels:
         write_labels(clusterer.state.assignments, args.output_labels)
         print(f"vertex/cluster labels written to {args.output_labels}")
     if store is not None:
-        slot = server.save()
+        slot = gateway.save(store)
         print(f"snapshot rotated into {slot}")
     if args.save_snapshot:
         save_snapshot(args.save_snapshot, clusterer)
         print(f"snapshot written to {args.save_snapshot}")
     # All batches are applied: release the warm worker pool (no-op for
     # the simulated backend) before reporting/registration.
-    server.close()
+    gateway.close()
     if clusterer.instr.enabled:
         if args.trace:
             clusterer.instr.write_trace(args.trace)
@@ -554,24 +557,8 @@ def _cmd_update(args) -> int:
     return 0
 
 
-def _cmd_serve_sim(args) -> int:
-    from repro.dynamic import SnapshotStore, run_session
-
-    config = _dynamic_config(args)
-    store = SnapshotStore(args.snapshot_dir) if args.snapshot_dir else None
-    clusterer = _load_dynamic(args, config, store)
-    try:
-        with open(args.script) as handle:
-            script = handle.readlines()
-        for line in run_session(clusterer, script, store=store):
-            print(line)
-    finally:
-        clusterer.close()
-    return 0
-
-
 def _cmd_serve(args) -> int:
-    """Drive the concurrent serving gateway with a generated workload."""
+    """Drive the serving gateway: a scripted session or a generated workload."""
     from repro.dynamic import SnapshotStore
     from repro.serving import (
         GatewayPolicy,
@@ -585,10 +572,6 @@ def _cmd_serve(args) -> int:
     config = _dynamic_config(args)
     store = SnapshotStore(args.snapshot_dir) if args.snapshot_dir else None
     clusterer = _load_dynamic(args, config, store)
-    # Bootstrap state, captured before any commit: the serial-replay
-    # equivalence check re-applies the committed batches from here.
-    graph0 = clusterer.graph
-    labels0 = clusterer.state.assignments.copy()
     policy = GatewayPolicy(
         read_queue_limit=args.read_queue_limit,
         write_queue_limit=args.write_queue_limit,
@@ -597,6 +580,19 @@ def _cmd_serve(args) -> int:
         commit_interval_seconds=args.commit_interval,
         read_concurrency=args.read_concurrency,
     )
+    if args.script:
+        from repro.serving.session import run_session
+
+        with ServingGateway(clusterer, policy) as gateway:
+            with open(args.script) as handle:
+                script = handle.readlines()
+            for line in run_session(gateway, script, store=store):
+                print(line)
+        return 0
+    # Bootstrap state, captured before any commit: the serial-replay
+    # equivalence check re-applies the committed batches from here.
+    graph0 = clusterer.graph
+    labels0 = clusterer.state.assignments.copy()
     workload = WorkloadSpec(
         num_requests=args.requests,
         read_fraction=args.read_fraction,
@@ -609,7 +605,7 @@ def _cmd_serve(args) -> int:
     )
     requests = workload.generate(graph0.num_vertices)
     instr = clusterer.instr if clusterer.instr.enabled else None
-    gateway = ServingGateway(clusterer, policy, instrumentation=instr)
+    gateway = ServingGateway(clusterer, policy)
     try:
         if args.driver == "sim":
             driver = SimulatedDriver(serial_baseline=args.serial_baseline)
@@ -943,10 +939,12 @@ def _doctor_verdict(args, inputs, rules_path=None, json_path=None) -> int:
     if doctor.slo_rows:
         print("serving SLOs (p95 vs target):")
         for row in doctor.slo_rows:
+            # Ops without a target (e.g. audit) are reported, not gated.
+            target = "-" if row["target"] is None else f"{row['target']:g}s"
             print(
                 f"  {row['op']:<8} ops={row['count']:<6} "
                 f"p50={row['p50']:.6g}s p95={row['p95']:.6g}s "
-                f"target={row['target']:g}s [{row['severity']}]"
+                f"target={target} [{row['severity'] or 'ungated'}]"
             )
     if json_path:
         import json
@@ -1359,7 +1357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chaos, seed=1)
 
     def add_dynamic_flags(p):
-        """State source + config flags shared by update/serve-sim."""
+        """State source + config flags shared by update/serve."""
         p.add_argument("--snapshot", metavar="FILE",
                        help="restore live state from a snapshot .npz")
         p.add_argument("--snapshot-dir", metavar="DIR",
@@ -1433,24 +1431,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_update, profile=False, profile_json=None)
 
     p = sub.add_parser(
-        "serve-sim",
-        help="scripted query/update session against a live clustering "
-             "(get/same/members/stats/insert/delete/reweight/commit/"
-             "save/audit)",
-    )
-    add_dynamic_flags(p)
-    p.add_argument("--script", required=True, metavar="FILE",
-                   help="session script, one command per line")
-    p.set_defaults(func=_cmd_serve_sim, profile=False, profile_json=None,
-                   trace=None, metrics=None)
-
-    p = sub.add_parser(
         "serve",
-        help="drive the concurrent serving gateway: snapshot-isolated "
-             "reads multiplexed against coalesced update commits, with "
+        help="drive the serving gateway: snapshot-isolated reads "
+             "multiplexed against coalesced update commits, with "
              "admission control and load shedding (DESIGN.md §14)",
     )
     add_dynamic_flags(p)
+    p.add_argument("--script", metavar="FILE",
+                   help="run a scripted session instead of a generated "
+                        "workload, one command per line (get/same/members/"
+                        "stats/insert/delete/reweight/commit/save/audit); "
+                        "prints one deterministic line per command")
     w = p.add_argument_group("workload")
     w.add_argument("--requests", type=int, default=500, metavar="N",
                    help="total requests to generate (default 500)")
@@ -1495,8 +1486,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "client threads (threads)")
     d.add_argument("--serial-baseline", action="store_true",
                    help="sim only: one lane shared by reads and commits "
-                        "(the old ClusterServer discipline, for "
-                        "comparison)")
+                        "(reads queue behind commits, for comparison)")
     d.add_argument("--threads", type=int, default=4, metavar="N",
                    help="client threads for --driver threads")
     d.add_argument("--time-scale", type=float, default=0.0,

@@ -10,7 +10,6 @@ convenience wrappers mirror the paper's implementation names:
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -25,7 +24,7 @@ from repro.core.objective import (
     modularity_lambda,
 )
 from repro.core.result import ClusterResult
-from repro.errors import ConfigError, InvariantViolation
+from repro.errors import InvariantViolation
 from repro.graphs.csr import CSRGraph
 from repro.graphs.stats import MemoryTracker
 from repro.obs.instrument import (
@@ -40,74 +39,10 @@ from repro.utils.rng import make_rng
 from repro.utils.timing import WallTimer
 
 
-class _Unset:
-    """Sentinel distinguishing "kwarg not passed" from an explicit ``None``
-    on the deprecated ``cluster`` keywords.  The stable repr keeps
-    ``inspect.signature(cluster)`` machine-independent — the API-surface
-    snapshot (``repro.api``) hashes signatures, and the default
-    ``<object object at 0x...>`` repr would embed a memory address."""
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return "<unset>"
-
-
-_UNSET = _Unset()
-
-
-def _resolve_options(options, legacy: dict) -> RunOptions:
-    """Merge the deprecated per-subsystem kwargs into a RunOptions.
-
-    A positional :class:`~repro.resilience.context.ResiliencePolicy` in
-    the ``options`` slot (the pre-RunOptions third positional argument)
-    is accepted as a deprecated spelling of ``resilience=``.
-    """
-    from repro.resilience.context import ResiliencePolicy
-
-    if isinstance(options, ResiliencePolicy):
-        warnings.warn(
-            "passing a ResiliencePolicy positionally to cluster() is "
-            "deprecated; use cluster(graph, config, "
-            "options=RunOptions(resilience=policy))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        legacy = dict(legacy)
-        legacy.setdefault("resilience", options)
-        options = None
-    passed = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if not passed:
-        return options if options is not None else RunOptions()
-    names = ", ".join(sorted(passed))
-    if options is not None:
-        overlap = sorted(
-            k for k in passed if getattr(options, k) is not None
-        )
-        if overlap:
-            raise ConfigError(
-                "cluster() received both options= and the deprecated "
-                f"keyword(s) {', '.join(overlap)}; set them on RunOptions "
-                "only"
-            )
-    warnings.warn(
-        f"cluster() keyword(s) {names} are deprecated; pass "
-        f"options=RunOptions({names}=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    base = options if options is not None else RunOptions()
-    return base.merged_with(**passed)
-
-
 def cluster(
     graph: CSRGraph,
     config: ClusteringConfig,
     options: Optional[RunOptions] = None,
-    *,
-    resilience=_UNSET,
-    instrumentation=_UNSET,
-    engine=_UNSET,
-    supervisor=_UNSET,
-    backend=_UNSET,
 ) -> ClusterResult:
     """Cluster ``graph`` according to ``config``; see :class:`ClusterResult`.
 
@@ -138,22 +73,8 @@ def cluster(
       subsystem reuses one warm process pool across update batches); when
       omitted, ``config.backend`` selects one, created and closed inside
       this call.  Backends never change results (DESIGN.md §13).
-
-    The pre-``RunOptions`` keywords (``resilience=``, ``instrumentation=``,
-    ``engine=``, ``supervisor=``, ``backend=``) still work as deprecated
-    shims: they emit :class:`DeprecationWarning` and forward, producing
-    bit-identical results.
     """
-    opts = _resolve_options(
-        options,
-        {
-            "resilience": resilience,
-            "instrumentation": instrumentation,
-            "engine": engine,
-            "supervisor": supervisor,
-            "backend": backend,
-        },
-    )
+    opts = options if options is not None else RunOptions()
     resilience = opts.resilience
     instrumentation = opts.instrumentation
     engine = opts.engine

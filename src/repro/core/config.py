@@ -188,7 +188,7 @@ class ClusteringConfig:
 
         One canonical flag block shared by every CLI subcommand that
         builds a :class:`ClusteringConfig` (``cluster`` / ``update`` /
-        ``serve-sim`` / ``serve``), paired with :meth:`from_args` for the
+        ``serve``), paired with :meth:`from_args` for the
         reverse direction.  ``include_objective=False`` omits the
         ``--objective`` flag for correlation-only subcommands (the
         dynamic subsystem).

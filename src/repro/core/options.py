@@ -1,22 +1,18 @@
 """RunOptions: the consolidated execution-context bundle for ``cluster``.
 
-Over nine PRs :func:`repro.core.api.cluster` accreted one keyword per
-subsystem — ``resilience=``, ``instrumentation=``, ``engine=``,
-``supervisor=``, ``backend=`` — none of which changes *what* is
-computed, only *how* the run executes (fault handling, telemetry,
-engine override, retry ladder, worker pool).  :class:`RunOptions`
-bundles them into one typed, frozen value so the public signature stays
+:func:`repro.core.api.cluster` takes every execution subsystem —
+resilience, instrumentation, engine override, supervisor, backend —
+through one typed, frozen value, so the public signature stays
 ``cluster(graph, config, options=)`` no matter how many execution
 subsystems grow underneath, and so option bundles can be built once and
 reused across runs (the serving gateway and the supervisor both do).
-
-The legacy keywords remain as deprecated shims on ``cluster`` itself:
-they emit :class:`DeprecationWarning` and forward here, bit-identically.
+None of these fields changes *what* is computed, only *how* the run
+executes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["RunOptions"]
@@ -58,17 +54,3 @@ class RunOptions:
     engine: Optional[str] = None
     supervisor: Optional[object] = None
     backend: Optional[object] = None
-
-    def with_options(self, **changes) -> "RunOptions":
-        """A modified copy (thin wrapper over :func:`dataclasses.replace`)."""
-        return replace(self, **changes)
-
-    def merged_with(self, **overrides) -> "RunOptions":
-        """A copy where non-``None`` overrides win over current fields."""
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **changes) if changes else self
-
-    @classmethod
-    def field_names(cls) -> tuple:
-        """The option field names, in declaration order."""
-        return tuple(f.name for f in fields(cls))

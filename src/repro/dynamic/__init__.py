@@ -10,11 +10,10 @@ Public surface (DESIGN.md §11):
   ``assignments``, ``stats``, plus the :class:`DriftGuard` escalation
   policy;
 * :class:`~repro.dynamic.snapshot.SnapshotStore` — two-slot rotating
-  ``.npz`` persistence of live state (bit-identical resumption);
-* :class:`~repro.dynamic.serve.ClusterServer` — the SLO-instrumented
-  query/stage/commit/save facade (per-op latency histograms, staleness
-  gauge) and :func:`~repro.dynamic.serve.run_session` — the
-  deterministic scripted session runner behind ``repro serve-sim``.
+  ``.npz`` persistence of live state (bit-identical resumption).
+
+Clients reach a live clusterer through the serving gateway
+(:mod:`repro.serving`), the one serving front.
 """
 
 from repro.dynamic.clusterer import DriftGuard, DynamicClusterer, UpdateReport
@@ -24,7 +23,6 @@ from repro.dynamic.snapshot import (
     read_snapshot_meta,
     save_snapshot,
 )
-from repro.dynamic.serve import ClusterServer, run_session
 from repro.dynamic.updates import (
     EdgeUpdate,
     UpdateBatch,
@@ -34,7 +32,6 @@ from repro.dynamic.updates import (
 )
 
 __all__ = [
-    "ClusterServer",
     "DriftGuard",
     "DynamicClusterer",
     "EdgeUpdate",
@@ -45,7 +42,6 @@ __all__ = [
     "load_snapshot",
     "read_snapshot_meta",
     "read_update_log",
-    "run_session",
     "save_snapshot",
     "write_update_log",
 ]

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -198,7 +198,7 @@ class DynamicClusterer:
         self.updates_since_save = 0
         # Persistent execution backend (DESIGN.md §13): created lazily on
         # the first apply() so the process pool warms up once and is then
-        # reused by every update batch (and by ClusterServer, which
+        # reused by every update batch (and by the serving gateway, which
         # delegates here).  None until first use or when the config runs
         # the default simulated backend.
         self._backend = None
@@ -370,6 +370,39 @@ class DynamicClusterer:
     # Updates
     # ------------------------------------------------------------------ #
 
+    def validate(self, updates: Iterable[EdgeUpdate]) -> List[Optional[str]]:
+        """Why each update would be rejected, in order (``None`` = valid).
+
+        Walks the updates against the live graph the way :meth:`apply`
+        stages them, under :meth:`EdgeUpdate.weight_after`.  A rejected
+        update is skipped, so later updates see only the valid ones before
+        them; the serving gateway commits exactly the valid subset.
+        """
+        return [reason for _, _, reason in self._plan(updates)]
+
+    def _plan(
+        self, updates: Iterable[EdgeUpdate]
+    ) -> List[Tuple[float, float, Optional[str]]]:
+        """``(current, new, reason)`` edge weights per update, in order.
+
+        ``reason`` is set (and ``new == current``) for a rejected update.
+        """
+        weights: Dict[Tuple[int, int], float] = {}
+        plan: List[Tuple[float, float, Optional[str]]] = []
+        for upd in updates:
+            key = upd.key
+            current = (
+                weights[key] if key in weights
+                else self.overlay.edge_weight(upd.u, upd.v)
+            )
+            try:
+                new = weights[key] = upd.weight_after(current)
+            except UpdateError as exc:
+                plan.append((current, current, str(exc)))
+            else:
+                plan.append((current, new, None))
+        return plan
+
     def apply(self, batch: Union[UpdateBatch, List[EdgeUpdate]]) -> UpdateReport:
         """Apply one update batch; localized refinement keeps F current."""
         if not isinstance(batch, UpdateBatch):
@@ -461,27 +494,19 @@ class DynamicClusterer:
     # ------------------------------------------------------------------ #
 
     def _stage(self, batch: UpdateBatch, old_n: int):
-        """Stage the batch onto the overlay; returns (intra delta, counts)."""
+        """Stage the batch onto the overlay; returns (intra delta, counts).
+
+        The whole batch is validated first, so a rejected update raises
+        with the overlay untouched.
+        """
+        plan = self._plan(batch)
+        for _, _, reason in plan:
+            if reason is not None:
+                raise UpdateError(reason)
         intra_delta = 0.0
         counts = {"insert": 0, "delete": 0, "reweight": 0}
         assignments = self.state.assignments
-        for upd in batch:
-            current = self.overlay.edge_weight(upd.u, upd.v)
-            if upd.op == "insert":
-                new = current + upd.weight
-            elif upd.op == "delete":
-                if current == 0.0:
-                    raise UpdateError(
-                        f"cannot delete absent edge ({upd.u}, {upd.v})"
-                    )
-                new = 0.0
-            else:  # reweight
-                if current == 0.0:
-                    raise UpdateError(
-                        f"cannot reweight absent edge ({upd.u}, {upd.v}); "
-                        "use an insert"
-                    )
-                new = upd.weight
+        for upd, (current, new, _) in zip(batch, plan):
             self.overlay.set_edge(upd.u, upd.v, new)
             counts[upd.op] += 1
             # New vertices enter as fresh singletons, so an edge touching

@@ -12,8 +12,9 @@ cluster weight/size arrays are stored verbatim rather than recomputed
 from assignments on load (``np.add.at`` summation order would only agree
 to rounding).
 
-:class:`SnapshotStore` adds the supervisor's two-slot rotation idiom: a
-save never overwrites the newest good snapshot, so a crash mid-save
+:class:`SnapshotStore` rotates over the same two-slot helper as the
+supervisor's checkpoints: a save never overwrites the newest good
+snapshot, so a crash mid-save
 leaves the previous generation intact and :meth:`SnapshotStore.load`
 falls back to it.
 """
@@ -32,6 +33,7 @@ from repro.dynamic.clusterer import DriftGuard, DynamicClusterer
 from repro.errors import SnapshotError
 from repro.resilience.checkpoint import (
     _CORRUPT_NPZ_ERRORS,
+    SlotPair,
     _pack_graph,
     _unpack_graph,
     capture_rng,
@@ -200,49 +202,40 @@ def load_snapshot(
 class SnapshotStore:
     """Two-slot rotating snapshot directory (crash-safe saves).
 
-    Saves alternate between ``snap-a.npz`` and ``snap-b.npz``, always
-    writing the slot that does *not* hold the newest good snapshot; a
-    generation counter in the header identifies the latest.  Mirrors the
-    supervisor's :class:`~repro.supervisor.supervisor.CheckpointRotation`.
+    Saves alternate between ``snap-a.npz`` and ``snap-b.npz``
+    (:class:`~repro.resilience.checkpoint.SlotPair`), always writing the
+    slot that does *not* hold the newest good snapshot; a generation
+    counter in the header identifies the latest.
     """
 
-    SLOT_NAMES = ("snap-a.npz", "snap-b.npz")
-
     def __init__(self, directory: PathLike) -> None:
-        self.directory = Path(directory)
+        self.slots = SlotPair(directory, "snap")
+        self.directory = self.slots.directory
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def _slots(self):
-        """``(path, generation | None)`` per slot; None = missing/corrupt."""
-        out = []
-        for name in self.SLOT_NAMES:
-            path = self.directory / name
-            generation = None
+    def _good(self):
+        """``(path, generation)`` of readable slots, newest first."""
+        good = []
+        for path in self.slots.paths:
             if path.exists():
                 try:
                     meta = read_snapshot_meta(path)
-                    generation = int(meta.get("generation", 0))
                 except SnapshotError:
-                    generation = None
-            out.append((path, generation))
-        return out
+                    continue
+                good.append((path, int(meta.get("generation", 0))))
+        return sorted(good, key=lambda item: -item[1])
 
     def latest(self) -> Optional[Path]:
         """Path of the newest good snapshot, or None."""
-        slots = [(p, g) for p, g in self._slots() if g is not None]
-        if not slots:
-            return None
-        return max(slots, key=lambda item: item[1])[0]
+        good = self._good()
+        return good[0][0] if good else None
 
     def save(self, clusterer: DynamicClusterer) -> Path:
-        """Write a new generation into the elder (or empty) slot."""
-        slots = self._slots()
-        generations = [g for _, g in slots if g is not None]
-        next_gen = (max(generations) + 1) if generations else 1
-        target = min(
-            slots, key=lambda item: (item[1] is not None, item[1] or 0)
-        )[0]
-        save_snapshot(target, clusterer, generation=next_gen)
+        """Write a new generation into the elder (or empty/corrupt) slot."""
+        good = self._good()
+        newest, generation = good[0] if good else (None, 0)
+        target = self.slots.other(newest)
+        save_snapshot(target, clusterer, generation=generation + 1)
         return target
 
     def load(
@@ -254,14 +247,11 @@ class SnapshotStore:
         guard: Optional[DriftGuard] = None,
     ) -> DynamicClusterer:
         """Restore the newest good snapshot, falling back to the elder slot."""
-        slots = sorted(
-            ((p, g) for p, g in self._slots() if g is not None),
-            key=lambda item: -item[1],
-        )
-        if not slots:
+        good = self._good()
+        if not good:
             raise SnapshotError(f"no snapshot found in {self.directory}")
         last_error: Optional[SnapshotError] = None
-        for path, _ in slots:
+        for path, _ in good:
             try:
                 return load_snapshot(
                     path,

@@ -68,6 +68,23 @@ class EdgeUpdate:
         """Canonical ``(min, max)`` endpoint pair."""
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
+    def weight_after(self, current: float) -> float:
+        """The edge's weight once this update lands on weight ``current``.
+
+        The one validation rule for updates against live state: a delete
+        or reweight of an absent edge (``current == 0``) raises
+        :class:`~repro.errors.UpdateError`.
+        """
+        if self.op == "insert":
+            return current + self.weight
+        if current == 0.0:
+            if self.op == "delete":
+                raise UpdateError(f"cannot delete absent edge ({self.u}, {self.v})")
+            raise UpdateError(
+                f"cannot reweight absent edge ({self.u}, {self.v}); use an insert"
+            )
+        return 0.0 if self.op == "delete" else self.weight
+
     def as_dict(self) -> dict:
         payload = {"op": self.op, "u": int(self.u), "v": int(self.v)}
         if self.op != "delete":

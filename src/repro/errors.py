@@ -65,11 +65,12 @@ class UpdateError(ReproError):
 
 
 class ServerClosedError(ReproError):
-    """Raised when an op is invoked on a :class:`~repro.dynamic.serve.ClusterServer`
-    (or serving gateway) after ``close()``.  Closing is idempotent —
-    double-close and re-``__exit__`` are no-ops — but query/stage/commit/
-    save/audit on a closed server raise this instead of surfacing an
-    obscure backend failure from the released clusterer."""
+    """Raised when an op is invoked on a
+    :class:`~repro.serving.gateway.ServingGateway` after ``close()``.
+    Closing is idempotent — double-close and re-``__exit__`` are no-ops —
+    but serve/stage/commit/save/audit on a closed gateway raise this
+    instead of surfacing an obscure backend failure from the released
+    clusterer."""
 
 
 class SnapshotError(CheckpointError):

@@ -520,8 +520,7 @@ class SLOSpec:
     def default() -> "SLOSpec":
         return SLOSpec(
             op_p95_seconds={
-                "query": 0.05,
-                "stage": 0.05,
+                "read": 0.05,
                 "commit": 30.0,
                 "save": 30.0,
             },

@@ -95,8 +95,9 @@ M_DYNAMIC_DRIFT = "repro_dynamic_drift_abs"
 M_DYNAMIC_ESCALATIONS = "repro_dynamic_escalations_total"
 #: Serving-facade queries answered, labeled by kind (counter).
 M_DYNAMIC_QUERIES = "repro_dynamic_queries_total"
-#: Serving-facade op latency in seconds, labeled by op:
-#: query/stage/commit/save/audit (histogram).  Fed by ClusterServer.
+#: Serving op latency in seconds, labeled by op: read/write (request
+#: latency) and commit/save/audit (wall time) (histogram).  Fed by the
+#: serving gateway.
 M_SERVE_LATENCY = "repro_serve_op_seconds"
 #: Edge updates applied to the live state since the last snapshot save
 #: (gauge) — the serving staleness the SLO spec bounds.

@@ -258,3 +258,26 @@ def capture_rng(rng: Optional[np.random.Generator]) -> Optional[dict]:
     if rng is None:
         return None
     return rng.bit_generator.state
+
+
+class SlotPair:
+    """Two alternating ``.npz`` slots in one directory (crash-safe rotation).
+
+    A writer targets the slot other than the one it last trusted, so a
+    torn write leaves the previous generation intact.  Which slot that is
+    stays the caller's record: :class:`~repro.dynamic.snapshot.SnapshotStore`
+    reads a generation counter from each file's header, the supervisor's
+    :class:`~repro.supervisor.supervisor.CheckpointRotation` alternates
+    per attempt and tracks which attempts rewrote their slot.
+    """
+
+    def __init__(self, directory: PathLike, stem: str) -> None:
+        self.directory = Path(directory)
+        self.paths = (
+            self.directory / f"{stem}-a.npz",
+            self.directory / f"{stem}-b.npz",
+        )
+
+    def other(self, path: Optional[Path]) -> Path:
+        """The slot to write next: the one not holding ``path`` (``a`` if None)."""
+        return self.paths[1] if path == self.paths[0] else self.paths[0]

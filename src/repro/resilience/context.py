@@ -2,7 +2,8 @@
 
 :class:`ResiliencePolicy` is the user-facing bundle — which faults to
 inject, what budget to enforce, whether to audit, where to checkpoint —
-attached to a run via ``cluster(graph, config, resilience=policy)`` or the
+attached to a run via ``cluster(graph, config,
+RunOptions(resilience=policy))`` or the
 ``--audit/--time-budget/--checkpoint/--resume/--inject`` CLI flags.
 
 :class:`ResilienceContext` is the runtime companion the multilevel driver

@@ -6,11 +6,14 @@ Layers, bottom up:
   (:class:`LabelEpoch`): the snapshot-isolation mechanism;
 * :mod:`repro.serving.requests` — the request/response vocabulary and
   the four terminal statuses (ok/shed/expired/rejected);
-* :mod:`repro.serving.gateway` — :class:`ServingGateway`: write
-  coalescing, commit-time validation, admission accounting, and the
-  committed-batch log the equivalence gate replays;
+* :mod:`repro.serving.gateway` — :class:`ServingGateway`, the one
+  serving front: write coalescing, commit-time validation, admission
+  accounting, save/audit/close, and the committed-batch log the
+  equivalence gate replays;
 * :mod:`repro.serving.drivers` — the deterministic simulated-clock
   driver and the real-thread driver;
+* :mod:`repro.serving.session` — scripted single-client sessions
+  (``repro serve --script``) with deterministic transcripts;
 * :mod:`repro.serving.workload` — seeded mixed read/write workload
   generation (open/closed-loop arrivals);
 * :mod:`repro.serving.bench` — the PR10 gateway-vs-serial bench.

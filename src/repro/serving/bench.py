@@ -1,4 +1,4 @@
-"""Serving bench: gateway vs serial ClusterServer discipline (PR10).
+"""Serving bench: gateway vs the serial single-lane discipline.
 
 The acceptance claim of the serving gateway (ISSUE 10): under a mixed
 read/write workload, snapshot-isolated reads stop queueing behind update

@@ -7,9 +7,9 @@ time-free; drivers own the clock and the interleaving:
   virtual clock.  Read service, commit cost, and arrival times are all
   modeled seconds, so every run is bit-reproducible: same workload +
   policy → same interleaving → same responses, shed set, and committed
-  batch sequence.  ``serial_baseline=True`` degrades it to the old
-  ``ClusterServer`` discipline (one lane, reads queue behind commits) —
-  the contrast the serving bench measures.
+  batch sequence.  ``serial_baseline=True`` degrades it to a serial
+  discipline (one lane, reads queue behind commits) — the contrast the
+  serving bench measures.
 * :class:`ThreadedDriver` — real client threads submitting against the
   wall clock with a single commit thread as the sole clusterer mutator.
   Snapshot isolation makes reads lock-free (one atomic epoch-reference
@@ -134,8 +134,8 @@ _EV_ARRIVE = 2
 class SimulatedDriver:
     """Deterministic discrete-event execution of one workload.
 
-    ``serial_baseline=True`` models the pre-gateway ``ClusterServer``:
-    one service lane shared by reads *and* commits, so every read queues
+    ``serial_baseline=True`` models a single-lane server: one service
+    lane shared by reads *and* commits, so every read queues
     behind every in-progress commit.  The default (gateway) mode gives
     reads ``policy.read_concurrency`` dedicated lanes and commits their
     own — snapshot isolation means they never wait on each other.

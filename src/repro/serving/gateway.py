@@ -1,4 +1,4 @@
-"""ServingGateway: snapshot reads + coalesced writes + admission control.
+"""ServingGateway: the one serving front over a live clusterer.
 
 The gateway owns one :class:`~repro.dynamic.clusterer.DynamicClusterer`
 and multiplexes many clients over it (DESIGN.md §14):
@@ -18,20 +18,31 @@ and multiplexes many clients over it (DESIGN.md §14):
   exactly one terminal status, counted in
   :data:`~repro.obs.instrument.M_GATEWAY_REQUESTS` — no silent drops.
 
-Commit-time validation walks the coalesced updates against a lazy
-edge-weight cache mirroring ``DynamicClusterer._stage`` semantics:
-deletes/reweights of an absent edge are ``rejected`` and *excluded* from
-the batch, so ``apply()`` never raises mid-batch and the committed batch
-log replays cleanly.  That filtered-batch log is the equivalence
-artifact: replaying it serially through a fresh clusterer
-(:func:`replay_digests`) must reproduce the gateway's per-epoch label
-digests bit-identically, under any interleaving and any shedding.
+Commit-time validation asks the clusterer
+(:meth:`~repro.dynamic.clusterer.DynamicClusterer.validate`, the rule
+``apply()`` itself enforces): deletes/reweights of an absent edge are
+``rejected`` and *excluded* from the batch, so ``apply()`` never raises
+mid-batch and the committed batch log replays cleanly.  That
+filtered-batch log is the equivalence artifact: replaying it serially
+through a fresh clusterer (:func:`replay_digests`) must reproduce the
+gateway's per-epoch label digests bit-identically, under any
+interleaving and any shedding.
+
+Single-client work goes through the same front: scripted sessions
+(:mod:`repro.serving.session`) and ``repro update`` stage and commit
+here, and :meth:`~ServingGateway.save`, :meth:`~ServingGateway.audit`
+and :meth:`~ServingGateway.close` complete the op surface.  When
+instrumented, commit/save/audit wall times land in the
+``repro_serve_op_seconds`` histogram beside the read/write request
+latencies, which the serving SLOs gate on.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +50,7 @@ import numpy as np
 from repro.core.config import ClusteringConfig
 from repro.dynamic.clusterer import DriftGuard, DynamicClusterer
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
-from repro.errors import UpdateError
+from repro.errors import ServerClosedError, UpdateError
 from repro.graphs.csr import CSRGraph
 from repro.obs.instrument import (
     M_GATEWAY_BATCH,
@@ -47,7 +58,6 @@ from repro.obs.instrument import (
     M_GATEWAY_QUEUE,
     M_GATEWAY_REQUESTS,
     M_SERVE_LATENCY,
-    NULL_INSTRUMENTATION,
     SERVE_LATENCY_BUCKETS,
 )
 from repro.serving.epoch import LabelEpoch, label_digest
@@ -112,7 +122,7 @@ class ServingGateway:
     committed-batch log.  All mutating entry points take ``_lock`` so
     the threaded driver's client threads and commit thread compose; the
     simulated driver is single-threaded and pays one uncontended
-    acquire.
+    acquire.  ``instrumentation`` defaults to the clusterer's own.
     """
 
     def __init__(
@@ -124,16 +134,16 @@ class ServingGateway:
         self.clusterer = clusterer
         self.policy = policy if policy is not None else GatewayPolicy()
         self.instr = (
-            instrumentation
-            if instrumentation is not None
-            else NULL_INSTRUMENTATION
+            instrumentation if instrumentation is not None else clusterer.instr
         )
         # Re-entrant: commit() holds it while the terminal-accounting
         # helpers (also called bare from client threads) re-acquire.
         self._lock = threading.RLock()
+        self._closed = False
         #: FIFO of staged write requests awaiting the next commit cycle.
         self._staged: List[Request] = []
-        #: Committed batches: {"epoch", "updates", "digest", "num_rejected"}.
+        #: Committed batches: {"epoch", "updates", "digest", "num_rejected",
+        #: "report"}.
         self.committed: List[dict] = []
         #: Per-(class, status) terminal accounting.
         self.counts: Dict[Tuple[str, str], int] = {
@@ -161,6 +171,36 @@ class ServingGateway:
     def staged_count(self) -> int:
         return len(self._staged)
 
+    # -- lifecycle ------------------------------------------------------- #
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise ServerClosedError(
+                "ServingGateway is closed; ops after close() are invalid"
+            )
+
+    def close(self) -> None:
+        """Release the clusterer's execution backend (DESIGN.md §13).
+
+        Idempotent: a second ``close()`` (or a ``with`` block exiting
+        after an explicit close) is a no-op.  Later serve/stage/commit/
+        save/audit calls raise :class:`~repro.errors.ServerClosedError`.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.clusterer.close()
+
+    def __enter__(self) -> "ServingGateway":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
     # -- accounting helpers --------------------------------------------- #
 
     def _account(self, klass: str, status: str) -> None:
@@ -169,13 +209,21 @@ class ServingGateway:
         if self.instr.enabled:
             self.instr.count(M_GATEWAY_REQUESTS, 1.0, kind=klass, status=status)
 
-    def _observe_latency(self, klass: str, latency: float) -> None:
+    def _observe_latency(self, op: str, latency: float) -> None:
         if self.instr.enabled:
             self.instr.metrics.histogram(
                 M_SERVE_LATENCY,
                 "Serving-facade op latency in seconds, by op",
                 buckets=SERVE_LATENCY_BUCKETS,
-            ).observe(max(0.0, latency), op=klass)
+            ).observe(max(0.0, latency), op=op)
+
+    def _op_start(self) -> Optional[float]:
+        """Wall-clock start of a timed op; no clock read when uninstrumented."""
+        return time.perf_counter() if self.instr.enabled else None
+
+    def _op_end(self, op: str, start: Optional[float]) -> None:
+        if start is not None:
+            self._observe_latency(op, time.perf_counter() - start)
 
     def observe_queue_depth(self, klass: str, depth: int) -> None:
         """Record the queue depth seen at one admission decision."""
@@ -212,6 +260,7 @@ class ServingGateway:
 
     def serve_read(self, request: Request, now: float) -> Response:
         """Answer a read against the current epoch (never blocks writes)."""
+        self._ensure_open()
         epoch = self._epoch  # one atomic reference read = the snapshot
         value = epoch.serve(request.kind, request.args)
         latency = max(0.0, now - request.submitted_at)
@@ -232,6 +281,7 @@ class ServingGateway:
         Returns the shed :class:`Response`, or ``None`` when staged (the
         terminal response arrives from :meth:`commit`).
         """
+        self._ensure_open()
         if request.update is None:
             raise UpdateError("stage_write needs a write request")
         with self._lock:
@@ -243,52 +293,6 @@ class ServingGateway:
 
     # -- commit cycle ---------------------------------------------------- #
 
-    def _validate(
-        self, staged: Sequence[Request]
-    ) -> Tuple[List[Request], List[Tuple[Request, str]]]:
-        """Split staged writes into (appliable, rejected-with-reason).
-
-        Walks the coalesced updates in FIFO order against a lazy weight
-        cache seeded from the live overlay — exactly the state
-        ``DynamicClusterer._stage`` would see — so the filtered batch is
-        guaranteed to apply without raising, and a serial replay of the
-        filtered batch makes the identical staging decisions.
-        """
-        overlay = self.clusterer.overlay
-        cache: Dict[Tuple[int, int], float] = {}
-        accepted: List[Request] = []
-        rejected: List[Tuple[Request, str]] = []
-        for req in staged:
-            upd = req.update
-            key = upd.key
-            if key not in cache:
-                cache[key] = overlay.edge_weight(upd.u, upd.v)
-            current = cache[key]
-            if upd.op == "insert":
-                cache[key] = current + upd.weight
-                accepted.append(req)
-            elif upd.op == "delete":
-                if current == 0.0:
-                    rejected.append(
-                        (req, f"cannot delete absent edge ({upd.u}, {upd.v})")
-                    )
-                else:
-                    cache[key] = 0.0
-                    accepted.append(req)
-            else:  # reweight
-                if current == 0.0:
-                    rejected.append(
-                        (
-                            req,
-                            f"cannot reweight absent edge ({upd.u}, {upd.v});"
-                            " use an insert",
-                        )
-                    )
-                else:
-                    cache[key] = upd.weight
-                    accepted.append(req)
-        return accepted, rejected
-
     def commit(self, now: float) -> List[Response]:
         """Coalesce staged writes into one batch, apply, publish an epoch.
 
@@ -296,8 +300,11 @@ class ServingGateway:
         (``ok`` with the new epoch index, or ``rejected``).  An
         all-rejected or empty cycle publishes no epoch.  Only the commit
         caller mutates the clusterer — the threaded driver funnels every
-        commit through its single commit thread.
+        commit through its single commit thread.  The committed log entry
+        keeps the batch's :class:`~repro.dynamic.clusterer.UpdateReport`
+        under ``"report"``.
         """
+        self._ensure_open()
         with self._lock:
             take = len(self._staged)
             if self.policy.max_batch_updates > 0:
@@ -306,9 +313,14 @@ class ServingGateway:
             del self._staged[:take]
             if not staged:
                 return []
-            accepted, rejected = self._validate(staged)
+            start = self._op_start()
+            reasons = self.clusterer.validate([req.update for req in staged])
+            accepted: List[Request] = []
             responses: List[Response] = []
-            for req, reason in rejected:
+            for req, reason in zip(staged, reasons):
+                if reason is None:
+                    accepted.append(req)
+                    continue
                 self._account("write", "rejected")
                 responses.append(
                     Response(
@@ -335,9 +347,8 @@ class ServingGateway:
                     "epoch": epoch.index,
                     "updates": [u.as_dict() for u in batch],
                     "digest": epoch.digest,
-                    "num_rejected": len(rejected),
-                    "moves": report.moves,
-                    "escalated": report.escalated,
+                    "num_rejected": len(staged) - len(accepted),
+                    "report": report,
                 }
             )
             self.epoch_log.append(epoch.digest)
@@ -356,10 +367,31 @@ class ServingGateway:
                         status="ok",
                         epoch=epoch.index,
                         latency=latency,
-                        extras={"moves": report.moves},
                     )
                 )
+            self._op_end("commit", start)
             return responses
+
+    # -- single-client ops ---------------------------------------------- #
+
+    def save(self, store) -> Path:
+        """Rotate a snapshot of the live state into a
+        :class:`~repro.dynamic.snapshot.SnapshotStore`; resets staleness."""
+        self._ensure_open()
+        start = self._op_start()
+        with self._lock:
+            path = store.save(self.clusterer)
+        self._op_end("save", start)
+        return path
+
+    def audit(self) -> List[str]:
+        """StateAuditor issues over the live state (empty = clean)."""
+        self._ensure_open()
+        start = self._op_start()
+        with self._lock:
+            issues = self.clusterer.audit()
+        self._op_end("audit", start)
+        return issues
 
     # -- equivalence + reporting ----------------------------------------- #
 

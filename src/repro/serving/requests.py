@@ -28,7 +28,7 @@ equivalence gate audits:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.dynamic.updates import EdgeUpdate
@@ -131,7 +131,6 @@ class Response:
     retry_after: Optional[float] = None
     #: Error message attached to ``rejected`` responses.
     error: Optional[str] = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:

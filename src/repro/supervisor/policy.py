@@ -158,7 +158,7 @@ class FallbackLadder:
 
     @classmethod
     def for_run(cls, config, engine: Optional[str] = None) -> "FallbackLadder":
-        """The default ladder for ``cluster(graph, config, engine=engine)``."""
+        """The default ladder for a run of ``config`` under ``engine``."""
         rungs = [Rung("as-configured")]
         fb = "simulated" if config.backend != "simulated" else None
         if fb is not None:

@@ -48,6 +48,7 @@ from repro.obs.instrument import (
     NULL_INSTRUMENTATION,
     Instrumentation,
 )
+from repro.resilience.checkpoint import SlotPair
 from repro.resilience.context import ResiliencePolicy
 from repro.resilience.guards import RunBudget, merge_budgets
 from repro.supervisor.policy import FallbackLadder, RetryPolicy, Rung, Watchdog
@@ -81,20 +82,18 @@ def _reason(exc: Exception) -> str:
 
 
 class CheckpointRotation:
-    """Two alternating checkpoint slots with a recency order.
+    """Two alternating checkpoint slots (a :class:`SlotPair`) with a
+    recency order.
 
-    Each attempt writes into its own slot (never overwriting the newest
-    good checkpoint from the previous attempt); :meth:`latest` is the
+    Attempts alternate slots, so an attempt never overwrites the
+    checkpoint the previous attempt wrote; :meth:`latest` is the
     resume candidate and :meth:`drop_latest` discards it when it turns
     out to be corrupt, exposing the previous good one.
     """
 
-    SLOT_NAMES = ("ckpt-a.npz", "ckpt-b.npz")
-
     def __init__(self, directory) -> None:
-        self.directory = Path(directory)
-        self._slots = [self.directory / name for name in self.SLOT_NAMES]
-        self._next = 0
+        self.slots = SlotPair(directory, "ckpt")
+        self._last: Optional[Path] = None
         self._history: List[Path] = []  # oldest first, newest last
         self._active: Optional[Path] = None
         self._active_stamp: Optional[int] = None
@@ -108,8 +107,7 @@ class CheckpointRotation:
 
     def begin_attempt(self) -> Path:
         """The slot the next attempt should checkpoint into."""
-        self._active = self._slots[self._next]
-        self._next = 1 - self._next
+        self._active = self._last = self.slots.other(self._last)
         self._active_stamp = self._stamp(self._active)
         return self._active
 

@@ -1,19 +1,18 @@
-"""The frozen public surface and the deprecated-kwarg shims.
+"""The frozen public surface and the single ``cluster()`` spelling.
 
 Two gates:
 
 * the live ``repro.api`` surface must match the committed
   ``benchmarks/api_surface.json`` snapshot (regenerate deliberately with
   ``python -m repro.api --write``);
-* the deprecated per-subsystem ``cluster()`` keywords must warn *and*
-  forward bit-identically to the ``options=RunOptions(...)`` spelling.
+* execution context reaches ``cluster()`` only through
+  ``options=RunOptions(...)``; the old per-subsystem keywords are gone.
 """
 
 import json
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
@@ -24,8 +23,6 @@ from repro import (
     cluster,
     karate_club_graph,
 )
-from repro.errors import ConfigError
-from repro.obs.instrument import Instrumentation
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SNAPSHOT = REPO_ROOT / "benchmarks" / "api_surface.json"
@@ -64,58 +61,19 @@ class TestSurfaceSnapshot:
 
 
 class TestDeprecatedKwargShims:
-    def run_modern(self, **option_kwargs):
+    """The per-subsystem ``cluster()`` keywords are gone: ``RunOptions``
+    is the only spelling."""
+
+    def test_legacy_keywords_rejected(self):
         graph = karate_club_graph()
         config = ClusteringConfig(resolution=0.05, seed=3)
-        return cluster(graph, config, options=RunOptions(**option_kwargs))
-
-    def test_engine_kwarg_warns_and_is_bit_identical(self):
-        graph = karate_club_graph()
-        config = ClusteringConfig(resolution=0.05, seed=3)
-        with pytest.warns(DeprecationWarning, match="cluster\\(\\) keyword"):
-            legacy = cluster(graph, config, engine="sequential")
-        modern = self.run_modern(engine="sequential")
-        assert np.array_equal(legacy.assignments, modern.assignments)
-        assert legacy.objective == modern.objective
-
-    def test_instrumentation_kwarg_warns_and_is_bit_identical(self):
-        graph = karate_club_graph()
-        config = ClusteringConfig(resolution=0.05, seed=3)
-        with pytest.warns(DeprecationWarning, match="cluster\\(\\) keyword"):
-            legacy = cluster(
-                graph, config, instrumentation=Instrumentation(enabled=True)
-            )
-        modern = self.run_modern(
-            instrumentation=Instrumentation(enabled=True)
-        )
-        assert np.array_equal(legacy.assignments, modern.assignments)
-
-    def test_positional_resilience_policy_warns(self):
-        from repro.resilience.context import ResiliencePolicy
-
-        graph = karate_club_graph()
-        config = ClusteringConfig(resolution=0.05, seed=3)
-        with pytest.warns(
-            DeprecationWarning, match="ResiliencePolicy positionally"
-        ):
-            legacy = cluster(graph, config, ResiliencePolicy())
-        modern = self.run_modern(resilience=None)
-        assert np.array_equal(legacy.assignments, modern.assignments)
-
-    def test_both_spellings_conflict(self):
-        graph = karate_club_graph()
-        config = ClusteringConfig(resolution=0.05, seed=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ConfigError, match="deprecated keyword"):
-                cluster(
-                    graph,
-                    config,
-                    options=RunOptions(engine="sequential"),
-                    engine="sequential",
-                )
+        for name in RunOptions.__dataclass_fields__:
+            with pytest.raises(TypeError):
+                cluster(graph, config, **{name: None})
 
     def test_no_warning_on_modern_spelling(self):
+        graph = karate_club_graph()
+        config = ClusteringConfig(resolution=0.05, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            self.run_modern(engine="sequential")
+            cluster(graph, config, options=RunOptions(engine="sequential"))

@@ -132,6 +132,19 @@ class TestApply:
         with pytest.raises(UpdateError, match="absent"):
             dc.apply(UpdateBatch([EdgeUpdate("reweight", 0, 9, 1.0)]))
 
+    def test_rejected_batch_leaves_overlay_untouched(self):
+        dc = make_clusterer()
+        batch = UpdateBatch(
+            [EdgeUpdate("insert", 0, 9, 1.0), EdgeUpdate("delete", 0, 20)]
+        )
+        assert dc.validate(batch) == [
+            None, "cannot delete absent edge (0, 20)"
+        ]
+        with pytest.raises(UpdateError, match="absent"):
+            dc.apply(batch)
+        assert dc.overlay.edge_weight(0, 9) == 0.0
+        assert dc.batches_applied == 0
+
     def test_empty_batch_is_noop(self):
         dc = make_clusterer()
         before = dc.state.assignments.copy()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.api import cluster
 from repro.core.config import ClusteringConfig
+from repro.core.options import RunOptions
 from repro.core.objective import lambdacc_objective
 from repro.graphs.karate import karate_club_graph
 from repro.obs.doctor import (
@@ -28,7 +29,7 @@ def karate_run():
     """One instrumented healthy clustering of the karate club."""
     instr = Instrumentation()
     config = ClusteringConfig(resolution=RESOLUTION, seed=3)
-    result = cluster(karate_club_graph(), config, instrumentation=instr)
+    result = cluster(karate_club_graph(), config, RunOptions(instrumentation=instr))
     return result, instr
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.api import cluster
 from repro.core.config import ClusteringConfig
+from repro.core.options import RunOptions
 from repro.core.engines import ENGINES
 from repro.obs.instrument import (
     M_COMPRESSION,
@@ -51,7 +52,7 @@ def test_disabled_run_identical_to_uninstrumented(karate):
     config = ClusteringConfig(resolution=0.05, seed=3)
     plain = cluster(karate, config)
     shadowed = cluster(
-        karate, config, instrumentation=Instrumentation(enabled=False)
+        karate, config, RunOptions(instrumentation=Instrumentation(enabled=False))
     )
     assert np.array_equal(plain.assignments, shadowed.assignments)
     assert plain.sim_time() == shadowed.sim_time()
@@ -61,7 +62,7 @@ def test_disabled_run_identical_to_uninstrumented(karate):
 def test_every_engine_emits_moves_and_gains(karate, engine):
     instr = Instrumentation()
     config = ClusteringConfig(resolution=0.05, seed=3)
-    result = cluster(karate, config, instrumentation=instr, engine=engine)
+    result = cluster(karate, config, RunOptions(instrumentation=instr, engine=engine))
     assert result.num_clusters > 1
 
     moves = instr.metrics.get(M_MOVES)
@@ -82,7 +83,7 @@ def test_trace_agrees_with_result_stats(karate, engine):
     """The trace's round spans and ClusterResult.stats tell one story."""
     instr = Instrumentation()
     config = ClusteringConfig(resolution=0.05, seed=3)
-    result = cluster(karate, config, instrumentation=instr, engine=engine)
+    result = cluster(karate, config, RunOptions(instrumentation=instr, engine=engine))
 
     (root,) = span_tree(instr.tracer.records)
     assert root.name == "run"
@@ -119,7 +120,7 @@ def test_trace_agrees_with_result_stats(karate, engine):
 def test_phase_spans_cover_the_taxonomy(karate):
     instr = Instrumentation()
     config = ClusteringConfig(resolution=0.05, seed=3)
-    cluster(karate, config, instrumentation=instr)
+    cluster(karate, config, RunOptions(instrumentation=instr))
     (root,) = span_tree(instr.tracer.records)
     phases = {
         n.record["attrs"]["phase"]
@@ -134,7 +135,7 @@ def test_resilience_events_land_in_trace_and_metrics(karate):
     config = ClusteringConfig(resolution=0.05, seed=3)
     policy = ResiliencePolicy(budget=RunBudget(max_rounds=1))
     result = cluster(
-        karate, config, resilience=policy, instrumentation=instr
+        karate, config, RunOptions(resilience=policy, instrumentation=instr)
     )
     assert result.degraded
     assert result.failure_log

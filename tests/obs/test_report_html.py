@@ -6,13 +6,14 @@ import pytest
 
 from repro.core.api import cluster
 from repro.core.config import ClusteringConfig
+from repro.core.options import RunOptions
 from repro.dynamic.clusterer import DriftGuard, DynamicClusterer
-from repro.dynamic.serve import ClusterServer
-from repro.dynamic.updates import EdgeUpdate, UpdateBatch
+from repro.dynamic.updates import EdgeUpdate
 from repro.graphs.karate import karate_club_graph
 from repro.obs.doctor import DoctorInputs, cluster_decomposition, diagnose
 from repro.obs.instrument import Instrumentation
 from repro.obs.report import render_report, write_report
+from repro.serving import Request, ServingGateway
 
 pytestmark = pytest.mark.obs
 
@@ -32,7 +33,7 @@ def assert_self_contained(html):
 def batch_doctor():
     instr = Instrumentation()
     config = ClusteringConfig(resolution=RESOLUTION, seed=3)
-    result = cluster(karate_club_graph(), config, instrumentation=instr)
+    result = cluster(karate_club_graph(), config, RunOptions(instrumentation=instr))
     return diagnose(DoctorInputs(
         stats=result.stats_dict(),
         trace=list(instr.tracer.records),
@@ -52,9 +53,10 @@ def update_doctor():
         karate_club_graph(), config, instrumentation=instr,
         guard=DriftGuard(recompute_every=0, max_frontier_fraction=1.0),
     )
-    server = ClusterServer(clusterer)
-    server.cluster_of(0)
-    server.apply(UpdateBatch([EdgeUpdate("insert", 0, 9, 2.0)]))
+    gateway = ServingGateway(clusterer)
+    gateway.serve_read(Request.read(0, "cluster_of", 0), 0.0)
+    gateway.stage_write(Request.write(1, EdgeUpdate("insert", 0, 9, 2.0)), 0.0)
+    gateway.commit(0.0)
     return diagnose(DoctorInputs(
         trace=list(instr.tracer.records),
         metric_samples=instr.metrics.collect(),
@@ -110,8 +112,8 @@ class TestUpdateReport:
     def test_slo_table_present(self, update_doctor):
         html = render_report(update_doctor)
         assert "<h2>Serving SLOs</h2>" in html
-        # Query and commit ops were both exercised.
-        assert re.search(r"<td[^>]*>query</td>", html)
+        # Read and commit ops were both exercised.
+        assert re.search(r"<td[^>]*>read</td>", html)
         assert re.search(r"<td[^>]*>commit</td>", html)
 
     def test_findings_chips_are_labeled_not_color_alone(self, update_doctor):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.api import cluster
 from repro.core.config import ClusteringConfig
+from repro.core.options import RunOptions
 from repro.graphs.karate import karate_club_graph
 from repro.obs.instrument import Instrumentation
 from repro.obs.schema import TraceSchemaError, validate_trace_records
@@ -22,7 +23,7 @@ from repro.obs.tracer import Tracer
 def _traced_run(**config_kwargs):
     instr = Instrumentation()
     config = ClusteringConfig(resolution=0.05, seed=3, **config_kwargs)
-    result = cluster(karate_club_graph(), config, instrumentation=instr)
+    result = cluster(karate_club_graph(), config, RunOptions(instrumentation=instr))
     return result, instr
 
 

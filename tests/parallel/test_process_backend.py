@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.api import cluster
 from repro.core.config import ClusteringConfig, Frontier, Mode
+from repro.core.options import RunOptions
 from repro.core.engines import ENGINES
 from repro.errors import ConfigError
 from repro.generators.lfr import lfr_like_graph
@@ -70,8 +71,8 @@ class TestParity:
         graph = graphs[gname]
         for seed in (1, 12):
             config = ClusteringConfig(seed=seed, num_workers=4)
-            base = cluster(graph, config, engine=engine)
-            proc = cluster(graph, config, engine=engine, backend=pool)
+            base = cluster(graph, config, RunOptions(engine=engine))
+            proc = cluster(graph, config, RunOptions(engine=engine, backend=pool))
             assert np.array_equal(base.assignments, proc.assignments)
             assert base.objective == proc.objective
             assert base.stats.total_moves == proc.stats.total_moves
@@ -88,7 +89,7 @@ class TestParity:
         )
         base = cluster(graph, config)
         with ProcessBackend(workers=2, min_dispatch=64) as backend:
-            proc = cluster(graph, config, backend=backend)
+            proc = cluster(graph, config, RunOptions(backend=backend))
             stats = backend.stats()
         assert np.array_equal(base.assignments, proc.assignments)
         assert base.objective == proc.objective
@@ -101,7 +102,7 @@ class TestParity:
         graph = graphs["rmat"]
         config = ClusteringConfig(seed=9, num_workers=4)
         base = cluster(graph, config)
-        proc = cluster(graph, config, backend=pool)
+        proc = cluster(graph, config, RunOptions(backend=pool))
         assert (
             base.stats_dict()["sim_time_seconds"]
             == proc.stats_dict()["sim_time_seconds"]
@@ -176,7 +177,7 @@ class TestLeakHygiene:
         graph = graphs["rmat"]
         config = ClusteringConfig(seed=4, mode=Mode.SYNC, frontier=Frontier.ALL)
         with ProcessBackend(workers=2, min_dispatch=64) as backend:
-            cluster(graph, config, backend=backend)
+            cluster(graph, config, RunOptions(backend=backend))
             assert backend.stats()["dispatches"] > 0
         assert leaked_segment_files() == []
 
@@ -192,7 +193,7 @@ class TestLeakHygiene:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                proc = cluster(graph, config, backend=backend)
+                proc = cluster(graph, config, RunOptions(backend=backend))
             stats = backend.stats()
         finally:
             backend.close()
@@ -305,7 +306,7 @@ class TestObservability:
         instr = Instrumentation()
         with ProcessBackend(workers=2, min_dispatch=64) as backend:
             cluster(
-                graph, config, instrumentation=instr, backend=backend
+                graph, config, RunOptions(instrumentation=instr, backend=backend)
             )
         records = list(instr.tracer.records)
         assert validate_trace_records(records) == []
@@ -328,7 +329,7 @@ class TestObservability:
         )
         instr = Instrumentation()
         with ProcessBackend(workers=2, min_dispatch=64) as backend:
-            cluster(graph, config, instrumentation=instr, backend=backend)
+            cluster(graph, config, RunOptions(instrumentation=instr, backend=backend))
         metric = instr.metrics.get(M_BACKEND_DISPATCH)
         assert metric is not None
         assert any(

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.api import cluster
 from repro.core.config import ClusteringConfig
+from repro.core.options import RunOptions
 from repro.generators.planted import planted_partition_graph
 from repro.graphs.karate import karate_club_graph
 from repro.resilience import ResiliencePolicy
@@ -31,7 +32,7 @@ def _run_with_checkpoint(graph, config, ckpt_path):
     return cluster(
         graph,
         config,
-        resilience=ResiliencePolicy(checkpoint_path=str(ckpt_path)),
+        RunOptions(resilience=ResiliencePolicy(checkpoint_path=str(ckpt_path))),
     )
 
 
@@ -39,7 +40,7 @@ def _resume(graph, config, ckpt_path):
     return cluster(
         graph,
         config,
-        resilience=ResiliencePolicy(resume_from=str(ckpt_path)),
+        RunOptions(resilience=ResiliencePolicy(resume_from=str(ckpt_path))),
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.api import cluster
 from repro.core.config import ClusteringConfig
+from repro.core.options import RunOptions
 from repro.errors import BudgetExhausted, ConfigError, TransientFault
 from repro.parallel.scheduler import SimulatedScheduler
 from repro.resilience import FaultPlan, ResiliencePolicy, RunBudget
@@ -53,7 +54,7 @@ class TestGracefulDegradation:
         result = cluster(
             karate,
             config,
-            resilience=ResiliencePolicy(budget=RunBudget(max_rounds=1), audit=True),
+            RunOptions(resilience=ResiliencePolicy(budget=RunBudget(max_rounds=1), audit=True)),
         )
         assert result.degraded
         assert any("round budget" in line for line in result.failure_log)
@@ -68,14 +69,14 @@ class TestGracefulDegradation:
             cluster(
                 karate,
                 config,
-                resilience=ResiliencePolicy(
+                RunOptions(resilience=ResiliencePolicy(
                     budget=RunBudget(max_rounds=1), strict=True
-                ),
+                )),
             )
 
     def test_unbudgeted_run_not_degraded(self, karate):
         config = ClusteringConfig(resolution=0.05, seed=7)
-        result = cluster(karate, config, resilience=ResiliencePolicy(audit=True))
+        result = cluster(karate, config, RunOptions(resilience=ResiliencePolicy(audit=True)))
         assert not result.degraded
         assert result.failure_log == []
 
@@ -85,7 +86,7 @@ class TestGracefulDegradation:
         guarded = cluster(
             karate,
             config,
-            resilience=ResiliencePolicy(budget=RunBudget(max_rounds=10_000)),
+            RunOptions(resilience=ResiliencePolicy(budget=RunBudget(max_rounds=10_000))),
         )
         assert not guarded.degraded
         assert np.array_equal(clean.assignments, guarded.assignments)
@@ -98,7 +99,7 @@ class TestTransientRetries:
         result = cluster(
             karate,
             config,
-            resilience=ResiliencePolicy(faults=plan, audit=True, max_retries=2),
+            RunOptions(resilience=ResiliencePolicy(faults=plan, audit=True, max_retries=2)),
         )
         assert result.degraded
         assert any("backing off" in line for line in result.failure_log)
@@ -111,7 +112,7 @@ class TestTransientRetries:
             cluster(
                 karate,
                 config,
-                resilience=ResiliencePolicy(faults=plan, strict=True, max_retries=1),
+                RunOptions(resilience=ResiliencePolicy(faults=plan, strict=True, max_retries=1)),
             )
 
     def test_occasional_transients_are_absorbed(self, karate):
@@ -120,7 +121,7 @@ class TestTransientRetries:
         result = cluster(
             karate,
             config,
-            resilience=ResiliencePolicy(faults=plan, audit=True),
+            RunOptions(resilience=ResiliencePolicy(faults=plan, audit=True)),
         )
         # Bounded injections: retries absorb them and the run completes.
         assert result.assignments.size == karate.num_vertices

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.api import cluster
 from repro.core.config import ClusteringConfig
+from repro.core.options import RunOptions
 from repro.errors import BudgetExhausted, CheckpointError
 from repro.obs.instrument import (
     M_SUPERVISOR_ATTEMPTS,
@@ -59,7 +60,7 @@ class TestCleanRun:
         assert supervised.stats_dict()["supervisor"]["rung"] == "as-configured"
 
     def test_cluster_supervisor_kwarg_delegates(self, karate):
-        via_kwarg = cluster(karate, CONFIG, supervisor=_fast_supervisor())
+        via_kwarg = cluster(karate, CONFIG, RunOptions(supervisor=_fast_supervisor()))
         assert via_kwarg.extras["supervisor"]["attempts"] == 1
 
     def test_supervise_convenience(self, karate):
@@ -120,7 +121,7 @@ class TestRetry:
         with pytest.raises(CheckpointError):
             cluster(
                 karate, CONFIG,
-                resilience=ResiliencePolicy(resume_from=str(bad)),
+                RunOptions(resilience=ResiliencePolicy(resume_from=str(bad))),
             )
 
     def test_eager_checkpoints_written_into_rotation(self, small_planted, tmp_path):
@@ -140,7 +141,7 @@ class TestRetry:
         path = tmp_path / "resume.npz"
         full = cluster(
             graph, CONFIG,
-            resilience=ResiliencePolicy(checkpoint_path=str(path)),
+            RunOptions(resilience=ResiliencePolicy(checkpoint_path=str(path))),
         )
         assert path.exists()
         resumed = _fast_supervisor().run(

@@ -1,4 +1,4 @@
-"""CLI: ``repro update``, ``repro serve-sim``, and label round-trips."""
+"""CLI: ``repro update``, ``repro serve --script``, and label round-trips."""
 
 import json
 
@@ -143,7 +143,7 @@ class TestServeSimCommand:
             "get 0\nsame 0 1\ninsert 0 9\ncommit\nstats\naudit\n"
         )
         code = main(
-            ["serve-sim", "--karate", "--seed", "1", "--script", str(script)]
+            ["serve", "--karate", "--seed", "1", "--script", str(script)]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -156,7 +156,7 @@ class TestServeSimCommand:
         script.write_text("save\n")
         snapdir = tmp_path / "store"
         code = main(
-            ["serve-sim", "--karate", "--seed", "1", "--script", str(script),
+            ["serve", "--karate", "--seed", "1", "--script", str(script),
              "--snapshot-dir", str(snapdir)]
         )
         assert code == 0
