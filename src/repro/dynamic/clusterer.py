@@ -12,8 +12,8 @@ edges.  That makes incremental maintenance exact, not heuristic:
    accumulating the intra-cluster weight delta of updated edges whose
    endpoints currently share a cluster (the only objective term a pure
    edge update can change);
-2. **compact** the overlay into a fresh CSR (reweight fast path when no
-   edge appeared/vanished);
+2. **compact** the overlay into a fresh CSR by splicing the staged arcs
+   into the sorted base rows;
 3. **refine locally** — run the configured engine/kernel through
    :func:`~repro.core.engines.run_engine_restricted`, seeded with exactly
    the touched endpoints (:func:`~repro.core.frontier.seed_frontier`);

@@ -8,16 +8,18 @@ dictionary of pending canonical ``(u < v) -> target weight`` entries
 (weight ``0`` means "edge absent").  Reads (:meth:`edge_weight`) consult
 the overlay first, then binary-search the base adjacency row.
 
-:meth:`compact` folds the pending deltas into a fresh ``CSRGraph`` and
-rebases the overlay on it:
-
-* **reweight fast path** — when no edge is created or removed and no new
-  vertex appeared, only the ``weights`` array changes: it is copied and
-  patched in place at the searchsorted positions of both arc directions
-  (O(m) copy, O(pending · log deg) patch, no re-sort);
-* **structural path** — otherwise the base edge list is materialized,
-  changed pairs are dropped, surviving pending pairs appended, and
-  :func:`~repro.graphs.builders.graph_from_edges` rebuilds the CSR.
+:meth:`compact` splices the pending deltas into a fresh ``CSRGraph`` and
+rebases the overlay on it.  The p pending pairs expand to 2p arcs ordered
+by ``(src, dst)``; a searchsorted in each arc's sorted base row finds it
+(O(p log deg)) and makes it a reweight, a delete or an insert.  One O(m)
+copy of ``neighbors``/``weights`` then drops and places arcs, and
+``offsets`` gains a cumsum of per-row degree deltas: nothing of size m is
+sorted.  A reweight-only batch copies ``weights`` alone and shares
+``offsets``/``neighbors`` with the base.  The result equals, array for
+array, what :func:`~repro.graphs.builders.graph_from_edges` builds from
+the same edge set (property-tested).  A hand-built base with an unsorted
+row (no builder or generator emits one) has its rows sorted once, when
+the overlay is created.
 
 New vertex ids beyond the base simply grow ``n``; they join with unit
 LambdaCC weight (``k_v = 1``, ``k_v^2 = 1``) and no self-loop, matching
@@ -33,40 +35,51 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.errors import UpdateError
-from repro.graphs.builders import graph_from_edges
 from repro.graphs.csr import CSRGraph
 
 
 def base_edge_weight(graph: CSRGraph, u: int, v: int) -> float:
-    """Weight of undirected edge ``{u, v}`` in ``graph`` (0.0 if absent).
-
-    Binary-searches the (sorted) adjacency row of ``u``; falls back to a
-    linear scan on the rare hand-built graph with unsorted rows.
-    """
-    n = graph.num_vertices
-    if u >= n or v >= n:
+    """Weight of undirected edge ``{u, v}`` in ``graph`` (0.0 if absent),
+    binary-searched in the sorted adjacency row of ``u``."""
+    if u >= graph.num_vertices or v >= graph.num_vertices:
         return 0.0
     nbrs, wts = graph.neighborhood(u)
-    if nbrs.size == 0:
-        return 0.0
     pos = int(np.searchsorted(nbrs, v))
-    if pos < nbrs.size and nbrs[pos] == v:
-        return float(wts[pos])
-    hits = np.flatnonzero(nbrs == v)
-    return float(wts[hits[0]]) if hits.size else 0.0
+    return float(wts[pos]) if pos < nbrs.size and nbrs[pos] == v else 0.0
+
+
+def _with_sorted_rows(graph: CSRGraph) -> CSRGraph:
+    """``graph`` itself when every adjacency row is increasing, else a
+    copy with each row sorted by neighbor id."""
+    offsets, nbrs = graph.offsets, graph.neighbors
+    descents = np.flatnonzero(nbrs[1:] <= nbrs[:-1]) + 1
+    if np.array_equal(offsets[np.searchsorted(offsets, descents)], descents):
+        return graph  # every descent starts a new row
+    rows = np.repeat(np.arange(graph.num_vertices), np.diff(offsets))
+    order = np.lexsort((nbrs, rows))
+    sorted_graph = CSRGraph(
+        offsets,
+        nbrs[order],
+        graph.weights[order],
+        self_loops=graph.self_loops,
+        node_weights=graph.node_weights,
+        node_weight_sq=graph.node_weight_sq,
+        validate=False,
+    )
+    sorted_graph.repairs = graph.repairs
+    return sorted_graph
 
 
 class DeltaOverlayGraph:
     """An immutable CSR base plus pending edge-weight deltas."""
 
-    __slots__ = ("base", "_pending", "_num_vertices", "_structural")
+    __slots__ = ("base", "_pending", "_num_vertices")
 
     def __init__(self, base: CSRGraph) -> None:
-        self.base = base
+        self.base = _with_sorted_rows(base)
         #: canonical ``(min, max) -> target weight`` (0.0 = absent).
         self._pending: Dict[Tuple[int, int], float] = {}
         self._num_vertices = base.num_vertices
-        self._structural = False
 
     # ------------------------------------------------------------------ #
     # Reads
@@ -84,9 +97,12 @@ class DeltaOverlayGraph:
 
     @property
     def is_structural(self) -> bool:
-        """True when compaction must rebuild the CSR (edge set or vertex
-        count changed), false when the reweight fast path applies."""
-        return self._structural or self._num_vertices != self.base.num_vertices
+        """True when compaction changes the CSR topology (the edge set or
+        the vertex count), false when it only rewrites ``weights``."""
+        if self._num_vertices != self.base.num_vertices:
+            return True
+        _, _, w, _, found = self._pending_arcs()
+        return bool(np.any(found != (w != 0.0)))
 
     def edge_weight(self, u: int, v: int) -> float:
         """Current weight of ``{u, v}`` under the overlay (0.0 if absent)."""
@@ -117,11 +133,6 @@ class DeltaOverlayGraph:
         self.ensure_vertex(u)
         self.ensure_vertex(v)
         key = (u, v) if u < v else (v, u)
-        existed = base_edge_weight(self.base, key[0], key[1]) != 0.0
-        if weight == 0.0 or not existed:
-            # Edge created or removed relative to the base: CSR topology
-            # changes, the reweight fast path is off for this compaction.
-            self._structural = True
         self._pending[key] = float(weight)
 
     # ------------------------------------------------------------------ #
@@ -129,80 +140,65 @@ class DeltaOverlayGraph:
     # ------------------------------------------------------------------ #
 
     def compact(self) -> CSRGraph:
-        """Fold pending deltas into a fresh CSR and rebase on it."""
+        """Splice pending deltas into a fresh CSR and rebase on it."""
         if not self._pending and self._num_vertices == self.base.num_vertices:
             return self.base
-        if self.is_structural:
-            new_graph = self._rebuild()
-        else:
-            new_graph = self._patch_weights()
+        new_graph = self._splice()
         if self.base.repairs is not None:
             new_graph.repairs = dict(self.base.repairs)
         self.base = new_graph
         self._pending = {}
-        self._structural = False
         return new_graph
 
-    def _patch_weights(self) -> CSRGraph:
-        """Reweight fast path: same topology, patched ``weights`` copy."""
+    def _pending_arcs(self):
+        """``(src, dst, weight, pos, found)`` of both arcs of every pending
+        pair, ordered by ``(src, dst)``: ``pos`` indexes the arc in the base
+        arrays (its insertion point when absent; a ``src`` beyond the base
+        has an empty row at the end) and ``found`` says the base has it."""
+        pairs = np.array(list(self._pending), dtype=np.int64).reshape(-1, 2)
+        targets = np.fromiter(self._pending.values(), dtype=np.float64)
+        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
         base = self.base
+        nbrs, n = base.neighbors, base.num_vertices
+        lo = base.offsets[np.minimum(src, n)]
+        hi = base.offsets[np.minimum(src + 1, n)]
+        rows = zip(lo.tolist(), hi.tolist(), dst.tolist())
+        pos = lo + np.array([np.searchsorted(nbrs[a:b], d) for a, b, d in rows], int)
+        found = pos < hi
+        found[found] = nbrs[pos[found]] == dst[found]
+        return src, dst, np.concatenate([targets, targets])[order], pos, found
+
+    def _splice(self) -> CSRGraph:
+        """The base with every pending arc reweighted, dropped or placed."""
+        base = self.base
+        old_n, n = base.num_vertices, self._num_vertices
+        src, dst, w, pos, found = self._pending_arcs()
+        live = w != 0.0
         weights = base.weights.copy()
-        for (u, v), w in self._pending.items():
-            for src, dst in ((u, v), (v, u)):
-                lo = int(base.offsets[src])
-                row = base.neighbors[lo : base.offsets[src + 1]]
-                pos = int(np.searchsorted(row, dst))
-                if pos >= row.size or row[pos] != dst:
-                    hits = np.flatnonzero(row == dst)
-                    if not hits.size:  # pragma: no cover - guarded by set_edge
-                        raise UpdateError(
-                            f"reweight fast path lost edge ({src}, {dst})"
-                        )
-                    pos = int(hits[0])
-                weights[lo + pos] = w
-        return CSRGraph(
-            base.offsets,
-            base.neighbors,
-            weights,
-            self_loops=base.self_loops,
-            node_weights=base.node_weights,
-            node_weight_sq=base.node_weight_sq,
-            validate=False,
-        )
-
-    def _rebuild(self) -> CSRGraph:
-        """Structural path: merge base edge list with pending deltas."""
-        base = self.base
-        old_n = base.num_vertices
-        n = self._num_vertices
-        src, dst, wts = base.edge_list()
-        if self._pending:
-            changed = np.fromiter(
-                (u * n + v for (u, v) in self._pending), dtype=np.int64,
-                count=len(self._pending),
-            )
-            keep = ~np.isin(src * np.int64(n) + dst, changed)
-            src, dst, wts = src[keep], dst[keep], wts[keep]
-            live = [(u, v, w) for (u, v), w in self._pending.items() if w != 0.0]
-            if live:
-                add = np.asarray(live, dtype=np.float64)
-                src = np.concatenate([src, add[:, 0].astype(np.int64)])
-                dst = np.concatenate([dst, add[:, 1].astype(np.int64)])
-                wts = np.concatenate([wts, add[:, 2]])
+        weights[pos[found & live]] = w[found & live]
+        gone, new = found & ~live, ~found & live
         grown = n - old_n
-        node_weights = base.node_weights
-        if grown:
-            node_weights = np.concatenate(
-                [node_weights, np.ones(grown, dtype=np.float64)]
-            )
-        new_graph = graph_from_edges(
-            np.stack([src, dst], axis=1) if src.size else np.zeros((0, 2), np.int64),
-            weights=wts,
-            num_vertices=n,
-            node_weights=node_weights,
+        structural = grown > 0 or gone.any() or new.any()
+        offsets, neighbors = base.offsets, base.neighbors
+        if structural:
+            drop = pos[gone]
+            # Insertion points shift left by the deletions before them.
+            at = pos[new] - np.searchsorted(drop, pos[new])
+            neighbors = np.insert(np.delete(neighbors, drop), at, dst[new])
+            weights = np.insert(np.delete(weights, drop), at, w[new])
+            degree_delta = np.bincount(src[new], minlength=n)
+            degree_delta -= np.bincount(src[gone], minlength=n)
+            offsets = np.concatenate([offsets, np.full(grown, offsets[-1])])
+            offsets[1:] += np.cumsum(degree_delta)
+        return CSRGraph(
+            offsets,
+            neighbors,
+            weights,
+            self_loops=np.concatenate([base.self_loops, np.zeros(grown)]),
+            node_weights=np.concatenate([base.node_weights, np.ones(grown)]),
+            node_weight_sq=np.concatenate([base.node_weight_sq, np.ones(grown)]),
+            validate=structural,
         )
-        new_graph.self_loops[:old_n] = base.self_loops
-        new_graph.node_weight_sq[:old_n] = base.node_weight_sq
-        if grown:
-            new_graph.node_weight_sq[old_n:] = 1.0
-        return new_graph

@@ -11,7 +11,7 @@ from repro.core.state import ClusterState
 from repro.dynamic.clusterer import DriftGuard, DynamicClusterer
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
 from repro.errors import ConfigError, UpdateError
-from repro.graphs.delta import DeltaOverlayGraph
+from repro.graphs.builders import graph_from_edges
 from repro.graphs.karate import karate_club_graph
 from repro.resilience.audit import StateAuditor
 from repro.resilience.checkpoint import capture_rng, restore_rng
@@ -33,17 +33,25 @@ def make_clusterer(engine=None, guard=NO_GUARD, seed=1):
 
 
 def materialize(graph, batch):
-    """Independently apply ``batch``'s edge semantics to a fresh overlay."""
-    overlay = DeltaOverlayGraph(graph)
+    """Independently apply ``batch``'s edge semantics to an edge dict and
+    build the updated graph from scratch (no overlay, no compaction)."""
+    src, dst, wts = graph.edge_list()
+    edges = {(int(u), int(v)): float(w) for u, v, w in zip(src, dst, wts)}
     for upd in batch:
-        current = overlay.edge_weight(upd.u, upd.v)
+        key = (min(upd.u, upd.v), max(upd.u, upd.v))
         if upd.op == "insert":
-            overlay.set_edge(upd.u, upd.v, current + upd.weight)
+            edges[key] = edges.get(key, 0.0) + upd.weight
         elif upd.op == "delete":
-            overlay.set_edge(upd.u, upd.v, 0.0)
+            del edges[key]
         else:
-            overlay.set_edge(upd.u, upd.v, upd.weight)
-    return overlay.compact()
+            edges[key] = upd.weight
+    pairs = sorted(edges)
+    n = max([graph.num_vertices] + [max(key) + 1 for key in pairs])
+    return graph_from_edges(
+        np.asarray(pairs, dtype=np.int64),
+        weights=np.asarray([edges[key] for key in pairs]),
+        num_vertices=n,
+    )
 
 
 MIXED_BATCH = [

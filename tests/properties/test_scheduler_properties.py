@@ -1,9 +1,11 @@
 """Property-based tests on the simulated-time model."""
 
-from hypothesis import given, settings
+import math
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.scheduler import CostLedger, Machine
+from repro.parallel.scheduler import DEFAULT_TAU, OPS_PER_SECOND, CostLedger, Machine
 
 region_lists = st.lists(
     st.tuples(
@@ -65,11 +67,25 @@ class TestSimulatedTimeProperties:
         assert abs(ledger.simulated_time(1) - expected) < 1e-18
 
     @given(region_lists)
+    @example([(4.144154786775108e-305, 0.0, 0.0)])
     @settings(max_examples=60, deadline=None)
     def test_speedup_bounded_by_effective_parallelism(self, regions):
+        """``ops(1) <= eff * ops(60)``, checked on operation counts: the
+        simulated times divide by ``OPS_PER_SECOND`` and can land in the
+        subnormal range, where their ratio is mostly rounding."""
         ledger = build_ledger(regions)
         machine = Machine(cores=30, smt=2)
-        t1 = ledger.simulated_time(1, machine=machine)
-        t60 = ledger.simulated_time(60, machine=machine)
-        if t60 > 0:
-            assert t1 / t60 <= machine.effective_parallelism(60) + 1e-9
+        eff = machine.effective_parallelism(60)
+        ops_1 = ledger.total_work + ledger.total_serial
+        ops_60 = (
+            ledger.total_work / eff
+            + ledger.total_depth * (1.0 + DEFAULT_TAU)
+            + ledger.total_serial
+        )
+        # The op counts are exactly the ones the simulated times divide.
+        assert ledger.simulated_time(1, machine=machine) == ops_1 / OPS_PER_SECOND
+        assert ledger.simulated_time(60, machine=machine) == ops_60 / OPS_PER_SECOND
+        # Relative rounding of the sums, plus ``work / eff`` losing up to
+        # one subnormal ulp when it is itself subnormal.
+        slack = 1e-12 * ops_1 + eff * math.ulp(0.0)
+        assert ops_1 <= eff * ops_60 + slack
