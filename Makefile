@@ -4,8 +4,7 @@ export PYTHONPATH := src
 .PHONY: test test-fast test-dynamic test-backend test-serving api-check \
 	smoke-obs baselines \
 	compare-baselines bench bench-snapshot bench-perf-smoke compare-kernels \
-	chaos bench-supervisor bench-dynamic bench-backend bench-serving \
-	doctor obs-report ci
+	chaos bench-overhead bench-dynamic bench-backend doctor obs-report ci
 
 ## Full test suite (tier 1).
 test:
@@ -43,20 +42,24 @@ smoke-obs:
 	$(PYTHON) -m pytest -q -m obs
 	$(PYTHON) -m repro.cli cluster --karate --resolution 0.05 --seed 3 \
 	    --trace /tmp/repro-smoke-trace.jsonl
-	$(PYTHON) -m repro.obs.bench validate-trace /tmp/repro-smoke-trace.jsonl
+	$(PYTHON) -m repro.cli obs validate-trace /tmp/repro-smoke-trace.jsonl
 
-## Regenerate the committed BENCH_*.json baselines.
+## Regenerate the committed engines/overhead baselines in
+## benchmarks/baselines (every BENCH_*.json there has one suite in
+## repro.bench.suites.SUITES; `python -m repro.bench emit NAME... --out
+## benchmarks/baselines` regenerates any of them).
 baselines:
-	$(PYTHON) -m repro.obs.bench emit
+	$(PYTHON) -m repro.bench emit engines overhead --out benchmarks/baselines
 
 ## Re-measure into a scratch dir and compare against the committed
 ## baselines (>10% regressions exit nonzero).
 compare-baselines:
-	$(PYTHON) -m repro.obs.bench emit --out /tmp/repro-bench-current
-	$(PYTHON) -m repro.obs.bench compare \
+	$(PYTHON) -m repro.bench emit engines overhead \
+	    --out /tmp/repro-bench-current
+	$(PYTHON) -m repro.bench compare \
 	    benchmarks/baselines/BENCH_engines.json \
 	    /tmp/repro-bench-current/BENCH_engines.json
-	$(PYTHON) -m repro.obs.bench compare \
+	$(PYTHON) -m repro.bench compare \
 	    benchmarks/baselines/BENCH_overhead.json \
 	    /tmp/repro-bench-current/BENCH_overhead.json
 
@@ -64,10 +67,10 @@ compare-baselines:
 bench:
 	$(PYTHON) -m pytest benchmarks -q
 
-## Refresh the committed repo-root BENCH_PR3.json / BENCH_PR4.json
-## snapshots (telemetry coverage + kernel speedups); commit the result.
+## Refresh the committed BENCH_PR3.json / BENCH_PR4.json snapshots
+## (telemetry coverage + kernel speedups); commit the result.
 bench-snapshot:
-	$(PYTHON) -m repro.obs.bench emit --snapshot-only
+	$(PYTHON) -m repro.bench emit PR3 PR4 --out benchmarks/baselines
 
 ## Wall-clock perf benchmark harness tests (benchmarks/perf, ~15 s): tiny
 ## inputs through every workload, output checks and the layer tracer.
@@ -79,11 +82,10 @@ bench-perf-smoke:
 ## than the deterministic f/sim metrics, so this gate uses a wider 30%
 ## tolerance than the default 10%.
 compare-kernels:
-	$(PYTHON) -m repro.obs.bench emit --snapshot-only \
-	    --snapshot-dir /tmp/repro-bench-current
-	$(PYTHON) -m repro.obs.bench compare \
-	    BENCH_PR4.json /tmp/repro-bench-current/BENCH_PR4.json \
-	    --tolerance 0.30
+	$(PYTHON) -m repro.bench emit PR4 --out /tmp/repro-bench-current
+	$(PYTHON) -m repro.bench compare \
+	    benchmarks/baselines/BENCH_PR4.json \
+	    /tmp/repro-bench-current/BENCH_PR4.json --tolerance 0.30
 
 ## Supervised chaos matrix: every fault site x every engine x both
 ## kernels on the karate workload, asserting the recovery invariants
@@ -93,13 +95,15 @@ compare-kernels:
 chaos:
 	$(PYTHON) -m repro.cli chaos --karate --seed 1
 
-## The <3% no-fault supervision overhead bench.
-bench-supervisor:
-	$(PYTHON) -m pytest -x -q benchmarks/bench_supervisor.py
+## The <3% overhead bench: disabled instrumentation and no-fault
+## supervision vs a bare run, with bit-identical results (the suite
+## behind the committed BENCH_overhead.json).
+bench-overhead:
+	$(PYTHON) -m pytest -x -q benchmarks/bench_overhead.py
 
 ## Dynamic updates vs full recompute (>=5x fewer candidate evaluations at
 ## an equal objective); the same suite behind the committed BENCH_PR7.json
-## (refresh with `python -m repro.dynamic.bench --out .`).
+## (refresh with `python -m repro.bench emit PR7 --out benchmarks/baselines`).
 bench-dynamic:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_dynamic.py
 
@@ -107,17 +111,10 @@ bench-dynamic:
 ## baseline on scale-12 RMAT + LFR.  Parity (bit-identical results) is
 ## asserted unconditionally; the >=2x move-eval speedup gate applies only
 ## on hosts with >=4 CPUs (the committed BENCH_PR9.json records
-## host_cpu_count; refresh with `python -m repro.parallel.backend.bench
-## --out .`).
+## host_cpu_count; refresh with `python -m repro.bench emit PR9 --out
+## benchmarks/baselines`).
 bench-backend:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_backend.py
-
-## Serving gateway vs the serial read discipline on the virtual clock:
-## >=1.5x read throughput with bit-identical committed label sequence
-## and full shed/retry accounting; the suite behind the committed
-## BENCH_PR10.json (refresh with `python -m repro.serving.bench --out .`).
-bench-serving:
-	$(PYTHON) -m pytest -x -q benchmarks/bench_serving.py
 
 ## Run doctor over fresh instrumented runs: a batch clustering (health
 ## rules over stats/trace/metrics + registry trend history) and a dynamic
@@ -158,10 +155,10 @@ obs-report: doctor
 ## API-surface drift check, the observability smoke, the
 ## committed-baseline regression compare (including the kernel snapshot),
 ## the supervised chaos matrix, the run doctor + HTML report, the
-## execution-backend parity/speedup bench, the serving-gateway
-## equivalence/speedup bench, the wall-clock perf harness smoke, and the
-## <3% overhead benches (disabled instrumentation, no-fault supervision).
+## execution-backend parity/speedup bench, the wall-clock perf harness
+## smoke, and the <3% overhead bench (disabled instrumentation, no-fault
+## supervision).  Serving equivalence is in tier-1
+## (tests/serving/test_equivalence.py); serving wall-clock performance is
+## the `serve` workload of benchmarks/perf.
 ci: test api-check smoke-obs compare-baselines compare-kernels chaos \
-	bench-dynamic bench-backend bench-serving bench-perf-smoke obs-report
-	$(PYTHON) -m pytest -x -q benchmarks/bench_obs_overhead.py \
-	    benchmarks/bench_supervisor.py
+	bench-dynamic bench-backend bench-perf-smoke obs-report bench-overhead

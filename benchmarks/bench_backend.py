@@ -1,6 +1,6 @@
 """Execution backend: parity always, real-core speedup where possible.
 
-ISSUE 9's contract: the process backend must be **bit-identical** to the
+The contract: the process backend must be **bit-identical** to the
 simulated baseline on every workload (that part is asserted
 unconditionally), and the move-evaluation phase must reach **>= 2x**
 wall-clock speedup at 4 workers vs 1 on the scale-12 RMAT workload —
@@ -8,11 +8,11 @@ wall-clock speedup at 4 workers vs 1 on the scale-12 RMAT workload —
 exist on fewer cores than workers (4 processes time-slicing 1 CPU can
 only add IPC overhead), so the speedup gate self-disables below 4 CPUs
 while still measuring and reporting the numbers; the committed
-``BENCH_PR9.json`` records ``host_cpu_count`` so the provenance of its
-figures is explicit.
+``benchmarks/baselines/BENCH_PR9.json`` records ``host_cpu_count`` so
+the provenance of its figures is explicit.
 
-Regenerate the snapshot with ``python -m repro.parallel.backend.bench
---out .``.
+Regenerate the snapshot with ``python -m repro.bench emit PR9 --out
+benchmarks/baselines``.
 """
 
 import os
@@ -20,7 +20,7 @@ import os
 import pytest
 
 from repro.bench.harness import ExperimentTable
-from repro.parallel.backend.bench import (
+from repro.bench.suites import (
     GATE_MIN_CPUS,
     TARGET_SPEEDUP,
     WORKER_SWEEP,

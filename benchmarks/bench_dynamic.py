@@ -1,6 +1,6 @@
 """Dynamic updates: localized refinement must beat full recompute.
 
-ISSUE 7's contract: on LFR churn batches touching <= 1% of the edges, a
+The contract: on LFR churn batches touching <= 1% of the edges, a
 :class:`~repro.dynamic.clusterer.DynamicClusterer` batch — engine seeded
 from just the touched endpoints — evaluates >= 5x fewer candidate moves
 than a full single-level sweep from the same warm partition on the same
@@ -8,12 +8,13 @@ updated graph, and lands on an equal final objective (|delta F| <= 1e-9;
 both paths run the deterministic sequential engine, so in practice the
 assignments come out identical, which is asserted too).
 
-The same suite is committed as ``BENCH_PR7.json`` (regenerate with
-``python -m repro.dynamic.bench --out .``).
+The same suite is committed as ``benchmarks/baselines/BENCH_PR7.json``
+(regenerate with ``python -m repro.bench emit PR7 --out
+benchmarks/baselines``).
 """
 
 from repro.bench.harness import ExperimentTable
-from repro.dynamic.bench import (
+from repro.bench.suites import (
     OBJECTIVE_TOLERANCE,
     TARGET_EVAL_RATIO,
     dynamic_suite,

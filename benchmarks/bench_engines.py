@@ -8,17 +8,16 @@ end-to-end multilevel objective and simulated time.  Expected shape: the
 relaxed asynchronous engine sits on the quality/speed Pareto front, which
 is the paper's Section 3.2/4.1 thesis.
 
-Rows are collected through :class:`repro.obs.bench.BenchSuite`, the same
-machinery behind the committed ``BENCH_*.json`` baselines, so the script
-shares its timing and row bookkeeping with every other bench.
+Rows are collected through :class:`repro.bench.harness.BenchSuite`, the
+same machinery behind the committed ``BENCH_*.json`` baselines, so the
+script shares its timing and row bookkeeping with every other bench.
 """
 
 from repro.bench.datasets import benchmark_surrogate
-from repro.bench.harness import ExperimentTable
+from repro.bench.harness import BenchSuite, ExperimentTable, time_callable
 from repro.core.config import ClusteringConfig, Mode
 from repro.core.engines import multilevel_with_engine
 from repro.core.objective import lambdacc_objective
-from repro.obs.bench import BenchSuite, time_callable
 from repro.parallel.scheduler import SimulatedScheduler
 from repro.utils.rng import make_rng
 

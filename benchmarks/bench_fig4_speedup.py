@@ -5,9 +5,8 @@ the four mid-size graphs, 4.57-17.87x on twitter/friendster; 3.18-7.76x
 for PAR-MOD — while keeping 0.95-1.08x of the sequential objective.
 """
 
-from repro.bench.harness import ExperimentTable
+from repro.bench.harness import BenchSuite, ExperimentTable
 from repro.bench.studies import lookup, select, speedup_study
-from repro.obs.bench import BenchSuite
 
 
 def speedup_suite(records) -> BenchSuite:

@@ -11,13 +11,12 @@ loose multiple because CI wall timings are noisy).
 
 import numpy as np
 
-from repro.bench.harness import ExperimentTable
+from repro.bench.harness import ExperimentTable, time_callable
 from repro.core.api import cluster
 from repro.core.options import RunOptions
 from repro.core.config import ClusteringConfig
 from repro.generators.planted import planted_partition_graph
 from repro.graphs.karate import karate_club_graph
-from repro.obs.bench import time_callable
 from repro.resilience import ResiliencePolicy, RunBudget
 
 #: Design target for guard/audit overhead (fraction of baseline wall time).

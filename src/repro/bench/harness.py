@@ -1,17 +1,39 @@
-"""Shared experiment-harness utilities for the figure/table benches.
+"""The one bench harness: timing, tables, baselines, regression compare.
 
-Benches print the same *rows/series* the paper's figures plot (per
-DESIGN.md §4); :class:`ExperimentTable` renders them alignment-stable for
-``bench_output.txt``.  Simulated speedups come from the cost ledgers;
-wall-clock is reported separately by pytest-benchmark.
+* :func:`time_callable` — warmup + repeat wall timing, honouring
+  ``REPRO_BENCH_REPEATS``;
+* :class:`ExperimentTable` — the fixed-column text tables the figure
+  benches print (the rows/series the paper's figures plot, DESIGN.md §4);
+* :class:`BenchSuite` — named rows of ``{metric: value}`` written to
+  ``BENCH_<name>.json``;
+* :func:`compare` — baseline-vs-current report; metric *direction*
+  (lower-better for times/bytes, higher-better for objectives/speedups,
+  informational otherwise) comes from :func:`metric_direction` and is
+  recorded in the baseline so old files stay comparable.
+
+The suites behind the committed baselines live in
+:mod:`repro.bench.suites`; ``python -m repro.bench`` emits and compares
+them.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import platform
 import sys
-from typing import Callable, Iterable, List, Sequence
+import time
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+#: Schema tag of every ``BENCH_*.json`` file.  The string predates this
+#: module's location and is kept so the committed baselines stay valid.
+BASELINE_SCHEMA = "repro.obs.bench/v1"
+
+#: Default regression tolerance: flag changes worse than 10%.
+DEFAULT_TOLERANCE = 0.10
 
 
 #: Optional context-manager factory installed by benchmarks/conftest.py
@@ -52,26 +74,11 @@ def bench_scale() -> float:
 
 
 def bench_repeats(default: int = 3) -> int:
-    """Number of seeds to average stochastic measurements over.
+    """Repeat count for timed measurements.
 
-    The paper averages 10 runs; benches default to 3 for turnaround and
-    honour ``REPRO_BENCH_REPEATS``.
+    Benches default to 3 for turnaround and honour ``REPRO_BENCH_REPEATS``.
     """
     return int(os.environ.get("REPRO_BENCH_REPEATS", str(default)))
-
-
-def averaged(fn: Callable[[int], float], repeats: int | None = None) -> float:
-    """Mean of ``fn(seed)`` over ``repeats`` seeds."""
-    reps = repeats if repeats is not None else bench_repeats()
-    values = [fn(seed) for seed in range(reps)]
-    return sum(values) / len(values)
-
-
-def speedup(baseline_seconds: float, subject_seconds: float) -> float:
-    """``baseline / subject`` guarded against zero denominators."""
-    if subject_seconds <= 0:
-        return math.inf
-    return baseline_seconds / subject_seconds
 
 
 def geometric_mean(values: Sequence[float]) -> float:
@@ -134,7 +141,262 @@ class ExperimentTable:
         bench_print("\n" + self.render() + "\n")
 
 
-def series_summary(label: str, pairs: Iterable[tuple]) -> str:
-    """Compact 'x=y' series line for figure-style data."""
-    body = ", ".join(f"{x:g}:{ExperimentTable._fmt(y)}" for x, y in pairs)
-    return f"{label}: {body}"
+# ---------------------------------------------------------------------------
+# timing
+# ---------------------------------------------------------------------------
+@dataclass
+class TimingStats:
+    """Wall-clock samples from :func:`time_callable`."""
+
+    runs: List[float]
+
+    @property
+    def best(self) -> float:
+        return min(self.runs)
+
+    @property
+    def repeats(self) -> int:
+        return len(self.runs)
+
+
+def time_callable(
+    fn: Callable[[], object],
+    repeats: Optional[int] = None,
+    warmup: int = 0,
+) -> Tuple[object, TimingStats]:
+    """Run ``fn`` ``warmup + repeats`` times; keep per-repeat wall times.
+
+    Returns ``(last_result, stats)`` — the *best* (minimum) time is the
+    standard low-noise estimator benches should report.
+    """
+    reps = repeats if repeats is not None else bench_repeats()
+    if reps < 1:
+        raise ValueError(f"repeats must be >= 1, got {reps}")
+    result = None
+    for _ in range(warmup):
+        fn()
+    runs: List[float] = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        result = fn()
+        runs.append(time.perf_counter() - start)
+    return result, TimingStats(runs=runs)
+
+
+# ---------------------------------------------------------------------------
+# baselines
+# ---------------------------------------------------------------------------
+_LOWER_SUFFIXES = (
+    "_seconds",
+    "_time",
+    "_bytes",
+    "_slowdown",
+    "_retries",
+    "_overhead",
+)
+_HIGHER_SUFFIXES = ("objective", "modularity", "speedup", "quality", "f1")
+
+
+def metric_direction(name: str) -> str:
+    """``"lower"`` / ``"higher"`` (better) or ``"info"`` (never compared)."""
+    if name.endswith(_LOWER_SUFFIXES) or name in ("slowdown", "sim_time"):
+        return "lower"
+    if name.endswith(_HIGHER_SUFFIXES):
+        return "higher"
+    return "info"
+
+
+@dataclass
+class BenchRow:
+    """One keyed measurement: comparable metrics plus free-form info."""
+
+    key: str
+    metrics: Dict[str, float]
+    info: dict = field(default_factory=dict)
+
+
+class BenchSuite:
+    """Collects rows for one bench and writes ``BENCH_<name>.json``."""
+
+    def __init__(self, name: str, meta: Optional[dict] = None) -> None:
+        if not name or "/" in name:
+            raise ValueError(f"invalid suite name {name!r}")
+        self.name = name
+        self.meta = dict(meta or {})
+        self.rows: List[BenchRow] = []
+
+    def add_row(self, key: str, metrics: Dict[str, float], **info) -> BenchRow:
+        if any(r.key == key for r in self.rows):
+            raise ValueError(f"duplicate row key {key!r} in suite {self.name}")
+        row = BenchRow(
+            key=key,
+            metrics={k: float(v) for k, v in metrics.items()},
+            info=info,
+        )
+        self.rows.append(row)
+        return row
+
+    def payload(self) -> dict:
+        meta = dict(self.meta)
+        meta.setdefault("python", platform.python_version())
+        return {
+            "schema": BASELINE_SCHEMA,
+            "name": self.name,
+            "meta": meta,
+            "directions": {
+                metric: metric_direction(metric)
+                for row in self.rows
+                for metric in row.metrics
+            },
+            "rows": [
+                {"key": r.key, "metrics": r.metrics, "info": r.info}
+                for r in self.rows
+            ],
+        }
+
+    def write(self, directory) -> Path:
+        """Write ``BENCH_<name>.json`` under ``directory``; returns the path."""
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / f"BENCH_{self.name}.json"
+        with open(path, "w") as handle:
+            json.dump(self.payload(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        return path
+
+
+def load_baseline(path) -> dict:
+    """Load and shape-check one ``BENCH_*.json`` payload."""
+    with open(path) as handle:
+        payload = json.load(handle)
+    if payload.get("schema") != BASELINE_SCHEMA:
+        raise ValueError(
+            f"{path}: unsupported baseline schema {payload.get('schema')!r}"
+        )
+    for required in ("name", "rows"):
+        if required not in payload:
+            raise ValueError(f"{path}: baseline missing {required!r}")
+    return payload
+
+
+# ---------------------------------------------------------------------------
+# regression compare
+# ---------------------------------------------------------------------------
+@dataclass
+class Regression:
+    """One metric that got worse than the tolerance allows."""
+
+    key: str
+    metric: str
+    baseline: float
+    current: float
+    change: float  # signed relative change, positive = worse
+
+    def describe(self) -> str:
+        return (
+            f"{self.key} :: {self.metric}: {self.baseline:g} -> "
+            f"{self.current:g} ({self.change:+.1%} worse)"
+        )
+
+
+@dataclass
+class CompareReport:
+    """Outcome of :func:`compare` (empty ``regressions`` = pass)."""
+
+    suite: str
+    regressions: List[Regression] = field(default_factory=list)
+    improvements: List[str] = field(default_factory=list)
+    skipped: List[str] = field(default_factory=list)
+    compared: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return not self.regressions
+
+    def describe(self) -> str:
+        lines = [
+            f"compare[{self.suite}]: {self.compared} metrics compared, "
+            f"{len(self.regressions)} regression(s), "
+            f"{len(self.improvements)} improvement(s)"
+        ]
+        for regression in self.regressions:
+            lines.append(f"  REGRESSION {regression.describe()}")
+        for note in self.improvements:
+            lines.append(f"  improved   {note}")
+        for note in self.skipped:
+            lines.append(f"  skipped    {note}")
+        return "\n".join(lines)
+
+
+def relative_worsening(direction: str, baseline: float, current: float) -> float:
+    """Signed relative change where positive means *worse*.
+
+    A non-finite current value (NaN, ±inf) is infinitely worse: a run
+    that produced no number must never compare clean.
+    """
+    if not math.isfinite(current):
+        return math.inf
+    scale = max(abs(baseline), 1e-12)
+    delta = (current - baseline) / scale
+    return delta if direction == "lower" else -delta
+
+
+def compare(
+    baseline: dict,
+    current: dict,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> CompareReport:
+    """Flag every comparable metric that regressed beyond ``tolerance``.
+
+    Only metrics with a lower/higher-better direction participate;
+    informational metrics (counts, sizes) never fail a compare.  Rows or
+    metrics present in the baseline but missing from the current run are
+    reported in ``skipped`` so silent coverage loss is visible.
+    """
+    report = CompareReport(suite=baseline.get("name", "?"))
+    directions = dict(baseline.get("directions") or {})
+    current_rows = {row["key"]: row for row in current.get("rows", [])}
+    for row in baseline.get("rows", []):
+        key = row["key"]
+        other = current_rows.get(key)
+        if other is None:
+            report.skipped.append(f"{key}: row missing from current run")
+            continue
+        for metric, base_value in row.get("metrics", {}).items():
+            direction = directions.get(metric) or metric_direction(metric)
+            if direction == "info":
+                continue
+            if metric not in other.get("metrics", {}):
+                report.skipped.append(
+                    f"{key} :: {metric}: metric missing from current run"
+                )
+                continue
+            cur_value = float(other["metrics"][metric])
+            report.compared += 1
+            worsening = relative_worsening(
+                direction, float(base_value), cur_value
+            )
+            if worsening > tolerance:
+                report.regressions.append(
+                    Regression(
+                        key=key,
+                        metric=metric,
+                        baseline=float(base_value),
+                        current=cur_value,
+                        change=worsening,
+                    )
+                )
+            elif worsening < -tolerance:
+                report.improvements.append(
+                    f"{key} :: {metric}: {base_value:g} -> {cur_value:g} "
+                    f"({-worsening:+.1%} better)"
+                )
+    return report
+
+
+def compare_files(
+    baseline_path, current_path, tolerance: float = DEFAULT_TOLERANCE
+) -> CompareReport:
+    return compare(
+        load_baseline(baseline_path), load_baseline(current_path), tolerance
+    )

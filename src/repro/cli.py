@@ -21,8 +21,8 @@ Subcommands:
   rules and serving SLOs; exit 1 on any crit finding;
 * ``update`` / ``serve`` — dynamic clustering behind the serving
   gateway (DESIGN.md §11, §14);
-* ``obs``      — timelines, the runs registry, and the self-contained
-  HTML observability report (``obs report --html``).
+* ``obs``      — timelines, trace validation, the runs registry, and the
+  self-contained HTML observability report (``obs report --html``).
 
 Exit codes across the gate-like commands follow one convention:
 0 = pass, 1 = gate failure (crit finding, regression, audit issue),
@@ -608,7 +608,7 @@ def _cmd_serve(args) -> int:
     gateway = ServingGateway(clusterer, policy)
     try:
         if args.driver == "sim":
-            driver = SimulatedDriver(serial_baseline=args.serial_baseline)
+            driver = SimulatedDriver()
         else:
             driver = ThreadedDriver(
                 num_threads=args.threads, time_scale=args.time_scale
@@ -1033,6 +1033,19 @@ def _cmd_obs_timeline(args) -> int:
         f"timeline written to {out} ({spans} spans, "
         f"{len(lanes)} worker lanes)"
     )
+    return 0
+
+
+def _cmd_obs_validate_trace(args) -> int:
+    from repro.obs.schema import TraceSchemaError, validate_trace_file
+
+    try:
+        validate_trace_file(args.trace)
+    except TraceSchemaError as exc:
+        for problem in exc.problems:
+            print(f"invalid: {problem}", file=sys.stderr)
+        return 1
+    print(f"{args.trace}: valid trace")
     return 0
 
 
@@ -1484,9 +1497,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--driver", choices=["sim", "threads"], default="sim",
                    help="deterministic simulated clock (sim) or real "
                         "client threads (threads)")
-    d.add_argument("--serial-baseline", action="store_true",
-                   help="sim only: one lane shared by reads and commits "
-                        "(reads queue behind commits, for comparison)")
     d.add_argument("--threads", type=int, default=4, metavar="N",
                    help="client threads for --driver threads")
     d.add_argument("--time-scale", type=float, default=0.0,
@@ -1559,6 +1569,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", metavar="FILE",
                    help="output path (default: <trace>.chrome.json)")
     q.set_defaults(func=_cmd_obs_timeline)
+
+    q = obs_sub.add_parser(
+        "validate-trace",
+        help="schema-check a trace JSONL file; exit 1 when invalid",
+    )
+    q.add_argument("trace", help="trace JSONL file to validate")
+    q.set_defaults(func=_cmd_obs_validate_trace)
 
     q = obs_sub.add_parser(
         "report",

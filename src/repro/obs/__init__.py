@@ -1,4 +1,4 @@
-"""Observability subsystem: tracing, metrics, and bench baselines.
+"""Observability subsystem: tracing, metrics, and the run doctor.
 
 Public surface (DESIGN.md §7):
 
@@ -7,14 +7,15 @@ Public surface (DESIGN.md §7):
   :class:`~repro.obs.tracer.Tracer` (nested ``run → level → phase →
   round`` spans) and a :class:`~repro.obs.metrics.MetricsRegistry`
   (moves, gains, frontier sizes, compression ratios, CAS retries);
-* :mod:`repro.obs.schema` — trace JSONL validation (the CI smoke gate);
+* :mod:`repro.obs.schema` — trace JSONL validation (the CI smoke gate,
+  ``repro obs validate-trace``);
 * :mod:`repro.obs.health` / :mod:`repro.obs.doctor` /
   :mod:`repro.obs.report` — the run doctor (DESIGN.md §12): declarative
   health rules + serving SLOs over the artifacts above, and the
-  self-contained HTML report;
-* :mod:`repro.obs.bench` — the unified bench harness with committed
-  ``BENCH_*.json`` baselines and regression compare (imported explicitly,
-  not re-exported here, because it reaches back into the core package).
+  self-contained HTML report.
+
+The bench harness and its ``BENCH_*.json`` regression compare live in
+:mod:`repro.bench.harness`; the registry and the trend rule reuse it.
 """
 
 from repro.obs.instrument import (

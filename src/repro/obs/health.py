@@ -15,7 +15,7 @@ records with ``ok``/``warn``/``crit`` severities.  Three rule kinds:
 ``trend``
     One registry metric of the current run compared against an
     aggregate (``median``/``mean``/``best``) of comparable history
-    records, using :func:`repro.obs.bench.metric_direction` so
+    records, using :func:`repro.bench.harness.metric_direction` so
     wall-clock regressions and objective regressions both read as
     positive *worsening*; ``warn``/``crit`` are relative-worsening
     bounds (0.001 = 0.1%).
@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 from statistics import mean, median
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.harness import metric_direction, relative_worsening
 from repro.errors import ReproError
-from repro.obs.bench import _relative_worsening, metric_direction
 from repro.obs.metrics import sample_quantile
 
 HEALTH_SCHEMA = "repro.obs.health/v1"
@@ -272,7 +272,7 @@ class HealthRule:
             base = mean(values)
         else:  # best
             base = min(values) if direction == "lower" else max(values)
-        worsening = _relative_worsening(direction, base, float(current))
+        worsening = relative_worsening(direction, base, float(current))
         finding = self._finding(
             worsening,
             f"{self.metric} {current:g} vs {self.baseline} {base:g} of "

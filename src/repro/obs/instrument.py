@@ -11,7 +11,7 @@ BEST-MOVES engines, the multilevel drivers, the atomics — reaches it via
 Cheapness contract (ISSUE 2): with instrumentation absent *or* constructed
 but disabled, every hook degenerates to an attribute load and an
 ``enabled`` check — no span objects, no dict churn, no metric lookups —
-verified by ``benchmarks/bench_obs_overhead.py`` (<3% wall overhead).
+verified by ``benchmarks/bench_overhead.py`` (<3% wall overhead).
 
 Standard metric names (DESIGN.md §7) are module constants so tests,
 benches, and dashboards never hardcode strings twice.

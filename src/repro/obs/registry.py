@@ -7,10 +7,10 @@ metrics the bench baselines use (wall seconds, simulated seconds, the F
 objective, modularity) plus enough workload identity (graph, engine,
 resolution, seed, workers) to know when two runs are comparable at all.
 
-:func:`diff_runs` reuses the bench harness's :func:`repro.obs.bench.
-compare` gate, run twice with different tolerances: timing metrics at the
-standard 10% and quality metrics at 0.1% — a wall-clock wobble is noise,
-an objective drop is a bug.
+:func:`diff_runs` reuses the bench harness's
+:func:`repro.bench.harness.compare` gate, run twice with different
+tolerances: timing metrics at the standard 10% and quality metrics at
+0.1% — a wall-clock wobble is noise, an objective drop is a bug.
 
 The CLI surface is ``repro cluster --register runs.jsonl [--run-id ID]``
 to append and ``repro obs report`` / ``repro obs diff`` to read back.
@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.obs.bench import CompareReport, compare
+from repro.bench.harness import BASELINE_SCHEMA, CompareReport, compare
 
 RUNS_SCHEMA = "repro.obs.runs/v1"
 
@@ -223,8 +223,6 @@ def find_run(records: List[dict], run_id: str) -> dict:
 
 def _as_baseline(record: dict, metrics: tuple, direction: str) -> dict:
     """Shape one run record as a single-row bench baseline payload."""
-    from repro.obs.bench import BASELINE_SCHEMA
-
     return {
         "schema": BASELINE_SCHEMA,
         "name": "runs",

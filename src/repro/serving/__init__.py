@@ -15,8 +15,7 @@ Layers, bottom up:
 * :mod:`repro.serving.session` — scripted single-client sessions
   (``repro serve --script``) with deterministic transcripts;
 * :mod:`repro.serving.workload` — seeded mixed read/write workload
-  generation (open/closed-loop arrivals);
-* :mod:`repro.serving.bench` — the PR10 gateway-vs-serial bench.
+  generation (open/closed-loop arrivals).
 """
 
 from repro.serving.drivers import DriverResult, SimulatedDriver, ThreadedDriver

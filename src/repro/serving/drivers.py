@@ -7,9 +7,9 @@ time-free; drivers own the clock and the interleaving:
   virtual clock.  Read service, commit cost, and arrival times are all
   modeled seconds, so every run is bit-reproducible: same workload +
   policy → same interleaving → same responses, shed set, and committed
-  batch sequence.  ``serial_baseline=True`` degrades it to a serial
-  discipline (one lane, reads queue behind commits) — the contrast the
-  serving bench measures.
+  batch sequence.  Its times are a queueing model, not a measurement;
+  wall-clock serving performance is measured by the ``serve`` workload
+  of ``benchmarks/perf``.
 * :class:`ThreadedDriver` — real client threads submitting against the
   wall clock with a single commit thread as the sole clusterer mutator.
   Snapshot isolation makes reads lock-free (one atomic epoch-reference
@@ -134,29 +134,19 @@ _EV_ARRIVE = 2
 class SimulatedDriver:
     """Deterministic discrete-event execution of one workload.
 
-    ``serial_baseline=True`` models a single-lane server: one service
-    lane shared by reads *and* commits, so every read queues
-    behind every in-progress commit.  The default (gateway) mode gives
-    reads ``policy.read_concurrency`` dedicated lanes and commits their
-    own — snapshot isolation means they never wait on each other.
+    Reads get ``policy.read_concurrency`` dedicated lanes and commits
+    their own — snapshot isolation means they never wait on each other.
     """
-
-    def __init__(self, serial_baseline: bool = False) -> None:
-        self.serial_baseline = serial_baseline
 
     def run(
         self, gateway: ServingGateway, requests: Sequence[Request]
     ) -> DriverResult:
         policy = gateway.policy
-        result = DriverResult(
-            driver="serial-sim" if self.serial_baseline else "sim",
-            num_requests=len(requests),
-        )
-        lanes = 1 if self.serial_baseline else policy.read_concurrency
+        result = DriverResult(driver="sim", num_requests=len(requests))
         # Min-heap of per-lane free times (the read "server pool").
-        servers = [0.0] * lanes
+        servers = [0.0] * policy.read_concurrency
         heapq.heapify(servers)
-        # Commit lane (gateway mode: commits never touch read lanes).
+        # The commit lane: commits never touch read lanes.
         commit_free = 0.0
         # Start times of admitted-but-not-yet-started reads (> now).
         waiting: List[float] = []
@@ -219,17 +209,9 @@ class SimulatedDriver:
                     n = staged
                     if policy.max_batch_updates > 0:
                         n = min(n, policy.max_batch_updates)
-                    if self.serial_baseline:
-                        # The single lane absorbs the commit: every read
-                        # admitted after this queues behind it.
-                        lane_free = heapq.heappop(servers)
-                        start = max(now, lane_free)
-                        done = start + policy.commit_cost(n)
-                        heapq.heappush(servers, done)
-                    else:
-                        start = max(now, commit_free)
-                        done = start + policy.commit_cost(n)
-                        commit_free = done
+                    start = max(now, commit_free)
+                    done = start + policy.commit_cost(n)
+                    commit_free = done
                     makespan = max(makespan, done)
                     result.responses.extend(gateway.commit(done))
                 if arrivals_left or gateway.staged_count:

@@ -1,15 +1,10 @@
-import math
-
 import pytest
 
 from repro.bench.harness import (
     ExperimentTable,
-    averaged,
     bench_repeats,
     bench_scale,
     geometric_mean,
-    series_summary,
-    speedup,
 )
 
 
@@ -25,23 +20,6 @@ class TestEnvKnobs:
     def test_repeats_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_REPEATS", "7")
         assert bench_repeats() == 7
-
-
-class TestAveraged:
-    def test_mean_over_seeds(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_REPEATS", "4")
-        assert averaged(lambda seed: float(seed)) == pytest.approx(1.5)
-
-    def test_explicit_repeats(self):
-        assert averaged(lambda seed: 1.0, repeats=2) == 1.0
-
-
-class TestSpeedup:
-    def test_ratio(self):
-        assert speedup(10.0, 2.0) == 5.0
-
-    def test_zero_guard(self):
-        assert speedup(10.0, 0.0) == math.inf
 
 
 class TestGeometricMean:
@@ -83,9 +61,3 @@ class TestExperimentTable:
         table.emit()
         assert "== T ==" in capfd.readouterr().out
 
-
-class TestSeriesSummary:
-    def test_format(self):
-        line = series_summary("speedup", [(1, 1.0), (2, 1.9)])
-        assert line.startswith("speedup:")
-        assert "2:1.9" in line

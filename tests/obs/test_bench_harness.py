@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from repro.obs.bench import (
+from repro.bench.__main__ import main
+from repro.bench.harness import (
     BASELINE_SCHEMA,
     BenchSuite,
     compare,
     compare_files,
     load_baseline,
-    main,
     metric_direction,
     time_callable,
 )
@@ -35,7 +35,7 @@ def test_time_callable_repeats_and_result():
     assert result == "out"
     assert len(calls) == 5  # 2 warmups + 3 timed
     assert timing.repeats == 3
-    assert timing.best <= timing.mean
+    assert timing.best == min(timing.runs)
     with pytest.raises(ValueError, match="repeats"):
         time_callable(lambda: None, repeats=0)
 
@@ -90,6 +90,10 @@ def test_compare_flags_regressions_beyond_tolerance():
     assert ("sim_time_seconds", 0.5) in flagged
     assert ("f_objective", 0.5) in flagged
     assert report.compared == 2
+    # A run that produced no number never compares clean.
+    nan = compare(baseline, _suite(1.0, float("nan")).payload())
+    assert [r.metric for r in nan.regressions] == ["f_objective"]
+    assert nan.regressions[0].change == float("inf")
 
 
 def test_compare_within_tolerance_and_improvements_pass():
@@ -148,6 +152,7 @@ def test_cli_compare_files_helper(tmp_path):
 
 
 def test_cli_validate_trace(tmp_path, capsys):
+    from repro.cli import main as cli_main
     from repro.obs.tracer import Tracer
 
     tracer = Tracer()
@@ -155,11 +160,11 @@ def test_cli_validate_trace(tmp_path, capsys):
         pass
     good = tmp_path / "good.jsonl"
     tracer.write_jsonl(good)
-    assert main(["validate-trace", str(good)]) == 0
+    assert cli_main(["obs", "validate-trace", str(good)]) == 0
 
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"type": "event", "name": "orphan"}\n')
-    assert main(["validate-trace", str(bad)]) == 1
+    assert cli_main(["obs", "validate-trace", str(bad)]) == 1
     assert "invalid" in capsys.readouterr().err
 
 
@@ -170,7 +175,8 @@ def test_committed_baselines_load_and_self_compare():
     baseline_dir = Path(__file__).resolve().parents[2] / "benchmarks/baselines"
     paths = sorted(baseline_dir.glob("BENCH_*.json"))
     assert {p.name for p in paths} >= {
-        "BENCH_engines.json", "BENCH_overhead.json",
+        "BENCH_engines.json", "BENCH_overhead.json", "BENCH_PR3.json",
+        "BENCH_PR4.json", "BENCH_PR7.json", "BENCH_PR9.json",
     }
     for path in paths:
         payload = load_baseline(path)

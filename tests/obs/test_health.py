@@ -114,6 +114,16 @@ class TestTrendRules:
             history=[run_record(1.0, metric="wall_seconds")],
         )
         assert finding.severity == "crit"  # 2x slower
+        # A run that recorded NaN never reads as healthy.
+        finding, _ = trend_rule(
+            metric="wall_seconds", warn=0.10, crit=0.50
+        ).evaluate(
+            {},
+            record=run_record(float("nan"), metric="wall_seconds"),
+            history=[run_record(1.0, metric="wall_seconds")],
+        )
+        assert finding.severity == "crit"
+        assert finding.value == float("inf")
 
     def test_window_keeps_recent_history_only(self):
         history = [run_record(1000.0)] + [run_record(100.0)] * 5

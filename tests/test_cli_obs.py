@@ -198,7 +198,7 @@ def test_obs_diff_vacuous_compare_fails(tmp_path, capsys):
 def test_obs_diff_compared_zero_exit(monkeypatch, tmp_path, capsys):
     """compared == 0 on an otherwise-ok report exits 1."""
     import repro.obs.registry as registry_mod
-    from repro.obs.bench import CompareReport
+    from repro.bench.harness import CompareReport
 
     runs = tmp_path / "runs.jsonl"
     assert _run(["--register", str(runs), "--run-id", "base"]) == 0

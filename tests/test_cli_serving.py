@@ -22,10 +22,6 @@ class TestServeCommand:
         assert "bit-identical" in out
         assert "no silent drops" in out
 
-    def test_serial_baseline(self, capsys):
-        assert main(serve("--serial-baseline")) == 0
-        assert "driver=serial-sim" in capsys.readouterr().out
-
     def test_threaded_driver(self, capsys):
         assert main(serve("--driver", "threads", "--threads", "2",
                           "--verify-replay")) == 0
