@@ -18,9 +18,10 @@ test-fast:
 test-dynamic:
 	$(PYTHON) -m pytest -x -q -m dynamic
 
-## Process execution backend: bit-identical parity across all engines,
-## worker sizing/fallback, shared-memory leak hygiene (normal exit and
-## chaos-killed worker), dynamic pool reuse, chaos backend axis.
+## Process execution backend: bit-identical parity across all engines
+## (move evaluation and the SYNC frontier gather), worker sizing/fallback,
+## shared-memory leak hygiene (normal exit, chaos-killed worker, /dev/shm
+## exhausted mid-run).
 test-backend:
 	$(PYTHON) -m pytest -x -q -m parallel_backend
 

@@ -469,7 +469,6 @@ def _cmd_update(args) -> int:
         if issues:
             for issue in issues:
                 print(f"  ! audit: {issue}", file=sys.stderr)
-            gateway.close()
             return 1
         print("audit: clean")
     if args.output_labels:
@@ -481,9 +480,6 @@ def _cmd_update(args) -> int:
     if args.save_snapshot:
         save_snapshot(args.save_snapshot, clusterer)
         print(f"snapshot written to {args.save_snapshot}")
-    # All batches are applied: release the warm worker pool (no-op for
-    # the simulated backend) before reporting/registration.
-    gateway.close()
     if clusterer.instr.enabled:
         if args.trace:
             clusterer.instr.write_trace(args.trace)
@@ -606,16 +602,13 @@ def _cmd_serve(args) -> int:
     requests = workload.generate(graph0.num_vertices)
     instr = clusterer.instr if clusterer.instr.enabled else None
     gateway = ServingGateway(clusterer, policy)
-    try:
-        if args.driver == "sim":
-            driver = SimulatedDriver()
-        else:
-            driver = ThreadedDriver(
-                num_threads=args.threads, time_scale=args.time_scale
-            )
-        result = driver.run(gateway, requests)
-    finally:
-        clusterer.close()
+    if args.driver == "sim":
+        driver = SimulatedDriver()
+    else:
+        driver = ThreadedDriver(
+            num_threads=args.threads, time_scale=args.time_scale
+        )
+    result = driver.run(gateway, requests)
     summary = result.summary()
     counts = summary["counts"]
     print(
@@ -871,13 +864,11 @@ def _cmd_chaos(args) -> int:
                 ) from None
     engines = args.engines.split(",") if args.engines else None
     kernels = args.kernels.split(",") if args.kernels else None
-    backends = args.backends.split(",") if args.backends else None
     report = chaos_matrix(
         graph,
         config,
         engines=engines,
         kernels=kernels,
-        backends=backends,
         kinds=kinds,
         rate=args.rate,
         max_injections=args.max_injections,
@@ -1349,9 +1340,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated engine names (default: all five)")
     p.add_argument("--kernels", metavar="LIST",
                    help="comma-separated kernel names (default: both)")
-    p.add_argument("--backends", metavar="LIST",
-                   help="comma-separated execution backends, e.g. "
-                        "'simulated,process' (default: simulated only)")
     p.add_argument("--kinds", metavar="LIST",
                    help="comma-separated fault kinds (default: transient,"
                         "dup-move,cas-fail,delay-frontier)")

@@ -69,10 +69,10 @@ def cluster(
       deadlines, and the fallback ladder (DESIGN.md §10), with every
       recovery decision in ``failure_log`` and ``extras["supervisor"]``.
     * ``options.backend`` passes an already-open
-      :class:`~repro.parallel.backend.ExecutionBackend` (the dynamic
-      subsystem reuses one warm process pool across update batches); when
-      omitted, ``config.backend`` selects one, created and closed inside
-      this call.  Backends never change results (DESIGN.md §13).
+      :class:`~repro.parallel.backend.process.ProcessBackend` to reuse
+      across runs; when omitted, ``config.backend`` selects one, created
+      and closed inside this call.  Backends never change results
+      (DESIGN.md §13).
     """
     opts = options if options is not None else RunOptions()
     resilience = opts.resilience
@@ -117,8 +117,7 @@ def cluster(
             machine=config.machine,
         )
         owns_backend = True
-    if exec_backend is not None and not exec_backend.inline:
-        sched.backend = exec_backend
+    sched.backend = exec_backend
     memory = MemoryTracker()
     rng = make_rng(config.seed)
     ctx = ResilienceContext(resilience, sched=sched) if resilience else None
@@ -213,7 +212,7 @@ def _finish_run(
     extras: dict = {}
     if getattr(graph, "repairs", None):
         extras["input_repairs"] = dict(graph.repairs)
-    if exec_backend is not None and not exec_backend.inline:
+    if exec_backend is not None:
         extras["backend"] = exec_backend.stats()
     degraded = False
     failure_log: list = []

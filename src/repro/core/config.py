@@ -149,7 +149,7 @@ class ClusteringConfig:
             raise ConfigError(
                 f"kernel must be one of {sorted(KERNELS)}, got {self.kernel!r}"
             )
-        from repro.parallel.backend.base import BACKEND_NAMES
+        from repro.parallel.backend import BACKEND_NAMES
 
         if self.backend not in BACKEND_NAMES:
             raise ConfigError(
@@ -161,7 +161,7 @@ class ClusteringConfig:
         """``num_workers`` with 0 resolved to the host's usable core count."""
         if self.num_workers >= 1:
             return self.num_workers
-        from repro.parallel.backend.base import resolve_workers
+        from repro.parallel.backend import resolve_workers
 
         return resolve_workers(0, self.machine)
 
@@ -236,9 +236,9 @@ class ClusteringConfig:
             "--backend", choices=["simulated", "process"],
             default="simulated",
             help="execution backend (bit-identical results; 'process' "
-                 "fans batch work out to a warm shared-memory worker "
-                 "pool on real cores, falling back to simulated when "
-                 "the host cannot support it)",
+                 "shards move evaluation and frontier gathers over a "
+                 "shared-memory worker pool on real cores, falling back "
+                 "to simulated when the host cannot support it)",
         )
         parser.add_argument("--seed", type=int, default=None)
 

@@ -131,7 +131,7 @@ def compute_batch_moves(
         return empty, np.zeros(0, dtype=np.float64)
     instr = getattr(sched, "instr", None)
     backend = getattr(sched, "backend", None)
-    if backend is not None and not backend.inline:
+    if backend is not None:
         # Execution backend (DESIGN.md §13): evaluate the batch on real
         # cores.  Bit-identical to the inline kernel call below, and the
         # cost model afterwards charges exactly the same, so only wall

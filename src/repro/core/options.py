@@ -44,8 +44,9 @@ class RunOptions:
         A :class:`~repro.supervisor.RunSupervisor` — retry-with-resume,
         watchdog deadlines, fallback ladder.
     backend:
-        An already-open :class:`~repro.parallel.backend.ExecutionBackend`
-        to reuse (e.g. a warm process pool); when ``None``,
+        An already-open
+        :class:`~repro.parallel.backend.process.ProcessBackend` to reuse
+        (e.g. one warm pool across a sweep); when ``None``,
         ``config.backend`` selects one per run.
     """
 

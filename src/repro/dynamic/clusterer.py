@@ -196,49 +196,6 @@ class DynamicClusterer:
         # Serving staleness: updates applied since the last snapshot
         # save (not persisted — a just-restored state is fresh).
         self.updates_since_save = 0
-        # Persistent execution backend (DESIGN.md §13): created lazily on
-        # the first apply() so the process pool warms up once and is then
-        # reused by every update batch (and by the serving gateway, which
-        # delegates here).  None until first use or when the config runs
-        # the default simulated backend.
-        self._backend = None
-        self._backend_ready = False
-
-    # ------------------------------------------------------------------ #
-    # Execution backend lifecycle
-    # ------------------------------------------------------------------ #
-
-    def _exec_backend(self):
-        """The persistent backend, or None for inline execution."""
-        if not self._backend_ready:
-            self._backend_ready = True
-            if self.config.backend != "simulated":
-                from repro.parallel.backend import create_backend
-
-                backend = create_backend(
-                    self.config.backend,
-                    workers=self.config.resolved_workers,
-                    machine=self.config.machine,
-                )
-                if not backend.inline:
-                    self._backend = backend
-        return self._backend
-
-    def close(self) -> None:
-        """Release the persistent backend (worker pool, shm segments).
-
-        Idempotent; the clusterer remains usable afterwards — the next
-        apply() falls back to inline execution rather than re-spawning.
-        """
-        if self._backend is not None:
-            self._backend.close()
-            self._backend = None
-
-    def __enter__(self) -> "DynamicClusterer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     # Bootstrap
@@ -419,7 +376,6 @@ class DynamicClusterer:
             num_workers=self.config.resolved_workers,
             machine=self.config.machine,
             instr=self.instr if self.instr.enabled else None,
-            backend=self._exec_backend(),
         )
         touched = batch.touched_vertices()
         seed = seed_frontier(graph, touched, sched=sched)

@@ -57,18 +57,10 @@ def _compress(
 
     if graph.num_directed_edges:
         # Semisort key construction: map each directed edge's endpoints to
-        # super-vertex ids.  A non-inline execution backend (DESIGN.md §13)
-        # shards this gather over real cores — a pure elementwise map, so
-        # the shard concatenation is bit-identical to the inline path.
-        backend = getattr(sched, "backend", None)
-        if backend is not None and not backend.inline:
-            csrc, cdst = backend.map_to_super(
-                graph, vertex_to_super, instr=getattr(sched, "instr", None)
-            )
-        else:
-            src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.offsets))
-            csrc = vertex_to_super[src]
-            cdst = vertex_to_super[graph.neighbors]
+        # super-vertex ids.
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.offsets))
+        csrc = vertex_to_super[src]
+        cdst = vertex_to_super[graph.neighbors]
         intra = csrc == cdst
         if intra.any():
             # Each undirected intra-cluster edge appears twice in the

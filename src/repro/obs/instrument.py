@@ -114,11 +114,8 @@ M_GATEWAY_BATCH = "repro_gateway_batch_updates"
 #: Latest published label epoch index (gauge).
 M_GATEWAY_EPOCH = "repro_gateway_epoch"
 #: Wall seconds per execution-backend dispatch, labeled by phase:
-#: moves/frontier/compress (histogram).  Fed by the process backend.
+#: moves/frontier (histogram).  Fed by the process backend.
 M_BACKEND_DISPATCH = "repro_backend_dispatch_seconds"
-#: Bytes copied into shared-memory segments by the process backend
-#: (counter) — graph epochs, state slabs, and scratch slabs.
-M_BACKEND_BYTES = "repro_backend_bytes_shared"
 
 #: Latency buckets for M_SERVE_LATENCY: a 1-2.5-5 ladder from 1 µs to
 #: 50 s — the default registry ladder starts at 1 ms, far too coarse for
@@ -168,7 +165,6 @@ _HELP = {
     M_GATEWAY_BATCH: "Coalesced updates per committed gateway batch",
     M_GATEWAY_EPOCH: "Latest published label epoch index",
     M_BACKEND_DISPATCH: "Wall seconds per execution-backend dispatch, by phase",
-    M_BACKEND_BYTES: "Bytes copied into shared segments by the process backend",
 }
 
 

@@ -1,7 +1,8 @@
 """Real shared-memory multiprocess execution backend.
 
-A persistent pool of ``multiprocessing`` workers executes the
-embarrassingly-parallel phases over ``multiprocessing.shared_memory``
+A persistent pool of ``multiprocessing`` workers executes the two
+embarrassingly-parallel phases that pay on real cores — BEST-MOVES batch
+windows and sparse frontier gathers — over ``multiprocessing.shared_memory``
 segments: the parent copies each level graph's CSR arrays into shared
 segments once (an *epoch*), adopts the live :class:`ClusterState` arrays
 into shared slabs (so ``apply_moves`` updates are visible to workers with
@@ -16,18 +17,17 @@ Bit-identity (DESIGN.md §13) holds by construction:
   evaluating contiguous shards and concatenating in shard order produces
   byte-for-byte the full-batch kernel's output (which is itself
   bit-identical to the dict oracle, DESIGN.md §8);
-* the frontier gather and the compression key construction are pure
-  elementwise gathers, trivially shard-invariant;
+* the frontier gather is a pure elementwise gather, trivially
+  shard-invariant;
 * the parent performs every commit (``apply_moves``), reduction, sort,
   and aggregation itself, in the same order as the inline path.
 
-Fault policy: a dead worker, a poisoned pipe, or an unavailable
+Fault policy: a dead worker, a poisoned pipe, or a missing or full
 ``/dev/shm`` marks the backend *faulted* — the failed dispatch re-runs
 inline, every later phase stays inline, the pool and all segments are
 torn down, and one ``RuntimeWarning`` reports the degradation.  Results
 are unaffected (inline is bit-identical), so a faulted run completes
-instead of failing; the supervisor ladder additionally carries a
-``simulated-backend`` rung for errors raised before the pool exists.
+instead of failing.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 from repro.core.state import ClusterState
 from repro.graphs.csr import CSRGraph
 from repro.kernels import get_kernel
-from repro.parallel.backend.base import ExecutionBackend, resolve_workers
+from repro.parallel.backend import resolve_workers
 from repro.parallel.primitives import ragged_gather_indices
 
 #: Shared-segment name prefix; the leak tests scan ``/dev/shm`` for it.
@@ -205,22 +205,9 @@ def _worker_main(worker_id: int, conn) -> None:
                 _, meta, lo, hi, out_base = msg
                 graph = _meta_graph(cache, meta)
                 ids = cache.array(meta["ids"], np.int64, meta["ids_cap"])
-                out_e = cache.array(meta["edge_a"], np.int64, meta["edge_cap"])
+                out_e = cache.array(meta["edges"], np.int64, meta["edge_cap"])
                 edge_idx, _ = ragged_gather_indices(graph.offsets, ids[lo:hi])
                 out_e[out_base : out_base + edge_idx.size] = graph.neighbors[edge_idx]
-                items = hi - lo
-            elif kind == "super":
-                _, meta, lo, hi = msg
-                graph = _meta_graph(cache, meta)
-                v2s = cache.array(meta["map"], np.int64, meta["ids_cap"])
-                out_a = cache.array(meta["edge_a"], np.int64, meta["edge_cap"])
-                out_b = cache.array(meta["edge_b"], np.int64, meta["edge_cap"])
-                edges = np.arange(lo, hi, dtype=np.int64)
-                src = (
-                    np.searchsorted(graph.offsets, edges, side="right") - 1
-                )
-                out_a[lo:hi] = v2s[src]
-                out_b[lo:hi] = v2s[graph.neighbors[lo:hi]]
                 items = hi - lo
             else:
                 raise RuntimeError(f"unknown task kind {kind!r}")
@@ -282,11 +269,14 @@ class _Epoch:
         self.meta = meta
 
 
-class ProcessBackend(ExecutionBackend):
-    """Persistent shared-memory worker pool (see module docstring)."""
+class ProcessBackend:
+    """Persistent shared-memory worker pool (see module docstring).
+
+    Contract: every phase entry point is *bit-identical* to the inline
+    numpy path — same dtypes, same values, same ordering.
+    """
 
     name = "process"
-    inline = False
 
     #: Graph epochs kept resident at once; multilevel refinement revisits
     #: level graphs, so evicting too eagerly would re-copy per level.
@@ -498,7 +488,7 @@ class ProcessBackend(ExecutionBackend):
             for wid, msg in tasks:
                 self._conns[wid].send(msg)
             replies = [self._conns[wid].recv() for wid, _ in tasks]
-        except (EOFError, OSError, BrokenPipeError) as exc:
+        except (EOFError, OSError) as exc:
             raise _WorkerFailure(f"worker pipe failed during {phase}: {exc}")
         for reply in replies:
             if reply[0] != "ok":
@@ -531,8 +521,7 @@ class ProcessBackend(ExecutionBackend):
         self._slabs.clear()
         self._epochs.clear()
         warnings.warn(
-            "process backend faulted; continuing inline on the simulated "
-            f"backend ({exc})",
+            f"process backend faulted; continuing inline ({exc})",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -616,7 +605,7 @@ class ProcessBackend(ExecutionBackend):
             ]
             self._dispatch(tasks, "moves", instr=instr)
             return out_t[:size].copy(), out_g[:size].copy()
-        except _WorkerFailure as exc:
+        except (_WorkerFailure, OSError) as exc:
             self._degrade(exc)
             return inline()
 
@@ -645,7 +634,7 @@ class ProcessBackend(ExecutionBackend):
                 "ids", np.int64, max(size, graph.num_vertices)
             )
             edge_name, edge_slab = self._slab(
-                "edge_a", np.int64, max(deg_sum, meta["m"])
+                "edges", np.int64, max(deg_sum, meta["m"])
             )
             ids_slab[:size] = ids
             prefix = np.zeros(size + 1, dtype=np.int64)
@@ -654,7 +643,7 @@ class ProcessBackend(ExecutionBackend):
                 meta,
                 ids=ids_name,
                 ids_cap=ids_slab.size,
-                edge_a=edge_name,
+                edges=edge_name,
                 edge_cap=edge_slab.size,
             )
             tasks = [
@@ -663,61 +652,7 @@ class ProcessBackend(ExecutionBackend):
             ]
             self._dispatch(tasks, "frontier", instr=instr)
             return edge_slab[:deg_sum]
-        except _WorkerFailure as exc:
-            self._degrade(exc)
-            return inline()
-
-    def map_to_super(
-        self, graph, vertex_to_super: np.ndarray, instr=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(csrc, cdst)`` per directed edge — compression key construction.
-
-        Returns views of reusable slabs — valid until the next backend
-        call; ``_compress`` consumes them within the same expression
-        block.
-        """
-        def inline():
-            n = graph.num_vertices
-            src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.offsets))
-            return vertex_to_super[src], vertex_to_super[graph.neighbors]
-
-        if not self._usable(graph):
-            return inline()
-        m = graph.neighbors.size
-        if m < self.min_dispatch:
-            self._inline_small += 1
-            return inline()
-        try:
-            meta = self._epoch(graph)
-            n = graph.num_vertices
-            map_name, map_slab = self._slab("map", np.int64, n)
-            a_name, a_slab = self._slab("edge_a", np.int64, m)
-            b_name, b_slab = self._slab("edge_b", np.int64, m)
-            map_slab[:n] = vertex_to_super
-            meta = dict(
-                meta,
-                map=map_name,
-                ids_cap=map_slab.size,
-                edge_a=a_name,
-                edge_b=b_name,
-                edge_cap=max(a_slab.size, b_slab.size),
-            )
-            # edge_cap must describe each slab's own capacity; they can
-            # differ after independent growth, so resize to match.
-            if a_slab.size != b_slab.size:
-                cap = max(a_slab.size, b_slab.size)
-                a_name, a_slab = self._slab("edge_a", np.int64, cap)
-                b_name, b_slab = self._slab("edge_b", np.int64, cap)
-                meta["edge_a"] = a_name
-                meta["edge_b"] = b_name
-                meta["edge_cap"] = a_slab.size
-            tasks = [
-                (wid, ("super", meta, lo, hi))
-                for wid, lo, hi in self._shards(m)
-            ]
-            self._dispatch(tasks, "compress", instr=instr)
-            return a_slab[:m], b_slab[:m]
-        except _WorkerFailure as exc:
+        except (_WorkerFailure, OSError) as exc:
             self._degrade(exc)
             return inline()
 
@@ -743,3 +678,9 @@ class ProcessBackend(ExecutionBackend):
             "faulted": self._faulted,
             "fault_reason": self._fault_reason,
         }
+
+    def __enter__(self) -> "ProcessBackend":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -56,10 +56,10 @@ def edge_map(graph, frontier: VertexSubset, sched=None, label: str = "edge-map")
             sched.charge(work=float(n + m), depth=_log2(n), label=label + "-dense")
         return VertexSubset(n, mask=out_mask)
     # Sparse direction: gather adjacency slices of the frontier.  A
-    # non-inline execution backend (DESIGN.md §13) shards the gather over
-    # real cores; the result is the same concatenated-in-CSR-order array.
+    # process backend (DESIGN.md §13) shards the gather over real cores;
+    # the result is the same concatenated-in-CSR-order array.
     backend = getattr(sched, "backend", None)
-    if backend is not None and not backend.inline:
+    if backend is not None:
         nbrs = backend.gather_neighbors(
             graph, ids, instr=getattr(sched, "instr", None)
         )

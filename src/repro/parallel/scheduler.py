@@ -356,7 +356,7 @@ class SimulatedScheduler:
         #: scheduler for the same reason ``faults`` does — everything that
         #: can charge costs can also trace/record (see ``instr_of``).
         self.instr = instr
-        #: Optional non-inline :class:`repro.parallel.backend.ExecutionBackend`
+        #: Optional :class:`repro.parallel.backend.process.ProcessBackend`
         #: executing the parallel phases on real cores; rides the scheduler
         #: through the same conduit as ``faults``/``instr``.  ``None`` (the
         #: default, and the ``simulated`` backend) keeps every phase inline.

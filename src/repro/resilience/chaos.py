@@ -1,7 +1,7 @@
 """Chaos-matrix harness: sweep faults under the supervisor, assert recovery.
 
-The matrix crosses **fault kind × injection site × engine × kernel ×
-execution backend** and runs every cell under a
+The matrix crosses **fault kind × injection site × engine × kernel**
+and runs every cell under a
 :class:`~repro.supervisor.RunSupervisor`, then checks the recovery
 invariants the supervisor promises:
 
@@ -86,7 +86,6 @@ class CellOutcome:
     fallbacks: int
     salvaged: bool
     failure_log_size: int
-    backend: str = "simulated"
     violations: List[str] = field(default_factory=list)
 
     @property
@@ -95,10 +94,7 @@ class CellOutcome:
 
     @property
     def label(self) -> str:
-        tag = f"{self.kind}@{self.site}/{self.engine}/{self.kernel}"
-        if self.backend != "simulated":
-            tag += f"/{self.backend}"
-        return tag
+        return f"{self.kind}@{self.site}/{self.engine}/{self.kernel}"
 
     def as_dict(self) -> dict:
         out = dict(self.__dict__)
@@ -236,7 +232,6 @@ def chaos_matrix(
     config: Optional[ClusteringConfig] = None,
     engines: Optional[Sequence[str]] = None,
     kernels: Optional[Sequence[str]] = None,
-    backends: Optional[Sequence[str]] = None,
     kinds: Optional[Sequence[FaultKind]] = None,
     rate: float = 0.3,
     max_injections: int = 6,
@@ -252,19 +247,10 @@ def chaos_matrix(
 
     Cells are seeded ``seed + cell_index`` and the supervisor never
     sleeps, so the whole matrix is deterministic and fast enough for CI.
-
-    ``backends`` adds the execution-backend axis (default: just the
-    config's own backend).  Backends are bit-identical by contract
-    (DESIGN.md §13), so the fault-free baseline and the replay check run
-    once per (engine, kernel) and are shared across backend cells; each
-    chaos cell then runs with its backend so recovery is exercised
-    through the real dispatch path (including the supervisor's
-    ``simulated-backend`` ladder rung).
     """
     config = config if config is not None else ClusteringConfig(num_workers=4)
     engines = list(engines) if engines is not None else sorted(ENGINES)
     kernels = list(kernels) if kernels is not None else sorted(KERNELS)
-    backends = list(backends) if backends is not None else [config.backend]
     kinds = list(kinds) if kinds is not None else list(DEFAULT_KINDS)
 
     outcomes: List[CellOutcome] = []
@@ -273,11 +259,9 @@ def chaos_matrix(
     cell_index = 0
     for engine in engines:
         for kernel in kernels:
-            base_config = config.with_options(
-                kernel=kernel, backend="simulated", seed=seed
-            )
+            cell_config = config.with_options(kernel=kernel, seed=seed)
             baseline = cluster(
-                graph, base_config,
+                graph, cell_config,
                 RunOptions(
                     resilience=ResiliencePolicy(audit=audit),
                     engine=engine,
@@ -285,28 +269,25 @@ def chaos_matrix(
             )
             baselines[(engine, kernel)] = baseline.objective
             if check_replay:
-                failure = replay_check(graph, base_config, engine)
+                failure = replay_check(graph, cell_config, engine)
                 if failure is not None:
                     replay_failures.append(failure)
-            for backend in backends:
-                cell_config = base_config.with_options(backend=backend)
-                for kind in kinds:
-                    cell_index += 1
-                    outcomes.append(
-                        _run_cell(
-                            graph, cell_config, engine, kernel, kind,
-                            baseline.objective,
-                            backend=backend,
-                            rate=rate,
-                            max_injections=max_injections,
-                            seed=seed + cell_index,
-                            tolerance=tolerance,
-                            audit=audit,
-                            retry=retry,
-                            watchdog=watchdog,
-                            instrumentation=instrumentation,
-                        )
+            for kind in kinds:
+                cell_index += 1
+                outcomes.append(
+                    _run_cell(
+                        graph, cell_config, engine, kernel, kind,
+                        baseline.objective,
+                        rate=rate,
+                        max_injections=max_injections,
+                        seed=seed + cell_index,
+                        tolerance=tolerance,
+                        audit=audit,
+                        retry=retry,
+                        watchdog=watchdog,
+                        instrumentation=instrumentation,
                     )
+                )
     return ChaosReport(
         outcomes=outcomes,
         replay_failures=replay_failures,
@@ -317,7 +298,7 @@ def chaos_matrix(
 def _run_cell(
     graph, cell_config, engine, kernel, kind, baseline_objective,
     rate, max_injections, seed, tolerance, audit, retry, watchdog,
-    instrumentation, backend="simulated",
+    instrumentation,
 ) -> CellOutcome:
     plan = FaultPlan.single(
         kind, rate=rate, seed=seed, max_injections=max_injections
@@ -338,7 +319,6 @@ def _run_cell(
             site=FAULT_SITES[kind],
             engine=engine,
             kernel=kernel,
-            backend=backend,
             objective=float("nan"),
             baseline_objective=baseline_objective,
             rel_delta=float("inf"),
@@ -372,7 +352,6 @@ def _run_cell(
         site=FAULT_SITES[kind],
         engine=engine,
         kernel=kernel,
-        backend=backend,
         objective=result.objective,
         baseline_objective=baseline_objective,
         rel_delta=rel_delta,

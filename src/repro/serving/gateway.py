@@ -184,16 +184,13 @@ class ServingGateway:
             )
 
     def close(self) -> None:
-        """Release the clusterer's execution backend (DESIGN.md §13).
+        """Close the gateway.
 
         Idempotent: a second ``close()`` (or a ``with`` block exiting
         after an explicit close) is a no-op.  Later serve/stage/commit/
         save/audit calls raise :class:`~repro.errors.ServerClosedError`.
         """
-        if self._closed:
-            return
         self._closed = True
-        self.clusterer.close()
 
     def __enter__(self) -> "ServingGateway":
         return self
@@ -452,10 +449,7 @@ def replay_digests(
         guard=guard,
     )
     digests = [label_digest(clusterer.state.assignments)]
-    try:
-        for batch in batches:
-            clusterer.apply(batch)
-            digests.append(label_digest(clusterer.state.assignments))
-    finally:
-        clusterer.close()
+    for batch in batches:
+        clusterer.apply(batch)
+        digests.append(label_digest(clusterer.state.assignments))
     return digests

@@ -115,7 +115,7 @@ class Watchdog:
 class Rung:
     """One step of the fallback ladder: executor overrides + strictness.
 
-    ``kernel``/``engine``/``backend`` of ``None`` mean "keep what the
+    ``kernel``/``engine`` of ``None`` mean "keep what the
     caller asked for"; ``graceful=True`` runs the rung under non-strict
     resilience so audits resync instead of raising and budget stops
     flatten best-so-far.
@@ -124,7 +124,6 @@ class Rung:
     name: str
     kernel: Optional[str] = None
     engine: Optional[str] = None
-    backend: Optional[str] = None
     graceful: bool = False
 
 
@@ -134,15 +133,12 @@ class FallbackLadder:
     The default ladder (cumulative — each rung keeps the substitutions of
     the rungs above it) is::
 
-        as-configured -> simulated-backend -> reference-kernel
-            -> sequential-engine -> graceful
+        as-configured -> reference-kernel -> sequential-engine -> graceful
 
-    with the backend rung present only for the process backend (the
-    process backend already degrades *itself* to inline execution on
-    worker death mid-run; the rung covers failures raised before or
-    around that self-healing, e.g. a poisoned pool at startup) and the
-    kernel/engine rungs skipped when the run already sits at the bottom
-    of that axis (reference kernel, sequential engine).
+    with the kernel/engine rungs skipped when the run already sits at the
+    bottom of that axis (reference kernel, sequential engine).  The ladder
+    is the same for every execution backend: the process backend degrades
+    *itself* to inline execution on any pool fault (DESIGN.md §13).
     """
 
     def __init__(self, rungs: Sequence[Rung]) -> None:
@@ -160,19 +156,14 @@ class FallbackLadder:
     def for_run(cls, config, engine: Optional[str] = None) -> "FallbackLadder":
         """The default ladder for a run of ``config`` under ``engine``."""
         rungs = [Rung("as-configured")]
-        fb = "simulated" if config.backend != "simulated" else None
-        if fb is not None:
-            rungs.append(Rung(f"{fb}-backend", backend=fb))
         fk = fallback_kernel(config.kernel)
         if fk is not None:
-            rungs.append(Rung(f"{fk}-kernel", kernel=fk, backend=fb))
+            rungs.append(Rung(f"{fk}-kernel", kernel=fk))
         requested = engine
         if requested is None and not config.parallel:
             requested = "sequential"
         fe = fallback_engine(requested)
         if fe is not None:
-            rungs.append(Rung(f"{fe}-engine", kernel=fk, engine=fe, backend=fb))
-        rungs.append(
-            Rung("graceful", kernel=fk, engine=fe, backend=fb, graceful=True)
-        )
+            rungs.append(Rung(f"{fe}-engine", kernel=fk, engine=fe))
+        rungs.append(Rung("graceful", kernel=fk, engine=fe, graceful=True))
         return cls(rungs)

@@ -389,12 +389,11 @@ class RunSupervisor:
     def _rung_setup(
         self, rung: Rung, config, base, engine, resume, slot, elapsed
     ):
-        overrides = {}
-        if rung.kernel is not None:
-            overrides["kernel"] = rung.kernel
-        if rung.backend is not None:
-            overrides["backend"] = rung.backend
-        run_config = config.with_options(**overrides) if overrides else config
+        run_config = (
+            config.with_options(kernel=rung.kernel)
+            if rung.kernel is not None
+            else config
+        )
         run_engine = rung.engine if rung.engine is not None else engine
         budget = merge_budgets(base.budget, self.watchdog.budget(elapsed))
         policy = replace(

@@ -4,10 +4,11 @@ The backend's whole contract is DESIGN.md §13: running batch work on
 real OS workers over shared memory must be *bit-identical* to the
 simulated inline path — same targets, same gains, same assignments,
 same ``f_objective`` — and must never leave a shared-memory segment
-behind, whether the run exits normally or a worker is killed mid-run.
+behind, whether the run exits normally, a worker is killed mid-run, or
+``/dev/shm`` fills up mid-run.
 """
 
-import os
+import errno
 import warnings
 
 import numpy as np
@@ -21,16 +22,11 @@ from repro.errors import ConfigError
 from repro.generators.lfr import lfr_like_graph
 from repro.generators.rmat import rmat_graph
 from repro.graphs.karate import karate_club_graph
-from repro.parallel.backend import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    ProcessBackend,
-    SimulatedBackend,
-    create_backend,
-    resolve_workers,
-)
+from repro.obs.instrument import M_BACKEND_DISPATCH, Instrumentation
+from repro.parallel.backend import BACKEND_NAMES, create_backend, resolve_workers
 from repro.parallel.backend.process import (
     BackendUnavailable,
+    ProcessBackend,
     leaked_segment_files,
 )
 
@@ -54,10 +50,12 @@ def graphs():
 def pool():
     """One warm pool shared by the parity sweep (the intended usage).
 
-    Class-scoped so it is fully closed before the leak-hygiene tests
-    scan ``/dev/shm`` — a live pool's segments are not leaks.
+    The low dispatch threshold makes the sweep's small graphs actually
+    reach the workers.  Class-scoped so it is fully closed before the
+    leak-hygiene tests scan ``/dev/shm`` — a live pool's segments are
+    not leaks.
     """
-    backend = ProcessBackend(workers=2)
+    backend = ProcessBackend(workers=2, min_dispatch=64)
     yield backend
     backend.close()
 
@@ -69,6 +67,7 @@ class TestParity:
     @pytest.mark.parametrize("gname", ["karate", "rmat", "lfr"])
     def test_engine_bit_identical(self, graphs, pool, engine, gname):
         graph = graphs[gname]
+        before = pool.stats()["dispatches"]
         for seed in (1, 12):
             config = ClusteringConfig(seed=seed, num_workers=4)
             base = cluster(graph, config, RunOptions(engine=engine))
@@ -77,6 +76,9 @@ class TestParity:
             assert base.objective == proc.objective
             assert base.stats.total_moves == proc.stats.total_moves
         assert not pool.stats()["faulted"]
+        if gname != "karate" and engine in ("colored", "prefix", "relaxed"):
+            # Parity is only meaningful if the workers did the work.
+            assert pool.stats()["dispatches"] > before
 
     def test_sync_all_frontier_dispatches(self, graphs):
         """A config with big batch windows exercises real dispatch."""
@@ -96,6 +98,25 @@ class TestParity:
         assert stats["dispatches"] > 0
         assert not stats["faulted"]
         assert stats["bytes_shared"] > 0
+
+    def test_sync_vertex_neighbors_gather_parity(self, graphs, pool):
+        """SYNC with the default frontier puts the sharded frontier
+        gather (not only move evaluation) under the parity check."""
+        graph = graphs["rmat"]
+        config = ClusteringConfig(seed=5, mode=Mode.SYNC, num_workers=2)
+        base = cluster(graph, config)
+        instr = Instrumentation()
+        proc = cluster(
+            graph, config, RunOptions(instrumentation=instr, backend=pool)
+        )
+        assert np.array_equal(base.assignments, proc.assignments)
+        assert base.objective == proc.objective
+        assert (
+            base.stats_dict()["sim_time_seconds"]
+            == proc.stats_dict()["sim_time_seconds"]
+        )
+        assert instr.metrics.get(M_BACKEND_DISPATCH).count(phase="frontier") > 0
+        assert not pool.stats()["faulted"]
 
     def test_simulated_time_identical(self, graphs, pool):
         """The cost model is charged identically on both paths."""
@@ -159,17 +180,11 @@ class TestFallback:
             backend = create_backend(
                 "process", workers=1, start_method="no-such-method"
             )
-        assert isinstance(backend, SimulatedBackend)
-        assert backend.inline
-        assert any(
-            issubclass(w.category, RuntimeWarning) for w in caught
-        )
+        assert backend is None
+        assert [w.category for w in caught] == [RuntimeWarning]
 
     def test_simulated_backend_is_inline(self):
-        backend = create_backend("simulated")
-        assert isinstance(backend, ExecutionBackend)
-        assert backend.inline
-        backend.close()  # no-op, must not raise
+        assert create_backend("simulated") is None
 
 
 class TestLeakHygiene:
@@ -206,6 +221,36 @@ class TestLeakHygiene:
         )
         assert leaked_segment_files() == []
 
+    def test_shm_exhaustion_mid_run_degrades_inline(self, graphs):
+        """A full ``/dev/shm`` after the pool is live faults the backend:
+        the run finishes inline with identical results and no leaks."""
+        graph = graphs["rmat"]
+        config = ClusteringConfig(seed=4, mode=Mode.SYNC, frontier=Frontier.ALL)
+        base = cluster(graph, config)
+        backend = ProcessBackend(workers=2, min_dispatch=64)
+        real_new_segment = backend._new_segment
+
+        def exhausted(nbytes):
+            if backend.stats()["dispatches"] > 0:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_new_segment(nbytes)
+
+        backend._new_segment = exhausted
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                proc = cluster(graph, config, RunOptions(backend=backend))
+            stats = backend.stats()
+        finally:
+            backend.close()
+        assert np.array_equal(base.assignments, proc.assignments)
+        assert base.objective == proc.objective
+        assert stats["dispatches"] > 0
+        assert stats["faulted"]
+        assert "No space left" in stats["fault_reason"]
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert leaked_segment_files() == []
+
     def test_close_is_idempotent(self):
         backend = ProcessBackend(workers=1)
         backend.close()
@@ -213,89 +258,19 @@ class TestLeakHygiene:
         assert leaked_segment_files() == []
 
 
-class TestDynamicReuse:
-    def test_update_batches_reuse_one_pool(self, graphs):
-        from repro.dynamic.clusterer import DynamicClusterer
-        from repro.dynamic.updates import EdgeUpdate, UpdateBatch
-
-        graph = graphs["rmat"]
-        rng = np.random.default_rng(8)
-
-        def run(backend_name):
-            config = ClusteringConfig(seed=6, backend=backend_name)
-            boot = cluster(graph, ClusteringConfig(seed=6))
-            clusterer = DynamicClusterer(graph, boot.assignments, config)
-            rng_local = np.random.default_rng(8)
-            objectives = []
-            pool_ids = set()
-            with clusterer:
-                for _ in range(3):
-                    pairs = rng_local.integers(
-                        0, graph.num_vertices, size=(60, 2)
-                    )
-                    ups = [
-                        EdgeUpdate("insert", int(u), int(v), 1.0)
-                        for u, v in pairs
-                        if u != v
-                    ]
-                    report = clusterer.apply(UpdateBatch(ups))
-                    objectives.append(report.f_objective)
-                    if clusterer._backend is not None:
-                        pool_ids.add(id(clusterer._backend))
-            return objectives, pool_ids
-
-        sim_obj, _ = run("simulated")
-        proc_obj, pools = run("process")
-        assert sim_obj == proc_obj
-        assert len(pools) <= 1  # one persistent pool, never respawned
-        assert leaked_segment_files() == []
-
-
-class TestChaosBackendAxis:
-    @pytest.mark.supervisor
-    def test_matrix_covers_backends(self):
-        from repro.resilience.chaos import chaos_matrix
-        from repro.resilience.faults import FaultKind
-
-        graph = karate_club_graph()
-        report = chaos_matrix(
-            graph,
-            ClusteringConfig(num_iter=3),
-            engines=["relaxed"],
-            kernels=["vectorized"],
-            backends=["simulated", "process"],
-            kinds=[FaultKind.TRANSIENT],
-            check_replay=False,
-        )
-        assert report.ok, report.failures()
-        backends = {cell.backend for cell in report.outcomes}
-        assert backends == {"simulated", "process"}
-        assert leaked_segment_files() == []
-
-
 class TestSupervisorLadder:
-    def test_process_backend_adds_rung(self):
-        from repro.supervisor.policy import FallbackLadder
-
-        ladder = FallbackLadder.for_run(ClusteringConfig(backend="process"))
-        assert "simulated-backend" in ladder.names()
-        # The rung substitution is cumulative: every later rung also
-        # pins the simulated backend.
-        names = ladder.names()
-        idx = names.index("simulated-backend")
-        for rung in ladder.rungs[idx:]:
-            assert rung.backend == "simulated"
-
     def test_simulated_backend_adds_no_rung(self):
+        """The pool degrades itself, so no backend gets a ladder rung."""
         from repro.supervisor.policy import FallbackLadder
 
         ladder = FallbackLadder.for_run(ClusteringConfig())
+        proc = FallbackLadder.for_run(ClusteringConfig(backend="process"))
+        assert ladder.rungs == proc.rungs
         assert "simulated-backend" not in ladder.names()
 
 
 class TestObservability:
     def test_wall_clock_worker_lanes(self, graphs):
-        from repro.obs.instrument import Instrumentation
         from repro.obs.schema import validate_trace_records
         from repro.obs.timeline import PID_BACKEND, chrome_trace_events
 
@@ -321,8 +296,6 @@ class TestObservability:
         assert PID_BACKEND in pids
 
     def test_dispatch_metric_recorded(self, graphs):
-        from repro.obs.instrument import M_BACKEND_DISPATCH, Instrumentation
-
         graph = graphs["rmat"]
         config = ClusteringConfig(
             seed=2, mode=Mode.SYNC, frontier=Frontier.ALL

@@ -58,10 +58,7 @@ class TestSimulatedDriver:
         runs = []
         for _ in range(2):
             gw, clusterer = make_gateway()
-            try:
-                result = SimulatedDriver().run(gw, spec.generate(34))
-            finally:
-                clusterer.close()
+            result = SimulatedDriver().run(gw, spec.generate(34))
             runs.append(
                 (
                     sorted(response_key(r) for r in result.responses),
@@ -77,12 +74,9 @@ class TestSimulatedDriver:
             GatewayPolicy(read_queue_limit=4, read_concurrency=1,
                           read_service_seconds=0.01)
         )
-        try:
-            result = SimulatedDriver().run(gw, spec.generate(34))
-            assert result.check_accounting(gw) == []
-            assert len(result.responses) == len(spec.generate(34))
-        finally:
-            clusterer.close()
+        result = SimulatedDriver().run(gw, spec.generate(34))
+        assert result.check_accounting(gw) == []
+        assert len(result.responses) == len(spec.generate(34))
 
     def test_tight_queue_sheds_reads(self):
         spec = WorkloadSpec(
@@ -92,12 +86,9 @@ class TestSimulatedDriver:
             GatewayPolicy(read_queue_limit=2, read_concurrency=1,
                           read_service_seconds=0.01)
         )
-        try:
-            result = SimulatedDriver().run(gw, spec.generate(34))
-            assert result.by_status()["read"]["shed"] > 0
-            assert result.check_accounting(gw) == []
-        finally:
-            clusterer.close()
+        result = SimulatedDriver().run(gw, spec.generate(34))
+        assert result.by_status()["read"]["shed"] > 0
+        assert result.check_accounting(gw) == []
 
     def test_deadline_expiry(self):
         spec = WorkloadSpec(
@@ -111,18 +102,15 @@ class TestSimulatedDriver:
             GatewayPolicy(read_queue_limit=256, read_concurrency=1,
                           read_service_seconds=0.01)
         )
-        try:
-            result = SimulatedDriver().run(gw, spec.generate(34))
-            by_status = result.by_status()
-            assert by_status["read"]["expired"] > 0
-            expired = [
-                r for r in result.responses
-                if r.klass == "read" and r.status == "expired"
-            ]
-            assert all(r.latency <= 0.002 + 1e-12 for r in expired)
-            assert result.check_accounting(gw) == []
-        finally:
-            clusterer.close()
+        result = SimulatedDriver().run(gw, spec.generate(34))
+        by_status = result.by_status()
+        assert by_status["read"]["expired"] > 0
+        expired = [
+            r for r in result.responses
+            if r.klass == "read" and r.status == "expired"
+        ]
+        assert all(r.latency <= 0.002 + 1e-12 for r in expired)
+        assert result.check_accounting(gw) == []
 
 
 class TestThreadedDriver:
@@ -133,17 +121,14 @@ class TestThreadedDriver:
             GatewayPolicy(commit_interval_seconds=0.01)
         )
         labels0 = gw.epoch.assignments.copy()
-        try:
-            result = ThreadedDriver(num_threads=4).run(gw, spec.generate(34))
-            assert result.check_accounting(gw) == []
-            digests = replay_digests(
-                graph,
-                labels0,
-                clusterer.config,
-                gw.committed_batches(),
-                engine="sequential",
-                guard=NO_GUARD,
-            )
-            assert digests == gw.epoch_log
-        finally:
-            clusterer.close()
+        result = ThreadedDriver(num_threads=4).run(gw, spec.generate(34))
+        assert result.check_accounting(gw) == []
+        digests = replay_digests(
+            graph,
+            labels0,
+            clusterer.config,
+            gw.committed_batches(),
+            engine="sequential",
+            guard=NO_GUARD,
+        )
+        assert digests == gw.epoch_log

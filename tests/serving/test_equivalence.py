@@ -65,18 +65,14 @@ def test_gateway_replay_bit_identical(engine, family_name):
         graph, config, engine="sequential", guard=NO_GUARD
     )
     labels0 = boot.state.assignments.copy()
-    boot.close()
 
     clusterer = DynamicClusterer(
         graph, labels0.copy(), config, engine=engine, guard=NO_GUARD
     )
     gateway = ServingGateway(clusterer, STRESS_POLICY)
-    try:
-        result = SimulatedDriver().run(
-            gateway, WORKLOAD.generate(graph.num_vertices)
-        )
-    finally:
-        clusterer.close()
+    result = SimulatedDriver().run(
+        gateway, WORKLOAD.generate(graph.num_vertices)
+    )
 
     # Full accounting: no silent drops anywhere in the pipeline.
     assert result.check_accounting(gateway) == []
@@ -116,7 +112,6 @@ def test_engines_agree_on_epoch_log():
         graph, config, engine="sequential", guard=NO_GUARD
     )
     labels0 = boot.state.assignments.copy()
-    boot.close()
 
     logs = {}
     for engine in ("sequential", "relaxed"):
@@ -124,12 +119,9 @@ def test_engines_agree_on_epoch_log():
             graph, labels0.copy(), config, engine=engine, guard=NO_GUARD
         )
         gateway = ServingGateway(clusterer, STRESS_POLICY)
-        try:
-            SimulatedDriver().run(
-                gateway, WORKLOAD.generate(graph.num_vertices)
-            )
-        finally:
-            clusterer.close()
+        SimulatedDriver().run(
+            gateway, WORKLOAD.generate(graph.num_vertices)
+        )
         logs[engine] = (
             [entry["updates"] for entry in gateway.committed],
             len(gateway.epoch_log),
