@@ -34,13 +34,7 @@ from repro.graphs.csr import CSRGraph
 from repro.graphs.karate import karate_club_graph
 from repro.parallel.scheduler import CostLedger, Machine, SimulatedScheduler
 from repro.serving import GatewayPolicy, ServingGateway
-from repro.supervisor import (
-    FallbackLadder,
-    RetryPolicy,
-    RunSupervisor,
-    Watchdog,
-    supervise,
-)
+from repro.supervisor import RunSupervisor
 
 __version__ = "1.0.0"
 
@@ -53,23 +47,19 @@ __all__ = [
     "ClusterResult",
     "ClusteringConfig",
     "CostLedger",
-    "FallbackLadder",
     "Frontier",
     "GatewayPolicy",
     "Machine",
     "Mode",
     "Objective",
-    "RetryPolicy",
     "RunOptions",
     "RunSupervisor",
     "ServingGateway",
     "SimulatedScheduler",
-    "Watchdog",
     "cluster",
     "correlation_clustering",
     "graph_from_edges",
     "karate_club_graph",
     "modularity_clustering",
-    "supervise",
     "__version__",
 ]

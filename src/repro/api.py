@@ -4,14 +4,14 @@ This module is the single stable import point for downstream users::
 
     from repro.api import cluster, ClusteringConfig, RunOptions, ServingGateway
 
-Everything exported here (the explicit ``__all__``) is covered by the
-compatibility promise: names are never removed and signatures only grow
-keyword-only parameters with defaults.  The enforcement mechanism is a
+Everything exported here (the explicit ``__all__``) changes only on
+purpose: a name is removed or a signature changed only together with the
+snapshot that records it.  The enforcement mechanism is a
 committed snapshot, ``benchmarks/api_surface.json``: :func:`surface`
 introspects every exported name into ``{name: {kind, signature}}`` and
 ``python -m repro.api --check`` (the ``make api-check`` target) fails
-when the live surface no longer matches the snapshot.  Intentional
-surface growth regenerates the snapshot with ``python -m repro.api
+when the live surface no longer matches the snapshot.  An intentional
+surface change regenerates the snapshot with ``python -m repro.api
 --write`` — the diff then shows up in review as a file change, not as a
 silent break.
 
@@ -31,23 +31,19 @@ from repro import (
     ClusterResult,
     ClusteringConfig,
     CostLedger,
-    FallbackLadder,
     Frontier,
     Machine,
     Mode,
     Objective,
-    RetryPolicy,
     RunOptions,
     RunSupervisor,
     SimulatedScheduler,
-    Watchdog,
     __version__,
     cluster,
     correlation_clustering,
     graph_from_edges,
     karate_club_graph,
     modularity_clustering,
-    supervise,
 )
 from repro.dynamic.clusterer import DriftGuard, DynamicClusterer
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
@@ -93,11 +89,7 @@ __all__ = [
     "Machine",
     "SimulatedScheduler",
     # supervision
-    "FallbackLadder",
-    "RetryPolicy",
     "RunSupervisor",
-    "Watchdog",
-    "supervise",
     # dynamic clustering
     "DriftGuard",
     "DynamicClusterer",

@@ -493,7 +493,9 @@ def dynamic_suite(repeats: int = 3) -> BenchSuite:
     # first batch and the two paths would measure different work.
     warm_assignments, _ = _full_recompute(
         graph,
-        DynamicClusterer.bootstrap(graph, config, engine="sequential").assignments(),
+        DynamicClusterer.bootstrap(
+            graph, config, engine="sequential"
+        ).state.assignments,
         DYNAMIC_RESOLUTION,
         config,
     )

@@ -99,12 +99,17 @@ def _resilience_policy(args):
     budget = None
     if any(
         value is not None
-        for value in (args.time_budget, args.max_moves, args.max_rounds)
+        for value in (
+            args.time_budget, args.max_moves, args.max_rounds,
+            args.run_deadline, args.level_deadline,
+        )
     ):
         budget = RunBudget(
             max_sim_seconds=args.time_budget,
+            max_wall_seconds=args.run_deadline,
             max_moves=args.max_moves,
             max_rounds=args.max_rounds,
+            max_level_wall_seconds=args.level_deadline,
         )
     wants_resilience = (
         faults is not None
@@ -136,19 +141,11 @@ def _supervisor(args):
     )
     if not wants_supervision:
         return None
-    from repro.supervisor import RetryPolicy, RunSupervisor, Watchdog
+    from repro.supervisor import RunSupervisor
 
-    retry = RetryPolicy(
-        max_attempts_per_rung=(
-            args.max_attempts if args.max_attempts is not None else 3
-        )
-    )
-    watchdog = Watchdog(
-        run_deadline_seconds=args.run_deadline,
-        level_deadline_seconds=args.level_deadline,
-    )
     return RunSupervisor(
-        retry=retry, watchdog=watchdog, checkpoint_dir=args.checkpoint_dir
+        max_attempts=args.max_attempts if args.max_attempts is not None else 3,
+        checkpoint_dir=args.checkpoint_dir,
     )
 
 
@@ -842,6 +839,7 @@ def _cmd_consensus(args) -> int:
 def _cmd_chaos(args) -> int:
     import json
 
+    from repro.core.engines import ENGINES
     from repro.resilience.chaos import chaos_matrix
     from repro.resilience.faults import FaultKind
 
@@ -862,7 +860,14 @@ def _cmd_chaos(args) -> int:
                     f"unknown fault kind {token.strip()!r}; "
                     f"available: {sorted(k.value for k in FaultKind)}"
                 ) from None
-    engines = args.engines.split(",") if args.engines else None
+    engines = None
+    if args.engines:
+        engines = [token.strip() for token in args.engines.split(",")]
+        unknown = [name for name in engines if name not in ENGINES]
+        if unknown:
+            raise ConfigError(
+                f"unknown engine {unknown[0]!r}; available: {sorted(ENGINES)}"
+            )
     kernels = args.kernels.split(",") if args.kernels else None
     report = chaos_matrix(
         graph,
@@ -1217,11 +1222,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "implies --supervise)")
     s.add_argument("--run-deadline", type=float, default=None,
                    metavar="SECONDS",
-                   help="watchdog deadline for the whole supervised run "
-                        "(implies --supervise)")
+                   help="wall-clock cap on the whole supervised run, "
+                        "all attempts included (implies --supervise)")
     s.add_argument("--level-deadline", type=float, default=None,
                    metavar="SECONDS",
-                   help="watchdog deadline per engine invocation "
+                   help="wall-clock cap per engine invocation "
                         "(implies --supervise)")
     s.add_argument("--checkpoint-dir", metavar="DIR",
                    help="directory for the supervisor's rotating "

@@ -35,11 +35,7 @@ import numpy as np
 from repro.core.state import ClusterState
 from repro.graphs.csr import CSRGraph
 from repro.kernels import DEFAULT_KERNEL, get_kernel
-from repro.kernels.base import GAIN_EPS  # noqa: F401  (back-compat re-export)
-from repro.kernels.reference import (
-    accumulate_neighbor_weights,
-    reference_single_move,
-)
+from repro.kernels.reference import accumulate_neighbor_weights
 from repro.obs.instrument import M_KERNEL_BATCH
 from repro.parallel.hash_table import (
     PARALLEL_INSERT_COST,
@@ -191,28 +187,3 @@ def all_move_gains(
     if state.cluster_sizes[v] == 0:
         gains[v] = 0.0 - stay
     return gains
-
-
-def compute_single_move(
-    graph: CSRGraph,
-    state: ClusterState,
-    v: int,
-    resolution: float,
-    allow_escape: bool = True,
-    swap_avoidance: bool = False,
-) -> Tuple[int, float]:
-    """Sequential best-move for one vertex (SEQUENTIAL-CC's inner kernel).
-
-    Thin wrapper over the reference kernel's single-vertex evaluation
-    (:mod:`repro.kernels.reference`), kept here for back-compat: it is
-    semantically a batch of size one, and both registered kernels resolve
-    single-vertex evaluation to this dict path.
-    """
-    return reference_single_move(
-        graph,
-        state,
-        v,
-        resolution,
-        allow_escape=allow_escape,
-        swap_avoidance=swap_avoidance,
-    )

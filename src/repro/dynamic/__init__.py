@@ -6,8 +6,8 @@ Public surface (DESIGN.md §11):
   :class:`~repro.dynamic.updates.UpdateBatch` — validated edge
   insert/delete/reweight operations and their JSONL log format;
 * :class:`~repro.dynamic.clusterer.DynamicClusterer` — the serving
-  facade: ``apply(batch)`` with localized refinement, ``cluster_of``,
-  ``assignments``, ``stats``, plus the :class:`DriftGuard` escalation
+  facade: ``apply(batch)`` with localized refinement and ``stats``
+  over the live ``state``, plus the :class:`DriftGuard` escalation
   policy;
 * :class:`~repro.dynamic.snapshot.SnapshotStore` — two-slot rotating
   ``.npz`` persistence of live state (bit-identical resumption).

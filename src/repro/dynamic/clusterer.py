@@ -66,7 +66,6 @@ from repro.obs.instrument import (
     M_DYNAMIC_DRIFT,
     M_DYNAMIC_ESCALATIONS,
     M_DYNAMIC_MOVES,
-    M_DYNAMIC_QUERIES,
     M_DYNAMIC_SEED,
     M_DYNAMIC_UPDATES,
     M_SERVE_STALENESS,
@@ -190,7 +189,6 @@ class DynamicClusterer:
         self.updates_applied = {"insert": 0, "delete": 0, "reweight": 0}
         self.moves_applied = 0
         self.escalations = 0
-        self.queries_answered = 0
         self.last_drift: Optional[float] = None
         self.sim_seconds = 0.0
         # Serving staleness: updates applied since the last snapshot
@@ -250,33 +248,6 @@ class DynamicClusterer:
     def num_clusters(self) -> int:
         return self.state.num_clusters
 
-    def cluster_of(self, u: int) -> int:
-        """The cluster id vertex ``u`` is currently assigned to."""
-        if u < 0 or u >= self.graph.num_vertices:
-            raise UpdateError(
-                f"vertex {u} out of range [0, {self.graph.num_vertices})"
-            )
-        if self.instr.enabled:
-            self.instr.count(M_DYNAMIC_QUERIES, 1.0, kind="cluster_of")
-        self.queries_answered += 1
-        return int(self.state.assignments[u])
-
-    def assignments(self, u: Optional[int] = None):
-        """All assignments (copy), or one vertex's assignment."""
-        if u is not None:
-            return self.cluster_of(u)
-        if self.instr.enabled:
-            self.instr.count(M_DYNAMIC_QUERIES, 1.0, kind="assignments")
-        self.queries_answered += 1
-        return self.state.assignments.copy()
-
-    def members(self, cluster: int) -> np.ndarray:
-        """Vertex ids currently assigned to ``cluster``."""
-        if self.instr.enabled:
-            self.instr.count(M_DYNAMIC_QUERIES, 1.0, kind="members")
-        self.queries_answered += 1
-        return np.flatnonzero(self.state.assignments == cluster).astype(np.int64)
-
     def stats(self) -> dict:
         """Serving-facade summary of the live state."""
         return {
@@ -293,7 +264,6 @@ class DynamicClusterer:
             "moves_applied": int(self.moves_applied),
             "escalations": int(self.escalations),
             "last_drift": self.last_drift,
-            "queries_answered": int(self.queries_answered),
             "sim_seconds": float(self.sim_seconds),
             "updates_since_save": int(self.updates_since_save),
         }

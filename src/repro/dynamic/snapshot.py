@@ -73,7 +73,6 @@ def save_snapshot(
             "updates_applied": dict(clusterer.updates_applied),
             "moves_applied": clusterer.moves_applied,
             "escalations": clusterer.escalations,
-            "queries_answered": clusterer.queries_answered,
         },
         "last_drift": clusterer.last_drift,
         "sim_seconds": clusterer.sim_seconds,
@@ -193,7 +192,6 @@ def load_snapshot(
     clusterer.updates_applied.update(counters.get("updates_applied", {}))
     clusterer.moves_applied = int(counters.get("moves_applied", 0))
     clusterer.escalations = int(counters.get("escalations", 0))
-    clusterer.queries_answered = int(counters.get("queries_answered", 0))
     clusterer.last_drift = meta.get("last_drift")
     clusterer.sim_seconds = float(meta.get("sim_seconds", 0.0))
     return clusterer

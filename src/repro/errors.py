@@ -42,9 +42,10 @@ class BudgetExhausted(ReproError):
 
 
 class WatchdogTimeout(BudgetExhausted):
-    """Raised when a supervisor watchdog wall-clock deadline (whole-run or
-    per-level) fires under ``strict`` resilience policy; graceful runs
-    degrade and return best-so-far instead of raising."""
+    """Raised when the per-level wall cap
+    (``RunBudget.max_level_wall_seconds``) fires under ``strict``
+    resilience policy; graceful runs degrade and return best-so-far
+    instead of raising."""
 
 
 class SupervisorExhausted(ReproError):

@@ -211,7 +211,6 @@ def dynamic_facts(stats: dict) -> Dict[str, float]:
         ("batches_applied", "dynamic.batches"),
         ("moves_applied", "dynamic.moves"),
         ("escalations", "dynamic.escalations"),
-        ("queries_answered", "dynamic.queries"),
         ("last_drift", "dynamic.last_drift"),
         ("updates_since_save", "dynamic.staleness"),
         ("f_objective", "run.f_objective"),

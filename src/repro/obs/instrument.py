@@ -78,8 +78,6 @@ M_SUPERVISOR_RETRIES = "repro_supervisor_retries_total"
 M_SUPERVISOR_FALLBACKS = "repro_supervisor_fallbacks_total"
 #: Watchdog deadline fires, labeled by scope: run/level (counter).
 M_SUPERVISOR_WATCHDOG = "repro_supervisor_watchdog_fires_total"
-#: Backoff delay before each supervisor retry, in seconds (histogram).
-M_SUPERVISOR_BACKOFF = "repro_supervisor_backoff_seconds"
 #: Dynamic update batches applied (counter).
 M_DYNAMIC_BATCHES = "repro_dynamic_batches_total"
 #: Individual edge updates applied, labeled by op: insert/delete/reweight
@@ -93,8 +91,6 @@ M_DYNAMIC_MOVES = "repro_dynamic_moves_total"
 M_DYNAMIC_DRIFT = "repro_dynamic_drift_abs"
 #: Drift-guard escalations to full re-clustering, labeled by reason (counter).
 M_DYNAMIC_ESCALATIONS = "repro_dynamic_escalations_total"
-#: Serving-facade queries answered, labeled by kind (counter).
-M_DYNAMIC_QUERIES = "repro_dynamic_queries_total"
 #: Serving op latency in seconds, labeled by op: read/write (request
 #: latency) and commit/save/audit (wall time) (histogram).  Fed by the
 #: serving gateway.
@@ -150,14 +146,12 @@ _HELP = {
     M_SUPERVISOR_RETRIES: "Supervisor retries of a failed attempt, by reason",
     M_SUPERVISOR_FALLBACKS: "Ladder descents to a lower rung",
     M_SUPERVISOR_WATCHDOG: "Watchdog deadline fires, by scope",
-    M_SUPERVISOR_BACKOFF: "Backoff delay before each supervisor retry",
     M_DYNAMIC_BATCHES: "Dynamic update batches applied",
     M_DYNAMIC_UPDATES: "Individual edge updates applied, by op",
     M_DYNAMIC_SEED: "Seed-frontier size per update batch",
     M_DYNAMIC_MOVES: "Vertex moves made by localized refinement",
     M_DYNAMIC_DRIFT: "Absolute objective drift at the last guard check",
     M_DYNAMIC_ESCALATIONS: "Drift-guard escalations to full re-clustering",
-    M_DYNAMIC_QUERIES: "Serving-facade queries answered, by kind",
     M_SERVE_LATENCY: "Serving-facade op latency in seconds, by op",
     M_SERVE_STALENESS: "Updates applied since the last snapshot save",
     M_GATEWAY_REQUESTS: "Serving-gateway requests resolved, by kind and status",

@@ -16,8 +16,8 @@ invariants the supervisor promises:
   assignments and objective exactly.
 
 Used by ``repro chaos`` (the CLI), ``make chaos`` (CI), and the
-``tests/supervisor`` suite.  Everything is seeded and the supervisor gets
-a no-op sleep, so a matrix replays deterministically and quickly.
+``tests/supervisor`` suite.  Everything is seeded, so a matrix replays
+deterministically.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.errors import SupervisorExhausted
 from repro.kernels import KERNELS
 from repro.resilience.context import ResiliencePolicy
 from repro.resilience.faults import FaultKind, FaultPlan
-from repro.supervisor import RetryPolicy, RunSupervisor, Watchdog
+from repro.supervisor import RunSupervisor
 
 #: Injection site exercised by each hazard class (module docstring of
 #: :mod:`repro.resilience.faults`): state mutations go through
@@ -165,17 +165,6 @@ class ChaosReport:
         }
 
 
-def _chaos_supervisor(retry, watchdog) -> RunSupervisor:
-    """A supervisor tuned for matrices: no real sleeping between retries."""
-    return RunSupervisor(
-        retry=retry
-        if retry is not None
-        else RetryPolicy(max_attempts_per_rung=2, backoff_base=0.0),
-        watchdog=watchdog if watchdog is not None else Watchdog(),
-        sleep=lambda _seconds: None,
-    )
-
-
 def _check_labels(assignments: np.ndarray, num_vertices: int) -> List[str]:
     issues = []
     if assignments.shape != (num_vertices,):
@@ -238,15 +227,13 @@ def chaos_matrix(
     seed: int = 1,
     tolerance: float = DEFAULT_TOLERANCE,
     audit: bool = True,
-    retry: Optional[RetryPolicy] = None,
-    watchdog: Optional[Watchdog] = None,
     check_replay: bool = True,
     instrumentation=None,
 ) -> ChaosReport:
     """Run the full chaos matrix on ``graph`` and return a report.
 
-    Cells are seeded ``seed + cell_index`` and the supervisor never
-    sleeps, so the whole matrix is deterministic and fast enough for CI.
+    Cells are seeded ``seed + cell_index`` and supervised with two
+    attempts per rung, so the whole matrix is deterministic.
     """
     config = config if config is not None else ClusteringConfig(num_workers=4)
     engines = list(engines) if engines is not None else sorted(ENGINES)
@@ -283,8 +270,6 @@ def chaos_matrix(
                         seed=seed + cell_index,
                         tolerance=tolerance,
                         audit=audit,
-                        retry=retry,
-                        watchdog=watchdog,
                         instrumentation=instrumentation,
                     )
                 )
@@ -297,17 +282,15 @@ def chaos_matrix(
 
 def _run_cell(
     graph, cell_config, engine, kernel, kind, baseline_objective,
-    rate, max_injections, seed, tolerance, audit, retry, watchdog,
-    instrumentation,
+    rate, max_injections, seed, tolerance, audit, instrumentation,
 ) -> CellOutcome:
     plan = FaultPlan.single(
         kind, rate=rate, seed=seed, max_injections=max_injections
     )
     policy = ResiliencePolicy(faults=plan, audit=audit)
-    supervisor = _chaos_supervisor(retry, watchdog)
     violations: List[str] = []
     try:
-        result = supervisor.run(
+        result = RunSupervisor(max_attempts=2).run(
             graph, cell_config,
             resilience=policy,
             instrumentation=instrumentation,

@@ -29,6 +29,7 @@ from repro.obs.instrument import (
 )
 from repro.errors import (
     BudgetExhausted,
+    ConfigError,
     InvariantViolation,
     TransientFault,
     WatchdogTimeout,
@@ -43,7 +44,6 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.faults import FaultPlan, FaultyClusterState
 from repro.resilience.guards import (
-    DEFAULT_BACKOFF_BASE,
     BudgetGuard,
     RunBudget,
     backoff_seconds,
@@ -75,8 +75,6 @@ class ResiliencePolicy:
     strict: bool = False
     #: Engine retries on injected transient faults before degrading.
     max_retries: int = 3
-    #: First-retry backoff in simulated seconds (doubles per attempt).
-    backoff_base: float = DEFAULT_BACKOFF_BASE
     audit_tolerance: float = DEFAULT_TOLERANCE
     #: Write a checkpoint here after every ``checkpoint_every`` levels.
     checkpoint_path: Optional[str] = None
@@ -93,13 +91,13 @@ class ResiliencePolicy:
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.checkpoint_every < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
             )
         if not 0.0 <= self.checkpoint_budget_fraction < 1.0:
-            raise ValueError(
+            raise ConfigError(
                 "checkpoint_budget_fraction must be in [0, 1), got "
                 f"{self.checkpoint_budget_fraction}"
             )
@@ -202,7 +200,7 @@ class ResilienceContext:
                         kind="retries-exhausted",
                     )
                     break
-                delay = backoff_seconds(attempt, self.policy.backoff_base)
+                delay = backoff_seconds(attempt)
                 self.note(
                     f"{where}: transient fault (attempt {attempt + 1}/"
                     f"{self.policy.max_retries + 1}), backing off {delay:g}s: {exc}",

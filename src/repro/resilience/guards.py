@@ -37,13 +37,14 @@ _BUDGET_FIELDS = (
 class RunBudget:
     """Resource caps for one clustering run (``None`` = unlimited).
 
-    ``max_level_wall_seconds`` is the supervisor watchdog's per-level
-    deadline: wall seconds one engine invocation (a level's best-moves or
-    refine pass) may take before the guard reports a watchdog reason
-    (``watchdog:`` prefix, raised as
-    :class:`~repro.errors.WatchdogTimeout` under strict policy).  Being a
-    cooperative guard it fires at the next consultation point, not
-    mid-invocation.
+    ``max_level_wall_seconds`` is the per-level deadline: wall seconds
+    one engine invocation (a level's best-moves or refine pass) may take
+    before the guard reports a watchdog reason (``watchdog:`` prefix,
+    raised as :class:`~repro.errors.WatchdogTimeout` under strict
+    policy).  Under a :class:`~repro.supervisor.RunSupervisor`,
+    ``max_wall_seconds`` caps the whole supervised run: every attempt
+    gets what is left of it.  Both caps are cooperative guards that fire
+    at the next consultation point, not mid-invocation.
     """
 
     max_sim_seconds: Optional[float] = None
@@ -61,31 +62,6 @@ class RunBudget:
     @property
     def unlimited(self) -> bool:
         return all(getattr(self, name) is None for name in _BUDGET_FIELDS)
-
-
-def merge_budgets(
-    a: Optional[RunBudget], b: Optional[RunBudget]
-) -> Optional[RunBudget]:
-    """The tightest combination of two budgets (min of each cap).
-
-    Used by the supervisor to overlay watchdog deadlines on whatever
-    budget the caller already configured.  ``None`` inputs pass the other
-    through.
-    """
-    if a is None:
-        return b
-    if b is None:
-        return a
-
-    def tightest(name: str):
-        x, y = getattr(a, name), getattr(b, name)
-        if x is None:
-            return y
-        if y is None:
-            return x
-        return min(x, y)
-
-    return RunBudget(**{name: tightest(name) for name in _BUDGET_FIELDS})
 
 
 def is_watchdog_reason(reason: str) -> bool:

@@ -10,29 +10,22 @@ retry/fallback state machine::
        +--success--> DONE
 
 Retries resume from the last good checkpoint (never a cold restart when a
-checkpoint exists), the :class:`Watchdog` enforces per-level and whole-run
-wall-clock deadlines through the existing
-:class:`~repro.resilience.guards.RunBudget` hooks, and the
-:class:`FallbackLadder` degrades the executor deterministically
-(vectorized -> reference kernel, parallel engine -> sequential sweeps,
-strict audit -> graceful resync).  Every decision lands in
-``ClusterResult.failure_log`` and as ``repro_supervisor_*`` metrics/trace
-events riding ``sched.instr``.
+checkpoint exists), deadlines are the caller's own
+:class:`~repro.resilience.guards.RunBudget` caps (``max_wall_seconds``
+spans the whole supervised run, ``max_level_wall_seconds`` one engine
+invocation), and :func:`fallback_rungs` degrades the executor
+deterministically (vectorized -> reference kernel, parallel engine ->
+sequential sweeps, strict audit -> graceful resync).  Every decision
+lands in ``ClusterResult.failure_log`` and as ``repro_supervisor_*``
+metrics/trace events riding ``sched.instr``.
 """
 
-from repro.supervisor.policy import FallbackLadder, RetryPolicy, Rung, Watchdog
-from repro.supervisor.supervisor import (
-    CheckpointRotation,
-    RunSupervisor,
-    supervise,
-)
+from repro.supervisor.policy import Rung, fallback_rungs
+from repro.supervisor.supervisor import CheckpointRotation, RunSupervisor
 
 __all__ = [
     "CheckpointRotation",
-    "FallbackLadder",
-    "RetryPolicy",
     "Rung",
     "RunSupervisor",
-    "Watchdog",
-    "supervise",
+    "fallback_rungs",
 ]

@@ -1,4 +1,4 @@
-"""The run supervisor: retries, watchdogs, fallback ladder, salvage.
+"""The run supervisor: retries, deadlines, fallback ladder, salvage.
 
 See the package docstring for the state machine.  The supervisor never
 re-implements clustering semantics — it drives
@@ -11,10 +11,13 @@ typed errors into recovery decisions:
 * each retry resumes from the newest good checkpoint (alternating
   two-slot rotation, so a corrupt latest checkpoint falls back to the
   previous one instead of a cold restart);
+* the caller's ``RunBudget.max_wall_seconds`` caps the whole supervised
+  run: every attempt gets whatever time is left of it;
 * the final ``graceful`` rung hands control back to the resilience
   layer's own absorb-and-degrade machinery;
-* if even that fails, a salvage run (graceful, one-round budget) flattens
-  the best-so-far clustering from the newest checkpoint and returns it
+* if even that fails, or a caller budget runs out under a graceful
+  policy, a salvage run (graceful, one-round budget) flattens the
+  best-so-far clustering from the newest checkpoint and returns it
   explicitly marked ``degraded``.
 """
 
@@ -22,9 +25,10 @@ from __future__ import annotations
 
 import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.config import ClusteringConfig
 from repro.core.options import RunOptions
@@ -32,6 +36,7 @@ from repro.core.result import ClusterResult
 from repro.errors import (
     BudgetExhausted,
     CheckpointError,
+    ConfigError,
     InvariantViolation,
     ReproError,
     SupervisorExhausted,
@@ -41,7 +46,6 @@ from repro.errors import (
 from repro.graphs.csr import CSRGraph
 from repro.obs.instrument import (
     M_SUPERVISOR_ATTEMPTS,
-    M_SUPERVISOR_BACKOFF,
     M_SUPERVISOR_FALLBACKS,
     M_SUPERVISOR_RETRIES,
     M_SUPERVISOR_WATCHDOG,
@@ -50,21 +54,14 @@ from repro.obs.instrument import (
 )
 from repro.resilience.checkpoint import SlotPair
 from repro.resilience.context import ResiliencePolicy
-from repro.resilience.guards import RunBudget, merge_budgets
-from repro.supervisor.policy import FallbackLadder, RetryPolicy, Rung, Watchdog
+from repro.resilience.guards import RunBudget
+from repro.supervisor.policy import Rung, fallback_rungs
 
 #: Failures worth re-running from a checkpoint: injected transients and
 #: state corruption (recovery-by-rerun is cheap when levels are
 #: idempotent from a checkpoint).  Everything else either ends the run
 #: (budgets) or is a programming error the supervisor must not mask.
 _RETRYABLE = (TransientFault, InvariantViolation)
-
-_REASONS = {
-    TransientFault: "transient-fault",
-    InvariantViolation: "invariant-violation",
-    WatchdogTimeout: "watchdog",
-    CheckpointError: "checkpoint-corrupt",
-}
 
 #: Default cap on checkpoint I/O as a fraction of run wall time (see
 #: ``ResiliencePolicy.checkpoint_budget_fraction``).  This is what keeps
@@ -73,12 +70,17 @@ _REASONS = {
 #: spend at most ~2% of wall on it.
 DEFAULT_CHECKPOINT_FRACTION = 0.02
 
+#: Wall cap handed to a salvage run once the whole-run cap is spent
+#: (``RunBudget`` caps must be positive): the guard then stops after the
+#: first engine invocation, just like the salvage's one-round cap.
+_SPENT_WALL = 1e-9
+
 
 def _reason(exc: Exception) -> str:
-    for kind, label in _REASONS.items():
-        if isinstance(exc, kind):
-            return label
-    return type(exc).__name__
+    """Metric/log label of a retryable failure."""
+    if isinstance(exc, TransientFault):
+        return "transient-fault"
+    return "invariant-violation"
 
 
 class CheckpointRotation:
@@ -133,48 +135,35 @@ class CheckpointRotation:
         return self._history.pop() if self._history else None
 
 
-class _RunDeadline(Exception):
-    """Internal: the whole-run watchdog deadline passed (go salvage)."""
-
-
-class _SalvageNow(Exception):
-    """Internal: skip the remaining rungs and salvage (caller budget)."""
-
-
-class _LadderExhausted(Exception):
-    """Internal: every rung failed (go salvage)."""
-
-    def __init__(self, cause: Exception) -> None:
-        super().__init__(str(cause))
-        self.cause = cause
+class _Salvage(Exception):
+    """Internal: stop attempting and salvage best-so-far."""
 
 
 class RunSupervisor:
     """Supervised execution of clustering jobs (see module docstring).
 
-    ``clock``/``sleep`` are injectable for tests and chaos runs (a chaos
-    matrix should not serve real backoff sleeps).
+    ``max_attempts`` bounds the attempts per ladder rung.  Deadlines are
+    the caller's own :class:`~repro.resilience.guards.RunBudget` caps:
+    ``max_wall_seconds`` spans the whole supervised run (measured on
+    ``clock``, injectable for tests), ``max_level_wall_seconds`` one
+    engine invocation.
     """
 
     def __init__(
         self,
-        retry: Optional[RetryPolicy] = None,
-        watchdog: Optional[Watchdog] = None,
-        ladder: Optional[FallbackLadder] = None,
+        max_attempts: int = 3,
         checkpoint_dir: Optional[str] = None,
         checkpoint_fraction: float = DEFAULT_CHECKPOINT_FRACTION,
         clock=time.perf_counter,
-        sleep=time.sleep,
     ) -> None:
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.watchdog = watchdog if watchdog is not None else Watchdog()
-        self.ladder = ladder
+        if max_attempts < 1:
+            raise ConfigError(f"max_attempts must be >= 1, got {max_attempts}")
+        self.max_attempts = max_attempts
         self.checkpoint_dir = checkpoint_dir
         #: Checkpoint I/O throttle applied to every attempt (0 = write at
         #: every level boundary; tests use 0 to force eager checkpoints).
         self.checkpoint_fraction = checkpoint_fraction
         self._clock = clock
-        self._sleep = sleep
 
     # ------------------------------------------------------------------
     # public entry point
@@ -197,28 +186,28 @@ class RunSupervisor:
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
         base = resilience if resilience is not None else ResiliencePolicy()
-        ladder = (
-            self.ladder
-            if self.ladder is not None
-            else FallbackLadder.for_run(config, engine=engine)
-        )
+        rungs = fallback_rungs(config, engine=engine)
         state = _RunState(start=self._clock())
+        directory = (
+            nullcontext(self.checkpoint_dir)
+            if self.checkpoint_dir is not None
+            else tempfile.TemporaryDirectory(prefix="repro-supervisor-")
+        )
         with instr.span(
             "supervise",
-            rungs=",".join(r.name for r in ladder.rungs),
-            max_attempts=self.retry.max_attempts_per_rung,
-        ) as span:
-            if self.checkpoint_dir is not None:
-                result = self._drive(
-                    graph, config, base, engine, ladder,
-                    CheckpointRotation(self.checkpoint_dir), instr, state,
+            rungs=",".join(r.name for r in rungs),
+            max_attempts=self.max_attempts,
+        ) as span, directory as path:
+            rotation = CheckpointRotation(path)
+            try:
+                result = self._try_rungs(
+                    graph, config, base, engine, rungs, rotation, instr, state
                 )
-            else:
-                with tempfile.TemporaryDirectory(prefix="repro-supervisor-") as tmp:
-                    result = self._drive(
-                        graph, config, base, engine, ladder,
-                        CheckpointRotation(tmp), instr, state,
-                    )
+            except _Salvage:
+                result = self._salvage(
+                    graph, config, base, engine, rotation, instr, state
+                )
+            result = self._finalize(result, state)
             span.set(
                 attempts=state.attempts,
                 retries=state.retries,
@@ -233,48 +222,14 @@ class RunSupervisor:
     # ------------------------------------------------------------------
     # the drive loop
     # ------------------------------------------------------------------
-    def _drive(
-        self, graph, config, base, engine, ladder, rotation, instr, state
+    def _try_rungs(
+        self, graph, config, base, engine, rungs, rotation, instr, state
     ) -> ClusterResult:
-        resume = Path(base.resume_from) if base.resume_from else None
-        try:
-            result, resume = self._try_ladder(
-                graph, config, base, engine, ladder, rotation, instr, state, resume
-            )
-        except _RunDeadline:
-            state.watchdog_fires += 1
-            instr.count(M_SUPERVISOR_WATCHDOG, 1.0, scope="run")
-            self._note(
-                state, instr,
-                f"watchdog: run deadline "
-                f"({self.watchdog.run_deadline_seconds:g}s) exceeded; salvaging",
-                kind="watchdog",
-            )
-            result = self._salvage(
-                graph, config, base, engine, rotation, instr, state
-            )
-        except _SalvageNow:
-            result = self._salvage(
-                graph, config, base, engine, rotation, instr, state
-            )
-        except _LadderExhausted as exc:
-            self._note(
-                state, instr,
-                f"all {len(ladder)} rungs exhausted ({exc.cause}); salvaging",
-                kind="ladder-exhausted",
-            )
-            result = self._salvage(
-                graph, config, base, engine, rotation, instr, state
-            )
-        return self._finalize(result, state)
-
-    def _try_ladder(
-        self, graph, config, base, engine, ladder, rotation, instr, state, resume
-    ) -> Tuple[ClusterResult, Optional[Path]]:
         from repro.core.api import cluster  # deferred: api imports us lazily too
 
+        resume = Path(base.resume_from) if base.resume_from else None
         last_error: Exception = SupervisorExhausted("no attempt ran")
-        for rung_index, rung in enumerate(ladder.rungs):
+        for rung_index, rung in enumerate(rungs):
             if rung_index > 0:
                 state.fallbacks += 1
                 instr.count(M_SUPERVISOR_FALLBACKS, 1.0, rung=rung.name)
@@ -283,15 +238,19 @@ class RunSupervisor:
                     f"falling back to rung {rung.name!r} after {last_error}",
                     kind="fallback", rung=rung.name,
                 )
-            attempt = 0
-            while attempt < self.retry.max_attempts_per_rung:
-                attempt += 1
-                elapsed = self._clock() - state.start
-                if self.watchdog.expired(elapsed):
-                    raise _RunDeadline()
+            for attempt in range(1, self.max_attempts + 1):
+                wall_left = self._wall_left(base, state)
+                if wall_left is not None and wall_left <= 0:
+                    self._stop(
+                        base, state, instr, deadline=True,
+                        cause=BudgetExhausted(
+                            "wall-clock budget exhausted before attempt "
+                            f"{state.attempts + 1}"
+                        ),
+                    )
                 slot = rotation.begin_attempt()
                 run_config, run_engine, policy = self._rung_setup(
-                    rung, config, base, engine, resume, slot, elapsed
+                    rung, config, base, engine, resume, slot, wall_left
                 )
                 state.attempts += 1
                 state.final_rung = rung.name
@@ -340,37 +299,27 @@ class RunSupervisor:
                     break  # a deterministic hang will hang again: next rung
                 except BudgetExhausted as exc:
                     resume = self._resume_after(rotation, resume)
-                    if self.watchdog.expired(self._clock() - state.start):
-                        raise _RunDeadline() from exc
-                    # The caller's own budget, not a fault: strict callers
-                    # get the error, graceful callers get best-so-far.
-                    if base.strict:
-                        raise
-                    self._note(
-                        state, instr,
-                        f"caller budget exhausted ({exc}); salvaging best-so-far",
-                        kind="budget",
+                    wall_left = self._wall_left(base, state)
+                    self._stop(
+                        base, state, instr, cause=exc,
+                        deadline=wall_left is not None and wall_left <= 0,
                     )
-                    raise _SalvageNow() from exc
                 except _RETRYABLE as exc:
                     resume = self._resume_after(rotation, resume)
                     last_error = exc
-                    if attempt >= self.retry.max_attempts_per_rung:
+                    if attempt == self.max_attempts:
                         break
-                    delay = self.retry.delay(attempt)
                     state.retries += 1
                     instr.count(M_SUPERVISOR_RETRIES, 1.0, reason=_reason(exc))
-                    instr.observe(M_SUPERVISOR_BACKOFF, delay)
                     self._note(
                         state, instr,
                         f"rung {rung.name!r} attempt {attempt}/"
-                        f"{self.retry.max_attempts_per_rung} failed "
-                        f"({_reason(exc)}: {exc}); backing off {delay:g}s and "
+                        f"{self.max_attempts} failed "
+                        f"({_reason(exc)}: {exc}); "
                         + (f"resuming from {resume}" if resume
                            else "restarting cold"),
                         kind="retry",
                     )
-                    self._sleep(delay)
                 else:
                     self._resume_after(rotation, resume)
                     if state.attempts > 1 or rung_index > 0:
@@ -380,14 +329,49 @@ class RunSupervisor:
                             f"(attempt {state.attempts} overall)",
                             kind="recovered",
                         )
-                    return result, resume
-        raise _LadderExhausted(last_error)
+                    return result
+        self._note(
+            state, instr,
+            f"all {len(rungs)} rungs exhausted ({last_error}); salvaging",
+            kind="ladder-exhausted",
+        )
+        raise _Salvage()
+
+    def _stop(self, base, state, instr, cause, deadline: bool) -> None:
+        """A caller budget ran out: strict callers get the error, graceful
+        callers a salvage of best-so-far.  ``deadline`` marks the whole-run
+        wall cap (counted as a run-scope watchdog fire)."""
+        if deadline:
+            state.watchdog_fires += 1
+            instr.count(M_SUPERVISOR_WATCHDOG, 1.0, scope="run")
+        if base.strict:
+            raise cause
+        if deadline:
+            self._note(
+                state, instr,
+                f"watchdog: run deadline "
+                f"({base.budget.max_wall_seconds:g}s) exceeded; salvaging",
+                kind="watchdog",
+            )
+        else:
+            self._note(
+                state, instr,
+                f"caller budget exhausted ({cause}); salvaging best-so-far",
+                kind="budget",
+            )
+        raise _Salvage() from cause
 
     # ------------------------------------------------------------------
     # per-attempt assembly
     # ------------------------------------------------------------------
+    def _wall_left(self, base, state) -> Optional[float]:
+        """Seconds left of the caller's whole-run wall cap (None: no cap)."""
+        if base.budget is None or base.budget.max_wall_seconds is None:
+            return None
+        return base.budget.max_wall_seconds - (self._clock() - state.start)
+
     def _rung_setup(
-        self, rung: Rung, config, base, engine, resume, slot, elapsed
+        self, rung: Rung, config, base, engine, resume, slot, wall_left
     ):
         run_config = (
             config.with_options(kernel=rung.kernel)
@@ -395,7 +379,9 @@ class RunSupervisor:
             else config
         )
         run_engine = rung.engine if rung.engine is not None else engine
-        budget = merge_budgets(base.budget, self.watchdog.budget(elapsed))
+        budget = base.budget
+        if wall_left is not None:
+            budget = replace(budget, max_wall_seconds=wall_left)
         policy = replace(
             base,
             budget=budget,
@@ -436,9 +422,13 @@ class RunSupervisor:
             + " to flatten best-so-far",
             kind="salvage",
         )
+        budget = replace(base.budget or RunBudget(), max_rounds=1)
+        wall_left = self._wall_left(base, state)
+        if wall_left is not None:
+            budget = replace(budget, max_wall_seconds=max(wall_left, _SPENT_WALL))
         policy = replace(
             base,
-            budget=merge_budgets(base.budget, RunBudget(max_rounds=1)),
+            budget=budget,
             strict=False,
             max_retries=max(base.max_retries, 1),
             checkpoint_path=None,
@@ -511,22 +501,3 @@ class _RunState:
         self.salvaged = False
         self.final_rung = ""
         self.log: List[str] = []
-
-
-def supervise(
-    graph: CSRGraph,
-    config: Optional[ClusteringConfig] = None,
-    resilience: Optional[ResiliencePolicy] = None,
-    instrumentation: Optional[Instrumentation] = None,
-    engine: Optional[str] = None,
-    **kwargs,
-) -> ClusterResult:
-    """One-shot convenience: ``RunSupervisor(**kwargs).run(...)``."""
-    supervisor = RunSupervisor(**kwargs)
-    return supervisor.run(
-        graph,
-        config if config is not None else ClusteringConfig(),
-        resilience=resilience,
-        instrumentation=instrumentation,
-        engine=engine,
-    )

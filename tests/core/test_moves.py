@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from repro.core.moves import compute_batch_moves, compute_single_move
+from repro.core.moves import compute_batch_moves
 from repro.core.objective import lambdacc_objective
 from repro.core.state import ClusterState
 from repro.graphs.builders import graph_from_edges
+from repro.kernels.reference import reference_single_move
 from repro.parallel.scheduler import SimulatedScheduler
 
 
@@ -106,7 +107,7 @@ class TestSingleMove:
             batch_targets, batch_gains = compute_batch_moves(
                 g, state, np.asarray([v]), lam
             )
-            single_target, single_gain = compute_single_move(g, state, v, lam)
+            single_target, single_gain = reference_single_move(g, state, v, lam)
             assert single_target == batch_targets[0], v
             assert single_gain == pytest.approx(batch_gains[0]), v
 
@@ -118,6 +119,6 @@ class TestSingleMove:
         state = ClusterState.from_assignments(g, np.asarray([0, 0, 2, 2]))
         for v in range(4):
             bt, bg = compute_batch_moves(g, state, np.asarray([v]), 0.1)
-            st, sg = compute_single_move(g, state, v, 0.1)
+            st, sg = reference_single_move(g, state, v, 0.1)
             assert st == bt[0]
             assert sg == pytest.approx(bg[0])

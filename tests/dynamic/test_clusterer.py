@@ -15,6 +15,7 @@ from repro.graphs.builders import graph_from_edges
 from repro.graphs.karate import karate_club_graph
 from repro.resilience.audit import StateAuditor
 from repro.resilience.checkpoint import capture_rng, restore_rng
+from repro.serving.epoch import LabelEpoch
 from repro.utils.rng import make_rng
 
 pytestmark = pytest.mark.dynamic
@@ -169,7 +170,8 @@ class TestApply:
         assert dc.audit() == []
         # Vertices 34..39 have no edges; they stay in their own clusters.
         for v in range(34, 40):
-            assert dc.members(dc.cluster_of(v)).tolist() == [v]
+            labels = dc.state.assignments
+            assert np.flatnonzero(labels == labels[v]).tolist() == [v]
 
 
 class TestReplayIdentity:
@@ -261,29 +263,29 @@ class TestDriftGuard:
 
 
 class TestServingFacade:
-    def test_cluster_of_range_check(self):
-        dc = make_clusterer()
-        with pytest.raises(UpdateError, match="out of range"):
-            dc.cluster_of(34)
-        with pytest.raises(UpdateError, match="out of range"):
-            dc.cluster_of(-1)
+    """Clients read a clusterer through the epoch the gateway publishes."""
 
-    def test_queries_counted(self):
-        dc = make_clusterer()
-        dc.cluster_of(0)
-        dc.assignments()
-        dc.members(dc.cluster_of(1))
-        assert dc.queries_answered == 4  # members() called cluster_of too
+    @staticmethod
+    def publish(dc):
+        return LabelEpoch(0, dc.state.assignments, f_objective=dc.f_objective)
+
+    def test_cluster_of_range_check(self):
+        epoch = self.publish(make_clusterer())
+        with pytest.raises(UpdateError, match="out of range"):
+            epoch.cluster_of(34)
+        with pytest.raises(UpdateError, match="out of range"):
+            epoch.cluster_of(-1)
 
     def test_assignments_returns_copy(self):
         dc = make_clusterer()
-        arr = dc.assignments()
-        arr[:] = -1
-        assert dc.state.assignments[0] >= 0
+        epoch = self.publish(dc)
+        dc.state.assignments[:] = 0
+        assert epoch.assignments.max() > 0
 
     def test_members_matches_assignments(self):
         dc = make_clusterer()
-        c = dc.cluster_of(0)
-        members = dc.members(c)
+        epoch = self.publish(dc)
+        c = epoch.cluster_of(0)
+        members = epoch.members(c)
         assert 0 in members
         assert np.all(dc.state.assignments[members] == c)

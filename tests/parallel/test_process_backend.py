@@ -261,12 +261,11 @@ class TestLeakHygiene:
 class TestSupervisorLadder:
     def test_simulated_backend_adds_no_rung(self):
         """The pool degrades itself, so no backend gets a ladder rung."""
-        from repro.supervisor.policy import FallbackLadder
+        from repro.supervisor.policy import fallback_rungs
 
-        ladder = FallbackLadder.for_run(ClusteringConfig())
-        proc = FallbackLadder.for_run(ClusteringConfig(backend="process"))
-        assert ladder.rungs == proc.rungs
-        assert "simulated-backend" not in ladder.names()
+        rungs = fallback_rungs(ClusteringConfig())
+        assert fallback_rungs(ClusteringConfig(backend="process")) == rungs
+        assert "simulated-backend" not in [rung.name for rung in rungs]
 
 
 class TestObservability:

@@ -5,9 +5,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.moves import compute_batch_moves, compute_single_move
+from repro.core.moves import compute_batch_moves
 from repro.core.state import ClusterState
 from repro.graphs.builders import graph_from_edges
+from repro.kernels.reference import reference_single_move
 
 
 @st.composite
@@ -45,7 +46,7 @@ class TestKernelParity:
             batch_targets, batch_gains = compute_batch_moves(
                 graph, state, np.asarray([v]), lam
             )
-            target, gain = compute_single_move(graph, state, v, lam)
+            target, gain = reference_single_move(graph, state, v, lam)
             assert target == batch_targets[0], (v, labels, lam)
             assert np.isclose(gain, batch_gains[0]), (v, labels, lam)
 
@@ -61,7 +62,7 @@ class TestKernelParity:
             graph, state, all_vertices, lam
         )
         for v in range(graph.num_vertices):
-            target, gain = compute_single_move(graph, state, v, lam)
+            target, gain = reference_single_move(graph, state, v, lam)
             assert target == batch_targets[v]
             assert np.isclose(gain, batch_gains[v])
 

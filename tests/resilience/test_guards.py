@@ -13,7 +13,6 @@ from repro.resilience.guards import (
     BudgetGuard,
     backoff_seconds,
     is_watchdog_reason,
-    merge_budgets,
 )
 
 
@@ -152,26 +151,3 @@ class TestWatchdogBudgetFields:
     def test_level_wall_must_be_positive(self):
         with pytest.raises(ConfigError):
             RunBudget(max_level_wall_seconds=0.0)
-
-
-class TestMergeBudgets:
-    def test_none_passes_through(self):
-        budget = RunBudget(max_rounds=2)
-        assert merge_budgets(None, None) is None
-        assert merge_budgets(budget, None) is budget
-        assert merge_budgets(None, budget) is budget
-
-    def test_takes_the_tightest_of_each_cap(self):
-        merged = merge_budgets(
-            RunBudget(max_rounds=5, max_wall_seconds=10.0),
-            RunBudget(max_rounds=3, max_moves=100),
-        )
-        assert merged.max_rounds == 3
-        assert merged.max_wall_seconds == 10.0
-        assert merged.max_moves == 100
-        assert merged.max_sim_seconds is None
-
-    def test_merge_is_commutative(self):
-        a = RunBudget(max_moves=7, max_level_wall_seconds=1.0)
-        b = RunBudget(max_moves=9, max_rounds=4)
-        assert merge_budgets(a, b) == merge_budgets(b, a)

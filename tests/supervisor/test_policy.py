@@ -1,88 +1,31 @@
-"""Supervision policies: retry schedule, watchdog math, ladder order."""
+"""Supervision policy: the attempt count and the ladder order."""
 
 import pytest
 
 from repro.core.config import ClusteringConfig
+from repro.core.engines import ENGINES
 from repro.errors import ConfigError
-from repro.supervisor import FallbackLadder, RetryPolicy, Watchdog
-from repro.supervisor.policy import Rung
+from repro.supervisor import RunSupervisor, fallback_rungs
 
 pytestmark = pytest.mark.supervisor
 
 
-class TestRetryPolicy:
-    def test_defaults_valid(self):
-        policy = RetryPolicy()
-        assert policy.max_attempts_per_rung == 3
+def names(rungs):
+    return [rung.name for rung in rungs]
 
-    def test_backoff_schedule_is_exponential_and_capped(self):
-        policy = RetryPolicy(backoff_base=0.05, backoff_factor=2.0, backoff_cap=0.15)
-        assert policy.delay(1) == pytest.approx(0.05)
-        assert policy.delay(2) == pytest.approx(0.10)
-        assert policy.delay(3) == pytest.approx(0.15)  # capped
-        assert policy.delay(10) == pytest.approx(0.15)
 
-    def test_schedule_is_deterministic(self):
-        a = RetryPolicy()
-        b = RetryPolicy()
-        assert [a.delay(i) for i in range(1, 6)] == [b.delay(i) for i in range(1, 6)]
+class TestMaxAttempts:
+    def test_default_is_three_per_rung(self):
+        assert RunSupervisor().max_attempts == 3
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts_per_rung": 0},
-            {"backoff_base": -0.1},
-            {"backoff_factor": 0.5},
-            {"backoff_cap": -1.0},
-        ],
-    )
-    def test_validation(self, kwargs):
+    def test_must_be_positive(self):
         with pytest.raises(ConfigError):
-            RetryPolicy(**kwargs)
-
-    def test_delay_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            RetryPolicy().delay(0)
-
-
-class TestWatchdog:
-    def test_disabled_by_default(self):
-        watchdog = Watchdog()
-        assert not watchdog.enabled
-        assert not watchdog.expired(1e9)
-        assert watchdog.budget(0.0) is None
-
-    def test_run_deadline_becomes_remaining_wall_budget(self):
-        watchdog = Watchdog(run_deadline_seconds=10.0)
-        assert watchdog.enabled
-        budget = watchdog.budget(4.0)
-        assert budget.max_wall_seconds == pytest.approx(6.0)
-        assert budget.max_level_wall_seconds is None
-        assert not watchdog.expired(9.9)
-        assert watchdog.expired(10.0)
-
-    def test_overshot_run_deadline_clamps_to_tiny_positive(self):
-        budget = Watchdog(run_deadline_seconds=1.0).budget(5.0)
-        assert 0 < budget.max_wall_seconds <= 1e-9
-
-    def test_level_deadline_maps_straight_through(self):
-        budget = Watchdog(level_deadline_seconds=2.5).budget(100.0)
-        assert budget.max_level_wall_seconds == pytest.approx(2.5)
-        assert budget.max_wall_seconds is None
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"run_deadline_seconds": 0.0}, {"level_deadline_seconds": -1.0}],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ConfigError):
-            Watchdog(**kwargs)
+            RunSupervisor(max_attempts=0)
 
 
 class TestFallbackLadder:
     def test_default_ladder_order(self):
-        ladder = FallbackLadder.for_run(ClusteringConfig())
-        assert ladder.names() == [
+        assert names(fallback_rungs(ClusteringConfig())) == [
             "as-configured",
             "reference-kernel",
             "sequential-engine",
@@ -90,36 +33,33 @@ class TestFallbackLadder:
         ]
 
     def test_ladder_is_cumulative(self):
-        ladder = FallbackLadder.for_run(ClusteringConfig())
-        bottom = ladder.rungs[-1]
+        bottom = fallback_rungs(ClusteringConfig())[-1]
         assert bottom.graceful
         assert bottom.kernel == "reference"
         assert bottom.engine == "sequential"
 
     def test_already_at_bottom_skips_those_rungs(self):
         config = ClusteringConfig(kernel="reference", parallel=False)
-        ladder = FallbackLadder.for_run(config)
-        assert ladder.names() == ["as-configured", "graceful"]
+        assert names(fallback_rungs(config)) == ["as-configured", "graceful"]
 
     def test_sequential_engine_request_skips_engine_rung(self):
-        ladder = FallbackLadder.for_run(ClusteringConfig(), engine="sequential")
-        assert ladder.names() == ["as-configured", "reference-kernel", "graceful"]
+        rungs = fallback_rungs(ClusteringConfig(), engine="sequential")
+        assert names(rungs) == ["as-configured", "reference-kernel", "graceful"]
 
     def test_reference_kernel_skips_kernel_rung(self):
         config = ClusteringConfig(kernel="reference")
-        ladder = FallbackLadder.for_run(config, engine="relaxed")
-        assert ladder.names() == ["as-configured", "sequential-engine", "graceful"]
+        rungs = fallback_rungs(config, engine="relaxed")
+        assert names(rungs) == ["as-configured", "sequential-engine", "graceful"]
 
     def test_same_config_same_ladder(self):
-        first = FallbackLadder.for_run(ClusteringConfig(), engine="event")
-        second = FallbackLadder.for_run(ClusteringConfig(), engine="event")
-        assert first.names() == second.names()
+        first = fallback_rungs(ClusteringConfig(), engine="event")
+        second = fallback_rungs(ClusteringConfig(), engine="event")
+        assert first == second
 
-    def test_empty_ladder_rejected(self):
-        with pytest.raises(ConfigError):
-            FallbackLadder([])
-
-    def test_custom_rungs_preserved(self):
-        ladder = FallbackLadder([Rung("only", graceful=True)])
-        assert ladder.names() == ["only"]
-        assert len(ladder) == 1
+    def test_ladder_never_empty(self):
+        for kernel in ("reference", "vectorized"):
+            for engine in (None, *sorted(ENGINES)):
+                config = ClusteringConfig(kernel=kernel)
+                rungs = fallback_rungs(config, engine=engine)
+                assert rungs[0].name == "as-configured"
+                assert rungs[-1].graceful

@@ -17,12 +17,7 @@ from repro.obs.instrument import (
 from repro.resilience.context import ResiliencePolicy
 from repro.resilience.faults import FaultKind, FaultPlan
 from repro.resilience.guards import RunBudget
-from repro.supervisor import (
-    RetryPolicy,
-    RunSupervisor,
-    Watchdog,
-    supervise,
-)
+from repro.supervisor import RunSupervisor
 
 pytestmark = pytest.mark.supervisor
 
@@ -30,12 +25,15 @@ CONFIG = ClusteringConfig(resolution=0.05, seed=7, num_workers=4)
 
 
 def _fast_supervisor(**kwargs):
-    """A supervisor that never really sleeps (test matrices stay fast)."""
-    kwargs.setdefault(
-        "retry", RetryPolicy(max_attempts_per_rung=2, backoff_base=0.0)
-    )
-    kwargs.setdefault("sleep", lambda _s: None)
+    """A supervisor with two attempts per rung (test matrices stay fast)."""
+    kwargs.setdefault("max_attempts", 2)
     return RunSupervisor(**kwargs)
+
+
+def _leaping_clock(step):
+    """A fake clock that leaps ``step`` seconds per reading."""
+    ticks = iter(range(0, 10_000, step))
+    return lambda: float(next(ticks))
 
 
 class TestCleanRun:
@@ -62,10 +60,6 @@ class TestCleanRun:
     def test_cluster_supervisor_kwarg_delegates(self, karate):
         via_kwarg = cluster(karate, CONFIG, RunOptions(supervisor=_fast_supervisor()))
         assert via_kwarg.extras["supervisor"]["attempts"] == 1
-
-    def test_supervise_convenience(self, karate):
-        result = supervise(karate, CONFIG, sleep=lambda _s: None)
-        assert result.extras["supervisor"]["rung"] == "as-configured"
 
 
 class TestRetry:
@@ -155,11 +149,14 @@ class TestRetry:
 class TestWatchdog:
     def test_level_deadline_degrades_on_graceful_rung(self, karate):
         instr = Instrumentation()
-        supervisor = _fast_supervisor(
-            watchdog=Watchdog(level_deadline_seconds=1e-7)
+        result = _fast_supervisor().run(
+            karate, CONFIG,
+            resilience=ResiliencePolicy(
+                budget=RunBudget(max_level_wall_seconds=1e-7)
+            ),
+            instrumentation=instr,
         )
-        result = supervisor.run(karate, CONFIG, instrumentation=instr)
-        # Every strict rung trips the level watchdog; the graceful rung
+        # Every strict rung trips the level deadline; the graceful rung
         # absorbs it and returns best-so-far, explicitly degraded.
         assert result.degraded
         meta = result.extras["supervisor"]
@@ -170,24 +167,34 @@ class TestWatchdog:
         assert fired is not None and fired.value(scope="level") >= 1
 
     def test_run_deadline_salvages(self, karate):
-        # A fake clock that leaps 10s per reading: the run deadline is
-        # already spent before the first attempt, forcing straight to
-        # salvage.
-        ticks = iter(range(0, 10_000, 10))
+        # The clock leaps 10s per reading: the 5s whole-run cap is already
+        # spent before the first attempt, forcing straight to salvage.
         instr = Instrumentation()
-        supervisor = _fast_supervisor(
-            watchdog=Watchdog(run_deadline_seconds=5.0),
-            clock=lambda: float(next(ticks)),
+        supervisor = _fast_supervisor(clock=_leaping_clock(10))
+        result = supervisor.run(
+            karate, CONFIG,
+            resilience=ResiliencePolicy(budget=RunBudget(max_wall_seconds=5.0)),
+            instrumentation=instr,
         )
-        result = supervisor.run(karate, CONFIG, instrumentation=instr)
         assert result.degraded
         meta = result.extras["supervisor"]
         assert meta["salvaged"]
         assert meta["rung"] == "salvage"
+        assert meta["attempts"] == 0
         assert meta["watchdog_fires"] == 1
         fired = instr.metrics.get(M_SUPERVISOR_WATCHDOG)
         assert fired.value(scope="run") == 1.0
         assert any("run deadline" in line for line in result.failure_log)
+
+    def test_strict_run_deadline_raises(self, karate):
+        supervisor = _fast_supervisor(clock=_leaping_clock(10))
+        with pytest.raises(BudgetExhausted):
+            supervisor.run(
+                karate, CONFIG,
+                resilience=ResiliencePolicy(
+                    strict=True, budget=RunBudget(max_wall_seconds=5.0)
+                ),
+            )
 
 
 class TestCallerBudget:
@@ -209,6 +216,25 @@ class TestCallerBudget:
         meta = result.extras["supervisor"]
         assert meta["salvaged"]
         assert any("caller budget" in line for line in result.failure_log)
+
+    def test_wall_cap_spans_every_attempt(self, karate):
+        # The clock leaps 3s per reading, so the first attempt starts with
+        # 2s of the 5s cap left and the retry would start at 6s.  The cap
+        # covers the whole supervised run, not each attempt: the retry
+        # never starts and the run salvages.
+        plan = FaultPlan.single(FaultKind.TRANSIENT, rate=0.9, seed=1)
+        result = _fast_supervisor(clock=_leaping_clock(3)).run(
+            karate, CONFIG,
+            resilience=ResiliencePolicy(
+                faults=plan, budget=RunBudget(max_wall_seconds=5.0)
+            ),
+        )
+        assert result.degraded
+        meta = result.extras["supervisor"]
+        assert meta["salvaged"]
+        assert meta["attempts"] == 1
+        assert meta["watchdog_fires"] == 1
+        assert any("run deadline" in line for line in result.failure_log)
 
 
 class TestObservability:

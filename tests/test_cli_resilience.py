@@ -38,6 +38,16 @@ class TestErrorBoundary:
         assert code == 2
         assert "CheckpointError" in capsys.readouterr().err
 
+    def test_zero_checkpoint_interval_exits_2(self, tmp_path, capsys):
+        code = main([
+            "cluster", "--karate",
+            "--checkpoint", str(tmp_path / "ck.npz"), "--checkpoint-every", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "ConfigError" in err and "checkpoint_every" in err
+
     def test_verbose_reraises_checkpoint_error(self, tmp_path):
         garbage = tmp_path / "ck.npz"
         garbage.write_bytes(b"not an npz")

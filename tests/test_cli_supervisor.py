@@ -99,3 +99,10 @@ class TestChaosCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "unknown fault kind" in err and "meteor-strike" in err
+
+    def test_unknown_engine_is_a_typed_error(self, capsys):
+        code = main(["chaos", "--karate", "--engines", "bogus"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "ConfigError" in err and "bogus" in err
