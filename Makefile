@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-fast test-dynamic test-backend test-serving api-check \
-	smoke-obs baselines \
+	smoke-obs baselines native-kernel \
 	compare-baselines bench bench-snapshot bench-perf-smoke compare-kernels \
 	chaos bench-overhead bench-dynamic bench-backend doctor obs-report ci
 
@@ -88,11 +88,11 @@ compare-kernels:
 	    benchmarks/baselines/BENCH_PR4.json \
 	    /tmp/repro-bench-current/BENCH_PR4.json --tolerance 0.30
 
-## Supervised chaos matrix: every fault site x every engine x both
-## kernels on the karate workload, asserting the recovery invariants
-## (terminate, objective within tolerance or explicitly degraded,
-## checkpoints replay bit-identically).  Deterministic; exits nonzero on
-## any unrecovered cell.
+## Supervised chaos matrix: every fault site x every engine x every
+## registered kernel (sorted(KERNELS): 60 cells) on the karate workload,
+## asserting the recovery invariants (terminate, objective within
+## tolerance or explicitly degraded, checkpoints replay bit-identically).
+## Deterministic; exits nonzero on any unrecovered cell.
 chaos:
 	$(PYTHON) -m repro.cli chaos --karate --seed 1
 
@@ -116,6 +116,16 @@ bench-dynamic:
 ## benchmarks/baselines`).
 bench-backend:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_backend.py
+
+## Build the native kernel, failing when it cannot be built (so CI never
+## passes on the vectorized fallback by accident), then run the kernel
+## parity suite with any RuntimeWarning an error.
+native-kernel:
+	$(PYTHON) -W error::RuntimeWarning -c "from repro.kernels import KERNELS; \
+	    assert KERNELS['native'].library.function() is not None"
+	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning \
+	    tests/properties/test_kernel_equivalence.py \
+	    tests/core/test_kernels.py tests/core/test_native_kernel.py
 
 ## Run doctor over fresh instrumented runs: a batch clustering (health
 ## rules over stats/trace/metrics + registry trend history) and a dynamic
@@ -153,13 +163,14 @@ obs-report: doctor
 
 ## The full gate a PR must pass: tier-1 tests (which include the
 ## parallel_backend parity/leak suite and the serving suite), the
-## API-surface drift check, the observability smoke, the
-## committed-baseline regression compare (including the kernel snapshot),
-## the supervised chaos matrix, the run doctor + HTML report, the
-## execution-backend parity/speedup bench, the wall-clock perf harness
-## smoke, and the <3% overhead bench (disabled instrumentation, no-fault
-## supervision).  Serving equivalence is in tier-1
-## (tests/serving/test_equivalence.py); serving wall-clock performance is
-## the `serve` workload of benchmarks/perf.
-ci: test api-check smoke-obs compare-baselines compare-kernels chaos \
-	bench-dynamic bench-backend bench-perf-smoke obs-report bench-overhead
+## native-kernel build and parity check, the API-surface drift check,
+## the observability smoke, the committed-baseline regression compare
+## (including the kernel snapshot), the supervised chaos matrix, the run
+## doctor + HTML report, the execution-backend parity/speedup bench, the
+## wall-clock perf harness smoke, and the <3% overhead bench (disabled
+## instrumentation, no-fault supervision).  Serving equivalence is in
+## tier-1 (tests/serving/test_equivalence.py); serving wall-clock
+## performance is the `serve` workload of benchmarks/perf.
+ci: test native-kernel api-check smoke-obs compare-baselines \
+	compare-kernels chaos bench-dynamic bench-backend bench-perf-smoke \
+	obs-report bench-overhead

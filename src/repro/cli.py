@@ -1344,7 +1344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engines", metavar="LIST",
                    help="comma-separated engine names (default: all five)")
     p.add_argument("--kernels", metavar="LIST",
-                   help="comma-separated kernel names (default: both)")
+                   help="comma-separated kernel names (default: every "
+                        "registered kernel)")
     p.add_argument("--kinds", metavar="LIST",
                    help="comma-separated fault kinds (default: transient,"
                         "dup-move,cas-fail,delay-frontier)")

@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Optional
 
 from repro.errors import ConfigError
+from repro.kernels import DEFAULT_KERNEL, KERNELS
 from repro.parallel.scheduler import Machine
 
 
@@ -78,10 +79,10 @@ class ClusteringConfig:
         Degree above which the parallel hash-table best-move kernel is
         charged instead of the sequential one (Appendix B).
     kernel:
-        Move-evaluation kernel (:mod:`repro.kernels`): ``"vectorized"``
-        (segment-reduction fast path, the default) or ``"reference"``
-        (dict-loop oracle).  Bit-identical outputs; only wall-clock
-        differs (DESIGN.md §8).
+        Move-evaluation kernel (:mod:`repro.kernels`): ``"native"`` (the
+        C loop, the default), ``"vectorized"`` (segment-reduction NumPy
+        path) or ``"reference"`` (dict-loop oracle).  Bit-identical
+        outputs; only wall-clock differs (DESIGN.md §8).
     backend:
         Execution backend (:mod:`repro.parallel.backend`): ``"simulated"``
         (inline, the default) or ``"process"`` (persistent shared-memory
@@ -111,7 +112,7 @@ class ClusteringConfig:
     machine: Machine = field(default_factory=Machine.c2_standard_60)
     async_windows: int = 32
     kernel_threshold: int = 512
-    kernel: str = "vectorized"
+    kernel: str = DEFAULT_KERNEL
     backend: str = "simulated"
     escape_moves: bool = True
     seed: Optional[int] = None
@@ -142,9 +143,6 @@ class ClusteringConfig:
             raise ConfigError(
                 f"kernel_threshold must be >= 1, got {self.kernel_threshold}"
             )
-        # Imported here to keep repro.kernels import-light at config load.
-        from repro.kernels import KERNELS
-
         if self.kernel not in KERNELS:
             raise ConfigError(
                 f"kernel must be one of {sorted(KERNELS)}, got {self.kernel!r}"
@@ -227,8 +225,8 @@ class ClusteringConfig:
                  "one per host core, capped by the machine model)",
         )
         parser.add_argument(
-            "--kernel", choices=["vectorized", "reference"],
-            default="vectorized",
+            "--kernel", choices=sorted(KERNELS),
+            default=DEFAULT_KERNEL,
             help="move-evaluation kernel (bit-identical results; "
                  "reference is the dict-loop oracle)",
         )

@@ -52,7 +52,7 @@ def _event_iteration(
     retry).
 
     Evaluation binds to the kernel layer's single-vertex entry point:
-    the oracle commits one vertex at a time, so both kernels resolve to
+    the oracle commits one vertex at a time, so every kernel resolves to
     the dict path here (see ``VectorizedKernel.single_move``) and the
     results are kernel-independent by construction.
     """

@@ -13,9 +13,10 @@ common).
 one state snapshot; it is both the synchronous step (batch = all of V')
 and the asynchronous concurrency window (batch ~ worker count).  The
 actual evaluation is delegated to a :mod:`repro.kernels` kernel selected
-by the ``kernel`` argument (``ClusteringConfig.kernel``): the dict-loop
-reference oracle or the segment-reduction vectorized fast path, which are
-bit-identical in outputs (DESIGN.md §8).
+by the ``kernel`` argument (``ClusteringConfig.kernel``): the native C
+loop (the default), the segment-reduction vectorized path or the
+dict-loop reference oracle, which are bit-identical in outputs
+(DESIGN.md §8).
 
 This module owns the *cost model*, which is kernel-independent: cost is
 charged per the Appendix B kernel split — low-degree vertices use a

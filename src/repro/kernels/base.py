@@ -18,13 +18,14 @@ Kernels are pure evaluation: they never touch the simulated cost ledger.
 Charging (``kernel_depth`` / ``_charge_batch`` in
 :mod:`repro.core.moves`) happens in the engine-facing wrappers and is
 invoked identically for every kernel, which is what keeps
-``sim_time_seconds`` bit-for-bit comparable across
-``kernel="reference"`` and ``kernel="vectorized"`` runs (DESIGN.md §8).
+``sim_time_seconds`` bit-for-bit comparable across kernels (DESIGN.md
+§8).
 
-The two registered kernels are required to be *bit-identical* in their
-outputs — targets, gains, and (for sweeps) the exact sequence of state
-mutations — so the reference dict kernel serves as the oracle the
-vectorized fast path is property-tested against.
+All registered kernels (``reference``, ``vectorized`` and ``native``)
+are required to be *bit-identical* in their outputs — targets, gains,
+and (for sweeps) the exact sequence of state mutations — so the
+reference dict kernel serves as the oracle the other two are
+property-tested against.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 #: Minimum strict improvement for a move (guards float-noise oscillation).
 #: Defined here (not in ``repro.core.moves``) so kernels can use it without
-#: importing the charging layer; ``moves`` re-exports it for back-compat.
+#: importing the charging layer; the native kernel receives it per call.
 GAIN_EPS = 1e-10
 
 

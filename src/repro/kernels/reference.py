@@ -51,8 +51,8 @@ def reference_single_move(
     """Best move for one vertex via dict accumulation.
 
     Semantically a batch of size one; ties break toward the smallest
-    cluster id (exact float comparison), mirroring the vectorized
-    kernel's segment argmax so the two kernels agree bit-for-bit.
+    cluster id (exact float comparison); the vectorized segment argmax
+    and the native loop mirror it, so every kernel agrees bit-for-bit.
     """
     assignments = state.assignments
     acc = accumulate_neighbor_weights(graph, assignments, v)

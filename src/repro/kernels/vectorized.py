@@ -346,7 +346,7 @@ class VectorizedKernel(MoveKernel):
         # A batch of one IS a dict: the event-driven oracle commits one
         # vertex at a time, and the measured dirty-tracking variant cost
         # more in invalidation checks than the dict evaluation it avoided
-        # (DESIGN.md §8), so both kernels share the reference single path.
+        # (DESIGN.md §8), so every kernel shares the reference single path.
         return reference_single_move(
             graph,
             state,

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.core.state import ClusterState
 from repro.graphs.csr import CSRGraph
-from repro.kernels import get_kernel
+from repro.kernels import DEFAULT_KERNEL, get_kernel
 from repro.parallel.backend import resolve_workers
 from repro.parallel.primitives import ragged_gather_indices
 
@@ -549,7 +549,7 @@ class ProcessBackend:
         *,
         allow_escape: bool = True,
         swap_avoidance: bool = False,
-        kernel: str = "vectorized",
+        kernel: str = DEFAULT_KERNEL,
         instr=None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         def inline():

@@ -1,15 +1,18 @@
 """Unit tests for the move-evaluation kernel layer (DESIGN.md §8)."""
 
+import argparse
+
 import numpy as np
 import pytest
 
+from repro.api import cluster
 from repro.core.config import ClusteringConfig
 from repro.core.moves import compute_batch_moves, kernel_depth
 from repro.core.state import ClusterState
 from repro.errors import ConfigError
 from repro.generators.planted import planted_partition_graph
 from repro.graphs.karate import karate_club_graph
-from repro.kernels import DEFAULT_KERNEL, KERNELS, get_kernel
+from repro.kernels import DEFAULT_KERNEL, KERNEL_FALLBACKS, KERNELS, get_kernel
 from repro.kernels.reference import reference_batch_moves, reference_sweep
 from repro.kernels.sweep import speculative_sweep
 from repro.kernels.vectorized import vectorized_batch_moves
@@ -27,8 +30,8 @@ RESOLUTION = 0.05
 
 class TestRegistry:
     def test_registry_contents(self):
-        assert set(KERNELS) == {"reference", "vectorized"}
-        assert DEFAULT_KERNEL == "vectorized"
+        assert set(KERNELS) == {"native", "reference", "vectorized"}
+        assert DEFAULT_KERNEL == "native"
         for name, kernel in KERNELS.items():
             assert kernel.name == name
 
@@ -40,6 +43,21 @@ class TestRegistry:
         assert ClusteringConfig(kernel="reference").kernel == "reference"
         with pytest.raises(ConfigError):
             ClusteringConfig(kernel="nope")
+
+    def test_kernel_names_come_from_the_registry(self):
+        assert ClusteringConfig().kernel == DEFAULT_KERNEL
+        parser = argparse.ArgumentParser()
+        ClusteringConfig.add_args(parser)
+        action = next(a for a in parser._actions if a.dest == "kernel")
+        assert action.choices == sorted(KERNELS)
+        assert action.default == DEFAULT_KERNEL
+        assert parser.parse_args(["--kernel", "native"]).kernel == "native"
+
+    def test_every_fast_kernel_falls_back_to_reference(self):
+        assert KERNEL_FALLBACKS == {
+            "native": "reference",
+            "vectorized": "reference",
+        }
 
 
 class TestKernelDepth:
@@ -116,11 +134,22 @@ class TestDispatch:
         ref = compute_batch_moves(
             graph, state, batch, RESOLUTION, kernel="reference"
         )
-        vec = compute_batch_moves(
-            graph, state, batch, RESOLUTION, kernel="vectorized"
-        )
-        assert np.array_equal(ref[0], vec[0])
-        assert np.array_equal(ref[1], vec[1])
+        for kernel in ("native", "vectorized"):
+            got = compute_batch_moves(
+                graph, state, batch, RESOLUTION, kernel=kernel
+            )
+            assert np.array_equal(ref[0], got[0]), kernel
+            assert np.array_equal(ref[1], got[1]), kernel
+
+    @pytest.mark.parametrize("kernel", ["native", "vectorized"])
+    def test_default_config_cluster_matches_reference(self, kernel):
+        graph = planted_partition_graph(300, seed=4).graph
+        config = ClusteringConfig(resolution=RESOLUTION, seed=3)
+        ref = cluster(graph, config.with_options(kernel="reference"))
+        got = cluster(graph, config.with_options(kernel=kernel))
+        assert np.array_equal(ref.assignments, got.assignments)
+        assert ref.objective == got.objective
+        assert ref.sim_time() == got.sim_time()
 
 
 class TestSpeculativeSweep:

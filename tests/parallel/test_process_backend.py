@@ -10,6 +10,7 @@ behind, whether the run exits normally, a worker is killed mid-run, or
 
 import errno
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,6 +99,30 @@ class TestParity:
         assert stats["dispatches"] > 0
         assert not stats["faulted"]
         assert stats["bytes_shared"] > 0
+
+    def test_native_kernel_in_spawned_workers(self, graphs, capfd):
+        """Fresh (spawned) workers load the cached native library and
+        match the dict oracle run inline."""
+        graph = graphs["rmat"]
+        config = ClusteringConfig(
+            seed=3, mode=Mode.SYNC, frontier=Frontier.ALL, num_workers=2,
+            kernel="native",
+        )
+        base = cluster(graph, replace(config, kernel="reference"))
+        with ProcessBackend(
+            workers=2, min_dispatch=64, start_method="spawn"
+        ) as backend:
+            proc = cluster(graph, config, RunOptions(backend=backend))
+            stats = backend.stats()
+        assert np.array_equal(base.assignments, proc.assignments)
+        assert base.objective == proc.objective
+        assert (
+            base.stats_dict()["sim_time_seconds"]
+            == proc.stats_dict()["sim_time_seconds"]
+        )
+        assert stats["dispatches"] > 0
+        assert not stats["faulted"]
+        assert "native kernel unavailable" not in capfd.readouterr().err
 
     def test_sync_vertex_neighbors_gather_parity(self, graphs, pool):
         """SYNC with the default frontier puts the sharded frontier

@@ -1,10 +1,10 @@
-"""Property tests: the vectorized kernel is bit-identical to the
-reference dict kernel.
+"""Property tests: the vectorized and native kernels are bit-identical
+to the reference dict kernel.
 
-DESIGN.md §8's contract is *exact* equality, not tolerance: the
-vectorized engine accumulates each S(v, c') segment in the same
-left-to-right CSR order as the dict loop, so every comparison here uses
-``array_equal`` / ``==`` on floats deliberately.  Coverage:
+DESIGN.md §8's contract is *exact* equality, not tolerance: both fast
+kernels accumulate each S(v, c') segment in the same left-to-right CSR
+order as the dict loop, so every comparison here uses ``array_equal`` /
+``==`` on floats deliberately.  Coverage:
 
 * direct ``batch_moves`` parity on adversarial hypothesis graphs
   (negative weights, self-clusters, escape and swap-avoidance variants);
@@ -13,10 +13,10 @@ left-to-right CSR order as the dict loop, so every comparison here uses
   mutated state;
 * end-to-end: every registry engine, on RMAT/LFR/planted workloads
   across seeds and resolutions, produces identical assignments and
-  objective under both kernels;
+  objective under every kernel;
 * the same end-to-end equivalence under fault injection — the sweep
   kernel detects the ``FaultyClusterState`` wrapper and falls back, so
-  injected hazards perturb both kernels identically;
+  injected hazards perturb every kernel identically;
 * the default ``cluster()`` config at a scale where most concurrency
   windows take the segment path rather than the dict fallback, on
   integer and fractional weights;
@@ -38,6 +38,8 @@ from repro.generators.lfr import lfr_like_graph
 from repro.generators.planted import planted_partition_graph
 from repro.generators.rmat import rmat_graph
 from repro.graphs.builders import graph_from_edges
+from repro.graphs.karate import karate_club_graph
+from repro.kernels import KERNELS
 from repro.kernels.reference import reference_batch_moves, reference_sweep
 from repro.kernels.sweep import speculative_sweep
 from repro.kernels import vectorized
@@ -46,12 +48,19 @@ from repro.parallel.scheduler import SimulatedScheduler
 from repro.resilience import FaultPlan, ResilienceContext, ResiliencePolicy
 
 ENGINE_NAMES = sorted(ENGINES)
+FAST_KERNELS = sorted(set(KERNELS) - {"reference"})
 
 
 @st.composite
 def state_instance(draw):
     n = draw(st.integers(min_value=2, max_value=16))
     num_edges = draw(st.integers(min_value=0, max_value=40))
+    # Integer weights (zero and negative included) or fractional ones.
+    weight = (
+        st.integers(-2, 2).map(float)
+        if draw(st.booleans())
+        else st.floats(min_value=-2.0, max_value=2.0)
+    )
     edges = []
     weights = []
     for _ in range(num_edges):
@@ -59,7 +68,7 @@ def state_instance(draw):
         v = draw(st.integers(0, n - 1))
         if u != v:
             edges.append((u, v))
-            weights.append(draw(st.floats(min_value=-2.0, max_value=2.0)))
+            weights.append(draw(weight))
     graph = graph_from_edges(
         np.asarray(edges, dtype=np.int64).reshape(-1, 2),
         weights=np.asarray(weights) if weights else None,
@@ -86,6 +95,11 @@ def _assert_batch_parity(graph, state, batch, lam, escape, swap):
     )
     assert np.array_equal(ref_t, vec_t)
     assert np.array_equal(ref_g, vec_g)
+    nat_t, nat_g = KERNELS["native"].batch_moves(
+        graph, state, batch, lam, allow_escape=escape, swap_avoidance=swap
+    )
+    assert ref_t.tobytes() == nat_t.tobytes()
+    assert ref_g.tobytes() == nat_g.tobytes()
 
 
 class TestBatchKernelEquivalence:
@@ -195,6 +209,7 @@ def _run_engine(graph, engine, kernel, resolution, seed, plan=None):
 
 
 WORKLOADS = [
+    ("karate", lambda seed: karate_club_graph()),
     ("rmat", lambda seed: rmat_graph(6, 6 * 2**6, seed=seed)),
     ("lfr", lambda seed: lfr_like_graph(120, mixing=0.3, seed=seed).graph),
     (
@@ -215,29 +230,28 @@ class TestEngineEquivalence:
         ref_labels, ref_sim = _run_engine(
             graph, engine, "reference", resolution, seed
         )
-        vec_labels, vec_sim = _run_engine(
-            graph, engine, "vectorized", resolution, seed
-        )
-        assert np.array_equal(ref_labels, vec_labels)
-        assert ref_sim == vec_sim  # the cost model never sees the kernel
-        assert lambdacc_objective(
-            graph, ref_labels, resolution
-        ) == lambdacc_objective(graph, vec_labels, resolution)
+        ref_objective = lambdacc_objective(graph, ref_labels, resolution)
+        for kernel in FAST_KERNELS:
+            labels, sim = _run_engine(graph, engine, kernel, resolution, seed)
+            assert np.array_equal(ref_labels, labels), kernel
+            assert ref_sim == sim  # the cost model never sees the kernel
+            assert lambdacc_objective(graph, labels, resolution) == ref_objective
 
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_engines_identical_under_fault_injection(self, engine):
         graph = planted_partition_graph(80, seed=5).graph
         spec = "drop-move=0.2,stale-read=0.2,dup-move=0.1"
         results = {}
-        for kernel in ("reference", "vectorized"):
+        for kernel in sorted(KERNELS):
             plan = FaultPlan.from_spec(spec, seed=13)
             results[kernel] = _run_engine(
                 graph, engine, kernel, 0.05, 7, plan=plan
             )
         ref_labels, ref_sim = results["reference"]
-        vec_labels, vec_sim = results["vectorized"]
-        assert np.array_equal(ref_labels, vec_labels)
-        assert ref_sim == vec_sim
+        for kernel in FAST_KERNELS:
+            labels, sim = results[kernel]
+            assert np.array_equal(ref_labels, labels), kernel
+            assert ref_sim == sim
 
 
 def _knn_fractional(seed):
@@ -286,10 +300,12 @@ class TestDefaultConfigParity:
             kernel: cluster(
                 graph, ClusteringConfig(resolution=0.05, seed=3, kernel=kernel)
             )
-            for kernel in ("reference", "vectorized")
+            for kernel in sorted(KERNELS)
         }
-        ref, vec = results["reference"], results["vectorized"]
-        assert np.array_equal(ref.assignments, vec.assignments)
-        assert ref.objective == vec.objective
-        assert ref.sim_time() == vec.sim_time()
+        ref = results["reference"]
+        for kernel in FAST_KERNELS:
+            got = results[kernel]
+            assert np.array_equal(ref.assignments, got.assignments), kernel
+            assert ref.objective == got.objective
+            assert ref.sim_time() == got.sim_time()
         assert calls["fallbacks"] < calls["windows"]

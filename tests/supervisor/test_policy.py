@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import ClusteringConfig
 from repro.core.engines import ENGINES
 from repro.errors import ConfigError
+from repro.kernels import KERNELS
 from repro.supervisor import RunSupervisor, fallback_rungs
 
 pytestmark = pytest.mark.supervisor
@@ -57,7 +58,7 @@ class TestFallbackLadder:
         assert first == second
 
     def test_ladder_never_empty(self):
-        for kernel in ("reference", "vectorized"):
+        for kernel in sorted(KERNELS):
             for engine in (None, *sorted(ENGINES)):
                 config = ClusteringConfig(kernel=kernel)
                 rungs = fallback_rungs(config, engine=engine)
