@@ -89,7 +89,7 @@ compare-kernels:
 	    /tmp/repro-bench-current/BENCH_PR4.json --tolerance 0.30
 
 ## Supervised chaos matrix: every fault site x every engine x every
-## registered kernel (sorted(KERNELS): 60 cells) on the karate workload,
+## registered kernel (sorted(KERNELS): 40 cells) on the karate workload,
 ## asserting the recovery invariants (terminate, objective within
 ## tolerance or explicitly degraded, checkpoints replay bit-identically).
 ## Deterministic; exits nonzero on any unrecovered cell.
@@ -117,12 +117,14 @@ bench-dynamic:
 bench-backend:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_backend.py
 
-## Build the native kernel, failing when it cannot be built (so CI never
-## passes on the vectorized fallback by accident), then run the kernel
-## parity suite with any RuntimeWarning an error.
+## Build the native kernel, failing when it cannot be built or either
+## entry point (batch, sweep) does not resolve (so CI never passes on the
+## reference fallback by accident), then run the kernel parity suite
+## with any RuntimeWarning an error.
 native-kernel:
 	$(PYTHON) -W error::RuntimeWarning -c "from repro.kernels import KERNELS; \
-	    assert KERNELS['native'].library.function() is not None"
+	    lib = KERNELS['native'].library.load(); \
+	    assert lib is not None and lib.repro_best_moves and lib.repro_sweep"
 	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning \
 	    tests/properties/test_kernel_equivalence.py \
 	    tests/core/test_kernels.py tests/core/test_native_kernel.py

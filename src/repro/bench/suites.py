@@ -10,7 +10,7 @@ them.  Every suite takes ``repeats`` and returns a
 * ``overhead`` — instrumentation (disabled / enabled) and no-fault
   supervision against a bare run on a planted-partition graph;
 * ``PR3`` — one fully instrumented run plus its telemetry coverage;
-* ``PR4`` — vectorized vs reference kernel speedups and parity;
+* ``PR4`` — native vs reference kernel speedups and parity;
 * ``PR7`` — dynamic updates vs full recompute on LFR churn batches;
 * ``PR9`` — the process backend at 1/2/4 workers vs inline.
 
@@ -245,7 +245,7 @@ def telemetry_suite(repeats: int = 3) -> BenchSuite:
 
 
 def kernels_suite(repeats: int = 3) -> BenchSuite:
-    """The ``PR4`` kernel snapshot: vectorized-vs-reference speedups + parity.
+    """The ``PR4`` kernel snapshot: native-vs-reference speedups + parity.
 
     Three kinds of rows:
 
@@ -258,7 +258,7 @@ def kernels_suite(repeats: int = 3) -> BenchSuite:
       comparable metrics (``f_objective``, ``sim_time_seconds``) must
       match *exactly* across kernels — the cost model never sees which
       kernel evaluated the moves (DESIGN.md §8).
-    * ``relaxed-scale12-vectorized`` — a larger run riding along as
+    * ``relaxed-scale12-native`` — a larger run riding along as
       wall-clock evidence that the default kernel scales.
     """
     from repro.core.config import ClusteringConfig
@@ -266,8 +266,7 @@ def kernels_suite(repeats: int = 3) -> BenchSuite:
     from repro.core.objective import lambdacc_objective
     from repro.core.state import ClusterState
     from repro.generators.rmat import rmat_graph
-    from repro.kernels.reference import reference_batch_moves
-    from repro.kernels.vectorized import vectorized_batch_moves
+    from repro.kernels import KERNELS
     from repro.parallel.scheduler import SimulatedScheduler
     from repro.utils.rng import make_rng
 
@@ -288,28 +287,30 @@ def kernels_suite(repeats: int = 3) -> BenchSuite:
         )
         batch = np.arange(graph.num_vertices, dtype=np.int64)
 
-        def eval_with(kernel_fn, graph=graph, batch=batch):
-            state = ClusterState.singletons(graph)
-            return kernel_fn(graph, state, batch, BASELINE_RESOLUTION)
-
-        (ref_targets, ref_gains), ref_timing = time_callable(
-            lambda: eval_with(reference_batch_moves),
-            repeats=max(repeats, 5), warmup=1,
-        )
-        (vec_targets, vec_gains), vec_timing = time_callable(
-            lambda: eval_with(vectorized_batch_moves),
-            repeats=max(repeats, 5), warmup=1,
-        )
+        state = ClusterState.singletons(graph)  # batch_moves only reads it
+        outputs: Dict[str, tuple] = {}
+        best: Dict[str, float] = {}
+        # Alternate the kernels, so that drift in the host's speed hits
+        # both; each round warms the caches for the kernel it times.
+        for _ in range(max(repeats, 5)):
+            for kernel in ("reference", "native"):
+                outputs[kernel], timing = time_callable(
+                    lambda: KERNELS[kernel].batch_moves(
+                        graph, state, batch, BASELINE_RESOLUTION
+                    ),
+                    repeats=3, warmup=1,
+                )
+                best[kernel] = min(best.get(kernel, timing.best), timing.best)
         suite.add_row(
             f"kernel-eval-scale{scale}",
-            metrics={"kernel_speedup": ref_timing.best / vec_timing.best},
+            metrics={"kernel_speedup": best["reference"] / best["native"]},
             vertices=graph.num_vertices,
             edges=graph.num_edges,
-            reference_seconds=ref_timing.best,
-            vectorized_seconds=vec_timing.best,
-            identical=bool(
-                np.array_equal(ref_targets, vec_targets)
-                and np.array_equal(ref_gains, vec_gains)
+            reference_seconds=best["reference"],
+            native_seconds=best["native"],
+            identical=all(
+                a.tobytes() == b.tobytes()
+                for a, b in zip(outputs["reference"], outputs["native"])
             ),
         )
 
@@ -336,7 +337,7 @@ def kernels_suite(repeats: int = 3) -> BenchSuite:
     graph8 = _baseline_graph()
     for engine in ("relaxed", "prefix"):
         reference_assignments = None
-        for kernel in ("reference", "vectorized"):
+        for kernel in ("reference", "native"):
             (assignments, sim_time), timing = time_callable(
                 lambda: engine_run(graph8, engine, kernel, workers=60),
                 repeats=repeats, warmup=1,
@@ -363,11 +364,11 @@ def kernels_suite(repeats: int = 3) -> BenchSuite:
         12, BASELINE_RMAT["edge_factor"] * 2**12, seed=BASELINE_RMAT["seed"]
     )
     (assignments, sim_time), timing = time_callable(
-        lambda: engine_run(graph12, "relaxed", "vectorized", workers=60),
+        lambda: engine_run(graph12, "relaxed", "native", workers=60),
         repeats=repeats, warmup=1,
     )
     suite.add_row(
-        "relaxed-scale12-vectorized",
+        "relaxed-scale12-native",
         metrics={
             "f_objective": lambdacc_objective(
                 graph12, assignments, BASELINE_RESOLUTION
@@ -715,7 +716,6 @@ def backend_suite(repeats: int = 3) -> BenchSuite:
                         BACKEND_RESOLUTION,
                         allow_escape=True,
                         swap_avoidance=False,
-                        kernel="vectorized",
                     ),
                     repeats=repeats,
                     warmup=1,

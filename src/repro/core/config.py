@@ -80,9 +80,8 @@ class ClusteringConfig:
         charged instead of the sequential one (Appendix B).
     kernel:
         Move-evaluation kernel (:mod:`repro.kernels`): ``"native"`` (the
-        C loop, the default), ``"vectorized"`` (segment-reduction NumPy
-        path) or ``"reference"`` (dict-loop oracle).  Bit-identical
-        outputs; only wall-clock differs (DESIGN.md §8).
+        C loops, the default) or ``"reference"`` (dict-loop oracle).
+        Bit-identical outputs; only wall-clock differs (DESIGN.md §8).
     backend:
         Execution backend (:mod:`repro.parallel.backend`): ``"simulated"``
         (inline, the default) or ``"process"`` (persistent shared-memory
@@ -278,7 +277,7 @@ class ClusteringConfig:
 
         Deliberately built from :meth:`describe` — which excludes the
         kernel and the engine — so a checkpoint written on one fallback
-        rung (e.g. the vectorized kernel) can be resumed on another (the
+        rung (e.g. the native kernel) can be resumed on another (the
         reference kernel, or the sequential engine): the multilevel
         hierarchy and objective are what must match, not the executor.
         """

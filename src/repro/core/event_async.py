@@ -53,7 +53,7 @@ def _event_iteration(
 
     Evaluation binds to the kernel layer's single-vertex entry point:
     the oracle commits one vertex at a time, so every kernel resolves to
-    the dict path here (see ``VectorizedKernel.single_move``) and the
+    the dict path here (see ``NativeKernel.single_move``) and the
     results are kernel-independent by construction.
     """
     single_move = get_kernel(kernel).single_move

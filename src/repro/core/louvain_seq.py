@@ -42,9 +42,9 @@ def _sequential_sweep(
     """One sweep of immediate best moves.
 
     Evaluation (and the exact sequence of ``move_one`` state mutations)
-    is delegated to the selected kernel's ``sweep`` — the dict
-    vertex-at-a-time loop or the speculative batched replay, which are
-    bit-identical (DESIGN.md §8).  The sweep's simulated cost is charged
+    is delegated to the selected kernel's ``sweep`` — the native C loop
+    or the dict vertex-at-a-time loop, which are bit-identical
+    (DESIGN.md §8).  The sweep's simulated cost is charged
     here, identically for every kernel: pure sequential work, so a
     one-worker run's simulated time is its total work.
 

@@ -119,7 +119,7 @@ def move_delta(
 
     Reference implementation of the Appendix A formula; the production
     kernels in :mod:`repro.core.moves` vectorize the same arithmetic.
-    Used by tests to cross-check the vectorized kernels.
+    Used by tests to cross-check the move kernels.
     """
     nbrs, wts = graph.neighborhood(v)
     current = assignments[v]

@@ -42,7 +42,6 @@ class CSRGraph:
         "node_weights",
         "node_weight_sq",
         "repairs",
-        "_integer_weights",
     )
 
     def __init__(
@@ -71,7 +70,6 @@ class CSRGraph:
         #: Input-repair counts attached by ``read_edge_list(...,
         #: on_malformed="repair")``; ``None`` for graphs built cleanly.
         self.repairs: Optional[dict] = None
-        self._integer_weights: Optional[bool] = None
         if validate:
             self._validate()
 
@@ -122,22 +120,6 @@ class CSRGraph:
     def num_edges(self) -> int:
         """Number of undirected edges (excluding self-loops)."""
         return self.neighbors.size // 2
-
-    @property
-    def has_integer_weights(self) -> bool:
-        """True when every edge weight is integer-valued (lazily cached).
-
-        Integer-valued float64 sums (below 2**53) are exact under any
-        addition order, which lets the vectorized move kernel use faster
-        reductions without breaking bit-identity with the dict oracle
-        (DESIGN.md §8).  Unit-weight graphs — every generator here — all
-        qualify.
-        """
-        if self._integer_weights is None:
-            self._integer_weights = bool(
-                np.all(self.weights == np.trunc(self.weights))
-            )
-        return self._integer_weights
 
     def degree(self, v: int) -> int:
         return int(self.offsets[v + 1] - self.offsets[v])

@@ -1,5 +1,5 @@
-"""Move-evaluation kernels: the reference dict oracle, the vectorized
-segment-reduction path and the native C loop (DESIGN.md §8).
+"""Move-evaluation kernels: the native C loops and the reference dict
+oracle (DESIGN.md §8).
 
 Engines never import concrete kernels; they resolve one by name via
 :func:`get_kernel` (the ``ClusteringConfig.kernel`` knob / ``--kernel``
@@ -14,13 +14,11 @@ from repro.errors import ConfigError
 from repro.kernels.base import GAIN_EPS, MoveKernel
 from repro.kernels.native import NativeKernel
 from repro.kernels.reference import ReferenceKernel
-from repro.kernels.vectorized import VectorizedKernel
 
 #: Registered kernels by config name.
 KERNELS = {
     "native": NativeKernel(),
     "reference": ReferenceKernel(),
-    "vectorized": VectorizedKernel(),
 }
 
 #: The default kernel (``ClusteringConfig.kernel``'s default).
@@ -28,10 +26,7 @@ DEFAULT_KERNEL = "native"
 
 #: Supervisor fallback chain: each kernel's next-simpler substitute.  The
 #: reference oracle has nothing below it (absent key = bottom rung).
-KERNEL_FALLBACKS = {
-    "native": "reference",
-    "vectorized": "reference",
-}
+KERNEL_FALLBACKS = {"native": "reference"}
 
 
 def fallback_kernel(name: str):
@@ -57,7 +52,6 @@ __all__ = [
     "MoveKernel",
     "NativeKernel",
     "ReferenceKernel",
-    "VectorizedKernel",
     "fallback_kernel",
     "get_kernel",
 ]

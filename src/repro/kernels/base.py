@@ -10,9 +10,8 @@ whole batch of vertices) want to go, against the current state snapshot?"
 * :meth:`MoveKernel.single_move` — one vertex (the sequential and
   event-driven engines' granularity);
 * :meth:`MoveKernel.sweep` — a full sequential sweep with immediate
-  moves (Algorithm 2's inner loop), where the kernel may batch the
-  *evaluation* as long as the per-vertex decisions and state mutations
-  are bit-identical to the vertex-at-a-time loop.
+  moves (Algorithm 2's inner loop), whose per-vertex decisions and
+  state mutations are bit-identical to the vertex-at-a-time loop.
 
 Kernels are pure evaluation: they never touch the simulated cost ledger.
 Charging (``kernel_depth`` / ``_charge_batch`` in
@@ -21,11 +20,10 @@ invoked identically for every kernel, which is what keeps
 ``sim_time_seconds`` bit-for-bit comparable across kernels (DESIGN.md
 §8).
 
-All registered kernels (``reference``, ``vectorized`` and ``native``)
-are required to be *bit-identical* in their outputs — targets, gains,
-and (for sweeps) the exact sequence of state mutations — so the
-reference dict kernel serves as the oracle the other two are
-property-tested against.
+Both registered kernels (``native`` and ``reference``) are required to
+be *bit-identical* in their outputs — targets, gains, and (for sweeps)
+the exact sequence of state mutations — so the reference dict kernel
+serves as the oracle the native one is property-tested against.
 """
 
 from __future__ import annotations

@@ -1,16 +1,17 @@
-"""Native BEST-MOVES batch kernel: ``native.c`` through ``ctypes``.
+"""Native BEST-MOVES kernels: ``native.c`` through ``ctypes``.
 
-The vectorized kernel spends almost all of its time in NumPy's fixed
-cost per call; the paper's implementation (§3) and Grappolo run the same
-per-vertex accumulate-and-argmax loop in native code.  ``native.c`` is
-that loop, written as :func:`~repro.kernels.reference.reference_single_move`
-is: the same float operations in the same order, exact comparisons, the
-same ``GAIN_EPS`` (passed in from :mod:`repro.kernels.base`), the same
+The paper's implementation (§3) and Grappolo run the per-vertex
+accumulate-and-argmax loop in native code.  ``native.c`` is that loop,
+written as :func:`~repro.kernels.reference.reference_single_move` is:
+the same float operations in the same order, exact comparisons, the same
+``GAIN_EPS`` (passed in from :mod:`repro.kernels.base`), the same
 lowest-id tiebreak, swap block and escape rule.  So it is bit-identical
-to the dict oracle by construction (DESIGN.md §8), and one ``ctypes``
-call evaluates a whole concurrency window.
+to the dict oracle by construction (DESIGN.md §8).  Two entry points
+share it: one ``ctypes`` call evaluates a whole concurrency window
+(``batch_moves``), and one runs a whole sequential sweep with immediate
+commits (``sweep``, Algorithm 2's inner loop).
 
-The shared library is built lazily, on the first batch, never at import:
+The shared library is built lazily, on first use, never at import:
 
 * ``gcc -O2 -ffp-contract=off -fPIC -shared``, never ``-ffast-math``, so
   float additions are neither reordered nor fused;
@@ -22,10 +23,10 @@ The shared library is built lazily, on the first batch, never at import:
   parallel test runs never load a half-written library.
 
 With no compiler, or when the build fails, the kernel warns once with a
-``RuntimeWarning`` and delegates to ``vectorized``, which is legal
-because the two are bit-identical.  The foreign call releases the GIL,
-so the dense scratch arrays are per thread.  ``single_move`` and
-``sweep`` keep the reference dict loop and the speculative sweep.
+``RuntimeWarning`` and delegates to the ``reference`` dict loops, which
+is legal because the two are bit-identical.  The foreign calls release
+the GIL, so the dense scratch arrays are per thread.  ``single_move``
+keeps the reference dict loop.
 """
 
 from __future__ import annotations
@@ -44,26 +45,31 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.state import ClusterState
 from repro.kernels.base import GAIN_EPS, MoveKernel
-from repro.kernels.reference import reference_single_move
-from repro.kernels.sweep import speculative_sweep
-from repro.kernels.vectorized import VectorizedKernel
+from repro.kernels.reference import (
+    reference_batch_moves,
+    reference_single_move,
+    reference_sweep,
+)
 from repro.obs.instrument import M_KERNEL_SEGMENTS
 
 SOURCE = Path(__file__).with_name("native.c")
 #: The C compiler, looked up on ``PATH`` when the library is first needed.
 COMPILER = "gcc"
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-SYMBOL = "repro_best_moves"
 
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
-_ARGTYPES = (
-    [_P] * 7
-    + [_I64, _I64, _P, _I64, ctypes.c_double, ctypes.c_double]
-    + [ctypes.c_int, ctypes.c_int]
-    + [_P] * 5
-)
+_INT = ctypes.c_int
+#: Both entry points start with the seven graph/state pointers, the
+#: vertex and cluster-id counts, the visit list and its length, the
+#: resolution and GAIN_EPS; then come flags, scratch and output pointers.
+_HEAD = [_P] * 7 + [_I64, _I64, _P, _I64, ctypes.c_double, ctypes.c_double]
+SIGNATURES = {
+    "repro_best_moves": _HEAD + [_INT, _INT] + [_P] * 5,
+    "repro_sweep": _HEAD + [_INT] + [_P] * 7,
+}
 #: dtypes of graph.offsets / neighbors / weights / node_weights and
 #: state.assignments / cluster_weights / cluster_sizes, read in place.
 _INPUT_DTYPES = (
@@ -123,33 +129,34 @@ def build(compiler: str, target: Path) -> None:
 
 
 class NativeLibrary:
-    """The compiled kernel, loaded once per process on first use.
+    """The compiled kernels, loaded once per process on first use.
 
-    ``function()`` returns the ``ctypes`` entry point, or ``None`` after
-    warning once that the library cannot be built or loaded.
+    ``load()`` returns the ``ctypes`` library with both entry points
+    bound, or ``None`` after warning once that it cannot be built or
+    loaded.
     """
 
     def __init__(self, cache_dirs=None) -> None:
         self._cache_dirs = cache_dirs
         self._lock = threading.Lock()
-        self._function = None
+        self._lib = None
         self._failed = False
 
-    def function(self):
-        if self._function is None and not self._failed:
+    def load(self):
+        if self._lib is None and not self._failed:
             with self._lock:
-                if self._function is None and not self._failed:
+                if self._lib is None and not self._failed:
                     try:
-                        self._function = self._load()
+                        self._lib = self._load()
                     except (OSError, subprocess.SubprocessError) as exc:
                         self._failed = True
                         warnings.warn(
                             f"native kernel unavailable ({exc}); using the "
-                            "bit-identical vectorized kernel instead",
+                            "bit-identical reference kernel instead",
                             RuntimeWarning,
                             stacklevel=3,
                         )
-        return self._function
+        return self._lib
 
     def _load(self):
         compiler = shutil.which(COMPILER)
@@ -170,10 +177,11 @@ class NativeLibrary:
             except (OSError, subprocess.SubprocessError) as exc:
                 errors.append(_describe(exc))
                 continue
-            function = getattr(lib, SYMBOL)
-            function.argtypes = _ARGTYPES
-            function.restype = ctypes.c_int64
-            return function
+            for symbol, argtypes in SIGNATURES.items():
+                function = getattr(lib, symbol)
+                function.argtypes = argtypes
+                function.restype = ctypes.c_int64
+            return lib
         raise OSError("; ".join(errors))
 
 
@@ -251,14 +259,34 @@ class _ThreadScratch(threading.local):
 
 
 class NativeKernel(MoveKernel):
-    """Native accumulate-and-argmax loop; vectorized when it cannot build."""
+    """Native batch and sweep loops; the reference loops when it cannot build."""
 
     name = "native"
 
     def __init__(self, library: Optional[NativeLibrary] = None) -> None:
         self.library = library if library is not None else NativeLibrary()
-        self._fallback = VectorizedKernel()
         self._local = _ThreadScratch()
+
+    def _bind(self, graph, state) -> tuple:
+        """``(inputs, arrays read, scratch)`` for one call on ``state``.
+
+        ``arrays read`` are the seven arrays behind ``inputs``; holding
+        them keeps those alive over the call.
+        """
+        local = self._local
+        arrays = (
+            graph.offsets,
+            graph.neighbors,
+            graph.weights,
+            graph.node_weights,
+            state.assignments,
+            state.cluster_weights,
+            state.cluster_sizes,
+        )
+        inputs, read = local.inputs, arrays
+        if not local.holds(arrays):
+            inputs, read = local.bind(arrays)
+        return inputs, read, local.reserve(state.cluster_weights.size)
 
     def batch_moves(
         self,
@@ -271,9 +299,9 @@ class NativeKernel(MoveKernel):
         swap_avoidance=False,
         instr=None,
     ):
-        run = self.library.function()
-        if run is None:
-            return self._fallback.batch_moves(
+        lib = self.library.load()
+        if lib is None:
+            return reference_batch_moves(
                 graph,
                 state,
                 batch,
@@ -282,26 +310,13 @@ class NativeKernel(MoveKernel):
                 swap_avoidance=swap_avoidance,
                 instr=instr,
             )
-        local = self._local
-        arrays = (
-            graph.offsets,
-            graph.neighbors,
-            graph.weights,
-            graph.node_weights,
-            state.assignments,
-            state.cluster_weights,
-            state.cluster_sizes,
-        )
         # ``read`` keeps the arrays behind ``inputs`` alive over the call.
-        inputs, read = local.inputs, arrays
-        if not local.holds(arrays):
-            inputs, read = local.bind(arrays)
-        scratch = local.reserve(state.cluster_weights.size)
+        inputs, read, scratch = self._bind(graph, state)
         batch = np.ascontiguousarray(batch, dtype=np.int64)
         size = batch.size
         targets = np.empty(size, dtype=np.int64)
         gains = np.empty(size, dtype=np.float64)
-        pairs = run(
+        pairs = lib.repro_best_moves(
             *inputs,
             batch.ctypes.data,
             size,
@@ -334,6 +349,48 @@ class NativeKernel(MoveKernel):
     def sweep(
         self, graph, state, order, resolution, *, allow_escape=True, instr=None
     ):
-        return speculative_sweep(
+        lib = self.library.load()
+        # The C loop commits as ``ClusterState.move_one`` does, with the
+        # graph's node weights, into the arrays it reads; any other state
+        # (``FaultyClusterState`` buffers, delays and duplicates writes),
+        # or one whose arrays had to be copied, takes the dict loop.
+        if (
+            lib is not None
+            and type(state) is ClusterState
+            and state.node_weights is graph.node_weights
+        ):
+            inputs, read, scratch = self._bind(graph, state)
+            owned = (state.assignments, state.cluster_weights, state.cluster_sizes)
+            if all(r is a for r, a in zip(read[4:], owned)):
+                order = np.ascontiguousarray(order, dtype=np.int64)
+                size = order.size
+                movers = np.empty(size, dtype=np.int64)
+                origins = np.empty(size, dtype=np.int64)
+                targets = np.empty(size, dtype=np.int64)
+                total_gain = np.zeros(1, dtype=np.float64)
+                moved = lib.repro_sweep(
+                    *inputs,
+                    order.ctypes.data,
+                    size,
+                    float(resolution),
+                    GAIN_EPS,
+                    bool(allow_escape),
+                    *scratch,
+                    movers.ctypes.data,
+                    origins.ctypes.data,
+                    targets.ctypes.data,
+                    total_gain.ctypes.data,
+                )
+                if moved < 0:
+                    raise IndexError(
+                        "native kernel: sweep vertex or label out of range"
+                    )
+                return (
+                    movers[:moved],
+                    origins[:moved],
+                    targets[:moved],
+                    float(total_gain[0]),
+                )
+        return reference_sweep(
             graph, state, order, resolution, allow_escape=allow_escape, instr=instr
         )

@@ -3,10 +3,9 @@
 This is the original per-vertex best-move computation: accumulate
 ``S(v, c')`` into a Python dict over ``v``'s neighbor clusters, then scan
 the candidates with an exact-comparison, lowest-cluster-id tiebreak.  It
-is deliberately simple — every other kernel is property-tested to match
-it bit-for-bit — and it remains the fastest option for tiny batches,
-where NumPy's per-call overhead exceeds the dict loop (which is why the
-vectorized kernel falls back to it below a size cutoff).
+is deliberately simple — the native kernel is property-tested to match
+it bit-for-bit — and it is what the native kernel delegates to on a
+host where the C library cannot be built.
 
 :func:`accumulate_neighbor_weights` is the single shared accumulation
 helper; ``all_move_gains`` (the debugging API in ``repro.core.moves``)
@@ -51,8 +50,8 @@ def reference_single_move(
     """Best move for one vertex via dict accumulation.
 
     Semantically a batch of size one; ties break toward the smallest
-    cluster id (exact float comparison); the vectorized segment argmax
-    and the native loop mirror it, so every kernel agrees bit-for-bit.
+    cluster id (exact float comparison); the native loop mirrors it, so
+    both kernels agree bit-for-bit.
     """
     assignments = state.assignments
     acc = accumulate_neighbor_weights(graph, assignments, v)
@@ -66,8 +65,11 @@ def reference_single_move(
     for c, s in acc.items():
         if c == current:
             continue
-        # Swap-avoidance under synchronous scheduling: see the vectorized
-        # kernel / DESIGN.md §8.
+        # Swap avoidance for *synchronous* scheduling (Lu et al. [27], as
+        # in Grappolo): a singleton may join another singleton only when
+        # the target id is smaller than its own, or lockstep rounds swap
+        # mutually attracted singleton pairs forever.  Asynchronous and
+        # sequential schedules self-heal, so they run pure best moves.
         if (
             swap_avoidance
             and own_singleton
@@ -102,7 +104,7 @@ def reference_batch_moves(
     """Batch evaluation as a plain loop of single-vertex evaluations.
 
     Every vertex reads the same snapshot (``state`` is never mutated), so
-    this is the semantic definition the vectorized batch kernel must
+    this is the semantic definition the native batch kernel must
     reproduce bit-for-bit.
     """
     targets = np.empty(batch.size, dtype=np.int64)

@@ -64,12 +64,8 @@ M_OBJECTIVE = "repro_objective_f"
 M_MODULARITY = "repro_modularity"
 #: Batch size per best-move kernel invocation, labeled by kernel (histogram).
 M_KERNEL_BATCH = "repro_kernel_batch_size"
-#: Distinct (vertex, cluster) segments per vectorized reduceat pass (histogram).
+#: Distinct (vertex, neighbor cluster) pairs per native batch (histogram).
 M_KERNEL_SEGMENTS = "repro_kernel_segments"
-#: Vectorized-kernel falls back to the dict oracle, labeled by site (counter).
-M_KERNEL_FALLBACK = "repro_kernel_fallbacks_total"
-#: Positions consumed per speculative sweep block (histogram).
-M_KERNEL_BLOCK = "repro_kernel_sweep_block"
 #: Supervised attempts started, labeled by ladder rung (counter).
 M_SUPERVISOR_ATTEMPTS = "repro_supervisor_attempts_total"
 #: Supervisor retries of a failed attempt, labeled by reason (counter).
@@ -139,9 +135,7 @@ _HELP = {
     M_OBJECTIVE: "Final unordered LambdaCC objective F",
     M_MODULARITY: "Final modularity",
     M_KERNEL_BATCH: "Batch size per best-move kernel invocation",
-    M_KERNEL_SEGMENTS: "Distinct (vertex, cluster) segments per reduceat pass",
-    M_KERNEL_FALLBACK: "Vectorized-kernel fallbacks to the dict oracle",
-    M_KERNEL_BLOCK: "Positions consumed per speculative sweep block",
+    M_KERNEL_SEGMENTS: "Distinct (vertex, neighbor cluster) pairs per native batch",
     M_SUPERVISOR_ATTEMPTS: "Supervised attempts started, by ladder rung",
     M_SUPERVISOR_RETRIES: "Supervisor retries of a failed attempt, by reason",
     M_SUPERVISOR_FALLBACKS: "Ladder descents to a lower rung",

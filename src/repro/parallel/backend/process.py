@@ -92,16 +92,14 @@ class _ShmGraph:
         "weights",
         "node_weights",
         "num_vertices",
-        "has_integer_weights",
     )
 
-    def __init__(self, offsets, neighbors, weights, node_weights, n, int_w):
+    def __init__(self, offsets, neighbors, weights, node_weights, n):
         self.offsets = offsets
         self.neighbors = neighbors
         self.weights = weights
         self.node_weights = node_weights
         self.num_vertices = n
-        self.has_integer_weights = int_w
 
 
 class _ShmState:
@@ -158,7 +156,6 @@ def _meta_graph(cache: _SegmentCache, meta: dict) -> _ShmGraph:
         cache.array(meta["g_w"], np.float64, m),
         cache.array(meta["g_nw"], np.float64, n),
         n,
-        meta["int_w"],
     )
 
 
@@ -404,7 +401,6 @@ class ProcessBackend:
         meta = {
             "n": n,
             "m": m,
-            "int_w": bool(graph.has_integer_weights),
             "g_off": off_name,
             "g_nbr": nbr_name,
             "g_w": w_name,

@@ -14,7 +14,7 @@ checkpoint exists), deadlines are the caller's own
 :class:`~repro.resilience.guards.RunBudget` caps (``max_wall_seconds``
 spans the whole supervised run, ``max_level_wall_seconds`` one engine
 invocation), and :func:`fallback_rungs` degrades the executor
-deterministically (vectorized -> reference kernel, parallel engine ->
+deterministically (native -> reference kernel, parallel engine ->
 sequential sweeps, strict audit -> graceful resync).  Every decision
 lands in ``ClusterResult.failure_log`` and as ``repro_supervisor_*``
 metrics/trace events riding ``sched.instr``.

@@ -2,7 +2,8 @@
 
 Parity of the kernel itself against the dict oracle lives in
 ``tests/properties/test_kernel_equivalence.py``; these tests cover how
-the shared library is built, cached, loaded and shared.
+the shared library is built, cached, loaded and shared, and when the
+sweep takes the dict loop.
 """
 
 import gc
@@ -31,8 +32,11 @@ from repro.kernels.native import NativeKernel, NativeLibrary
 from repro.kernels.reference import (
     accumulate_neighbor_weights,
     reference_batch_moves,
+    reference_sweep,
 )
 from repro.obs.instrument import M_KERNEL_SEGMENTS, Instrumentation
+from repro.resilience import FaultPlan
+from repro.resilience.faults import FaultyClusterState
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 RESOLUTION = 0.05
@@ -59,6 +63,20 @@ def _assert_same(got, want):
     assert got[1].tobytes() == want[1].tobytes()
 
 
+def _assert_same_sweep(kernel, graph, make_state, order, **kw):
+    """``kernel.sweep`` returns and mutates what ``reference_sweep`` does."""
+    got_state, want_state = make_state(), make_state()
+    got = kernel.sweep(graph, got_state, order, RESOLUTION, **kw)
+    want = reference_sweep(graph, want_state, order, RESOLUTION, **kw)
+    for g, w in zip(got[:3], want[:3]):
+        assert g.tobytes() == w.tobytes()
+    assert got[3] == want[3]
+    for field in ("assignments", "cluster_weights", "cluster_sizes"):
+        g, w = getattr(got_state, field), getattr(want_state, field)
+        assert g.tobytes() == w.tobytes(), field
+    return got
+
+
 def _python(code: str, cache: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(cache))
     return subprocess.run(
@@ -73,7 +91,7 @@ class TestLazyBuild:
             "from repro.kernels import KERNELS\n"
             "from repro.core.config import ClusteringConfig\n"
             "ClusteringConfig()\n"
-            "assert KERNELS['native'].library._function is None\n"
+            "assert KERNELS['native'].library._lib is None\n"
             "maps = open('/proc/self/maps').read()\n"
             "assert 'best_moves-' not in maps, 'library mapped at import'\n",
             tmp_path,
@@ -108,7 +126,7 @@ class TestLazyBuild:
             "got = KERNELS['native'].batch_moves(g, s, b, 0.05)\n"
             "want = reference_batch_moves(g, s, b, 0.05)\n"
             "assert got[1].tobytes() == want[1].tobytes()\n"
-            "assert KERNELS['native'].library._function is not None\n",
+            "assert KERNELS['native'].library._lib is not None\n",
             tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
@@ -148,7 +166,7 @@ class TestLazyBuild:
 
 class TestFallback:
     @pytest.mark.parametrize("compiler", ["repro-no-such-cc", "false"])
-    def test_warns_once_and_matches_vectorized(self, tmp_path, monkeypatch, compiler):
+    def test_warns_once_and_matches_reference(self, tmp_path, monkeypatch, compiler):
         # A missing compiler, then one whose every build fails.
         monkeypatch.setattr(native, "COMPILER", compiler)
         kernel = _kernel(tmp_path)
@@ -163,13 +181,17 @@ class TestFallback:
                 kernel.batch_moves(graph, state, batch, RESOLUTION, **kw)
                 for kw in calls
             ]
+            for escape in (True, False):
+                _assert_same_sweep(
+                    kernel, graph,
+                    lambda: ClusterState.from_assignments(graph, state.assignments),
+                    batch, allow_escape=escape,
+                )
         runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(runtime) == 1
         assert "native kernel unavailable" in str(runtime[0].message)
         for out, kw in zip(got, calls):
-            want = KERNELS["vectorized"].batch_moves(
-                graph, state, batch, RESOLUTION, **kw
-            )
+            want = reference_batch_moves(graph, state, batch, RESOLUTION, **kw)
             _assert_same(out, want)
         assert not any(tmp_path.iterdir())  # no library, no leftover temp
 
@@ -182,15 +204,20 @@ class TestThreads:
             rmat_graph(10, 8 * 2**10, seed=4),
             planted_partition_graph(600, seed=2).graph,
         ]
-        config = ClusteringConfig(resolution=RESOLUTION, seed=3)
-        serial = [cluster(g, config) for g in graphs]
+        # The default config runs the batch loop; parallel=False runs the
+        # sequential engine, which runs the sweep loop.
+        configs = [
+            ClusteringConfig(resolution=RESOLUTION, seed=3),
+            ClusteringConfig(resolution=RESOLUTION, seed=3, parallel=False),
+        ]
+        serial = [[cluster(g, c) for c in configs] for g in graphs]
         results = [[] for _ in range(4)]
         barrier = threading.Barrier(len(results))
 
         def work(i):
             barrier.wait()
             for _ in range(3):
-                results[i].append(cluster(graphs[i % 2], config))
+                results[i].append([cluster(graphs[i % 2], c) for c in configs])
 
         threads = [
             threading.Thread(target=work, args=(i,)) for i in range(len(results))
@@ -208,9 +235,10 @@ class TestThreads:
         for i, runs in enumerate(results):
             want = serial[i % 2]
             assert len(runs) == 3
-            for got in runs:
-                assert np.array_equal(got.assignments, want.assignments)
-                assert got.objective == want.objective
+            for run in runs:
+                for got, expected in zip(run, want):
+                    assert np.array_equal(got.assignments, expected.assignments)
+                    assert got.objective == expected.objective
 
 
 class TestPointerCache:
@@ -282,6 +310,34 @@ class TestKernelEdges:
         got = kernel.batch_moves(graph, state, batch, RESOLUTION)
         _assert_same(got, reference_batch_moves(graph, state, batch, RESOLUTION))
 
+    def test_out_of_range_sweep_id_raises(self):
+        graph, state, _ = _inputs()
+        order = np.asarray([0, graph.num_vertices], dtype=np.int64)
+        with pytest.raises(IndexError):
+            KERNELS["native"].sweep(graph, state, order, RESOLUTION)
+        # The scratch arrays were left clean for the next call.
+        _assert_same_sweep(
+            KERNELS["native"], graph,
+            lambda: ClusterState.from_assignments(graph, state.assignments),
+            np.arange(graph.num_vertices, dtype=np.int64),
+        )
+
+    def test_faulty_state_sweep_takes_the_dict_loop(self):
+        # Dropped, delayed and duplicated writes go through the wrapper's
+        # move_one, so both sweeps must mutate the state identically.
+        graph, state, batch = _inputs()
+
+        spec = "drop-move=0.2,stale-read=0.2,dup-move=0.2"
+
+        def faulty():
+            return FaultyClusterState(
+                ClusterState.from_assignments(graph, state.assignments),
+                FaultPlan.from_spec(spec, seed=5),
+            )
+
+        movers = _assert_same_sweep(KERNELS["native"], graph, faulty, batch)[0]
+        assert movers.size > 0
+
     def test_mismatched_array_sizes_raise(self):
         graph, state, batch = _inputs()
         short = ClusterState(
@@ -311,6 +367,17 @@ class TestKernelEdges:
         )
         got = KERNELS["native"].batch_moves(graph, view, strided, RESOLUTION)
         _assert_same(got, reference_batch_moves(graph, state, batch, RESOLUTION))
+
+        # A sweep must write into the view itself, not into a copy.
+        def strided_state():
+            wide = np.zeros((state.assignments.size, 2), dtype=np.int64)
+            wide[:, 0] = state.assignments
+            return ClusterState(
+                wide[:, 0], state.cluster_weights.copy(),
+                state.cluster_sizes.copy(), state.node_weights,
+            )
+
+        _assert_same_sweep(KERNELS["native"], graph, strided_state, strided)
 
 
 class TestObservability:

@@ -1,26 +1,23 @@
-"""Property tests: the vectorized and native kernels are bit-identical
-to the reference dict kernel.
+"""Property tests: the native kernel is bit-identical to the reference
+dict kernel.
 
-DESIGN.md §8's contract is *exact* equality, not tolerance: both fast
-kernels accumulate each S(v, c') segment in the same left-to-right CSR
-order as the dict loop, so every comparison here uses ``array_equal`` /
-``==`` on floats deliberately.  Coverage:
+DESIGN.md §8's contract is *exact* equality, not tolerance: the C loop
+accumulates each S(v, c') sum in the same left-to-right CSR order as
+the dict loop, so every comparison here is on bytes or ``==`` on floats
+deliberately.  Coverage:
 
 * direct ``batch_moves`` parity on adversarial hypothesis graphs
   (negative weights, self-clusters, escape and swap-avoidance variants);
-* ``sweep`` parity — the speculative confirm-continue replay must
-  reproduce the sequential dict sweep move-for-move, including the
-  mutated state;
-* end-to-end: every registry engine, on RMAT/LFR/planted workloads
-  across seeds and resolutions, produces identical assignments and
-  objective under every kernel;
+* ``sweep`` parity — the native sweep must reproduce the sequential
+  dict sweep move-for-move, including the mutated state;
+* end-to-end: every registry engine, on karate/RMAT/LFR/planted
+  workloads across seeds and resolutions, produces identical
+  assignments, objective and simulated time under every kernel;
 * the same end-to-end equivalence under fault injection — the sweep
-  kernel detects the ``FaultyClusterState`` wrapper and falls back, so
+  detects the ``FaultyClusterState`` wrapper and takes the dict loop, so
   injected hazards perturb every kernel identically;
-* the default ``cluster()`` config at a scale where most concurrency
-  windows take the segment path rather than the dict fallback, on
-  integer and fractional weights;
-* the row-chunked sort path, forced by shrinking the key bit budget.
+* the default ``cluster()`` config at a larger scale, on integer and
+  fractional weights.
 """
 
 import numpy as np
@@ -41,9 +38,6 @@ from repro.graphs.builders import graph_from_edges
 from repro.graphs.karate import karate_club_graph
 from repro.kernels import KERNELS
 from repro.kernels.reference import reference_batch_moves, reference_sweep
-from repro.kernels.sweep import speculative_sweep
-from repro.kernels import vectorized
-from repro.kernels.vectorized import VectorizedKernel, vectorized_batch_moves
 from repro.parallel.scheduler import SimulatedScheduler
 from repro.resilience import FaultPlan, ResilienceContext, ResiliencePolicy
 
@@ -82,26 +76,6 @@ def state_instance(draw):
     return graph, labels, lam
 
 
-def _assert_batch_parity(graph, state, batch, lam, escape, swap):
-    ref_t, ref_g = reference_batch_moves(
-        graph, state, batch, lam, allow_escape=escape, swap_avoidance=swap
-    )
-    # small_batch_work=0 forces the segment-reduction path even on tiny
-    # hypothesis graphs (the adaptive fallback would otherwise route them
-    # all through the reference kernel).
-    vec_t, vec_g = vectorized_batch_moves(
-        graph, state, batch, lam,
-        allow_escape=escape, swap_avoidance=swap, small_batch_work=0,
-    )
-    assert np.array_equal(ref_t, vec_t)
-    assert np.array_equal(ref_g, vec_g)
-    nat_t, nat_g = KERNELS["native"].batch_moves(
-        graph, state, batch, lam, allow_escape=escape, swap_avoidance=swap
-    )
-    assert ref_t.tobytes() == nat_t.tobytes()
-    assert ref_g.tobytes() == nat_g.tobytes()
-
-
 class TestBatchKernelEquivalence:
     @given(state_instance(), st.booleans(), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -109,79 +83,34 @@ class TestBatchKernelEquivalence:
         graph, labels, lam = instance
         state = ClusterState.from_assignments(graph, labels)
         batch = np.arange(graph.num_vertices, dtype=np.int64)
-        _assert_batch_parity(graph, state, batch, lam, escape, swap)
-
-    @given(state_instance())
-    @settings(max_examples=100, deadline=None)
-    def test_sweep_bit_identical(self, instance):
-        graph, labels, lam = instance
-        order = np.arange(graph.num_vertices, dtype=np.int64)
-        ref_state = ClusterState.from_assignments(graph, labels)
-        vec_state = ClusterState.from_assignments(graph, labels)
-        ref = reference_sweep(graph, ref_state, order, lam)
-        vec = speculative_sweep(graph, vec_state, order, lam)
-        for got, want in zip(vec, ref):
-            assert np.array_equal(np.asarray(got), np.asarray(want))
-        assert np.array_equal(ref_state.assignments, vec_state.assignments)
-        assert np.array_equal(
-            ref_state.cluster_weights, vec_state.cluster_weights
+        ref_t, ref_g = reference_batch_moves(
+            graph, state, batch, lam, allow_escape=escape, swap_avoidance=swap
         )
-        assert np.array_equal(ref_state.cluster_sizes, vec_state.cluster_sizes)
+        nat_t, nat_g = KERNELS["native"].batch_moves(
+            graph, state, batch, lam, allow_escape=escape, swap_avoidance=swap
+        )
+        assert ref_t.tobytes() == nat_t.tobytes()
+        assert ref_g.tobytes() == nat_g.tobytes()
 
-
-class TestChunkedSort:
-    """Batches whose packed keys exceed ``KEY_BITS`` sort in row chunks."""
-
-    @given(state_instance(), st.booleans(), st.booleans(), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_chunked_batch_moves_bit_identical(self, instance, escape, swap, data):
+    @given(state_instance(), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sweep_bit_identical(self, instance, escape, data):
         graph, labels, lam = instance
-        state = ClusterState.from_assignments(graph, labels)
-        batch = np.asarray(
+        order = np.asarray(
             data.draw(st.permutations(range(graph.num_vertices))), dtype=np.int64
         )
-        # n <= 16 and degree <= 15 keep one row within 8 bits, so every
-        # budget here is legal while whole batches need up to ~16 bits.
-        key_bits = data.draw(st.integers(min_value=8, max_value=12))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(vectorized, "KEY_BITS", key_bits)
-            _assert_batch_parity(graph, state, batch, lam, escape, swap)
-
-    def _sparse_instance(self):
-        # Rows 0, 3, 6 and 9 have no edges, so halving the batch puts
-        # zero-degree rows at chunk edges.
-        edges = np.asarray(
-            [(1, 2), (2, 4), (4, 5), (5, 7), (7, 8), (8, 1), (1, 4), (5, 8)],
-            dtype=np.int64,
+        ref_state = ClusterState.from_assignments(graph, labels)
+        nat_state = ClusterState.from_assignments(graph, labels)
+        ref = reference_sweep(graph, ref_state, order, lam, allow_escape=escape)
+        nat = KERNELS["native"].sweep(
+            graph, nat_state, order, lam, allow_escape=escape
         )
-        weights = np.asarray([1.5, -0.5, 2.0, 0.25, 1.0, -1.0, 0.75, 0.5])
-        graph = graph_from_edges(edges, weights=weights, num_vertices=10)
-        labels = np.asarray([0, 1, 1, 3, 4, 4, 6, 4, 1, 9], dtype=np.int64)
-        return graph, ClusterState.from_assignments(graph, labels)
-
-    @pytest.mark.parametrize("escape", [False, True])
-    @pytest.mark.parametrize("swap", [False, True])
-    def test_zero_degree_rows_at_chunk_edges(self, monkeypatch, escape, swap):
-        graph, state = self._sparse_instance()
-        batch = np.arange(graph.num_vertices, dtype=np.int64)
-        degrees = graph.offsets[batch + 1] - graph.offsets[batch]
-        monkeypatch.setattr(vectorized, "KEY_BITS", 7)
-        chunks = vectorized._row_chunks(degrees, int(degrees.sum()), 10)
-        assert len(chunks) > 1
-        assert any(degrees[r0] == 0 for r0, _, _ in chunks)
-        # Chunks tile the edge range in row order.
-        assert chunks[0][1] == 0 and chunks[-1][2] == degrees.sum()
-        assert all(a[2] == b[1] for a, b in zip(chunks, chunks[1:]))
-        _assert_batch_parity(graph, state, batch, 0.2, escape, swap)
-
-    def test_row_wider_than_budget_raises(self, monkeypatch):
-        graph, state = self._sparse_instance()
-        monkeypatch.setattr(vectorized, "KEY_BITS", 4)
-        with pytest.raises(ValueError, match="key bits"):
-            vectorized_batch_moves(
-                graph, state, np.arange(10, dtype=np.int64), 0.2,
-                small_batch_work=0,
-            )
+        for got, want in zip(nat[:3], ref[:3]):
+            assert got.tobytes() == want.tobytes()
+        assert nat[3] == ref[3]
+        for field in ("assignments", "cluster_weights", "cluster_sizes"):
+            got, want = getattr(nat_state, field), getattr(ref_state, field)
+            assert got.tobytes() == want.tobytes(), field
 
 
 def _run_engine(graph, engine, kernel, resolution, seed, plan=None):
@@ -262,40 +191,17 @@ def _knn_fractional(seed):
 
 
 class TestDefaultConfigParity:
-    """Kernel parity on the default ``cluster()`` config at segment scale.
-
-    ``TestEngineEquivalence``'s graphs are small enough that nearly every
-    one of the 32 asynchronous windows drops below ``SMALL_BATCH_WORK``
-    and takes the dict fallback; here most windows take the segment path.
-    """
+    """Kernel parity on the default ``cluster()`` config at a larger scale
+    than ``TestEngineEquivalence``'s graphs, on integer and fractional
+    weights."""
 
     @pytest.mark.parametrize(
-        "make_graph, integer_weights",
-        [
-            (lambda: rmat_graph(11, 8 * 2**11, seed=1), True),
-            (lambda: _knn_fractional(3), False),
-        ],
+        "make_graph",
+        [lambda: rmat_graph(11, 8 * 2**11, seed=1), lambda: _knn_fractional(3)],
         ids=["rmat11", "knn-fractional"],
     )
-    def test_default_config_bit_identical(
-        self, monkeypatch, make_graph, integer_weights
-    ):
+    def test_default_config_bit_identical(self, make_graph):
         graph = make_graph()
-        assert graph.has_integer_weights is integer_weights
-        calls = {"windows": 0, "fallbacks": 0}
-        batch_moves = VectorizedKernel.batch_moves
-        fallback = vectorized.reference_batch_moves
-
-        def counted_batch_moves(self, *args, **kwargs):
-            calls["windows"] += 1
-            return batch_moves(self, *args, **kwargs)
-
-        def counted_fallback(*args, **kwargs):
-            calls["fallbacks"] += 1
-            return fallback(*args, **kwargs)
-
-        monkeypatch.setattr(VectorizedKernel, "batch_moves", counted_batch_moves)
-        monkeypatch.setattr(vectorized, "reference_batch_moves", counted_fallback)
         results = {
             kernel: cluster(
                 graph, ClusteringConfig(resolution=0.05, seed=3, kernel=kernel)
@@ -308,4 +214,3 @@ class TestDefaultConfigParity:
             assert np.array_equal(ref.assignments, got.assignments), kernel
             assert ref.objective == got.objective
             assert ref.sim_time() == got.sim_time()
-        assert calls["fallbacks"] < calls["windows"]

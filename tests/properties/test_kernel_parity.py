@@ -1,4 +1,4 @@
-"""Property test: the vectorized batch kernel and the sequential
+"""Property test: the default batch kernel and the sequential
 single-vertex kernel always agree (targets and gains)."""
 
 import numpy as np

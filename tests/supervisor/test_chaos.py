@@ -23,7 +23,7 @@ CONFIG = ClusteringConfig(resolution=0.05, seed=7, num_workers=4)
 def _cell(**overrides) -> CellOutcome:
     base = dict(
         kind="transient", site="state-mutation", engine="relaxed",
-        kernel="vectorized", objective=10.0, baseline_objective=10.0,
+        kernel="native", objective=10.0, baseline_objective=10.0,
         rel_delta=0.0, degraded=False, injections=1, attempts=1,
         retries=0, fallbacks=0, salvaged=False, failure_log_size=0,
         violations=[],
@@ -50,7 +50,7 @@ class TestMatrix:
         report = chaos_matrix(
             karate, CONFIG,
             engines=["relaxed"],
-            kernels=["vectorized"],
+            kernels=["native"],
             seed=5,
             check_replay=False,
         )
@@ -82,11 +82,11 @@ class TestReport:
     def test_replay_failures_fail_the_report(self):
         report = ChaosReport(
             outcomes=[_cell()],
-            replay_failures=["relaxed/vectorized: diverged"],
+            replay_failures=["relaxed/native: diverged"],
             tolerance=0.15,
         )
         assert not report.ok
-        assert "relaxed/vectorized: diverged" in report.failures()
+        assert "relaxed/native: diverged" in report.failures()
 
     def test_summary_mentions_every_cell(self):
         cells = [_cell(), _cell(kind="cas-fail", site="atomics", degraded=True)]

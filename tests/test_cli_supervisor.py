@@ -73,7 +73,7 @@ class TestChaosCommand:
     def test_small_matrix_recovers(self, capsys):
         code = main([
             "chaos", "--karate",
-            "--engines", "relaxed", "--kernels", "vectorized",
+            "--engines", "relaxed", "--kernels", "native",
             "--kinds", "transient", "--no-replay",
         ])
         assert code == 0
