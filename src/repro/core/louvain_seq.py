@@ -51,12 +51,7 @@ def _sequential_sweep(
     Returns ``(movers, origins, targets, total_gain)``.
     """
     movers, origins, targets, total_gain = get_kernel(kernel).sweep(
-        graph,
-        state,
-        order,
-        resolution,
-        allow_escape=allow_escape,
-        instr=getattr(sched, "instr", None),
+        graph, state, order, resolution, allow_escape=allow_escape
     )
     if sched is not None:
         degrees = graph.offsets[order + 1] - graph.offsets[order]

@@ -82,7 +82,6 @@ class MoveKernel:
         resolution: float,
         *,
         allow_escape: bool = True,
-        instr=None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """One sequential sweep of immediate best moves over ``order``.
 

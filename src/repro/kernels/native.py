@@ -346,9 +346,7 @@ class NativeKernel(MoveKernel):
             swap_avoidance=swap_avoidance,
         )
 
-    def sweep(
-        self, graph, state, order, resolution, *, allow_escape=True, instr=None
-    ):
+    def sweep(self, graph, state, order, resolution, *, allow_escape=True):
         lib = self.library.load()
         # The C loop commits as ``ClusterState.move_one`` does, with the
         # graph's node weights, into the arrays it reads; any other state
@@ -392,5 +390,5 @@ class NativeKernel(MoveKernel):
                     float(total_gain[0]),
                 )
         return reference_sweep(
-            graph, state, order, resolution, allow_escape=allow_escape, instr=instr
+            graph, state, order, resolution, allow_escape=allow_escape
         )

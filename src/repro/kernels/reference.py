@@ -129,7 +129,6 @@ def reference_sweep(
     order: np.ndarray,
     resolution: float,
     allow_escape: bool = True,
-    instr=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Vertex-at-a-time sweep with immediate moves (Algorithm 2's loop)."""
     movers: List[int] = []
@@ -192,9 +191,7 @@ class ReferenceKernel(MoveKernel):
             swap_avoidance=swap_avoidance,
         )
 
-    def sweep(
-        self, graph, state, order, resolution, *, allow_escape=True, instr=None
-    ):
+    def sweep(self, graph, state, order, resolution, *, allow_escape=True):
         return reference_sweep(
-            graph, state, order, resolution, allow_escape=allow_escape, instr=instr
+            graph, state, order, resolution, allow_escape=allow_escape
         )
