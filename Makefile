@@ -117,14 +117,16 @@ bench-dynamic:
 bench-backend:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_backend.py
 
-## Build the native kernel, failing when it cannot be built or either
-## entry point (batch, sweep) does not resolve (so CI never passes on the
-## reference fallback by accident), then run the kernel parity suite
+## Build the native library, failing when it cannot be built or any of
+## its five entry points (batch, sweep, commit, frontier, compression)
+## does not resolve (so CI never passes on the reference kernel and NumPy
+## paths by accident), then run the kernel and native-round parity suites
 ## with any RuntimeWarning an error.
 native-kernel:
 	$(PYTHON) -W error::RuntimeWarning -c "from repro.kernels import KERNELS; \
 	    lib = KERNELS['native'].library.load(); \
-	    assert lib is not None and lib.repro_best_moves and lib.repro_sweep"
+	    assert lib is not None and lib.repro_best_moves and lib.repro_sweep \
+	        and lib.repro_commit and lib.repro_neighbors and lib.repro_compress"
 	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning \
 	    tests/properties/test_kernel_equivalence.py \
 	    tests/core/test_kernels.py tests/core/test_native_kernel.py

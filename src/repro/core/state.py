@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.parallel.atomics import atomic_add_window
+from repro.kernels import native
+from repro.parallel.atomics import atomic_add_window, charge_atomic_window
 
 
 class ClusterState:
@@ -78,7 +79,9 @@ class ClusterState:
 
         Models the asynchronous setting's pair of atomic updates per mover
         (leave the old cluster, join the new one), charging CAS contention
-        for concurrent updates within this window.
+        for concurrent updates within this window.  The moves are applied
+        in C (:func:`repro.kernels.native.commit`) when the library loads,
+        and with NumPy otherwise; both give the same bits and charges.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
@@ -86,6 +89,13 @@ class ClusterState:
         moving = old != targets
         if not moving.any():
             return 0
+        committed = native.commit(self, vertices, targets)
+        if committed is not None:
+            moved, dec, inc = committed
+            if sched is not None:
+                charge_atomic_window(sched, moved, *dec, label="K-dec")
+                charge_atomic_window(sched, moved, *inc, label="K-inc")
+            return moved
         movers = vertices[moving]
         old = old[moving]
         new = targets[moving]

@@ -13,6 +13,14 @@ Two cost models are provided over the same result:
 * :func:`compress_graph_naive` — a non-work-efficient aggregation modelling
   implementations (NetworKit's, per the paper) that lack the parallel-sort
   compression; used by the PLM baseline and the compression ablation.
+
+Both build the edges the same way.  When the native library loads, one C
+call (:func:`repro.kernels.native.compress`) does two stable counting
+sorts of the inter-cluster arcs, by super-destination and then by
+super-source, and one merge pass that sums equal keys in arc order from
+0.0; that is ``np.bincount``'s order, so the result is bit-identical to
+the NumPy semisort path below, which runs without a compiler.  The
+charges come from :mod:`repro.parallel.sorting`'s cost model either way.
 """
 
 from __future__ import annotations
@@ -22,7 +30,12 @@ from typing import Tuple
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.parallel.sorting import naive_group_aggregate, parallel_semisort_aggregate
+from repro.kernels import native
+from repro.parallel.sorting import (
+    charge_naive_aggregate,
+    charge_semisort,
+    parallel_semisort_aggregate,
+)
 
 
 def _relabel_dense(assignments: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -56,59 +69,64 @@ def _compress(
         sched.charge(work=float(3 * n), depth=np.log2(max(n, 2)), label="compress-nodes")
 
     if graph.num_directed_edges:
-        # Semisort key construction: map each directed edge's endpoints to
-        # super-vertex ids.
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.offsets))
-        csrc = vertex_to_super[src]
-        cdst = vertex_to_super[graph.neighbors]
-        intra = csrc == cdst
-        if intra.any():
-            # Each undirected intra-cluster edge appears twice in the
-            # directed arrays, so halve the directed sum.
-            self_loops += (
-                np.bincount(csrc[intra], weights=graph.weights[intra], minlength=n_super)
-                / 2.0
-            )
-        keys = csrc[~intra] * np.int64(n_super) + cdst[~intra]
-        weights = graph.weights[~intra]
+        quotient = native.compress(graph, vertex_to_super, n_super, self_loops)
+        if quotient is None:
+            quotient = _aggregate_edges(graph, vertex_to_super, n_super, self_loops)
+        offsets, new_dst, sums, inter = quotient
+        # The semisort charges its inter-cluster arcs (none: no charge).
         if work_efficient:
-            unique_keys, sums = parallel_semisort_aggregate(
-                keys, weights, sched=sched, label="compress-semisort"
-            )
+            charge_semisort(sched, inter, label="compress-semisort")
         else:
-            unique_keys, sums = naive_group_aggregate(
-                keys, weights, n_super, sched=sched, label="compress-naive"
-            )
-        new_src = (unique_keys // n_super).astype(np.int64)
-        new_dst = (unique_keys % n_super).astype(np.int64)
-        offsets = np.zeros(n_super + 1, dtype=np.int64)
-        counts = np.bincount(new_src, minlength=n_super)
-        np.cumsum(counts, out=offsets[1:])
-        compressed = CSRGraph(
-            offsets,
-            new_dst,
-            sums,
-            self_loops=self_loops,
-            node_weights=node_weights,
-            node_weight_sq=node_weight_sq,
-            validate=False,
-        )
+            charge_naive_aggregate(sched, inter, n_super, label="compress-naive")
     else:
         offsets = np.zeros(n_super + 1, dtype=np.int64)
-        compressed = CSRGraph(
-            offsets,
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.float64),
-            self_loops=self_loops,
-            node_weights=node_weights,
-            node_weight_sq=node_weight_sq,
-            validate=False,
-        )
+        new_dst = np.zeros(0, dtype=np.int64)
+        sums = np.zeros(0, dtype=np.float64)
+    compressed = CSRGraph(
+        offsets,
+        new_dst,
+        sums,
+        self_loops=self_loops,
+        node_weights=node_weights,
+        node_weight_sq=node_weight_sq,
+        validate=False,
+    )
     if graph.repairs is not None:
         # Repair provenance rides the coarsening so multilevel runs keep
         # reporting stats_dict()["input_repairs"] at every level.
         compressed.repairs = dict(graph.repairs)
     return compressed, vertex_to_super
+
+
+def _aggregate_edges(graph, vertex_to_super, n_super, self_loops):
+    """The NumPy path of the edge aggregation: a semisort over
+    ``(super-source, super-destination)`` keys.
+
+    Returns ``(offsets, neighbors, weights, inter-cluster arcs)`` and adds
+    the halved intra-cluster sums to ``self_loops`` in place.
+    """
+    n = graph.num_vertices
+    # Semisort key construction: map each directed edge's endpoints to
+    # super-vertex ids.
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.offsets))
+    csrc = vertex_to_super[src]
+    cdst = vertex_to_super[graph.neighbors]
+    intra = csrc == cdst
+    if intra.any():
+        # Each undirected intra-cluster edge appears twice in the
+        # directed arrays, so halve the directed sum.
+        self_loops += (
+            np.bincount(csrc[intra], weights=graph.weights[intra], minlength=n_super)
+            / 2.0
+        )
+    keys = csrc[~intra] * np.int64(n_super) + cdst[~intra]
+    unique_keys, sums = parallel_semisort_aggregate(keys, graph.weights[~intra])
+    new_src = (unique_keys // n_super).astype(np.int64)
+    new_dst = (unique_keys % n_super).astype(np.int64)
+    offsets = np.zeros(n_super + 1, dtype=np.int64)
+    counts = np.bincount(new_src, minlength=n_super)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, new_dst, sums, int(keys.size)
 
 
 def compress_graph(

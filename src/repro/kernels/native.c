@@ -1,5 +1,5 @@
 /*
- * Native BEST-MOVES kernels (DESIGN.md section 8).
+ * Native BEST-MOVES round (DESIGN.md section 8).
  *
  * `evaluate` finds one vertex's best move against the current state,
  * following reference_single_move (kernels/reference.py) operation for
@@ -24,6 +24,15 @@
  *     move at once, as reference_sweep does through
  *     ClusterState.move_one.
  *
+ * Three more run the rest of a round, each matching its NumPy path bit
+ * for bit:
+ *
+ *   - repro_commit applies one concurrency window of moves
+ *     (ClusterState.apply_moves) and counts its fetch-and-add contention;
+ *   - repro_neighbors is the frontier's neighbor set (edge_map);
+ *   - repro_compress builds the quotient graph's edges
+ *     (graphs/quotient.py) with two counting sorts and a merge.
+ *
  * Build with -ffp-contract=off and never -ffast-math: additions must be
  * neither reordered nor fused for the results to be bit-identical.
  *
@@ -31,7 +40,7 @@
  * vertices, that the state arrays cover `num_clusters >= num_vertices`
  * cluster ids, and that `acc` and `seen` hold zeros over every cluster id
  * on entry.  `evaluate` resets only the entries it touched, so they hold
- * zeros again on return.  Both entry points return -1 when a visited
+ * zeros again on return.  Every entry point returns -1 when a visited
  * vertex or a label is out of range.
  */
 #include <math.h>
@@ -284,4 +293,276 @@ int64_t repro_sweep(
     }
     *out_total_gain = total;
     return moved;
+}
+
+/* Counts one fetch-and-add window: the movers' `clusters` in `counts`,
+ * which it leaves all zeros, into stats[0] (distinct clusters) and
+ * stats[1] (the longest queue). */
+static void contention(
+    const int64_t *clusters, const int64_t *origins, const int64_t *targets,
+    int64_t size, int64_t *counts, int64_t *stats)
+{
+    int64_t distinct = 0;
+    int64_t longest = 0;
+    for (int64_t i = 0; i < size; ++i) {
+        if (origins[i] != targets[i]) {
+            const int64_t q = ++counts[clusters[i]];
+            distinct += q == 1;
+            if (q > longest) {
+                longest = q;
+            }
+        }
+    }
+    for (int64_t i = 0; i < size; ++i) {
+        counts[clusters[i]] = 0;
+    }
+    stats[0] = distinct;
+    stats[1] = longest;
+}
+
+/*
+ * Commits one concurrency window: every vertices[i] whose label differs
+ * from targets[i] moves there, as ClusterState.apply_moves does with
+ * NumPy, in four steps:
+ *
+ *   - reads every origin before writing any label, keeping them in
+ *     `origins` (window-sized scratch);
+ *   - sets the movers' labels, in window order;
+ *   - applies all decrements, then all increments, to cluster_weights in
+ *     window order, which is np.add.at's order, and then moves the sizes;
+ *   - counts each fetch-and-add window's updates per cluster in `counts`
+ *     (zeros over every cluster id on entry, and again on return).
+ *
+ * `stats` receives the distinct clusters and the longest queue of the
+ * decrement window, then of the increment window.  Returns the number of
+ * movers, or -1, before changing anything, when an id is out of range.
+ */
+int64_t repro_commit(
+    const int64_t *vertices,
+    const int64_t *targets,
+    int64_t size,
+    int64_t *assignments,
+    double *cluster_weights,
+    int64_t *cluster_sizes,
+    const double *node_weights,
+    int64_t num_vertices,
+    int64_t num_clusters,
+    int64_t *origins,
+    int64_t *counts,
+    int64_t *stats)
+{
+    int64_t moved = 0;
+    for (int64_t i = 0; i < size; ++i) {
+        const int64_t v = vertices[i];
+        if (v < 0 || v >= num_vertices || targets[i] < 0
+            || targets[i] >= num_clusters || assignments[v] < 0
+            || assignments[v] >= num_clusters) {
+            return -1;
+        }
+        origins[i] = assignments[v];
+        moved += origins[i] != targets[i];
+    }
+    for (int64_t i = 0; i < size; ++i) {
+        if (origins[i] != targets[i]) {
+            assignments[vertices[i]] = targets[i];
+        }
+    }
+    for (int64_t i = 0; i < size; ++i) {
+        if (origins[i] != targets[i]) {
+            cluster_weights[origins[i]] += -node_weights[vertices[i]];
+        }
+    }
+    for (int64_t i = 0; i < size; ++i) {
+        if (origins[i] != targets[i]) {
+            cluster_weights[targets[i]] += node_weights[vertices[i]];
+        }
+    }
+    for (int64_t i = 0; i < size; ++i) {
+        if (origins[i] != targets[i]) {
+            cluster_sizes[origins[i]] -= 1;
+            cluster_sizes[targets[i]] += 1;
+        }
+    }
+    contention(origins, origins, targets, size, counts, stats);
+    contention(targets, origins, targets, size, counts, stats + 2);
+    return moved;
+}
+
+/*
+ * The distinct neighbors of the frontier `ids`, ascending, into `out`:
+ * one pass sets every neighbor's bit in the bitmap `marks` (all zeros on
+ * entry, and again on return), and one ascending scan over its words
+ * collects and clears the set bits, 64 vertices per word, so a small
+ * frontier does not pay a byte per vertex.  That is np.unique's order
+ * over the gathered neighbors.  `*gathered` receives the number of
+ * neighbors gathered, duplicates included.  Returns the number of
+ * distinct neighbors.
+ */
+int64_t repro_neighbors(
+    const int64_t *offsets,
+    const int64_t *neighbors,
+    int64_t num_vertices,
+    const int64_t *ids,
+    int64_t size,
+    uint64_t *marks,
+    int64_t *out,
+    int64_t *gathered)
+{
+    int64_t total = 0;
+    int64_t status = 0;
+    for (int64_t i = 0; i < size; ++i) {
+        const int64_t v = ids[i];
+        if (v < 0 || v >= num_vertices) {
+            status = -1;
+            break;
+        }
+        for (int64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+            const int64_t u = neighbors[e];
+            marks[u >> 6] |= (uint64_t)1 << (u & 63);
+        }
+        total += offsets[v + 1] - offsets[v];
+    }
+    /* The scan clears every mark, even after a bad id. */
+    int64_t count = 0;
+    const int64_t words = (num_vertices + 63) >> 6;
+    for (int64_t w = 0; w < words; ++w) {
+        uint64_t bits = marks[w];
+        if (bits) {
+            marks[w] = 0;
+            do {
+                out[count++] = (w << 6) + __builtin_ctzll(bits);
+                bits &= bits - 1;
+            } while (bits);
+        }
+    }
+    *gathered = total;
+    return status < 0 ? status : count;
+}
+
+/* One arc in the compression's counting sorts: a class and a weight. */
+struct arc {
+    int64_t key;
+    double weight;
+};
+
+/*
+ * The edges of the quotient graph whose vertices are the `num_super`
+ * classes of `labels`, as graphs/quotient.py builds them with
+ * np.unique and np.bincount, without a comparison sort:
+ *
+ *   - one pass over the arcs in CSR order counts the inter-class arcs per
+ *     class destination and source, and adds each intra-class arc's
+ *     weight to `intra`, from 0.0 in arc order;
+ *   - a stable counting sort by destination class moves each
+ *     inter-class arc's source class and weight into `by_dst`;
+ *   - a stable counting sort by source class, over the destination
+ *     buckets in order, moves its destination class and weight into
+ *     `edges`, which leaves the arcs ordered by (source, destination) and
+ *     then by arc position;
+ *   - one merge pass sums equal (source, destination) runs in place, each
+ *     sum from 0.0 in arc order, which is np.bincount's order, and writes
+ *     the rows' bounds into `out_offsets`.
+ *
+ * `dst_starts` (num_super + 1 entries), `out_offsets` and `intra` hold
+ * zeros on entry; `by_dst` and `edges` hold at least one entry per
+ * arc.  When an arc is intra-class, `self_loops[c]` gains `intra[c] / 2.0`
+ * for every class.  `*inter` receives the number of inter-class arcs.
+ * Returns the number of quotient edges, which are the first entries of
+ * `edges`.
+ */
+int64_t repro_compress(
+    const int64_t *offsets,
+    const int64_t *neighbors,
+    const double *weights,
+    int64_t num_vertices,
+    const int64_t *labels,
+    int64_t num_super,
+    int64_t *dst_starts,
+    struct arc *by_dst,
+    double *intra,
+    double *self_loops,
+    int64_t *out_offsets,
+    struct arc *edges,
+    int64_t *inter)
+{
+    /* Count: dst_starts[d + 1] and out_offsets[s + 1] per bucket. */
+    int any_intra = 0;
+    for (int64_t v = 0; v < num_vertices; ++v) {
+        const int64_t s = labels[v];
+        if (s < 0 || s >= num_super) {
+            return -1;
+        }
+        for (int64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+            const int64_t d = labels[neighbors[e]];
+            if (d < 0 || d >= num_super) {
+                return -1;
+            }
+            if (d == s) {
+                intra[s] += weights[e];
+                any_intra = 1;
+            } else {
+                ++dst_starts[d + 1];
+                ++out_offsets[s + 1];
+            }
+        }
+    }
+    for (int64_t c = 0; c < num_super; ++c) {
+        dst_starts[c + 1] += dst_starts[c];
+        out_offsets[c + 1] += out_offsets[c];
+    }
+    const int64_t total = dst_starts[num_super];
+
+    /* Sort by destination: dst_starts[d] advances to bucket d's end. */
+    for (int64_t v = 0; v < num_vertices; ++v) {
+        const int64_t s = labels[v];
+        for (int64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+            const int64_t d = labels[neighbors[e]];
+            if (d != s) {
+                struct arc *a = &by_dst[dst_starts[d]++];
+                a->key = s;
+                a->weight = weights[e];
+            }
+        }
+    }
+
+    /* Sort by source, destination buckets in order: out_offsets[s]
+     * advances to row s's end, which is where row s + 1 starts. */
+    int64_t begin = 0;
+    for (int64_t d = 0; d < num_super; ++d) {
+        const int64_t end = dst_starts[d];
+        for (int64_t i = begin; i < end; ++i) {
+            struct arc *a = &edges[out_offsets[by_dst[i].key]++];
+            a->key = d;
+            a->weight = by_dst[i].weight;
+        }
+        begin = end;
+    }
+
+    /* Merge equal runs in place, row by row. */
+    int64_t kept = 0;
+    begin = 0;
+    for (int64_t s = 0; s < num_super; ++s) {
+        const int64_t end = out_offsets[s];
+        const int64_t row = kept;
+        for (int64_t i = begin; i < end; ++i) {
+            if (kept > row && edges[kept - 1].key == edges[i].key) {
+                edges[kept - 1].weight += edges[i].weight;
+            } else {
+                edges[kept].key = edges[i].key;
+                edges[kept].weight = 0.0 + edges[i].weight;
+                ++kept;
+            }
+        }
+        out_offsets[s] = row;
+        begin = end;
+    }
+    out_offsets[num_super] = kept;
+
+    if (any_intra) {
+        for (int64_t c = 0; c < num_super; ++c) {
+            self_loops[c] += intra[c] / 2.0;
+        }
+    }
+    *inter = total;
+    return kept;
 }

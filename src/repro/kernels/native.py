@@ -1,4 +1,4 @@
-"""Native BEST-MOVES kernels: ``native.c`` through ``ctypes``.
+"""The native BEST-MOVES round: ``native.c`` through ``ctypes``.
 
 The paper's implementation (§3) and Grappolo run the per-vertex
 accumulate-and-argmax loop in native code.  ``native.c`` is that loop,
@@ -11,6 +11,13 @@ share it: one ``ctypes`` call evaluates a whole concurrency window
 (``batch_moves``), and one runs a whole sequential sweep with immediate
 commits (``sweep``, Algorithm 2's inner loop).
 
+Three more entry points run the rest of a round, each bit-identical to
+the NumPy code it replaces, which stays as the no-compiler path and the
+test oracle: :func:`commit` (``ClusterState.apply_moves``),
+:func:`neighbors` (``edge_map``) and :func:`compress` (the quotient
+graph's edges).  They return ``None`` when the library does not load,
+and the caller runs its NumPy path.
+
 The shared library is built lazily, on first use, never at import:
 
 * ``gcc -O2 -ffp-contract=off -fPIC -shared``, never ``-ffast-math``, so
@@ -22,11 +29,11 @@ The shared library is built lazily, on first use, never at import:
 * through a unique temp file and ``os.replace``, so pool workers and
   parallel test runs never load a half-written library.
 
-With no compiler, or when the build fails, the kernel warns once with a
-``RuntimeWarning`` and delegates to the ``reference`` dict loops, which
-is legal because the two are bit-identical.  The foreign calls release
-the GIL, so the dense scratch arrays are per thread.  ``single_move``
-keeps the reference dict loop.
+With no compiler, or when the build fails, :data:`LIBRARY` warns once
+with a ``RuntimeWarning``; the kernel then delegates to the
+``reference`` dict loops, which is legal because the two are
+bit-identical.  The foreign calls release the GIL, so scratch arrays are
+per thread.  ``single_move`` keeps the reference dict loop.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.state import ClusterState
 from repro.kernels.base import GAIN_EPS, MoveKernel
 from repro.kernels.reference import (
     reference_batch_moves,
@@ -62,19 +68,25 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
 _INT = ctypes.c_int
-#: Both entry points start with the seven graph/state pointers, the
-#: vertex and cluster-id counts, the visit list and its length, the
-#: resolution and GAIN_EPS; then come flags, scratch and output pointers.
+#: The two kernel entry points start with the seven graph/state
+#: pointers, the vertex and cluster-id counts, the visit list and its
+#: length, the resolution and GAIN_EPS; then come flags, scratch and
+#: output pointers.
 _HEAD = [_P] * 7 + [_I64, _I64, _P, _I64, ctypes.c_double, ctypes.c_double]
 SIGNATURES = {
     "repro_best_moves": _HEAD + [_INT, _INT] + [_P] * 5,
     "repro_sweep": _HEAD + [_INT] + [_P] * 7,
+    "repro_commit": [_P, _P, _I64] + [_P] * 4 + [_I64, _I64] + [_P] * 3,
+    "repro_neighbors": [_P, _P, _I64, _P, _I64] + [_P] * 3,
+    "repro_compress": [_P, _P, _P, _I64, _P, _I64] + [_P] * 7,
 }
 #: dtypes of graph.offsets / neighbors / weights / node_weights and
 #: state.assignments / cluster_weights / cluster_sizes, read in place.
 _INPUT_DTYPES = (
     np.int64, np.int64, np.float64, np.float64, np.int64, np.float64, np.int64,
 )
+#: ``struct arc`` in native.c: one class id and one weight.
+_ARC = np.dtype([("key", np.int64), ("weight", np.float64)])
 
 
 def default_cache_dirs():
@@ -129,11 +141,11 @@ def build(compiler: str, target: Path) -> None:
 
 
 class NativeLibrary:
-    """The compiled kernels, loaded once per process on first use.
+    """The compiled library, loaded once on first use.
 
-    ``load()`` returns the ``ctypes`` library with both entry points
-    bound, or ``None`` after warning once that it cannot be built or
-    loaded.
+    ``load()`` returns the ``ctypes`` library with every entry point in
+    :data:`SIGNATURES` bound, or ``None`` after warning once that it
+    cannot be built or loaded.
     """
 
     def __init__(self, cache_dirs=None) -> None:
@@ -152,7 +164,8 @@ class NativeLibrary:
                         self._failed = True
                         warnings.warn(
                             f"native kernel unavailable ({exc}); using the "
-                            "bit-identical reference kernel instead",
+                            "bit-identical reference kernel and NumPy "
+                            "paths instead",
                             RuntimeWarning,
                             stacklevel=3,
                         )
@@ -183,6 +196,11 @@ class NativeLibrary:
                 function.restype = ctypes.c_int64
             return lib
         raise OSError("; ".join(errors))
+
+
+#: The process's library: the default kernel and the round's commit,
+#: frontier and compression all load it.
+LIBRARY = NativeLibrary()
 
 
 def _describe(exc: Exception) -> str:
@@ -264,7 +282,7 @@ class NativeKernel(MoveKernel):
     name = "native"
 
     def __init__(self, library: Optional[NativeLibrary] = None) -> None:
-        self.library = library if library is not None else NativeLibrary()
+        self.library = library if library is not None else LIBRARY
         self._local = _ThreadScratch()
 
     def _bind(self, graph, state) -> tuple:
@@ -347,6 +365,8 @@ class NativeKernel(MoveKernel):
         )
 
     def sweep(self, graph, state, order, resolution, *, allow_escape=True):
+        from repro.core.state import ClusterState  # it imports this module
+
         lib = self.library.load()
         # The C loop commits as ``ClusterState.move_one`` does, with the
         # graph's node weights, into the arrays it reads; any other state
@@ -392,3 +412,177 @@ class NativeKernel(MoveKernel):
         return reference_sweep(
             graph, state, order, resolution, allow_escape=allow_escape
         )
+
+
+class _Zeros(threading.local):
+    """One thread's all-zero scratch arrays for the round's C calls.
+
+    ``counts`` (:func:`commit`'s per-cluster contention counters) and
+    ``marks`` (:func:`neighbors`' bitmap, one bit per vertex) hold zeros
+    between calls, because the C loops clear what they set.
+    """
+
+    def __init__(self) -> None:
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.marks = np.zeros(0, dtype=np.uint64)
+
+    def reserve(self, name: str, size: int) -> np.ndarray:
+        array = getattr(self, name)
+        if array.size < size:
+            array = np.zeros(max(size, 2 * array.size), dtype=array.dtype)
+            setattr(self, name, array)
+        return array
+
+
+_ZEROS = _Zeros()
+
+
+def _usable(array, dtype) -> bool:
+    """Whether C may read and write ``array`` in place."""
+    return array.dtype == dtype and array.flags.c_contiguous
+
+
+def commit(state, vertices, targets):
+    """Apply one window of moves to ``state`` in C.
+
+    Bit-identical to the NumPy body of ``ClusterState.apply_moves``:
+    labels, then all decrements and then all increments of
+    ``cluster_weights`` in window order (``np.add.at``'s order), then
+    sizes.  Returns ``(moved, dec, inc)``, where ``dec`` and ``inc`` are
+    the ``(retries, longest queue)`` of the two fetch-and-add windows, or
+    ``None`` when the caller must run the NumPy path: no library, state
+    arrays C cannot update in place, or an out-of-range id (left for
+    NumPy to handle as it always has).
+    """
+    lib = LIBRARY.load()
+    if lib is None or vertices.shape != targets.shape or vertices.ndim != 1:
+        return None
+    assignments = state.assignments
+    cluster_weights = state.cluster_weights
+    cluster_sizes = state.cluster_sizes
+    node_weights = state.node_weights
+    if not (
+        _usable(assignments, np.int64)
+        and _usable(cluster_weights, np.float64)
+        and _usable(cluster_sizes, np.int64)
+        and _usable(node_weights, np.float64)
+        and node_weights.size >= assignments.size
+    ):
+        return None
+    vertices = np.ascontiguousarray(vertices, dtype=np.int64)
+    targets = np.ascontiguousarray(targets, dtype=np.int64)
+    clusters = min(cluster_weights.size, cluster_sizes.size)
+    origins = np.empty(vertices.size, dtype=np.int64)
+    stats = np.empty(4, dtype=np.int64)
+    moved = lib.repro_commit(
+        vertices.ctypes.data,
+        targets.ctypes.data,
+        vertices.size,
+        assignments.ctypes.data,
+        cluster_weights.ctypes.data,
+        cluster_sizes.ctypes.data,
+        node_weights.ctypes.data,
+        assignments.size,
+        clusters,
+        origins.ctypes.data,
+        _ZEROS.reserve("counts", clusters).ctypes.data,
+        stats.ctypes.data,
+    )
+    if moved < 0:
+        return None
+    dec_distinct, dec_longest, inc_distinct, inc_longest = stats.tolist()
+    return (
+        moved,
+        (moved - dec_distinct, dec_longest),
+        (moved - inc_distinct, inc_longest),
+    )
+
+
+def neighbors(graph, ids):
+    """The distinct neighbors of ``ids`` in ``graph``, ascending, in C.
+
+    Returns ``(neighbors, gathered)``, where ``gathered`` counts every
+    neighbor of every id, duplicates included; ``None`` without the
+    library or when the CSR arrays are not int64 and contiguous.
+    """
+    lib = LIBRARY.load()
+    offsets, adjacency = graph.offsets, graph.neighbors
+    if lib is None or not (
+        _usable(offsets, np.int64) and _usable(adjacency, np.int64)
+    ):
+        return None
+    n = offsets.size - 1
+    if n < 0 or adjacency.size != offsets[-1]:
+        raise ValueError("native frontier: CSR array sizes do not match")
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    out = np.empty(n, dtype=np.int64)
+    gathered = np.empty(1, dtype=np.int64)
+    count = lib.repro_neighbors(
+        offsets.ctypes.data,
+        adjacency.ctypes.data,
+        n,
+        ids.ctypes.data,
+        ids.size,
+        _ZEROS.reserve("marks", (n + 63) // 64).ctypes.data,
+        out.ctypes.data,
+        gathered.ctypes.data,
+    )
+    if count < 0:
+        raise IndexError("native frontier: vertex id out of range")
+    return out[:count], int(gathered[0])
+
+
+def compress(graph, labels, num_super: int, self_loops):
+    """The quotient graph's edges over the classes ``labels``, in C.
+
+    Bit-identical to the NumPy semisort path of ``graphs.quotient``: the
+    same ``offsets``, ``neighbors`` and ``weights``, and ``self_loops``
+    (updated in place) gains the halved intra-class sums.  Returns
+    ``(offsets, neighbors, weights, inter-class arcs)``, or ``None``
+    without the library.  The scratch is allocated per call.
+    """
+    lib = LIBRARY.load()
+    if lib is None or not _usable(self_loops, np.float64):
+        return None
+    offsets = np.ascontiguousarray(graph.offsets, dtype=np.int64)
+    adjacency = np.ascontiguousarray(graph.neighbors, dtype=np.int64)
+    weights = np.ascontiguousarray(graph.weights, dtype=np.float64)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    m = adjacency.size
+    if not (
+        labels.size == offsets.size - 1
+        and weights.size == m == offsets[-1]
+        and self_loops.size == num_super
+    ):
+        raise ValueError("native compress: graph and label sizes do not match")
+    dst_starts = np.zeros(num_super + 1, dtype=np.int64)
+    by_dst = np.empty(m, dtype=_ARC)
+    intra = np.zeros(num_super, dtype=np.float64)
+    out_offsets = np.zeros(num_super + 1, dtype=np.int64)
+    edges = np.empty(m, dtype=_ARC)
+    inter = np.empty(1, dtype=np.int64)
+    kept = lib.repro_compress(
+        offsets.ctypes.data,
+        adjacency.ctypes.data,
+        weights.ctypes.data,
+        offsets.size - 1,
+        labels.ctypes.data,
+        num_super,
+        dst_starts.ctypes.data,
+        by_dst.ctypes.data,
+        intra.ctypes.data,
+        self_loops.ctypes.data,
+        out_offsets.ctypes.data,
+        edges.ctypes.data,
+        inter.ctypes.data,
+    )
+    if kept < 0:
+        raise IndexError("native compress: label out of range")
+    del by_dst
+    edges = edges[:kept]
+    return (
+        out_offsets,
+        np.ascontiguousarray(edges["key"]),
+        np.ascontiguousarray(edges["weight"]),
+        int(inter[0]),
+    )

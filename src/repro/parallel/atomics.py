@@ -8,8 +8,12 @@ window, those fetch-and-adds queue on a single cache line — the effect the
 paper identifies as the cause of poor PAR-MOD scaling on twitter
 (Appendix C: average cluster size up to 2.08e7).
 
-This module computes, for a batch of concurrent updates, the per-location
-queue lengths used by :meth:`SimulatedScheduler.charge_cas_contention`.
+This module computes, for a window of concurrent updates, the retries and
+longest queue that :meth:`SimulatedScheduler.charge_cas_contention`
+charges.  :func:`atomic_add_window` is the NumPy path; the default commit
+(``ClusterState.apply_moves``) applies its windows in C and gets the same
+two integers from there, then charges them through
+:func:`charge_atomic_window` exactly as this path does.
 """
 
 from __future__ import annotations
@@ -44,6 +48,38 @@ def contention_profile(targets: np.ndarray) -> Tuple[np.ndarray, int]:
     return counts.astype(np.int64), int(counts.max())
 
 
+def charge_atomic_window(
+    sched, size: int, total_retries: int, max_queue: int, label: str
+) -> None:
+    """Charge one window of ``size`` concurrent fetch-and-adds.
+
+    In order: the updates' work, their CAS attempts (instrumentation),
+    the contention of ``total_retries`` retries queued at most
+    ``max_queue`` deep, and any CAS failures the fault plan injects.
+    """
+    sched.charge(work=float(size), depth=1.0, label=label, items=int(size))
+    instr = getattr(sched, "instr", None)
+    if instr is not None and instr.enabled:
+        # Every update in the window issues one atomic RMW; retries on
+        # top of these are counted by charge_cas_contention below.
+        from repro.obs.instrument import M_CAS_ATTEMPTS
+
+        instr.count(M_CAS_ATTEMPTS, float(size), site=label)
+    sched.charge_cas_contention(
+        total_retries, max_queue, label=label + "-contention"
+    )
+    faults = getattr(sched, "faults", None)
+    if faults is not None:
+        # Injected CAS failures: each failed update retries once more,
+        # paying an extra contended-RMW round trip.  Values stay exact
+        # (fetch-and-add never loses increments); the hazard is time.
+        failures = faults.cas_failures(size)
+        if failures:
+            sched.charge_cas_contention(
+                failures, failures + 1, label=label + "-injected-cas"
+            )
+
+
 def atomic_add_window(
     values: np.ndarray,
     targets: np.ndarray,
@@ -64,26 +100,7 @@ def atomic_add_window(
         )
     np.add.at(values, targets, deltas)
     if sched is not None:
-        queues, _ = contention_profile(targets)
-        sched.charge(
-            work=float(targets.size), depth=1.0, label=label,
-            items=int(targets.size),
+        queues, max_queue = contention_profile(targets)
+        charge_atomic_window(
+            sched, targets.size, targets.size - queues.size, max_queue, label
         )
-        instr = getattr(sched, "instr", None)
-        if instr is not None and instr.enabled:
-            # Every update in the window issues one atomic RMW; retries on
-            # top of these are counted by charge_cas_contention below.
-            from repro.obs.instrument import M_CAS_ATTEMPTS
-
-            instr.count(M_CAS_ATTEMPTS, float(targets.size), site=label)
-        sched.charge_cas_contention(queues, label=label + "-contention")
-        faults = getattr(sched, "faults", None)
-        if faults is not None:
-            # Injected CAS failures: each failed update retries once more,
-            # paying an extra contended-RMW round trip.  Values stay exact
-            # (fetch-and-add never loses increments); the hazard is time.
-            failures = faults.cas_failures(targets.size)
-            if failures:
-                sched.charge_cas_contention(
-                    [failures + 1], label=label + "-injected-cas"
-                )

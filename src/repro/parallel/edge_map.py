@@ -3,8 +3,13 @@
 The paper uses EDGEMAP "to maintain the frontier of neighbors of moved
 vertices or of modified clusters in each step of BEST-MOVES" (Appendix B).
 Given a frontier ``S``, :func:`edge_map` returns the subset of neighbors of
-``S`` — in sparse mode by gathering adjacency slices, in dense mode by a
-mask pass over all edges — charging the direction-appropriate cost.
+``S``, charging the cost of the direction the Ligra rule picks: sparse
+(gather adjacency slices) or dense (a mask pass over all edges).
+
+When the native library loads, the neighbor set comes from one C
+bitmap gather whatever the direction
+(:func:`repro.kernels.native.neighbors`); the two NumPy directions below
+are the no-compiler path.  All three give the same sorted ids.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ import math
 
 import numpy as np
 
+from repro.kernels import native
 from repro.parallel.primitives import ragged_gather_indices
-from repro.parallel.vertex_subset import VertexSubset, should_densify
+from repro.parallel.vertex_subset import VertexSubset, observe_dedup, should_densify
 
 
 def _log2(n: int) -> float:
@@ -38,6 +44,17 @@ def edge_map(graph, frontier: VertexSubset, sched=None, label: str = "edge-map")
     ids = frontier.ids()
     if ids.size == 0:
         return VertexSubset.empty(n)
+    # A process backend (DESIGN.md §13) shards the sparse gather over real
+    # cores; that path stays NumPy.
+    backend = getattr(sched, "backend", None)
+    found = native.neighbors(graph, ids) if backend is None else None
+    if found is not None:
+        nbrs, deg_sum = found
+        dense = should_densify(ids.size, deg_sum, m)
+        _charge(sched, dense, n, m, ids.size, deg_sum, label)
+        if not dense:
+            observe_dedup(sched, deg_sum, nbrs.size)
+        return VertexSubset(n, ids=nbrs)
     degs = graph.offsets[ids + 1] - graph.offsets[ids]
     deg_sum = int(degs.sum())
     dense = should_densify(ids.size, deg_sum, m)
@@ -52,13 +69,10 @@ def edge_map(graph, frontier: VertexSubset, sched=None, label: str = "edge-map")
             np.arange(n, dtype=np.int64), np.diff(graph.offsets).astype(np.int64)
         )
         out_mask[src[hit]] = True
-        if sched is not None:
-            sched.charge(work=float(n + m), depth=_log2(n), label=label + "-dense")
+        _charge(sched, dense, n, m, ids.size, deg_sum, label)
         return VertexSubset(n, mask=out_mask)
-    # Sparse direction: gather adjacency slices of the frontier.  A
-    # process backend (DESIGN.md §13) shards the gather over real cores;
-    # the result is the same concatenated-in-CSR-order array.
-    backend = getattr(sched, "backend", None)
+    # Sparse direction: gather adjacency slices of the frontier; the
+    # result is the same concatenated-in-CSR-order array either way.
     if backend is not None:
         nbrs = backend.gather_neighbors(
             graph, ids, instr=getattr(sched, "instr", None)
@@ -66,8 +80,21 @@ def edge_map(graph, frontier: VertexSubset, sched=None, label: str = "edge-map")
     else:
         edge_idx, _ = ragged_gather_indices(graph.offsets, ids, lens=degs)
         nbrs = graph.neighbors[edge_idx]
-    if sched is not None:
-        sched.charge(
-            work=float(ids.size + deg_sum), depth=_log2(max(deg_sum, 2)), label=label + "-sparse"
-        )
+    _charge(sched, dense, n, m, ids.size, deg_sum, label)
     return VertexSubset.from_ids(n, nbrs, sched=sched)
+
+
+def _charge(
+    sched, dense: bool, n: int, m: int, frontier_size: int, deg_sum: int, label: str
+) -> None:
+    """Charge the direction's cost: dense O(n + m), sparse O(|S| + deg(S))."""
+    if sched is None:
+        return
+    if dense:
+        sched.charge(work=float(n + m), depth=_log2(n), label=label + "-dense")
+    else:
+        sched.charge(
+            work=float(frontier_size + deg_sum),
+            depth=_log2(max(deg_sum, 2)),
+            label=label + "-sparse",
+        )

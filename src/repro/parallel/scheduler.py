@@ -399,22 +399,18 @@ class SimulatedScheduler:
         if timeline is not None:
             timeline.barrier("round")
 
-    def charge_cas_contention(self, queue_lengths, label: str = "cas") -> None:
+    def charge_cas_contention(
+        self, total_retries: int, max_queue: int, label: str = "cas"
+    ) -> None:
         """Charge contention for concurrent CAS updates to shared counters.
 
-        ``queue_lengths`` holds, per contended location, the number of
-        concurrent updates in the current concurrency window.  A location
-        hit by ``q`` concurrent CASes serializes: the first succeeds, the
-        rest retry — ``q - 1`` retries of work and a serialized queue of
-        length ``q`` on the critical path of this window.
+        A location hit by ``q`` concurrent CASes in one concurrency window
+        serializes: the first succeeds, the rest retry.  ``total_retries``
+        is the window's sum of ``q - 1`` over its locations (updates minus
+        distinct locations), charged as work; ``max_queue`` is its longest
+        queue, charged on the critical path.  A window with no retries is
+        free.
         """
-        total_retries = 0.0
-        max_queue = 0.0
-        for q in queue_lengths:
-            if q > 1:
-                total_retries += q - 1
-                if q > max_queue:
-                    max_queue = q
         if total_retries > 0:
             self.charge(
                 work=CAS_COST * total_retries,
@@ -435,7 +431,7 @@ class SimulatedScheduler:
                     M_CAS_INJECTED if label.endswith("-injected-cas")
                     else M_CAS_RETRIES
                 )
-                instr.count(name, total_retries)
+                instr.count(name, float(total_retries))
                 instr.observe(M_ATOMIC_QUEUE, float(max_queue))
 
     def simulated_time(self, num_workers: Optional[int] = None) -> float:

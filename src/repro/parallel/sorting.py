@@ -6,6 +6,12 @@ polylogarithmic depth with an efficient parallel sort" (Section 4.2).  We
 model a parallel sample sort — work O(n log n), depth O(log^2 n) — and an
 integer semisort for key aggregation — work O(n), depth O(log n) w.h.p.
 (GBBS follows Gu–Shun–Sun–Blelloch semisort).
+
+Graph compression aggregates its edges in C when the native library
+loads (:func:`repro.kernels.native.compress`, two counting sorts and a
+merge); the NumPy aggregations here are then its no-compiler path and
+its test oracle, and :func:`charge_semisort` /
+:func:`charge_naive_aggregate` its cost model either way.
 """
 
 from __future__ import annotations
@@ -52,9 +58,14 @@ def parallel_semisort_aggregate(
         return keys.copy(), weights.copy()
     unique_keys, inverse = np.unique(keys, return_inverse=True)
     sums = np.bincount(inverse, weights=weights, minlength=unique_keys.size)
-    if sched is not None:
-        sched.charge(work=float(keys.size), depth=_log2(keys.size), label=label)
+    charge_semisort(sched, keys.size, label)
     return unique_keys, sums
+
+
+def charge_semisort(sched, size: int, label: str = "semisort") -> None:
+    """Charge a parallel semisort of ``size`` keys; nothing when empty."""
+    if sched is not None and size:
+        sched.charge(work=float(size), depth=_log2(size), label=label)
 
 
 def naive_group_aggregate(
@@ -75,14 +86,20 @@ def naive_group_aggregate(
     absurd.  The *returned values* are identical to the efficient variant.
     """
     unique_keys, sums = parallel_semisort_aggregate(keys, weights, sched=None)
+    charge_naive_aggregate(sched, keys.size, num_groups, label)
+    return unique_keys, sums
+
+
+def charge_naive_aggregate(
+    sched, size: int, num_groups: int, label: str = "naive-aggregate"
+) -> None:
+    """Charge :func:`naive_group_aggregate`'s surrogate cost for ``size`` keys."""
     if sched is not None:
-        n = keys.size
         sched.charge(
-            work=float(n) * max(1.0, _log2(max(num_groups, 2))) * 2.0,
-            depth=float(max(num_groups, 1)) ** 0.5 + _log2(n),
+            work=float(size) * max(1.0, _log2(max(num_groups, 2))) * 2.0,
+            depth=float(max(num_groups, 1)) ** 0.5 + _log2(size),
             label=label,
         )
-    return unique_keys, sums
 
 
 def parallel_integer_sort(

@@ -23,6 +23,25 @@ def should_densify(frontier_size: int, frontier_degree_sum: int, num_edges: int)
     return (frontier_size + frontier_degree_sum) > max(1, num_edges // DENSE_FRACTION)
 
 
+def observe_dedup(sched, gathered: int, distinct: int) -> None:
+    """Observe the EDGEMAP dedup of ``gathered`` ids down to ``distinct``.
+
+    Counts the duplicates removed and observes their fraction when
+    ``sched`` carries enabled instrumentation and ``gathered > 0``
+    (observe-only; the dedup's cost is charged by callers).
+    """
+    if sched is None or not gathered:
+        return
+    instr = getattr(sched, "instr", None)
+    if instr is not None and instr.enabled:
+        from repro.obs.instrument import M_DEDUP_HITS, M_DEDUP_RATE
+
+        hits = int(gathered - distinct)
+        if hits:
+            instr.count(M_DEDUP_HITS, float(hits))
+        instr.observe(M_DEDUP_RATE, hits / gathered)
+
+
 class VertexSubset:
     """A subset of ``[0, n)`` with sparse ids or a dense membership mask."""
 
@@ -55,21 +74,12 @@ class VertexSubset:
     def from_ids(n: int, ids: np.ndarray, sched=None) -> "VertexSubset":
         """Sparse subset from (possibly unsorted, possibly duplicated) ids.
 
-        When a scheduler with enabled instrumentation is passed, the
-        duplicate fraction removed here — the EDGEMAP dedup hit rate — is
-        observed (observe-only; the dedup's cost is charged by callers).
+        The duplicates removed here are the EDGEMAP dedup hits; see
+        :func:`observe_dedup`.
         """
         raw = np.asarray(ids, dtype=np.int64)
         unique = np.unique(raw)
-        if sched is not None and raw.size:
-            instr = getattr(sched, "instr", None)
-            if instr is not None and instr.enabled:
-                from repro.obs.instrument import M_DEDUP_HITS, M_DEDUP_RATE
-
-                hits = int(raw.size - unique.size)
-                if hits:
-                    instr.count(M_DEDUP_HITS, float(hits))
-                instr.observe(M_DEDUP_RATE, hits / raw.size)
+        observe_dedup(sched, raw.size, unique.size)
         return VertexSubset(n, ids=unique)
 
     @property

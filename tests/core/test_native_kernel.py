@@ -1,11 +1,16 @@
-"""The native kernel's loader: lazy build, cache, fallback and threads.
+"""The native library: lazy build, cache, fallback, threads, and the
+round's C commit, frontier and compression against their NumPy paths.
 
 Parity of the kernel itself against the dict oracle lives in
 ``tests/properties/test_kernel_equivalence.py``; these tests cover how
 the shared library is built, cached, loaded and shared, and when the
-sweep takes the dict loop.
+sweep takes the dict loop.  The oracle classes at the end run each
+native entry point, then the same call with the library's ``load()``
+returning ``None`` (the no-compiler path), and compare bytes, ledger
+regions and metrics.
 """
 
+import contextlib
 import gc
 import os
 import shutil
@@ -15,18 +20,27 @@ import threading
 import warnings
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.api import cluster
 from repro.core.config import ClusteringConfig
+from repro.core.engines import ENGINES, multilevel_with_engine
+from repro.core.objective import lambdacc_objective
 from repro.core.state import ClusterState
+from repro.generators.knn import knn_graph
+from repro.generators.lfr import lfr_like_graph
 from repro.generators.planted import planted_partition_graph
 from repro.generators.rmat import rmat_graph
 from repro.graphs.builders import graph_from_edges
+from repro.graphs.csr import CSRGraph
 from repro.graphs.karate import karate_club_graph
+from repro.graphs.quotient import compress_graph, compress_graph_naive
 from repro.kernels import KERNELS, native
 from repro.kernels.native import NativeKernel, NativeLibrary
 from repro.kernels.reference import (
@@ -34,7 +48,18 @@ from repro.kernels.reference import (
     reference_batch_moves,
     reference_sweep,
 )
-from repro.obs.instrument import M_KERNEL_SEGMENTS, Instrumentation
+from repro.obs.instrument import (
+    M_ATOMIC_QUEUE,
+    M_CAS_INJECTED,
+    M_CAS_RETRIES,
+    M_DEDUP_HITS,
+    M_DEDUP_RATE,
+    M_KERNEL_SEGMENTS,
+    Instrumentation,
+)
+from repro.parallel.edge_map import edge_map
+from repro.parallel.scheduler import CAS_COST, SimulatedScheduler
+from repro.parallel.vertex_subset import VertexSubset
 from repro.resilience import FaultPlan
 from repro.resilience.faults import FaultyClusterState
 
@@ -396,3 +421,334 @@ class TestObservability:
         )
         assert hist.total_count() == 1
         assert hist.total_sum() == pairs
+
+
+# ---------------------------------------------------------------------- #
+# The round's other entry points against their NumPy paths
+# ---------------------------------------------------------------------- #
+
+
+def _numpy_paths():
+    """The library unavailable: every caller takes its NumPy path."""
+    return mock.patch.object(native.LIBRARY, "load", return_value=None)
+
+
+def _regions(sched):
+    return [(r.label, r.work, r.depth, r.serial) for r in sched.ledger.regions()]
+
+
+def _both(call):
+    """``call(sched)`` natively, then on the NumPy paths, each with a fresh
+    instrumented scheduler; returns ``[(result, sched), (result, sched)]``."""
+    out = []
+    for context in (contextlib.nullcontext, _numpy_paths):
+        sched = SimulatedScheduler(num_workers=8, instr=Instrumentation())
+        with context():
+            out.append((call(sched), sched))
+    return out
+
+
+def _assert_same_ledgers(a, b):
+    assert _regions(a) == _regions(b)
+    assert a.instr.metrics.collect() == b.instr.metrics.collect()
+
+
+def _assert_same_quotient(got, want):
+    (g, g_map), (w, w_map) = got, want
+    assert g_map.tobytes() == w_map.tobytes()
+    for field in (
+        "offsets", "neighbors", "weights", "self_loops", "node_weights",
+        "node_weight_sq",
+    ):
+        a, b = getattr(g, field), getattr(w, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+@st.composite
+def labelled_graph(draw):
+    n = draw(st.integers(min_value=1, max_value=14))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40
+        )
+    )
+    weight = (
+        st.integers(-3, 3).map(float)
+        if draw(st.booleans())
+        else st.floats(min_value=-2.0, max_value=2.0, allow_subnormal=False)
+    )
+    weights = [draw(weight) for _ in pairs]
+    # Vertices past the largest endpoint and isolated ones have no arcs.
+    extra = draw(st.integers(0, 3))
+    graph = graph_from_edges(
+        np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
+        weights=np.asarray(weights) if weights else None,
+        num_vertices=n + extra,
+    )
+    # Labels with gaps and negatives, so the dense relabel matters.
+    labels = np.asarray(
+        draw(
+            st.lists(
+                st.integers(-4, 40),
+                min_size=graph.num_vertices,
+                max_size=graph.num_vertices,
+            )
+        ),
+        dtype=np.int64,
+    )
+    return graph, labels
+
+
+class TestNativeCompress:
+    @given(labelled_graph(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_bit_for_bit(self, instance, work_efficient):
+        graph, labels = instance
+        compress = compress_graph if work_efficient else compress_graph_naive
+        (got, a), (want, b) = _both(lambda sched: compress(graph, labels, sched))
+        _assert_same_quotient(got, want)
+        _assert_same_ledgers(a, b)
+
+    def test_fractional_weights_sum_in_arc_order(self):
+        # Many parallel arcs between two clusters whose sums depend on
+        # the addition order.
+        rng = np.random.default_rng(4)
+        edges = rng.integers(0, 60, size=(900, 2))
+        weights = rng.random(900) * 10.0 ** rng.integers(-8, 8, size=900)
+        graph = graph_from_edges(edges, weights=weights, num_vertices=64)
+        labels = rng.integers(0, 5, size=64) * 7
+        (got, a), (want, b) = _both(lambda s: compress_graph(graph, labels, s))
+        _assert_same_quotient(got, want)
+        _assert_same_ledgers(a, b)
+
+    def test_sums_start_from_positive_zero(self):
+        # bincount adds each key's weights to 0.0, so a lone -0.0 arc
+        # becomes +0.0; graph_from_edges would already normalise it.
+        graph = CSRGraph(
+            np.asarray([0, 2, 3, 4]), np.asarray([1, 2, 0, 0]),
+            np.asarray([-0.0, 1.0, -0.0, 1.0]),
+        )
+        labels = np.asarray([0, 1, 2])
+        (got, a), (want, b) = _both(lambda s: compress_graph(graph, labels, s))
+        _assert_same_quotient(got, want)
+        assert not np.signbit(got[0].weights).any()
+
+    def test_all_intra_charges_no_semisort(self):
+        graph = karate_club_graph()
+        labels = np.full(graph.num_vertices, 5, dtype=np.int64)
+        (got, a), (want, b) = _both(lambda s: compress_graph(graph, labels, s))
+        _assert_same_quotient(got, want)
+        _assert_same_ledgers(a, b)
+        assert got[0].num_directed_edges == 0
+        assert [r[0] for r in _regions(a)] == ["compress-nodes"]
+
+    def test_semisort_charges_inter_cluster_arcs(self):
+        graph = karate_club_graph()
+        labels = np.arange(graph.num_vertices) % 3
+        sched = SimulatedScheduler(num_workers=8)
+        quotient, _ = compress_graph(graph, labels, sched)
+        inter = int(
+            (labels[np.repeat(np.arange(34), np.diff(graph.offsets))]
+             != labels[graph.neighbors]).sum()
+        )
+        semisort = [r for r in _regions(sched) if r[0] == "compress-semisort"]
+        assert semisort[0][1] == float(inter)
+        assert quotient.num_directed_edges < inter
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_empty_graph(self, n):
+        graph = graph_from_edges(np.zeros((0, 2), dtype=np.int64), num_vertices=n)
+        labels = np.arange(n, dtype=np.int64)
+        (got, a), (want, b) = _both(lambda s: compress_graph(graph, labels, s))
+        _assert_same_quotient(got, want)
+        _assert_same_ledgers(a, b)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_labels_raise(self, bad):
+        graph = karate_club_graph()
+        labels = np.arange(graph.num_vertices, dtype=np.int64) % 3
+        labels[7] = bad
+        with pytest.raises(IndexError):
+            native.compress(graph, labels, 3, np.zeros(3))
+
+
+def _commit_state(rng, n=40, clusters=6):
+    # Fractional vertex weights of mixed magnitudes, so the order of the
+    # K_c updates shows in their bits.
+    graph = planted_partition_graph(n, seed=3).graph
+    magnitudes = np.random.default_rng(8)
+    graph = graph.with_node_weights(
+        magnitudes.random(n) * 10.0 ** magnitudes.integers(-4, 5, size=n)
+    )
+    return graph, ClusterState.from_assignments(
+        graph, rng.integers(0, clusters, size=graph.num_vertices)
+    )
+
+
+class TestNativeCommit:
+    def _compare(self, windows, plan_spec=None):
+        def run(sched):
+            sched.faults = (
+                FaultPlan.from_spec(plan_spec, seed=9) if plan_spec else None
+            )
+            graph, state = _commit_state(np.random.default_rng(2))
+            moved = [state.apply_moves(v, t, sched=sched) for v, t in windows]
+            return moved, state
+
+        (got, a), (want, b) = _both(run)
+        assert got[0] == want[0]
+        for field in ("assignments", "cluster_weights", "cluster_sizes"):
+            g, w = getattr(got[1], field), getattr(want[1], field)
+            assert g.tobytes() == w.tobytes(), field
+        _assert_same_ledgers(a, b)
+        return got[0], a
+
+    def test_repeated_origins_and_targets(self):
+        rng = np.random.default_rng(1)
+        windows = [
+            (rng.permutation(40)[:k], rng.integers(0, 3, size=k))
+            for k in (40, 25, 7, 1)
+        ]
+        moved, sched = self._compare(windows)
+        assert sum(moved) > 0
+        assert any(r[0] == "K-inc-contention" for r in _regions(sched))
+
+    def test_windows_without_movers(self):
+        graph, state = _commit_state(np.random.default_rng(2))
+        stay = np.arange(10, dtype=np.int64)
+        windows = [
+            (stay, state.assignments[stay].copy()),
+            (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+        ]
+        moved, sched = self._compare(windows)
+        assert moved == [0, 0]
+        assert _regions(sched) == []
+
+    def test_queue_maxima(self):
+        # Five movers from three origins into one target: the decrement
+        # window queues at most 2 deep, the increment window 5.
+        graph = karate_club_graph()
+        state = ClusterState.from_assignments(
+            graph, np.asarray([0, 0, 1, 1, 2] + [9] * 29, dtype=np.int64)
+        )
+        sched = SimulatedScheduler(num_workers=8, instr=Instrumentation())
+        moved = state.apply_moves(
+            np.arange(5), np.full(5, 30, dtype=np.int64), sched=sched
+        )
+        assert moved == 5
+        regions = {r[0]: r for r in _regions(sched)}
+        assert regions["K-dec-contention"][1:] == (2 * CAS_COST, 0.0, 2 * CAS_COST)
+        assert regions["K-inc-contention"][1:] == (4 * CAS_COST, 0.0, 5 * CAS_COST)
+        assert sched.instr.metrics.get(M_CAS_RETRIES).total() == 6.0
+        assert sched.instr.metrics.get(M_ATOMIC_QUEUE).total_sum() == 7.0
+
+    def test_injected_cas_failures(self):
+        rng = np.random.default_rng(5)
+        windows = [
+            (rng.permutation(40)[:k], rng.integers(0, 6, size=k))
+            for k in (40, 30, 20, 10)
+        ]
+        _, sched = self._compare(windows, plan_spec="cas-fail=0.5")
+        assert any(r[0].endswith("-injected-cas") for r in _regions(sched))
+        assert sched.instr.metrics.get(M_CAS_INJECTED).total() > 0
+
+    def test_strided_state_takes_the_numpy_path(self):
+        graph, state = _commit_state(np.random.default_rng(2))
+        strided = np.zeros((state.assignments.size, 2), dtype=np.int64)
+        strided[:, 0] = state.assignments
+        view = ClusterState(
+            strided[:, 0], state.cluster_weights, state.cluster_sizes,
+            state.node_weights,
+        )
+        assert native.commit(view, np.arange(3), np.zeros(3, np.int64)) is None
+        moved = view.apply_moves(np.arange(40), np.zeros(40, dtype=np.int64))
+        assert moved > 0 and np.all(strided[:, 0] == 0)
+
+
+class TestNativeFrontier:
+    @pytest.mark.parametrize("size", [1, 3, 60])
+    def test_sparse_and_dense_match_numpy(self, size):
+        graph = rmat_graph(8, 8 * 2**8, seed=3)
+        ids = np.random.default_rng(size).choice(256, size=size, replace=False)
+
+        def run(sched):
+            return edge_map(
+                graph, VertexSubset.from_ids(256, ids), sched=sched
+            ).ids()
+
+        (got, a), (want, b) = _both(run)
+        assert got.tobytes() == want.tobytes()
+        _assert_same_ledgers(a, b)
+        labels = [r[0] for r in _regions(a)]
+        assert labels == (["edge-map-dense"] if size == 60 else ["edge-map-sparse"])
+
+    def test_dedup_counts_on_the_sparse_path(self):
+        # Vertices 0 and 1 share their four neighbors; a long path keeps
+        # the frontier sparse.
+        edges = [(u, k) for u in (0, 1) for k in range(2, 6)]
+        edges += [(k, k + 1) for k in range(6, 199)]
+        graph = graph_from_edges(edges, num_vertices=200)
+        (got, a), (want, b) = _both(
+            lambda s: edge_map(graph, VertexSubset.from_ids(200, [0, 1]), sched=s)
+        )
+        assert got.ids().tolist() == want.ids().tolist() == [2, 3, 4, 5]
+        _assert_same_ledgers(a, b)
+        assert [r[0] for r in _regions(a)] == ["edge-map-sparse"]
+        assert a.instr.metrics.get(M_DEDUP_HITS).total() == 4
+        assert a.instr.metrics.get(M_DEDUP_RATE).total_sum() == 0.5
+
+    def test_dense_mask_frontier_and_isolated_rows(self):
+        graph = graph_from_edges([(0, 1), (1, 2)], num_vertices=6)
+        mask = np.asarray([True, False, True, False, True, True])
+        (got, a), (want, b) = _both(
+            lambda s: edge_map(graph, VertexSubset(6, mask=mask), sched=s).ids()
+        )
+        assert got.tolist() == want.tolist() == [1]
+        _assert_same_ledgers(a, b)
+
+    def test_out_of_range_id_raises_and_leaves_marks_clean(self):
+        graph = karate_club_graph()
+        with pytest.raises(IndexError):
+            native.neighbors(graph, np.asarray([0, 34]))
+        got, gathered = native.neighbors(graph, np.asarray([33]))
+        assert got.tolist() == sorted(graph.neighborhood(33)[0].tolist())
+        assert gathered == got.size
+
+
+def _knn(seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 3.0, size=(6, 8))
+    labels = rng.integers(0, 6, size=200)
+    return knn_graph(centers[labels] + rng.normal(size=(200, 8)), k=8)
+
+
+class TestNativeRoundEndToEnd:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize(
+        "make_graph",
+        [
+            karate_club_graph,
+            lambda: rmat_graph(7, 6 * 2**7, seed=2),
+            lambda: lfr_like_graph(150, mixing=0.3, seed=1).graph,
+            lambda: _knn(3),
+        ],
+        ids=["karate", "rmat", "lfr", "knn"],
+    )
+    def test_library_on_and_off_agree(self, engine, make_graph):
+        graph = make_graph()
+        config = ClusteringConfig(resolution=RESOLUTION, seed=3)
+
+        def run(sched):
+            labels, _ = multilevel_with_engine(
+                graph, RESOLUTION, config, engine=engine, sched=sched,
+                rng=np.random.default_rng(3),
+            )
+            return labels
+
+        (got, a), (want, b) = _both(run)
+        assert got.tobytes() == want.tobytes()
+        assert lambdacc_objective(graph, got, RESOLUTION) == lambdacc_objective(
+            graph, want, RESOLUTION
+        )
+        assert a.simulated_time(8) == b.simulated_time(8)
+        assert _regions(a) == _regions(b)

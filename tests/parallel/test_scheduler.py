@@ -117,14 +117,16 @@ class TestSimulatedScheduler:
 
     def test_cas_contention_charges(self):
         sched = SimulatedScheduler(num_workers=8)
-        sched.charge_cas_contention([5, 1, 3])
-        # 4 + 0 + 2 retries of work; max queue 5 serialized.
+        # Queues of 5, 1 and 3: 4 + 0 + 2 retries of work; max queue 5
+        # serialized.
+        sched.charge_cas_contention(6, 5)
         assert sched.ledger.total_work > 0
         assert sched.ledger.total_serial > 0
 
     def test_cas_no_contention_is_free(self):
         sched = SimulatedScheduler(num_workers=8)
-        sched.charge_cas_contention([1, 1, 1])
+        # Queues of 1, 1 and 1: no retries.
+        sched.charge_cas_contention(0, 1)
         assert sched.ledger.num_regions == 0
 
     def test_fork_and_absorb(self):
