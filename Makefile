@@ -118,18 +118,22 @@ bench-backend:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_backend.py
 
 ## Build the native library, failing when it cannot be built or any of
-## its five entry points (batch, sweep, commit, frontier, compression)
-## does not resolve (so CI never passes on the reference kernel and NumPy
-## paths by accident), then run the kernel and native-round parity suites
-## with any RuntimeWarning an error.
+## its five entry points does not resolve (so CI never passes on the
+## reference kernel and NumPy paths by accident): the three per-window
+## calls that take a binding (batch, sweep, commit) and the two that take
+## their arrays (frontier, compression).  Then run the kernel, binding and
+## native-round parity suites and the round-bookkeeping oracle with any
+## RuntimeWarning an error.
 native-kernel:
 	$(PYTHON) -W error::RuntimeWarning -c "from repro.kernels import KERNELS; \
 	    lib = KERNELS['native'].library.load(); \
-	    assert lib is not None and lib.repro_best_moves and lib.repro_sweep \
-	        and lib.repro_commit and lib.repro_neighbors and lib.repro_compress"
+	    assert lib is not None; \
+	    assert lib.repro_best_moves and lib.repro_sweep and lib.repro_commit; \
+	    assert lib.repro_neighbors and lib.repro_compress"
 	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning \
 	    tests/properties/test_kernel_equivalence.py \
-	    tests/core/test_kernels.py tests/core/test_native_kernel.py
+	    tests/core/test_kernels.py tests/core/test_native_kernel.py \
+	    tests/core/test_best_moves.py
 
 ## Run doctor over fresh instrumented runs: a batch clustering (health
 ## rules over stats/trace/metrics + registry trend history) and a dynamic

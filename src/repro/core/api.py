@@ -19,6 +19,7 @@ from repro.core.options import RunOptions
 from repro.core.louvain_par import parallel_cc
 from repro.core.louvain_seq import sequential_cc
 from repro.core.objective import (
+    intra_cluster_edge_weight,
     lambdacc_objective,
     modularity_graph,
     modularity_lambda,
@@ -194,7 +195,10 @@ def _finish_run(
     exec_backend,
 ) -> ClusterResult:
     """Score, audit, and package one finished clustering run."""
-    f_value = lambdacc_objective(working, dense, effective_lambda)
+    # The modularity graph shares the scored graph's edges and self-loops,
+    # so both objectives add their own penalty to one intra-cluster weight.
+    intra = intra_cluster_edge_weight(working, dense)
+    f_value = lambdacc_objective(working, dense, effective_lambda, intra=intra)
     if config.objective is Objective.MODULARITY:
         mod_value = f_value / total_weight
     elif total_weight > 0 and (
@@ -202,7 +206,7 @@ def _finish_run(
     ):
         mod_graph = modularity_graph(graph)
         mod_f = lambdacc_objective(
-            mod_graph, dense, modularity_lambda(graph, 1.0)
+            mod_graph, dense, modularity_lambda(graph, 1.0), intra=intra
         )
         mod_value = mod_f / total_weight
     else:

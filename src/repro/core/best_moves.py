@@ -15,6 +15,15 @@ Section 3.2.1:
   moves apply atomically between windows, with CAS contention charged per
   window.  Randomized window membership provides the symmetry breaking the
   paper credits for the asynchronous setting's quality.
+
+Both settings run one loop (synchronous mode is a single window).  Each
+window costs two foreign calls, the kernel through
+:func:`~repro.core.moves.compute_batch_moves` and the commit through
+``ClusterState.apply_moves``; the bookkeeping around them is per round:
+one degree profile gives every window's charge, each window's origins
+and targets go into round-sized arrays, and the movers are picked out
+once after the last window, in window order.  The round's gain is summed
+only when instrumentation is on.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import numpy as np
 
 from repro.core.config import ClusteringConfig, Mode
 from repro.core.frontier import next_frontier
-from repro.core.moves import compute_batch_moves, kernel_depth
+from repro.core.moves import compute_batch_moves, degree_profile, profile_depth
 from repro.core.state import ClusterState
 from repro.graphs.csr import CSRGraph
 from repro.obs.instrument import instr_of
@@ -59,8 +68,27 @@ def _windows(
     """
     if config.mode is Mode.SYNC:
         return [order]
+    # np.array_split's boundaries (the first ``extra`` windows are one
+    # longer), sliced directly: array_split costs ~2 us per window.
     num_windows = max(1, min(config.async_windows, order.size))
-    return np.array_split(order, num_windows)
+    each, extra = divmod(order.size, num_windows)
+    windows = []
+    start = 0
+    for i in range(num_windows):
+        end = start + each + (i < extra)
+        windows.append(order[start:end])
+        start = end
+    return windows
+
+
+def _round_gain(gains: np.ndarray, moving: np.ndarray, starts) -> float:
+    """The movers' gains, summed per window and then over the windows."""
+    total = 0.0
+    for start, end in zip(starts, list(starts[1:]) + [gains.size]):
+        window_moving = moving[start:end]
+        if window_moving.any():
+            total += float(gains[start:end][window_moving].sum())
+    return total
 
 
 def run_best_moves(
@@ -75,9 +103,11 @@ def run_best_moves(
     """Run BEST-MOVES in place on ``state``; returns iteration diagnostics."""
     stats = BestMovesStats()
     obs = instr_of(sched)
-    n = graph.num_vertices
+    sync = config.mode is Mode.SYNC
+    threshold = config.kernel_threshold
+    offsets = graph.offsets
     active = (
-        np.arange(n, dtype=np.int64)
+        np.arange(graph.num_vertices, dtype=np.int64)
         if initial_frontier is None
         else np.asarray(initial_frontier, dtype=np.int64)
     )
@@ -92,62 +122,70 @@ def run_best_moves(
             frontier=frontier_size,
         ) as round_span:
             order = rng.permutation(active) if rng is not None else active
-            movers_parts: List[np.ndarray] = []
-            origins_parts: List[np.ndarray] = []
-            targets_parts: List[np.ndarray] = []
-            round_gain = 0.0
+            windows = _windows(order, config)
+            starts = [0]
+            for window in windows[:-1]:
+                starts.append(starts[-1] + window.size)
+            # Bookkeeping is per round: one degree profile for every
+            # window, and each window's origins (read at its start, after
+            # the windows before it committed) and targets in round-sized
+            # arrays, from which the movers come after the last window.
+            profiles = degree_profile(
+                offsets[order + 1] - offsets[order], threshold, np.asarray(starts)
+            )
+            origins = np.empty(order.size, dtype=np.int64)
+            targets = np.empty(order.size, dtype=np.int64)
+            gains = np.empty(order.size, dtype=np.float64) if obs.enabled else None
             # Asynchronous windows run back to back with no barrier, so the
             # per-window kernels charge work only; one critical-path term per
             # iteration is charged below.  Synchronous mode has exactly one
             # window, whose depth is that term.
-            sync = config.mode is Mode.SYNC
-            for window in _windows(order, config):
-                targets, gains = compute_batch_moves(
+            for window, start, profile in zip(windows, starts, profiles):
+                end = start + window.size
+                origins[start:end] = state.assignments[window]
+                window_targets, window_gains = compute_batch_moves(
                     graph,
                     state,
                     window,
                     resolution,
                     sched=sched,
-                    kernel_threshold=config.kernel_threshold,
+                    kernel_threshold=threshold,
                     charge_depth=sync,
                     allow_escape=config.escape_moves,
                     swap_avoidance=sync,
                     kernel=config.kernel,
+                    profile=profile,
                 )
-                moving = targets != state.assignments[window]
-                if moving.any():
-                    movers_parts.append(window[moving])
-                    origins_parts.append(state.assignments[window[moving]])
-                    targets_parts.append(targets[moving])
-                    round_gain += float(gains[moving].sum())
-                state.apply_moves(window, targets, sched=sched)
+                targets[start:end] = window_targets
+                if gains is not None:
+                    gains[start:end] = window_gains
+                state.apply_moves(window, window_targets, sched=sched)
             if sched is not None and not sync:
-                degrees = graph.offsets[active + 1] - graph.offsets[active]
                 sched.charge(
                     work=0.0,
-                    depth=kernel_depth(degrees, config.kernel_threshold)
+                    depth=profile_depth(profiles)
                     + 2.0 * math.log2(max(graph.num_vertices, 2)),
                     label="best-moves-iter",
                 )
             stats.iterations += 1
-            round_moves = (
-                int(sum(part.size for part in movers_parts))
-                if movers_parts
-                else 0
+            moving = targets != origins
+            movers = order[moving]
+            round_moves = int(movers.size)
+            round_gain = (
+                _round_gain(gains, moving, starts) if gains is not None else 0.0
             )
             round_span.set(moves=round_moves, gain=round_gain)
             obs.record_round("relaxed", frontier_size, round_moves, round_gain)
-            if not movers_parts:
+            if round_moves == 0:
                 stats.converged = True
                 break
-            movers = np.concatenate(movers_parts)
-            stats.total_moves += int(movers.size)
+            stats.total_moves += round_moves
             active = next_frontier(
                 graph,
                 state.assignments,
                 movers,
-                np.concatenate(origins_parts),
-                np.concatenate(targets_parts),
+                origins[moving],
+                targets[moving],
                 config.frontier,
                 sched=sched,
             )

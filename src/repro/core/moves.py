@@ -28,7 +28,7 @@ bit-for-bit comparable across kernel choices.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -44,34 +44,73 @@ from repro.parallel.hash_table import (
 )
 
 
-def kernel_depth(degrees: np.ndarray, threshold: int) -> float:
-    """Critical-path depth of evaluating these vertices concurrently.
+#: One window's degree profile: ``(vertices, degree sum, parallel-branch
+#: vertices, parallel-branch degree sum, largest sequential-branch degree,
+#: largest parallel-branch degree)``; a largest degree is 0 when its
+#: branch is empty.
+Profile = Tuple[int, int, int, int, int, int]
 
-    Low-degree vertices use the sequential scan kernel (depth = degree);
-    high-degree vertices the parallel hash table (depth = O(log degree));
-    the batch's depth is the worst single-vertex kernel (Appendix B).
-    The parallel branch clamps to >= 1: a degree-1 vertex routed to the
+_ONE_WINDOW = np.zeros(1, dtype=np.int64)
+
+
+def degree_profile(
+    degrees: np.ndarray, threshold: int, starts: Optional[np.ndarray] = None
+) -> List[Profile]:
+    """The :data:`Profile` of each window of ``degrees``.
+
+    Windows are the consecutive non-empty runs beginning at ``starts``
+    (the whole array when ``None``); a round's windows cost one pass
+    each of ``np.add.reduceat`` and ``np.maximum.reduceat``.  Vertices
+    above ``threshold`` take the parallel hash-table branch (Appendix B).
+    Degrees are integers, so every sum is exact.
+    """
+    if starts is None:
+        sizes = [degrees.size]
+        starts = _ONE_WINDOW
+    else:
+        sizes = np.diff(starts, append=degrees.size).tolist()
+    sums = np.add.reduceat(degrees, starts).tolist()
+    par = degrees > threshold
+    if par.any():
+        par_degrees = np.where(par, degrees, 0)
+        par_counts = np.add.reduceat(par, starts, dtype=np.int64).tolist()
+        par_sums = np.add.reduceat(par_degrees, starts).tolist()
+        seq_maxima = np.maximum.reduceat(degrees - par_degrees, starts).tolist()
+        par_maxima = np.maximum.reduceat(par_degrees, starts).tolist()
+    else:
+        par_counts = par_sums = par_maxima = [0] * len(sizes)
+        seq_maxima = np.maximum.reduceat(degrees, starts).tolist()
+    return list(zip(sizes, sums, par_counts, par_sums, seq_maxima, par_maxima))
+
+
+def profile_depth(profiles: List[Profile]) -> float:
+    """Critical-path depth of evaluating the profiled windows' vertices
+    concurrently: the worst single-vertex kernel (Appendix B).
+
+    The sequential scan's depth is the degree, the parallel hash table's
+    ``2 log2(degree)``, clamped to >= 1: a degree-1 vertex routed to the
     hash-table kernel (possible only with ``threshold < 1``) still pays
     at least one step, not ``2*log2(1) = 0``.
     """
-    if degrees.size == 0:
-        return 1.0
-    par_mask = degrees > threshold
-    seq_depth = float(degrees[~par_mask].max()) if (~par_mask).any() else 0.0
+    seq_max = max(p[4] for p in profiles)
     par_depth = (
-        max(2.0 * math.log2(float(degrees[par_mask].max())), 1.0)
-        if par_mask.any()
+        max(2.0 * math.log2(float(max(p[5] for p in profiles))), 1.0)
+        if any(p[2] for p in profiles)
         else 0.0
     )
-    return max(seq_depth, par_depth, 1.0)
+    return max(float(seq_max), par_depth, 1.0)
+
+
+def kernel_depth(degrees: np.ndarray, threshold: int) -> float:
+    """Critical-path depth of evaluating these vertices concurrently
+    (:func:`profile_depth` of one window; 1 for no vertices)."""
+    if degrees.size == 0:
+        return 1.0
+    return profile_depth(degree_profile(degrees, threshold))
 
 
 def _charge_batch(
-    sched,
-    degrees: np.ndarray,
-    threshold: int,
-    label: str,
-    include_depth: bool = True,
+    sched, profile: Profile, label: str, include_depth: bool = True
 ) -> None:
     """Charge one batch's best-move cost under the dual-kernel model.
 
@@ -79,24 +118,17 @@ def _charge_batch(
     no barrier between concurrency windows, so the engine charges a single
     depth term per BEST-MOVES *iteration* instead of per window.
     """
-    if sched is None or degrees.size == 0:
-        return
-    deg_sum = float(degrees.sum())
-    par_mask = degrees > threshold
+    size, deg_sum, par_count, par_sum, _, _ = profile
     # ~5 ops per edge scanned (neighbor load, cluster-id load, hash insert,
     # weight accumulate) plus per-vertex gain arithmetic; an EDGEMAP scan
     # by contrast costs ~1 op per edge, which is why frontier maintenance
     # is cheap relative to move computation.
-    work = 5.0 * deg_sum + 8.0 * degrees.size
-    if par_mask.any():
-        par_deg = degrees[par_mask].astype(np.float64)
-        work += (PARALLEL_INSERT_COST - 1.0) * float(par_deg.sum())
-        work += TABLE_SLACK * float(par_deg.sum())
-    depth = kernel_depth(degrees, threshold) if include_depth else 0.0
-    sched.charge(work=work, depth=depth, label=label, items=int(degrees.size))
-    instr = getattr(sched, "instr", None)
-    if instr is not None and instr.enabled:
-        observe_table_metrics(instr, degrees, threshold, label=label)
+    work = 5.0 * float(deg_sum) + 8.0 * size
+    if par_count:
+        work += (PARALLEL_INSERT_COST - 1.0) * float(par_sum)
+        work += TABLE_SLACK * float(par_sum)
+    depth = profile_depth([profile]) if include_depth else 0.0
+    sched.charge(work=work, depth=depth, label=label, items=size)
 
 
 def compute_batch_moves(
@@ -111,6 +143,7 @@ def compute_batch_moves(
     allow_escape: bool = True,
     swap_avoidance: bool = False,
     kernel: str = DEFAULT_KERNEL,
+    profile: Optional[Profile] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Desired cluster per batch vertex against the current state snapshot.
 
@@ -119,7 +152,9 @@ def compute_batch_moves(
     cluster when no strict improvement exists) and ``gains[i] >= 0`` is the
     objective improvement (unordered ``F`` scale) of taking that move in
     isolation.  ``kernel`` selects the evaluation kernel; the cost charged
-    to ``sched`` is identical for every kernel.
+    to ``sched`` is identical for every kernel.  ``profile`` is the
+    batch's :func:`degree_profile` when the caller already has it (a
+    round profiles all its windows at once).
     """
     batch = np.asarray(batch, dtype=np.int64)
     if batch.size == 0:
@@ -154,8 +189,16 @@ def compute_batch_moves(
         )
     if instr is not None and instr.enabled:
         instr.observe(M_KERNEL_BATCH, float(batch.size), kernel=kernel)
-    degrees = graph.offsets[batch + 1] - graph.offsets[batch]
-    _charge_batch(sched, degrees, kernel_threshold, label, include_depth=charge_depth)
+    if sched is None:
+        return targets, gains
+    observe = instr is not None and instr.enabled
+    if profile is None or observe:
+        degrees = graph.offsets[batch + 1] - graph.offsets[batch]
+        if profile is None:
+            profile = degree_profile(degrees, kernel_threshold)[0]
+    _charge_batch(sched, profile, label, include_depth=charge_depth)
+    if observe:
+        observe_table_metrics(instr, degrees, kernel_threshold, label=label)
     return targets, gains
 
 

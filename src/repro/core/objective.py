@@ -23,6 +23,8 @@ Modularity: with ``k_v = d_v`` (weighted degree) and ``lambda = gamma /
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
@@ -51,12 +53,20 @@ def cluster_weight_penalty(graph: CSRGraph, assignments: np.ndarray) -> float:
 
 
 def lambdacc_objective(
-    graph: CSRGraph, assignments: np.ndarray, resolution: float
+    graph: CSRGraph,
+    assignments: np.ndarray,
+    resolution: float,
+    intra: Optional[float] = None,
 ) -> float:
-    """Unordered LambdaCC objective ``F(C)`` at the given ``lambda``."""
-    return intra_cluster_edge_weight(graph, assignments) - resolution * (
-        cluster_weight_penalty(graph, assignments)
-    )
+    """Unordered LambdaCC objective ``F(C)`` at the given ``lambda``.
+
+    ``intra`` is :func:`intra_cluster_edge_weight` when the caller already
+    has it: graphs that share their edges and self-loops (a graph and its
+    :func:`modularity_graph`) share it too.
+    """
+    if intra is None:
+        intra = intra_cluster_edge_weight(graph, assignments)
+    return intra - resolution * cluster_weight_penalty(graph, assignments)
 
 
 def cc_objective(graph: CSRGraph, assignments: np.ndarray, resolution: float) -> float:

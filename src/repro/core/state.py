@@ -81,21 +81,22 @@ class ClusterState:
         (leave the old cluster, join the new one), charging CAS contention
         for concurrent updates within this window.  The moves are applied
         in C (:func:`repro.kernels.native.commit`) when the library loads,
-        and with NumPy otherwise; both give the same bits and charges.
+        and with NumPy otherwise; both give the same bits and charges, and
+        a window without movers charges nothing.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
+        committed = native.commit(self, vertices, targets)
+        if committed is not None:
+            moved, dec, inc = committed
+            if moved and sched is not None:
+                charge_atomic_window(sched, moved, *dec, label="K-dec")
+                charge_atomic_window(sched, moved, *inc, label="K-inc")
+            return moved
         old = self.assignments[vertices]
         moving = old != targets
         if not moving.any():
             return 0
-        committed = native.commit(self, vertices, targets)
-        if committed is not None:
-            moved, dec, inc = committed
-            if sched is not None:
-                charge_atomic_window(sched, moved, *dec, label="K-dec")
-                charge_atomic_window(sched, moved, *inc, label="K-inc")
-            return moved
         movers = vertices[moving]
         old = old[moving]
         new = targets[moving]

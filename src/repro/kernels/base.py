@@ -14,7 +14,7 @@ whole batch of vertices) want to go, against the current state snapshot?"
   state mutations are bit-identical to the vertex-at-a-time loop.
 
 Kernels are pure evaluation: they never touch the simulated cost ledger.
-Charging (``kernel_depth`` / ``_charge_batch`` in
+Charging (``degree_profile`` / ``_charge_batch`` in
 :mod:`repro.core.moves`) happens in the engine-facing wrappers and is
 invoked identically for every kernel, which is what keeps
 ``sim_time_seconds`` bit-for-bit comparable across kernels (DESIGN.md

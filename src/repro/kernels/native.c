@@ -33,14 +33,21 @@
  *   - repro_compress builds the quotient graph's edges
  *     (graphs/quotient.py) with two counting sorts and a merge.
  *
+ * The three per-window entry points (repro_best_moves, repro_sweep and
+ * repro_commit) read the graph, the state and their scratch through a
+ * `struct binding` that the caller fills once per level and thread, so
+ * each call passes only its window, its settings and its outputs.
+ * repro_neighbors and repro_compress run once per round or level and
+ * take their arrays directly.
+ *
  * Build with -ffp-contract=off and never -ffast-math: additions must be
  * neither reordered nor fused for the results to be bit-identical.
  *
- * The caller guarantees that the graph is valid CSR over `num_vertices`
- * vertices, that the state arrays cover `num_clusters >= num_vertices`
- * cluster ids, and that `acc` and `seen` hold zeros over every cluster id
- * on entry.  `evaluate` resets only the entries it touched, so they hold
- * zeros again on return.  Every entry point returns -1 when a visited
+ * For repro_best_moves and repro_sweep the caller guarantees that the
+ * binding's graph is valid CSR over `num_vertices` vertices, that its
+ * state arrays cover `num_clusters >= num_vertices` cluster ids, and that
+ * `acc` and `seen` hold zeros over every cluster id on entry.  `evaluate`
+ * resets only the entries it touched, so they hold zeros again on return.  Every entry point returns -1 when a visited
  * vertex or a label is out of range.
  */
 #include <math.h>
@@ -53,24 +60,36 @@
 /* Neighbor labels prefetched per row in the last stage. */
 #define LABELS_PER_ROW 16
 
-/* The graph and state one call reads, its settings and its scratch. */
-struct view {
+/*
+ * The arrays one level's per-window calls read and write, bound once per
+ * level and thread: the graph, the state, the vertex and cluster-id
+ * counts, and this thread's scratch.  The layout is mirrored by
+ * `Binding` in native.py.  A commit binding leaves the graph's CSR
+ * pointers null and binds the state's own node weights; it needs only
+ * `counts` (zeros over every cluster id between calls).
+ */
+struct binding {
     const int64_t *offsets;
     const int64_t *neighbors;
     const double *weights;
     const double *node_weights;
-    const int64_t *assignments;
-    const double *cluster_weights;
-    const int64_t *cluster_sizes;
+    int64_t *assignments;
+    double *cluster_weights;
+    int64_t *cluster_sizes;
     int64_t num_vertices;
     int64_t num_clusters;
+    double *acc;
+    unsigned char *seen;
+    int64_t *touched;
+    int64_t *counts;
+};
+
+/* One call's settings. */
+struct settings {
     double resolution;
     double gain_eps;
     int allow_escape;
     int swap_avoidance;
-    double *acc;
-    unsigned char *seen;
-    int64_t *touched;
 };
 
 static void reset(
@@ -85,7 +104,8 @@ static void reset(
 /* Writes v's best target and its gain over staying; returns the number of
  * neighbor clusters evaluated, or -1 when v or a label is out of range. */
 static inline __attribute__((always_inline)) int64_t evaluate(
-    const struct view *s, int64_t v, int64_t *target, double *gain)
+    const struct binding *s, const struct settings *opt, int64_t v,
+    int64_t *target, double *gain)
 {
     const int64_t *assignments = s->assignments;
     const double *cluster_weights = s->cluster_weights;
@@ -112,7 +132,7 @@ static inline __attribute__((always_inline)) int64_t evaluate(
         acc[c] += s->weights[e];
     }
 
-    const double resolution = s->resolution;
+    const double resolution = opt->resolution;
     const int64_t current = assignments[v];
     const double k_v = s->node_weights[v];
     const double stay =
@@ -125,7 +145,7 @@ static inline __attribute__((always_inline)) int64_t evaluate(
         if (c == current) {
             continue;
         }
-        if (s->swap_avoidance && own_singleton && c > current
+        if (opt->swap_avoidance && own_singleton && c > current
             && cluster_sizes[c] == 1) {
             continue;
         }
@@ -139,12 +159,12 @@ static inline __attribute__((always_inline)) int64_t evaluate(
 
     double best_gain = stay;
     int64_t best_cluster = current;
-    if (best_ext_cluster >= 0 && best_ext_gain > stay + s->gain_eps) {
+    if (best_ext_cluster >= 0 && best_ext_gain > stay + opt->gain_eps) {
         best_gain = best_ext_gain;
         best_cluster = best_ext_cluster;
     }
-    if (s->allow_escape && cluster_sizes[v] == 0
-        && best_gain < -s->gain_eps) {
+    if (opt->allow_escape && cluster_sizes[v] == 0
+        && best_gain < -opt->gain_eps) {
         best_cluster = v;
         best_gain = 0.0;
     }
@@ -165,33 +185,29 @@ static inline __attribute__((always_inline)) int64_t evaluate(
  * weight, then its first neighbors' labels.  Prefetches change no value.
  */
 int64_t repro_best_moves(
-    const int64_t *offsets,
-    const int64_t *neighbors,
-    const double *weights,
-    const double *node_weights,
-    const int64_t *assignments,
-    const double *cluster_weights,
-    const int64_t *cluster_sizes,
-    int64_t num_vertices,
-    int64_t num_clusters,
+    const struct binding *bound,
     const int64_t *batch,
     int64_t batch_size,
     double resolution,
     double gain_eps,
     int allow_escape,
     int swap_avoidance,
-    double *acc,
-    unsigned char *seen,
-    int64_t *touched,
     int64_t *out_targets,
     double *out_gains)
 {
-    const struct view s = {
-        offsets, neighbors, weights, node_weights, assignments,
-        cluster_weights, cluster_sizes, num_vertices, num_clusters,
+    /* A local copy: writes through the scratch pointers cannot alias it,
+     * so its fields stay in registers. */
+    const struct binding s = *bound;
+    const struct settings opt = {
         resolution, gain_eps, allow_escape, swap_avoidance,
-        acc, seen, touched,
     };
+    const int64_t *offsets = s.offsets;
+    const int64_t *neighbors = s.neighbors;
+    const double *weights = s.weights;
+    const double *node_weights = s.node_weights;
+    const int64_t *assignments = s.assignments;
+    const double *cluster_weights = s.cluster_weights;
+    const int64_t *cluster_sizes = s.cluster_sizes;
     int64_t pairs = 0;
     for (int64_t i = 0; i < batch_size; ++i) {
         /* Inline on purpose: gcc -O2 drops a helper function whose only
@@ -221,7 +237,7 @@ int64_t repro_best_moves(
         }
 
         const int64_t count =
-            evaluate(&s, batch[i], &out_targets[i], &out_gains[i]);
+            evaluate(&s, &opt, batch[i], &out_targets[i], &out_gains[i]);
         if (count < 0) {
             return -1;
         }
@@ -239,41 +255,30 @@ int64_t repro_best_moves(
  * Returns the number of movers.
  */
 int64_t repro_sweep(
-    const int64_t *offsets,
-    const int64_t *neighbors,
-    const double *weights,
-    const double *node_weights,
-    int64_t *assignments,
-    double *cluster_weights,
-    int64_t *cluster_sizes,
-    int64_t num_vertices,
-    int64_t num_clusters,
+    const struct binding *bound,
     const int64_t *order,
     int64_t order_size,
     double resolution,
     double gain_eps,
     int allow_escape,
-    double *acc,
-    unsigned char *seen,
-    int64_t *touched,
     int64_t *out_movers,
     int64_t *out_origins,
     int64_t *out_targets,
     double *out_total_gain)
 {
-    const struct view s = {
-        offsets, neighbors, weights, node_weights, assignments,
-        cluster_weights, cluster_sizes, num_vertices, num_clusters,
-        resolution, gain_eps, allow_escape, 0,
-        acc, seen, touched,
-    };
+    const struct binding s = *bound;
+    const struct settings opt = {resolution, gain_eps, allow_escape, 0};
+    const double *node_weights = s.node_weights;
+    int64_t *assignments = s.assignments;
+    double *cluster_weights = s.cluster_weights;
+    int64_t *cluster_sizes = s.cluster_sizes;
     int64_t moved = 0;
     double total = 0.0;
     for (int64_t i = 0; i < order_size; ++i) {
         const int64_t v = order[i];
         int64_t target;
         double gain;
-        if (evaluate(&s, v, &target, &gain) < 0) {
+        if (evaluate(&s, &opt, v, &target, &gain) < 0) {
             return -1;
         }
         if (gain > 0.0) {
@@ -321,36 +326,39 @@ static void contention(
 }
 
 /*
- * Commits one concurrency window: every vertices[i] whose label differs
- * from targets[i] moves there, as ClusterState.apply_moves does with
- * NumPy, in four steps:
+ * Commits one concurrency window to the bound state: every vertices[i]
+ * whose label differs from targets[i] moves there, as
+ * ClusterState.apply_moves does with NumPy, in four steps:
  *
  *   - reads every origin before writing any label, keeping them in
  *     `origins` (window-sized scratch);
  *   - sets the movers' labels, in window order;
  *   - applies all decrements, then all increments, to cluster_weights in
  *     window order, which is np.add.at's order, and then moves the sizes;
- *   - counts each fetch-and-add window's updates per cluster in `counts`
- *     (zeros over every cluster id on entry, and again on return).
+ *   - counts each fetch-and-add window's updates per cluster in the
+ *     binding's `counts` (zeros over every cluster id on entry, and again
+ *     on return).
  *
  * `stats` receives the distinct clusters and the longest queue of the
  * decrement window, then of the increment window.  Returns the number of
  * movers, or -1, before changing anything, when an id is out of range.
+ * A window without movers returns 0 and leaves `stats` unwritten.
  */
 int64_t repro_commit(
+    const struct binding *b,
     const int64_t *vertices,
     const int64_t *targets,
     int64_t size,
-    int64_t *assignments,
-    double *cluster_weights,
-    int64_t *cluster_sizes,
-    const double *node_weights,
-    int64_t num_vertices,
-    int64_t num_clusters,
     int64_t *origins,
-    int64_t *counts,
     int64_t *stats)
 {
+    int64_t *assignments = b->assignments;
+    double *cluster_weights = b->cluster_weights;
+    int64_t *cluster_sizes = b->cluster_sizes;
+    const double *node_weights = b->node_weights;
+    const int64_t num_vertices = b->num_vertices;
+    const int64_t num_clusters = b->num_clusters;
+    int64_t *counts = b->counts;
     int64_t moved = 0;
     for (int64_t i = 0; i < size; ++i) {
         const int64_t v = vertices[i];
@@ -361,6 +369,9 @@ int64_t repro_commit(
         }
         origins[i] = assignments[v];
         moved += origins[i] != targets[i];
+    }
+    if (moved == 0) {
+        return 0;
     }
     for (int64_t i = 0; i < size; ++i) {
         if (origins[i] != targets[i]) {

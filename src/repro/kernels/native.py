@@ -18,6 +18,13 @@ test oracle: :func:`commit` (``ClusterState.apply_moves``),
 graph's edges).  They return ``None`` when the library does not load,
 and the caller runs its NumPy path.
 
+The three per-window calls (batch, sweep, commit) read the graph, the
+state and their scratch through a :class:`Binding`, built once per level
+and thread and checked by weak-reference identity on each call; a call
+then marshals only its window, its settings and its outputs, whose
+addresses :func:`_address` takes.  The frontier and the compression run
+once per round or level and pass their arrays directly.
+
 The shared library is built lazily, on first use, never at import:
 
 * ``gcc -O2 -ffp-contract=off -fPIC -shared``, never ``-ffast-math``, so
@@ -32,8 +39,8 @@ The shared library is built lazily, on first use, never at import:
 With no compiler, or when the build fails, :data:`LIBRARY` warns once
 with a ``RuntimeWarning``; the kernel then delegates to the
 ``reference`` dict loops, which is legal because the two are
-bit-identical.  The foreign calls release the GIL, so scratch arrays are
-per thread.  ``single_move`` keeps the reference dict loop.
+bit-identical.  The foreign calls release the GIL, so bindings and their
+scratch are per thread.  ``single_move`` keeps the reference dict loop.
 """
 
 from __future__ import annotations
@@ -68,15 +75,44 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
 _INT = ctypes.c_int
-#: The two kernel entry points start with the seven graph/state
-#: pointers, the vertex and cluster-id counts, the visit list and its
-#: length, the resolution and GAIN_EPS; then come flags, scratch and
-#: output pointers.
-_HEAD = [_P] * 7 + [_I64, _I64, _P, _I64, ctypes.c_double, ctypes.c_double]
+_F64 = ctypes.c_double
+
+
+class Binding(ctypes.Structure):
+    """``struct binding`` in native.c: what one level's window calls share.
+
+    The graph and state pointers, the vertex and cluster-id counts the C
+    loops bounds-check against, and one thread's scratch.  A kernel
+    binding fills every field but ``counts``; a commit binding leaves the
+    CSR pointers null and binds the state's own node weights and
+    ``counts``.
+    """
+
+    _fields_ = [
+        ("offsets", _P),
+        ("neighbors", _P),
+        ("weights", _P),
+        ("node_weights", _P),
+        ("assignments", _P),
+        ("cluster_weights", _P),
+        ("cluster_sizes", _P),
+        ("num_vertices", _I64),
+        ("num_clusters", _I64),
+        ("acc", _P),
+        ("seen", _P),
+        ("touched", _P),
+        ("counts", _P),
+    ]
+
+
+#: The three per-window entry points take a binding's address, then only
+#: what changes per call: the window and its size, the settings (the
+#: resolution, GAIN_EPS and flags) and the outputs.  The frontier and the
+#: compression run once per round or level and take their arrays.
 SIGNATURES = {
-    "repro_best_moves": _HEAD + [_INT, _INT] + [_P] * 5,
-    "repro_sweep": _HEAD + [_INT] + [_P] * 7,
-    "repro_commit": [_P, _P, _I64] + [_P] * 4 + [_I64, _I64] + [_P] * 3,
+    "repro_best_moves": [_P, _P, _I64, _F64, _F64, _INT, _INT, _P, _P],
+    "repro_sweep": [_P, _P, _I64, _F64, _F64, _INT] + [_P] * 4,
+    "repro_commit": [_P, _P, _P, _I64, _P, _P],
     "repro_neighbors": [_P, _P, _I64, _P, _I64] + [_P] * 3,
     "repro_compress": [_P, _P, _P, _I64, _P, _I64] + [_P] * 7,
 }
@@ -210,70 +246,108 @@ def _describe(exc: Exception) -> str:
     return str(exc)
 
 
-class _ThreadScratch(threading.local):
-    """One thread's dense scratch arrays and bound input pointers.
+_from_buffer = ctypes.c_char.from_buffer
+_addressof = ctypes.addressof
 
-    ``buffers`` are the C loop's ``acc``, ``seen`` and ``touched``; the
-    first two hold zeros between calls (the loop resets what it
-    touches).  ``inputs`` caches the seven graph/state pointers while
-    the same arrays come back, which is every window of a level.  The
-    arrays are held by weak reference, so the cache never keeps a
-    finished run's graph alive.
+
+def _address(array: np.ndarray) -> int:
+    """The address of a contiguous array's first byte, for one call.
+
+    ``c_char.from_buffer`` costs about a third of ``.ctypes.data``; it
+    refuses read-only and empty arrays, which take ``.ctypes.data``.
+    """
+    try:
+        return _addressof(_from_buffer(array))
+    except (TypeError, ValueError):
+        return array.ctypes.data
+
+
+class _Bound:
+    """One thread's :class:`Binding` of one set of arrays.
+
+    ``refs`` weakly references the arrays bound in place, so the binding
+    never keeps a finished run's graph or state alive; it is used only
+    while :meth:`holds` finds every one of them alive and identical,
+    which is every window of a level.  A binding of copies (arrays C
+    could not read in place) has no ``refs``, holds its copies in
+    ``copies`` and lasts one call.  ``scratch`` holds the scratch arrays
+    the binding points at.  ``out`` is a commit binding's output: four
+    contention integers, then room for a window's origins, grown to the
+    longest window committed and handed on to the next commit binding.
     """
 
-    def __init__(self) -> None:
-        self.refs = ()
-        self.inputs = ()
-        self.size = -1
-        self.buffers = ()
-        self.scratch = ()
+    __slots__ = (
+        "refs", "copies", "struct", "address", "scratch", "out", "out_address",
+    )
 
-    def bind(self, arrays) -> tuple:
-        """``(inputs, arrays read)``: the seven pointers plus the vertex
-        and cluster-id counts the C loop bounds-checks against.
-
-        Arrays already contiguous with the kernel's dtype are read in
-        place and their pointers cached.  Anything else is copied for
-        this call only, since a copy of the state would go stale.
-        """
-        usable = tuple(
-            np.ascontiguousarray(a, dtype=dt) for a, dt in zip(arrays, _INPUT_DTYPES)
-        )
-        offsets, neighbors, weights, node_weights, assignments, cw, sizes = usable
-        n = offsets.size - 1
-        if not (
-            n >= 0
-            and neighbors.size == weights.size == offsets[-1]
-            and node_weights.size >= n
-            and assignments.size >= n
-            and sizes.size >= cw.size >= n
-        ):
-            raise ValueError(
-                "native kernel: graph and state array sizes do not match"
-            )
-        inputs = tuple(a.ctypes.data for a in usable) + (n, cw.size)
-        if all(u is a for u, a in zip(usable, arrays)):
-            self.refs = tuple(weakref.ref(a) for a in arrays)
-            self.inputs = inputs
-        return inputs, usable
+    def __init__(self, arrays, copies, struct, scratch, out=None) -> None:
+        self.refs = None if copies else tuple(weakref.ref(a) for a in arrays)
+        self.copies = copies
+        self.struct = struct
+        self.address = ctypes.addressof(struct)
+        self.scratch = scratch
+        self.out = out
+        self.out_address = None if out is None else out.ctypes.data
 
     def holds(self, arrays) -> bool:
-        """Whether ``inputs`` points at exactly these (live) arrays."""
-        return len(self.refs) == len(arrays) and all(
-            ref() is a for ref, a in zip(self.refs, arrays)
-        )
+        """Whether this binding points at exactly these (live) arrays."""
+        refs = self.refs
+        if refs is None:
+            return False
+        for ref, array in zip(refs, arrays):
+            if ref() is not array:
+                return False
+        return True
 
-    def reserve(self, clusters: int) -> tuple:
-        """Scratch pointers covering cluster ids ``[0, clusters)``."""
-        if clusters > self.size:
-            size = max(clusters, 2 * self.size)
-            acc = np.zeros(size, dtype=np.float64)
-            seen = np.zeros(size, dtype=np.uint8)
-            touched = np.empty(size, dtype=np.int64)
-            self.size = size
-            self.buffers = (acc, seen, touched)
-            self.scratch = tuple(a.ctypes.data for a in self.buffers)
-        return self.scratch
+
+def _bind_kernel(arrays, previous: Optional[_Bound]) -> _Bound:
+    """A kernel binding of the seven graph/state ``arrays``.
+
+    Arrays already contiguous with the kernel's dtype are read in place;
+    anything else is copied, and the binding then lasts one call, since a
+    copy of the state would go stale.  The scratch (``acc``, ``seen``,
+    ``touched``, covering every cluster id) is ``previous``'s when it is
+    large enough; ``acc`` and ``seen`` hold zeros between calls, because
+    the C loop resets what it touches.
+    """
+    usable = tuple(
+        np.ascontiguousarray(a, dtype=dt) for a, dt in zip(arrays, _INPUT_DTYPES)
+    )
+    offsets, neighbors, weights, node_weights, assignments, cw, sizes = usable
+    n = offsets.size - 1
+    if not (
+        n >= 0
+        and neighbors.size == weights.size == offsets[-1]
+        and node_weights.size >= n
+        and assignments.size >= n
+        and sizes.size >= cw.size >= n
+    ):
+        raise ValueError("native kernel: graph and state array sizes do not match")
+    clusters = cw.size
+    scratch = previous.scratch if previous is not None else None
+    if scratch is None or scratch[0].size < clusters:
+        size = max(clusters, 2 * scratch[0].size if scratch else 0)
+        scratch = (
+            np.zeros(size, dtype=np.float64),
+            np.zeros(size, dtype=np.uint8),
+            np.empty(size, dtype=np.int64),
+        )
+    struct = Binding(
+        *(a.ctypes.data for a in usable),
+        n,
+        clusters,
+        *(a.ctypes.data for a in scratch),
+        None,
+    )
+    in_place = all(u is a for u, a in zip(usable, arrays))
+    return _Bound(arrays, None if in_place else usable, struct, scratch)
+
+
+class _KernelLocal(threading.local):
+    """One thread's kernel binding (``None`` until the first call)."""
+
+    def __init__(self) -> None:
+        self.bound: Optional[_Bound] = None
 
 
 class NativeKernel(MoveKernel):
@@ -283,15 +357,11 @@ class NativeKernel(MoveKernel):
 
     def __init__(self, library: Optional[NativeLibrary] = None) -> None:
         self.library = library if library is not None else LIBRARY
-        self._local = _ThreadScratch()
+        self._local = _KernelLocal()
 
-    def _bind(self, graph, state) -> tuple:
-        """``(inputs, arrays read, scratch)`` for one call on ``state``.
-
-        ``arrays read`` are the seven arrays behind ``inputs``; holding
-        them keeps those alive over the call.
-        """
-        local = self._local
+    def _binding(self, graph, state) -> _Bound:
+        """This thread's binding of ``graph`` and ``state``, rebuilt only
+        when one of the seven arrays it reads was replaced."""
         arrays = (
             graph.offsets,
             graph.neighbors,
@@ -301,10 +371,13 @@ class NativeKernel(MoveKernel):
             state.cluster_weights,
             state.cluster_sizes,
         )
-        inputs, read = local.inputs, arrays
-        if not local.holds(arrays):
-            inputs, read = local.bind(arrays)
-        return inputs, read, local.reserve(state.cluster_weights.size)
+        local = self._local
+        bound = local.bound
+        if bound is None or not bound.holds(arrays):
+            bound = _bind_kernel(arrays, bound)
+            if bound.copies is None:
+                local.bound = bound
+        return bound
 
     def batch_moves(
         self,
@@ -328,23 +401,22 @@ class NativeKernel(MoveKernel):
                 swap_avoidance=swap_avoidance,
                 instr=instr,
             )
-        # ``read`` keeps the arrays behind ``inputs`` alive over the call.
-        inputs, read, scratch = self._bind(graph, state)
+        # ``bound`` keeps any copies it points at alive over the call.
+        bound = self._binding(graph, state)
         batch = np.ascontiguousarray(batch, dtype=np.int64)
         size = batch.size
         targets = np.empty(size, dtype=np.int64)
         gains = np.empty(size, dtype=np.float64)
         pairs = lib.repro_best_moves(
-            *inputs,
-            batch.ctypes.data,
+            bound.address,
+            _address(batch),
             size,
             float(resolution),
             GAIN_EPS,
             bool(allow_escape),
             bool(swap_avoidance),
-            *scratch,
-            targets.ctypes.data,
-            gains.ctypes.data,
+            _address(targets),
+            _address(gains),
         )
         if pairs < 0:
             raise IndexError("native kernel: batch vertex or label out of range")
@@ -377,9 +449,10 @@ class NativeKernel(MoveKernel):
             and type(state) is ClusterState
             and state.node_weights is graph.node_weights
         ):
-            inputs, read, scratch = self._bind(graph, state)
+            bound = self._binding(graph, state)
             owned = (state.assignments, state.cluster_weights, state.cluster_sizes)
-            if all(r is a for r, a in zip(read[4:], owned)):
+            copies = bound.copies
+            if copies is None or all(c is a for c, a in zip(copies[4:], owned)):
                 order = np.ascontiguousarray(order, dtype=np.int64)
                 size = order.size
                 movers = np.empty(size, dtype=np.int64)
@@ -387,17 +460,16 @@ class NativeKernel(MoveKernel):
                 targets = np.empty(size, dtype=np.int64)
                 total_gain = np.zeros(1, dtype=np.float64)
                 moved = lib.repro_sweep(
-                    *inputs,
-                    order.ctypes.data,
+                    bound.address,
+                    _address(order),
                     size,
                     float(resolution),
                     GAIN_EPS,
                     bool(allow_escape),
-                    *scratch,
-                    movers.ctypes.data,
-                    origins.ctypes.data,
-                    targets.ctypes.data,
-                    total_gain.ctypes.data,
+                    _address(movers),
+                    _address(origins),
+                    _address(targets),
+                    _address(total_gain),
                 )
                 if moved < 0:
                     raise IndexError(
@@ -414,32 +486,79 @@ class NativeKernel(MoveKernel):
         )
 
 
-class _Zeros(threading.local):
-    """One thread's all-zero scratch arrays for the round's C calls.
+class _RoundLocal(threading.local):
+    """One thread's state for the round's C calls.
 
-    ``counts`` (:func:`commit`'s per-cluster contention counters) and
-    ``marks`` (:func:`neighbors`' bitmap, one bit per vertex) hold zeros
-    between calls, because the C loops clear what they set.
+    ``commit`` is the commit binding (``None`` until the first commit);
+    ``marks`` is :func:`neighbors`' bitmap, one bit per vertex, all zeros
+    between calls, because the C loop clears what it sets.
     """
 
     def __init__(self) -> None:
-        self.counts = np.zeros(0, dtype=np.int64)
+        self.commit: Optional[_Bound] = None
         self.marks = np.zeros(0, dtype=np.uint64)
 
-    def reserve(self, name: str, size: int) -> np.ndarray:
-        array = getattr(self, name)
-        if array.size < size:
-            array = np.zeros(max(size, 2 * array.size), dtype=array.dtype)
-            setattr(self, name, array)
-        return array
 
-
-_ZEROS = _Zeros()
+_ROUND = _RoundLocal()
 
 
 def _usable(array, dtype) -> bool:
     """Whether C may read and write ``array`` in place."""
     return array.dtype == dtype and array.flags.c_contiguous
+
+
+def _commit_binding(state) -> Optional[_Bound]:
+    """This thread's commit binding of ``state``, or ``None`` when C
+    cannot update its arrays in place.
+
+    Rebuilt only when one of the four arrays it reads was replaced.  Its
+    ``counts`` (zeros over every cluster id between calls, which the C
+    loop restores) are the previous binding's when large enough, and its
+    output buffer is the previous binding's.
+    """
+    arrays = (
+        state.assignments,
+        state.cluster_weights,
+        state.cluster_sizes,
+        state.node_weights,
+    )
+    previous = _ROUND.commit
+    if previous is not None and previous.holds(arrays):
+        return previous
+    assignments, cluster_weights, cluster_sizes, node_weights = arrays
+    if not (
+        _usable(assignments, np.int64)
+        and _usable(cluster_weights, np.float64)
+        and _usable(cluster_sizes, np.int64)
+        and _usable(node_weights, np.float64)
+        and assignments.ndim == 1
+        and node_weights.size >= assignments.size
+    ):
+        return None
+    clusters = min(cluster_weights.size, cluster_sizes.size)
+    counts = previous.scratch[0] if previous is not None else None
+    if counts is None or counts.size < clusters:
+        size = max(clusters, 2 * counts.size if counts is not None else 0)
+        counts = np.zeros(size, dtype=np.int64)
+    struct = Binding(
+        None,
+        None,
+        None,
+        node_weights.ctypes.data,
+        assignments.ctypes.data,
+        cluster_weights.ctypes.data,
+        cluster_sizes.ctypes.data,
+        assignments.size,
+        clusters,
+        None,
+        None,
+        None,
+        counts.ctypes.data,
+    )
+    out = previous.out if previous is not None else np.empty(4 + 64, np.int64)
+    bound = _Bound(arrays, None, struct, (counts,), out)
+    _ROUND.commit = bound
+    return bound
 
 
 def commit(state, vertices, targets):
@@ -449,53 +568,49 @@ def commit(state, vertices, targets):
     labels, then all decrements and then all increments of
     ``cluster_weights`` in window order (``np.add.at``'s order), then
     sizes.  Returns ``(moved, dec, inc)``, where ``dec`` and ``inc`` are
-    the ``(retries, longest queue)`` of the two fetch-and-add windows, or
-    ``None`` when the caller must run the NumPy path: no library, state
-    arrays C cannot update in place, or an out-of-range id (left for
-    NumPy to handle as it always has).
+    the ``(retries, longest queue)`` of the two fetch-and-add windows
+    (``None`` when nothing moved), or ``None`` when the caller must run
+    the NumPy path: no library, state arrays C cannot update in place, or
+    an out-of-range id (left for NumPy to handle as it always has).
     """
     lib = LIBRARY.load()
     if lib is None or vertices.shape != targets.shape or vertices.ndim != 1:
         return None
-    assignments = state.assignments
-    cluster_weights = state.cluster_weights
-    cluster_sizes = state.cluster_sizes
-    node_weights = state.node_weights
-    if not (
-        _usable(assignments, np.int64)
-        and _usable(cluster_weights, np.float64)
-        and _usable(cluster_sizes, np.int64)
-        and _usable(node_weights, np.float64)
-        and node_weights.size >= assignments.size
-    ):
+    bound = _commit_binding(state)
+    if bound is None:
         return None
     vertices = np.ascontiguousarray(vertices, dtype=np.int64)
     targets = np.ascontiguousarray(targets, dtype=np.int64)
-    clusters = min(cluster_weights.size, cluster_sizes.size)
-    origins = np.empty(vertices.size, dtype=np.int64)
-    stats = np.empty(4, dtype=np.int64)
+    size = vertices.size
+    out = bound.out
+    if out.size < 4 + size:
+        out = np.empty(4 + max(size, 2 * (out.size - 4)), dtype=np.int64)
+        bound.out, bound.out_address = out, out.ctypes.data
+    address = bound.out_address
     moved = lib.repro_commit(
-        vertices.ctypes.data,
-        targets.ctypes.data,
-        vertices.size,
-        assignments.ctypes.data,
-        cluster_weights.ctypes.data,
-        cluster_sizes.ctypes.data,
-        node_weights.ctypes.data,
-        assignments.size,
-        clusters,
-        origins.ctypes.data,
-        _ZEROS.reserve("counts", clusters).ctypes.data,
-        stats.ctypes.data,
+        bound.address,
+        _address(vertices),
+        _address(targets),
+        size,
+        address + 32,  # the origins, after the four contention integers
+        address,
     )
-    if moved < 0:
-        return None
-    dec_distinct, dec_longest, inc_distinct, inc_longest = stats.tolist()
+    if moved <= 0:
+        return None if moved < 0 else (0, None, None)
+    dec_distinct, dec_longest, inc_distinct, inc_longest = out[:4].tolist()
     return (
         moved,
         (moved - dec_distinct, dec_longest),
         (moved - inc_distinct, inc_longest),
     )
+
+
+def _marks(words: int) -> np.ndarray:
+    marks = _ROUND.marks
+    if marks.size < words:
+        marks = np.zeros(max(words, 2 * marks.size), dtype=np.uint64)
+        _ROUND.marks = marks
+    return marks
 
 
 def neighbors(graph, ids):
@@ -523,7 +638,7 @@ def neighbors(graph, ids):
         n,
         ids.ctypes.data,
         ids.size,
-        _ZEROS.reserve("marks", (n + 63) // 64).ctypes.data,
+        _marks((n + 63) // 64).ctypes.data,
         out.ctypes.data,
         gathered.ctypes.data,
     )

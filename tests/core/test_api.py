@@ -3,7 +3,12 @@ import pytest
 
 from repro.core.api import cluster, correlation_clustering, modularity_clustering
 from repro.core.config import ClusteringConfig, Mode, Objective
-from repro.core.objective import cc_objective, modularity
+from repro.core.objective import (
+    cc_objective,
+    lambdacc_objective,
+    modularity,
+    modularity_graph,
+)
 from repro.graphs.builders import graph_from_edges
 
 
@@ -72,6 +77,36 @@ class TestModularityClustering:
     def test_effective_lambda(self, karate):
         result = modularity_clustering(karate, gamma=2.0, seed=0)
         assert result.effective_lambda == pytest.approx(2.0 / (2 * 78))
+
+
+class TestScoring:
+    """The run's objective and modularity are scored from one
+    intra-cluster weight; both must equal a from-scratch recomputation
+    bit for bit."""
+
+    @staticmethod
+    def _weighted_graph_with_self_loops():
+        rng = np.random.default_rng(11)
+        edges = rng.integers(0, 40, size=(160, 2))
+        edges[:12, 1] = edges[:12, 0]  # self-loops
+        weights = rng.random(160) * 10.0 ** rng.integers(-3, 3, size=160)
+        graph = graph_from_edges(edges, weights=weights, num_vertices=40)
+        assert graph.self_loops.any()
+        return graph
+
+    @pytest.mark.parametrize("objective", [Objective.CORRELATION, Objective.MODULARITY])
+    def test_objective_and_modularity_match_recomputation(self, objective):
+        graph = self._weighted_graph_with_self_loops()
+        config = ClusteringConfig(resolution=0.3, seed=2, objective=objective)
+        result = cluster(graph, config)
+        if objective is Objective.CORRELATION:
+            scored, gamma = graph, 1.0
+        else:
+            scored, gamma = modularity_graph(graph), 0.3
+        assert result.f_objective == lambdacc_objective(
+            scored, result.assignments, result.effective_lambda
+        )
+        assert result.modularity == modularity(graph, result.assignments, gamma=gamma)
 
 
 class TestClusterResult:

@@ -288,6 +288,255 @@ class TestPointerCache:
         _assert_same(got, reference_batch_moves(graph, state, batch, RESOLUTION))
 
 
+def _binding_inputs(n=40, seed=0):
+    # Under 1 KiB per array, so NumPy's small-block cache hands a freed
+    # block straight back to the next array of the same size.
+    graph = planted_partition_graph(n, seed=seed + 1).graph
+    labels = np.random.default_rng(seed).integers(0, n // 4, graph.num_vertices)
+    state = ClusterState.from_assignments(graph, labels)
+    batch = np.random.default_rng(seed + 1).permutation(graph.num_vertices)
+    return graph, state, batch.astype(np.int64)
+
+
+def _commit_both(state, vertices, targets):
+    """``apply_moves`` natively and on the NumPy path, each on a fresh copy
+    of ``state``; asserts they agree and returns the native copy."""
+    copies = []
+    for context in (contextlib.nullcontext, _numpy_paths):
+        copy = ClusterState(
+            state.assignments.copy(), state.cluster_weights.copy(),
+            state.cluster_sizes.copy(), state.node_weights,
+        )
+        with context():
+            moved = copy.apply_moves(vertices, targets)
+        copies.append((moved, copy))
+    (got_moved, got), (want_moved, want) = copies
+    assert got_moved == want_moved
+    for field in ("assignments", "cluster_weights", "cluster_sizes"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    return got
+
+
+class TestBinding:
+    """The per-level, per-thread bindings of the window entry points."""
+
+    def test_a_new_level_rebinds(self):
+        graph, state, batch = _binding_inputs()
+        kernel = KERNELS["native"]
+        _assert_same(
+            kernel.batch_moves(graph, state, batch, RESOLUTION),
+            reference_batch_moves(graph, state, batch, RESOLUTION),
+        )
+        quotient, _ = compress_graph(graph, state.assignments)
+        coarse = ClusterState.singletons(quotient)
+        order = np.arange(quotient.num_vertices, dtype=np.int64)
+        _assert_same(
+            kernel.batch_moves(quotient, coarse, order, RESOLUTION),
+            reference_batch_moves(quotient, coarse, order, RESOLUTION),
+        )
+        assert kernel._local.bound.holds(
+            (quotient.offsets, quotient.neighbors, quotient.weights,
+             quotient.node_weights, coarse.assignments,
+             coarse.cluster_weights, coarse.cluster_sizes)
+        )
+
+    def test_from_assignments_rebinds(self):
+        graph, state, batch = _binding_inputs()
+        kernel = KERNELS["native"]
+        kernel.batch_moves(graph, state, batch, RESOLUTION)
+        state.apply_moves(batch[:5], np.zeros(5, dtype=np.int64))
+        relabelled = ClusterState.from_assignments(graph, batch % 3)
+        _assert_same(
+            kernel.batch_moves(graph, relabelled, batch, RESOLUTION),
+            reference_batch_moves(graph, relabelled, batch, RESOLUTION),
+        )
+        _commit_both(relabelled, batch[:7], np.full(7, 2, dtype=np.int64))
+        got = _commit_both(relabelled, batch, np.arange(batch.size) % 5)
+        relabelled.apply_moves(batch, np.arange(batch.size) % 5)
+        assert got.assignments.tobytes() == relabelled.assignments.tobytes()
+
+    def test_a_grown_cluster_weights_rebinds(self):
+        graph, state, batch = _binding_inputs()
+        kernel = KERNELS["native"]
+        kernel.batch_moves(graph, state, batch, RESOLUTION)
+        state.apply_moves(batch[:3], np.ones(3, dtype=np.int64))
+        # Ids past the old arrays' end become valid targets and labels.
+        n = graph.num_vertices
+        extra = 4096
+        grown_weights = np.zeros(n + extra)
+        grown_weights[:n] = state.cluster_weights
+        grown_sizes = np.zeros(n + extra, dtype=np.int64)
+        grown_sizes[:n] = state.cluster_sizes
+        state.cluster_weights, state.cluster_sizes = grown_weights, grown_sizes
+        far = np.full(4, n + extra - 1, dtype=np.int64)
+        assert state.apply_moves(batch[:4], far) == 4
+        assert state.cluster_sizes[-1] == 4
+        assert state.cluster_weights[-1] == graph.node_weights[batch[:4]].sum()
+        _assert_same(
+            kernel.batch_moves(graph, state, batch, RESOLUTION),
+            reference_batch_moves(graph, state, batch, RESOLUTION),
+        )
+
+    def test_four_threads_two_graphs_each(self):
+        # Each thread alternates between two graphs, so it rebinds on
+        # every call while the others run inside the library; every
+        # kernel result and every commit's charges must match a serial
+        # run.  The commits move a whole graph into one cluster and back,
+        # so the contention counts of concurrent commits would collide if
+        # the threads shared scratch.
+        graphs = [
+            planted_partition_graph(40, seed=1).graph,
+            rmat_graph(13, 8 * 2**13, seed=3),
+        ]
+        batches = [
+            np.random.default_rng(k).permutation(g.num_vertices).astype(np.int64)
+            for k, g in enumerate(graphs)
+        ]
+
+        def step(k, i, state, sched=None):
+            graph, batch = graphs[k], batches[k]
+            moves = KERNELS["native"].batch_moves(graph, state, batch, RESOLUTION)
+            origins = state.assignments[batch].copy()
+            state.apply_moves(batch, np.full(batch.size, i, np.int64), sched=sched)
+            state.apply_moves(batch, origins, sched=sched)
+            return moves
+
+        want = {}
+        for k, graph in enumerate(graphs):
+            for i in range(4):
+                sched = SimulatedScheduler(num_workers=8)
+                moves = step(k, i, ClusterState.singletons(graph), sched)
+                want[k, i] = (moves, _regions(sched))
+        errors = []
+        barrier = threading.Barrier(4)
+
+        def work(i):
+            try:
+                states = [ClusterState.singletons(g) for g in graphs]
+                barrier.wait()
+                for n in range(40):
+                    k = (n + i) % 2
+                    sched = SimulatedScheduler(num_workers=8)
+                    moves = step(k, i, states[k], sched)
+                    _assert_same(moves, want[k, i][0])
+                    assert _regions(sched) == want[k, i][1]
+                last = states[(39 + i) % 2]
+                assert native._ROUND.commit.holds(
+                    (last.assignments, last.cluster_weights,
+                     last.cluster_sizes, last.node_weights)
+                )
+            except BaseException as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[0]
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_read_only_and_strided_windows(self):
+        graph, state, batch = _binding_inputs()
+        want = reference_batch_moves(graph, state, batch, RESOLUTION)
+        frozen = batch.copy()
+        frozen.flags.writeable = False
+        strided = np.repeat(batch, 2)[::2]
+        for window in (frozen, strided):
+            _assert_same(
+                KERNELS["native"].batch_moves(graph, state, window, RESOLUTION), want
+            )
+        targets = want[0].copy()
+        targets.flags.writeable = False
+        _commit_both(state, frozen, targets)
+        _commit_both(state, strided, np.repeat(want[0], 2)[::2])
+
+    def test_library_off_matches_on(self):
+        graph, state, batch = _binding_inputs()
+        kernel = KERNELS["native"]
+        results = []
+        for context in (contextlib.nullcontext, _numpy_paths):
+            with context():
+                copy = ClusterState.from_assignments(graph, state.assignments)
+                moves = kernel.batch_moves(graph, copy, batch, RESOLUTION)
+                committed = native.commit(
+                    ClusterState.from_assignments(graph, state.assignments),
+                    batch, moves[0],
+                )
+                moved = copy.apply_moves(batch, moves[0])
+                swept = ClusterState.from_assignments(graph, state.assignments)
+                sweep = kernel.sweep(graph, swept, batch, RESOLUTION)
+                results.append((moves, committed, moved, copy, sweep, swept))
+        on, off = results
+        _assert_same(on[0], off[0])
+        assert on[1] is not None and off[1] is None
+        assert on[2] == off[2] > 0
+        for field in ("assignments", "cluster_weights", "cluster_sizes"):
+            for a, b in ((on[3], off[3]), (on[5], off[5])):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        for a, b in zip(on[4][:3], off[4][:3]):
+            assert a.tobytes() == b.tobytes()
+        assert on[4][3] == off[4][3]
+
+    def test_windows_without_movers_charge_nothing(self):
+        graph, state, batch = _binding_inputs()
+        sched = SimulatedScheduler(num_workers=8, instr=Instrumentation())
+        before = state.cluster_weights.tobytes()
+        stay = state.assignments[batch].copy()
+        assert native.commit(state, batch, stay) == (0, None, None)
+        assert state.apply_moves(batch, stay, sched=sched) == 0
+        assert state.apply_moves(batch[:0], stay[:0], sched=sched) == 0
+        assert _regions(sched) == []
+        assert sched.instr.metrics.collect() == []
+        assert state.cluster_weights.tobytes() == before
+
+    def test_a_dead_array_whose_memory_is_reused_is_never_read(self):
+        graph, state, batch = _binding_inputs()
+        kernel = KERNELS["native"]
+        kernel.batch_moves(graph, state, batch, RESOLUTION)
+        state.apply_moves(batch[:2], np.zeros(2, dtype=np.int64))
+        old = [a.ctypes.data for a in
+               (state.assignments, state.cluster_weights, state.cluster_sizes)]
+        labels = state.assignments.copy()
+        state.assignments = state.cluster_weights = state.cluster_sizes = None
+        gc.collect()
+        # Same sizes, so the freed blocks come straight back; the values
+        # differ, so reading through a stale binding would show.
+        assignments = np.empty_like(labels)
+        cluster_weights = np.empty(labels.size)
+        cluster_sizes = np.empty_like(labels)
+        assignments[:] = (labels + 1) % labels.size
+        cluster_weights[:] = 0.0
+        np.add.at(cluster_weights, assignments, graph.node_weights)
+        cluster_sizes[:] = np.bincount(assignments, minlength=labels.size)
+        state.assignments = assignments
+        state.cluster_weights = cluster_weights
+        state.cluster_sizes = cluster_sizes
+        reused = [a.ctypes.data for a in (assignments, cluster_weights, cluster_sizes)]
+        # The scenario under test really happened: every new array sits in
+        # a block a bound array held (not necessarily the same role's).
+        assert sorted(reused) == sorted(old)
+        _assert_same(
+            kernel.batch_moves(graph, state, batch, RESOLUTION),
+            reference_batch_moves(graph, state, batch, RESOLUTION),
+        )
+        _commit_both(state, batch, np.arange(batch.size) % 3)
+
+    def test_commit_binding_does_not_keep_a_finished_state_alive(self):
+        graph, state, batch = _binding_inputs()
+        state.apply_moves(batch[:3], np.zeros(3, dtype=np.int64))
+        assert native._ROUND.commit is not None
+        arrays = [weakref.ref(state.assignments), weakref.ref(state.cluster_weights)]
+        del state
+        gc.collect()
+        assert all(ref() is None for ref in arrays)
+
+
 class TestKernelEdges:
     def test_zero_degree_rows_zero_and_negative_weights(self):
         # Vertex 6 has no edges and an empty home slot (escape); vertex
