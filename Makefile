@@ -118,22 +118,25 @@ bench-backend:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_backend.py
 
 ## Build the native library, failing when it cannot be built or any of
-## its five entry points does not resolve (so CI never passes on the
+## its seven entry points does not resolve (so CI never passes on the
 ## reference kernel and NumPy paths by accident): the three per-window
-## calls that take a binding (batch, sweep, commit) and the two that take
-## their arrays (frontier, compression).  Then run the kernel, binding and
-## native-round parity suites and the round-bookkeeping oracle with any
-## RuntimeWarning an error.
+## calls that take a binding (batch, sweep, commit), the two that take
+## their arrays (frontier, compression) and the dynamic graph's arc
+## search and splice.  Then run the kernel, binding and native-round
+## parity suites, the round-bookkeeping oracle and the splice and
+## dynamic-clusterer suites with any RuntimeWarning an error.
 native-kernel:
 	$(PYTHON) -W error::RuntimeWarning -c "from repro.kernels import KERNELS; \
 	    lib = KERNELS['native'].library.load(); \
 	    assert lib is not None; \
 	    assert lib.repro_best_moves and lib.repro_sweep and lib.repro_commit; \
-	    assert lib.repro_neighbors and lib.repro_compress"
+	    assert lib.repro_neighbors and lib.repro_compress; \
+	    assert lib.repro_splice and lib.repro_find_arcs"
 	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning \
 	    tests/properties/test_kernel_equivalence.py \
 	    tests/core/test_kernels.py tests/core/test_native_kernel.py \
-	    tests/core/test_best_moves.py
+	    tests/core/test_best_moves.py \
+	    tests/dynamic/test_delta.py tests/dynamic/test_clusterer.py
 
 ## Run doctor over fresh instrumented runs: a batch clustering (health
 ## rules over stats/trace/metrics + registry trend history) and a dynamic

@@ -36,7 +36,7 @@ from repro.obs.instrument import (
 )
 from repro.parallel.scheduler import SimulatedScheduler
 from repro.resilience.context import ResilienceContext, ResiliencePolicy
-from repro.utils.rng import make_rng
+from repro.utils.rng import make_rng, resolve_seed
 from repro.utils.timing import WallTimer
 
 
@@ -80,10 +80,13 @@ def cluster(
     instrumentation = opts.instrumentation
     engine = opts.engine
     backend = opts.backend
+    # A run without a seed draws one here and records it, so the result
+    # can be replayed; every supervised attempt shares it.
+    seed = resolve_seed(config.seed)
     if opts.supervisor is not None:
         return opts.supervisor.run(
             graph,
-            config,
+            config if config.seed is not None else config.with_options(seed=seed),
             resilience=resilience,
             instrumentation=instrumentation,
             engine=engine,
@@ -120,7 +123,7 @@ def cluster(
         owns_backend = True
     sched.backend = exec_backend
     memory = MemoryTracker()
-    rng = make_rng(config.seed)
+    rng = make_rng(seed)
     ctx = ResilienceContext(resilience, sched=sched) if resilience else None
     if engine is not None:
         from functools import partial
@@ -168,6 +171,7 @@ def cluster(
                 effective_lambda,
                 total_weight,
                 exec_backend,
+                seed,
             )
     finally:
         # Backends created by this call are torn down here even on error
@@ -193,6 +197,7 @@ def _finish_run(
     effective_lambda,
     total_weight,
     exec_backend,
+    seed,
 ) -> ClusterResult:
     """Score, audit, and package one finished clustering run."""
     # The modularity graph shares the scored graph's edges and self-loops,
@@ -262,7 +267,7 @@ def _finish_run(
         peak_memory_bytes=memory.peak_bytes,
         input_bytes=graph.nbytes,
         wall_seconds=timer.elapsed,
-        seed=config.seed,
+        seed=seed,
         degraded=degraded,
         failure_log=failure_log,
         extras=extras,

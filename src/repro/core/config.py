@@ -95,7 +95,9 @@ class ClusteringConfig:
         negative rescaled weights; disabled only by the singleton-escape
         ablation bench.
     seed:
-        RNG seed for permutations and window formation.
+        RNG seed for permutations and window formation.  ``None`` makes
+        :func:`~repro.core.api.cluster` draw a fresh one per call and
+        record it as ``ClusterResult.seed``, so the run can be replayed.
     max_levels:
         Safety bound on coarsening recursion depth.
     """

@@ -46,6 +46,8 @@ class ClusterResult:
     #: The input graph's bytes under the same accounting.
     input_bytes: int
     wall_seconds: float
+    #: The seed the run's RNG was seeded with: the config's, or the one
+    #: ``cluster()`` drew for a config without one.
     seed: Optional[int] = None
     #: True when the run degraded gracefully instead of completing cleanly
     #: (budget exhausted, transient-fault retries exhausted, or an audit
@@ -100,6 +102,7 @@ class ClusterResult:
             wall_seconds=self.wall_seconds,
             sim_time_seconds=self.sim_time(),
             degraded=self.degraded,
+            seed=self.seed,
         )
         # Surface input repairs and supervision decisions when present so
         # bench/report consumers see them without digging into extras.

@@ -314,14 +314,13 @@ class DynamicClusterer:
 
         ``reason`` is set (and ``new == current``) for a rejected update.
         """
+        updates = list(updates)
+        keys = [upd.key for upd in updates]
+        looked_up = self.overlay.edge_weights(keys)
         weights: Dict[Tuple[int, int], float] = {}
         plan: List[Tuple[float, float, Optional[str]]] = []
-        for upd in updates:
-            key = upd.key
-            current = (
-                weights[key] if key in weights
-                else self.overlay.edge_weight(upd.u, upd.v)
-            )
+        for upd, key, stored in zip(updates, keys, looked_up):
+            current = weights[key] if key in weights else stored
             try:
                 new = weights[key] = upd.weight_after(current)
             except UpdateError as exc:

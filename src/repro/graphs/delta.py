@@ -5,21 +5,28 @@ inserts/deletes/reweights without paying a full rebuild per update.  CSR
 is the wrong shape for in-place structural mutation, so mutation is
 staged: a :class:`DeltaOverlayGraph` holds an immutable base CSR plus a
 dictionary of pending canonical ``(u < v) -> target weight`` entries
-(weight ``0`` means "edge absent").  Reads (:meth:`edge_weight`) consult
-the overlay first, then binary-search the base adjacency row.
+(weight ``0`` means "edge absent").  Reads (:meth:`edge_weights`) consult
+the overlay first, then binary-search the base adjacency rows.
 
 :meth:`compact` splices the pending deltas into a fresh ``CSRGraph`` and
 rebases the overlay on it.  The p pending pairs expand to 2p arcs ordered
-by ``(src, dst)``; a searchsorted in each arc's sorted base row finds it
-(O(p log deg)) and makes it a reweight, a delete or an insert.  One O(m)
-copy of ``neighbors``/``weights`` then drops and places arcs, and
-``offsets`` gains a cumsum of per-row degree deltas: nothing of size m is
-sorted.  A reweight-only batch copies ``weights`` alone and shares
-``offsets``/``neighbors`` with the base.  The result equals, array for
+by ``(src, dst)``; a binary search in each arc's sorted base row finds it
+(O(p log deg), :func:`find_arcs`) and makes it a reweight, a delete or an
+insert.  A structural batch is then one C pass over the rows
+(:func:`repro.kernels.native.splice`): it copies the untouched arcs in
+runs, places and drops the staged ones, writes ``offsets`` as it goes,
+and checks every arc it writes as ``CSRGraph._validate`` would, so the
+result is built without a second validation.  Nothing of size m is
+sorted.  Without a compiler, :func:`splice_arrays` does the same with one
+NumPy delete/insert per array and a cumsum of per-row degree deltas, and
+the result is validated; it is also the C pass's test oracle.  A
+reweight-only batch copies ``weights`` alone and shares
+``offsets``/``neighbors`` with the base, and a batch that adds no vertex
+shares the base's vertex arrays.  The result equals, array for
 array, what :func:`~repro.graphs.builders.graph_from_edges` builds from
-the same edge set (property-tested).  A hand-built base with an unsorted
-row (no builder or generator emits one) has its rows sorted once, when
-the overlay is created.
+the same edge set (property-tested, with the library on and off).  A
+hand-built base with an unsorted row (no builder or generator emits one)
+has its rows sorted once, when the overlay is created.
 
 New vertex ids beyond the base simply grow ``n``; they join with unit
 LambdaCC weight (``k_v = 1``, ``k_v^2 = 1``) and no self-loop, matching
@@ -30,12 +37,14 @@ a dynamic session the same way it survives coarsening.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.errors import UpdateError
 from repro.graphs.csr import CSRGraph
+from repro.kernels import native
 
 
 def base_edge_weight(graph: CSRGraph, u: int, v: int) -> float:
@@ -106,12 +115,31 @@ class DeltaOverlayGraph:
 
     def edge_weight(self, u: int, v: int) -> float:
         """Current weight of ``{u, v}`` under the overlay (0.0 if absent)."""
-        if u == v:
-            raise UpdateError(f"self-loop query on vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in self._pending:
-            return self._pending[key]
-        return base_edge_weight(self.base, u, v)
+        return self.edge_weights([(u, v) if u < v else (v, u)])[0]
+
+    def edge_weights(self, keys) -> list:
+        """Current weights (0.0 if absent) of the canonical ``(u, v)``
+        pairs ``keys``, in order: a pending entry shadows the base, whose
+        rows are searched in one :func:`find_arcs` call."""
+        pending = self._pending
+        weights = [pending.get(key) for key in keys]
+        missing = [i for i, w in enumerate(weights) if w is None]
+        if missing:
+            pairs = np.fromiter(
+                chain.from_iterable(keys[i] for i in missing),
+                np.int64,
+                2 * len(missing),
+            )
+            src, dst = pairs[0::2], pairs[1::2]
+            loops = src[src == dst]
+            if loops.size:
+                raise UpdateError(f"self-loop query on vertex {loops[0]}")
+            pos, found = find_arcs(self.base, src, dst)
+            stored = np.zeros(len(missing))
+            stored[found] = self.base.weights[pos[found]]
+            for i, w in zip(missing, stored.tolist()):
+                weights[i] = w
+        return weights
 
     # ------------------------------------------------------------------ #
     # Staged mutation
@@ -155,50 +183,101 @@ class DeltaOverlayGraph:
         pair, ordered by ``(src, dst)``: ``pos`` indexes the arc in the base
         arrays (its insertion point when absent; a ``src`` beyond the base
         has an empty row at the end) and ``found`` says the base has it."""
-        pairs = np.array(list(self._pending), dtype=np.int64).reshape(-1, 2)
+        pairs = np.fromiter(
+            chain.from_iterable(self._pending), np.int64, 2 * len(self._pending)
+        ).reshape(-1, 2)
         targets = np.fromiter(self._pending.values(), dtype=np.float64)
         src = np.concatenate([pairs[:, 0], pairs[:, 1]])
         dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
         order = np.lexsort((dst, src))
         src, dst = src[order], dst[order]
-        base = self.base
-        nbrs, n = base.neighbors, base.num_vertices
-        lo = base.offsets[np.minimum(src, n)]
-        hi = base.offsets[np.minimum(src + 1, n)]
-        rows = zip(lo.tolist(), hi.tolist(), dst.tolist())
-        pos = lo + np.array([np.searchsorted(nbrs[a:b], d) for a, b, d in rows], int)
-        found = pos < hi
-        found[found] = nbrs[pos[found]] == dst[found]
+        pos, found = find_arcs(self.base, src, dst)
         return src, dst, np.concatenate([targets, targets])[order], pos, found
 
     def _splice(self) -> CSRGraph:
         """The base with every pending arc reweighted, dropped or placed."""
         base = self.base
         old_n, n = base.num_vertices, self._num_vertices
-        src, dst, w, pos, found = self._pending_arcs()
+        arcs = self._pending_arcs()
+        _, _, w, pos, found = arcs
         live = w != 0.0
-        weights = base.weights.copy()
-        weights[pos[found & live]] = w[found & live]
-        gone, new = found & ~live, ~found & live
         grown = n - old_n
-        structural = grown > 0 or gone.any() or new.any()
-        offsets, neighbors = base.offsets, base.neighbors
-        if structural:
-            drop = pos[gone]
-            # Insertion points shift left by the deletions before them.
-            at = pos[new] - np.searchsorted(drop, pos[new])
-            neighbors = np.insert(np.delete(neighbors, drop), at, dst[new])
-            weights = np.insert(np.delete(weights, drop), at, w[new])
-            degree_delta = np.bincount(src[new], minlength=n)
-            degree_delta -= np.bincount(src[gone], minlength=n)
-            offsets = np.concatenate([offsets, np.full(grown, offsets[-1])])
-            offsets[1:] += np.cumsum(degree_delta)
+        validate = False
+        if grown or np.any(found != live):
+            # Inserts (live, not found) less deletes (found, not live).
+            capacity = (
+                base.neighbors.size + np.count_nonzero(live) - np.count_nonzero(found)
+            )
+            topology = native.splice(base, n, arcs, capacity)
+            if topology is None:
+                topology = splice_arrays(base, n, arcs)
+                validate = True
+            offsets, neighbors, weights = topology
+        else:
+            offsets, neighbors = base.offsets, base.neighbors
+            weights = base.weights.copy()
+            weights[pos[found]] = w[found]
+        if grown:
+            self_loops = np.concatenate([base.self_loops, np.zeros(grown)])
+            node_weights = np.concatenate([base.node_weights, np.ones(grown)])
+            node_weight_sq = np.concatenate([base.node_weight_sq, np.ones(grown)])
+        else:
+            # Nothing writes a graph's vertex arrays after construction.
+            self_loops = base.self_loops
+            node_weights = base.node_weights
+            node_weight_sq = base.node_weight_sq
         return CSRGraph(
             offsets,
             neighbors,
             weights,
-            self_loops=np.concatenate([base.self_loops, np.zeros(grown)]),
-            node_weights=np.concatenate([base.node_weights, np.ones(grown)]),
-            node_weight_sq=np.concatenate([base.node_weight_sq, np.ones(grown)]),
-            validate=structural,
+            self_loops=self_loops,
+            node_weights=node_weights,
+            node_weight_sq=node_weight_sq,
+            validate=validate,
         )
+
+
+def find_arcs(graph: CSRGraph, src: np.ndarray, dst: np.ndarray):
+    """``(pos, found)`` of each arc ``(src[i], dst[i])`` in ``graph``'s
+    sorted rows: the arc's index in ``neighbors`` (its insertion point in
+    row ``src[i]`` when absent; a ``src`` beyond the graph has an empty row
+    at the end) and whether the row has it.  One C call when the native
+    library loads, else :func:`search_arcs`."""
+    result = native.find_arcs(graph, src, dst)
+    return result if result is not None else search_arcs(graph, src, dst)
+
+
+def search_arcs(graph: CSRGraph, src: np.ndarray, dst: np.ndarray):
+    """The NumPy path of :func:`find_arcs`: one ``searchsorted`` per arc."""
+    nbrs, n = graph.neighbors, graph.num_vertices
+    lo = graph.offsets[np.minimum(src, n)]
+    hi = graph.offsets[np.minimum(src + 1, n)]
+    rows = zip(lo.tolist(), hi.tolist(), dst.tolist())
+    pos = lo + np.array([np.searchsorted(nbrs[a:b], d) for a, b, d in rows], int)
+    found = pos < hi
+    found[found] = nbrs[pos[found]] == dst[found]
+    return pos, found
+
+
+def splice_arrays(base: CSRGraph, n: int, arcs):
+    """The NumPy path of the structural splice: ``(offsets, neighbors,
+    weights)`` of ``base`` over ``n`` vertices with the staged ``arcs``
+    (``_pending_arcs``' tuple) reweighted, dropped or placed.  The C pass
+    (:func:`repro.kernels.native.splice`) equals it array for array."""
+    src, dst, w, pos, found = arcs
+    live = w != 0.0
+    weights = base.weights.copy()
+    weights[pos[found & live]] = w[found & live]
+    gone, new = found & ~live, ~found & live
+    drop = pos[gone]
+    # Insertion points shift left by the deletions before them.
+    at = pos[new] - np.searchsorted(drop, pos[new])
+    neighbors = np.insert(np.delete(base.neighbors, drop), at, dst[new])
+    weights = np.insert(np.delete(weights, drop), at, w[new])
+    degree_delta = np.bincount(src[new], minlength=n)
+    degree_delta -= np.bincount(src[gone], minlength=n)
+    offsets = np.concatenate(
+        [base.offsets, np.full(n - base.num_vertices, base.offsets[-1])]
+    )
+    offsets[1:] += np.cumsum(degree_delta)
+    return offsets, neighbors, weights

@@ -33,12 +33,19 @@
  *   - repro_compress builds the quotient graph's edges
  *     (graphs/quotient.py) with two counting sorts and a merge.
  *
+ * Two serve the dynamic graph (graphs/delta.py), each equal, array for
+ * array, to its NumPy path:
+ *
+ *   - repro_find_arcs binary-searches staged arcs in their base rows;
+ *   - repro_splice writes a batch's new CSR in one pass over the rows,
+ *     checking every arc it writes as CSRGraph._validate would.
+ *
  * The three per-window entry points (repro_best_moves, repro_sweep and
  * repro_commit) read the graph, the state and their scratch through a
  * `struct binding` that the caller fills once per level and thread, so
- * each call passes only its window, its settings and its outputs.
- * repro_neighbors and repro_compress run once per round or level and
- * take their arrays directly.
+ * each call passes only its window, its settings and its outputs.  The
+ * other four run once per round, level or update batch and take their
+ * arrays directly.
  *
  * Build with -ffp-contract=off and never -ffast-math: additions must be
  * neither reordered nor fused for the results to be bit-identical.
@@ -52,6 +59,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Batch positions ahead of the current vertex for each prefetch stage. */
 #define AHEAD_VERTEX 8
@@ -576,4 +584,239 @@ int64_t repro_compress(
     }
     *inter = total;
     return kept;
+}
+
+/* Lower bound of `key` in the sorted row neighbors[lo, hi). */
+static int64_t lower_bound(
+    const int64_t *neighbors, int64_t lo, int64_t hi, int64_t key)
+{
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (neighbors[mid] < key) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    return lo;
+}
+
+/*
+ * Finds each arc (src[i], dst[i]) in a CSR graph with sorted rows, as
+ * graphs/delta.py does with one np.searchsorted per arc: pos[i] indexes
+ * the arc in `neighbors`, or its insertion point in row src[i] when the
+ * row lacks it, and found[i] says the row has it.  A source at or past
+ * `num_vertices` has an empty row at the end, so its arc is not found
+ * and sits at offsets[num_vertices].  Returns 0, or -1 for a negative
+ * source.
+ */
+int64_t repro_find_arcs(
+    const int64_t *offsets,
+    const int64_t *neighbors,
+    int64_t num_vertices,
+    const int64_t *src,
+    const int64_t *dst,
+    int64_t count,
+    int64_t *pos,
+    unsigned char *found)
+{
+    for (int64_t i = 0; i < count; ++i) {
+        const int64_t s = src[i];
+        if (s < 0) {
+            return -1;
+        }
+        const int64_t lo = offsets[s < num_vertices ? s : num_vertices];
+        const int64_t hi = offsets[s < num_vertices ? s + 1 : num_vertices];
+        const int64_t p = lower_bound(neighbors, lo, hi, dst[i]);
+        pos[i] = p;
+        found[i] = p < hi && neighbors[p] == dst[i];
+    }
+    return 0;
+}
+
+/* Checks one arc as CSRGraph._validate does: 1 when its neighbor `u` lies
+ * outside [0, num_vertices) or equals its row, else 0. */
+static inline uint64_t bad_arc(int64_t u, int64_t row, int64_t num_vertices)
+{
+    return ((uint64_t)u >= (uint64_t)num_vertices) | (u == row);
+}
+
+/* Arcs per block of verbatim_rows' flat check (its marks fill 8 KiB). */
+#define CHECK_BLOCK 1024
+
+/*
+ * The verbatim rows [first, stop) of a splice: writes their out_offsets,
+ * each the base offset plus `shift`, and checks each of their arcs with
+ * bad_arc, returning nonzero when one fails.  The check runs over the
+ * rows' arcs as one flat array, in blocks of CHECK_BLOCK arcs, so a
+ * short row costs no loop (and no mispredicted loop exit) of its own:
+ * a first loop over the rows starting in the block marks where each
+ * starts in `marks`, and the arc loop adds the marks up into each arc's
+ * row, clearing them.  Empty rows mark the same arc as the row after
+ * them.
+ */
+static uint64_t verbatim_rows(
+    const int64_t *offsets, const int64_t *neighbors, int64_t first,
+    int64_t stop, int64_t num_vertices, int64_t shift, int64_t *out_offsets)
+{
+    int64_t marks[CHECK_BLOCK] = {0};
+    uint64_t bad = 0;
+    int64_t row = first - 1; /* the row of the arc being checked */
+    int64_t v = first;       /* the next row to mark */
+    const int64_t end = offsets[stop];
+    for (int64_t b = offsets[first]; b < end; b += CHECK_BLOCK) {
+        const int64_t block_end = end - b < CHECK_BLOCK ? end : b + CHECK_BLOCK;
+        for (; v < stop && offsets[v] < block_end; ++v) {
+            if (offsets[v] <= b) {
+                ++row;
+            } else {
+                ++marks[offsets[v] - b];
+            }
+            out_offsets[v + 1] = offsets[v + 1] + shift;
+        }
+        const int64_t *nbrs = neighbors + b;
+#pragma GCC unroll 4
+        for (int64_t i = 0; i < block_end - b; ++i) {
+            row += marks[i];
+            marks[i] = 0;
+            bad |= bad_arc(nbrs[i], row, num_vertices);
+        }
+    }
+    /* Empty rows at the end of the range. */
+    for (; v < stop; ++v) {
+        out_offsets[v + 1] = offsets[v + 1] + shift;
+    }
+    return bad;
+}
+
+/* Copies the base arcs [from, to) to position `out` of the outputs. */
+static void copy_run(
+    const int64_t *neighbors, const double *weights, int64_t from, int64_t to,
+    int64_t *out_neighbors, double *out_weights, int64_t out)
+{
+    if (to > from) {
+        memcpy(out_neighbors + out, neighbors + from,
+               (size_t)(to - from) * sizeof(int64_t));
+        memcpy(out_weights + out, weights + from,
+               (size_t)(to - from) * sizeof(double));
+    }
+}
+
+/*
+ * Splices staged arcs into a CSR graph with sorted rows, writing the new
+ * graph over `num_vertices >= base_vertices` vertices into out_offsets
+ * (num_vertices + 1 entries), out_neighbors and out_weights (`capacity`
+ * entries each), in one pass over the rows.  The `count` staged arcs are
+ * ordered by (src, dst), with pos and found from repro_find_arcs and a
+ * target weight w (0.0 for an absent arc).  A row with staged arcs
+ * copies its base arcs in order, and at each staged arc's position:
+ *
+ *   - a found arc with a live weight is rewritten with that weight;
+ *   - a found arc with weight 0.0 is skipped;
+ *   - an arc not found is placed there when its weight is live.
+ *
+ * Rows without staged arcs are copied verbatim, in runs that reach from
+ * one row with staged arcs to the next, with one memcpy per array, and
+ * checked by verbatim_rows.
+ *
+ * Every arc written is checked as CSRGraph._validate checks one, so the
+ * result needs no second pass: its neighbor lies in [0, num_vertices)
+ * and differs from its row.  out_offsets starts at 0 and never
+ * decreases, because it counts the arcs written.  Returns the number of arcs written, which is
+ * out_offsets[num_vertices].  Returns -1, leaving the outputs partly
+ * written but never past their ends, on a bad arc, a staged arc out of
+ * order or off its row, or more arcs than `capacity`.
+ */
+int64_t repro_splice(
+    const int64_t *offsets,
+    const int64_t *neighbors,
+    const double *weights,
+    int64_t base_vertices,
+    int64_t num_vertices,
+    const int64_t *src,
+    const int64_t *dst,
+    const double *w,
+    const int64_t *pos,
+    const unsigned char *found,
+    int64_t count,
+    int64_t capacity,
+    int64_t *out_offsets,
+    int64_t *out_neighbors,
+    double *out_weights)
+{
+    const int64_t m = offsets[base_vertices];
+    uint64_t bad = 0;
+    int64_t out = 0; /* arcs written */
+    int64_t e = 0;   /* the first base arc not yet copied */
+    int64_t k = 0;   /* the next staged arc */
+    int64_t v = 0;
+    out_offsets[0] = 0;
+    while (v < num_vertices) {
+        /* Verbatim rows up to the next row with staged arcs: the run of
+         * base arcs [e, offsets[stop]) will land at `out`. */
+        int64_t stop = k < count ? src[k] : num_vertices;
+        if (stop < v || stop > num_vertices) {
+            return -1;
+        }
+        const int64_t shift = out - e;
+        const int64_t base_stop = stop < base_vertices ? stop : base_vertices;
+        if (v < base_stop) {
+            bad |= verbatim_rows(offsets, neighbors, v, base_stop,
+                                 num_vertices, shift, out_offsets);
+            v = base_stop;
+        }
+        for (; v < stop; ++v) {
+            out_offsets[v + 1] = m + shift;
+        }
+        if (v == num_vertices) {
+            break;
+        }
+        /* Row v has staged arcs: flush the run, then merge. */
+        const int64_t lo = offsets[v < base_vertices ? v : base_vertices];
+        const int64_t hi = v < base_vertices ? offsets[v + 1] : lo;
+        if (out + (lo - e) > capacity) {
+            return -1;
+        }
+        copy_run(neighbors, weights, e, lo, out_neighbors, out_weights, out);
+        out += lo - e;
+        e = lo;
+        for (; k < count && src[k] == v; ++k) {
+            const int64_t p = pos[k];
+            if (p < e || p > hi || (found[k] && p == hi)) {
+                return -1;
+            }
+            for (; e < p; ++e) {
+                if (out >= capacity) {
+                    return -1;
+                }
+                bad |= bad_arc(neighbors[e], v, num_vertices);
+                out_neighbors[out] = neighbors[e];
+                out_weights[out++] = weights[e];
+            }
+            e += found[k];
+            if (w[k] != 0.0) {
+                if (out >= capacity) {
+                    return -1;
+                }
+                bad |= bad_arc(dst[k], v, num_vertices);
+                out_neighbors[out] = dst[k];
+                out_weights[out++] = w[k];
+            }
+        }
+        for (; e < hi; ++e) {
+            if (out >= capacity) {
+                return -1;
+            }
+            bad |= bad_arc(neighbors[e], v, num_vertices);
+            out_neighbors[out] = neighbors[e];
+            out_weights[out++] = weights[e];
+        }
+        out_offsets[v + 1] = out;
+        ++v;
+    }
+    if (k != count || bad || out + (m - e) > capacity) {
+        return -1;
+    }
+    copy_run(neighbors, weights, e, m, out_neighbors, out_weights, out);
+    return out + (m - e);
 }

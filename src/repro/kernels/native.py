@@ -15,8 +15,11 @@ Three more entry points run the rest of a round, each bit-identical to
 the NumPy code it replaces, which stays as the no-compiler path and the
 test oracle: :func:`commit` (``ClusterState.apply_moves``),
 :func:`neighbors` (``edge_map``) and :func:`compress` (the quotient
-graph's edges).  They return ``None`` when the library does not load,
-and the caller runs its NumPy path.
+graph's edges).  Two serve the dynamic graph's update batches the same
+way: :func:`find_arcs` (the arc search of ``graphs.delta``) and
+:func:`splice` (the CSR splice of ``DeltaOverlayGraph.compact``).  They
+return ``None`` when the library does not load, and the caller runs its
+NumPy path.
 
 The three per-window calls (batch, sweep, commit) read the graph, the
 state and their scratch through a :class:`Binding`, built once per level
@@ -59,6 +62,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import GraphFormatError
 from repro.kernels.base import GAIN_EPS, MoveKernel
 from repro.kernels.reference import (
     reference_batch_moves,
@@ -107,14 +111,17 @@ class Binding(ctypes.Structure):
 
 #: The three per-window entry points take a binding's address, then only
 #: what changes per call: the window and its size, the settings (the
-#: resolution, GAIN_EPS and flags) and the outputs.  The frontier and the
-#: compression run once per round or level and take their arrays.
+#: resolution, GAIN_EPS and flags) and the outputs.  The frontier, the
+#: compression, the arc search and the splice run once per round, level
+#: or update batch and take their arrays.
 SIGNATURES = {
     "repro_best_moves": [_P, _P, _I64, _F64, _F64, _INT, _INT, _P, _P],
     "repro_sweep": [_P, _P, _I64, _F64, _F64, _INT] + [_P] * 4,
     "repro_commit": [_P, _P, _P, _I64, _P, _P],
     "repro_neighbors": [_P, _P, _I64, _P, _I64] + [_P] * 3,
     "repro_compress": [_P, _P, _P, _I64, _P, _I64] + [_P] * 7,
+    "repro_find_arcs": [_P, _P, _I64, _P, _P, _I64, _P, _P],
+    "repro_splice": [_P, _P, _P, _I64, _I64] + [_P] * 5 + [_I64, _I64] + [_P] * 3,
 }
 #: dtypes of graph.offsets / neighbors / weights / node_weights and
 #: state.assignments / cluster_weights / cluster_sizes, read in place.
@@ -234,8 +241,8 @@ class NativeLibrary:
         raise OSError("; ".join(errors))
 
 
-#: The process's library: the default kernel and the round's commit,
-#: frontier and compression all load it.
+#: The process's library: the default kernel, the round's commit,
+#: frontier and compression, and the dynamic graph's splice all load it.
 LIBRARY = NativeLibrary()
 
 
@@ -701,3 +708,98 @@ def compress(graph, labels, num_super: int, self_loops):
         np.ascontiguousarray(edges["weight"]),
         int(inter[0]),
     )
+
+
+def find_arcs(graph, src, dst):
+    """``(pos, found)`` of each arc ``(src[i], dst[i])`` in ``graph``'s
+    sorted rows, in C: the arc's index in ``neighbors``, or its insertion
+    point in row ``src[i]``, and whether the row has it.  A source past
+    the graph has an empty row at the end.  Bit-identical to the per-arc
+    ``np.searchsorted`` of ``graphs.delta``; ``None`` without the library
+    or when the CSR arrays are not int64 and contiguous.
+    """
+    lib = LIBRARY.load()
+    offsets, adjacency = graph.offsets, graph.neighbors
+    if lib is None or not (
+        _usable(offsets, np.int64) and _usable(adjacency, np.int64)
+    ):
+        return None
+    if offsets.size < 1 or adjacency.size != offsets[-1]:
+        raise ValueError("native find_arcs: CSR array sizes do not match")
+    src = np.ascontiguousarray(src, dtype=np.int64)
+    dst = np.ascontiguousarray(dst, dtype=np.int64)
+    if src.ndim != 1 or src.shape != dst.shape:
+        raise ValueError("native find_arcs: src and dst must be equal 1-D arrays")
+    pos = np.empty(src.size, dtype=np.int64)
+    found = np.empty(src.size, dtype=np.bool_)
+    status = lib.repro_find_arcs(
+        _address(offsets),
+        _address(adjacency),
+        offsets.size - 1,
+        _address(src),
+        _address(dst),
+        src.size,
+        _address(pos),
+        _address(found),
+    )
+    if status < 0:
+        raise IndexError("native find_arcs: negative source vertex")
+    return pos, found
+
+
+def splice(graph, num_vertices: int, arcs, capacity: int):
+    """``graph`` over ``num_vertices`` vertices with the staged ``arcs``
+    spliced in, in C.
+
+    ``arcs`` is ``(src, dst, w, pos, found)`` ordered by ``(src, dst)``,
+    as ``DeltaOverlayGraph._pending_arcs`` returns it, and ``capacity``
+    the spliced arc count.  Returns ``(offsets, neighbors, weights)``,
+    array for array the NumPy splice's, or ``None`` without the library.
+    The C pass checks every arc it writes as ``CSRGraph._validate`` does
+    (in range, not a self-loop) and raises :class:`GraphFormatError` on
+    any violation, so the result needs no second validation.
+    """
+    lib = LIBRARY.load()
+    if lib is None:
+        return None
+    offsets = np.ascontiguousarray(graph.offsets, dtype=np.int64)
+    adjacency = np.ascontiguousarray(graph.neighbors, dtype=np.int64)
+    weights = np.ascontiguousarray(graph.weights, dtype=np.float64)
+    src, dst, w, pos, found = (
+        np.ascontiguousarray(a, dtype=dt)
+        for a, dt in zip(arcs, (np.int64, np.int64, np.float64, np.int64, np.bool_))
+    )
+    count = src.size
+    if not (
+        offsets.size >= 1
+        and num_vertices >= offsets.size - 1
+        and weights.size == adjacency.size == offsets[-1]
+        and dst.size == w.size == pos.size == found.size == count
+    ):
+        raise ValueError("native splice: graph and arc array sizes do not match")
+    out_offsets = np.empty(num_vertices + 1, dtype=np.int64)
+    out_neighbors = np.empty(capacity, dtype=np.int64)
+    out_weights = np.empty(capacity, dtype=np.float64)
+    written = lib.repro_splice(
+        _address(offsets),
+        _address(adjacency),
+        _address(weights),
+        offsets.size - 1,
+        num_vertices,
+        _address(src),
+        _address(dst),
+        _address(w),
+        _address(pos),
+        _address(found),
+        count,
+        capacity,
+        _address(out_offsets),
+        _address(out_neighbors),
+        _address(out_weights),
+    )
+    if written != capacity:
+        raise GraphFormatError(
+            "spliced adjacency has an arc out of range, a self-loop or a "
+            "misplaced staged arc"
+        )
+    return out_offsets, out_neighbors, out_weights

@@ -119,7 +119,7 @@ def make_run_record(
         "engine": engine or ("relaxed" if config.parallel else "sequential"),
         "objective": config.objective.value,
         "resolution": float(result.resolution),
-        "seed": config.seed,
+        "seed": result.seed,
         "workers": int(config.resolved_workers),
         "kernel": config.kernel,
     }

@@ -26,6 +26,16 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def resolve_seed(seed: Optional[int]) -> int:
+    """``seed`` itself, or for ``None`` a concrete non-negative 63-bit
+    seed drawn from a fresh :class:`numpy.random.SeedSequence` (OS
+    entropy), so a run seeded with it can be recorded and replayed."""
+    if seed is not None:
+        return seed
+    state = np.random.SeedSequence().generate_state(1, np.uint64)[0]
+    return int(state >> np.uint64(1))
+
+
 def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
     """Derive ``count`` statistically independent child generators.
 

@@ -157,3 +157,39 @@ class TestSyncVsAsync:
         async_ = correlation_clustering(g, resolution=lam, mode=Mode.ASYNC, seed=3)
         assert async_.objective >= sync.objective
         assert async_.objective > 0
+
+
+class TestSeedRecord:
+    """A run without a seed records the one it drew, and replays from it."""
+
+    def test_unseeded_run_records_a_concrete_seed(self, karate):
+        config = ClusteringConfig(resolution=0.1)
+        result = cluster(karate, config)
+        assert isinstance(result.seed, int) and result.seed >= 0
+        assert result.stats_dict()["seed"] == result.seed
+        assert config.seed is None
+        assert result.config is config
+
+    def test_recorded_seed_replays_bit_for_bit(self, karate):
+        first = cluster(karate, ClusteringConfig(resolution=0.05))
+        replay = cluster(karate, ClusteringConfig(resolution=0.05, seed=first.seed))
+        assert np.array_equal(first.assignments, replay.assignments)
+        assert first.f_objective == replay.f_objective
+        assert replay.seed == first.seed
+
+    def test_seeded_run_keeps_its_seed(self, karate):
+        config = ClusteringConfig(resolution=0.1, seed=7)
+        result = cluster(karate, config)
+        assert result.seed == 7 and result.stats_dict()["seed"] == 7
+        again = cluster(karate, config)
+        assert np.array_equal(result.assignments, again.assignments)
+
+    def test_supervised_attempts_share_the_drawn_seed(self, karate):
+        from repro.core.options import RunOptions
+        from repro.supervisor import RunSupervisor
+
+        config = ClusteringConfig(resolution=0.1)
+        result = cluster(karate, config, RunOptions(supervisor=RunSupervisor()))
+        assert isinstance(result.seed, int)
+        assert result.config.seed == result.seed
+        assert config.seed is None

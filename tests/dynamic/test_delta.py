@@ -5,17 +5,30 @@ The splice must produce, array for array, the CSR that
 oracle below is that from-scratch build.
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import UpdateError
+from repro.core.config import ClusteringConfig
+from repro.dynamic.clusterer import DynamicClusterer
+from repro.dynamic.updates import EdgeUpdate, UpdateBatch
+from repro.errors import GraphFormatError, UpdateError
 from repro.generators import lfr_like_graph, rmat_graph
 from repro.graphs.builders import graph_from_edges
 from repro.graphs.csr import CSRGraph
-from repro.graphs.delta import DeltaOverlayGraph, base_edge_weight
+from repro.graphs.delta import (
+    DeltaOverlayGraph,
+    base_edge_weight,
+    find_arcs,
+    search_arcs,
+    splice_arrays,
+)
 from repro.graphs.karate import karate_club_graph
+from repro.kernels import native
 
 pytestmark = pytest.mark.dynamic
 
@@ -43,6 +56,23 @@ def oracle(base, edges, n):
     graph.self_loops[:] = np.concatenate([base.self_loops, np.zeros(grown)])
     graph.node_weight_sq[:] = np.concatenate([base.node_weight_sq, np.ones(grown)])
     return graph
+
+
+def library(mode):
+    """``"native"``: the library as loaded (the C splice and search
+    wherever it builds); ``"numpy"``: the library unavailable, so the
+    overlay takes its NumPy paths."""
+    if mode == "native":
+        return contextlib.nullcontext()
+    return mock.patch.object(native.LIBRARY, "load", return_value=None)
+
+
+def needs_library():
+    if native.LIBRARY.load() is None:
+        pytest.skip("native library unavailable")
+
+
+LIBRARY_MODES = ("native", "numpy")
 
 
 def assert_same_csr(got, want):
@@ -184,6 +214,19 @@ class TestCompaction:
         assert np.array_equal(compacted.node_weight_sq, np.ones(5))
         assert base_edge_weight(compacted, 1, 4) == 2.0
 
+    def test_vertex_arrays_shared_without_growth(self):
+        g = karate_club_graph()
+        overlay = DeltaOverlayGraph(g)
+        overlay.set_edge(0, 9, 1.0)
+        overlay.set_edge(0, 1, 0.0)
+        before = overlay.base
+        got = overlay.compact()
+        assert got.num_vertices == before.num_vertices
+        assert got.neighbors is not before.neighbors
+        assert got.self_loops is before.self_loops
+        assert got.node_weights is before.node_weights
+        assert got.node_weight_sq is before.node_weight_sq
+
     def test_insert_then_delete_cancels(self):
         g = graph_from_edges([(0, 1)])
         overlay = DeltaOverlayGraph(g)
@@ -252,11 +295,22 @@ def pick_vertex(index, n):
 
 
 class TestSpliceProperty:
-    """Every spliced CSR equals the from-scratch build of its edge set."""
+    """Every spliced CSR equals the from-scratch build of its edge set,
+    through the C splice and through the NumPy one."""
 
     @given(update_streams())
     @settings(max_examples=80, deadline=None)
     def test_splice_equals_from_scratch(self, stream):
+        with library("native"):
+            self._replay(stream)
+
+    @given(update_streams())
+    @settings(max_examples=80, deadline=None)
+    def test_numpy_splice_equals_from_scratch(self, stream):
+        with library("numpy"):
+            self._replay(stream)
+
+    def _replay(self, stream):
         name, batches = stream
         base = cached_base(name)
         overlay = DeltaOverlayGraph(base)
@@ -297,3 +351,288 @@ class TestSpliceProperty:
                 # Reweight-only: the topology arrays are shared.
                 assert got.offsets is before.offsets
                 assert got.neighbors is before.neighbors
+            if got.num_vertices == before.num_vertices:
+                assert got.node_weights is before.node_weights
+
+
+def splice_both(base, steps, grow_to=None):
+    """Stage ``steps`` (``(u, v, weight)``) on an overlay of ``base`` once
+    per library mode and compact; asserts both results equal the
+    from-scratch oracle, and returns the native one."""
+    edges = edge_dict(base)
+    results = {}
+    for mode in LIBRARY_MODES:
+        with library(mode):
+            overlay = DeltaOverlayGraph(base)
+            if grow_to is not None:
+                overlay.ensure_vertex(grow_to - 1)
+            for u, v, w in steps:
+                overlay.set_edge(u, v, w)
+            n = overlay.num_vertices
+            results[mode] = overlay.compact()
+    for u, v, w in steps:
+        key = (min(u, v), max(u, v))
+        if w == 0.0:
+            edges.pop(key, None)
+        else:
+            edges[key] = w
+    want = oracle(base, edges, n)
+    for got in results.values():
+        assert_same_csr(got, want)
+    return results["native"]
+
+
+class TestSpliceCases:
+    """Fixed splices through both paths, against the oracle."""
+
+    def test_vertex_growth(self):
+        base = cached_base("lfr")
+        n = base.num_vertices
+        got = splice_both(base, [(0, n + 3, 2.0), (n + 1, n + 2, 1.5)])
+        assert got.num_vertices == n + 4
+        assert got.degree(n) == 0
+
+    def test_growth_without_edges(self):
+        base = cached_base("rmat")
+        got = splice_both(base, [], grow_to=base.num_vertices + 5)
+        assert got.num_vertices == base.num_vertices + 5
+
+    def test_delete_every_arc_of_a_row(self):
+        base = cached_base("lfr")
+        v = int(np.argmax(base.degrees()))
+        nbrs, _ = base.neighborhood(v)
+        got = splice_both(base, [(v, int(u), 0.0) for u in nbrs])
+        assert got.degree(v) == 0
+
+    def test_delete_first_and_last_arcs(self):
+        base = cached_base("rmat")
+        first_row = int(np.flatnonzero(base.degrees())[0])
+        last_row = int(np.flatnonzero(base.degrees())[-1])
+        steps = [
+            (first_row, int(base.neighborhood(first_row)[0][0]), 0.0),
+            (last_row, int(base.neighborhood(last_row)[0][-1]), 0.0),
+        ]
+        got = splice_both(base, steps)
+        assert got.num_edges == base.num_edges - 2
+
+    def test_insert_into_empty_rows_and_past_the_base(self):
+        base = unsorted_base()  # rows 0, 4 and 8 are empty
+        steps = [(0, 4, 1.0), (8, 1, 2.0), (11, 0, 0.5), (12, 13, 3.0)]
+        got = splice_both(DeltaOverlayGraph(base).base, steps)
+        assert got.num_vertices == 14
+        assert got.degree(0) == 2
+
+    def test_insert_then_delete_cancels(self):
+        base = cached_base("lfr")
+        n = base.num_vertices
+        got = splice_both(base, [(0, n - 1, 0.0), (1, n + 2, 1.0), (1, n + 2, 0.0)])
+        assert got.num_vertices == n + 3
+        assert got.degree(n + 2) == 0
+
+    def test_structural_and_reweight_mixed(self):
+        base = cached_base("rmat")
+        u, v, _ = base.edge_list()
+        steps = [(int(u[0]), int(v[0]), 7.0), (int(u[1]), int(v[1]), 0.0)]
+        steps.append((0, base.num_vertices - 1, 1.0))
+        splice_both(base, steps)
+
+    def test_native_equals_numpy_splice_arrays(self):
+        needs_library()
+        base = cached_base("rmat")
+        overlay = DeltaOverlayGraph(base)
+        rng = np.random.default_rng(5)
+        for a, b in rng.integers(0, base.num_vertices + 4, size=(40, 2)):
+            if a != b:
+                overlay.set_edge(int(a), int(b), float(rng.integers(0, 3)))
+        arcs = overlay._pending_arcs()
+        want = splice_arrays(base, overlay.num_vertices, arcs)
+        got = native.splice(base, overlay.num_vertices, arcs, want[1].size)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def sparse_ids_base():
+    """An LFR graph with its ids doubled: every odd vertex is an empty
+    row, and the ~10k arcs span several of the C check's blocks."""
+    g = lfr_like_graph(1200, mixing=0.3, seed=3).graph
+    u, v, w = g.edge_list()
+    return graph_from_edges(
+        np.stack([2 * u, 2 * v], axis=1), weights=w, num_vertices=2 * g.num_vertices
+    )
+
+
+class TestLargeSplice:
+    """Verbatim runs longer than one block of the C pass's flat check,
+    with empty rows inside them."""
+
+    def test_sparse_rows_equal_oracle(self):
+        base = sparse_ids_base()
+        assert base.num_directed_edges > 2 * 4096
+        n = base.num_vertices
+        splice_both(base, [(1, 3, 1.0), (n - 2, n - 1, 2.0), (n // 2, 5, 0.5)])
+
+    def test_rows_tracked_across_blocks(self):
+        """A path through all but every seventh vertex: each arc's neighbor
+        is one or two ids from its row, so a row miscounted anywhere makes
+        some arc look like a self-loop."""
+        ids = np.array([v for v in range(7000) if v % 7 != 3])
+        base = graph_from_edges(np.stack([ids[:-1], ids[1:]], axis=1), num_vertices=7000)
+        assert base.num_directed_edges > 2 * 4096
+        got = splice_both(base, [(0, 3, 1.0), (6999, 6997, 0.0)])
+        assert got.degree(3) == 1
+
+    @pytest.mark.parametrize("mode", LIBRARY_MODES)
+    @pytest.mark.parametrize("fault", ["self-loop", "out-of-range"])
+    def test_bad_base_arc_far_from_the_staged_rows(self, mode, fault):
+        good = sparse_ids_base()
+        neighbors = good.neighbors.copy()
+        row = good.num_vertices - 2
+        neighbors[good.offsets[row]] = row if fault == "self-loop" else -1
+        base = CSRGraph(
+            good.offsets, neighbors, good.weights, validate=False
+        )
+        with library(mode):
+            overlay = DeltaOverlayGraph(base)
+            overlay.set_edge(0, 1, 1.0)
+            with pytest.raises(GraphFormatError):
+                overlay.compact()
+
+
+class TestSpliceRejects:
+    """Pending entries injected past ``set_edge``'s checks: the C splice
+    refuses them and the overlay keeps its base and pending entries."""
+
+    def _reject(self, inject):
+        needs_library()
+        base = cached_base("lfr")
+        overlay = DeltaOverlayGraph(base)
+        overlay.set_edge(0, 5, 1.0)
+        inject(overlay._pending)
+        pending = dict(overlay._pending)
+        with pytest.raises(GraphFormatError):
+            overlay.compact()
+        assert overlay.base is base
+        assert overlay._pending == pending
+
+    def test_self_loop(self):
+        self._reject(lambda pending: pending.__setitem__((3, 3), 1.0))
+
+    def test_destination_past_num_vertices(self):
+        self._reject(lambda pending: pending.__setitem__((1, 10_000), 1.0))
+
+    def test_capacity_too_small(self):
+        needs_library()
+        base = cached_base("lfr")
+        overlay = DeltaOverlayGraph(base)
+        overlay.set_edge(0, base.num_vertices - 1, 1.0)
+        arcs = overlay._pending_arcs()
+        size = base.neighbors.size + 2
+        for capacity in (size - 1, size - 2, 0):
+            with pytest.raises(GraphFormatError):
+                native.splice(base, base.num_vertices, arcs, capacity)
+        offsets, _, _ = native.splice(base, base.num_vertices, arcs, size)
+        assert offsets[-1] == size
+
+
+class TestFindArcs:
+    def test_native_equals_searchsorted(self):
+        needs_library()
+        base = cached_base("rmat")
+        rng = np.random.default_rng(3)
+        src = rng.integers(0, base.num_vertices + 3, size=300)
+        dst = rng.integers(0, base.num_vertices + 3, size=300)
+        u, v, _ = base.edge_list()
+        src = np.concatenate([src, u, v]).astype(np.int64)
+        dst = np.concatenate([dst, v, u]).astype(np.int64)
+        pos, found = find_arcs(base, src, dst)
+        want_pos, want_found = search_arcs(base, src, dst)
+        assert np.array_equal(pos, want_pos)
+        assert np.array_equal(found, want_found)
+        assert found[300:].all()
+
+    @pytest.mark.parametrize("mode", LIBRARY_MODES)
+    def test_edge_weights_match_edge_weight(self, mode):
+        base = cached_base("lfr")
+        n = base.num_vertices
+        u, v, _ = base.edge_list()
+        gone = (int(u[0]), int(v[0]))
+        with library(mode):
+            overlay = DeltaOverlayGraph(base)
+            overlay.set_edge(0, 7, 2.5)
+            overlay.set_edge(*gone, 0.0)
+            keys = [(0, 7), gone, (0, n + 1), (n, n + 1)]
+            keys += [(int(a), int(b)) for a, b in zip(u[:50], v[:50])]
+            keys += [(1, 2), (2, 3), (0, 7)]
+            got = overlay.edge_weights(keys)
+        assert got == [overlay.edge_weight(a, b) for a, b in keys]
+        assert got[:4] == [2.5, 0.0, 0.0, 0.0]
+        assert got[5] > 0.0
+
+    def test_edge_weights_rejects_self_loop(self):
+        overlay = DeltaOverlayGraph(graph_from_edges([(0, 1)]))
+        with pytest.raises(UpdateError, match="self-loop"):
+            overlay.edge_weights([(0, 1), (1, 1)])
+
+
+def update_stream(graph, seed, batches=6, per_batch=30):
+    """Mixed batches: deletes and reweights of live edges, inserts of new
+    and repeated pairs, and edges to vertices past the graph."""
+    rng = np.random.default_rng(seed)
+    edges = dict(edge_dict(graph))
+    n = graph.num_vertices
+    stream = []
+    for _ in range(batches):
+        ops = []
+        for _ in range(per_batch):
+            kind = rng.integers(0, 4)
+            live = sorted(edges)
+            if kind < 2 and live:
+                u, v = live[rng.integers(0, len(live))]
+                if kind == 0:
+                    ops.append(EdgeUpdate("delete", u, v))
+                    del edges[(u, v)]
+                else:
+                    w = float(rng.integers(1, 4))
+                    ops.append(EdgeUpdate("reweight", u, v, w))
+                    edges[(u, v)] = w
+            else:
+                u, v = (int(x) for x in rng.integers(0, n + 2, size=2))
+                if u == v:
+                    continue
+                key = (min(u, v), max(u, v))
+                ops.append(EdgeUpdate("insert", u, v, 1.0))
+                edges[key] = edges.get(key, 0.0) + 1.0
+                n = max(n, key[1] + 1)
+        stream.append(UpdateBatch(ops))
+    return stream
+
+
+class TestClustererParity:
+    """A DynamicClusterer session with the library on equals the same
+    session with it off."""
+
+    def _session(self, mode):
+        graph = lfr_like_graph(150, mixing=0.3, seed=2).graph
+        config = ClusteringConfig(resolution=0.1, seed=4)
+        with library(mode):
+            dc = DynamicClusterer.bootstrap(graph, config)
+            reports = [dc.apply(batch) for batch in update_stream(graph, 9)]
+            return {
+                "assignments": dc.state.assignments.copy(),
+                "graph": dc.graph,
+                "f": [r.f_objective for r in reports],
+                "sim": dc.sim_seconds,
+                "audit": dc.audit(),
+                "rejects": dc.validate(
+                    [EdgeUpdate("delete", 0, graph.num_vertices + 9)]
+                ),
+            }
+
+    def test_library_on_equals_off(self):
+        on, off = self._session("native"), self._session("numpy")
+        assert np.array_equal(on["assignments"], off["assignments"])
+        assert_same_csr(on["graph"], off["graph"])
+        assert on["f"] == off["f"]
+        assert on["sim"] == off["sim"]
+        assert on["audit"] == off["audit"] == []
+        assert on["rejects"] == off["rejects"] != [None]
