@@ -1,10 +1,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-dynamic test-backend test-serving api-check \
+.PHONY: test test-fast test-dynamic test-serving api-check \
 	smoke-obs baselines native-kernel \
 	compare-baselines bench bench-snapshot bench-perf-smoke compare-kernels \
-	chaos bench-overhead bench-dynamic bench-backend doctor obs-report ci
+	chaos bench-overhead bench-dynamic doctor obs-report ci
 
 ## Full test suite (tier 1).
 test:
@@ -17,13 +17,6 @@ test-fast:
 ## Dynamic-clustering subsystem: incremental updates, snapshots, serving.
 test-dynamic:
 	$(PYTHON) -m pytest -x -q -m dynamic
-
-## Process execution backend: bit-identical parity across all engines
-## (move evaluation and the SYNC frontier gather), worker sizing/fallback,
-## shared-memory leak hygiene (normal exit, chaos-killed worker, /dev/shm
-## exhausted mid-run).
-test-backend:
-	$(PYTHON) -m pytest -x -q -m parallel_backend
 
 ## Serving gateway: snapshot-isolated reads, write coalescing, admission
 ## control, the cross-engine x cross-family replay equivalence gate, and
@@ -108,15 +101,6 @@ bench-overhead:
 bench-dynamic:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_dynamic.py
 
-## Execution-backend sweep: 1/2/4-worker wall clock vs the simulated
-## baseline on scale-12 RMAT + LFR.  Parity (bit-identical results) is
-## asserted unconditionally; the >=2x move-eval speedup gate applies only
-## on hosts with >=4 CPUs (the committed BENCH_PR9.json records
-## host_cpu_count; refresh with `python -m repro.bench emit PR9 --out
-## benchmarks/baselines`).
-bench-backend:
-	$(PYTHON) -m pytest -x -q benchmarks/bench_backend.py
-
 ## Build the native library, failing when it cannot be built or any of
 ## its seven entry points does not resolve (so CI never passes on the
 ## reference kernel and NumPy paths by accident): the three per-window
@@ -172,16 +156,15 @@ obs-report: doctor
 	    --trace /tmp/repro-doctor/update-trace.jsonl \
 	    --metrics /tmp/repro-doctor/update-metrics.jsonl
 
-## The full gate a PR must pass: tier-1 tests (which include the
-## parallel_backend parity/leak suite and the serving suite), the
-## native-kernel build and parity check, the API-surface drift check,
-## the observability smoke, the committed-baseline regression compare
-## (including the kernel snapshot), the supervised chaos matrix, the run
-## doctor + HTML report, the execution-backend parity/speedup bench, the
-## wall-clock perf harness smoke, and the <3% overhead bench (disabled
+## The full gate a PR must pass: tier-1 tests (which include the serving
+## suite), the native-kernel build and parity check, the API-surface drift
+## check, the observability smoke, the committed-baseline regression
+## compare (including the kernel snapshot), the supervised chaos matrix,
+## the run doctor + HTML report, the dynamic-updates bench, the wall-clock
+## perf harness smoke, and the <3% overhead bench (disabled
 ## instrumentation, no-fault supervision).  Serving equivalence is in
 ## tier-1 (tests/serving/test_equivalence.py); serving wall-clock
 ## performance is the `serve` workload of benchmarks/perf.
 ci: test native-kernel api-check smoke-obs compare-baselines \
-	compare-kernels chaos bench-dynamic bench-backend bench-perf-smoke \
+	compare-kernels chaos bench-dynamic bench-perf-smoke \
 	obs-report bench-overhead

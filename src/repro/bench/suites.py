@@ -11,8 +11,7 @@ them.  Every suite takes ``repeats`` and returns a
   supervision against a bare run on a planted-partition graph;
 * ``PR3`` — one fully instrumented run plus its telemetry coverage;
 * ``PR4`` — native vs reference kernel speedups and parity;
-* ``PR7`` — dynamic updates vs full recompute on LFR churn batches;
-* ``PR9`` — the process backend at 1/2/4 workers vs inline.
+* ``PR7`` — dynamic updates vs full recompute on LFR churn batches.
 
 Deterministic metrics (objective, simulated time, candidate counts) are
 machine-stable; wall seconds ride along as info or as noisy metrics.
@@ -20,7 +19,6 @@ machine-stable; wall seconds ride along as info or as noisy metrics.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -615,131 +613,6 @@ def dynamic_suite(repeats: int = 3) -> BenchSuite:
     return suite
 
 
-# ---------------------------------------------------------------------------
-# process backend vs inline (``PR9``)
-# ---------------------------------------------------------------------------
-#: Worker counts swept by the backend suite (1 is the IPC-overhead control).
-WORKER_SWEEP = (1, 2, 4)
-
-#: >= 2x move-eval speedup at 4 workers vs 1, gated by
-#: ``benchmarks/bench_backend.py`` only on hosts with >= 4 CPUs.
-TARGET_SPEEDUP = 2.0
-GATE_MIN_CPUS = 4
-
-#: Resolution shared by both backend workloads.
-BACKEND_RESOLUTION = 0.05
-
-
-def backend_suite(repeats: int = 3) -> BenchSuite:
-    """The ``PR9`` suite: warm process pools of 1/2/4 workers vs inline.
-
-    Two measurements per workload (scale-12 RMAT and an LFR graph):
-    ``cluster()`` end to end (pool start-up excluded: the pool is created
-    once and reused), and the move-evaluation phase alone (one full-graph
-    batch through the pool).  Every process row is checked bit-identical
-    against its inline baseline before any timing is trusted.
-
-    Real-core speedup is bounded by the host's cores, so ``meta`` records
-    ``host_cpu_count``; on fewer than 4 CPUs the numbers are recorded but
-    the speedup gate does not apply.
-    """
-    from repro.core.api import cluster
-    from repro.core.config import ClusteringConfig, Frontier, Mode
-    from repro.core.options import RunOptions
-    from repro.core.state import ClusterState
-    from repro.generators.lfr import lfr_like_graph
-    from repro.generators.rmat import rmat_graph
-    from repro.parallel.backend.process import ProcessBackend
-
-    seed = 3
-    cpu_count = os.cpu_count() or 1
-    suite = BenchSuite(
-        "PR9",
-        meta={
-            "host_cpu_count": cpu_count,
-            "speedup_gate_applicable": cpu_count >= GATE_MIN_CPUS,
-            "target_speedup": TARGET_SPEEDUP,
-            "worker_sweep": list(WORKER_SWEEP),
-            "repeats": repeats,
-            "resolution": BACKEND_RESOLUTION,
-            "seed": seed,
-        },
-    )
-    # Synchronous mode with the ALL frontier keeps batch windows at full
-    # frontier width — the dispatch-heavy shape the backend accelerates.
-    config = ClusteringConfig(
-        resolution=BACKEND_RESOLUTION,
-        mode=Mode.SYNC,
-        frontier=Frontier.ALL,
-        seed=seed,
-    )
-    workloads = {
-        "rmat12": rmat_graph(12, 8 * 2**12, seed=seed),
-        "lfr": lfr_like_graph(3000, mixing=0.2, seed=seed).graph,
-    }
-    for name, graph in workloads.items():
-        baseline, base_timing = time_callable(
-            lambda: cluster(graph, config), repeats=repeats, warmup=1
-        )
-        suite.add_row(
-            f"{name}-simulated",
-            metrics={
-                "wall_seconds": base_timing.best,
-                "f_objective": baseline.objective,
-            },
-            vertices=graph.num_vertices,
-            edges=graph.num_edges,
-        )
-
-        full_batch = np.arange(graph.num_vertices, dtype=np.int64)
-        eval_walls = {}
-        for workers in WORKER_SWEEP:
-            with ProcessBackend(workers=workers, min_dispatch=64) as backend:
-                result, timing = time_callable(
-                    lambda: cluster(graph, config, RunOptions(backend=backend)),
-                    repeats=repeats,
-                    warmup=1,
-                )
-                stats = backend.stats()
-                identical = bool(
-                    np.array_equal(baseline.assignments, result.assignments)
-                    and baseline.objective == result.objective
-                )
-
-                # Move-eval phase alone: one full-graph batch per call.
-                state = ClusterState.singletons(graph)
-                _, eval_timing = time_callable(
-                    lambda: backend.batch_moves(
-                        graph,
-                        state,
-                        full_batch,
-                        BACKEND_RESOLUTION,
-                        allow_escape=True,
-                        swap_avoidance=False,
-                    ),
-                    repeats=repeats,
-                    warmup=1,
-                )
-            eval_walls[workers] = eval_timing.best
-            suite.add_row(
-                f"{name}-process-w{workers}",
-                metrics={
-                    "wall_seconds": timing.best,
-                    "moveeval_wall_seconds": eval_timing.best,
-                    "f_objective": result.objective,
-                    "speedup": base_timing.best / timing.best,
-                    "moveeval_speedup": (
-                        eval_walls[WORKER_SWEEP[0]] / eval_timing.best
-                    ),
-                },
-                identical=identical,
-                faulted=bool(stats["faulted"]),
-                dispatches=int(stats["dispatches"]),
-                bytes_shared=int(stats["bytes_shared"]),
-            )
-    return suite
-
-
 #: Committed baseline name -> the suite that regenerates
 #: ``benchmarks/baselines/BENCH_<name>.json``.
 SUITES: Dict[str, Callable[..., BenchSuite]] = {
@@ -748,5 +621,4 @@ SUITES: Dict[str, Callable[..., BenchSuite]] = {
     "PR3": telemetry_suite,
     "PR4": kernels_suite,
     "PR7": dynamic_suite,
-    "PR9": backend_suite,
 }

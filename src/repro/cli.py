@@ -500,7 +500,7 @@ def _cmd_update(args) -> int:
                 "engine": clusterer.engine_name,
                 "objective": "correlation",
                 "resolution": float(clusterer.resolution),
-                "seed": config.seed,
+                "seed": clusterer.config.seed,
                 "workers": int(config.resolved_workers),
                 "kernel": config.kernel,
                 "update_batch": {
@@ -637,7 +637,7 @@ def _cmd_serve(args) -> int:
         replayed = replay_digests(
             graph0,
             labels0,
-            config,
+            clusterer.config,
             gateway.committed_batches(),
             engine=clusterer.engine_name,
             guard=_dynamic_guard(args),

@@ -69,17 +69,11 @@ def cluster(
       :class:`~repro.supervisor.RunSupervisor`: retry-with-resume, watchdog
       deadlines, and the fallback ladder (DESIGN.md §10), with every
       recovery decision in ``failure_log`` and ``extras["supervisor"]``.
-    * ``options.backend`` passes an already-open
-      :class:`~repro.parallel.backend.process.ProcessBackend` to reuse
-      across runs; when omitted, ``config.backend`` selects one, created
-      and closed inside this call.  Backends never change results
-      (DESIGN.md §13).
     """
     opts = options if options is not None else RunOptions()
     resilience = opts.resilience
     instrumentation = opts.instrumentation
     engine = opts.engine
-    backend = opts.backend
     # A run without a seed draws one here and records it, so the result
     # can be replayed; every supervised attempt shares it.
     seed = resolve_seed(config.seed)
@@ -110,18 +104,6 @@ def cluster(
         machine=config.machine,
         instr=instr,
     )
-    owns_backend = False
-    exec_backend = backend
-    if exec_backend is None and config.backend != "simulated":
-        from repro.parallel.backend import create_backend
-
-        exec_backend = create_backend(
-            config.backend,
-            workers=config.resolved_workers,
-            machine=config.machine,
-        )
-        owns_backend = True
-    sched.backend = exec_backend
     memory = MemoryTracker()
     rng = make_rng(seed)
     ctx = ResilienceContext(resilience, sched=sched) if resilience else None
@@ -133,52 +115,45 @@ def cluster(
         driver = partial(multilevel_with_engine, engine=engine)
     else:
         driver = parallel_cc if config.parallel else sequential_cc
-    try:
-        with instr.span(
-            "run",
-            algorithm=config.describe(),
-            engine=engine,
-            objective=config.objective.name.lower(),
-            vertices=graph.num_vertices,
-            edges=graph.num_edges,
-            resolution=config.resolution,
-        ) as run_span:
-            with WallTimer() as timer:
-                assignments, stats = driver(
-                    working,
-                    effective_lambda,
-                    config,
-                    sched=sched,
-                    rng=rng,
-                    memory=memory,
-                    resilience=ctx,
-                )
-            _, dense = np.unique(assignments, return_inverse=True)
-            dense = dense.astype(np.int64)
-            return _finish_run(
-                graph,
+    with instr.span(
+        "run",
+        algorithm=config.describe(),
+        engine=engine,
+        objective=config.objective.name.lower(),
+        vertices=graph.num_vertices,
+        edges=graph.num_edges,
+        resolution=config.resolution,
+        seed=seed,
+    ) as run_span:
+        with WallTimer() as timer:
+            assignments, stats = driver(
                 working,
-                config,
-                resilience,
-                instr,
-                run_span,
-                sched,
-                memory,
-                timer,
-                ctx,
-                dense,
-                stats,
                 effective_lambda,
-                total_weight,
-                exec_backend,
-                seed,
+                config,
+                sched=sched,
+                rng=rng,
+                memory=memory,
+                resilience=ctx,
             )
-    finally:
-        # Backends created by this call are torn down here even on error
-        # paths: the process pool exits and every shared segment is
-        # unlinked (the leak test's normal-exit contract).
-        if owns_backend and exec_backend is not None:
-            exec_backend.close()
+        _, dense = np.unique(assignments, return_inverse=True)
+        dense = dense.astype(np.int64)
+        return _finish_run(
+            graph,
+            working,
+            config,
+            resilience,
+            instr,
+            run_span,
+            sched,
+            memory,
+            timer,
+            ctx,
+            dense,
+            stats,
+            effective_lambda,
+            total_weight,
+            seed,
+        )
 
 
 def _finish_run(
@@ -196,7 +171,6 @@ def _finish_run(
     stats,
     effective_lambda,
     total_weight,
-    exec_backend,
     seed,
 ) -> ClusterResult:
     """Score, audit, and package one finished clustering run."""
@@ -221,8 +195,6 @@ def _finish_run(
     extras: dict = {}
     if getattr(graph, "repairs", None):
         extras["input_repairs"] = dict(graph.repairs)
-    if exec_backend is not None:
-        extras["backend"] = exec_backend.stats()
     degraded = False
     failure_log: list = []
     if ctx is not None:

@@ -8,6 +8,7 @@ are therefore the defaults.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
@@ -45,6 +46,21 @@ class Frontier(Enum):
     VERTEX_NEIGHBORS = "vertex-neighbors"
 
 
+def resolve_workers(requested: Optional[int], machine=None) -> int:
+    """Resolve a simulated worker count request to a concrete P.
+
+    ``requested`` of ``None`` or ``0`` means *auto*: use ``os.cpu_count()``
+    capped by the machine profile's ``max_workers``.  Explicit positive
+    requests are honoured as-is.
+    """
+    if requested is not None and requested > 0:
+        return int(requested)
+    auto = os.cpu_count() or 1
+    if machine is not None:
+        auto = min(auto, machine.max_workers)
+    return max(1, int(auto))
+
+
 @dataclass(frozen=True)
 class ClusteringConfig:
     """Full configuration for a clustering run.
@@ -68,8 +84,7 @@ class ClusteringConfig:
     num_workers, machine:
         Simulated-parallelism parameters (see DESIGN.md).  ``num_workers=0``
         means *auto*: resolve via ``os.cpu_count()`` capped by the machine
-        profile's ``max_workers`` (the natural choice when running the
-        process backend on real cores).
+        profile's ``max_workers`` (see :func:`resolve_workers`).
     async_windows:
         Number of concurrency windows an asynchronous iteration is split
         into; the window size is ``max(num_workers, ceil(|V'| / async_windows))``.
@@ -82,13 +97,6 @@ class ClusteringConfig:
         Move-evaluation kernel (:mod:`repro.kernels`): ``"native"`` (the
         C loops, the default) or ``"reference"`` (dict-loop oracle).
         Bit-identical outputs; only wall-clock differs (DESIGN.md §8).
-    backend:
-        Execution backend (:mod:`repro.parallel.backend`): ``"simulated"``
-        (inline, the default) or ``"process"`` (persistent shared-memory
-        worker pool on real cores).  Bit-identical results; only wall
-        clock differs (DESIGN.md §13).  Deliberately excluded from
-        :meth:`describe`/:meth:`config_tag` so checkpoints cross backends
-        exactly as they cross kernels and engines.
     escape_moves:
         Allow a vertex whose every option has negative gain to escape to
         its (empty) home cluster slot.  Needed for correctness under
@@ -114,7 +122,6 @@ class ClusteringConfig:
     async_windows: int = 32
     kernel_threshold: int = 512
     kernel: str = DEFAULT_KERNEL
-    backend: str = "simulated"
     escape_moves: bool = True
     seed: Optional[int] = None
     max_levels: int = 50
@@ -148,21 +155,11 @@ class ClusteringConfig:
             raise ConfigError(
                 f"kernel must be one of {sorted(KERNELS)}, got {self.kernel!r}"
             )
-        from repro.parallel.backend import BACKEND_NAMES
-
-        if self.backend not in BACKEND_NAMES:
-            raise ConfigError(
-                f"backend must be one of {list(BACKEND_NAMES)}, got {self.backend!r}"
-            )
 
     @property
     def resolved_workers(self) -> int:
         """``num_workers`` with 0 resolved to the host's usable core count."""
-        if self.num_workers >= 1:
-            return self.num_workers
-        from repro.parallel.backend import resolve_workers
-
-        return resolve_workers(0, self.machine)
+        return resolve_workers(self.num_workers, self.machine)
 
     @property
     def iteration_bound(self) -> int:
@@ -222,22 +219,14 @@ class ClusteringConfig:
         )
         parser.add_argument(
             "--workers", type=int, default=60,
-            help="simulated worker lanes / process-pool size (0 = auto: "
-                 "one per host core, capped by the machine model)",
+            help="simulated worker lanes (0 = auto: one per host core, "
+                 "capped by the machine model)",
         )
         parser.add_argument(
             "--kernel", choices=sorted(KERNELS),
             default=DEFAULT_KERNEL,
             help="move-evaluation kernel (bit-identical results; "
                  "reference is the dict-loop oracle)",
-        )
-        parser.add_argument(
-            "--backend", choices=["simulated", "process"],
-            default="simulated",
-            help="execution backend (bit-identical results; 'process' "
-                 "shards move evaluation and frontier gathers over a "
-                 "shared-memory worker pool on real cores, falling back "
-                 "to simulated when the host cannot support it)",
         )
         parser.add_argument("--seed", type=int, default=None)
 
@@ -262,7 +251,6 @@ class ClusteringConfig:
             num_iter=None if args.converge else args.num_iter,
             num_workers=args.workers,
             kernel=args.kernel,
-            backend=getattr(args, "backend", "simulated"),
             seed=args.seed,
         )
 

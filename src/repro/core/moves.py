@@ -161,32 +161,15 @@ def compute_batch_moves(
         empty = np.zeros(0, dtype=np.int64)
         return empty, np.zeros(0, dtype=np.float64)
     instr = getattr(sched, "instr", None)
-    backend = getattr(sched, "backend", None)
-    if backend is not None:
-        # Execution backend (DESIGN.md §13): evaluate the batch on real
-        # cores.  Bit-identical to the inline kernel call below, and the
-        # cost model afterwards charges exactly the same, so only wall
-        # clock differs between backends.
-        targets, gains = backend.batch_moves(
-            graph,
-            state,
-            batch,
-            resolution,
-            allow_escape=allow_escape,
-            swap_avoidance=swap_avoidance,
-            kernel=kernel,
-            instr=instr,
-        )
-    else:
-        targets, gains = get_kernel(kernel).batch_moves(
-            graph,
-            state,
-            batch,
-            resolution,
-            allow_escape=allow_escape,
-            swap_avoidance=swap_avoidance,
-            instr=instr,
-        )
+    targets, gains = get_kernel(kernel).batch_moves(
+        graph,
+        state,
+        batch,
+        resolution,
+        allow_escape=allow_escape,
+        swap_avoidance=swap_avoidance,
+        instr=instr,
+    )
     if instr is not None and instr.enabled:
         instr.observe(M_KERNEL_BATCH, float(batch.size), kernel=kernel)
     if sched is None:

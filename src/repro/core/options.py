@@ -1,7 +1,7 @@
 """RunOptions: the consolidated execution-context bundle for ``cluster``.
 
 :func:`repro.core.api.cluster` takes every execution subsystem —
-resilience, instrumentation, engine override, supervisor, backend —
+resilience, instrumentation, engine override and supervisor —
 through one typed, frozen value, so the public signature stays
 ``cluster(graph, config, options=)`` no matter how many execution
 subsystems grow underneath, and so option bundles can be built once and
@@ -25,9 +25,8 @@ class RunOptions:
     Every field defaults to ``None`` — the plain, uninstrumented,
     unsupervised inline run.  None of these fields can change the
     clustering result except ``engine`` (which selects a different
-    BEST-MOVES schedule) and a degrading ``resilience`` policy; the
-    backend and instrumentation are bit-identity-preserving by contract
-    (DESIGN.md §7/§13).
+    BEST-MOVES schedule) and a degrading ``resilience`` policy;
+    instrumentation is bit-identity-preserving by contract (DESIGN.md §7).
 
     Attributes
     ----------
@@ -43,15 +42,9 @@ class RunOptions:
     supervisor:
         A :class:`~repro.supervisor.RunSupervisor` — retry-with-resume,
         watchdog deadlines, fallback ladder.
-    backend:
-        An already-open
-        :class:`~repro.parallel.backend.process.ProcessBackend` to reuse
-        (e.g. one warm pool across a sweep); when ``None``,
-        ``config.backend`` selects one per run.
     """
 
     resilience: Optional[object] = None
     instrumentation: Optional[object] = None
     engine: Optional[str] = None
     supervisor: Optional[object] = None
-    backend: Optional[object] = None

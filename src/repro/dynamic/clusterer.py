@@ -73,7 +73,7 @@ from repro.obs.instrument import (
 )
 from repro.parallel.scheduler import SimulatedScheduler
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
-from repro.utils.rng import make_rng
+from repro.utils.rng import make_rng, resolve_seed
 
 
 @dataclass
@@ -162,6 +162,10 @@ class DynamicClusterer:
                 "modularity re-derives vertex weights from degrees, which "
                 "every edge update changes globally"
             )
+        # A session without a seed draws one here and keeps it in its
+        # config, so the session can be recorded and replayed.
+        if config.seed is None:
+            config = config.with_options(seed=resolve_seed(None))
         self.config = config
         self.engine_name = engine if engine is not None else (
             "relaxed" if config.parallel else "sequential"
@@ -212,6 +216,7 @@ class DynamicClusterer:
         """Cluster ``graph`` from scratch, then serve it dynamically."""
         from repro.core.api import cluster
 
+        config = config.with_options(seed=resolve_seed(config.seed))
         result = cluster(
             graph,
             config,

@@ -39,7 +39,6 @@ from repro.resilience.checkpoint import (
     capture_rng,
     restore_rng,
 )
-from repro.utils.rng import make_rng
 
 PathLike = Union[str, Path]
 
@@ -182,7 +181,6 @@ def load_snapshot(
     clusterer._k2 = arrays["k2"].astype(np.float64, copy=True)
     clusterer._intra = float(meta["intra"])
     clusterer._penalty = float(meta["penalty"])
-    clusterer.rng = make_rng(config.seed)
     try:
         restore_rng(clusterer.rng, meta.get("rng_state"))
     except Exception as exc:

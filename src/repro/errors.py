@@ -70,7 +70,7 @@ class ServerClosedError(ReproError):
     :class:`~repro.serving.gateway.ServingGateway` after ``close()``.
     Closing is idempotent — double-close and re-``__exit__`` are no-ops —
     but serve/stage/commit/save/audit on a closed gateway raise this
-    instead of surfacing an obscure backend failure from the released
+    instead of surfacing an obscure failure from the released
     clusterer."""
 
 

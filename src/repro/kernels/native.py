@@ -36,8 +36,11 @@ The shared library is built lazily, on first use, never at import:
   hash of the source, the flags and the compiler's identity (its resolved
   path, size and mtime, which change with its version), so a cached
   library is found again without running the compiler;
-* through a unique temp file and ``os.replace``, so pool workers and
-  parallel test runs never load a half-written library.
+* through a unique temp file and ``os.replace``, so concurrent
+  processes never load a half-written library;
+* after each build, libraries of other versions in that directory that
+  are more than a day old are deleted (:func:`prune_stale`), so the cache
+  does not grow with every edit of the source.
 
 With no compiler, or when the build fails, :data:`LIBRARY` warns once
 with a ``RuntimeWarning``; the kernel then delegates to the
@@ -55,6 +58,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -183,6 +187,24 @@ def build(compiler: str, target: Path) -> None:
             os.unlink(tmp)
 
 
+#: Age after which a cached library of another version is deleted.  Two
+#: checkouts of different versions used in turn each keep their library.
+STALE_LIBRARY_SECONDS = 24 * 3600.0
+
+
+def prune_stale(keep: Path) -> None:
+    """Delete the ``best_moves-*.so`` beside ``keep`` that are stale."""
+    cutoff = time.time() - STALE_LIBRARY_SECONDS
+    for path in keep.parent.glob("best_moves-*.so"):
+        if path.name == keep.name:
+            continue
+        try:
+            if path.stat().st_mtime < cutoff:
+                path.unlink()
+        except OSError:
+            pass  # another process removed it first
+
+
 class NativeLibrary:
     """The compiled library, loaded once on first use.
 
@@ -229,6 +251,7 @@ class NativeLibrary:
                 except OSError:
                     # Missing, or not a loadable library: (re)build it.
                     build(compiler, path)
+                    prune_stale(path)
                     lib = ctypes.CDLL(str(path))
             except (OSError, subprocess.SubprocessError) as exc:
                 errors.append(_describe(exc))

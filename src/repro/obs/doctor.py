@@ -341,10 +341,6 @@ def trace_series(records: Sequence[dict]) -> Dict[str, object]:
     for record in records:
         if record.get("type") != "worker":
             continue
-        if record.get("clock", "sim") != "sim":
-            # Execution-backend chunks are on the wall clock; folding them
-            # into the simulated lanes would corrupt utilization ratios.
-            continue
         lane = lanes.setdefault(
             record.get("worker"),
             {"worker": record.get("worker"), "chunks": 0, "busy": 0.0,

@@ -105,9 +105,6 @@ M_GATEWAY_QUEUE = "repro_gateway_queue_depth"
 M_GATEWAY_BATCH = "repro_gateway_batch_updates"
 #: Latest published label epoch index (gauge).
 M_GATEWAY_EPOCH = "repro_gateway_epoch"
-#: Wall seconds per execution-backend dispatch, labeled by phase:
-#: moves/frontier (histogram).  Fed by the process backend.
-M_BACKEND_DISPATCH = "repro_backend_dispatch_seconds"
 
 #: Latency buckets for M_SERVE_LATENCY: a 1-2.5-5 ladder from 1 µs to
 #: 50 s — the default registry ladder starts at 1 ms, far too coarse for
@@ -152,7 +149,6 @@ _HELP = {
     M_GATEWAY_QUEUE: "Queue depth observed at each gateway admission decision",
     M_GATEWAY_BATCH: "Coalesced updates per committed gateway batch",
     M_GATEWAY_EPOCH: "Latest published label epoch index",
-    M_BACKEND_DISPATCH: "Wall seconds per execution-backend dispatch, by phase",
 }
 
 
@@ -198,17 +194,10 @@ class Instrumentation:
         label: str,
         items: int = 0,
         wait: float = 0.0,
-        clock: str = "sim",
     ) -> None:
-        """Record a worker's chunk interval (no-op when disabled).
-
-        ``clock="sim"`` (default) is a simulated-machine lane;
-        ``clock="wall"`` is a real process-backend worker measured on the
-        wall clock — rendered as its own process group (pid 2) by the
-        Chrome-trace exporter.
-        """
+        """Record a simulated worker's chunk interval (no-op when disabled)."""
         if self.enabled:
-            self.tracer.worker_chunk(worker, start, end, label, items, wait, clock)
+            self.tracer.worker_chunk(worker, start, end, label, items, wait)
 
     # ------------------------------------------------------------------
     # metric hooks

@@ -84,12 +84,6 @@ def _check_record_shape(index: int, record, problems: List[str]) -> bool:
         if record["end"] < record["start"] - _EPS:
             problems.append(f"line {index}: worker chunk ends before it starts")
             return False
-        if record.get("clock", "sim") not in ("sim", "wall"):
-            problems.append(
-                f"line {index}: worker clock must be 'sim' or 'wall', "
-                f"got {record.get('clock')!r}"
-            )
-            return False
         return True
     if not isinstance(record["name"], str) or not record["name"]:
         problems.append(f"line {index}: name must be a non-empty string")
@@ -164,10 +158,7 @@ def validate_trace_records(records: List[dict]) -> List[str]:
 
     # Worker lanes model one core each, so chunks on the same lane must be
     # strictly sequential: sorted by start, each chunk may begin only once
-    # its predecessor has ended.  Simulated lanes and real execution-
-    # backend lanes (``clock: "wall"``) are distinct clock domains, so
-    # lanes are keyed by (clock, worker): worker 0's simulated chunks and
-    # worker 0's wall-clock chunks never constrain each other.
+    # its predecessor has ended.
     lanes = {}
     for record in records:
         if (
@@ -175,14 +166,13 @@ def validate_trace_records(records: List[dict]) -> List[str]:
             and record.get("type") == "worker"
             and record.get("id") in seen_ids
         ):
-            key = (record.get("clock", "sim"), record["worker"])
-            lanes.setdefault(key, []).append(record)
-    for (clock, worker), chunks in sorted(lanes.items()):
+            lanes.setdefault(record["worker"], []).append(record)
+    for worker, chunks in sorted(lanes.items()):
         chunks.sort(key=lambda r: (r["start"], r["end"], r["id"]))
         for prev, nxt in zip(chunks, chunks[1:]):
             if nxt["start"] < prev["end"] - _EPS:
                 problems.append(
-                    f"worker {worker} ({clock}): chunk {nxt['id']} starts at "
+                    f"worker {worker}: chunk {nxt['id']} starts at "
                     f"{nxt['start']} before chunk {prev['id']} ends at "
                     f"{prev['end']}"
                 )

@@ -14,12 +14,7 @@ process groups separate the two clocks the trace mixes:
   WorkerTimeline` becomes an ``"X"`` event on the thread matching its
   worker id, so stragglers, barriers, and idle gaps are visible per lane.
   Each chunk carries its vertex count and the idle wait that preceded it
-  in ``args``;
-* **pid 2 — backend workers (wall clock):** ``worker`` chunks tagged
-  ``clock: "wall"`` are real OS workers of the process execution backend
-  (DESIGN.md §13), measured on the wall clock — shown beside the
-  simulated lanes so modeled and actual parallelism can be compared
-  shard for shard.
+  in ``args``.
 
 The clocks are not on a shared axis — wall seconds and simulated seconds
 differ by orders of magnitude — which is exactly why they get separate
@@ -34,10 +29,9 @@ from __future__ import annotations
 import json
 from typing import List, Optional
 
-#: Process ids for the three clock domains.
+#: Process ids for the two clock domains.
 PID_SPANS = 0
 PID_WORKERS = 1
-PID_BACKEND = 2
 
 _US = 1e6  # seconds -> microseconds
 
@@ -62,9 +56,7 @@ def chrome_trace_events(records: List[dict]) -> List[dict]:
     """
     spans = [r for r in records if r.get("type") == "span"]
     events = [r for r in records if r.get("type") == "event"]
-    chunks = [r for r in records if r.get("type") == "worker"]
-    workers = [c for c in chunks if c.get("clock", "sim") == "sim"]
-    backend = [c for c in chunks if c.get("clock") == "wall"]
+    workers = [r for r in records if r.get("type") == "worker"]
 
     out: List[dict] = [
         _metadata(PID_SPANS, None, "span tree (wall clock)", "process_name"),
@@ -126,37 +118,6 @@ def chrome_trace_events(records: List[dict]) -> List[dict]:
                 }
             )
 
-    if backend:
-        out.append(
-            _metadata(
-                PID_BACKEND, None, "backend workers (wall clock)", "process_name"
-            )
-        )
-        backend_shift = min(c["start"] for c in backend)
-        for lane in sorted({c["worker"] for c in backend}):
-            out.append(
-                _metadata(
-                    PID_BACKEND, lane, f"backend worker {lane}", "thread_name"
-                )
-            )
-        for chunk in sorted(
-            backend, key=lambda c: (c["worker"], c["start"], c["id"])
-        ):
-            out.append(
-                {
-                    "ph": "X",
-                    "pid": PID_BACKEND,
-                    "tid": chunk["worker"],
-                    "name": chunk["label"],
-                    "ts": (chunk["start"] - backend_shift) * _US,
-                    "dur": (chunk["end"] - chunk["start"]) * _US,
-                    "args": {
-                        "items": chunk["items"],
-                        "wait_seconds": chunk["wait"],
-                        "span_id": chunk["span"],
-                    },
-                }
-            )
     return out
 
 

@@ -216,21 +216,14 @@ class Tracer:
         label: str,
         items: int = 0,
         wait: float = 0.0,
-        clock: str = "sim",
     ) -> dict:
         """Record one worker's chunk on its timeline lane.
 
-        Unlike spans, chunk intervals default to the *simulated* clock
-        (the scheduler's cost model), one lane per worker; ``wait`` is the
-        idle gap the worker sat through since its previous chunk ended
-        (barrier joins, straggler waits).  Chunks attach to the innermost
-        open span so consumers can group lanes under the phase/round tree.
-
-        ``clock="wall"`` marks a real execution-backend worker measured on
-        the wall clock (DESIGN.md §13); wall lanes are a separate clock
-        domain from the simulated lanes of the same worker index, so the
-        record carries an explicit ``clock`` field (omitted for ``sim`` to
-        keep existing traces byte-stable).
+        Unlike spans, chunk intervals are on the *simulated* clock (the
+        scheduler's cost model), one lane per worker; ``wait`` is the idle
+        gap the worker sat through since its previous chunk ended (barrier
+        joins, straggler waits).  Chunks attach to the innermost open span
+        so consumers can group lanes under the phase/round tree.
         """
         record = {
             "type": "worker",
@@ -244,8 +237,6 @@ class Tracer:
             "items": int(items),
             "wait": float(wait),
         }
-        if clock != "sim":
-            record["clock"] = clock
         self._next_id += 1
         self.records.append(record)
         return record

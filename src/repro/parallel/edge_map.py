@@ -44,10 +44,7 @@ def edge_map(graph, frontier: VertexSubset, sched=None, label: str = "edge-map")
     ids = frontier.ids()
     if ids.size == 0:
         return VertexSubset.empty(n)
-    # A process backend (DESIGN.md §13) shards the sparse gather over real
-    # cores; that path stays NumPy.
-    backend = getattr(sched, "backend", None)
-    found = native.neighbors(graph, ids) if backend is None else None
+    found = native.neighbors(graph, ids)
     if found is not None:
         nbrs, deg_sum = found
         dense = should_densify(ids.size, deg_sum, m)
@@ -73,13 +70,8 @@ def edge_map(graph, frontier: VertexSubset, sched=None, label: str = "edge-map")
         return VertexSubset(n, mask=out_mask)
     # Sparse direction: gather adjacency slices of the frontier; the
     # result is the same concatenated-in-CSR-order array either way.
-    if backend is not None:
-        nbrs = backend.gather_neighbors(
-            graph, ids, instr=getattr(sched, "instr", None)
-        )
-    else:
-        edge_idx, _ = ragged_gather_indices(graph.offsets, ids, lens=degs)
-        nbrs = graph.neighbors[edge_idx]
+    edge_idx, _ = ragged_gather_indices(graph.offsets, ids, lens=degs)
+    nbrs = graph.neighbors[edge_idx]
     _charge(sched, dense, n, m, ids.size, deg_sum, label)
     return VertexSubset.from_ids(n, nbrs, sched=sched)
 

@@ -341,7 +341,6 @@ class SimulatedScheduler:
         tau: float = DEFAULT_TAU,
         faults=None,
         instr=None,
-        backend=None,
     ) -> None:
         self.machine = machine or Machine.c2_standard_60()
         if num_workers < 1:
@@ -356,11 +355,6 @@ class SimulatedScheduler:
         #: scheduler for the same reason ``faults`` does — everything that
         #: can charge costs can also trace/record (see ``instr_of``).
         self.instr = instr
-        #: Optional :class:`repro.parallel.backend.process.ProcessBackend`
-        #: executing the parallel phases on real cores; rides the scheduler
-        #: through the same conduit as ``faults``/``instr``.  ``None`` (the
-        #: default, and the ``simulated`` backend) keeps every phase inline.
-        self.backend = backend
         #: Per-worker lane recorder; only materialized for an *enabled*
         #: instrumentation so uninstrumented runs pay one ``is None`` check.
         self._timeline = (
@@ -450,7 +444,6 @@ class SimulatedScheduler:
             self.machine,
             self.tau,
             instr=self.instr,
-            backend=self.backend,
         )
         child._timeline = None
         return child

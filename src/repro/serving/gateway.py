@@ -9,8 +9,8 @@ and multiplexes many clients over it (DESIGN.md §14):
   block a commit nor observe a half-applied batch.
 * **Write coalescing** — staged writes from all clients merge, in FIFO
   submission order, into one :class:`~repro.dynamic.updates.UpdateBatch`
-  per commit cycle; one localized refinement (and one warm backend
-  dispatch) amortizes over the whole batch.
+  per commit cycle; one localized refinement amortizes over the whole
+  batch.
 * **Admission control** — per-class bounded queues: writes beyond
   ``write_queue_limit`` and reads beyond ``read_queue_limit`` are shed
   with a ``retry_after`` hint; reads still queued past their deadline

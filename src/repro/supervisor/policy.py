@@ -38,9 +38,7 @@ def fallback_rungs(config, engine: Optional[str] = None) -> List[Rung]:
         as-configured -> reference-kernel -> sequential-engine -> graceful
 
     with the kernel/engine rungs skipped when the run already sits at the
-    bottom of that axis (reference kernel, sequential engine).  The ladder
-    is the same for every execution backend: the process backend degrades
-    *itself* to inline execution on any pool fault (DESIGN.md §13).
+    bottom of that axis (reference kernel, sequential engine).
     """
     rungs = [Rung("as-configured")]
     fk = fallback_kernel(config.kernel)

@@ -184,6 +184,25 @@ class TestSeedRecord:
         again = cluster(karate, config)
         assert np.array_equal(result.assignments, again.assignments)
 
+    def test_traced_run_span_carries_the_drawn_seed(self, karate):
+        from repro.core.options import RunOptions
+        from repro.obs.instrument import Instrumentation
+        from repro.obs.schema import validate_trace_records
+
+        instr = Instrumentation()
+        result = cluster(
+            karate,
+            ClusteringConfig(resolution=0.1),
+            RunOptions(instrumentation=instr),
+        )
+        records = instr.tracer.records
+        (run,) = [
+            r for r in records if r.get("type") == "span" and r["name"] == "run"
+        ]
+        assert isinstance(run["attrs"]["seed"], int)
+        assert run["attrs"]["seed"] == result.seed
+        assert validate_trace_records(records) == []
+
     def test_supervised_attempts_share_the_drawn_seed(self, karate):
         from repro.core.options import RunOptions
         from repro.supervisor import RunSupervisor

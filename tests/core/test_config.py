@@ -1,7 +1,14 @@
 import pytest
 
-from repro.core.config import ClusteringConfig, Frontier, Mode, Objective
+from repro.core.config import (
+    ClusteringConfig,
+    Frontier,
+    Mode,
+    Objective,
+    resolve_workers,
+)
 from repro.errors import ConfigError
+from repro.parallel.scheduler import Machine
 
 
 class TestValidation:
@@ -42,6 +49,21 @@ class TestValidation:
         # 0 is not invalid — it asks for host-sized worker resolution.
         config = ClusteringConfig(num_workers=0)
         assert config.resolved_workers >= 1
+        assert config.resolved_workers == resolve_workers(0, config.machine)
+
+
+class TestResolveWorkers:
+    def test_auto(self):
+        resolved = resolve_workers(0, None)
+        assert resolved >= 1
+        assert resolve_workers(None, None) == resolved
+
+    def test_auto_capped_by_machine(self):
+        assert resolve_workers(0, Machine(cores=1, smt=1)) == 1
+
+    def test_explicit(self):
+        assert resolve_workers(3, None) == 3
+        assert ClusteringConfig(num_workers=3).resolved_workers == 3
 
 
 class TestConvergenceMode:
@@ -112,7 +134,6 @@ class TestArgparseRoundTrip:
                 "--converge",
                 "--workers", "4",
                 "--kernel", "reference",
-                "--backend", "process",
                 "--seed", "9",
             ]
         )
@@ -127,7 +148,6 @@ class TestArgparseRoundTrip:
             num_iter=None,
             num_workers=4,
             kernel="reference",
-            backend="process",
             seed=9,
         )
 

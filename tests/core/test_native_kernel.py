@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -187,6 +188,24 @@ class TestLazyBuild:
             warnings.simplefilter("error")
             got = _kernel(tmp_path).batch_moves(graph, state, batch, RESOLUTION)
         _assert_same(got, reference_batch_moves(graph, state, batch, RESOLUTION))
+
+    def test_build_deletes_only_stale_libraries(self, tmp_path):
+        old = time.time() - 2 * native.STALE_LIBRARY_SECONDS
+        stale = tmp_path / "best_moves-00000000000000000000.so"
+        fresh = tmp_path / "best_moves-11111111111111111111.so"
+        temp = tmp_path / ".best_moves-22222222222222222222.so.a1b2.tmp"
+        for path in (stale, fresh, temp):
+            path.write_bytes(b"an older library")
+        os.utime(stale, (old, old))
+        os.utime(temp, (old, old))
+        graph, state, batch = _inputs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _kernel(tmp_path).batch_moves(graph, state, batch, RESOLUTION)
+        _assert_same(got, reference_batch_moves(graph, state, batch, RESOLUTION))
+        assert not stale.exists()
+        assert fresh.exists() and temp.exists()
+        assert (tmp_path / _library_file()).is_file()
 
 
 class TestFallback:

@@ -231,6 +231,41 @@ class TestReplayIdentity:
         )
 
 
+class TestSeedRecord:
+    """A session without a seed keeps the one it drew, and replays from it."""
+
+    BATCHES = [
+        [EdgeUpdate("insert", 0, 9, 1.0), EdgeUpdate("delete", 0, 2)],
+        [EdgeUpdate("insert", 15, 20, 2.0), EdgeUpdate("reweight", 0, 1, 3.0)],
+        [EdgeUpdate("insert", 5, 30, 1.5)],
+    ]
+
+    def _session(self, seed):
+        dc = make_clusterer(seed=seed)
+        labels = [dc.state.assignments.copy()]
+        for updates in self.BATCHES:
+            dc.apply(UpdateBatch(updates))
+            labels.append(dc.state.assignments.copy())
+        return dc, labels
+
+    def test_unseeded_session_replays_from_its_recorded_seed(self):
+        first, first_labels = self._session(None)
+        seed = first.config.seed
+        assert isinstance(seed, int) and seed >= 0
+        again, again_labels = self._session(seed)
+        assert again.config.seed == seed
+        for got, want in zip(again_labels, first_labels):
+            assert np.array_equal(got, want)
+
+    def test_unseeded_construction_resolves_its_seed(self):
+        config = ClusteringConfig(resolution=RESOLUTION)
+        labels = np.arange(34, dtype=np.int64)
+        dc = DynamicClusterer(karate_club_graph(), labels, config)
+        assert isinstance(dc.config.seed, int)
+        assert config.seed is None
+        assert capture_rng(dc.rng) == capture_rng(make_rng(dc.config.seed))
+
+
 class TestDriftGuard:
     def test_periodic_recompute_resyncs(self):
         dc = make_clusterer(guard=DriftGuard(recompute_every=1))

@@ -176,7 +176,7 @@ def test_committed_baselines_load_and_self_compare():
     paths = sorted(baseline_dir.glob("BENCH_*.json"))
     assert {p.name for p in paths} >= {
         "BENCH_engines.json", "BENCH_overhead.json", "BENCH_PR3.json",
-        "BENCH_PR4.json", "BENCH_PR7.json", "BENCH_PR9.json",
+        "BENCH_PR4.json", "BENCH_PR7.json",
     }
     for path in paths:
         payload = load_baseline(path)

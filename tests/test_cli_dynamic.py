@@ -130,6 +130,17 @@ class TestUpdateCommand:
         assert tags["updates"] == {"insert": 1, "delete": 1, "reweight": 1}
         capsys.readouterr()
 
+    def test_unseeded_session_records_a_replayable_seed(self, tmp_path, capsys):
+        registry = tmp_path / "runs.jsonl"
+        log = write_log(tmp_path / "u.jsonl", BASIC_UPDATES)
+        argv = ["update", "--karate", "--updates", log, "--batch-size", "2"]
+        assert main(argv + ["--register", str(registry)]) == 0
+        first = capsys.readouterr().out.splitlines()[:-1]  # minus "registered"
+        seed = json.loads(registry.read_text().splitlines()[-1])["workload"]["seed"]
+        assert isinstance(seed, int)
+        assert main(argv + ["--seed", str(seed)]) == 0
+        assert capsys.readouterr().out.splitlines() == first
+
     def test_requires_state_source(self, tmp_path):
         log = write_log(tmp_path / "u.jsonl", BASIC_UPDATES[:1])
         with pytest.raises(SystemExit):

@@ -1,5 +1,7 @@
 """CLI: ``repro serve`` — the workload-driver front to the gateway."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -21,6 +23,16 @@ class TestServeCommand:
         assert "driver=sim" in out
         assert "bit-identical" in out
         assert "no silent drops" in out
+
+    def test_unseeded_replay_gate_uses_the_drawn_seed(self, capsys):
+        argv = [
+            "serve", "--karate", "--resolution", "0.1", "--requests", "400",
+            "--read-fraction", "0.5", "--workload-seed", "5", "--verify-replay",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert int(re.search(r"commits=(\d+)", out).group(1)) >= 2
+        assert "bit-identical" in out
 
     def test_threaded_driver(self, capsys):
         assert main(serve("--driver", "threads", "--threads", "2",
