@@ -31,12 +31,14 @@ api-check:
 	$(PYTHON) -m repro.api --check
 
 ## Observability smoke: one traced clustering, schema-validated trace,
-## parse-back metrics (the `obs` marker), then the CLI gate on a fresh run.
+## parse-back metrics (the `obs` marker), then the CLI gate on a fresh run
+## and its Chrome trace export.
 smoke-obs:
 	$(PYTHON) -m pytest -q -m obs
 	$(PYTHON) -m repro.cli cluster --karate --resolution 0.05 --seed 3 \
 	    --trace /tmp/repro-smoke-trace.jsonl
 	$(PYTHON) -m repro.cli obs validate-trace /tmp/repro-smoke-trace.jsonl
+	$(PYTHON) -m repro.cli obs timeline /tmp/repro-smoke-trace.jsonl
 
 ## Regenerate the committed engines/overhead baselines in
 ## benchmarks/baselines (every BENCH_*.json there has one suite in

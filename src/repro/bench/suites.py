@@ -188,9 +188,10 @@ def telemetry_suite(repeats: int = 3) -> BenchSuite:
     One fully-instrumented relaxed-engine run on the deterministic RMAT
     workload.  The comparable metrics are the usual simulated time and
     objective; the *info* fields record how much telemetry the run
-    produced (worker chunks and lanes, CAS attempts, dedup hits, probe
-    samples) so a refactor that silently stops emitting any of it shows
-    up as a diff in the committed ``BENCH_PR3.json``.
+    produced (worker chunks and lanes, CAS attempts, dedup hits) so a
+    refactor that silently stops emitting any of it shows up as a diff in
+    the committed ``BENCH_PR3.json``.  Worker chunks are one per busy
+    lane per round (plus one flush at the end of the run).
     """
     from repro.core.api import cluster
     from repro.core.config import ClusteringConfig
@@ -198,7 +199,6 @@ def telemetry_suite(repeats: int = 3) -> BenchSuite:
     from repro.obs.instrument import (
         M_CAS_ATTEMPTS,
         M_DEDUP_HITS,
-        M_HASH_PROBES,
         Instrumentation,
     )
 
@@ -213,7 +213,6 @@ def telemetry_suite(repeats: int = 3) -> BenchSuite:
 
     (result, instr), timing = time_callable(run, repeats=repeats, warmup=1)
     workers = instr.tracer.worker_records()
-    probes = instr.metrics.get(M_HASH_PROBES)
     cas = instr.metrics.get(M_CAS_ATTEMPTS)
     dedup = instr.metrics.get(M_DEDUP_HITS)
     suite = BenchSuite(
@@ -237,7 +236,6 @@ def telemetry_suite(repeats: int = 3) -> BenchSuite:
         worker_lanes=len({w["worker"] for w in workers}),
         cas_attempts=int(cas.total()) if cas else 0,
         dedup_hits=int(dedup.total()) if dedup else 0,
-        probe_samples=probes.total_count() if probes else 0,
     )
     return suite
 

@@ -35,6 +35,7 @@ from repro.obs.instrument import (
     Instrumentation,
 )
 from repro.parallel.scheduler import SimulatedScheduler
+from repro.resilience.checkpoint import checkpoint_seed
 from repro.resilience.context import ResilienceContext, ResiliencePolicy
 from repro.utils.rng import make_rng, resolve_seed
 from repro.utils.timing import WallTimer
@@ -75,8 +76,12 @@ def cluster(
     instrumentation = opts.instrumentation
     engine = opts.engine
     # A run without a seed draws one here and records it, so the result
-    # can be replayed; every supervised attempt shares it.
-    seed = resolve_seed(config.seed)
+    # can be replayed; every supervised attempt shares it.  A resumed run
+    # records the seed its checkpoint was written under.
+    seed = config.seed
+    if seed is None and resilience is not None and resilience.resume_from:
+        seed = checkpoint_seed(resilience.resume_from)
+    seed = resolve_seed(seed)
     if opts.supervisor is not None:
         return opts.supervisor.run(
             graph,
@@ -106,7 +111,11 @@ def cluster(
     )
     memory = MemoryTracker()
     rng = make_rng(seed)
-    ctx = ResilienceContext(resilience, sched=sched) if resilience else None
+    ctx = (
+        ResilienceContext(resilience, sched=sched, seed=seed)
+        if resilience
+        else None
+    )
     if engine is not None:
         from functools import partial
 
@@ -135,6 +144,8 @@ def cluster(
                 memory=memory,
                 resilience=ctx,
             )
+        # Record the worker-lane time charged after the last round.
+        sched.round_barrier("run")
         _, dense = np.unique(assignments, return_inverse=True)
         dense = dense.astype(np.int64)
         return _finish_run(

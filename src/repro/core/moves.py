@@ -37,11 +37,6 @@ from repro.graphs.csr import CSRGraph
 from repro.kernels import DEFAULT_KERNEL, get_kernel
 from repro.kernels.reference import accumulate_neighbor_weights
 from repro.obs.instrument import M_KERNEL_BATCH
-from repro.parallel.hash_table import (
-    PARALLEL_INSERT_COST,
-    TABLE_SLACK,
-    observe_table_metrics,
-)
 
 
 #: One window's degree profile: ``(vertices, degree sum, parallel-branch
@@ -109,6 +104,15 @@ def kernel_depth(degrees: np.ndarray, threshold: int) -> float:
     return profile_depth(degree_profile(degrees, threshold))
 
 
+#: Space overhead of the parallel branch's presized open-addressing
+#: table, charged as initialization work per unit of degree.
+TABLE_SLACK = 1.3
+
+#: Per-insert cost of the parallel branch's concurrent (CAS) table,
+#: relative to the sequential scan's 1.
+PARALLEL_INSERT_COST = 2.0
+
+
 def _charge_batch(
     sched, profile: Profile, label: str, include_depth: bool = True
 ) -> None:
@@ -174,14 +178,10 @@ def compute_batch_moves(
         instr.observe(M_KERNEL_BATCH, float(batch.size), kernel=kernel)
     if sched is None:
         return targets, gains
-    observe = instr is not None and instr.enabled
-    if profile is None or observe:
+    if profile is None:
         degrees = graph.offsets[batch + 1] - graph.offsets[batch]
-        if profile is None:
-            profile = degree_profile(degrees, kernel_threshold)[0]
+        profile = degree_profile(degrees, kernel_threshold)[0]
     _charge_batch(sched, profile, label, include_depth=charge_depth)
-    if observe:
-        observe_table_metrics(instr, degrees, kernel_threshold, label=label)
     return targets, gains
 
 

@@ -378,6 +378,7 @@ class DynamicClusterer:
                 frontier_sizes = [int(x) for x in bm.frontier_sizes]
             else:
                 iterations, moves, frontier_sizes = 0, 0, []
+            sched.round_barrier("update")
 
         movers = np.flatnonzero(before != self.state.assignments)
         if movers.size:

@@ -63,6 +63,7 @@ def save_snapshot(
         "config_tag": clusterer.config.config_tag(clusterer.resolution),
         "engine": clusterer.engine_name,
         "resolution": clusterer.resolution,
+        "seed": clusterer.config.seed,
         "num_vertices": int(clusterer.graph.num_vertices),
         "intra": clusterer._intra,
         "penalty": clusterer._penalty,
@@ -134,7 +135,8 @@ def load_snapshot(
     ``config`` must be compatible with the one that wrote the snapshot
     (same :meth:`~repro.core.config.ClusteringConfig.config_tag`); the
     engine defaults to the snapshot's own, since replay identity depends
-    on running the same engine.
+    on running the same engine.  A ``config`` without a seed takes the
+    snapshot's, so the restored session records the seed that drove it.
     """
     meta = read_snapshot_meta(path)
     expected = config.config_tag(float(config.resolution))
@@ -161,6 +163,8 @@ def load_snapshot(
         data.close()
     if meta.get("repairs") is not None:
         graph.repairs = dict(meta["repairs"])
+    if config.seed is None and meta.get("seed") is not None:
+        config = config.with_options(seed=int(meta["seed"]))
     clusterer = DynamicClusterer(
         graph,
         arrays["assignments"],

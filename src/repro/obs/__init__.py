@@ -26,8 +26,6 @@ from repro.obs.instrument import (
     M_COMPRESSION,
     M_DEDUP_HITS,
     M_DEDUP_RATE,
-    M_HASH_PROBES,
-    M_HASH_RESIZES,
     M_FRONTIER,
     M_LEVEL_SECONDS,
     M_MODULARITY,
@@ -105,8 +103,6 @@ __all__ = [
     "M_DEDUP_HITS",
     "M_DEDUP_RATE",
     "M_FRONTIER",
-    "M_HASH_PROBES",
-    "M_HASH_RESIZES",
     "M_LEVEL_SECONDS",
     "M_MODULARITY",
     "M_MOVES",

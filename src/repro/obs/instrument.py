@@ -48,10 +48,6 @@ M_CAS_INJECTED = "repro_cas_injected_failures_total"
 #: Queue length on the hottest contended location per atomic window
 #: (histogram) — the "twitter contention" probe (Appendix C).
 M_ATOMIC_QUEUE = "repro_atomic_queue_depth"
-#: Linear-probe chain length per parallel hash-table insert (histogram).
-M_HASH_PROBES = "repro_hash_probe_length"
-#: Table doublings needed per parallel aggregation (histogram).
-M_HASH_RESIZES = "repro_hash_resizes"
 #: Fraction of frontier candidates removed as duplicates (histogram).
 M_DEDUP_RATE = "repro_frontier_dedup_rate"
 #: Duplicate frontier candidates dropped by dedup (counter).
@@ -124,8 +120,6 @@ _HELP = {
     M_CAS_ATTEMPTS: "Atomic update attempts issued by fetch-and-add windows",
     M_CAS_INJECTED: "Injected CAS failures from the fault plan",
     M_ATOMIC_QUEUE: "Queue length on the hottest location per atomic window",
-    M_HASH_PROBES: "Linear-probe chain length per parallel hash-table insert",
-    M_HASH_RESIZES: "Table doublings needed per parallel aggregation",
     M_DEDUP_RATE: "Fraction of frontier candidates removed as duplicates",
     M_DEDUP_HITS: "Duplicate frontier candidates dropped by dedup",
     M_RESILIENCE_EVENTS: "Resilience events by kind",

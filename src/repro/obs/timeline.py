@@ -11,10 +11,10 @@ process groups separate the two clocks the trace mixes:
   where wall time went;
 * **pid 1 — worker lanes (simulated clock):** every ``worker`` chunk
   recorded by the scheduler's :class:`~repro.parallel.scheduler.
-  WorkerTimeline` becomes an ``"X"`` event on the thread matching its
-  worker id, so stragglers, barriers, and idle gaps are visible per lane.
-  Each chunk carries its vertex count and the idle wait that preceded it
-  in ``args``.
+  WorkerTimeline` — one lane's busy time in one round — becomes an
+  ``"X"`` event on the thread matching its worker id, so stragglers,
+  barriers, and idle gaps are visible per lane.  Each chunk carries its
+  vertex count and the idle wait that preceded it in ``args``.
 
 The clocks are not on a shared axis — wall seconds and simulated seconds
 differ by orders of magnitude — which is exactly why they get separate

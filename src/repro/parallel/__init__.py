@@ -19,7 +19,6 @@ Components mirror the GBBS primitives the paper relies on:
 * :mod:`repro.parallel.atomics` — CAS/fetch-add contention accounting;
 * :mod:`repro.parallel.primitives` — reduce / scan / pack / histogram;
 * :mod:`repro.parallel.sorting` — work-efficient parallel (sample) sort;
-* :mod:`repro.parallel.hash_table` — parallel hash-table aggregation;
 * :mod:`repro.parallel.vertex_subset` / :mod:`repro.parallel.edge_map` —
   GBBS's EDGEMAP with sparse/dense representation switching.
 """

@@ -63,26 +63,30 @@ class WorkerTimeline:
     """Per-worker simulated-time lanes for one instrumented run.
 
     The cost ledger answers *how long*; the timeline answers *who was busy
-    when*.  Every charged region is split into up to ``num_workers`` chunks
-    of at least :data:`TIMELINE_GRAIN` ops each and assigned to lanes:
+    when*.  Every charged region is split into up to ``num_workers`` shares
+    of at least :data:`TIMELINE_GRAIN` ops each and laid onto lanes:
 
     * regions carrying a depth or serial term model a fork/join barrier —
       all lanes first join at the region start (accumulating idle wait),
       and the critical path ``depth * (1 + tau) + serial`` rides lane 0,
-      so stragglers and CAS queues are visible as long lane-0 chunks;
+      so stragglers and CAS queues show up as a busy lane 0;
     * pure-work regions (the asynchronous concurrency windows, which the
       engines charge with ``depth=0``) pipeline onto the least-loaded
       lanes with no join, mirroring barrier-free window execution.
 
-    Chunks flow to the attached :class:`~repro.obs.instrument.Instrumentation`
-    as ``worker`` trace records carrying ``(worker, start, end, label,
-    items, wait)`` where ``wait`` is the idle gap the lane sat through
-    since its previous chunk — the per-worker wait/idle stream the
-    timeline exporter renders as lane gaps.
+    Shares are not recorded one by one.  Each lane accumulates its busy
+    time, items and wait until :meth:`barrier` (every round end, and once
+    at the end of a run), which sends one ``worker`` trace record per busy
+    lane to the attached :class:`~repro.obs.instrument.Instrumentation`:
+    ``(worker, start, end, label, items, wait)``.  The chunk ends where
+    the lane's last share ended and starts ``busy`` before that; ``wait``
+    is the idle time the lane sat through before that end, and idle time
+    after it carries into the lane's next chunk.  Per-lane busy and wait
+    totals are therefore those of one chunk per share.
     """
 
-    __slots__ = ("instr", "num_workers", "tau", "clock", "pending_wait",
-                 "chunks", "truncated")
+    __slots__ = ("instr", "num_workers", "tau", "clock", "idle", "wait",
+                 "busy", "items", "ends", "chunks", "truncated")
 
     def __init__(self, instr, num_workers: int, tau: float) -> None:
         self.instr = instr
@@ -90,46 +94,60 @@ class WorkerTimeline:
         self.tau = tau
         #: Per-lane frontier, simulated seconds since run start.
         self.clock = [0.0] * num_workers
-        #: Idle time accumulated per lane since its last recorded chunk.
-        self.pending_wait = [0.0] * num_workers
+        #: Idle time per lane since its last share.
+        self.idle = [0.0] * num_workers
+        #: Per lane since its last chunk: idle time before its last share,
+        #: busy time, items, and where its last share ended.
+        self.wait = [0.0] * num_workers
+        self.busy = [0.0] * num_workers
+        self.items = [0] * num_workers
+        self.ends = [0.0] * num_workers
         self.chunks = 0
         self.truncated = False
 
-    def _emit(self, lane: int, start: float, end: float, label: str,
-              items: int) -> None:
-        self.instr.worker_chunk(
-            lane, start, end, label, items, self.pending_wait[lane]
-        )
-        self.pending_wait[lane] = 0.0
-        self.chunks += 1
+    def _share(self, lane: int, start: float, end: float, items: int) -> None:
+        self.wait[lane] += self.idle[lane]
+        self.idle[lane] = 0.0
+        self.busy[lane] += end - start
+        self.items[lane] += items
+        self.clock[lane] = self.ends[lane] = end
 
-    def _truncate(self) -> bool:
-        if self.truncated:
-            return True
-        if self.chunks >= MAX_WORKER_CHUNKS:
-            self.truncated = True
-            self.instr.event(
-                "worker-timeline-truncated", chunks=self.chunks
-            )
-            return True
-        return False
-
-    def barrier(self, label: str = "barrier") -> None:
-        """Join every lane at the current maximum (a round boundary)."""
+    def _join(self) -> None:
         join = max(self.clock)
         for lane in range(self.num_workers):
             gap = join - self.clock[lane]
             if gap > 0.0:
-                self.pending_wait[lane] += gap
+                self.idle[lane] += gap
                 self.clock[lane] = join
 
-    def record(self, label: str, work: float, depth: float, serial: float,
+    def barrier(self, label: str) -> None:
+        """Record one chunk per busy lane, then join every lane at the
+        current maximum."""
+        if self.truncated:
+            return
+        for lane in range(self.num_workers):
+            busy = self.busy[lane]
+            if busy <= 0.0:
+                continue
+            if self.chunks >= MAX_WORKER_CHUNKS:
+                self.truncated = True
+                self.instr.event("worker-timeline-truncated", chunks=self.chunks)
+                return
+            end = self.ends[lane]
+            self.instr.worker_chunk(
+                lane, end - busy, end, label, self.items[lane], self.wait[lane]
+            )
+            self.chunks += 1
+            self.busy[lane] = self.wait[lane] = 0.0
+            self.items[lane] = 0
+        self._join()
+
+    def record(self, work: float, depth: float, serial: float,
                items: int) -> None:
         """Lay one charged region onto the lanes (see class docstring)."""
-        if self._truncate():
+        if self.truncated:
             return
-        ops = work + serial
-        if ops <= 0.0 and depth <= 0.0:
+        if work + serial <= 0.0 and depth <= 0.0:
             return
         active = max(1, min(self.num_workers, int(work // TIMELINE_GRAIN) or 1))
         share = (work / active) / OPS_PER_SECOND
@@ -137,13 +155,12 @@ class WorkerTimeline:
         if depth > 0.0 or serial > 0.0:
             # Fork/join region: all lanes join, lane 0 carries the
             # critical path, lanes beyond `active` stay idle.
-            self.barrier(label)
+            self._join()
             start = self.clock[0]
             for i in range(active):
-                chunk_items = (items * (i + 1)) // active - (items * i) // active
+                share_items = (items * (i + 1)) // active - (items * i) // active
                 end = start + share + (critical if i == 0 else 0.0)
-                self._emit(i, start, end, label, chunk_items)
-                self.clock[i] = end
+                self._share(i, start, end, share_items)
         else:
             # Barrier-free region: greedy assignment to least-loaded lanes.
             if active >= self.num_workers:
@@ -153,11 +170,9 @@ class WorkerTimeline:
                     range(self.num_workers), key=self.clock.__getitem__
                 )[:active]
             for i, lane in enumerate(lanes):
-                chunk_items = (items * (i + 1)) // active - (items * i) // active
+                share_items = (items * (i + 1)) // active - (items * i) // active
                 start = self.clock[lane]
-                end = start + share
-                self._emit(lane, start, end, label, chunk_items)
-                self.clock[lane] = end
+                self._share(lane, start, start + share, share_items)
 
 
 @dataclass(frozen=True)
@@ -280,11 +295,6 @@ class CostLedger:
             out[region.label] = out.get(region.label, 0.0) + region.work
         return out
 
-    def merge(self, other: "CostLedger") -> None:
-        """Append all of ``other``'s regions to this ledger."""
-        for region in other.regions():
-            self.charge(region.work, region.depth, region.label, region.serial)
-
     def simulated_time(
         self,
         num_workers: int,
@@ -363,11 +373,6 @@ class SimulatedScheduler:
             else None
         )
 
-    @property
-    def timeline(self) -> Optional[WorkerTimeline]:
-        """The worker-lane recorder, or None when instrumentation is off."""
-        return self._timeline
-
     def charge(
         self,
         work: float,
@@ -379,19 +384,21 @@ class SimulatedScheduler:
         self.ledger.charge(work, depth, label=label, serial=serial)
         timeline = self._timeline
         if timeline is not None:
-            timeline.record(label, work, depth, serial, items)
+            timeline.record(work, depth, serial, items)
 
-    def round_barrier(self) -> None:
+    def round_barrier(self, label: str = "round") -> None:
         """Join all simulated workers — engines call this at round ends.
 
         A BEST-MOVES round ends in a frontier computation every worker
-        feeds, so lanes synchronize; the join's idle gaps become the
-        ``wait`` field of each lane's next chunk.  No-op (one attribute
-        check) when instrumentation is disabled.
+        feeds, so lanes synchronize: each lane busy since the last barrier
+        records one ``label`` chunk, and the join's idle gaps go into the
+        ``wait`` of each lane's next chunk.  A run calls it once more at
+        its end for the regions charged after its last round.  No-op (one
+        attribute check) when instrumentation is disabled.
         """
         timeline = self._timeline
         if timeline is not None:
-            timeline.barrier("round")
+            timeline.barrier(label)
 
     def charge_cas_contention(
         self, total_retries: int, max_queue: int, label: str = "cas"
@@ -432,22 +439,3 @@ class SimulatedScheduler:
         """Simulated seconds at ``num_workers`` (default: this scheduler's)."""
         workers = self.num_workers if num_workers is None else num_workers
         return self.ledger.simulated_time(workers, machine=self.machine, tau=self.tau)
-
-    def fork(self) -> "SimulatedScheduler":
-        """A child scheduler with the same profile and a fresh ledger.
-
-        Children never record worker lanes: their simulated clocks start
-        at zero, so their chunks would overlap the root's lane intervals.
-        """
-        child = SimulatedScheduler(
-            self.num_workers,
-            self.machine,
-            self.tau,
-            instr=self.instr,
-        )
-        child._timeline = None
-        return child
-
-    def absorb(self, child: "SimulatedScheduler") -> None:
-        """Merge a child scheduler's ledger into this one."""
-        self.ledger.merge(child.ledger)

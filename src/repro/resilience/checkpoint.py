@@ -67,6 +67,8 @@ class MultilevelCheckpoint:
     #: Cumulative moves/rounds so far (budget guards resume mid-count).
     total_moves: int = 0
     total_rounds: int = 0
+    #: The run's concrete seed (``None`` in checkpoints that predate it).
+    seed: Optional[int] = None
 
 
 def _pack_graph(out: dict, prefix: str, graph: CSRGraph) -> None:
@@ -147,6 +149,7 @@ def save_checkpoint(path: PathLike, ckpt: MultilevelCheckpoint) -> None:
         "num_vertices": ckpt.num_vertices,
         "total_moves": ckpt.total_moves,
         "total_rounds": ckpt.total_rounds,
+        "seed": ckpt.seed,
     }
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     _pack_graph(arrays, "cur", ckpt.current)
@@ -163,6 +166,36 @@ def save_checkpoint(path: PathLike, ckpt: MultilevelCheckpoint) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _checkpoint_meta(data, path: PathLike) -> dict:
+    """The validated JSON header of an opened checkpoint."""
+    if "meta" not in data:
+        raise CheckpointError(f"{path} is not a repro checkpoint (no meta)")
+    try:
+        meta = json.loads(bytes(data["meta"]).decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: corrupt checkpoint header: {exc}") from exc
+    version = meta.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version {version!r} "
+            f"(expected {CHECKPOINT_VERSION})"
+        )
+    return meta
+
+
+def checkpoint_seed(path: PathLike) -> Optional[int]:
+    """The seed a checkpoint was written under, read from its header.
+
+    ``None`` when the file records none or cannot be read; resuming from
+    an unreadable file raises later, with the full diagnosis.
+    """
+    try:
+        with np.load(path) as data:
+            return _checkpoint_meta(data, path).get("seed")
+    except (CheckpointError, *_CORRUPT_NPZ_ERRORS):
+        return None
 
 
 def load_checkpoint(
@@ -184,18 +217,7 @@ def load_checkpoint(
     except _CORRUPT_NPZ_ERRORS as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
-        if "meta" not in data:
-            raise CheckpointError(f"{path} is not a repro checkpoint (no meta)")
-        try:
-            meta = json.loads(bytes(data["meta"]).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: corrupt checkpoint header: {exc}") from exc
-        version = meta.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported checkpoint version {version!r} "
-                f"(expected {CHECKPOINT_VERSION})"
-            )
+        meta = _checkpoint_meta(data, path)
         if config_tag is not None and meta["config_tag"] != config_tag:
             raise CheckpointError(
                 f"{path}: checkpoint was written under config "
@@ -227,6 +249,7 @@ def load_checkpoint(
             num_vertices=int(meta["num_vertices"]),
             total_moves=int(meta.get("total_moves", 0)),
             total_rounds=int(meta.get("total_rounds", 0)),
+            seed=meta.get("seed"),
         )
     except CheckpointError:
         raise

@@ -106,9 +106,13 @@ class ResiliencePolicy:
 class ResilienceContext:
     """Runtime state of one resilient run (see module docstring)."""
 
-    def __init__(self, policy: ResiliencePolicy, sched=None) -> None:
+    def __init__(
+        self, policy: ResiliencePolicy, sched=None, seed: Optional[int] = None
+    ) -> None:
         self.policy = policy
         self.sched = sched
+        #: The run's concrete seed, written into every checkpoint.
+        self.seed = seed
         if sched is not None:
             # The scheduler is the conduit to the atomics/frontier hooks.
             sched.faults = policy.faults
@@ -324,6 +328,7 @@ class ResilienceContext:
                 stats=stats,
                 config_tag=self._tag or "",
                 num_vertices=self._num_vertices,
+                seed=self.seed,
             ),
         )
         self._last_ckpt_time = time.perf_counter()

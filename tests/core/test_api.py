@@ -184,6 +184,25 @@ class TestSeedRecord:
         again = cluster(karate, config)
         assert np.array_equal(result.assignments, again.assignments)
 
+    def test_resumed_unseeded_run_reports_the_checkpoints_seed(
+        self, karate, tmp_path
+    ):
+        from repro.core.options import RunOptions
+        from repro.resilience import ResiliencePolicy
+
+        path = str(tmp_path / "ck.npz")
+        config = ClusteringConfig(resolution=0.05)
+        first = cluster(
+            karate, config,
+            RunOptions(resilience=ResiliencePolicy(checkpoint_path=path)),
+        )
+        resumed = cluster(
+            karate, config,
+            RunOptions(resilience=ResiliencePolicy(resume_from=path)),
+        )
+        assert resumed.seed == first.seed
+        assert np.array_equal(resumed.assignments, first.assignments)
+
     def test_traced_run_span_carries_the_drawn_seed(self, karate):
         from repro.core.options import RunOptions
         from repro.obs.instrument import Instrumentation

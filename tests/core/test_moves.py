@@ -95,6 +95,20 @@ class TestBatchMoves:
         )
         assert low_thr.ledger.total_depth < high_thr.ledger.total_depth
 
+    def test_parallel_branch_charges_more_work(self):
+        """The concurrent hash table pays its CAS premium and table
+        initialization on top of the sequential scan's work."""
+        g = graph_from_edges([(0, i) for i in range(1, 300)])
+        state = ClusterState.singletons(g)
+        par = SimulatedScheduler(num_workers=8)
+        seq = SimulatedScheduler(num_workers=8)
+        batch = np.arange(g.num_vertices)
+        compute_batch_moves(g, state, batch, 0.01, sched=par, kernel_threshold=1)
+        compute_batch_moves(
+            g, state, batch, 0.01, sched=seq, kernel_threshold=10**6
+        )
+        assert par.ledger.total_work > seq.ledger.total_work
+
 
 class TestSingleMove:
     def test_matches_batch_kernel(self, small_planted, rng):

@@ -42,12 +42,6 @@ def test_disabled_instrumentation_records_nothing():
     assert instr.metrics.collect() == []
 
 
-def test_scheduler_fork_propagates_instrumentation():
-    instr = Instrumentation()
-    sched = SimulatedScheduler(num_workers=4, instr=instr)
-    assert instr_of(sched.fork()) is instr
-
-
 def test_disabled_run_identical_to_uninstrumented(karate):
     config = ClusteringConfig(resolution=0.05, seed=3)
     plain = cluster(karate, config)

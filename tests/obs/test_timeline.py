@@ -8,6 +8,7 @@ from repro.core.api import cluster
 from repro.core.config import ClusteringConfig
 from repro.core.options import RunOptions
 from repro.graphs.karate import karate_club_graph
+from repro.obs.doctor import trace_series
 from repro.obs.instrument import Instrumentation
 from repro.obs.schema import TraceSchemaError, validate_trace_records
 from repro.obs.timeline import (
@@ -18,6 +19,8 @@ from repro.obs.timeline import (
     write_chrome_trace,
 )
 from repro.obs.tracer import Tracer
+from repro.parallel import scheduler as scheduler_module
+from repro.parallel.scheduler import OPS_PER_SECOND, SimulatedScheduler
 
 
 def _traced_run(**config_kwargs):
@@ -49,6 +52,67 @@ def test_worker_chunks_never_overlap_within_a_lane():
         chunks.sort(key=lambda c: c["start"])
         for prev, nxt in zip(chunks, chunks[1:]):
             assert nxt["start"] >= prev["end"] - 1e-9
+
+
+def test_one_chunk_per_lane_per_round():
+    _, instr = _traced_run()
+    records = instr.tracer.records
+    rounds = {
+        r["id"] for r in records if r["type"] == "span" and r["name"] == "round"
+    }
+    keys = [
+        (w["span"], w["worker"])
+        for w in instr.tracer.worker_records()
+        if w["span"] in rounds
+    ]
+    assert keys
+    assert len(keys) == len(set(keys))
+
+
+def test_lane_busy_total_is_the_per_region_total():
+    # Pinned from the timeline that recorded one chunk per charged region:
+    # batching the chunks per round keeps every lane's busy time.
+    _, instr = _traced_run()
+    lanes = trace_series(instr.tracer.records)["workers"]
+    assert len(lanes) == 33
+    assert sum(lane["busy"] for lane in lanes) == pytest.approx(
+        3.0154598686778676e-06, rel=1e-9
+    )
+
+
+def test_chunk_spans_lane_busy_time_and_carries_later_idle():
+    instr = Instrumentation()
+    sched = SimulatedScheduler(num_workers=2, tau=0.0, instr=instr)
+    share = 256.0 / OPS_PER_SECOND
+    critical = 1.0 / OPS_PER_SECOND
+    sched.charge(512.0, 0.0, "window", items=4)  # both lanes, no join
+    sched.charge(0.0, 1.0, "iter")  # critical path on lane 0 only
+    sched.round_barrier()  # lane 1 idles `critical` at the join
+    sched.charge(512.0, 1.0, "next", items=2)
+    sched.round_barrier()
+    expected = [
+        (0, 0.0, share + critical, 2, 0.0),
+        (1, 0.0, share, 2, 0.0),
+        (0, share + critical, 2 * share + 2 * critical, 1, 0.0),
+        (1, share + critical, 2 * share + critical, 1, critical),
+    ]
+    workers = instr.tracer.worker_records()
+    assert len(workers) == len(expected)
+    for chunk, want in zip(workers, expected):
+        got = (chunk["worker"], chunk["start"], chunk["end"], chunk["items"],
+               chunk["wait"])
+        assert got == pytest.approx(want, abs=1e-15)
+
+
+def test_chunk_backstop_truncates_once(monkeypatch):
+    monkeypatch.setattr(scheduler_module, "MAX_WORKER_CHUNKS", 5)
+    _, instr = _traced_run()
+    assert len(instr.tracer.worker_records()) == 5
+    events = [
+        r for r in instr.tracer.records
+        if r["type"] == "event" and r["name"] == "worker-timeline-truncated"
+    ]
+    assert [e["attrs"]["chunks"] for e in events] == [5]
 
 
 def test_schema_flags_overlapping_worker_chunks():

@@ -94,14 +94,6 @@ class TestCostLedger:
         ledger.charge(2, 1, "y")
         assert ledger.work_by_label() == {"x": 25.0, "y": 2.0}
 
-    def test_merge(self):
-        a, b = CostLedger(), CostLedger()
-        a.charge(10, 1)
-        b.charge(20, 2, serial=3)
-        a.merge(b)
-        assert a.total_work == 30
-        assert a.total_serial == 3
-
     def test_snapshot(self):
         ledger = CostLedger()
         ledger.charge(5, 1)
@@ -128,13 +120,6 @@ class TestSimulatedScheduler:
         # Queues of 1, 1 and 1: no retries.
         sched.charge_cas_contention(0, 1)
         assert sched.ledger.num_regions == 0
-
-    def test_fork_and_absorb(self):
-        parent = SimulatedScheduler(num_workers=8)
-        child = parent.fork()
-        child.charge(40, 2)
-        parent.absorb(child)
-        assert parent.ledger.total_work == 40
 
     def test_invalid_worker_count(self):
         with pytest.raises(SchedulerError):

@@ -46,19 +46,6 @@ class TestSimulatedTimeProperties:
         floor = (ledger.total_depth + ledger.total_serial) / 2.0e9
         assert ledger.simulated_time(64, machine=machine, tau=0.0) >= floor - 1e-18
 
-    @given(region_lists, region_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_merge_additive(self, first, second):
-        a = build_ledger(first)
-        b = build_ledger(second)
-        combined = build_ledger(first)
-        combined.merge(b)
-        machine = Machine(cores=8, smt=2)
-        expected = a.simulated_time(8, machine=machine) + b.simulated_time(
-            8, machine=machine
-        )
-        assert abs(combined.simulated_time(8, machine=machine) - expected) < 1e-12
-
     @given(region_lists)
     @settings(max_examples=60, deadline=None)
     def test_sequential_time_is_total_ops(self, regions):

@@ -11,6 +11,7 @@ from repro.resilience.checkpoint import (
     CHECKPOINT_VERSION,
     MultilevelCheckpoint,
     capture_rng,
+    checkpoint_seed,
     load_checkpoint,
     restore_rng,
     save_checkpoint,
@@ -40,6 +41,7 @@ def ckpt(karate):
         num_vertices=karate.num_vertices,
         total_moves=20,
         total_rounds=3,
+        seed=4242,
     )
 
 
@@ -59,6 +61,15 @@ class TestRoundTrip:
         assert np.array_equal(loaded.retained[0][1], ckpt.retained[0][1])
         assert loaded.stats.levels[0].moves == 20
         assert loaded.stats.levels[0].frontier_sizes == [34, 12, 0]
+        assert loaded.seed == 4242
+
+    def test_checkpoint_seed_reads_the_header(self, ckpt, tmp_path):
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, ckpt)
+        assert checkpoint_seed(path) == 4242
+        assert checkpoint_seed(tmp_path / "missing.npz") is None
+        (tmp_path / "junk.npz").write_bytes(b"not a zip")
+        assert checkpoint_seed(tmp_path / "junk.npz") is None
 
     def test_rng_state_round_trip_is_bit_identical(self, ckpt, tmp_path):
         path = tmp_path / "ck.npz"

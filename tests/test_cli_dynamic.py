@@ -141,6 +141,23 @@ class TestUpdateCommand:
         assert main(argv + ["--seed", str(seed)]) == 0
         assert capsys.readouterr().out.splitlines() == first
 
+    def test_restored_session_registers_the_seed_that_drove_it(
+        self, tmp_path, capsys
+    ):
+        registry = tmp_path / "runs.jsonl"
+        store = ["--snapshot-dir", str(tmp_path / "store")]
+        register = ["--register", str(registry)]
+        log1 = write_log(tmp_path / "u1.jsonl", BASIC_UPDATES[:1])
+        log2 = write_log(tmp_path / "u2.jsonl", BASIC_UPDATES[1:])
+        assert main(["update", "--karate", "--updates", log1] + store + register) == 0
+        assert main(["update", "--updates", log2] + store + register) == 0
+        first, restored = [
+            json.loads(line)["workload"]["seed"]
+            for line in registry.read_text().splitlines()
+        ]
+        assert isinstance(first, int) and restored == first
+        capsys.readouterr()
+
     def test_requires_state_source(self, tmp_path):
         log = write_log(tmp_path / "u.jsonl", BASIC_UPDATES[:1])
         with pytest.raises(SystemExit):
