@@ -127,7 +127,9 @@ native-kernel:
 ## Run doctor over fresh instrumented runs: a batch clustering (health
 ## rules over stats/trace/metrics + registry trend history) and a dynamic
 ## update session (serving SLOs: commit/save latency, staleness).  Both
-## legs exit nonzero on any crit finding.
+## legs exit nonzero on any crit finding, and the update session's trace
+## (bootstrap run plus every batch on one set of worker lanes) must
+## validate.
 doctor:
 	rm -rf /tmp/repro-doctor && mkdir -p /tmp/repro-doctor
 	$(PYTHON) -m repro.cli cluster --karate --resolution 0.05 --seed 3 \
@@ -145,6 +147,7 @@ doctor:
 	    --metrics /tmp/repro-doctor/update-metrics.jsonl \
 	    --trace /tmp/repro-doctor/update-trace.jsonl \
 	    --snapshot-dir /tmp/repro-doctor/snaps --doctor
+	$(PYTHON) -m repro.cli obs validate-trace /tmp/repro-doctor/update-trace.jsonl
 
 ## Self-contained HTML observability report (inline CSS/SVG, no scripts)
 ## rendered from the doctor target's artifacts.

@@ -16,8 +16,16 @@ Section 3.2.1:
   window.  Randomized window membership provides the symmetry breaking the
   paper credits for the asynchronous setting's quality.
 
-Both settings run one loop (synchronous mode is a single window).  Each
-window costs two foreign calls, the kernel through
+The module holds the two loops every engine in
+:data:`repro.core.engines.ENGINES` shares.  :func:`iterate_rounds` is
+the iteration itself: frontier, iteration bound, one permutation draw
+per round, the ``round`` span and metrics, convergence, the next
+frontier and the round barrier; an engine supplies only the round
+function that moves one permuted frontier.  :func:`window_round` is the
+evaluate-and-commit loop over a round's windows, which the relaxed
+engine (both settings; synchronous mode is a single window) and the
+colored engine (one window per color class) run.  Each window costs two
+foreign calls, the kernel through
 :func:`~repro.core.moves.compute_batch_moves` and the commit through
 ``ClusterState.apply_moves``; the bookkeeping around them is per round:
 one degree profile gives every window's charge, each window's origins
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,10 +61,16 @@ class BestMovesStats:
     converged: bool = False
 
 
-def _windows(
-    order: np.ndarray, config: ClusteringConfig
-) -> List[np.ndarray]:
-    """Split an iteration's frontier into concurrency windows.
+#: What one round moved: ``(movers, origins, targets, gain)``, the movers
+#: in commit order with their origin and target clusters, and the summed
+#: gain of the moves (:func:`window_round` sums it only when
+#: instrumentation is on, and returns 0.0 otherwise).
+RoundMoves = Tuple[np.ndarray, np.ndarray, np.ndarray, float]
+
+
+def _window_starts(size: int, config: ClusteringConfig) -> np.ndarray:
+    """First position of each concurrency window of a ``size``-vertex
+    iteration.
 
     Synchronous mode is a single window (one snapshot for everyone).
     Asynchronous mode uses ``async_windows`` windows regardless of
@@ -64,48 +78,111 @@ def _windows(
     vertices — matching true asynchrony, where memory updates become
     visible at far finer granularity than the frontier — while on large
     frontiers the window is the staleness horizon within which concurrent
-    threads read each other's pre-move state (DESIGN.md §2).
+    threads read each other's pre-move state (DESIGN.md §2).  The
+    boundaries are ``np.array_split``'s: the first ``size % windows``
+    windows are one longer.
     """
     if config.mode is Mode.SYNC:
-        return [order]
-    # np.array_split's boundaries (the first ``extra`` windows are one
-    # longer), sliced directly: array_split costs ~2 us per window.
-    num_windows = max(1, min(config.async_windows, order.size))
-    each, extra = divmod(order.size, num_windows)
-    windows = []
-    start = 0
-    for i in range(num_windows):
-        end = start + each + (i < extra)
-        windows.append(order[start:end])
-        start = end
-    return windows
+        return np.zeros(1, dtype=np.int64)
+    num_windows = max(1, min(config.async_windows, size))
+    each, extra = divmod(size, num_windows)
+    index = np.arange(num_windows, dtype=np.int64)
+    return index * each + np.minimum(index, extra)
 
 
-def _round_gain(gains: np.ndarray, moving: np.ndarray, starts) -> float:
+def _round_gain(gains: np.ndarray, moving: np.ndarray, bounds) -> float:
     """The movers' gains, summed per window and then over the windows."""
     total = 0.0
-    for start, end in zip(starts, list(starts[1:]) + [gains.size]):
+    for start, end in zip(bounds, bounds[1:]):
         window_moving = moving[start:end]
         if window_moving.any():
             total += float(gains[start:end][window_moving].sum())
     return total
 
 
-def run_best_moves(
+def window_round(
     graph: CSRGraph,
     state: ClusterState,
     resolution: float,
     config: ClusteringConfig,
+    order: np.ndarray,
+    starts: np.ndarray,
+    sched=None,
+    charge_depth: bool = True,
+    swap_avoidance: bool = False,
+) -> RoundMoves:
+    """Evaluate and commit ``order`` window by window.
+
+    Window ``i`` is ``order[starts[i]:starts[i + 1]]``; its vertices read
+    the state left by the windows before it and commit together.  With
+    ``charge_depth`` every window is a barrier and charges its own
+    critical path; without it the windows run back to back and the round
+    charges one ``best-moves-iter`` depth term after the last window.
+    """
+    obs = instr_of(sched)
+    threshold = config.kernel_threshold
+    offsets = graph.offsets
+    # Bookkeeping is per round: one degree profile for every window, and
+    # each window's origins (read at its start, after the windows before
+    # it committed) and targets in round-sized arrays, from which the
+    # movers come after the last window.
+    profiles = degree_profile(offsets[order + 1] - offsets[order], threshold, starts)
+    bounds = starts.tolist() + [order.size]
+    origins = np.empty(order.size, dtype=np.int64)
+    targets = np.empty(order.size, dtype=np.int64)
+    gains = np.empty(order.size, dtype=np.float64) if obs.enabled else None
+    for start, end, profile in zip(bounds, bounds[1:], profiles):
+        window = order[start:end]
+        origins[start:end] = state.assignments[window]
+        window_targets, window_gains = compute_batch_moves(
+            graph,
+            state,
+            window,
+            resolution,
+            sched=sched,
+            kernel_threshold=threshold,
+            charge_depth=charge_depth,
+            allow_escape=config.escape_moves,
+            swap_avoidance=swap_avoidance,
+            kernel=config.kernel,
+            profile=profile,
+        )
+        targets[start:end] = window_targets
+        if gains is not None:
+            gains[start:end] = window_gains
+        state.apply_moves(window, window_targets, sched=sched)
+    if sched is not None and not charge_depth:
+        sched.charge(
+            work=0.0,
+            depth=profile_depth(profiles)
+            + 2.0 * math.log2(max(graph.num_vertices, 2)),
+            label="best-moves-iter",
+        )
+    moving = targets != origins
+    gain = _round_gain(gains, moving, bounds) if gains is not None else 0.0
+    return order[moving], origins[moving], targets[moving], gain
+
+
+def iterate_rounds(
+    graph: CSRGraph,
+    state: ClusterState,
+    config: ClusteringConfig,
+    engine: str,
+    round_fn: Callable[[np.ndarray], RoundMoves],
     sched=None,
     rng: Optional[np.random.Generator] = None,
     initial_frontier: Optional[np.ndarray] = None,
 ) -> BestMovesStats:
-    """Run BEST-MOVES in place on ``state``; returns iteration diagnostics."""
+    """The BEST-MOVES iteration every engine shares.
+
+    Each round draws one permutation of the frontier, hands it to
+    ``round_fn`` (which moves the vertices and returns ``(movers,
+    origins, targets, gain)``), records the round under ``engine``'s
+    name, and stops when a round moves nothing, the frontier empties, or
+    ``config.iteration_bound`` rounds have run.
+    """
     stats = BestMovesStats()
     obs = instr_of(sched)
-    sync = config.mode is Mode.SYNC
-    threshold = config.kernel_threshold
-    offsets = graph.offsets
     active = (
         np.arange(graph.num_vertices, dtype=np.int64)
         if initial_frontier is None
@@ -118,64 +195,15 @@ def run_best_moves(
         frontier_size = int(active.size)
         stats.frontier_sizes.append(frontier_size)
         with obs.span(
-            "round", engine="relaxed", iteration=stats.iterations,
+            "round", engine=engine, iteration=stats.iterations,
             frontier=frontier_size,
         ) as round_span:
             order = rng.permutation(active) if rng is not None else active
-            windows = _windows(order, config)
-            starts = [0]
-            for window in windows[:-1]:
-                starts.append(starts[-1] + window.size)
-            # Bookkeeping is per round: one degree profile for every
-            # window, and each window's origins (read at its start, after
-            # the windows before it committed) and targets in round-sized
-            # arrays, from which the movers come after the last window.
-            profiles = degree_profile(
-                offsets[order + 1] - offsets[order], threshold, np.asarray(starts)
-            )
-            origins = np.empty(order.size, dtype=np.int64)
-            targets = np.empty(order.size, dtype=np.int64)
-            gains = np.empty(order.size, dtype=np.float64) if obs.enabled else None
-            # Asynchronous windows run back to back with no barrier, so the
-            # per-window kernels charge work only; one critical-path term per
-            # iteration is charged below.  Synchronous mode has exactly one
-            # window, whose depth is that term.
-            for window, start, profile in zip(windows, starts, profiles):
-                end = start + window.size
-                origins[start:end] = state.assignments[window]
-                window_targets, window_gains = compute_batch_moves(
-                    graph,
-                    state,
-                    window,
-                    resolution,
-                    sched=sched,
-                    kernel_threshold=threshold,
-                    charge_depth=sync,
-                    allow_escape=config.escape_moves,
-                    swap_avoidance=sync,
-                    kernel=config.kernel,
-                    profile=profile,
-                )
-                targets[start:end] = window_targets
-                if gains is not None:
-                    gains[start:end] = window_gains
-                state.apply_moves(window, window_targets, sched=sched)
-            if sched is not None and not sync:
-                sched.charge(
-                    work=0.0,
-                    depth=profile_depth(profiles)
-                    + 2.0 * math.log2(max(graph.num_vertices, 2)),
-                    label="best-moves-iter",
-                )
+            movers, origins, targets, gain = round_fn(order)
             stats.iterations += 1
-            moving = targets != origins
-            movers = order[moving]
             round_moves = int(movers.size)
-            round_gain = (
-                _round_gain(gains, moving, starts) if gains is not None else 0.0
-            )
-            round_span.set(moves=round_moves, gain=round_gain)
-            obs.record_round("relaxed", frontier_size, round_moves, round_gain)
+            round_span.set(moves=round_moves, gain=gain)
+            obs.record_round(engine, frontier_size, round_moves, gain)
             if round_moves == 0:
                 stats.converged = True
                 break
@@ -184,8 +212,8 @@ def run_best_moves(
                 graph,
                 state.assignments,
                 movers,
-                origins[moving],
-                targets[moving],
+                origins,
+                targets,
                 config.frontier,
                 sched=sched,
             )
@@ -194,3 +222,30 @@ def run_best_moves(
                 # the simulated lanes join here (recording idle waits).
                 sched.round_barrier()
     return stats
+
+
+def run_best_moves(
+    graph: CSRGraph,
+    state: ClusterState,
+    resolution: float,
+    config: ClusteringConfig,
+    sched=None,
+    rng: Optional[np.random.Generator] = None,
+    initial_frontier: Optional[np.ndarray] = None,
+) -> BestMovesStats:
+    """Run BEST-MOVES in place on ``state``; returns iteration diagnostics."""
+    # Synchronous mode has exactly one window, whose depth is the round's
+    # critical path; asynchronous windows charge work only.
+    sync = config.mode is Mode.SYNC
+
+    def relaxed_round(order: np.ndarray) -> RoundMoves:
+        return window_round(
+            graph, state, resolution, config, order,
+            _window_starts(order.size, config), sched,
+            charge_depth=sync, swap_avoidance=sync,
+        )
+
+    return iterate_rounds(
+        graph, state, config, "relaxed", relaxed_round, sched, rng,
+        initial_frontier,
+    )

@@ -22,17 +22,19 @@ guarantees in quality and speed").
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core.best_moves import BestMovesStats
+from repro.core.best_moves import (
+    BestMovesStats,
+    RoundMoves,
+    iterate_rounds,
+    window_round,
+)
 from repro.core.config import ClusteringConfig
-from repro.core.frontier import next_frontier
-from repro.core.moves import compute_batch_moves
 from repro.core.state import ClusterState
 from repro.graphs.csr import CSRGraph
-from repro.obs.instrument import instr_of
 
 
 def greedy_coloring(graph: CSRGraph, sched=None) -> np.ndarray:
@@ -84,75 +86,20 @@ def run_colored_best_moves(
     ``colors`` may be precomputed (the multilevel driver recolors each
     coarsened graph).
     """
-    stats = BestMovesStats()
-    obs = instr_of(sched)
-    n = graph.num_vertices
     if colors is None:
         colors = greedy_coloring(graph, sched=sched)
-    num_colors = int(colors.max()) + 1 if colors.size else 0
-    active = (
-        np.arange(n, dtype=np.int64)
-        if initial_frontier is None
-        else np.asarray(initial_frontier, dtype=np.int64)
+
+    def colored_round(order: np.ndarray) -> RoundMoves:
+        # One window per color class present, in color order, each class
+        # in permutation order; each class is a barrier.
+        order = order[np.argsort(colors[order], kind="stable")]
+        starts = np.flatnonzero(np.diff(colors[order], prepend=-1))
+        return window_round(
+            graph, state, resolution, config, order, starts, sched,
+            charge_depth=True, swap_avoidance=False,
+        )
+
+    return iterate_rounds(
+        graph, state, config, "colored", colored_round, sched, rng,
+        initial_frontier,
     )
-    for _ in range(config.iteration_bound):
-        if active.size == 0:
-            stats.converged = True
-            break
-        frontier_size = int(active.size)
-        stats.frontier_sizes.append(frontier_size)
-        with obs.span(
-            "round", engine="colored", iteration=stats.iterations,
-            frontier=frontier_size,
-        ) as round_span:
-            order = rng.permutation(active) if rng is not None else active
-            movers_parts: List[np.ndarray] = []
-            origins_parts: List[np.ndarray] = []
-            targets_parts: List[np.ndarray] = []
-            round_gain = 0.0
-            active_colors = colors[order]
-            for color in range(num_colors):
-                window = order[active_colors == color]
-                if window.size == 0:
-                    continue
-                targets, gains = compute_batch_moves(
-                    graph,
-                    state,
-                    window,
-                    resolution,
-                    sched=sched,
-                    kernel_threshold=config.kernel_threshold,
-                    charge_depth=True,  # each color class is a barrier
-                    allow_escape=config.escape_moves,
-                    kernel=config.kernel,
-                )
-                moving = targets != state.assignments[window]
-                if moving.any():
-                    movers_parts.append(window[moving])
-                    origins_parts.append(state.assignments[window[moving]])
-                    targets_parts.append(targets[moving])
-                    round_gain += float(gains[moving].sum())
-                state.apply_moves(window, targets, sched=sched)
-            stats.iterations += 1
-            round_moves = (
-                int(sum(part.size for part in movers_parts))
-                if movers_parts
-                else 0
-            )
-            round_span.set(moves=round_moves, gain=round_gain)
-            obs.record_round("colored", frontier_size, round_moves, round_gain)
-            if not movers_parts:
-                stats.converged = True
-                break
-            movers = np.concatenate(movers_parts)
-            stats.total_moves += int(movers.size)
-            active = next_frontier(
-                graph, state.assignments, movers,
-                np.concatenate(origins_parts), np.concatenate(targets_parts),
-                config.frontier, sched=sched,
-            )
-            if sched is not None:
-                # Color classes already barrier individually; the round
-                # itself joins once more before the next frontier.
-                sched.round_barrier()
-    return stats

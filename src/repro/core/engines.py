@@ -1,7 +1,11 @@
 """Registry of BEST-MOVES scheduling engines.
 
 Five engines implement the same contract
-``engine(graph, state, resolution, config, sched=, rng=, initial_frontier=)``:
+``engine(graph, state, resolution, config, sched=, rng=, initial_frontier=)``.
+Each hands one round function to the BEST-MOVES iteration they share,
+:func:`repro.core.best_moves.iterate_rounds`, and differs only in how a
+round schedules its moves (the relaxed and colored engines both commit
+through :func:`repro.core.best_moves.window_round`):
 
 * ``"relaxed"``  — the paper's engine: batched windows, synchronous or
   asynchronous per ``config.mode`` (:mod:`repro.core.best_moves`);

@@ -26,13 +26,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.best_moves import BestMovesStats
+from repro.core.best_moves import BestMovesStats, RoundMoves, iterate_rounds
 from repro.core.config import ClusteringConfig
-from repro.core.frontier import next_frontier
 from repro.core.state import ClusterState
 from repro.kernels import DEFAULT_KERNEL, get_kernel
 from repro.graphs.csr import CSRGraph
-from repro.obs.instrument import instr_of
 
 
 def _event_iteration(
@@ -43,10 +41,10 @@ def _event_iteration(
     num_workers: int,
     allow_escape: bool,
     kernel: str = DEFAULT_KERNEL,
-) -> tuple:
+) -> RoundMoves:
     """One pass over ``order`` with P concurrent workers.
 
-    Returns (movers, origins, targets).  Commit-time conflict rule: the
+    Returns (movers, origins, targets, gain).  Commit-time conflict rule: the
     move applies only if the vertex's cluster is unchanged since its read
     (a failed CAS re-queues the vertex once, as real implementations
     retry).
@@ -135,49 +133,22 @@ def run_event_driven_best_moves(
     initial_frontier: Optional[np.ndarray] = None,
 ) -> BestMovesStats:
     """BEST-MOVES under the event-driven asynchrony model."""
-    stats = BestMovesStats()
-    obs = instr_of(sched)
-    n = graph.num_vertices
-    active = (
-        np.arange(n, dtype=np.int64)
-        if initial_frontier is None
-        else np.asarray(initial_frontier, dtype=np.int64)
+
+    def event_round(order: np.ndarray) -> RoundMoves:
+        moved = _event_iteration(
+            graph, state, order, resolution, config.resolved_workers,
+            config.escape_moves, kernel=config.kernel,
+        )
+        if sched is not None:
+            degrees = graph.offsets[order + 1] - graph.offsets[order]
+            sched.charge(
+                work=float(degrees.sum()) + 4.0 * order.size,
+                depth=float(degrees.max()) if degrees.size else 1.0,
+                label="event-async",
+            )
+        return moved
+
+    return iterate_rounds(
+        graph, state, config, "event", event_round, sched, rng,
+        initial_frontier,
     )
-    for _ in range(config.iteration_bound):
-        if active.size == 0:
-            stats.converged = True
-            break
-        frontier_size = int(active.size)
-        stats.frontier_sizes.append(frontier_size)
-        with obs.span(
-            "round", engine="event", iteration=stats.iterations,
-            frontier=frontier_size,
-        ) as round_span:
-            order = rng.permutation(active) if rng is not None else active
-            movers, origins, targets, gain = _event_iteration(
-                graph, state, order, resolution, config.resolved_workers,
-                config.escape_moves, kernel=config.kernel,
-            )
-            if sched is not None:
-                degrees = graph.offsets[order + 1] - graph.offsets[order]
-                sched.charge(
-                    work=float(degrees.sum()) + 4.0 * order.size,
-                    depth=float(degrees.max()) if degrees.size else 1.0,
-                    label="event-async",
-                )
-            stats.iterations += 1
-            round_span.set(moves=int(movers.size), gain=gain)
-            obs.record_round("event", frontier_size, int(movers.size), gain)
-            if movers.size == 0:
-                stats.converged = True
-                break
-            stats.total_moves += int(movers.size)
-            active = next_frontier(
-                graph, state.assignments, movers, origins, targets,
-                config.frontier, sched=sched,
-            )
-            if sched is not None:
-                # Even the event oracle joins at the round boundary: the
-                # next frontier is a global read of this round's moves.
-                sched.round_barrier()
-    return stats

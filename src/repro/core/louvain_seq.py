@@ -19,15 +19,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.best_moves import BestMovesStats
+from repro.core.best_moves import BestMovesStats, RoundMoves, iterate_rounds
 from repro.core.config import ClusteringConfig
-from repro.core.frontier import next_frontier
 from repro.core.louvain_par import MultiLevelStats, multilevel_louvain
 from repro.core.state import ClusterState
 from repro.kernels import DEFAULT_KERNEL, get_kernel
 from repro.graphs.csr import CSRGraph
 from repro.graphs.stats import MemoryTracker
-from repro.obs.instrument import instr_of
 
 
 def _sequential_sweep(
@@ -38,7 +36,7 @@ def _sequential_sweep(
     sched=None,
     allow_escape: bool = True,
     kernel: str = DEFAULT_KERNEL,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> RoundMoves:
     """One sweep of immediate best moves.
 
     Evaluation (and the exact sequence of ``move_one`` state mutations)
@@ -69,48 +67,22 @@ def sequential_best_moves(
     rng: Optional[np.random.Generator] = None,
     initial_frontier: Optional[np.ndarray] = None,
 ) -> BestMovesStats:
-    """Sequential analogue of BEST-MOVES: sweeps until stable or bounded."""
-    stats = BestMovesStats()
-    obs = instr_of(sched)
-    n = graph.num_vertices
-    active = (
-        np.arange(n, dtype=np.int64)
-        if initial_frontier is None
-        else np.asarray(initial_frontier, dtype=np.int64)
+    """Sequential analogue of BEST-MOVES: sweeps until stable or bounded.
+
+    One lane, but the round barrier still closes each sweep's chunk
+    stream, so timelines segment per sweep.
+    """
+
+    def sweep_round(order: np.ndarray) -> RoundMoves:
+        return _sequential_sweep(
+            graph, state, order, resolution, sched=sched,
+            allow_escape=config.escape_moves, kernel=config.kernel,
+        )
+
+    return iterate_rounds(
+        graph, state, config, "sequential", sweep_round, sched, rng,
+        initial_frontier,
     )
-    for _ in range(config.iteration_bound):
-        if active.size == 0:
-            stats.converged = True
-            break
-        frontier_size = int(active.size)
-        stats.frontier_sizes.append(frontier_size)
-        with obs.span(
-            "round", engine="sequential", iteration=stats.iterations,
-            frontier=frontier_size,
-        ) as round_span:
-            order = rng.permutation(active) if rng is not None else active
-            movers, origins, targets, gain = _sequential_sweep(
-                graph, state, order, resolution, sched=sched,
-                allow_escape=config.escape_moves, kernel=config.kernel,
-            )
-            stats.iterations += 1
-            round_span.set(moves=int(movers.size), gain=gain)
-            obs.record_round(
-                "sequential", frontier_size, int(movers.size), gain
-            )
-            if movers.size == 0:
-                stats.converged = True
-                break
-            stats.total_moves += int(movers.size)
-            active = next_frontier(
-                graph, state.assignments, movers, origins, targets,
-                config.frontier, sched=sched,
-            )
-            if sched is not None:
-                # One lane, but the boundary still closes the round's
-                # chunk stream so timelines segment per sweep.
-                sched.round_barrier()
-    return stats
 
 
 def sequential_cc(

@@ -23,17 +23,15 @@ sequentially in permutation order — property-tested.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core.best_moves import BestMovesStats
+from repro.core.best_moves import BestMovesStats, RoundMoves, iterate_rounds
 from repro.core.config import ClusteringConfig
-from repro.core.frontier import next_frontier
 from repro.core.moves import compute_batch_moves
 from repro.core.state import ClusterState
 from repro.graphs.csr import CSRGraph
-from repro.obs.instrument import instr_of
 
 
 def conflict_free_prefix(
@@ -93,92 +91,56 @@ def run_prefix_best_moves(
     permutation, at the cost of the prefix computations — exactly the
     overhead the paper cites for rejecting this design.
     """
-    stats = BestMovesStats()
-    obs = instr_of(sched)
-    n = graph.num_vertices
-    active = (
-        np.arange(n, dtype=np.int64)
-        if initial_frontier is None
-        else np.asarray(initial_frontier, dtype=np.int64)
-    )
-    for _ in range(config.iteration_bound):
-        if active.size == 0:
-            stats.converged = True
-            break
-        frontier_size = int(active.size)
-        stats.frontier_sizes.append(frontier_size)
-        with obs.span(
-            "round", engine="prefix", iteration=stats.iterations,
-            frontier=frontier_size,
-        ) as round_span:
-            order = (
-                rng.permutation(active) if rng is not None else active.copy()
-            )
-            movers_parts: List[np.ndarray] = []
-            origins_parts: List[np.ndarray] = []
-            targets_parts: List[np.ndarray] = []
-            round_gain = 0.0
-            position = 0
-            while position < order.size:
-                # Bounded lookahead: prefixes are short in practice, so only
-                # the head of the remaining permutation needs desired-cluster
-                # recomputation each round.
-                remaining = order[position: position + 4096]
-                targets, gains = compute_batch_moves(
-                    graph,
-                    state,
-                    remaining,
-                    resolution,
-                    sched=sched,
-                    kernel_threshold=config.kernel_threshold,
-                    charge_depth=False,
-                    allow_escape=config.escape_moves,
-                    kernel=config.kernel,
-                )
-                length = conflict_free_prefix(graph, state, remaining, targets)
-                window = remaining[:length]
-                window_targets = targets[:length]
-                moving = window_targets != state.assignments[window]
-                if moving.any():
-                    movers_parts.append(window[moving])
-                    origins_parts.append(state.assignments[window[moving]])
-                    targets_parts.append(window_targets[moving])
-                    round_gain += float(gains[:length][moving].sum())
-                state.apply_moves(window, window_targets, sched=sched)
-                if sched is not None:
-                    # The prefix scan itself: a parallel max-prefix over the
-                    # remaining vertices (work linear in the scanned region,
-                    # depth logarithmic) — the overhead the paper highlights.
-                    sched.charge(
-                        work=float(remaining.size),
-                        depth=np.log2(max(remaining.size, 2)) * 2.0,
-                        label="prefix-scan",
-                    )
-                position += length
-            stats.iterations += 1
-            round_moves = (
-                int(sum(part.size for part in movers_parts))
-                if movers_parts
-                else 0
-            )
-            round_span.set(moves=round_moves, gain=round_gain)
-            obs.record_round("prefix", frontier_size, round_moves, round_gain)
-            if not movers_parts:
-                stats.converged = True
-                break
-            movers = np.concatenate(movers_parts)
-            stats.total_moves += int(movers.size)
-            active = next_frontier(
+
+    def prefix_round(order: np.ndarray) -> RoundMoves:
+        # The prefixes partition ``order``, so each vertex's origin (read
+        # before its prefix commits) and target land in round-sized arrays.
+        origins = np.empty(order.size, dtype=np.int64)
+        targets = np.empty(order.size, dtype=np.int64)
+        gain = 0.0
+        position = 0
+        while position < order.size:
+            # Bounded lookahead: prefixes are short in practice, so only
+            # the head of the remaining permutation needs desired-cluster
+            # recomputation each round.
+            remaining = order[position: position + 4096]
+            remaining_targets, gains = compute_batch_moves(
                 graph,
-                state.assignments,
-                movers,
-                np.concatenate(origins_parts),
-                np.concatenate(targets_parts),
-                config.frontier,
+                state,
+                remaining,
+                resolution,
                 sched=sched,
+                kernel_threshold=config.kernel_threshold,
+                charge_depth=False,
+                allow_escape=config.escape_moves,
+                kernel=config.kernel,
             )
+            length = conflict_free_prefix(
+                graph, state, remaining, remaining_targets
+            )
+            end = position + length
+            window = remaining[:length]
+            window_targets = remaining_targets[:length]
+            origins[position:end] = state.assignments[window]
+            targets[position:end] = window_targets
+            moving = window_targets != origins[position:end]
+            if moving.any():
+                gain += float(gains[:length][moving].sum())
+            state.apply_moves(window, window_targets, sched=sched)
             if sched is not None:
-                # Prefix rounds end in a full join before the next
-                # permutation is drawn; record the lane idle gaps.
-                sched.round_barrier()
-    return stats
+                # The prefix scan itself: a parallel max-prefix over the
+                # remaining vertices (work linear in the scanned region,
+                # depth logarithmic) — the overhead the paper highlights.
+                sched.charge(
+                    work=float(remaining.size),
+                    depth=np.log2(max(remaining.size, 2)) * 2.0,
+                    label="prefix-scan",
+                )
+            position = end
+        moving = targets != origins
+        return order[moving], origins[moving], targets[moving], gain
+
+    return iterate_rounds(
+        graph, state, config, "prefix", prefix_round, sched, rng,
+        initial_frontier,
+    )

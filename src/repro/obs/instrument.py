@@ -153,7 +153,7 @@ class Instrumentation:
     a near-free no-op — the configuration the overhead bench measures.
     """
 
-    __slots__ = ("enabled", "tracer", "metrics", "profile")
+    __slots__ = ("enabled", "tracer", "metrics", "profile", "timeline")
 
     def __init__(
         self,
@@ -166,6 +166,10 @@ class Instrumentation:
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.profile = profile
+        #: The session's simulated worker lanes
+        #: (:class:`~repro.parallel.scheduler.WorkerTimeline`), created by
+        #: the first scheduler attached while enabled.
+        self.timeline = None
 
     # ------------------------------------------------------------------
     # tracing hooks

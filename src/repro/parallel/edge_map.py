@@ -14,17 +14,11 @@ are the no-compiler path.  All three give the same sorted ids.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.kernels import native
-from repro.parallel.primitives import ragged_gather_indices
+from repro.parallel.primitives import log2_depth, ragged_gather_indices
 from repro.parallel.vertex_subset import VertexSubset, observe_dedup, should_densify
-
-
-def _log2(n: int) -> float:
-    return max(1.0, math.log2(max(n, 2)))
 
 
 def edge_map(graph, frontier: VertexSubset, sched=None, label: str = "edge-map") -> VertexSubset:
@@ -83,10 +77,10 @@ def _charge(
     if sched is None:
         return
     if dense:
-        sched.charge(work=float(n + m), depth=_log2(n), label=label + "-dense")
+        sched.charge(work=float(n + m), depth=log2_depth(n), label=label + "-dense")
     else:
         sched.charge(
             work=float(frontier_size + deg_sum),
-            depth=_log2(max(deg_sum, 2)),
+            depth=log2_depth(max(deg_sum, 2)),
             label=label + "-sparse",
         )

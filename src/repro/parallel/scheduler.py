@@ -83,6 +83,11 @@ class WorkerTimeline:
     is the idle time the lane sat through before that end, and idle time
     after it carries into the lane's next chunk.  Per-lane busy and wait
     totals are therefore those of one chunk per share.
+
+    An enabled instrumentation holds one timeline for its whole session
+    (see :meth:`of`), so the schedulers of a bootstrap run and of each
+    later update batch continue the same lanes instead of overlapping
+    them, and :data:`MAX_WORKER_CHUNKS` bounds the session.
     """
 
     __slots__ = ("instr", "num_workers", "tau", "clock", "idle", "wait",
@@ -92,7 +97,7 @@ class WorkerTimeline:
         self.instr = instr
         self.num_workers = num_workers
         self.tau = tau
-        #: Per-lane frontier, simulated seconds since run start.
+        #: Per-lane frontier, simulated seconds since session start.
         self.clock = [0.0] * num_workers
         #: Idle time per lane since its last share.
         self.idle = [0.0] * num_workers
@@ -104,6 +109,29 @@ class WorkerTimeline:
         self.ends = [0.0] * num_workers
         self.chunks = 0
         self.truncated = False
+
+    @classmethod
+    def of(cls, instr, num_workers: int, tau: float) -> "WorkerTimeline":
+        """The lanes of ``instr``'s session for ``num_workers`` workers.
+
+        A timeline with the same worker count and ``tau`` is continued;
+        otherwise a new one replaces it, starting every lane at the old
+        timeline's latest lane clock and keeping its chunk count.
+        """
+        timeline = instr.timeline
+        if (
+            timeline is not None
+            and timeline.num_workers == num_workers
+            and timeline.tau == tau
+        ):
+            return timeline
+        fresh = cls(instr, num_workers, tau)
+        if timeline is not None:
+            fresh.clock = [max(timeline.clock)] * num_workers
+            fresh.chunks = timeline.chunks
+            fresh.truncated = timeline.truncated
+        instr.timeline = fresh
+        return fresh
 
     def _share(self, lane: int, start: float, end: float, items: int) -> None:
         self.wait[lane] += self.idle[lane]
@@ -365,10 +393,11 @@ class SimulatedScheduler:
         #: scheduler for the same reason ``faults`` does — everything that
         #: can charge costs can also trace/record (see ``instr_of``).
         self.instr = instr
-        #: Per-worker lane recorder; only materialized for an *enabled*
-        #: instrumentation so uninstrumented runs pay one ``is None`` check.
+        #: Per-worker lane recorder, shared by every scheduler of one
+        #: *enabled* instrumentation; uninstrumented runs pay one
+        #: ``is None`` check.
         self._timeline = (
-            WorkerTimeline(instr, num_workers, tau)
+            WorkerTimeline.of(instr, num_workers, tau)
             if instr is not None and instr.enabled
             else None
         )

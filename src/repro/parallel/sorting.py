@@ -1,11 +1,11 @@
-"""Parallel sorting and semisorting with work/depth accounting.
+"""Parallel semisort aggregation with work/depth accounting.
 
 The paper's key engineering win over NetworKit is a *work-efficient*
 parallel graph-compression step: intra-cluster edges are aggregated "in
 polylogarithmic depth with an efficient parallel sort" (Section 4.2).  We
-model a parallel sample sort — work O(n log n), depth O(log^2 n) — and an
-integer semisort for key aggregation — work O(n), depth O(log n) w.h.p.
-(GBBS follows Gu–Shun–Sun–Blelloch semisort).
+model it as an integer semisort for key aggregation — work O(n), depth
+O(log n) w.h.p. (GBBS follows Gu–Shun–Sun–Blelloch semisort) — against
+the per-group scans of a non-work-efficient aggregation.
 
 Graph compression aggregates its edges in C when the native library
 loads (:func:`repro.kernels.native.compress`, two counting sorts and a
@@ -16,26 +16,11 @@ its test oracle, and :func:`charge_semisort` /
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-
-def _log2(n: int) -> float:
-    return max(1.0, math.log2(max(n, 2)))
-
-
-def parallel_sample_sort(
-    keys: np.ndarray, sched=None, label: str = "sample-sort"
-) -> np.ndarray:
-    """Return the argsort of ``keys``; charged as a parallel sample sort."""
-    keys = np.asarray(keys)
-    order = np.argsort(keys, kind="stable")
-    if sched is not None:
-        n = keys.size
-        sched.charge(work=float(n) * _log2(n), depth=_log2(n) ** 2, label=label)
-    return order
+from repro.parallel.primitives import log2_depth
 
 
 def parallel_semisort_aggregate(
@@ -65,7 +50,7 @@ def parallel_semisort_aggregate(
 def charge_semisort(sched, size: int, label: str = "semisort") -> None:
     """Charge a parallel semisort of ``size`` keys; nothing when empty."""
     if sched is not None and size:
-        sched.charge(work=float(size), depth=_log2(size), label=label)
+        sched.charge(work=float(size), depth=log2_depth(size), label=label)
 
 
 def naive_group_aggregate(
@@ -96,25 +81,7 @@ def charge_naive_aggregate(
     """Charge :func:`naive_group_aggregate`'s surrogate cost for ``size`` keys."""
     if sched is not None:
         sched.charge(
-            work=float(size) * max(1.0, _log2(max(num_groups, 2))) * 2.0,
-            depth=float(max(num_groups, 1)) ** 0.5 + _log2(size),
+            work=float(size) * max(1.0, log2_depth(max(num_groups, 2))) * 2.0,
+            depth=float(max(num_groups, 1)) ** 0.5 + log2_depth(size),
             label=label,
         )
-
-
-def parallel_integer_sort(
-    keys: np.ndarray,
-    max_key: Optional[int] = None,
-    sched=None,
-    label: str = "int-sort",
-) -> np.ndarray:
-    """Argsort of small-universe integer keys (parallel radix/counting sort).
-
-    Work O(n + range), depth O(log n).
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    order = np.argsort(keys, kind="stable")
-    if sched is not None:
-        rng = (max_key if max_key is not None else (int(keys.max()) + 1 if keys.size else 1))
-        sched.charge(work=float(keys.size + rng), depth=_log2(keys.size), label=label)
-    return order

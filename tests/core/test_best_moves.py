@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.best_moves import BestMovesStats, _windows, run_best_moves
+from repro.core.best_moves import BestMovesStats, _window_starts, run_best_moves
 from repro.core.config import ClusteringConfig, Frontier, Mode
 from repro.core.frontier import next_frontier
 from repro.core.moves import compute_batch_moves, kernel_depth
@@ -23,6 +23,10 @@ def async_config(**kw):
     return ClusteringConfig(**defaults)
 
 
+def _windows(order, config):
+    return np.split(order, _window_starts(order.size, config)[1:])
+
+
 class TestWindows:
     def test_sync_single_window(self):
         config = async_config(mode=Mode.SYNC)
@@ -35,6 +39,10 @@ class TestWindows:
         windows = _windows(np.arange(100), config)
         assert len(windows) == 8
         assert sum(w.size for w in windows) == 100
+        # np.array_split's boundaries: the first 100 % 8 windows are longer.
+        assert [w.size for w in windows] == [
+            w.size for w in np.array_split(np.arange(100), 8)
+        ]
 
     def test_async_small_frontier_single_vertex_windows(self):
         config = async_config(async_windows=32)

@@ -72,7 +72,7 @@ def test_every_engine_emits_moves_and_gains(karate, engine):
     assert validate_trace_records(instr.tracer.records) == []
 
 
-@pytest.mark.parametrize("engine", ["sequential", "relaxed"])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_trace_agrees_with_result_stats(karate, engine):
     """The trace's round spans and ClusterResult.stats tell one story."""
     instr = Instrumentation()

@@ -7,6 +7,7 @@ import pytest
 from repro.core.api import cluster
 from repro.core.config import ClusteringConfig
 from repro.core.options import RunOptions
+from repro.dynamic import DynamicClusterer, UpdateBatch
 from repro.graphs.karate import karate_club_graph
 from repro.obs.doctor import trace_series
 from repro.obs.instrument import Instrumentation
@@ -113,6 +114,34 @@ def test_chunk_backstop_truncates_once(monkeypatch):
         if r["type"] == "event" and r["name"] == "worker-timeline-truncated"
     ]
     assert [e["attrs"]["chunks"] for e in events] == [5]
+
+
+def test_dynamic_session_continues_the_lanes():
+    # Each update batch builds its own scheduler; all of them lay chunks
+    # on the session's one timeline, after the bootstrap run's.
+    instr = Instrumentation()
+    config = ClusteringConfig(resolution=0.05, seed=3)
+    dyn = DynamicClusterer.bootstrap(
+        karate_club_graph(), config, instrumentation=instr
+    )
+    for edge in [(0, 9), (5, 20), (12, 30)]:
+        dyn.apply(UpdateBatch.inserts([edge]))
+    assert validate_trace_records(instr.tracer.records) == []
+
+
+def test_new_worker_count_starts_at_the_latest_lane_clock():
+    instr = Instrumentation()
+    wide = SimulatedScheduler(num_workers=4, instr=instr)
+    wide.charge(4096.0, 8.0, "wide", items=4)
+    wide.round_barrier()
+    assert SimulatedScheduler(num_workers=4, instr=instr)._timeline is (
+        wide._timeline
+    )
+    narrow = SimulatedScheduler(num_workers=1, instr=instr)
+    narrow.charge(256.0, 0.0, "narrow", items=1)
+    narrow.round_barrier()
+    workers = instr.tracer.worker_records()
+    assert workers[-1]["start"] == max(w["end"] for w in workers[:-1])
 
 
 def test_schema_flags_overlapping_worker_chunks():

@@ -1,86 +1,6 @@
 import numpy as np
-import pytest
 
-from repro.parallel.primitives import (
-    parallel_histogram,
-    parallel_max,
-    parallel_pack,
-    parallel_reduce,
-    parallel_scan,
-    ragged_gather_indices,
-)
-from repro.parallel.scheduler import SimulatedScheduler
-
-
-@pytest.fixture
-def sched():
-    return SimulatedScheduler(num_workers=8)
-
-
-class TestReduce:
-    def test_sum(self, sched):
-        assert parallel_reduce(np.arange(10), sched) == 45
-
-    def test_charges_linear_work(self, sched):
-        parallel_reduce(np.ones(1000), sched)
-        assert sched.ledger.total_work == 1000
-
-    def test_empty(self):
-        assert parallel_reduce(np.zeros(0)) == 0.0
-
-
-class TestMax:
-    def test_max(self):
-        assert parallel_max(np.asarray([3.0, -1.0, 9.0])) == 9.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            parallel_max(np.zeros(0))
-
-
-class TestScan:
-    def test_exclusive_prefix(self):
-        prefix, total = parallel_scan(np.asarray([3, 1, 4]))
-        assert np.array_equal(prefix, [0, 3, 4])
-        assert total == 8
-
-    def test_empty(self):
-        prefix, total = parallel_scan(np.zeros(0))
-        assert prefix.size == 0
-        assert total == 0
-
-    def test_matches_cumsum(self, rng):
-        values = rng.integers(0, 100, size=257)
-        prefix, total = parallel_scan(values)
-        expected = np.concatenate([[0], np.cumsum(values)[:-1]])
-        assert np.array_equal(prefix, expected)
-        assert total == values.sum()
-
-
-class TestPack:
-    def test_filters(self):
-        out = parallel_pack(np.arange(6), np.asarray([1, 0, 1, 0, 1, 0], dtype=bool))
-        assert np.array_equal(out, [0, 2, 4])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            parallel_pack(np.arange(3), np.asarray([True]))
-
-
-class TestHistogram:
-    def test_counts(self):
-        counts = parallel_histogram(np.asarray([0, 1, 1, 2]), 4)
-        assert np.array_equal(counts, [1, 2, 1, 0])
-
-    def test_weighted(self):
-        counts = parallel_histogram(
-            np.asarray([0, 0, 1]), 2, weights=np.asarray([1.5, 0.5, 3.0])
-        )
-        assert np.allclose(counts, [2.0, 3.0])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            parallel_histogram(np.asarray([5]), 3)
+from repro.parallel.primitives import ragged_gather_indices
 
 
 class TestRaggedGather:

@@ -4,27 +4,8 @@ import pytest
 from repro.parallel.scheduler import SimulatedScheduler
 from repro.parallel.sorting import (
     naive_group_aggregate,
-    parallel_integer_sort,
-    parallel_sample_sort,
     parallel_semisort_aggregate,
 )
-
-
-class TestSampleSort:
-    def test_sorts(self, rng):
-        keys = rng.integers(0, 1000, size=500)
-        order = parallel_sample_sort(keys)
-        assert np.array_equal(keys[order], np.sort(keys))
-
-    def test_stable(self):
-        keys = np.asarray([2, 1, 2, 1])
-        order = parallel_sample_sort(keys)
-        assert np.array_equal(order, [1, 3, 0, 2])
-
-    def test_charges_nlogn(self):
-        sched = SimulatedScheduler(num_workers=8)
-        parallel_sample_sort(np.arange(1024), sched)
-        assert sched.ledger.total_work == pytest.approx(1024 * 10)
 
 
 class TestSemisortAggregate:
@@ -72,13 +53,3 @@ class TestNaiveAggregate:
         assert slow.ledger.total_work > fast.ledger.total_work
         assert slow.ledger.total_depth > fast.ledger.total_depth
 
-
-class TestIntegerSort:
-    def test_sorts(self, rng):
-        keys = rng.integers(0, 64, size=200)
-        order = parallel_integer_sort(keys, max_key=64)
-        assert np.array_equal(keys[order], np.sort(keys))
-
-    def test_empty(self):
-        order = parallel_integer_sort(np.zeros(0, dtype=np.int64))
-        assert order.size == 0
