@@ -108,8 +108,11 @@ bench-dynamic:
 ## reference kernel and NumPy paths by accident): the three per-window
 ## calls that take a binding (batch, sweep, commit), the two that take
 ## their arrays (frontier, compression) and the dynamic graph's arc
-## search and splice.  Then run the kernel, binding and native-round
-## parity suites, the round-bookkeeping oracle and the splice and
+## search and splice, plus the batch pool's counters.  Compile the source
+## once more with -Wall -Wextra -Werror and the library's flags
+## (-pthread among them), so a warning in the pool's concurrency code
+## fails CI.  Then run the kernel, binding, pool and native-round parity
+## suites, the round-bookkeeping oracle and the splice and
 ## dynamic-clusterer suites with any RuntimeWarning an error.
 native-kernel:
 	$(PYTHON) -W error::RuntimeWarning -c "from repro.kernels import KERNELS; \
@@ -117,7 +120,11 @@ native-kernel:
 	    assert lib is not None; \
 	    assert lib.repro_best_moves and lib.repro_sweep and lib.repro_commit; \
 	    assert lib.repro_neighbors and lib.repro_compress; \
-	    assert lib.repro_splice and lib.repro_find_arcs"
+	    assert lib.repro_splice and lib.repro_find_arcs; \
+	    assert lib.repro_pool_stats"
+	$(PYTHON) -c "import subprocess; from repro.kernels import native; \
+	    subprocess.run([native.COMPILER, *native.CFLAGS, '-Wall', '-Wextra', \
+	    '-Werror', '-o', '/dev/null', str(native.SOURCE)], check=True)"
 	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning \
 	    tests/properties/test_kernel_equivalence.py \
 	    tests/core/test_kernels.py tests/core/test_native_kernel.py \

@@ -5,12 +5,20 @@ twitter/friendster on the 48-core (96) one, exactly as in the paper.
 Expected shape: near-linear self-relative speedup up to the physical core
 count, a shallower hyper-threading tail (the paper reports 5.59-14.97x
 self-relative speedups for PAR-CC).
+
+Those speedups are simulated.  A separate table gives one wall-clock
+point: the smallest surrogate clustered with one and with two kernel
+threads (``ClusteringConfig.threads``).  It is printed, not asserted.
 """
 
+import numpy as np
+
 from repro.bench.datasets import benchmark_surrogate
-from repro.bench.harness import ExperimentTable
+from repro.bench.harness import ExperimentTable, time_callable
 from repro.bench.sparkline import sparkline
 from repro.core.api import correlation_clustering
+from repro.core.config import Mode
+from repro.kernels import native
 from repro.parallel.scheduler import Machine
 
 GRAPH_MACHINES = {
@@ -67,3 +75,52 @@ def test_fig7_thread_scaling_cc(benchmark):
             workers[-1] - workers[cores_idx]
         )
         assert smt_slope < physical_slope
+
+
+def _split_windows():
+    """Windows the native kernel has split so far (0 without it)."""
+    return (native.pool_stats() or {}).get("split_windows", 0)
+
+
+def run_kernel_threads_wall(name="amazon", scale=0.5, repeats=3):
+    """Best-of-``repeats`` wall seconds of one ``name`` clustering per
+    mode and kernel thread count (1, 2), the thread counts timed in
+    alternation, with the windows that split and the labels of each.
+
+    At this size an asynchronous window holds ~94 vertices, under the
+    kernel's split threshold, so only the synchronous rows, whose
+    window is a whole round, split.
+    """
+    graph = benchmark_surrogate(name, seed=0, scale=scale).graph
+    rows = {}
+    for mode in (Mode.ASYNC, Mode.SYNC):
+        for _ in range(repeats):
+            for threads in (1, 2):
+                before = _split_windows()
+                result, timing = time_callable(
+                    lambda: correlation_clustering(
+                        graph, resolution=0.01, seed=1, mode=mode,
+                        threads=threads,
+                    ),
+                    repeats=1,
+                )
+                splits = _split_windows() - before
+                best = rows.get((mode, threads), (float("inf"),))[0]
+                rows[mode, threads] = (
+                    min(best, timing.best), splits, result.assignments
+                )
+    return rows
+
+
+def test_fig7_kernel_threads_wall(benchmark):
+    rows = benchmark.pedantic(run_kernel_threads_wall, rounds=1, iterations=1)
+    table = ExperimentTable(
+        "Figure 7 (wall): amazon surrogate, 1 vs 2 kernel threads",
+        ["mode", "threads", "wall_s", "split_windows", "clock"],
+    )
+    for (mode, threads), (seconds, splits, _) in rows.items():
+        table.add_row(mode.value, threads, seconds, splits, "wall")
+    table.emit()
+    # The times are information; the thread count never changes a result.
+    for mode in (Mode.ASYNC, Mode.SYNC):
+        assert np.array_equal(rows[mode, 1][2], rows[mode, 2][2])

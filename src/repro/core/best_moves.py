@@ -44,7 +44,12 @@ import numpy as np
 
 from repro.core.config import ClusteringConfig, Mode
 from repro.core.frontier import next_frontier
-from repro.core.moves import compute_batch_moves, degree_profile, profile_depth
+from repro.core.moves import (
+    compute_batch_moves,
+    degree_profile,
+    kernel_threads,
+    profile_depth,
+)
 from repro.core.state import ClusterState
 from repro.graphs.csr import CSRGraph
 from repro.obs.instrument import instr_of
@@ -131,6 +136,7 @@ def window_round(
     origins = np.empty(order.size, dtype=np.int64)
     targets = np.empty(order.size, dtype=np.int64)
     gains = np.empty(order.size, dtype=np.float64) if obs.enabled else None
+    threads = kernel_threads(config, state, sched)
     for start, end, profile in zip(bounds, bounds[1:], profiles):
         window = order[start:end]
         origins[start:end] = state.assignments[window]
@@ -146,6 +152,7 @@ def window_round(
             swap_avoidance=swap_avoidance,
             kernel=config.kernel,
             profile=profile,
+            threads=threads,
         )
         targets[start:end] = window_targets
         if gains is not None:

@@ -135,6 +135,19 @@ def _charge_batch(
     sched.charge(work=work, depth=depth, label=label, items=size)
 
 
+def kernel_threads(config, state: ClusterState, sched=None) -> int:
+    """Wall-clock threads a round's kernel windows may use.
+
+    ``config.resolved_threads``, except under fault injection
+    (``sched.faults``) and for a state other than an exact
+    :class:`ClusterState` (a ``FaultyClusterState``), which keep the
+    single-thread path.
+    """
+    if getattr(sched, "faults", None) is not None or type(state) is not ClusterState:
+        return 1
+    return config.resolved_threads
+
+
 def compute_batch_moves(
     graph: CSRGraph,
     state: ClusterState,
@@ -148,6 +161,7 @@ def compute_batch_moves(
     swap_avoidance: bool = False,
     kernel: str = DEFAULT_KERNEL,
     profile: Optional[Profile] = None,
+    threads: int = 1,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Desired cluster per batch vertex against the current state snapshot.
 
@@ -158,7 +172,10 @@ def compute_batch_moves(
     isolation.  ``kernel`` selects the evaluation kernel; the cost charged
     to ``sched`` is identical for every kernel.  ``profile`` is the
     batch's :func:`degree_profile` when the caller already has it (a
-    round profiles all its windows at once).
+    round profiles all its windows at once).  ``threads`` is how many
+    wall-clock threads the kernel may split the batch across
+    (:func:`kernel_threads`); the outputs and the charge never depend
+    on it.
     """
     batch = np.asarray(batch, dtype=np.int64)
     if batch.size == 0:
@@ -173,6 +190,7 @@ def compute_batch_moves(
         allow_escape=allow_escape,
         swap_avoidance=swap_avoidance,
         instr=instr,
+        threads=threads,
     )
     if instr is not None and instr.enabled:
         instr.observe(M_KERNEL_BATCH, float(batch.size), kernel=kernel)

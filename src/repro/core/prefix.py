@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.best_moves import BestMovesStats, RoundMoves, iterate_rounds
 from repro.core.config import ClusteringConfig
-from repro.core.moves import compute_batch_moves
+from repro.core.moves import compute_batch_moves, kernel_threads
 from repro.core.state import ClusterState
 from repro.graphs.csr import CSRGraph
 
@@ -92,6 +92,8 @@ def run_prefix_best_moves(
     overhead the paper cites for rejecting this design.
     """
 
+    threads = kernel_threads(config, state, sched)
+
     def prefix_round(order: np.ndarray) -> RoundMoves:
         # The prefixes partition ``order``, so each vertex's origin (read
         # before its prefix commits) and target land in round-sized arrays.
@@ -114,6 +116,7 @@ def run_prefix_best_moves(
                 charge_depth=False,
                 allow_escape=config.escape_moves,
                 kernel=config.kernel,
+                threads=threads,
             )
             length = conflict_free_prefix(
                 graph, state, remaining, remaining_targets

@@ -57,8 +57,13 @@ class MoveKernel:
         allow_escape: bool = True,
         swap_avoidance: bool = False,
         instr=None,
+        threads: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(targets, gains)`` for ``batch`` against the state snapshot."""
+        """``(targets, gains)`` for ``batch`` against the state snapshot.
+
+        ``threads`` is how many wall-clock threads the kernel may split
+        the batch across; the outputs never depend on it.
+        """
         raise NotImplementedError
 
     def single_move(

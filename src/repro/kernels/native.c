@@ -19,7 +19,9 @@
  * Two entry points call it:
  *
  *   - repro_best_moves evaluates a whole batch against one snapshot
- *     (reference_batch_moves);
+ *     (reference_batch_moves), splitting a large batch across a small
+ *     pthread pool (see "The pool" below) when the caller allows more
+ *     than one thread;
  *   - repro_sweep visits vertices in order and commits each improving
  *     move at once, as reference_sweep does through
  *     ClusterState.move_one.
@@ -48,18 +50,27 @@
  * arrays directly.
  *
  * Build with -ffp-contract=off and never -ffast-math: additions must be
- * neither reordered nor fused for the results to be bit-identical.
+ * neither reordered nor fused for the results to be bit-identical; and
+ * with -pthread, for the pool.
  *
  * For repro_best_moves and repro_sweep the caller guarantees that the
  * binding's graph is valid CSR over `num_vertices` vertices, that its
  * state arrays cover `num_clusters >= num_vertices` cluster ids, and that
  * `acc` and `seen` hold zeros over every cluster id on entry.  `evaluate`
- * resets only the entries it touched, so they hold zeros again on return.  Every entry point returns -1 when a visited
- * vertex or a label is out of range.
+ * resets only the entries it touched, so they hold zeros again on
+ * return, in the binding's scratch and in every pool thread's own.
+ * Every entry point returns -1 when a visited vertex or a label is out
+ * of range.
  */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 /* Batch positions ahead of the current vertex for each prefetch stage. */
 #define AHEAD_VERTEX 8
@@ -184,13 +195,403 @@ static inline __attribute__((always_inline)) int64_t evaluate(
 }
 
 /*
- * Evaluates every batch vertex against one state snapshot.  Returns the
- * number of (vertex, neighbor cluster) pairs evaluated.
+ * Evaluates batch[begin, end) against one state snapshot, writing each
+ * vertex's target and gain to its own output slot.  Returns the number
+ * of (vertex, neighbor cluster) pairs evaluated, or -1.
  *
  * The batch visits rows in random order, so the loop is bound by memory
  * latency, not arithmetic.  It prefetches ahead of itself in three
  * stages: a vertex's own entries, then its adjacency row and its cluster
- * weight, then its first neighbors' labels.  Prefetches change no value.
+ * weight, then its first neighbors' labels.  Prefetches reach up to
+ * batch[limit - 1], past `end` into vertices another pool thread may
+ * evaluate, and change no value.
+ */
+static int64_t evaluate_range(
+    const struct binding *bound, const struct settings *opt,
+    const int64_t *batch, int64_t begin, int64_t end, int64_t limit,
+    int64_t *out_targets, double *out_gains)
+{
+    /* A local copy: writes through the scratch pointers cannot alias it,
+     * so its fields stay in registers. */
+    const struct binding s = *bound;
+    const int64_t *offsets = s.offsets;
+    const int64_t *neighbors = s.neighbors;
+    const double *weights = s.weights;
+    const double *node_weights = s.node_weights;
+    const int64_t *assignments = s.assignments;
+    const double *cluster_weights = s.cluster_weights;
+    const int64_t *cluster_sizes = s.cluster_sizes;
+    int64_t pairs = 0;
+    for (int64_t i = begin; i < end; ++i) {
+        /* Inline on purpose: gcc -O2 drops a helper function whose only
+         * effect is prefetching. */
+        if (i + AHEAD_VERTEX < limit) {
+            const int64_t u = batch[i + AHEAD_VERTEX];
+            __builtin_prefetch(&offsets[u]);
+            __builtin_prefetch(&node_weights[u]);
+            __builtin_prefetch(&assignments[u]);
+            __builtin_prefetch(&cluster_sizes[u]);
+        }
+        if (i + AHEAD_ROW < limit) {
+            const int64_t u = batch[i + AHEAD_ROW];
+            __builtin_prefetch(&neighbors[offsets[u]]);
+            __builtin_prefetch(&weights[offsets[u]]);
+            __builtin_prefetch(&cluster_weights[assignments[u]]);
+        }
+        if (i + AHEAD_LABELS < limit) {
+            const int64_t u = batch[i + AHEAD_LABELS];
+            int64_t stop = offsets[u] + LABELS_PER_ROW;
+            if (stop > offsets[u + 1]) {
+                stop = offsets[u + 1];
+            }
+            for (int64_t e = offsets[u]; e < stop; ++e) {
+                __builtin_prefetch(&assignments[neighbors[e]]);
+            }
+        }
+
+        const int64_t count =
+            evaluate(&s, opt, batch[i], &out_targets[i], &out_gains[i]);
+        if (count < 0) {
+            return -1;
+        }
+        pairs += count;
+    }
+    return pairs;
+}
+
+/*
+ * The pool: one large window split across cores (DESIGN.md section 8).
+ * Every vertex of a window reads the window-start snapshot and writes
+ * only its own output slots and its thread's scratch, so any
+ * split gives the serial loop's outputs bit for bit; the pair counts are
+ * integers, so their sum is too.
+ *
+ *   - Windows of fewer than SPLIT_MIN vertices, calls asking for one
+ *     thread, and calls made while another thread holds the pool (a
+ *     trylock on `busy`) run on the calling thread alone.
+ *   - Helper threads start on the first split window, never at load;
+ *     each owns scratch covering the window's cluster ids.
+ *   - The caller and the helpers claim CHUNK-vertex chunks through one
+ *     atomic counter, so skewed degrees balance.
+ *   - The caller never waits for a helper that has not joined.  Each
+ *     helper has a ticket: the caller opens it before the window, the
+ *     helper moves it from OPEN to JOINED, and the caller, once the
+ *     chunks run out, moves it from OPEN back to IDLE.  Only a helper
+ *     that joined is waited for, and it is at most one chunk from done
+ *     (unless its core is taken from it mid-chunk).
+ *   - After a window a helper spins for SPIN_NS, then parks on a
+ *     condition variable, so idle helpers use no CPU.
+ *   - A forked child resets the pool (pthread_atfork): its helpers do
+ *     not exist there, and the child starts its own on demand.
+ */
+#define SPLIT_MIN 256
+#define CHUNK 64
+/* Most threads one window is split across, the caller included. */
+#define MAX_THREADS 64
+#define SPIN_NS 200000
+
+enum { IDLE, OPEN, JOINED };
+
+struct helper {
+    _Alignas(64) _Atomic int ticket;
+    double *acc;
+    unsigned char *seen;
+    int64_t *touched;
+    int64_t capacity;
+    /* Windows joined and chunks evaluated, for repro_pool_stats. */
+    int64_t joins;
+    int64_t chunks;
+};
+
+/* The window being split.  The caller writes it before opening any
+ * ticket; a helper reads it only while its ticket is JOINED. */
+struct job {
+    struct binding bound;
+    struct settings opt;
+    const int64_t *batch;
+    int64_t size;
+    int64_t *out_targets;
+    double *out_gains;
+    _Alignas(64) _Atomic int64_t next;
+    _Atomic int64_t pairs;
+    _Atomic int failed;
+};
+
+static struct {
+    pthread_mutex_t busy;
+    pthread_mutex_t lock;
+    pthread_cond_t wake;
+    _Alignas(64) _Atomic uint64_t generation;
+    _Atomic int sleepers;
+    int started;
+    int64_t windows;
+    int64_t caller_chunks;
+    struct job job;
+    struct helper helpers[MAX_THREADS - 1];
+} pool = {
+    .busy = PTHREAD_MUTEX_INITIALIZER,
+    .lock = PTHREAD_MUTEX_INITIALIZER,
+    .wake = PTHREAD_COND_INITIALIZER,
+};
+
+static inline void cpu_relax(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    __asm__ __volatile__("yield");
+#endif
+}
+
+/* Evaluates chunks of the job through `s` until none is left; returns
+ * the number of chunks taken. */
+static int64_t run_chunks(const struct binding *s, struct job *job)
+{
+    const int64_t size = job->size;
+    int64_t taken = 0;
+    int64_t pairs = 0;
+    for (;;) {
+        const int64_t begin =
+            atomic_fetch_add_explicit(&job->next, CHUNK, memory_order_relaxed);
+        if (begin >= size) {
+            break;
+        }
+        const int64_t end = size - begin < CHUNK ? size : begin + CHUNK;
+        const int64_t count = evaluate_range(
+            s, &job->opt, job->batch, begin, end, size, job->out_targets,
+            job->out_gains);
+        ++taken;
+        if (count < 0) {
+            atomic_store_explicit(&job->failed, 1, memory_order_relaxed);
+            atomic_store_explicit(&job->next, size, memory_order_relaxed);
+            break;
+        }
+        pairs += count;
+    }
+    atomic_fetch_add_explicit(&job->pairs, pairs, memory_order_relaxed);
+    return taken;
+}
+
+/* Makes a helper's scratch cover `clusters` ids, all zeros; returns 0
+ * when it cannot be allocated. */
+static int grow_scratch(struct helper *h, int64_t clusters)
+{
+    if (h->capacity >= clusters) {
+        return 1;
+    }
+    free(h->acc);
+    free(h->seen);
+    free(h->touched);
+    h->acc = calloc((size_t)clusters, sizeof(double));
+    h->seen = calloc((size_t)clusters, 1);
+    h->touched = malloc((size_t)clusters * sizeof(int64_t));
+    h->capacity = clusters;
+    if (h->acc == NULL || h->seen == NULL || h->touched == NULL) {
+        free(h->acc);
+        free(h->seen);
+        free(h->touched);
+        h->acc = NULL;
+        h->seen = NULL;
+        h->touched = NULL;
+        h->capacity = 0;
+        return 0;
+    }
+    return 1;
+}
+
+static int64_t elapsed_ns(const struct timespec *start)
+{
+    struct timespec now;
+    clock_gettime(CLOCK_MONOTONIC, &now);
+    return (int64_t)(now.tv_sec - start->tv_sec) * 1000000000
+        + (now.tv_nsec - start->tv_nsec);
+}
+
+/* Waits until the generation differs from `seen`, spinning for SPIN_NS
+ * and then parked; returns the new generation. */
+static uint64_t next_window(uint64_t seen)
+{
+    struct timespec start;
+    clock_gettime(CLOCK_MONOTONIC, &start);
+    uint64_t now;
+    for (unsigned spins = 1;; ++spins) {
+        now = atomic_load_explicit(&pool.generation, memory_order_acquire);
+        if (now != seen) {
+            return now;
+        }
+        cpu_relax();
+        if (spins % 256 == 0 && elapsed_ns(&start) > SPIN_NS) {
+            break;
+        }
+    }
+    /* Announce the sleeper before the last check of the generation: a
+     * caller that bumps it afterwards sees the sleeper and wakes it. */
+    pthread_mutex_lock(&pool.lock);
+    atomic_fetch_add(&pool.sleepers, 1);
+    while ((now = atomic_load(&pool.generation)) == seen) {
+        pthread_cond_wait(&pool.wake, &pool.lock);
+    }
+    atomic_fetch_sub(&pool.sleepers, 1);
+    pthread_mutex_unlock(&pool.lock);
+    return now;
+}
+
+static void *helper_main(void *arg)
+{
+    struct helper *h = arg;
+    uint64_t seen = 0;
+    for (;;) {
+        seen = next_window(seen);
+        int expected = OPEN;
+        if (!atomic_compare_exchange_strong_explicit(
+                &h->ticket, &expected, JOINED, memory_order_acquire,
+                memory_order_relaxed)) {
+            continue;
+        }
+        struct job *job = &pool.job;
+        if (grow_scratch(h, job->bound.num_clusters)) {
+            struct binding s = job->bound;
+            s.acc = h->acc;
+            s.seen = h->seen;
+            s.touched = h->touched;
+            h->chunks += run_chunks(&s, job);
+            ++h->joins;
+        }
+        atomic_store_explicit(&h->ticket, IDLE, memory_order_release);
+    }
+    return NULL;
+}
+
+/* fork() holds the pool, so the child inherits it between windows. */
+static void before_fork(void)
+{
+    pthread_mutex_lock(&pool.busy);
+    pthread_mutex_lock(&pool.lock);
+}
+
+static void after_fork_parent(void)
+{
+    pthread_mutex_unlock(&pool.lock);
+    pthread_mutex_unlock(&pool.busy);
+}
+
+/* The child has none of the parent's helpers: forget them, and the
+ * condition variable they may be parked on. */
+static void after_fork_child(void)
+{
+    for (int i = 0; i < pool.started; ++i) {
+        struct helper *h = &pool.helpers[i];
+        free(h->acc);
+        free(h->seen);
+        free(h->touched);
+        h->acc = NULL;
+        h->seen = NULL;
+        h->touched = NULL;
+        h->capacity = 0;
+        h->joins = 0;
+        h->chunks = 0;
+        atomic_store(&h->ticket, IDLE);
+    }
+    pool.started = 0;
+    pool.windows = 0;
+    pool.caller_chunks = 0;
+    atomic_store(&pool.sleepers, 0);
+    pthread_cond_init(&pool.wake, NULL);
+    pthread_mutex_unlock(&pool.lock);
+    pthread_mutex_unlock(&pool.busy);
+}
+
+static void register_fork_handlers(void)
+{
+    pthread_atfork(before_fork, after_fork_parent, after_fork_child);
+}
+
+/* Starts helpers until `wanted` run (the caller holds `busy`); returns
+ * how many of them run.  Helpers block every signal, so signals reach
+ * the process's own threads. */
+static int start_helpers(int wanted)
+{
+    static pthread_once_t once = PTHREAD_ONCE_INIT;
+    pthread_once(&once, register_fork_handlers);
+    if (pool.started < wanted) {
+        sigset_t all, old;
+        sigfillset(&all);
+        pthread_sigmask(SIG_SETMASK, &all, &old);
+        pthread_attr_t attr;
+        pthread_attr_init(&attr);
+        pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+        while (pool.started < wanted) {
+            pthread_t thread;
+            if (pthread_create(&thread, &attr, helper_main,
+                               &pool.helpers[pool.started]) != 0) {
+                break;
+            }
+            ++pool.started;
+        }
+        pthread_attr_destroy(&attr);
+        pthread_sigmask(SIG_SETMASK, &old, NULL);
+    }
+    return pool.started < wanted ? pool.started : wanted;
+}
+
+/* Evaluates one window on the caller and `helpers` helpers (the caller
+ * holds `busy`). */
+static int64_t split_window(
+    const struct binding *s, const struct settings *opt,
+    const int64_t *batch, int64_t size, int64_t *out_targets,
+    double *out_gains, int helpers)
+{
+    struct job *job = &pool.job;
+    job->bound = *s;
+    job->opt = *opt;
+    job->batch = batch;
+    job->size = size;
+    job->out_targets = out_targets;
+    job->out_gains = out_gains;
+    atomic_store_explicit(&job->next, 0, memory_order_relaxed);
+    atomic_store_explicit(&job->pairs, 0, memory_order_relaxed);
+    atomic_store_explicit(&job->failed, 0, memory_order_relaxed);
+    for (int i = 0; i < helpers; ++i) {
+        atomic_store_explicit(
+            &pool.helpers[i].ticket, OPEN, memory_order_release);
+    }
+    atomic_fetch_add(&pool.generation, 1);
+    if (atomic_load(&pool.sleepers) > 0) {
+        pthread_mutex_lock(&pool.lock);
+        pthread_cond_broadcast(&pool.wake);
+        pthread_mutex_unlock(&pool.lock);
+    }
+    ++pool.windows;
+    pool.caller_chunks += run_chunks(s, job);
+    for (int i = 0; i < helpers; ++i) {
+        _Atomic int *ticket = &pool.helpers[i].ticket;
+        int expected = OPEN;
+        if (atomic_compare_exchange_strong_explicit(
+                ticket, &expected, IDLE, memory_order_relaxed,
+                memory_order_relaxed)) {
+            continue; /* never joined */
+        }
+        for (unsigned spins = 1;
+             atomic_load_explicit(ticket, memory_order_acquire) == JOINED;
+             ++spins) {
+            if (spins % 1024 == 0) {
+                sched_yield();
+            } else {
+                cpu_relax();
+            }
+        }
+    }
+    if (atomic_load_explicit(&job->failed, memory_order_relaxed)) {
+        return -1;
+    }
+    return atomic_load_explicit(&job->pairs, memory_order_relaxed);
+}
+
+/*
+ * Evaluates every batch vertex against one state snapshot, on up to
+ * `threads` threads (the caller included) when the batch has at least
+ * SPLIT_MIN vertices.  Returns the number of (vertex, neighbor cluster)
+ * pairs evaluated, or -1.
  */
 int64_t repro_best_moves(
     const struct binding *bound,
@@ -200,58 +601,57 @@ int64_t repro_best_moves(
     double gain_eps,
     int allow_escape,
     int swap_avoidance,
+    int threads,
     int64_t *out_targets,
     double *out_gains)
 {
-    /* A local copy: writes through the scratch pointers cannot alias it,
-     * so its fields stay in registers. */
-    const struct binding s = *bound;
     const struct settings opt = {
         resolution, gain_eps, allow_escape, swap_avoidance,
     };
-    const int64_t *offsets = s.offsets;
-    const int64_t *neighbors = s.neighbors;
-    const double *weights = s.weights;
-    const double *node_weights = s.node_weights;
-    const int64_t *assignments = s.assignments;
-    const double *cluster_weights = s.cluster_weights;
-    const int64_t *cluster_sizes = s.cluster_sizes;
-    int64_t pairs = 0;
-    for (int64_t i = 0; i < batch_size; ++i) {
-        /* Inline on purpose: gcc -O2 drops a helper function whose only
-         * effect is prefetching. */
-        if (i + AHEAD_VERTEX < batch_size) {
-            const int64_t u = batch[i + AHEAD_VERTEX];
-            __builtin_prefetch(&offsets[u]);
-            __builtin_prefetch(&node_weights[u]);
-            __builtin_prefetch(&assignments[u]);
-            __builtin_prefetch(&cluster_sizes[u]);
-        }
-        if (i + AHEAD_ROW < batch_size) {
-            const int64_t u = batch[i + AHEAD_ROW];
-            __builtin_prefetch(&neighbors[offsets[u]]);
-            __builtin_prefetch(&weights[offsets[u]]);
-            __builtin_prefetch(&cluster_weights[assignments[u]]);
-        }
-        if (i + AHEAD_LABELS < batch_size) {
-            const int64_t u = batch[i + AHEAD_LABELS];
-            int64_t end = offsets[u] + LABELS_PER_ROW;
-            if (end > offsets[u + 1]) {
-                end = offsets[u + 1];
-            }
-            for (int64_t e = offsets[u]; e < end; ++e) {
-                __builtin_prefetch(&assignments[neighbors[e]]);
-            }
-        }
-
-        const int64_t count =
-            evaluate(&s, &opt, batch[i], &out_targets[i], &out_gains[i]);
-        if (count < 0) {
-            return -1;
-        }
-        pairs += count;
+    if (threads > 1 && batch_size >= SPLIT_MIN
+        && pthread_mutex_trylock(&pool.busy) == 0) {
+        const int helpers =
+            start_helpers((threads < MAX_THREADS ? threads : MAX_THREADS) - 1);
+        const int64_t pairs = helpers > 0
+            ? split_window(bound, &opt, batch, batch_size, out_targets,
+                           out_gains, helpers)
+            : evaluate_range(bound, &opt, batch, 0, batch_size, batch_size,
+                             out_targets, out_gains);
+        pthread_mutex_unlock(&pool.busy);
+        return pairs;
     }
-    return pairs;
+    return evaluate_range(
+        bound, &opt, batch, 0, batch_size, batch_size, out_targets, out_gains);
+}
+
+/*
+ * The pool's counters into out[0..5]: helpers started, split windows,
+ * windows a helper joined, chunks evaluated by helpers and by callers,
+ * and the nonzero entries left in the helpers' scratch (0 between
+ * windows).  Waits for a window in progress.  Returns 0.
+ */
+int64_t repro_pool_stats(int64_t *out)
+{
+    pthread_mutex_lock(&pool.busy);
+    int64_t joins = 0;
+    int64_t chunks = 0;
+    int64_t dirty = 0;
+    for (int i = 0; i < pool.started; ++i) {
+        const struct helper *h = &pool.helpers[i];
+        joins += h->joins;
+        chunks += h->chunks;
+        for (int64_t c = 0; c < h->capacity; ++c) {
+            dirty += h->acc[c] != 0.0 || h->seen[c] != 0;
+        }
+    }
+    out[0] = pool.started;
+    out[1] = pool.windows;
+    out[2] = joins;
+    out[3] = chunks;
+    out[4] = pool.caller_chunks;
+    out[5] = dirty;
+    pthread_mutex_unlock(&pool.busy);
+    return 0;
 }
 
 /*

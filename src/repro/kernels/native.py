@@ -11,6 +11,15 @@ share it: one ``ctypes`` call evaluates a whole concurrency window
 (``batch_moves``), and one runs a whole sequential sweep with immediate
 commits (``sweep``, Algorithm 2's inner loop).
 
+``batch_moves(..., threads=n)`` lets the C loop split a window of at
+least 256 vertices across the calling thread and up to ``n - 1``
+helper threads of a pool inside ``native.c``, which claim 64-vertex
+chunks through an atomic counter.  Every vertex reads the window-start
+snapshot and writes only its own output slots and its thread's scratch,
+so the outputs do not depend on ``n``.  Helpers start on the first split
+window, never at import or load; they park when idle, and a forked
+child starts its own.  :func:`pool_stats` reads the pool's counters.
+
 Three more entry points run the rest of a round, each bit-identical to
 the NumPy code it replaces, which stays as the no-compiler path and the
 test oracle: :func:`commit` (``ClusterState.apply_moves``),
@@ -46,7 +55,9 @@ With no compiler, or when the build fails, :data:`LIBRARY` warns once
 with a ``RuntimeWarning``; the kernel then delegates to the
 ``reference`` dict loops, which is legal because the two are
 bit-identical.  The foreign calls release the GIL, so bindings and their
-scratch are per thread.  ``single_move`` keeps the reference dict loop.
+scratch are per thread; a second Python thread that calls while the pool
+is busy runs its window alone.  ``single_move`` keeps the reference dict
+loop.
 """
 
 from __future__ import annotations
@@ -78,7 +89,7 @@ from repro.obs.instrument import M_KERNEL_SEGMENTS
 SOURCE = Path(__file__).with_name("native.c")
 #: The C compiler, looked up on ``PATH`` when the library is first needed.
 COMPILER = "gcc"
-CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
@@ -90,10 +101,10 @@ class Binding(ctypes.Structure):
     """``struct binding`` in native.c: what one level's window calls share.
 
     The graph and state pointers, the vertex and cluster-id counts the C
-    loops bounds-check against, and one thread's scratch.  A kernel
-    binding fills every field but ``counts``; a commit binding leaves the
-    CSR pointers null and binds the state's own node weights and
-    ``counts``.
+    loops bounds-check against, and the calling thread's scratch (pool
+    helpers keep their own in C).  A kernel binding fills every field
+    but ``counts``; a commit binding leaves the CSR pointers null and
+    binds the state's own node weights and ``counts``.
     """
 
     _fields_ = [
@@ -115,17 +126,19 @@ class Binding(ctypes.Structure):
 
 #: The three per-window entry points take a binding's address, then only
 #: what changes per call: the window and its size, the settings (the
-#: resolution, GAIN_EPS and flags) and the outputs.  The frontier, the
-#: compression, the arc search and the splice run once per round, level
-#: or update batch and take their arrays.
+#: resolution, GAIN_EPS, flags and, for the batch, the thread count) and
+#: the outputs.  The frontier, the compression, the arc search and the
+#: splice run once per round, level or update batch and take their
+#: arrays.  ``repro_pool_stats`` reads the batch's thread pool.
 SIGNATURES = {
-    "repro_best_moves": [_P, _P, _I64, _F64, _F64, _INT, _INT, _P, _P],
+    "repro_best_moves": [_P, _P, _I64, _F64, _F64, _INT, _INT, _INT, _P, _P],
     "repro_sweep": [_P, _P, _I64, _F64, _F64, _INT] + [_P] * 4,
     "repro_commit": [_P, _P, _P, _I64, _P, _P],
     "repro_neighbors": [_P, _P, _I64, _P, _I64] + [_P] * 3,
     "repro_compress": [_P, _P, _P, _I64, _P, _I64] + [_P] * 7,
     "repro_find_arcs": [_P, _P, _I64, _P, _P, _I64, _P, _P],
     "repro_splice": [_P, _P, _P, _I64, _I64] + [_P] * 5 + [_I64, _I64] + [_P] * 3,
+    "repro_pool_stats": [_P],
 }
 #: dtypes of graph.offsets / neighbors / weights / node_weights and
 #: state.assignments / cluster_weights / cluster_sizes, read in place.
@@ -419,6 +432,7 @@ class NativeKernel(MoveKernel):
         allow_escape=True,
         swap_avoidance=False,
         instr=None,
+        threads=1,
     ):
         lib = self.library.load()
         if lib is None:
@@ -445,6 +459,7 @@ class NativeKernel(MoveKernel):
             GAIN_EPS,
             bool(allow_escape),
             bool(swap_avoidance),
+            int(threads),
             _address(targets),
             _address(gains),
         )
@@ -514,6 +529,31 @@ class NativeKernel(MoveKernel):
         return reference_sweep(
             graph, state, order, resolution, allow_escape=allow_escape
         )
+
+
+#: The fields :func:`pool_stats` returns, in ``repro_pool_stats``' order.
+POOL_STATS = (
+    "helpers", "split_windows", "helper_joins", "helper_chunks",
+    "caller_chunks", "dirty_scratch",
+)
+
+
+def pool_stats() -> Optional[dict]:
+    """The batch pool's counters in :data:`LIBRARY`.
+
+    ``helpers`` threads started, ``split_windows`` evaluated on more than
+    one thread, ``helper_joins`` (windows a helper joined),
+    ``helper_chunks`` and ``caller_chunks`` (64-vertex chunks each side
+    evaluated) and ``dirty_scratch``, the nonzero entries left in the
+    helpers' scratch, which is 0 between windows.  ``None`` without the
+    library.  Starts no thread.
+    """
+    lib = LIBRARY.load()
+    if lib is None:
+        return None
+    out = np.zeros(len(POOL_STATS), dtype=np.int64)
+    lib.repro_pool_stats(out.ctypes.data)
+    return dict(zip(POOL_STATS, out.tolist()))
 
 
 class _RoundLocal(threading.local):

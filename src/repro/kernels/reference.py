@@ -168,7 +168,9 @@ class ReferenceKernel(MoveKernel):
         allow_escape=True,
         swap_avoidance=False,
         instr=None,
+        threads=1,
     ):
+        # One thread: the dict loop holds the GIL.
         return reference_batch_moves(
             graph,
             state,

@@ -30,9 +30,11 @@ from hypothesis import strategies as st
 
 import repro
 from repro.api import cluster
-from repro.core.config import ClusteringConfig
+from repro.core.config import ClusteringConfig, Mode, resolve_threads
 from repro.core.engines import ENGINES, multilevel_with_engine
+from repro.core.moves import kernel_threads
 from repro.core.objective import lambdacc_objective
+from repro.core.options import RunOptions
 from repro.core.state import ClusterState
 from repro.generators.knn import knn_graph
 from repro.generators.lfr import lfr_like_graph
@@ -61,7 +63,7 @@ from repro.obs.instrument import (
 from repro.parallel.edge_map import edge_map
 from repro.parallel.scheduler import CAS_COST, SimulatedScheduler
 from repro.parallel.vertex_subset import VertexSubset
-from repro.resilience import FaultPlan
+from repro.resilience import FaultPlan, ResiliencePolicy
 from repro.resilience.faults import FaultyClusterState
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -250,11 +252,18 @@ class TestThreads:
         ]
         # The default config runs the batch loop; parallel=False runs the
         # sequential engine, which runs the sweep loop.
+        # threads=2: the threads contend for the kernel's pool, and a
+        # caller that finds it busy runs its window alone.
         configs = [
-            ClusteringConfig(resolution=RESOLUTION, seed=3),
-            ClusteringConfig(resolution=RESOLUTION, seed=3, parallel=False),
+            ClusteringConfig(resolution=RESOLUTION, seed=3, threads=2),
+            ClusteringConfig(
+                resolution=RESOLUTION, seed=3, parallel=False, threads=2
+            ),
         ]
-        serial = [[cluster(g, c) for c in configs] for g in graphs]
+        serial = [
+            [cluster(g, c.with_options(threads=1)) for c in configs]
+            for g in graphs
+        ]
         results = [[] for _ in range(4)]
         barrier = threading.Barrier(len(results))
 
@@ -283,6 +292,232 @@ class TestThreads:
                 for got, expected in zip(run, want):
                     assert np.array_equal(got.assignments, expected.assignments)
                     assert got.objective == expected.objective
+
+
+def _split_inputs():
+    """Every vertex of a scale-13 RMAT graph under random labels: one
+    window far above the kernel's split threshold, with skewed degrees."""
+    graph = rmat_graph(13, 8 * 2**13, seed=3)
+    labels = np.random.default_rng(4).integers(0, 500, graph.num_vertices)
+    state = ClusterState.from_assignments(graph, labels)
+    batch = np.random.default_rng(5).permutation(graph.num_vertices)
+    return graph, state, batch.astype(np.int64)
+
+
+def _split_windows():
+    return native.pool_stats()["split_windows"]
+
+
+def _wait(pid, timeout=120.0):
+    """The exit code of child ``pid``; kills it after ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    return "hung"
+
+
+class TestPool:
+    """One large window split across threads inside native.c."""
+
+    def test_split_windows_match_the_reference(self):
+        graph, state, batch = _split_inputs()
+        kernel = KERNELS["native"]
+        before = _split_windows()
+        for kw in (dict(), dict(allow_escape=False, swap_avoidance=True)):
+            want = reference_batch_moves(graph, state, batch, RESOLUTION, **kw)
+            for threads in (1, 2, 3):
+                for _ in range(3):
+                    got = kernel.batch_moves(
+                        graph, state, batch, RESOLUTION, threads=threads, **kw
+                    )
+                    _assert_same(got, want)
+        assert _split_windows() == before + 2 * 2 * 3
+        stats = native.pool_stats()
+        assert stats["helpers"] >= 2
+        assert stats["dirty_scratch"] == 0
+
+    def test_pair_count_does_not_depend_on_threads(self):
+        graph, state, batch = _split_inputs()
+        sums = []
+        for threads in (1, 2):
+            instr = Instrumentation()
+            KERNELS["native"].batch_moves(
+                graph, state, batch, RESOLUTION, instr=instr, threads=threads
+            )
+            sums.append(instr.metrics.get(M_KERNEL_SEGMENTS).total_sum())
+        assert sums[0] == sums[1] > 0
+
+    def test_small_windows_stay_on_the_caller(self):
+        graph, state, batch = _split_inputs()
+        before = _split_windows()
+        for size in (1, 100, 255):
+            _assert_same(
+                KERNELS["native"].batch_moves(
+                    graph, state, batch[:size], RESOLUTION, threads=2
+                ),
+                reference_batch_moves(graph, state, batch[:size], RESOLUTION),
+            )
+        assert _split_windows() == before
+
+    def test_out_of_range_ids_in_a_split_window(self):
+        graph, state, batch = _split_inputs()
+        kernel = KERNELS["native"]
+        want = reference_batch_moves(graph, state, batch, RESOLUTION)
+        outside = batch.copy()
+        outside[batch.size // 2] = graph.num_vertices
+        # A bad label on a high-degree vertex: its many neighbors fail
+        # part-way through their rows, on whichever thread runs them.
+        labels = state.assignments.copy()
+        labels[np.argmax(np.diff(graph.offsets))] = -1
+        bad = ClusterState(
+            labels, state.cluster_weights, state.cluster_sizes, state.node_weights
+        )
+        before = _split_windows()
+        for _ in range(5):
+            with pytest.raises(IndexError):
+                kernel.batch_moves(graph, state, outside, RESOLUTION, threads=2)
+            with pytest.raises(IndexError):
+                kernel.batch_moves(graph, bad, batch, RESOLUTION, threads=2)
+        assert _split_windows() == before + 10
+        assert native.pool_stats()["dirty_scratch"] == 0
+        acc, seen, _ = kernel._local.bound.scratch  # the caller's scratch
+        assert not acc.any() and not seen.any()
+        for _ in range(3):
+            got = kernel.batch_moves(graph, state, batch, RESOLUTION, threads=2)
+            _assert_same(got, want)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_helpers(self):
+        graph, state, batch = _split_inputs()
+        kernel = KERNELS["native"]
+        want = kernel.batch_moves(graph, state, batch, RESOLUTION, threads=2)
+        assert native.pool_stats()["helpers"] >= 1
+        pid = os.fork()
+        if pid == 0:  # the child: never returns into pytest
+            status = 3
+            try:
+                reset = native.pool_stats()["helpers"] == 0
+                got = kernel.batch_moves(graph, state, batch, RESOLUTION, threads=2)
+                same = all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+                stats = native.pool_stats()
+                split = stats["helpers"] == 1 and stats["split_windows"] == 1
+                status = 0 if reset and same and split else 1
+            finally:
+                os._exit(status)
+        assert _wait(pid) == 0
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task"
+    )
+    def test_helpers_start_on_the_first_split_window_and_park(self, tmp_path):
+        proc = _python(
+            "import os, time\n"
+            "import numpy as np\n"
+            "from repro.api import cluster\n"
+            "from repro.core.config import ClusteringConfig\n"
+            "from repro.core.state import ClusterState\n"
+            "from repro.generators.rmat import rmat_graph\n"
+            "from repro.graphs.karate import karate_club_graph\n"
+            "from repro.kernels import KERNELS, native\n"
+            "def tasks():\n"
+            "    return set(os.listdir('/proc/self/task'))\n"
+            "def ticks(tid):\n"
+            "    with open(f'/proc/self/task/{tid}/stat') as f:\n"
+            "        fields = f.read().rsplit(')', 1)[1].split()\n"
+            "    return int(fields[11]) + int(fields[12])\n"
+            "before = tasks()\n"
+            "config = ClusteringConfig(resolution=0.05, seed=3, threads=2)\n"
+            "cluster(karate_club_graph(), config)\n"
+            "assert native.pool_stats()['helpers'] == 0\n"
+            "assert tasks() == before, 'a thread started without a split'\n"
+            "g = rmat_graph(12, 8 * 2**12, seed=1)\n"
+            "s = ClusterState.singletons(g)\n"
+            "b = np.arange(g.num_vertices, dtype=np.int64)\n"
+            "KERNELS['native'].batch_moves(g, s, b, 0.05, threads=2)\n"
+            "assert native.pool_stats()['helpers'] == 1\n"
+            "(helper,) = tasks() - before\n"
+            "time.sleep(0.05)\n"
+            "parked = ticks(helper)\n"
+            "time.sleep(0.3)\n"
+            "assert ticks(helper) == parked, 'a parked helper used CPU'\n",
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_without_the_library_threads_are_ignored(self):
+        graph, state, batch = _split_inputs()
+        with _numpy_paths():
+            got = KERNELS["native"].batch_moves(
+                graph, state, batch, RESOLUTION, threads=2
+            )
+        _assert_same(got, reference_batch_moves(graph, state, batch, RESOLUTION))
+
+    def test_fault_runs_keep_one_thread(self):
+        graph = rmat_graph(11, 8 * 2**11, seed=0)
+        config = ClusteringConfig(
+            resolution=RESOLUTION, seed=3, mode=Mode.SYNC, threads=2
+        )
+        state = ClusterState.singletons(graph)
+        sched = SimulatedScheduler(num_workers=8)
+        assert kernel_threads(config, state, sched) == config.resolved_threads
+        plan = FaultPlan.from_spec("stale-read=0.1", seed=1)
+        assert kernel_threads(config, FaultyClusterState(state, plan), sched) == 1
+        sched.faults = plan
+        assert kernel_threads(config, state, sched) == 1
+        before = _split_windows()
+        policy = ResiliencePolicy(faults=FaultPlan.from_spec("dup-move", seed=1))
+        cluster(graph, config, RunOptions(resilience=policy))
+        assert _split_windows() == before
+        if config.resolved_threads > 1:
+            cluster(graph, config)
+            assert _split_windows() > before
+
+
+_DIGEST_GRAPHS = {
+    "karate": karate_club_graph,
+    "rmat11": lambda: rmat_graph(11, 8 * 2**11, seed=0),
+    "lfr3000": lambda: lfr_like_graph(3000, seed=0).graph,
+}
+
+
+@pytest.fixture(scope="module")
+def digest_graphs():
+    return {name: make() for name, make in _DIGEST_GRAPHS.items()}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_results_do_not_depend_on_threads(digest_graphs, engine):
+    """threads=1 and threads=2 give the same assignments, objective and
+    simulated time in every graph x lambda x mode cell."""
+    before = _split_windows()
+    for name, graph in digest_graphs.items():
+        for resolution in (0.05, 0.5):
+            for mode in (Mode.SYNC, Mode.ASYNC):
+                one, two = (
+                    cluster(
+                        graph,
+                        ClusteringConfig(
+                            resolution=resolution, mode=mode, seed=3, threads=t
+                        ),
+                        RunOptions(engine=engine),
+                    )
+                    for t in (1, 2)
+                )
+                cell = (name, resolution, mode.value)
+                assert one.assignments.tobytes() == two.assignments.tobytes(), cell
+                assert one.objective == two.objective, cell
+                assert one.sim_time() == two.sim_time(), cell
+    # The batch engines' large windows (SYNC rounds, color classes,
+    # prefix lookaheads) did split; the event and sequential engines
+    # evaluate one vertex at a time.
+    if engine in ("colored", "prefix", "relaxed") and resolve_threads(2) == 2:
+        assert _split_windows() > before
+
 
 
 class TestPointerCache:
@@ -412,9 +647,11 @@ class TestBinding:
             for k, g in enumerate(graphs)
         ]
 
-        def step(k, i, state, sched=None):
+        def step(k, i, state, sched=None, threads=1):
             graph, batch = graphs[k], batches[k]
-            moves = KERNELS["native"].batch_moves(graph, state, batch, RESOLUTION)
+            moves = KERNELS["native"].batch_moves(
+                graph, state, batch, RESOLUTION, threads=threads
+            )
             origins = state.assignments[batch].copy()
             state.apply_moves(batch, np.full(batch.size, i, np.int64), sched=sched)
             state.apply_moves(batch, origins, sched=sched)
@@ -436,7 +673,9 @@ class TestBinding:
                 for n in range(40):
                     k = (n + i) % 2
                     sched = SimulatedScheduler(num_workers=8)
-                    moves = step(k, i, states[k], sched)
+                    # The RMAT batch splits, or runs alone while another
+                    # thread holds the pool.
+                    moves = step(k, i, states[k], sched, threads=2)
                     _assert_same(moves, want[k, i][0])
                     assert _regions(sched) == want[k, i][1]
                 last = states[(39 + i) % 2]
