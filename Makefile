@@ -108,7 +108,7 @@ bench-dynamic:
 ## reference kernel and NumPy paths by accident): the three per-window
 ## calls that take a binding (batch, sweep, commit), the two that take
 ## their arrays (frontier, compression) and the dynamic graph's arc
-## search and splice, plus the batch pool's counters.  Compile the source
+## search and splice, plus the pool's counters.  Compile the source
 ## once more with -Wall -Wextra -Werror and the library's flags
 ## (-pthread among them), so a warning in the pool's concurrency code
 ## fails CI.  Then run the kernel, binding, pool and native-round parity

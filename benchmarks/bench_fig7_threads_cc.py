@@ -8,8 +8,11 @@ self-relative speedups for PAR-CC).
 
 Those speedups are simulated.  A separate table gives one wall-clock
 point: the smallest surrogate clustered with one and with two kernel
-threads (``ClusteringConfig.threads``).  It is printed, not asserted.
+threads (``repro.kernels.native.usable_cores`` set to 1 and to 2).  It is
+printed, not asserted.
 """
+
+from unittest import mock
 
 import numpy as np
 
@@ -97,13 +100,13 @@ def run_kernel_threads_wall(name="amazon", scale=0.5, repeats=3):
         for _ in range(repeats):
             for threads in (1, 2):
                 before = _split_windows()
-                result, timing = time_callable(
-                    lambda: correlation_clustering(
-                        graph, resolution=0.01, seed=1, mode=mode,
-                        threads=threads,
-                    ),
-                    repeats=1,
-                )
+                with mock.patch.object(native, "usable_cores", lambda: threads):
+                    result, timing = time_callable(
+                        lambda: correlation_clustering(
+                            graph, resolution=0.01, seed=1, mode=mode
+                        ),
+                        repeats=1,
+                    )
                 splits = _split_windows() - before
                 best = rows.get((mode, threads), (float("inf"),))[0]
                 rows[mode, threads] = (

@@ -502,7 +502,6 @@ def _cmd_update(args) -> int:
                 "resolution": float(clusterer.resolution),
                 "seed": clusterer.config.seed,
                 "workers": int(config.resolved_workers),
-                "threads": int(config.resolved_threads),
                 "kernel": config.kernel,
                 "update_batch": {
                     "batches": stats["batches_applied"],

@@ -133,7 +133,6 @@ def cluster(
         edges=graph.num_edges,
         resolution=config.resolution,
         seed=seed,
-        threads=config.resolved_threads,
     ) as run_span:
         with WallTimer() as timer:
             assignments, stats = driver(

@@ -136,7 +136,7 @@ def window_round(
     origins = np.empty(order.size, dtype=np.int64)
     targets = np.empty(order.size, dtype=np.int64)
     gains = np.empty(order.size, dtype=np.float64) if obs.enabled else None
-    threads = kernel_threads(config, state, sched)
+    threads = kernel_threads(state, sched)
     for start, end, profile in zip(bounds, bounds[1:], profiles):
         window = order[start:end]
         origins[start:end] = state.assignments[window]

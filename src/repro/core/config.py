@@ -61,20 +61,6 @@ def resolve_workers(requested: Optional[int], machine=None) -> int:
     return max(1, int(auto))
 
 
-def resolve_threads(requested: int) -> int:
-    """Resolve a wall-clock thread count request to a concrete count.
-
-    ``0`` means *auto*: every core this process may run on
-    (``os.sched_getaffinity``).  Larger requests are capped at that
-    count, so no request starts more threads than there are cores.
-    """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return min(int(requested), cores) if requested > 0 else cores
-
-
 @dataclass(frozen=True)
 class ClusteringConfig:
     """Full configuration for a clustering run.
@@ -111,12 +97,6 @@ class ClusteringConfig:
         Move-evaluation kernel (:mod:`repro.kernels`): ``"native"`` (the
         C loops, the default) or ``"reference"`` (dict-loop oracle).
         Bit-identical outputs; only wall-clock differs (DESIGN.md §8).
-    threads:
-        Wall-clock threads the native kernel may split one large
-        BEST-MOVES window across (DESIGN.md §8), unlike ``num_workers``,
-        the simulated P.  ``0`` means *auto*, one per core this process
-        may run on; larger values are capped at that count (see
-        :func:`resolve_threads`).  Results never depend on it.
     escape_moves:
         Allow a vertex whose every option has negative gain to escape to
         its (empty) home cluster slot.  Needed for correctness under
@@ -142,7 +122,6 @@ class ClusteringConfig:
     async_windows: int = 32
     kernel_threshold: int = 512
     kernel: str = DEFAULT_KERNEL
-    threads: int = 0
     escape_moves: bool = True
     seed: Optional[int] = None
     max_levels: int = 50
@@ -164,10 +143,6 @@ class ClusteringConfig:
             raise ConfigError(
                 f"num_workers must be >= 1, or 0 for auto, got {self.num_workers}"
             )
-        if self.threads < 0:
-            raise ConfigError(
-                f"threads must be >= 1, or 0 for auto, got {self.threads}"
-            )
         if self.async_windows < 1:
             raise ConfigError(f"async_windows must be >= 1, got {self.async_windows}")
         if self.max_levels < 1:
@@ -185,11 +160,6 @@ class ClusteringConfig:
     def resolved_workers(self) -> int:
         """``num_workers`` with 0 resolved to the host's usable core count."""
         return resolve_workers(self.num_workers, self.machine)
-
-    @property
-    def resolved_threads(self) -> int:
-        """``threads`` resolved and capped to this process's cores."""
-        return resolve_threads(self.threads)
 
     @property
     def iteration_bound(self) -> int:
@@ -296,10 +266,9 @@ class ClusteringConfig:
         """Checkpoint compatibility tag for this config at a resolution.
 
         Deliberately built from :meth:`describe` — which excludes the
-        kernel, the thread count and the engine — so a checkpoint
-        written on one fallback rung (e.g. the native kernel) can be
-        resumed on another (the reference kernel, or the sequential
-        engine) or with another ``threads``: the multilevel hierarchy
-        and objective are what must match, not the executor.
+        kernel and the engine — so a checkpoint written on one fallback
+        rung (e.g. the native kernel) can be resumed on another (the
+        reference kernel, or the sequential engine): the multilevel
+        hierarchy and objective are what must match, not the executor.
         """
         return f"{self.describe()}|lambda={effective_lambda:.12g}"

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.state import ClusterState
 from repro.graphs.csr import CSRGraph
-from repro.kernels import DEFAULT_KERNEL, get_kernel
+from repro.kernels import DEFAULT_KERNEL, get_kernel, native
 from repro.kernels.reference import accumulate_neighbor_weights
 from repro.obs.instrument import M_KERNEL_BATCH
 
@@ -135,17 +135,17 @@ def _charge_batch(
     sched.charge(work=work, depth=depth, label=label, items=size)
 
 
-def kernel_threads(config, state: ClusterState, sched=None) -> int:
+def kernel_threads(state: ClusterState, sched=None) -> int:
     """Wall-clock threads a round's kernel windows may use.
 
-    ``config.resolved_threads``, except under fault injection
-    (``sched.faults``) and for a state other than an exact
-    :class:`ClusterState` (a ``FaultyClusterState``), which keep the
-    single-thread path.
+    One per usable core (:func:`repro.kernels.native.usable_cores`),
+    except under fault injection (``sched.faults``) and for a state
+    other than an exact :class:`ClusterState` (a ``FaultyClusterState``),
+    which keep the single-thread path.  Results never depend on it.
     """
     if getattr(sched, "faults", None) is not None or type(state) is not ClusterState:
         return 1
-    return config.resolved_threads
+    return native.usable_cores()
 
 
 def compute_batch_moves(

@@ -92,7 +92,7 @@ def run_prefix_best_moves(
     overhead the paper cites for rejecting this design.
     """
 
-    threads = kernel_threads(config, state, sched)
+    threads = kernel_threads(state, sched)
 
     def prefix_round(order: np.ndarray) -> RoundMoves:
         # The prefixes partition ``order``, so each vertex's origin (read

@@ -15,11 +15,12 @@ Two cost models are provided over the same result:
   compression; used by the PLM baseline and the compression ablation.
 
 Both build the edges the same way.  When the native library loads, one C
-call (:func:`repro.kernels.native.compress`) does two stable counting
-sorts of the inter-cluster arcs, by super-destination and then by
-super-source, and one merge pass that sums equal keys in arc order from
-0.0; that is ``np.bincount``'s order, so the result is bit-identical to
-the NumPy semisort path below, which runs without a compiler.  The
+call (:func:`repro.kernels.native.compress`) groups the vertices by
+super-vertex and sums each super-vertex's row over its members' arcs in
+arc order from 0.0, then puts the row in ascending order; that is
+``np.bincount``'s order, so the result is bit-identical to the NumPy
+semisort path below, which runs without a compiler.  Large graphs build
+the rows on every usable core.  The
 charges come from :mod:`repro.parallel.sorting`'s cost model either way.
 """
 

@@ -33,7 +33,8 @@
  *     (ClusterState.apply_moves) and counts its fetch-and-add contention;
  *   - repro_neighbors is the frontier's neighbor set (edge_map);
  *   - repro_compress builds the quotient graph's edges
- *     (graphs/quotient.py) with two counting sorts and a merge.
+ *     (graphs/quotient.py) row by row, splitting a large graph's rows
+ *     across the pool.
  *
  * Two serve the dynamic graph (graphs/delta.py), each equal, array for
  * array, to its NumPy path:
@@ -260,61 +261,80 @@ static int64_t evaluate_range(
 }
 
 /*
- * The pool: one large window split across cores (DESIGN.md section 8).
- * Every vertex of a window reads the window-start snapshot and writes
- * only its own output slots and its thread's scratch, so any
- * split gives the serial loop's outputs bit for bit; the pair counts are
- * integers, so their sum is too.
+ * The pool: one job split across cores (DESIGN.md section 8).  Two kinds
+ * of job use it.  Each writes only the output slots of the items it
+ * claims and its thread's scratch, so any split gives the serial loop's
+ * outputs bit for bit, and the counts it returns are integers, so their
+ * sum is too:
  *
- *   - Windows of fewer than SPLIT_MIN vertices, calls asking for one
- *     thread, and calls made while another thread holds the pool (a
- *     trylock on `busy`) run on the calling thread alone.
- *   - Helper threads start on the first split window, never at load;
- *     each owns scratch covering the window's cluster ids.
- *   - The caller and the helpers claim CHUNK-vertex chunks through one
+ *   - a BEST-MOVES window of at least SPLIT_MIN vertices, each of which
+ *     reads the window-start snapshot (repro_best_moves);
+ *   - the rows of a quotient graph built from at least SPLIT_MIN_ARCS
+ *     arcs, each row summed from its own class's arcs (repro_compress).
+ *
+ * How it runs:
+ *
+ *   - Smaller jobs, calls asking for one thread, and calls made while
+ *     another thread holds the pool (a trylock on `busy`) run on the
+ *     calling thread alone.
+ *   - Helper threads start on the first split job, never at load; each
+ *     owns scratch covering the job's ids.
+ *   - The caller and the helpers claim CHUNK-item chunks through one
  *     atomic counter, so skewed degrees balance.
  *   - The caller never waits for a helper that has not joined.  Each
- *     helper has a ticket: the caller opens it before the window, the
+ *     helper has a ticket: the caller opens it before the job, the
  *     helper moves it from OPEN to JOINED, and the caller, once the
  *     chunks run out, moves it from OPEN back to IDLE.  Only a helper
  *     that joined is waited for, and it is at most one chunk from done
  *     (unless its core is taken from it mid-chunk).
- *   - After a window a helper spins for SPIN_NS, then parks on a
- *     condition variable, so idle helpers use no CPU.
+ *   - After a job a helper spins for SPIN_NS, then parks on a condition
+ *     variable, so idle helpers use no CPU.
  *   - A forked child resets the pool (pthread_atfork): its helpers do
  *     not exist there, and the child starts its own on demand.
  */
 #define SPLIT_MIN 256
+#define SPLIT_MIN_ARCS 65536
 #define CHUNK 64
-/* Most threads one window is split across, the caller included. */
+/* Most threads one job is split across, the caller included. */
 #define MAX_THREADS 64
 #define SPIN_NS 200000
 
 enum { IDLE, OPEN, JOINED };
 
-struct helper {
-    _Alignas(64) _Atomic int ticket;
+/* One thread's scratch over `capacity` ids, all zeros between chunks:
+ * evaluate's `acc`, `seen` and `touched`, and the compression's `bits`
+ * (one per id).  The caller's BEST-MOVES scratch is its binding's and
+ * has no `bits`. */
+struct scratch {
     double *acc;
     unsigned char *seen;
     int64_t *touched;
+    uint64_t *bits;
     int64_t capacity;
-    /* Windows joined and chunks evaluated, for repro_pool_stats. */
-    int64_t joins;
-    int64_t chunks;
 };
 
-/* The window being split.  The caller writes it before opening any
- * ticket; a helper reads it only while its ticket is JOINED. */
+struct job;
+
+/* Runs items [begin, end) of a job through `own`; returns their count
+ * (pairs evaluated, or inter-class arcs), or -1. */
+typedef int64_t (*chunk_fn)(
+    const struct job *job, const struct scratch *own, int64_t begin,
+    int64_t end);
+
+/* One job: `size` items run by `run` with scratch over `ids` ids. */
 struct job {
-    struct binding bound;
-    struct settings opt;
-    const int64_t *batch;
+    chunk_fn run;
+    void *arg;
     int64_t size;
-    int64_t *out_targets;
-    double *out_gains;
+    int64_t ids;
     _Alignas(64) _Atomic int64_t next;
-    _Atomic int64_t pairs;
+    _Atomic int64_t count;
     _Atomic int failed;
+};
+
+struct helper {
+    _Alignas(64) _Atomic int ticket;
+    struct scratch scratch;
 };
 
 static struct {
@@ -325,8 +345,9 @@ static struct {
     _Atomic int sleepers;
     int started;
     int64_t windows;
-    int64_t caller_chunks;
-    struct job job;
+    /* The job being split.  The caller sets it before opening any ticket;
+     * a helper reads it only while its ticket is JOINED. */
+    struct job *job;
     struct helper helpers[MAX_THREADS - 1];
 } pool = {
     .busy = PTHREAD_MUTEX_INITIALIZER,
@@ -343,13 +364,11 @@ static inline void cpu_relax(void)
 #endif
 }
 
-/* Evaluates chunks of the job through `s` until none is left; returns
- * the number of chunks taken. */
-static int64_t run_chunks(const struct binding *s, struct job *job)
+/* Runs chunks of the job through `own` until none is left. */
+static void run_chunks(struct job *job, const struct scratch *own)
 {
     const int64_t size = job->size;
-    int64_t taken = 0;
-    int64_t pairs = 0;
+    int64_t count = 0;
     for (;;) {
         const int64_t begin =
             atomic_fetch_add_explicit(&job->next, CHUNK, memory_order_relaxed);
@@ -357,43 +376,42 @@ static int64_t run_chunks(const struct binding *s, struct job *job)
             break;
         }
         const int64_t end = size - begin < CHUNK ? size : begin + CHUNK;
-        const int64_t count = evaluate_range(
-            s, &job->opt, job->batch, begin, end, size, job->out_targets,
-            job->out_gains);
-        ++taken;
-        if (count < 0) {
+        const int64_t chunk = job->run(job, own, begin, end);
+        if (chunk < 0) {
             atomic_store_explicit(&job->failed, 1, memory_order_relaxed);
             atomic_store_explicit(&job->next, size, memory_order_relaxed);
             break;
         }
-        pairs += count;
+        count += chunk;
     }
-    atomic_fetch_add_explicit(&job->pairs, pairs, memory_order_relaxed);
-    return taken;
+    atomic_fetch_add_explicit(&job->count, count, memory_order_relaxed);
 }
 
-/* Makes a helper's scratch cover `clusters` ids, all zeros; returns 0
- * when it cannot be allocated. */
-static int grow_scratch(struct helper *h, int64_t clusters)
+static void free_scratch(struct scratch *s)
 {
-    if (h->capacity >= clusters) {
+    free(s->acc);
+    free(s->seen);
+    free(s->touched);
+    free(s->bits);
+    memset(s, 0, sizeof *s);
+}
+
+/* Makes scratch cover `ids` ids, all zeros; returns 0 when it cannot be
+ * allocated. */
+static int grow_scratch(struct scratch *s, int64_t ids)
+{
+    if (s->capacity >= ids) {
         return 1;
     }
-    free(h->acc);
-    free(h->seen);
-    free(h->touched);
-    h->acc = calloc((size_t)clusters, sizeof(double));
-    h->seen = calloc((size_t)clusters, 1);
-    h->touched = malloc((size_t)clusters * sizeof(int64_t));
-    h->capacity = clusters;
-    if (h->acc == NULL || h->seen == NULL || h->touched == NULL) {
-        free(h->acc);
-        free(h->seen);
-        free(h->touched);
-        h->acc = NULL;
-        h->seen = NULL;
-        h->touched = NULL;
-        h->capacity = 0;
+    free_scratch(s);
+    s->acc = calloc((size_t)ids, sizeof(double));
+    s->seen = calloc((size_t)ids, 1);
+    s->touched = malloc((size_t)ids * sizeof(int64_t));
+    s->bits = calloc((size_t)(ids + 63) / 64, sizeof(uint64_t));
+    s->capacity = ids;
+    if (s->acc == NULL || s->seen == NULL || s->touched == NULL
+        || s->bits == NULL) {
+        free_scratch(s);
         return 0;
     }
     return 1;
@@ -409,7 +427,7 @@ static int64_t elapsed_ns(const struct timespec *start)
 
 /* Waits until the generation differs from `seen`, spinning for SPIN_NS
  * and then parked; returns the new generation. */
-static uint64_t next_window(uint64_t seen)
+static uint64_t next_job(uint64_t seen)
 {
     struct timespec start;
     clock_gettime(CLOCK_MONOTONIC, &start);
@@ -441,28 +459,23 @@ static void *helper_main(void *arg)
     struct helper *h = arg;
     uint64_t seen = 0;
     for (;;) {
-        seen = next_window(seen);
+        seen = next_job(seen);
         int expected = OPEN;
         if (!atomic_compare_exchange_strong_explicit(
                 &h->ticket, &expected, JOINED, memory_order_acquire,
                 memory_order_relaxed)) {
             continue;
         }
-        struct job *job = &pool.job;
-        if (grow_scratch(h, job->bound.num_clusters)) {
-            struct binding s = job->bound;
-            s.acc = h->acc;
-            s.seen = h->seen;
-            s.touched = h->touched;
-            h->chunks += run_chunks(&s, job);
-            ++h->joins;
+        struct job *job = pool.job;
+        if (grow_scratch(&h->scratch, job->ids)) {
+            run_chunks(job, &h->scratch);
         }
         atomic_store_explicit(&h->ticket, IDLE, memory_order_release);
     }
     return NULL;
 }
 
-/* fork() holds the pool, so the child inherits it between windows. */
+/* fork() holds the pool, so the child inherits it between jobs. */
 static void before_fork(void)
 {
     pthread_mutex_lock(&pool.busy);
@@ -480,21 +493,11 @@ static void after_fork_parent(void)
 static void after_fork_child(void)
 {
     for (int i = 0; i < pool.started; ++i) {
-        struct helper *h = &pool.helpers[i];
-        free(h->acc);
-        free(h->seen);
-        free(h->touched);
-        h->acc = NULL;
-        h->seen = NULL;
-        h->touched = NULL;
-        h->capacity = 0;
-        h->joins = 0;
-        h->chunks = 0;
-        atomic_store(&h->ticket, IDLE);
+        free_scratch(&pool.helpers[i].scratch);
+        atomic_store(&pool.helpers[i].ticket, IDLE);
     }
     pool.started = 0;
     pool.windows = 0;
-    pool.caller_chunks = 0;
     atomic_store(&pool.sleepers, 0);
     pthread_cond_init(&pool.wake, NULL);
     pthread_mutex_unlock(&pool.lock);
@@ -534,57 +537,82 @@ static int start_helpers(int wanted)
     return pool.started < wanted ? pool.started : wanted;
 }
 
-/* Evaluates one window on the caller and `helpers` helpers (the caller
- * holds `busy`). */
-static int64_t split_window(
-    const struct binding *s, const struct settings *opt,
-    const int64_t *batch, int64_t size, int64_t *out_targets,
-    double *out_gains, int helpers)
+/* Runs a job on the caller, through `own`, and on up to `threads - 1`
+ * helpers, adding 1 to `*splits` (when given) if any helper was asked;
+ * returns the summed count, or -1. */
+static int64_t run_job(
+    struct job *job, const struct scratch *own, int threads,
+    int64_t *splits)
 {
-    struct job *job = &pool.job;
-    job->bound = *s;
-    job->opt = *opt;
-    job->batch = batch;
-    job->size = size;
-    job->out_targets = out_targets;
-    job->out_gains = out_gains;
-    atomic_store_explicit(&job->next, 0, memory_order_relaxed);
-    atomic_store_explicit(&job->pairs, 0, memory_order_relaxed);
-    atomic_store_explicit(&job->failed, 0, memory_order_relaxed);
-    for (int i = 0; i < helpers; ++i) {
-        atomic_store_explicit(
-            &pool.helpers[i].ticket, OPEN, memory_order_release);
-    }
-    atomic_fetch_add(&pool.generation, 1);
-    if (atomic_load(&pool.sleepers) > 0) {
-        pthread_mutex_lock(&pool.lock);
-        pthread_cond_broadcast(&pool.wake);
-        pthread_mutex_unlock(&pool.lock);
-    }
-    ++pool.windows;
-    pool.caller_chunks += run_chunks(s, job);
-    for (int i = 0; i < helpers; ++i) {
-        _Atomic int *ticket = &pool.helpers[i].ticket;
-        int expected = OPEN;
-        if (atomic_compare_exchange_strong_explicit(
-                ticket, &expected, IDLE, memory_order_relaxed,
-                memory_order_relaxed)) {
-            continue; /* never joined */
+    if (threads > 1 && pthread_mutex_trylock(&pool.busy) == 0) {
+        const int helpers =
+            start_helpers((threads < MAX_THREADS ? threads : MAX_THREADS) - 1);
+        pool.job = job;
+        for (int i = 0; i < helpers; ++i) {
+            atomic_store_explicit(
+                &pool.helpers[i].ticket, OPEN, memory_order_release);
         }
-        for (unsigned spins = 1;
-             atomic_load_explicit(ticket, memory_order_acquire) == JOINED;
-             ++spins) {
-            if (spins % 1024 == 0) {
-                sched_yield();
-            } else {
-                cpu_relax();
+        if (helpers > 0) {
+            atomic_fetch_add(&pool.generation, 1);
+            if (atomic_load(&pool.sleepers) > 0) {
+                pthread_mutex_lock(&pool.lock);
+                pthread_cond_broadcast(&pool.wake);
+                pthread_mutex_unlock(&pool.lock);
+            }
+            if (splits != NULL) {
+                ++*splits;
             }
         }
+        run_chunks(job, own);
+        for (int i = 0; i < helpers; ++i) {
+            _Atomic int *ticket = &pool.helpers[i].ticket;
+            int expected = OPEN;
+            if (atomic_compare_exchange_strong_explicit(
+                    ticket, &expected, IDLE, memory_order_relaxed,
+                    memory_order_relaxed)) {
+                continue; /* never joined */
+            }
+            for (unsigned spins = 1;
+                 atomic_load_explicit(ticket, memory_order_acquire) == JOINED;
+                 ++spins) {
+                if (spins % 1024 == 0) {
+                    sched_yield();
+                } else {
+                    cpu_relax();
+                }
+            }
+        }
+        pthread_mutex_unlock(&pool.busy);
+    } else {
+        run_chunks(job, own);
     }
     if (atomic_load_explicit(&job->failed, memory_order_relaxed)) {
         return -1;
     }
-    return atomic_load_explicit(&job->pairs, memory_order_relaxed);
+    return atomic_load_explicit(&job->count, memory_order_relaxed);
+}
+
+/* One BEST-MOVES window: the job's `arg`. */
+struct window {
+    struct binding bound;
+    struct settings opt;
+    const int64_t *batch;
+    int64_t *out_targets;
+    double *out_gains;
+};
+
+static int64_t window_chunk(
+    const struct job *job, const struct scratch *own, int64_t begin,
+    int64_t end)
+{
+    const struct window *w = job->arg;
+    struct binding s = w->bound;
+    s.acc = own->acc;
+    s.seen = own->seen;
+    s.touched = own->touched;
+    return evaluate_range(
+        &s, &w->opt, w->batch, begin, end, job->size, w->out_targets,
+        w->out_gains);
 }
 
 /*
@@ -608,48 +636,49 @@ int64_t repro_best_moves(
     const struct settings opt = {
         resolution, gain_eps, allow_escape, swap_avoidance,
     };
-    if (threads > 1 && batch_size >= SPLIT_MIN
-        && pthread_mutex_trylock(&pool.busy) == 0) {
-        const int helpers =
-            start_helpers((threads < MAX_THREADS ? threads : MAX_THREADS) - 1);
-        const int64_t pairs = helpers > 0
-            ? split_window(bound, &opt, batch, batch_size, out_targets,
-                           out_gains, helpers)
-            : evaluate_range(bound, &opt, batch, 0, batch_size, batch_size,
-                             out_targets, out_gains);
-        pthread_mutex_unlock(&pool.busy);
-        return pairs;
+    if (threads > 1 && batch_size >= SPLIT_MIN) {
+        struct window w = {
+            *bound, opt, batch, out_targets, out_gains,
+        };
+        const struct scratch own = {
+            .acc = bound->acc,
+            .seen = bound->seen,
+            .touched = bound->touched,
+            .capacity = bound->num_clusters,
+        };
+        struct job job = {
+            .run = window_chunk,
+            .arg = &w,
+            .size = batch_size,
+            .ids = bound->num_clusters,
+        };
+        return run_job(&job, &own, threads, &pool.windows);
     }
     return evaluate_range(
         bound, &opt, batch, 0, batch_size, batch_size, out_targets, out_gains);
 }
 
 /*
- * The pool's counters into out[0..5]: helpers started, split windows,
- * windows a helper joined, chunks evaluated by helpers and by callers,
- * and the nonzero entries left in the helpers' scratch (0 between
- * windows).  Waits for a window in progress.  Returns 0.
+ * The pool's counters into out[0..2]: helpers started, BEST-MOVES windows
+ * split, and the nonzero entries left in the helpers' scratch (0 between
+ * jobs).  Waits for a job in progress.  Returns 0.
  */
 int64_t repro_pool_stats(int64_t *out)
 {
     pthread_mutex_lock(&pool.busy);
-    int64_t joins = 0;
-    int64_t chunks = 0;
     int64_t dirty = 0;
     for (int i = 0; i < pool.started; ++i) {
-        const struct helper *h = &pool.helpers[i];
-        joins += h->joins;
-        chunks += h->chunks;
-        for (int64_t c = 0; c < h->capacity; ++c) {
-            dirty += h->acc[c] != 0.0 || h->seen[c] != 0;
+        const struct scratch *s = &pool.helpers[i].scratch;
+        for (int64_t c = 0; c < s->capacity; ++c) {
+            dirty += s->acc[c] != 0.0 || s->seen[c] != 0;
+        }
+        for (int64_t w = 0; w < (s->capacity + 63) / 64; ++w) {
+            dirty += s->bits[w] != 0;
         }
     }
     out[0] = pool.started;
     out[1] = pool.windows;
-    out[2] = joins;
-    out[3] = chunks;
-    out[4] = pool.caller_chunks;
-    out[5] = dirty;
+    out[2] = dirty;
     pthread_mutex_unlock(&pool.busy);
     return 0;
 }
@@ -858,36 +887,235 @@ int64_t repro_neighbors(
     return status < 0 ? status : count;
 }
 
-/* One arc in the compression's counting sorts: a class and a weight. */
-struct arc {
-    int64_t key;
-    double weight;
+/* Sorts a[0, n) ascending: quicksort down to runs of 16, then insertion
+ * sort. */
+static void sort_ids(int64_t *a, int64_t n)
+{
+    while (n > 16) {
+        const int64_t x = a[0], y = a[n / 2], z = a[n - 1];
+        const int64_t pivot = x < y ? (y < z ? y : (x < z ? z : x))
+                                    : (x < z ? x : (y < z ? z : y));
+        int64_t i = 0;
+        int64_t j = n - 1;
+        for (;;) {
+            while (a[i] < pivot) {
+                ++i;
+            }
+            while (a[j] > pivot) {
+                --j;
+            }
+            if (i >= j) {
+                break;
+            }
+            const int64_t t = a[i];
+            a[i++] = a[j];
+            a[j--] = t;
+        }
+        /* a[0, j] <= pivot <= a[j + 1, n): recurse into the smaller side. */
+        if (j + 1 < n - j - 1) {
+            sort_ids(a, j + 1);
+            a += j + 1;
+            n -= j + 1;
+        } else {
+            sort_ids(a + j + 1, n - j - 1);
+            n = j + 1;
+        }
+    }
+    for (int64_t i = 1; i < n; ++i) {
+        const int64_t v = a[i];
+        int64_t k = i;
+        for (; k > 0 && a[k - 1] > v; --k) {
+            a[k] = a[k - 1];
+        }
+        a[k] = v;
+    }
+}
+
+/* One compression: the job's `arg`.  Class s's members are
+ * members[ends[s - 1], ends[s]) (from 0 for s = 0), in ascending order,
+ * and its row is written from slots[s], which leaves room for every arc
+ * of its members. */
+struct quotient {
+    const int64_t *offsets;
+    const int64_t *neighbors;
+    const double *weights;
+    const int64_t *labels;
+    int64_t *members;
+    int64_t *ends;
+    int64_t *slots;
+    int64_t num_members;
+    int64_t *row_sizes;
+    double *intra;
+    int64_t *keys;
+    double *sums;
+    _Atomic int any_intra;
 };
+
+/* Builds the rows of classes [begin, end); returns their inter-class
+ * arcs. */
+static int64_t quotient_rows(
+    const struct job *job, const struct scratch *own, int64_t begin,
+    int64_t end)
+{
+    struct quotient *q = job->arg;
+    const int64_t *offsets = q->offsets;
+    const int64_t *neighbors = q->neighbors;
+    const double *weights = q->weights;
+    const int64_t *labels = q->labels;
+    const int64_t *members = q->members;
+    double *acc = own->acc;
+    uint64_t *bits = own->bits;
+    int64_t *touched = own->touched;
+    int64_t arcs = 0;
+    int any_intra = 0;
+    for (int64_t s = begin; s < end; ++s) {
+        double intra = 0.0;
+        int64_t count = 0;
+        int64_t lo = job->size;
+        int64_t hi = -1;
+        for (int64_t i = s > 0 ? q->ends[s - 1] : 0; i < q->ends[s]; ++i) {
+            /* Members are far apart rows: fetch the next ones' early. */
+            if (i + AHEAD_VERTEX < q->num_members) {
+                __builtin_prefetch(&offsets[members[i + AHEAD_VERTEX]]);
+            }
+            if (i + AHEAD_ROW < q->num_members) {
+                const int64_t u = members[i + AHEAD_ROW];
+                __builtin_prefetch(&neighbors[offsets[u]]);
+                __builtin_prefetch(&weights[offsets[u]]);
+            }
+            const int64_t v = members[i];
+            for (int64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+                const int64_t d = labels[neighbors[e]];
+                if (d == s) {
+                    intra += weights[e];
+                    any_intra = 1;
+                    continue;
+                }
+                const uint64_t bit = (uint64_t)1 << (d & 63);
+                if (!(bits[d >> 6] & bit)) {
+                    bits[d >> 6] |= bit;
+                    touched[count++] = d;
+                    lo = d < lo ? d : lo;
+                    hi = d > hi ? d : hi;
+                }
+                acc[d] += weights[e];
+                ++arcs;
+            }
+        }
+        q->intra[s] = intra;
+        q->row_sizes[s] = count;
+        /* The row in ascending class order: sort a short or sparse list,
+         * else read the marks word by word. */
+        int64_t *keys = q->keys + q->slots[s];
+        double *sums = q->sums + q->slots[s];
+        if (count <= 16 || count * 8 < (hi >> 6) - (lo >> 6) + 1) {
+            sort_ids(touched, count);
+            for (int64_t j = 0; j < count; ++j) {
+                const int64_t d = touched[j];
+                keys[j] = d;
+                sums[j] = acc[d];
+                acc[d] = 0.0;
+                bits[d >> 6] = 0;
+            }
+        } else {
+            int64_t j = 0;
+            for (int64_t w = lo >> 6; w <= hi >> 6; ++w) {
+                uint64_t word = bits[w];
+                bits[w] = 0;
+                for (; word != 0; word &= word - 1) {
+                    const int64_t d = w * 64 + __builtin_ctzll(word);
+                    keys[j] = d;
+                    sums[j++] = acc[d];
+                    acc[d] = 0.0;
+                }
+            }
+        }
+    }
+    if (any_intra) {
+        atomic_store_explicit(&q->any_intra, 1, memory_order_relaxed);
+    }
+    return arcs;
+}
+
+/* The body of repro_compress over allocated scratch; returns the number
+ * of quotient edges. */
+static int64_t build_quotient(
+    struct quotient *q, int64_t num_vertices, int64_t num_super,
+    const struct scratch *own, int threads, double *self_loops,
+    int64_t *out_offsets, int64_t *inter)
+{
+    const int64_t *offsets = q->offsets;
+    const int64_t *labels = q->labels;
+    int64_t *members = q->members;
+    int64_t *ends = q->ends;
+    int64_t *slots = q->slots;
+
+    /* Group: ends[s + 1] counts class s and slots[s + 1] its arcs; the
+     * prefix sums make ends[s] class s's start and slots[s] its row's,
+     * and placing the members advances ends[s] to the class's end. */
+    for (int64_t v = 0; v < num_vertices; ++v) {
+        ++ends[labels[v] + 1];
+        slots[labels[v] + 1] += offsets[v + 1] - offsets[v];
+    }
+    for (int64_t c = 0; c < num_super; ++c) {
+        ends[c + 1] += ends[c];
+        slots[c + 1] += slots[c];
+    }
+    for (int64_t v = 0; v < num_vertices; ++v) {
+        members[ends[labels[v]]++] = v;
+    }
+
+    struct job job = {
+        .run = quotient_rows,
+        .arg = q,
+        .size = num_super,
+        .ids = num_super,
+    };
+    *inter = run_job(
+        &job, own, offsets[num_vertices] >= SPLIT_MIN_ARCS ? threads : 1,
+        NULL);
+
+    /* Close the gaps between rows, in order: each row moves down. */
+    int64_t kept = 0;
+    for (int64_t c = 0; c < num_super; ++c) {
+        out_offsets[c] = kept;
+        memmove(&q->keys[kept], &q->keys[slots[c]],
+                (size_t)q->row_sizes[c] * sizeof(int64_t));
+        memmove(&q->sums[kept], &q->sums[slots[c]],
+                (size_t)q->row_sizes[c] * sizeof(double));
+        kept += q->row_sizes[c];
+    }
+    out_offsets[num_super] = kept;
+    if (atomic_load_explicit(&q->any_intra, memory_order_relaxed)) {
+        for (int64_t c = 0; c < num_super; ++c) {
+            self_loops[c] += q->intra[c] / 2.0;
+        }
+    }
+    return kept;
+}
 
 /*
  * The edges of the quotient graph whose vertices are the `num_super`
  * classes of `labels`, as graphs/quotient.py builds them with
- * np.unique and np.bincount, without a comparison sort:
+ * np.unique and np.bincount, without a comparison sort of the arcs:
  *
- *   - one pass over the arcs in CSR order counts the inter-class arcs per
- *     class destination and source, and adds each intra-class arc's
- *     weight to `intra`, from 0.0 in arc order;
- *   - a stable counting sort by destination class moves each
- *     inter-class arc's source class and weight into `by_dst`;
- *   - a stable counting sort by source class, over the destination
- *     buckets in order, moves its destination class and weight into
- *     `edges`, which leaves the arcs ordered by (source, destination) and
- *     then by arc position;
- *   - one merge pass sums equal (source, destination) runs in place, each
- *     sum from 0.0 in arc order, which is np.bincount's order, and writes
- *     the rows' bounds into `out_offsets`.
+ *   - a counting sort groups the vertices by class, in ascending order
+ *     within one, and gives each class room for its members' arcs;
+ *   - each class's row is summed in the dense scratch `acc`, visiting
+ *     its members' arcs in CSR order, so each (source, destination) sum
+ *     runs from 0.0 in arc order, which is np.bincount's order, and each
+ *     intra-class arc's weight is added to the class's own sum the same
+ *     way; the row's destinations are then put in ascending order;
+ *   - the rows, built on up to `threads` threads when there are at least
+ *     SPLIT_MIN_ARCS arcs, are moved together into `keys` and `sums`,
+ *     and their bounds written into `out_offsets`.
  *
- * `dst_starts` (num_super + 1 entries), `out_offsets` and `intra` hold
- * zeros on entry; `by_dst` and `edges` hold at least one entry per
- * arc.  When an arc is intra-class, `self_loops[c]` gains `intra[c] / 2.0`
+ * `keys` and `sums` hold at least one entry per arc.  When an arc is
+ * intra-class, `self_loops[c]` gains half its class's intra-class sum
  * for every class.  `*inter` receives the number of inter-class arcs.
  * Returns the number of quotient edges, which are the first entries of
- * `edges`.
+ * `keys` and `sums`; -1 when a label is out of range (nothing written);
+ * -2 when scratch cannot be allocated.
  */
 int64_t repro_compress(
     const int64_t *offsets,
@@ -896,93 +1124,47 @@ int64_t repro_compress(
     int64_t num_vertices,
     const int64_t *labels,
     int64_t num_super,
-    int64_t *dst_starts,
-    struct arc *by_dst,
-    double *intra,
     double *self_loops,
+    int threads,
     int64_t *out_offsets,
-    struct arc *edges,
+    int64_t *keys,
+    double *sums,
     int64_t *inter)
 {
-    /* Count: dst_starts[d + 1] and out_offsets[s + 1] per bucket. */
-    int any_intra = 0;
     for (int64_t v = 0; v < num_vertices; ++v) {
-        const int64_t s = labels[v];
-        if (s < 0 || s >= num_super) {
+        if (labels[v] < 0 || labels[v] >= num_super) {
             return -1;
         }
-        for (int64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-            const int64_t d = labels[neighbors[e]];
-            if (d < 0 || d >= num_super) {
-                return -1;
-            }
-            if (d == s) {
-                intra[s] += weights[e];
-                any_intra = 1;
-            } else {
-                ++dst_starts[d + 1];
-                ++out_offsets[s + 1];
-            }
-        }
     }
-    for (int64_t c = 0; c < num_super; ++c) {
-        dst_starts[c + 1] += dst_starts[c];
-        out_offsets[c + 1] += out_offsets[c];
+    struct quotient q = {
+        .offsets = offsets,
+        .neighbors = neighbors,
+        .weights = weights,
+        .labels = labels,
+        .members = malloc((size_t)(num_vertices + 1) * sizeof(int64_t)),
+        .ends = calloc((size_t)num_super + 1, sizeof(int64_t)),
+        .slots = calloc((size_t)num_super + 1, sizeof(int64_t)),
+        .num_members = num_vertices,
+        .row_sizes = malloc((size_t)(num_super + 1) * sizeof(int64_t)),
+        .intra = malloc((size_t)(num_super + 1) * sizeof(double)),
+        .keys = keys,
+        .sums = sums,
+    };
+    struct scratch own = {0};
+    int64_t kept = -2;
+    if (q.members != NULL && q.ends != NULL && q.slots != NULL
+        && q.row_sizes != NULL && q.intra != NULL
+        && grow_scratch(&own, num_super)) {
+        kept = build_quotient(
+            &q, num_vertices, num_super, &own, threads, self_loops,
+            out_offsets, inter);
     }
-    const int64_t total = dst_starts[num_super];
-
-    /* Sort by destination: dst_starts[d] advances to bucket d's end. */
-    for (int64_t v = 0; v < num_vertices; ++v) {
-        const int64_t s = labels[v];
-        for (int64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-            const int64_t d = labels[neighbors[e]];
-            if (d != s) {
-                struct arc *a = &by_dst[dst_starts[d]++];
-                a->key = s;
-                a->weight = weights[e];
-            }
-        }
-    }
-
-    /* Sort by source, destination buckets in order: out_offsets[s]
-     * advances to row s's end, which is where row s + 1 starts. */
-    int64_t begin = 0;
-    for (int64_t d = 0; d < num_super; ++d) {
-        const int64_t end = dst_starts[d];
-        for (int64_t i = begin; i < end; ++i) {
-            struct arc *a = &edges[out_offsets[by_dst[i].key]++];
-            a->key = d;
-            a->weight = by_dst[i].weight;
-        }
-        begin = end;
-    }
-
-    /* Merge equal runs in place, row by row. */
-    int64_t kept = 0;
-    begin = 0;
-    for (int64_t s = 0; s < num_super; ++s) {
-        const int64_t end = out_offsets[s];
-        const int64_t row = kept;
-        for (int64_t i = begin; i < end; ++i) {
-            if (kept > row && edges[kept - 1].key == edges[i].key) {
-                edges[kept - 1].weight += edges[i].weight;
-            } else {
-                edges[kept].key = edges[i].key;
-                edges[kept].weight = 0.0 + edges[i].weight;
-                ++kept;
-            }
-        }
-        out_offsets[s] = row;
-        begin = end;
-    }
-    out_offsets[num_super] = kept;
-
-    if (any_intra) {
-        for (int64_t c = 0; c < num_super; ++c) {
-            self_loops[c] += intra[c] / 2.0;
-        }
-    }
-    *inter = total;
+    free(q.members);
+    free(q.ends);
+    free(q.slots);
+    free(q.row_sizes);
+    free(q.intra);
+    free_scratch(&own);
     return kept;
 }
 

@@ -16,9 +16,11 @@ least 256 vertices across the calling thread and up to ``n - 1``
 helper threads of a pool inside ``native.c``, which claim 64-vertex
 chunks through an atomic counter.  Every vertex reads the window-start
 snapshot and writes only its own output slots and its thread's scratch,
-so the outputs do not depend on ``n``.  Helpers start on the first split
-window, never at import or load; they park when idle, and a forked
-child starts its own.  :func:`pool_stats` reads the pool's counters.
+so the outputs do not depend on ``n``.  :func:`compress` splits a large
+quotient's rows over the same pool.  Both use one thread per
+:func:`usable_cores` core.  Helpers start on the first split job, never
+at import or load; they park when idle, and a forked child starts its
+own.  :func:`pool_stats` reads the pool's counters.
 
 Three more entry points run the rest of a round, each bit-identical to
 the NumPy code it replaces, which stays as the no-compiler path and the
@@ -135,7 +137,7 @@ SIGNATURES = {
     "repro_sweep": [_P, _P, _I64, _F64, _F64, _INT] + [_P] * 4,
     "repro_commit": [_P, _P, _P, _I64, _P, _P],
     "repro_neighbors": [_P, _P, _I64, _P, _I64] + [_P] * 3,
-    "repro_compress": [_P, _P, _P, _I64, _P, _I64] + [_P] * 7,
+    "repro_compress": [_P, _P, _P, _I64, _P, _I64, _P, _INT] + [_P] * 4,
     "repro_find_arcs": [_P, _P, _I64, _P, _P, _I64, _P, _P],
     "repro_splice": [_P, _P, _P, _I64, _I64] + [_P] * 5 + [_I64, _I64] + [_P] * 3,
     "repro_pool_stats": [_P],
@@ -145,8 +147,6 @@ SIGNATURES = {
 _INPUT_DTYPES = (
     np.int64, np.int64, np.float64, np.float64, np.int64, np.float64, np.int64,
 )
-#: ``struct arc`` in native.c: one class id and one weight.
-_ARC = np.dtype([("key", np.int64), ("weight", np.float64)])
 
 
 def default_cache_dirs():
@@ -532,21 +532,25 @@ class NativeKernel(MoveKernel):
 
 
 #: The fields :func:`pool_stats` returns, in ``repro_pool_stats``' order.
-POOL_STATS = (
-    "helpers", "split_windows", "helper_joins", "helper_chunks",
-    "caller_chunks", "dirty_scratch",
-)
+POOL_STATS = ("helpers", "split_windows", "dirty_scratch")
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (``os.sched_getaffinity``): the
+    threads one split job may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def pool_stats() -> Optional[dict]:
-    """The batch pool's counters in :data:`LIBRARY`.
+    """The pool's counters in :data:`LIBRARY`.
 
-    ``helpers`` threads started, ``split_windows`` evaluated on more than
-    one thread, ``helper_joins`` (windows a helper joined),
-    ``helper_chunks`` and ``caller_chunks`` (64-vertex chunks each side
-    evaluated) and ``dirty_scratch``, the nonzero entries left in the
-    helpers' scratch, which is 0 between windows.  ``None`` without the
-    library.  Starts no thread.
+    ``helpers`` threads started, BEST-MOVES windows evaluated on more
+    than one thread (``split_windows``), and ``dirty_scratch``, the
+    nonzero entries left in the helpers' scratch, which is 0 between
+    jobs.  ``None`` without the library.  Starts no thread.
     """
     lib = LIBRARY.load()
     if lib is None:
@@ -722,9 +726,10 @@ def compress(graph, labels, num_super: int, self_loops):
 
     Bit-identical to the NumPy semisort path of ``graphs.quotient``: the
     same ``offsets``, ``neighbors`` and ``weights``, and ``self_loops``
-    (updated in place) gains the halved intra-class sums.  Returns
-    ``(offsets, neighbors, weights, inter-class arcs)``, or ``None``
-    without the library.  The scratch is allocated per call.
+    (updated in place) gains the halved intra-class sums.  The rows are
+    built on every :func:`usable_cores` core when the graph is large.
+    Returns ``(offsets, neighbors, weights, inter-class arcs)``, or
+    ``None`` without the library.
     """
     lib = LIBRARY.load()
     if lib is None or not _usable(self_loops, np.float64):
@@ -740,11 +745,9 @@ def compress(graph, labels, num_super: int, self_loops):
         and self_loops.size == num_super
     ):
         raise ValueError("native compress: graph and label sizes do not match")
-    dst_starts = np.zeros(num_super + 1, dtype=np.int64)
-    by_dst = np.empty(m, dtype=_ARC)
-    intra = np.zeros(num_super, dtype=np.float64)
-    out_offsets = np.zeros(num_super + 1, dtype=np.int64)
-    edges = np.empty(m, dtype=_ARC)
+    out_offsets = np.empty(num_super + 1, dtype=np.int64)
+    keys = np.empty(m, dtype=np.int64)
+    sums = np.empty(m, dtype=np.float64)
     inter = np.empty(1, dtype=np.int64)
     kept = lib.repro_compress(
         offsets.ctypes.data,
@@ -753,24 +756,21 @@ def compress(graph, labels, num_super: int, self_loops):
         offsets.size - 1,
         labels.ctypes.data,
         num_super,
-        dst_starts.ctypes.data,
-        by_dst.ctypes.data,
-        intra.ctypes.data,
         self_loops.ctypes.data,
+        usable_cores(),
         out_offsets.ctypes.data,
-        edges.ctypes.data,
+        keys.ctypes.data,
+        sums.ctypes.data,
         inter.ctypes.data,
     )
-    if kept < 0:
+    if kept == -1:
         raise IndexError("native compress: label out of range")
-    del by_dst
-    edges = edges[:kept]
-    return (
-        out_offsets,
-        np.ascontiguousarray(edges["key"]),
-        np.ascontiguousarray(edges["weight"]),
-        int(inter[0]),
-    )
+    if kept < 0:
+        raise MemoryError("native compress: cannot allocate scratch")
+    # Nothing else refers to the two buffers: shrink them in place.
+    keys.resize(kept, refcheck=False)
+    sums.resize(kept, refcheck=False)
+    return out_offsets, keys, sums, int(inter[0])
 
 
 def find_arcs(graph, src, dst):

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from repro.core.config import (
@@ -7,7 +5,6 @@ from repro.core.config import (
     Frontier,
     Mode,
     Objective,
-    resolve_threads,
     resolve_workers,
 )
 from repro.errors import ConfigError
@@ -42,7 +39,6 @@ class TestValidation:
             ("async_windows", 0),
             ("max_levels", 0),
             ("kernel_threshold", 0),
-            ("threads", -1),
         ],
     )
     def test_positive_int_fields(self, field, value):
@@ -68,35 +64,6 @@ class TestResolveWorkers:
     def test_explicit(self):
         assert resolve_workers(3, None) == 3
         assert ClusteringConfig(num_workers=3).resolved_workers == 3
-
-
-class TestResolveThreads:
-    """``threads`` are wall-clock threads, capped at the usable cores.
-
-    Pure functions: nothing here starts a thread.
-    """
-
-    def cores(self):
-        return len(os.sched_getaffinity(0))
-
-    def test_auto_is_every_usable_core(self):
-        assert resolve_threads(0) == self.cores()
-        assert ClusteringConfig().threads == 0
-        assert ClusteringConfig().resolved_threads == self.cores()
-
-    def test_large_requests_are_capped_at_the_usable_cores(self):
-        assert resolve_threads(10**6) == self.cores()
-        assert ClusteringConfig(threads=10**6).resolved_threads == self.cores()
-
-    def test_explicit(self):
-        assert resolve_threads(1) == 1
-        assert ClusteringConfig(threads=1).resolved_threads == 1
-
-    def test_threads_stay_out_of_the_config_tag(self):
-        # A checkpoint written with one thread count resumes under another.
-        one, many = ClusteringConfig(threads=1), ClusteringConfig(threads=8)
-        assert one.describe() == many.describe()
-        assert one.config_tag(0.05) == many.config_tag(0.05)
 
 
 class TestConvergenceMode:

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.api import cluster
-from repro.core.config import ClusteringConfig, Mode, resolve_threads
+from repro.core.config import ClusteringConfig, Mode
 from repro.core.engines import ENGINES, multilevel_with_engine
 from repro.core.moves import kernel_threads
 from repro.core.objective import lambdacc_objective
@@ -252,18 +252,12 @@ class TestThreads:
         ]
         # The default config runs the batch loop; parallel=False runs the
         # sequential engine, which runs the sweep loop.
-        # threads=2: the threads contend for the kernel's pool, and a
-        # caller that finds it busy runs its window alone.
         configs = [
-            ClusteringConfig(resolution=RESOLUTION, seed=3, threads=2),
-            ClusteringConfig(
-                resolution=RESOLUTION, seed=3, parallel=False, threads=2
-            ),
+            ClusteringConfig(resolution=RESOLUTION, seed=3),
+            ClusteringConfig(resolution=RESOLUTION, seed=3, parallel=False),
         ]
-        serial = [
-            [cluster(g, c.with_options(threads=1)) for c in configs]
-            for g in graphs
-        ]
+        with _cores(1):
+            serial = [[cluster(g, c) for c in configs] for g in graphs]
         results = [[] for _ in range(4)]
         barrier = threading.Barrier(len(results))
 
@@ -277,11 +271,14 @@ class TestThreads:
         ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
+        # Two kernel threads each: the threads contend for the kernel's
+        # pool, and a caller that finds it busy runs its window alone.
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=300)
+            with _cores(2):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=300)
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
@@ -306,6 +303,17 @@ def _split_inputs():
 
 def _split_windows():
     return native.pool_stats()["split_windows"]
+
+
+def _cores(count):
+    """Runs inside the block see ``count`` usable cores, so their kernel
+    windows may split across ``count`` threads."""
+    return mock.patch.object(native, "usable_cores", lambda: count)
+
+
+def _cluster_on(cores, *args):
+    with _cores(cores):
+        return cluster(*args)
 
 
 def _wait(pid, timeout=120.0):
@@ -431,8 +439,7 @@ class TestPool:
             "        fields = f.read().rsplit(')', 1)[1].split()\n"
             "    return int(fields[11]) + int(fields[12])\n"
             "before = tasks()\n"
-            "config = ClusteringConfig(resolution=0.05, seed=3, threads=2)\n"
-            "cluster(karate_club_graph(), config)\n"
+            "cluster(karate_club_graph(), ClusteringConfig(resolution=0.05, seed=3))\n"
             "assert native.pool_stats()['helpers'] == 0\n"
             "assert tasks() == before, 'a thread started without a split'\n"
             "g = rmat_graph(12, 8 * 2**12, seed=1)\n"
@@ -459,23 +466,27 @@ class TestPool:
 
     def test_fault_runs_keep_one_thread(self):
         graph = rmat_graph(11, 8 * 2**11, seed=0)
-        config = ClusteringConfig(
-            resolution=RESOLUTION, seed=3, mode=Mode.SYNC, threads=2
-        )
+        config = ClusteringConfig(resolution=RESOLUTION, seed=3, mode=Mode.SYNC)
         state = ClusterState.singletons(graph)
         sched = SimulatedScheduler(num_workers=8)
-        assert kernel_threads(config, state, sched) == config.resolved_threads
-        plan = FaultPlan.from_spec("stale-read=0.1", seed=1)
-        assert kernel_threads(config, FaultyClusterState(state, plan), sched) == 1
-        sched.faults = plan
-        assert kernel_threads(config, state, sched) == 1
-        before = _split_windows()
-        policy = ResiliencePolicy(faults=FaultPlan.from_spec("dup-move", seed=1))
-        cluster(graph, config, RunOptions(resilience=policy))
-        assert _split_windows() == before
-        if config.resolved_threads > 1:
+        with _cores(2):
+            assert kernel_threads(state, sched) == 2
+            plan = FaultPlan.from_spec("stale-read=0.1", seed=1)
+            assert kernel_threads(FaultyClusterState(state, plan), sched) == 1
+            sched.faults = plan
+            assert kernel_threads(state, sched) == 1
+            before = _split_windows()
+            policy = ResiliencePolicy(faults=FaultPlan.from_spec("dup-move", seed=1))
+            cluster(graph, config, RunOptions(resilience=policy))
+            assert _split_windows() == before
             cluster(graph, config)
             assert _split_windows() > before
+
+    def test_one_kernel_thread_per_usable_core(self):
+        # A pure function: nothing here starts a thread.
+        assert native.usable_cores() == len(os.sched_getaffinity(0))
+        state = ClusterState.singletons(karate_club_graph())
+        assert kernel_threads(state) == native.usable_cores()
 
 
 _DIGEST_GRAPHS = {
@@ -492,21 +503,16 @@ def digest_graphs():
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_results_do_not_depend_on_threads(digest_graphs, engine):
-    """threads=1 and threads=2 give the same assignments, objective and
+    """One and two kernel threads give the same assignments, objective and
     simulated time in every graph x lambda x mode cell."""
     before = _split_windows()
     for name, graph in digest_graphs.items():
         for resolution in (0.05, 0.5):
             for mode in (Mode.SYNC, Mode.ASYNC):
+                config = ClusteringConfig(resolution=resolution, mode=mode, seed=3)
                 one, two = (
-                    cluster(
-                        graph,
-                        ClusteringConfig(
-                            resolution=resolution, mode=mode, seed=3, threads=t
-                        ),
-                        RunOptions(engine=engine),
-                    )
-                    for t in (1, 2)
+                    _cluster_on(cores, graph, config, RunOptions(engine=engine))
+                    for cores in (1, 2)
                 )
                 cell = (name, resolution, mode.value)
                 assert one.assignments.tobytes() == two.assignments.tobytes(), cell
@@ -515,9 +521,8 @@ def test_results_do_not_depend_on_threads(digest_graphs, engine):
     # The batch engines' large windows (SYNC rounds, color classes,
     # prefix lookaheads) did split; the event and sequential engines
     # evaluate one vertex at a time.
-    if engine in ("colored", "prefix", "relaxed") and resolve_threads(2) == 2:
+    if engine in ("colored", "prefix", "relaxed"):
         assert _split_windows() > before
-
 
 
 class TestPointerCache:
@@ -1069,6 +1074,46 @@ class TestNativeCompress:
         (got, a), (want, b) = _both(lambda s: compress_graph(graph, labels, s))
         _assert_same_quotient(got, want)
         _assert_same_ledgers(a, b)
+
+    @pytest.mark.parametrize("classes", [7, 500, 6000])
+    def test_split_rows_match_numpy(self, classes):
+        # 131k arcs, over the split threshold: rows are built on two
+        # threads.  7 classes give short rows and much intra-class
+        # weight; 500 give long dense rows (read off the mark words);
+        # 6000 mix both kinds with short sorted rows.  The fractional
+        # weights of mixed magnitudes show any change of summation order.
+        graph = rmat_graph(13, 8 * 2**13, seed=2)
+        rng = np.random.default_rng(classes)
+        graph = CSRGraph(
+            graph.offsets,
+            graph.neighbors,
+            graph.weights * rng.random(graph.weights.size)
+            * 10.0 ** rng.integers(-6, 6, size=graph.weights.size),
+            validate=False,
+        )
+        labels = rng.integers(0, classes, size=graph.num_vertices) * 3
+        with _cores(2):
+            (got, a), (want, b) = _both(lambda s: compress_graph(graph, labels, s))
+        _assert_same_quotient(got, want)
+        _assert_same_ledgers(a, b)
+        assert native.pool_stats()["dirty_scratch"] == 0
+
+    def test_only_large_compressions_start_helpers(self, tmp_path):
+        proc = _python(
+            "import numpy as np\n"
+            "from repro.generators.rmat import rmat_graph\n"
+            "from repro.graphs.quotient import compress_graph\n"
+            "from repro.kernels import native\n"
+            "native.usable_cores = lambda: 2\n"
+            "small = rmat_graph(10, 8 * 2**10, seed=1)\n"
+            "compress_graph(small, np.arange(small.num_vertices) % 7)\n"
+            "assert native.pool_stats()['helpers'] == 0\n"
+            "large = rmat_graph(13, 8 * 2**13, seed=1)\n"
+            "compress_graph(large, np.arange(large.num_vertices) % 7)\n"
+            "assert native.pool_stats()['helpers'] == 1\n",
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_out_of_range_labels_raise(self, bad):

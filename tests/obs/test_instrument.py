@@ -89,7 +89,6 @@ def test_trace_agrees_with_result_stats(karate, engine):
         sum(n.record["attrs"]["moves"] for n in rounds)
         == result.stats.total_moves
     )
-    assert root.record["attrs"]["threads"] == config.resolved_threads
     assert root.record["attrs"]["rounds"] == result.rounds
     assert root.record["attrs"]["moves"] == result.stats.total_moves
     assert root.record["attrs"]["clusters"] == result.num_clusters

@@ -35,12 +35,6 @@ def test_make_run_record_satisfies_schema(result):
     assert record["info"]["num_clusters"] == result.num_clusters
 
 
-def test_record_carries_the_resolved_threads_beside_the_workers(result):
-    workload = make_run_record(result, run_id="r1", graph="karate")["workload"]
-    assert workload["threads"] == result.config.resolved_threads >= 1
-    assert workload["workers"] == result.config.resolved_workers
-
-
 def test_append_and_load_round_trip(result, tmp_path):
     path = tmp_path / "runs.jsonl"
     first = make_run_record(result, run_id="a", graph="karate", timestamp=1.0)

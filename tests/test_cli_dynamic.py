@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.config import resolve_threads
 from repro.dynamic.updates import EdgeUpdate, write_update_log
 from repro.errors import GraphFormatError
 from repro.graphs.io import read_labels, write_labels
@@ -127,7 +126,6 @@ class TestUpdateCommand:
         record = json.loads(registry.read_text().splitlines()[-1])
         assert record["run_id"] == "u-test"
         tags = record["workload"]["update_batch"]
-        assert record["workload"]["threads"] == resolve_threads(0)
         assert tags["batches"] == 2
         assert tags["updates"] == {"insert": 1, "delete": 1, "reweight": 1}
         capsys.readouterr()
