@@ -8,8 +8,8 @@ O(log n) w.h.p. (GBBS follows Gu–Shun–Sun–Blelloch semisort) — against
 the per-group scans of a non-work-efficient aggregation.
 
 Graph compression aggregates its edges in C when the native library
-loads (:func:`repro.kernels.native.compress`, two counting sorts and a
-merge); the NumPy aggregations here are then its no-compiler path and
+loads (:func:`repro.kernels.native.compress`, one summed row per
+super-vertex); the NumPy aggregations here are then its no-compiler path and
 its test oracle, and :func:`charge_semisort` /
 :func:`charge_naive_aggregate` its cost model either way.
 """
