@@ -83,10 +83,10 @@ compare-kernels:
 	    benchmarks/baselines/BENCH_PR4.json \
 	    /tmp/repro-bench-current/BENCH_PR4.json --tolerance 0.30
 
-## Supervised chaos matrix: every fault site x every engine x every
-## registered kernel (sorted(KERNELS): 40 cells) on the karate workload,
-## asserting the recovery invariants (terminate, objective within
-## tolerance or explicitly degraded, checkpoints replay bit-identically).
+## Supervised chaos matrix: every fault site x every engine (20 cells)
+## on the karate workload, asserting the recovery invariants (terminate,
+## objective within tolerance or explicitly degraded, checkpoints replay
+## bit-identically).
 ## Deterministic; exits nonzero on any unrecovered cell.
 chaos:
 	$(PYTHON) -m repro.cli chaos --karate --seed 1
@@ -105,18 +105,19 @@ bench-dynamic:
 
 ## Build the native library, failing when it cannot be built or any of
 ## its seven entry points does not resolve (so CI never passes on the
-## reference kernel and NumPy paths by accident): the three per-window
+## reference loops and NumPy paths by accident): the three per-window
 ## calls that take a binding (batch, sweep, commit), the two that take
 ## their arrays (frontier, compression) and the dynamic graph's arc
 ## search and splice, plus the pool's counters.  Compile the source
 ## once more with -Wall -Wextra -Werror and the library's flags
 ## (-pthread among them), so a warning in the pool's concurrency code
 ## fails CI.  Then run the kernel, binding, pool and native-round parity
-## suites, the round-bookkeeping oracle and the splice and
-## dynamic-clusterer suites with any RuntimeWarning an error.
+## suites, the round-bookkeeping oracle, the splice and
+## dynamic-clusterer suites and the chaos matrix with and without the
+## library with any RuntimeWarning an error.
 native-kernel:
-	$(PYTHON) -W error::RuntimeWarning -c "from repro.kernels import KERNELS; \
-	    lib = KERNELS['native'].library.load(); \
+	$(PYTHON) -W error::RuntimeWarning -c "from repro.kernels import native; \
+	    lib = native.KERNEL.library.load(); \
 	    assert lib is not None; \
 	    assert lib.repro_best_moves and lib.repro_sweep and lib.repro_commit; \
 	    assert lib.repro_neighbors and lib.repro_compress; \
@@ -129,7 +130,8 @@ native-kernel:
 	    tests/properties/test_kernel_equivalence.py \
 	    tests/core/test_kernels.py tests/core/test_native_kernel.py \
 	    tests/core/test_best_moves.py \
-	    tests/dynamic/test_delta.py tests/dynamic/test_clusterer.py
+	    tests/dynamic/test_delta.py tests/dynamic/test_clusterer.py \
+	    "tests/supervisor/test_chaos.py::TestMatrix::test_all_engines_and_kernels_recover"
 
 ## Run doctor over fresh instrumented runs: a batch clustering (health
 ## rules over stats/trace/metrics + registry trend history) and a dynamic

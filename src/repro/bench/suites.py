@@ -10,7 +10,8 @@ them.  Every suite takes ``repeats`` and returns a
 * ``overhead`` — instrumentation (disabled / enabled) and no-fault
   supervision against a bare run on a planted-partition graph;
 * ``PR3`` — one fully instrumented run plus its telemetry coverage;
-* ``PR4`` — native vs reference kernel speedups and parity;
+* ``PR4`` — the native kernel's speedup over the reference loops, and
+  its engine runs;
 * ``PR7`` — dynamic updates vs full recompute on LFR churn batches.
 
 Deterministic metrics (objective, simulated time, candidate counts) are
@@ -241,28 +242,30 @@ def telemetry_suite(repeats: int = 3) -> BenchSuite:
 
 
 def kernels_suite(repeats: int = 3) -> BenchSuite:
-    """The ``PR4`` kernel snapshot: native-vs-reference speedups + parity.
+    """The ``PR4`` kernel snapshot: native-over-reference speedups and
+    engine runs.
 
     Three kinds of rows:
 
     * ``kernel-eval-*`` — a microbenchmark of the kernel layer alone:
-      one full-frontier ``batch_moves`` call on a singleton state, timed
-      for both kernels.  ``kernel_speedup`` (higher-better) is the
-      headline metric; ``identical`` records bit-equality of the
-      returned targets and gains.
-    * ``<engine>-scale8-<kernel>`` — end-to-end engine runs whose
-      comparable metrics (``f_objective``, ``sim_time_seconds``) must
-      match *exactly* across kernels — the cost model never sees which
-      kernel evaluated the moves (DESIGN.md §8).
+      one full-frontier window on a singleton state, timed for the
+      native kernel and for the reference loops
+      (:func:`~repro.kernels.reference.reference_batch_moves`).
+      ``kernel_speedup`` (higher-better) is the headline metric;
+      ``identical`` records bit-equality of the returned targets and
+      gains.
+    * ``<engine>-scale8-native`` — end-to-end engine runs whose
+      ``f_objective`` and ``sim_time_seconds`` are gated exactly.
     * ``relaxed-scale12-native`` — a larger run riding along as
-      wall-clock evidence that the default kernel scales.
+      wall-clock evidence that the kernel scales.
     """
     from repro.core.config import ClusteringConfig
     from repro.core.engines import multilevel_with_engine
     from repro.core.objective import lambdacc_objective
     from repro.core.state import ClusterState
     from repro.generators.rmat import rmat_graph
-    from repro.kernels import KERNELS
+    from repro.kernels import native
+    from repro.kernels.reference import reference_batch_moves
     from repro.parallel.scheduler import SimulatedScheduler
     from repro.utils.rng import make_rng
 
@@ -276,6 +279,10 @@ def kernels_suite(repeats: int = 3) -> BenchSuite:
     )
 
     # --- kernel-eval microbenchmark: the kernel layer alone ------------
+    loops = {
+        "reference": reference_batch_moves,
+        "native": native.KERNEL.batch_moves,
+    }
     for scale in (BASELINE_RMAT["scale"], 12):
         graph = rmat_graph(
             scale, BASELINE_RMAT["edge_factor"] * 2**scale,
@@ -283,20 +290,18 @@ def kernels_suite(repeats: int = 3) -> BenchSuite:
         )
         batch = np.arange(graph.num_vertices, dtype=np.int64)
 
-        state = ClusterState.singletons(graph)  # batch_moves only reads it
+        state = ClusterState.singletons(graph)  # a window only reads it
         outputs: Dict[str, tuple] = {}
         best: Dict[str, float] = {}
-        # Alternate the kernels, so that drift in the host's speed hits
-        # both; each round warms the caches for the kernel it times.
+        # Alternate the two, so that drift in the host's speed hits both;
+        # each round warms the caches for the loop it times.
         for _ in range(max(repeats, 5)):
-            for kernel in ("reference", "native"):
-                outputs[kernel], timing = time_callable(
-                    lambda: KERNELS[kernel].batch_moves(
-                        graph, state, batch, BASELINE_RESOLUTION
-                    ),
+            for name, loop in loops.items():
+                outputs[name], timing = time_callable(
+                    lambda: loop(graph, state, batch, BASELINE_RESOLUTION),
                     repeats=3, warmup=1,
                 )
-                best[kernel] = min(best.get(kernel, timing.best), timing.best)
+                best[name] = min(best.get(name, timing.best), timing.best)
         suite.add_row(
             f"kernel-eval-scale{scale}",
             metrics={"kernel_speedup": best["reference"] / best["native"]},
@@ -310,14 +315,13 @@ def kernels_suite(repeats: int = 3) -> BenchSuite:
             ),
         )
 
-    # --- end-to-end engine parity rows ---------------------------------
-    def engine_run(graph, engine, kernel, workers):
+    # --- end-to-end engine rows ----------------------------------------
+    def engine_run(graph, engine, workers):
         config = ClusteringConfig(
             resolution=BASELINE_RESOLUTION,
             refine=False,
             seed=BASELINE_SEED,
             num_workers=workers,
-            kernel=kernel,
         )
         sched = SimulatedScheduler(num_workers=workers)
         assignments, stats = multilevel_with_engine(
@@ -332,35 +336,27 @@ def kernels_suite(repeats: int = 3) -> BenchSuite:
 
     graph8 = _baseline_graph()
     for engine in ("relaxed", "prefix"):
-        reference_assignments = None
-        for kernel in ("reference", "native"):
-            (assignments, sim_time), timing = time_callable(
-                lambda: engine_run(graph8, engine, kernel, workers=60),
-                repeats=repeats, warmup=1,
-            )
-            row = {
-                "metrics": {
-                    "f_objective": lambdacc_objective(
-                        graph8, assignments, BASELINE_RESOLUTION
-                    ),
-                    "sim_time_seconds": sim_time,
-                },
-                "wall_seconds": timing.best,
-            }
-            if kernel == "reference":
-                reference_assignments = assignments
-            else:
-                row["identical"] = bool(
-                    np.array_equal(assignments, reference_assignments)
-                )
-            suite.add_row(f"{engine}-scale8-{kernel}", **row)
+        (assignments, sim_time), timing = time_callable(
+            lambda: engine_run(graph8, engine, workers=60),
+            repeats=repeats, warmup=1,
+        )
+        suite.add_row(
+            f"{engine}-scale8-native",
+            metrics={
+                "f_objective": lambdacc_objective(
+                    graph8, assignments, BASELINE_RESOLUTION
+                ),
+                "sim_time_seconds": sim_time,
+            },
+            wall_seconds=timing.best,
+        )
 
-    # --- scale-12 default-kernel run -----------------------------------
+    # --- scale-12 run ---------------------------------------------------
     graph12 = rmat_graph(
         12, BASELINE_RMAT["edge_factor"] * 2**12, seed=BASELINE_RMAT["seed"]
     )
     (assignments, sim_time), timing = time_callable(
-        lambda: engine_run(graph12, "relaxed", "native", workers=60),
+        lambda: engine_run(graph12, "relaxed", workers=60),
         repeats=repeats, warmup=1,
     )
     suite.add_row(

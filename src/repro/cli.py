@@ -15,7 +15,7 @@ Subcommands:
 * ``consensus`` — cluster several seeds and write the consensus labels;
 * ``table1``   — print the surrogate dataset table;
 * ``chaos``    — run the supervised chaos matrix (fault kind x site x
-  engine x kernel) and assert the recovery invariants;
+  engine) and assert the recovery invariants;
 * ``doctor``   — health-check a finished run from its artifacts
   (registry record, trace, metrics, stats) against declarative health
   rules and serving SLOs; exit 1 on any crit finding;
@@ -502,7 +502,6 @@ def _cmd_update(args) -> int:
                 "resolution": float(clusterer.resolution),
                 "seed": clusterer.config.seed,
                 "workers": int(config.resolved_workers),
-                "kernel": config.kernel,
                 "update_batch": {
                     "batches": stats["batches_applied"],
                     "updates": stats["updates_applied"],
@@ -868,12 +867,10 @@ def _cmd_chaos(args) -> int:
             raise ConfigError(
                 f"unknown engine {unknown[0]!r}; available: {sorted(ENGINES)}"
             )
-    kernels = args.kernels.split(",") if args.kernels else None
     report = chaos_matrix(
         graph,
         config,
         engines=engines,
-        kernels=kernels,
         kinds=kinds,
         rate=args.rate,
         max_injections=args.max_injections,
@@ -1215,8 +1212,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--supervise", action="store_true",
                    help="run under the self-healing supervisor: retry with "
                         "resume-from-checkpoint, then descend the fallback "
-                        "ladder (reference kernel, sequential engine, "
-                        "graceful), salvaging best-so-far as a last resort")
+                        "ladder (sequential engine, graceful), salvaging "
+                        "best-so-far as a last resort")
     s.add_argument("--max-attempts", type=int, default=None, metavar="N",
                    help="supervisor attempts per ladder rung (default 3; "
                         "implies --supervise)")
@@ -1334,8 +1331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "chaos",
-        help="supervised chaos matrix: inject faults across engines and "
-             "kernels, assert every cell recovers",
+        help="supervised chaos matrix: inject faults across engines, "
+             "assert every cell recovers",
     )
     add_graph_source(p)
     p.add_argument("--resolution", type=float, default=0.01)
@@ -1343,9 +1340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-iter", type=int, default=10)
     p.add_argument("--engines", metavar="LIST",
                    help="comma-separated engine names (default: all five)")
-    p.add_argument("--kernels", metavar="LIST",
-                   help="comma-separated kernel names (default: every "
-                        "registered kernel)")
     p.add_argument("--kinds", metavar="LIST",
                    help="comma-separated fault kinds (default: transient,"
                         "dup-move,cas-fail,delay-frontier)")

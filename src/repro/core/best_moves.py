@@ -150,7 +150,6 @@ def window_round(
             charge_depth=charge_depth,
             allow_escape=config.escape_moves,
             swap_avoidance=swap_avoidance,
-            kernel=config.kernel,
             profile=profile,
             threads=threads,
         )

@@ -8,13 +8,12 @@ are therefore the defaults.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.kernels import DEFAULT_KERNEL, KERNELS
+from repro.kernels import native
 from repro.parallel.scheduler import Machine
 
 
@@ -49,13 +48,14 @@ class Frontier(Enum):
 def resolve_workers(requested: Optional[int], machine=None) -> int:
     """Resolve a simulated worker count request to a concrete P.
 
-    ``requested`` of ``None`` or ``0`` means *auto*: use ``os.cpu_count()``
-    capped by the machine profile's ``max_workers``.  Explicit positive
-    requests are honoured as-is.
+    ``requested`` of ``None`` or ``0`` means *auto*: the cores this
+    process may run on (:func:`~repro.kernels.native.usable_cores`, the
+    count the kernel's thread pool uses) capped by the machine profile's
+    ``max_workers``.  Explicit positive requests are honoured as-is.
     """
     if requested is not None and requested > 0:
         return int(requested)
-    auto = os.cpu_count() or 1
+    auto = native.usable_cores()
     if machine is not None:
         auto = min(auto, machine.max_workers)
     return max(1, int(auto))
@@ -83,7 +83,7 @@ class ClusteringConfig:
         ``None`` means run to convergence (the ^CON superscript variants).
     num_workers, machine:
         Simulated-parallelism parameters (see DESIGN.md).  ``num_workers=0``
-        means *auto*: resolve via ``os.cpu_count()`` capped by the machine
+        means *auto*: resolve via the usable core count capped by the machine
         profile's ``max_workers`` (see :func:`resolve_workers`).
     async_windows:
         Number of concurrency windows an asynchronous iteration is split
@@ -93,10 +93,6 @@ class ClusteringConfig:
     kernel_threshold:
         Degree above which the parallel hash-table best-move kernel is
         charged instead of the sequential one (Appendix B).
-    kernel:
-        Move-evaluation kernel (:mod:`repro.kernels`): ``"native"`` (the
-        C loops, the default) or ``"reference"`` (dict-loop oracle).
-        Bit-identical outputs; only wall-clock differs (DESIGN.md §8).
     escape_moves:
         Allow a vertex whose every option has negative gain to escape to
         its (empty) home cluster slot.  Needed for correctness under
@@ -121,7 +117,6 @@ class ClusteringConfig:
     machine: Machine = field(default_factory=Machine.c2_standard_60)
     async_windows: int = 32
     kernel_threshold: int = 512
-    kernel: str = DEFAULT_KERNEL
     escape_moves: bool = True
     seed: Optional[int] = None
     max_levels: int = 50
@@ -150,10 +145,6 @@ class ClusteringConfig:
         if self.kernel_threshold < 1:
             raise ConfigError(
                 f"kernel_threshold must be >= 1, got {self.kernel_threshold}"
-            )
-        if self.kernel not in KERNELS:
-            raise ConfigError(
-                f"kernel must be one of {sorted(KERNELS)}, got {self.kernel!r}"
             )
 
     @property
@@ -219,14 +210,8 @@ class ClusteringConfig:
         )
         parser.add_argument(
             "--workers", type=int, default=60,
-            help="simulated worker lanes (0 = auto: one per host core, "
-                 "capped by the machine model)",
-        )
-        parser.add_argument(
-            "--kernel", choices=sorted(KERNELS),
-            default=DEFAULT_KERNEL,
-            help="move-evaluation kernel (bit-identical results; "
-                 "reference is the dict-loop oracle)",
+            help="simulated worker lanes (0 = auto: one per core this "
+                 "process may run on, capped by the machine model)",
         )
         parser.add_argument("--seed", type=int, default=None)
 
@@ -250,7 +235,6 @@ class ClusteringConfig:
             refine=not args.no_refine,
             num_iter=None if args.converge else args.num_iter,
             num_workers=args.workers,
-            kernel=args.kernel,
             seed=args.seed,
         )
 
@@ -266,9 +250,9 @@ class ClusteringConfig:
         """Checkpoint compatibility tag for this config at a resolution.
 
         Deliberately built from :meth:`describe` — which excludes the
-        kernel and the engine — so a checkpoint written on one fallback
-        rung (e.g. the native kernel) can be resumed on another (the
-        reference kernel, or the sequential engine): the multilevel
-        hierarchy and objective are what must match, not the executor.
+        engine — so a checkpoint written on one fallback rung (e.g. the
+        relaxed engine) can be resumed on another (the sequential
+        engine): the multilevel hierarchy and objective are what must
+        match, not the executor.
         """
         return f"{self.describe()}|lambda={effective_lambda:.12g}"

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.best_moves import BestMovesStats, RoundMoves, iterate_rounds
 from repro.core.config import ClusteringConfig
 from repro.core.state import ClusterState
-from repro.kernels import DEFAULT_KERNEL, get_kernel
+from repro.kernels.reference import reference_single_move
 from repro.graphs.csr import CSRGraph
 
 
@@ -40,7 +40,6 @@ def _event_iteration(
     resolution: float,
     num_workers: int,
     allow_escape: bool,
-    kernel: str = DEFAULT_KERNEL,
 ) -> RoundMoves:
     """One pass over ``order`` with P concurrent workers.
 
@@ -49,12 +48,10 @@ def _event_iteration(
     (a failed CAS re-queues the vertex once, as real implementations
     retry).
 
-    Evaluation binds to the kernel layer's single-vertex entry point:
-    the oracle commits one vertex at a time, so every kernel resolves to
-    the dict path here (see ``NativeKernel.single_move``) and the
-    results are kernel-independent by construction.
+    The oracle commits one vertex at a time, so it evaluates each vertex
+    with the dict loop (:func:`reference_single_move`), which the native
+    kernel matches bit for bit.
     """
-    single_move = get_kernel(kernel).single_move
     # Event heap holds (finish_time, sequence, vertex, read_assignment,
     # target, gain).  Workers pick up the next queued vertex when they
     # finish.
@@ -74,7 +71,7 @@ def _event_iteration(
         v = int(order[queue_position])
         duration = float(durations[queue_position])
         queue_position += 1
-        target, gain = single_move(
+        target, gain = reference_single_move(
             graph, state, v, resolution, allow_escape=allow_escape
         )
         read_assignment = int(state.assignments[v])
@@ -106,7 +103,7 @@ def _event_iteration(
             start_task(now)
         elif extra_queue:
             retry_v = extra_queue.pop()
-            target, gain = single_move(
+            target, gain = reference_single_move(
                 graph, state, retry_v, resolution, allow_escape=allow_escape
             )
             heapq.heappush(
@@ -137,7 +134,7 @@ def run_event_driven_best_moves(
     def event_round(order: np.ndarray) -> RoundMoves:
         moved = _event_iteration(
             graph, state, order, resolution, config.resolved_workers,
-            config.escape_moves, kernel=config.kernel,
+            config.escape_moves,
         )
         if sched is not None:
             degrees = graph.offsets[order + 1] - graph.offsets[order]

@@ -23,7 +23,7 @@ from repro.core.best_moves import BestMovesStats, RoundMoves, iterate_rounds
 from repro.core.config import ClusteringConfig
 from repro.core.louvain_par import MultiLevelStats, multilevel_louvain
 from repro.core.state import ClusterState
-from repro.kernels import DEFAULT_KERNEL, get_kernel
+from repro.kernels import native
 from repro.graphs.csr import CSRGraph
 from repro.graphs.stats import MemoryTracker
 
@@ -35,20 +35,18 @@ def _sequential_sweep(
     resolution: float,
     sched=None,
     allow_escape: bool = True,
-    kernel: str = DEFAULT_KERNEL,
 ) -> RoundMoves:
     """One sweep of immediate best moves.
 
     Evaluation (and the exact sequence of ``move_one`` state mutations)
-    is delegated to the selected kernel's ``sweep`` — the native C loop
-    or the dict vertex-at-a-time loop, which are bit-identical
-    (DESIGN.md §8).  The sweep's simulated cost is charged
-    here, identically for every kernel: pure sequential work, so a
+    is the native kernel's ``sweep`` — the C loop, or the bit-identical
+    dict vertex-at-a-time loop where it cannot run (DESIGN.md §8).  The
+    sweep's simulated cost is charged here: pure sequential work, so a
     one-worker run's simulated time is its total work.
 
     Returns ``(movers, origins, targets, total_gain)``.
     """
-    movers, origins, targets, total_gain = get_kernel(kernel).sweep(
+    movers, origins, targets, total_gain = native.KERNEL.sweep(
         graph, state, order, resolution, allow_escape=allow_escape
     )
     if sched is not None:
@@ -76,7 +74,7 @@ def sequential_best_moves(
     def sweep_round(order: np.ndarray) -> RoundMoves:
         return _sequential_sweep(
             graph, state, order, resolution, sched=sched,
-            allow_escape=config.escape_moves, kernel=config.kernel,
+            allow_escape=config.escape_moves,
         )
 
     return iterate_rounds(

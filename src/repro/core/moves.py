@@ -1,4 +1,4 @@
-"""Best-move computation: kernel dispatch plus the simulated cost model.
+"""Best-move computation: the kernel call plus the simulated cost model.
 
 For each vertex ``v`` and candidate cluster ``c'``, the gain of residing in
 ``c'`` is ``S(v, c') - lambda * k_v * K_{c'\\v}`` where ``S(v, c')`` sums
@@ -12,17 +12,16 @@ common).
 :func:`compute_batch_moves` evaluates a whole *batch* of vertices against
 one state snapshot; it is both the synchronous step (batch = all of V')
 and the asynchronous concurrency window (batch ~ worker count).  The
-actual evaluation is delegated to a :mod:`repro.kernels` kernel selected
-by the ``kernel`` argument (``ClusteringConfig.kernel``): the native C
-loop (the default) or the dict-loop reference oracle, which are
-bit-identical in outputs (DESIGN.md §8).
+actual evaluation is the native kernel's
+(:data:`repro.kernels.native.KERNEL`), which runs the dict-loop
+reference oracle, bit-identical in outputs, where the C library cannot
+be built (DESIGN.md §8).
 
-This module owns the *cost model*, which is kernel-independent: cost is
-charged per the Appendix B kernel split — low-degree vertices use a
-sequential scan (depth = degree), high-degree vertices a parallel hash
-table (depth = O(log degree), extra table-initialization work) — and is
-invoked identically for every kernel, so ``sim_time_seconds`` stays
-bit-for-bit comparable across kernel choices.
+This module owns the *cost model*, which never sees which loop ran:
+cost is charged per the Appendix B kernel split — low-degree vertices
+use a sequential scan (depth = degree), high-degree vertices a parallel
+hash table (depth = O(log degree), extra table-initialization work) —
+so ``sim_time_seconds`` is the same with and without the C library.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 
 from repro.core.state import ClusterState
 from repro.graphs.csr import CSRGraph
-from repro.kernels import DEFAULT_KERNEL, get_kernel, native
+from repro.kernels import native
 from repro.kernels.reference import accumulate_neighbor_weights
 from repro.obs.instrument import M_KERNEL_BATCH
 
@@ -159,7 +158,6 @@ def compute_batch_moves(
     charge_depth: bool = True,
     allow_escape: bool = True,
     swap_avoidance: bool = False,
-    kernel: str = DEFAULT_KERNEL,
     profile: Optional[Profile] = None,
     threads: int = 1,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -169,8 +167,7 @@ def compute_batch_moves(
     the cluster that maximizes vertex ``batch[i]``'s objective (its current
     cluster when no strict improvement exists) and ``gains[i] >= 0`` is the
     objective improvement (unordered ``F`` scale) of taking that move in
-    isolation.  ``kernel`` selects the evaluation kernel; the cost charged
-    to ``sched`` is identical for every kernel.  ``profile`` is the
+    isolation.  ``profile`` is the
     batch's :func:`degree_profile` when the caller already has it (a
     round profiles all its windows at once).  ``threads`` is how many
     wall-clock threads the kernel may split the batch across
@@ -182,7 +179,7 @@ def compute_batch_moves(
         empty = np.zeros(0, dtype=np.int64)
         return empty, np.zeros(0, dtype=np.float64)
     instr = getattr(sched, "instr", None)
-    targets, gains = get_kernel(kernel).batch_moves(
+    targets, gains = native.KERNEL.batch_moves(
         graph,
         state,
         batch,
@@ -193,7 +190,7 @@ def compute_batch_moves(
         threads=threads,
     )
     if instr is not None and instr.enabled:
-        instr.observe(M_KERNEL_BATCH, float(batch.size), kernel=kernel)
+        instr.observe(M_KERNEL_BATCH, float(batch.size))
     if sched is None:
         return targets, gains
     if profile is None:

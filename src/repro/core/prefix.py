@@ -115,7 +115,6 @@ def run_prefix_best_moves(
                 kernel_threshold=config.kernel_threshold,
                 charge_depth=False,
                 allow_escape=config.escape_moves,
-                kernel=config.kernel,
                 threads=threads,
             )
             length = conflict_free_prefix(

@@ -14,7 +14,7 @@ edges.  That makes incremental maintenance exact, not heuristic:
    edge update can change);
 2. **compact** the overlay into a fresh CSR by splicing the staged arcs
    into the sorted base rows;
-3. **refine locally** — run the configured engine/kernel through
+3. **refine locally** — run the configured engine through
    :func:`~repro.core.engines.run_engine_restricted`, seeded with exactly
    the touched endpoints (:func:`~repro.core.frontier.seed_frontier`);
    the engine's own frontier maintenance cascades outward only as far as
@@ -263,7 +263,6 @@ class DynamicClusterer:
             "objective": 2.0 * float(self.f_objective),
             "resolution": self.resolution,
             "engine": self.engine_name,
-            "kernel": self.config.kernel,
             "batches_applied": int(self.batches_applied),
             "updates_applied": dict(self.updates_applied),
             "moves_applied": int(self.moves_applied),

@@ -54,12 +54,14 @@ The shared library is built lazily, on first use, never at import:
   does not grow with every edit of the source.
 
 With no compiler, or when the build fails, :data:`LIBRARY` warns once
-with a ``RuntimeWarning``; the kernel then delegates to the
-``reference`` dict loops, which is legal because the two are
+with a ``RuntimeWarning``; the kernel then runs the dict loops of
+:mod:`repro.kernels.reference`, which is legal because the two are
 bit-identical.  The foreign calls release the GIL, so bindings and their
 scratch are per thread; a second Python thread that calls while the pool
-is busy runs its window alone.  ``single_move`` keeps the reference dict
-loop.
+is busy runs its window alone.
+
+Every engine evaluates its windows and sweeps through one instance,
+:data:`KERNEL`.
 """
 
 from __future__ import annotations
@@ -80,12 +82,8 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.kernels.base import GAIN_EPS, MoveKernel
-from repro.kernels.reference import (
-    reference_batch_moves,
-    reference_single_move,
-    reference_sweep,
-)
+from repro.kernels.base import GAIN_EPS
+from repro.kernels.reference import reference_batch_moves, reference_sweep
 from repro.obs.instrument import M_KERNEL_SEGMENTS
 
 SOURCE = Path(__file__).with_name("native.c")
@@ -242,7 +240,7 @@ class NativeLibrary:
                         self._failed = True
                         warnings.warn(
                             f"native kernel unavailable ({exc}); using the "
-                            "bit-identical reference kernel and NumPy "
+                            "bit-identical reference loops and NumPy "
                             "paths instead",
                             RuntimeWarning,
                             stacklevel=3,
@@ -393,10 +391,17 @@ class _KernelLocal(threading.local):
         self.bound: Optional[_Bound] = None
 
 
-class NativeKernel(MoveKernel):
-    """Native batch and sweep loops; the reference loops when it cannot build."""
+class NativeKernel:
+    """Native batch and sweep loops; the reference loops when it cannot build.
 
-    name = "native"
+    ``batch_moves`` returns ``(targets, gains)`` for a window against the
+    state snapshot, with ``gains`` relative to staying put; ``threads``
+    is how many wall-clock threads the C loop may split the window
+    across, and the outputs never depend on it.  ``sweep`` runs one
+    sequential sweep of immediate best moves, mutating ``state`` exactly
+    as the vertex-at-a-time loop would, and returns ``(movers, origins,
+    targets, total_gain)``.
+    """
 
     def __init__(self, library: Optional[NativeLibrary] = None) -> None:
         self.library = library if library is not None else LIBRARY
@@ -469,18 +474,6 @@ class NativeKernel(MoveKernel):
             instr.observe(M_KERNEL_SEGMENTS, float(pairs))
         return targets, gains
 
-    def single_move(
-        self, graph, state, v, resolution, *, allow_escape=True, swap_avoidance=False
-    ):
-        return reference_single_move(
-            graph,
-            state,
-            v,
-            resolution,
-            allow_escape=allow_escape,
-            swap_avoidance=swap_avoidance,
-        )
-
     def sweep(self, graph, state, order, resolution, *, allow_escape=True):
         from repro.core.state import ClusterState  # it imports this module
 
@@ -529,6 +522,10 @@ class NativeKernel(MoveKernel):
         return reference_sweep(
             graph, state, order, resolution, allow_escape=allow_escape
         )
+
+
+#: The kernel every engine calls.
+KERNEL = NativeKernel()
 
 
 #: The fields :func:`pool_stats` returns, in ``repro_pool_stats``' order.

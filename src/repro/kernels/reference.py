@@ -1,11 +1,12 @@
-"""The dict-accumulation reference kernel (the oracle).
+"""The dict-accumulation reference loops (the oracle).
 
 This is the original per-vertex best-move computation: accumulate
 ``S(v, c')`` into a Python dict over ``v``'s neighbor clusters, then scan
 the candidates with an exact-comparison, lowest-cluster-id tiebreak.  It
 is deliberately simple — the native kernel is property-tested to match
 it bit-for-bit — and it is what the native kernel delegates to on a
-host where the C library cannot be built.
+host where the C library cannot be built.  The event-driven engine
+evaluates its vertices one at a time with :func:`reference_single_move`.
 
 :func:`accumulate_neighbor_weights` is the single shared accumulation
 helper; ``all_move_gains`` (the debugging API in ``repro.core.moves``)
@@ -20,7 +21,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.kernels.base import GAIN_EPS, MoveKernel
+from repro.kernels.base import GAIN_EPS
 
 
 def accumulate_neighbor_weights(graph, assignments: np.ndarray, v: int) -> dict:
@@ -51,7 +52,7 @@ def reference_single_move(
 
     Semantically a batch of size one; ties break toward the smallest
     cluster id (exact float comparison); the native loop mirrors it, so
-    both kernels agree bit-for-bit.
+    the two agree bit-for-bit.
     """
     assignments = state.assignments
     acc = accumulate_neighbor_weights(graph, assignments, v)
@@ -151,49 +152,3 @@ def reference_sweep(
         np.asarray(targets, dtype=np.int64),
         total_gain,
     )
-
-
-class ReferenceKernel(MoveKernel):
-    """Dict-accumulation oracle kernel."""
-
-    name = "reference"
-
-    def batch_moves(
-        self,
-        graph,
-        state,
-        batch,
-        resolution,
-        *,
-        allow_escape=True,
-        swap_avoidance=False,
-        instr=None,
-        threads=1,
-    ):
-        # One thread: the dict loop holds the GIL.
-        return reference_batch_moves(
-            graph,
-            state,
-            batch,
-            resolution,
-            allow_escape=allow_escape,
-            swap_avoidance=swap_avoidance,
-            instr=instr,
-        )
-
-    def single_move(
-        self, graph, state, v, resolution, *, allow_escape=True, swap_avoidance=False
-    ):
-        return reference_single_move(
-            graph,
-            state,
-            v,
-            resolution,
-            allow_escape=allow_escape,
-            swap_avoidance=swap_avoidance,
-        )
-
-    def sweep(self, graph, state, order, resolution, *, allow_escape=True):
-        return reference_sweep(
-            graph, state, order, resolution, allow_escape=allow_escape
-        )

@@ -3,9 +3,9 @@
 ``benchmarks/perf/layertrace.py`` wraps ``VectorizedKernel.batch_moves``
 and reads ``SMALL_BATCH_WORK`` from this module.  The vectorized kernel
 is gone; both names now point at the native kernel, so the tracer's
-``kernels.*`` metrics time the kernel every engine runs.  Not a
-registered kernel: ``--kernel vectorized`` is a ``ConfigError``.  Delete
-this module once the tracer names ``repro.kernels.native`` directly.
+``kernels.*`` metrics time the kernel every engine runs
+(:data:`repro.kernels.native.KERNEL`).  Delete this module once the
+tracer names ``repro.kernels.native`` directly.
 """
 
 from repro.kernels.native import NativeKernel

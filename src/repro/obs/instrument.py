@@ -58,7 +58,7 @@ M_RESILIENCE_EVENTS = "repro_resilience_events_total"
 M_OBJECTIVE = "repro_objective_f"
 #: Final modularity of the run (gauge).
 M_MODULARITY = "repro_modularity"
-#: Batch size per best-move kernel invocation, labeled by kernel (histogram).
+#: Batch size per best-move kernel invocation (histogram).
 M_KERNEL_BATCH = "repro_kernel_batch_size"
 #: Distinct (vertex, neighbor cluster) pairs per native batch (histogram).
 M_KERNEL_SEGMENTS = "repro_kernel_segments"

@@ -121,7 +121,6 @@ def make_run_record(
         "resolution": float(result.resolution),
         "seed": result.seed,
         "workers": int(config.resolved_workers),
-        "kernel": config.kernel,
     }
     if workload_extra:
         workload.update(workload_extra)

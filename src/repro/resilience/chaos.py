@@ -1,7 +1,7 @@
 """Chaos-matrix harness: sweep faults under the supervisor, assert recovery.
 
-The matrix crosses **fault kind × injection site × engine × kernel**
-and runs every cell under a
+The matrix crosses **fault kind × injection site × engine** and runs
+every cell under a
 :class:`~repro.supervisor.RunSupervisor`, then checks the recovery
 invariants the supervisor promises:
 
@@ -9,9 +9,9 @@ invariants the supervisor promises:
   hazard eventually stops firing and recovery-by-rerun must converge);
 * the final labels are a **valid clustering** (dense, right length);
 * the final objective is within ``tolerance`` (relative) of the
-  fault-free baseline for the same (engine, kernel) — or the result is
+  fault-free baseline for the same engine — or the result is
   explicitly ``degraded=True`` with a populated ``failure_log``;
-* per (engine, kernel), **checkpoints replay bit-identically**: resuming
+* per engine, **checkpoints replay bit-identically**: resuming
   a fault-free run's checkpoint reproduces the uninterrupted run's
   assignments and objective exactly.
 
@@ -34,7 +34,6 @@ from repro.core.options import RunOptions
 from repro.core.config import ClusteringConfig
 from repro.core.engines import ENGINES
 from repro.errors import SupervisorExhausted
-from repro.kernels import KERNELS
 from repro.resilience.context import ResiliencePolicy
 from repro.resilience.faults import FaultKind, FaultPlan
 from repro.supervisor import RunSupervisor
@@ -75,7 +74,6 @@ class CellOutcome:
     kind: str
     site: str
     engine: str
-    kernel: str
     objective: float
     baseline_objective: float
     rel_delta: float
@@ -94,7 +92,7 @@ class CellOutcome:
 
     @property
     def label(self) -> str:
-        return f"{self.kind}@{self.site}/{self.engine}/{self.kernel}"
+        return f"{self.kind}@{self.site}/{self.engine}"
 
     def as_dict(self) -> dict:
         out = dict(self.__dict__)
@@ -105,7 +103,7 @@ class CellOutcome:
 
 @dataclass
 class ChaosReport:
-    """Every cell outcome plus the per-(engine, kernel) replay verdicts."""
+    """Every cell outcome plus the per-engine replay verdicts."""
 
     outcomes: List[CellOutcome]
     replay_failures: List[str]
@@ -180,7 +178,7 @@ def _check_labels(assignments: np.ndarray, num_vertices: int) -> List[str]:
 
 
 def replay_check(graph, config: ClusteringConfig, engine: Optional[str]) -> Optional[str]:
-    """Checkpoint bit-identity for one (engine, kernel): resume == full run.
+    """Checkpoint bit-identity for one engine: resume == full run.
 
     Runs fault-free with checkpointing, then resumes the newest checkpoint
     and demands the exact assignments and objective of the uninterrupted
@@ -205,7 +203,7 @@ def replay_check(graph, config: ClusteringConfig, engine: Optional[str]) -> Opti
                 engine=engine,
             ),
         )
-    tag = f"{engine or 'default'}/{config.kernel}"
+    tag = engine or "default"
     if not np.array_equal(full.assignments, resumed.assignments):
         return f"{tag}: resumed assignments differ from the full run"
     if full.objective != resumed.objective:
@@ -220,7 +218,6 @@ def chaos_matrix(
     graph,
     config: Optional[ClusteringConfig] = None,
     engines: Optional[Sequence[str]] = None,
-    kernels: Optional[Sequence[str]] = None,
     kinds: Optional[Sequence[FaultKind]] = None,
     rate: float = 0.3,
     max_injections: int = 6,
@@ -237,42 +234,38 @@ def chaos_matrix(
     """
     config = config if config is not None else ClusteringConfig(num_workers=4)
     engines = list(engines) if engines is not None else sorted(ENGINES)
-    kernels = list(kernels) if kernels is not None else sorted(KERNELS)
     kinds = list(kinds) if kinds is not None else list(DEFAULT_KINDS)
 
     outcomes: List[CellOutcome] = []
     replay_failures: List[str] = []
-    baselines: Dict[Tuple[str, str], float] = {}
+    cell_config = config.with_options(seed=seed)
     cell_index = 0
     for engine in engines:
-        for kernel in kernels:
-            cell_config = config.with_options(kernel=kernel, seed=seed)
-            baseline = cluster(
-                graph, cell_config,
-                RunOptions(
-                    resilience=ResiliencePolicy(audit=audit),
-                    engine=engine,
-                ),
-            )
-            baselines[(engine, kernel)] = baseline.objective
-            if check_replay:
-                failure = replay_check(graph, cell_config, engine)
-                if failure is not None:
-                    replay_failures.append(failure)
-            for kind in kinds:
-                cell_index += 1
-                outcomes.append(
-                    _run_cell(
-                        graph, cell_config, engine, kernel, kind,
-                        baseline.objective,
-                        rate=rate,
-                        max_injections=max_injections,
-                        seed=seed + cell_index,
-                        tolerance=tolerance,
-                        audit=audit,
-                        instrumentation=instrumentation,
-                    )
+        baseline = cluster(
+            graph, cell_config,
+            RunOptions(
+                resilience=ResiliencePolicy(audit=audit),
+                engine=engine,
+            ),
+        )
+        if check_replay:
+            failure = replay_check(graph, cell_config, engine)
+            if failure is not None:
+                replay_failures.append(failure)
+        for kind in kinds:
+            cell_index += 1
+            outcomes.append(
+                _run_cell(
+                    graph, cell_config, engine, kind,
+                    baseline.objective,
+                    rate=rate,
+                    max_injections=max_injections,
+                    seed=seed + cell_index,
+                    tolerance=tolerance,
+                    audit=audit,
+                    instrumentation=instrumentation,
                 )
+            )
     return ChaosReport(
         outcomes=outcomes,
         replay_failures=replay_failures,
@@ -281,7 +274,7 @@ def chaos_matrix(
 
 
 def _run_cell(
-    graph, cell_config, engine, kernel, kind, baseline_objective,
+    graph, cell_config, engine, kind, baseline_objective,
     rate, max_injections, seed, tolerance, audit, instrumentation,
 ) -> CellOutcome:
     plan = FaultPlan.single(
@@ -301,7 +294,6 @@ def _run_cell(
             kind=kind.value,
             site=FAULT_SITES[kind],
             engine=engine,
-            kernel=kernel,
             objective=float("nan"),
             baseline_objective=baseline_objective,
             rel_delta=float("inf"),
@@ -334,7 +326,6 @@ def _run_cell(
         kind=kind.value,
         site=FAULT_SITES[kind],
         engine=engine,
-        kernel=kernel,
         objective=result.objective,
         baseline_objective=baseline_objective,
         rel_delta=rel_delta,

@@ -10,21 +10,19 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.engines import fallback_engine
-from repro.kernels import fallback_kernel
 
 
 @dataclass(frozen=True)
 class Rung:
-    """One step of the fallback ladder: executor overrides + strictness.
+    """One step of the fallback ladder: executor override + strictness.
 
-    ``kernel``/``engine`` of ``None`` mean "keep what the
-    caller asked for"; ``graceful=True`` runs the rung under non-strict
+    ``engine`` of ``None`` means "keep what the caller asked for";
+    ``graceful=True`` runs the rung under non-strict
     resilience so audits resync instead of raising and budget stops
     flatten best-so-far.
     """
 
     name: str
-    kernel: Optional[str] = None
     engine: Optional[str] = None
     graceful: bool = False
 
@@ -35,20 +33,17 @@ def fallback_rungs(config, engine: Optional[str] = None) -> List[Rung]:
     The ladder (cumulative — each rung keeps the substitutions of the
     rungs above it) is::
 
-        as-configured -> reference-kernel -> sequential-engine -> graceful
+        as-configured -> sequential-engine -> graceful
 
-    with the kernel/engine rungs skipped when the run already sits at the
-    bottom of that axis (reference kernel, sequential engine).
+    with the engine rung skipped when the run already uses the
+    sequential engine.
     """
     rungs = [Rung("as-configured")]
-    fk = fallback_kernel(config.kernel)
-    if fk is not None:
-        rungs.append(Rung(f"{fk}-kernel", kernel=fk))
     requested = engine
     if requested is None and not config.parallel:
         requested = "sequential"
     fe = fallback_engine(requested)
     if fe is not None:
-        rungs.append(Rung(f"{fe}-engine", kernel=fk, engine=fe))
-    rungs.append(Rung("graceful", kernel=fk, engine=fe, graceful=True))
+        rungs.append(Rung(f"{fe}-engine", engine=fe))
+    rungs.append(Rung("graceful", engine=fe, graceful=True))
     return rungs

@@ -249,8 +249,8 @@ class RunSupervisor:
                         ),
                     )
                 slot = rotation.begin_attempt()
-                run_config, run_engine, policy = self._rung_setup(
-                    rung, config, base, engine, resume, slot, wall_left
+                run_engine, policy = self._rung_setup(
+                    rung, base, engine, resume, slot, wall_left
                 )
                 state.attempts += 1
                 state.final_rung = rung.name
@@ -261,7 +261,7 @@ class RunSupervisor:
                 )
                 try:
                     result = cluster(
-                        graph, run_config,
+                        graph, config,
                         RunOptions(
                             resilience=policy, instrumentation=instr,
                             engine=run_engine,
@@ -370,14 +370,7 @@ class RunSupervisor:
             return None
         return base.budget.max_wall_seconds - (self._clock() - state.start)
 
-    def _rung_setup(
-        self, rung: Rung, config, base, engine, resume, slot, wall_left
-    ):
-        run_config = (
-            config.with_options(kernel=rung.kernel)
-            if rung.kernel is not None
-            else config
-        )
+    def _rung_setup(self, rung: Rung, base, engine, resume, slot, wall_left):
         run_engine = rung.engine if rung.engine is not None else engine
         budget = base.budget
         if wall_left is not None:
@@ -394,7 +387,7 @@ class RunSupervisor:
             checkpoint_budget_fraction=self.checkpoint_fraction,
             resume_from=str(resume) if resume is not None else None,
         )
-        return run_config, run_engine, policy
+        return run_engine, policy
 
     @staticmethod
     def _resume_after(rotation, resume) -> Optional[Path]:

@@ -170,7 +170,7 @@ def _per_window_oracle(graph, state, resolution, config, sched, rng):
                     graph, state, window, resolution, sched=sched,
                     kernel_threshold=config.kernel_threshold,
                     charge_depth=sync, allow_escape=config.escape_moves,
-                    swap_avoidance=sync, kernel=config.kernel,
+                    swap_avoidance=sync,
                 )
                 moving = targets != state.assignments[window]
                 if moving.any():

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 
 from repro.core.config import (
@@ -8,6 +10,7 @@ from repro.core.config import (
     resolve_workers,
 )
 from repro.errors import ConfigError
+from repro.kernels import native
 from repro.parallel.scheduler import Machine
 
 
@@ -60,6 +63,14 @@ class TestResolveWorkers:
 
     def test_auto_capped_by_machine(self):
         assert resolve_workers(0, Machine(cores=1, smt=1)) == 1
+
+    def test_auto_is_the_usable_core_count(self):
+        # The kernel's thread pool counts the same cores (affinity, not
+        # os.cpu_count()), so the two agree under ``taskset``.
+        with mock.patch.object(native, "usable_cores", return_value=1):
+            assert ClusteringConfig(num_workers=0).resolved_workers == 1
+        with mock.patch.object(native, "usable_cores", return_value=7):
+            assert resolve_workers(0, None) == 7
 
     def test_explicit(self):
         assert resolve_workers(3, None) == 3
@@ -133,7 +144,6 @@ class TestArgparseRoundTrip:
                 "--no-refine",
                 "--converge",
                 "--workers", "4",
-                "--kernel", "reference",
                 "--seed", "9",
             ]
         )
@@ -147,7 +157,6 @@ class TestArgparseRoundTrip:
             refine=False,
             num_iter=None,
             num_workers=4,
-            kernel="reference",
             seed=9,
         )
 

@@ -1,53 +1,22 @@
 """Unit tests for the move-evaluation kernel layer (DESIGN.md §8)."""
 
-import argparse
+from unittest import mock
 
 import numpy as np
-import pytest
 
 from repro.api import cluster
 from repro.core.config import ClusteringConfig
 from repro.core.moves import compute_batch_moves, kernel_depth
 from repro.core.state import ClusterState
-from repro.errors import ConfigError
 from repro.generators.planted import planted_partition_graph
 from repro.graphs.karate import karate_club_graph
-from repro.kernels import DEFAULT_KERNEL, KERNEL_FALLBACKS, KERNELS, get_kernel
+from repro.kernels import native
 from repro.kernels.reference import reference_sweep
 from repro.obs.instrument import M_KERNEL_BATCH, Instrumentation
 from repro.resilience import FaultPlan
 from repro.resilience.faults import FaultyClusterState
 
 RESOLUTION = 0.05
-
-
-class TestRegistry:
-    def test_registry_contents(self):
-        assert sorted(KERNELS) == ["native", "reference"]
-        assert DEFAULT_KERNEL == "native"
-        for name, kernel in KERNELS.items():
-            assert kernel.name == name
-
-    def test_get_kernel_unknown_raises_typed_error(self):
-        with pytest.raises(ConfigError, match="reference"):
-            get_kernel("simd")
-
-    def test_config_validates_kernel(self):
-        assert ClusteringConfig(kernel="reference").kernel == "reference"
-        with pytest.raises(ConfigError):
-            ClusteringConfig(kernel="nope")
-
-    def test_kernel_names_come_from_the_registry(self):
-        assert ClusteringConfig().kernel == DEFAULT_KERNEL
-        parser = argparse.ArgumentParser()
-        ClusteringConfig.add_args(parser)
-        action = next(a for a in parser._actions if a.dest == "kernel")
-        assert action.choices == sorted(KERNELS)
-        assert action.default == DEFAULT_KERNEL
-        assert parser.parse_args(["--kernel", "native"]).kernel == "native"
-
-    def test_every_fast_kernel_falls_back_to_reference(self):
-        assert KERNEL_FALLBACKS == {"native": "reference"}
 
 
 class TestKernelDepth:
@@ -83,30 +52,28 @@ class TestDispatch:
                 pass
 
         sched = Sched()
-        compute_batch_moves(
-            graph, state, batch, RESOLUTION, sched=sched, kernel="native"
-        )
+        compute_batch_moves(graph, state, batch, RESOLUTION, sched=sched)
         hist = sched.instr.metrics.get(M_KERNEL_BATCH)
         assert hist is not None
-        assert hist.count(kernel="native") == 1
+        assert hist.count() == 1
 
     def test_kernels_agree_via_dispatch(self):
+        # compute_batch_moves with and without the C library.
         graph = karate_club_graph()
         state = ClusterState.singletons(graph)
         batch = np.arange(graph.num_vertices, dtype=np.int64)
-        ref = compute_batch_moves(
-            graph, state, batch, RESOLUTION, kernel="reference"
-        )
-        got = compute_batch_moves(graph, state, batch, RESOLUTION, kernel="native")
+        with mock.patch.object(native.LIBRARY, "load", return_value=None):
+            ref = compute_batch_moves(graph, state, batch, RESOLUTION)
+        got = compute_batch_moves(graph, state, batch, RESOLUTION)
         assert ref[0].tobytes() == got[0].tobytes()
         assert ref[1].tobytes() == got[1].tobytes()
 
-    @pytest.mark.parametrize("kernel", ["native"])
-    def test_default_config_cluster_matches_reference(self, kernel):
+    def test_default_config_cluster_matches_reference(self):
         graph = planted_partition_graph(300, seed=4).graph
         config = ClusteringConfig(resolution=RESOLUTION, seed=3)
-        ref = cluster(graph, config.with_options(kernel="reference"))
-        got = cluster(graph, config.with_options(kernel=kernel))
+        with mock.patch.object(native.LIBRARY, "load", return_value=None):
+            ref = cluster(graph, config)
+        got = cluster(graph, config)
         assert np.array_equal(ref.assignments, got.assignments)
         assert ref.objective == got.objective
         assert ref.sim_time() == got.sim_time()
@@ -120,7 +87,7 @@ class TestSpeculativeSweep:
         ref_state = ClusterState.singletons(graph)
         nat_state = ClusterState.singletons(graph)
         ref = reference_sweep(graph, ref_state, order, RESOLUTION)
-        nat = KERNELS["native"].sweep(graph, nat_state, order, RESOLUTION)
+        nat = native.KERNEL.sweep(graph, nat_state, order, RESOLUTION)
         for got, want in zip(nat[:3], ref[:3]):
             assert got.tobytes() == want.tobytes()
         assert nat[3] == ref[3]
@@ -157,5 +124,5 @@ class TestSpeculativeSweep:
 
         monkeypatch.setattr(FaultyClusterState, "move_one", counted)
         order = np.arange(graph.num_vertices, dtype=np.int64)
-        movers = KERNELS["native"].sweep(graph, state, order, RESOLUTION)[0]
+        movers = native.KERNEL.sweep(graph, state, order, RESOLUTION)[0]
         assert movers.size > 0 and calls == movers.tolist()

@@ -44,7 +44,7 @@ from repro.graphs.builders import graph_from_edges
 from repro.graphs.csr import CSRGraph
 from repro.graphs.karate import karate_club_graph
 from repro.graphs.quotient import compress_graph, compress_graph_naive
-from repro.kernels import KERNELS, native
+from repro.kernels import native
 from repro.kernels.native import NativeKernel, NativeLibrary
 from repro.kernels.reference import (
     accumulate_neighbor_weights,
@@ -116,10 +116,10 @@ class TestLazyBuild:
     def test_import_builds_and_loads_nothing(self, tmp_path):
         proc = _python(
             "import repro, repro.cli\n"
-            "from repro.kernels import KERNELS\n"
+            "from repro.kernels import native\n"
             "from repro.core.config import ClusteringConfig\n"
             "ClusteringConfig()\n"
-            "assert KERNELS['native'].library._lib is None\n"
+            "assert native.KERNEL.library._lib is None\n"
             "maps = open('/proc/self/maps').read()\n"
             "assert 'best_moves-' not in maps, 'library mapped at import'\n",
             tmp_path,
@@ -146,15 +146,15 @@ class TestLazyBuild:
             "import numpy as np\n"
             "from repro.core.state import ClusterState\n"
             "from repro.graphs.karate import karate_club_graph\n"
-            "from repro.kernels import KERNELS\n"
+            "from repro.kernels import native\n"
             "from repro.kernels.reference import reference_batch_moves\n"
             "g = karate_club_graph()\n"
             "s = ClusterState.singletons(g)\n"
             "b = np.arange(g.num_vertices)\n"
-            "got = KERNELS['native'].batch_moves(g, s, b, 0.05)\n"
+            "got = native.KERNEL.batch_moves(g, s, b, 0.05)\n"
             "want = reference_batch_moves(g, s, b, 0.05)\n"
             "assert got[1].tobytes() == want[1].tobytes()\n"
-            "assert KERNELS['native'].library._lib is not None\n",
+            "assert native.KERNEL.library._lib is not None\n",
             tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
@@ -334,7 +334,7 @@ class TestPool:
 
     def test_split_windows_match_the_reference(self):
         graph, state, batch = _split_inputs()
-        kernel = KERNELS["native"]
+        kernel = native.KERNEL
         before = _split_windows()
         for kw in (dict(), dict(allow_escape=False, swap_avoidance=True)):
             want = reference_batch_moves(graph, state, batch, RESOLUTION, **kw)
@@ -354,7 +354,7 @@ class TestPool:
         sums = []
         for threads in (1, 2):
             instr = Instrumentation()
-            KERNELS["native"].batch_moves(
+            native.KERNEL.batch_moves(
                 graph, state, batch, RESOLUTION, instr=instr, threads=threads
             )
             sums.append(instr.metrics.get(M_KERNEL_SEGMENTS).total_sum())
@@ -365,7 +365,7 @@ class TestPool:
         before = _split_windows()
         for size in (1, 100, 255):
             _assert_same(
-                KERNELS["native"].batch_moves(
+                native.KERNEL.batch_moves(
                     graph, state, batch[:size], RESOLUTION, threads=2
                 ),
                 reference_batch_moves(graph, state, batch[:size], RESOLUTION),
@@ -374,7 +374,7 @@ class TestPool:
 
     def test_out_of_range_ids_in_a_split_window(self):
         graph, state, batch = _split_inputs()
-        kernel = KERNELS["native"]
+        kernel = native.KERNEL
         want = reference_batch_moves(graph, state, batch, RESOLUTION)
         outside = batch.copy()
         outside[batch.size // 2] = graph.num_vertices
@@ -402,7 +402,7 @@ class TestPool:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_starts_its_own_helpers(self):
         graph, state, batch = _split_inputs()
-        kernel = KERNELS["native"]
+        kernel = native.KERNEL
         want = kernel.batch_moves(graph, state, batch, RESOLUTION, threads=2)
         assert native.pool_stats()["helpers"] >= 1
         pid = os.fork()
@@ -431,7 +431,7 @@ class TestPool:
             "from repro.core.state import ClusterState\n"
             "from repro.generators.rmat import rmat_graph\n"
             "from repro.graphs.karate import karate_club_graph\n"
-            "from repro.kernels import KERNELS, native\n"
+            "from repro.kernels import native\n"
             "def tasks():\n"
             "    return set(os.listdir('/proc/self/task'))\n"
             "def ticks(tid):\n"
@@ -445,7 +445,7 @@ class TestPool:
             "g = rmat_graph(12, 8 * 2**12, seed=1)\n"
             "s = ClusterState.singletons(g)\n"
             "b = np.arange(g.num_vertices, dtype=np.int64)\n"
-            "KERNELS['native'].batch_moves(g, s, b, 0.05, threads=2)\n"
+            "native.KERNEL.batch_moves(g, s, b, 0.05, threads=2)\n"
             "assert native.pool_stats()['helpers'] == 1\n"
             "(helper,) = tasks() - before\n"
             "time.sleep(0.05)\n"
@@ -459,7 +459,7 @@ class TestPool:
     def test_without_the_library_threads_are_ignored(self):
         graph, state, batch = _split_inputs()
         with _numpy_paths():
-            got = KERNELS["native"].batch_moves(
+            got = native.KERNEL.batch_moves(
                 graph, state, batch, RESOLUTION, threads=2
             )
         _assert_same(got, reference_batch_moves(graph, state, batch, RESOLUTION))
@@ -528,7 +528,7 @@ def test_results_do_not_depend_on_threads(digest_graphs, engine):
 class TestPointerCache:
     def test_cache_does_not_keep_a_finished_graph_alive(self):
         graph, state, batch = _inputs()
-        KERNELS["native"].batch_moves(graph, state, batch, RESOLUTION)
+        native.KERNEL.batch_moves(graph, state, batch, RESOLUTION)
         arrays = [weakref.ref(graph.neighbors), weakref.ref(state.assignments)]
         del graph, state
         gc.collect()
@@ -536,7 +536,7 @@ class TestPointerCache:
 
     def test_replaced_state_arrays_are_rebound(self):
         graph, state, batch = _inputs()
-        kernel = KERNELS["native"]
+        kernel = native.KERNEL
         kernel.batch_moves(graph, state, batch, RESOLUTION)
         state.assignments = np.zeros_like(state.assignments)
         state.cluster_weights = np.zeros_like(state.cluster_weights)
@@ -581,7 +581,7 @@ class TestBinding:
 
     def test_a_new_level_rebinds(self):
         graph, state, batch = _binding_inputs()
-        kernel = KERNELS["native"]
+        kernel = native.KERNEL
         _assert_same(
             kernel.batch_moves(graph, state, batch, RESOLUTION),
             reference_batch_moves(graph, state, batch, RESOLUTION),
@@ -601,7 +601,7 @@ class TestBinding:
 
     def test_from_assignments_rebinds(self):
         graph, state, batch = _binding_inputs()
-        kernel = KERNELS["native"]
+        kernel = native.KERNEL
         kernel.batch_moves(graph, state, batch, RESOLUTION)
         state.apply_moves(batch[:5], np.zeros(5, dtype=np.int64))
         relabelled = ClusterState.from_assignments(graph, batch % 3)
@@ -616,7 +616,7 @@ class TestBinding:
 
     def test_a_grown_cluster_weights_rebinds(self):
         graph, state, batch = _binding_inputs()
-        kernel = KERNELS["native"]
+        kernel = native.KERNEL
         kernel.batch_moves(graph, state, batch, RESOLUTION)
         state.apply_moves(batch[:3], np.ones(3, dtype=np.int64))
         # Ids past the old arrays' end become valid targets and labels.
@@ -654,7 +654,7 @@ class TestBinding:
 
         def step(k, i, state, sched=None, threads=1):
             graph, batch = graphs[k], batches[k]
-            moves = KERNELS["native"].batch_moves(
+            moves = native.KERNEL.batch_moves(
                 graph, state, batch, RESOLUTION, threads=threads
             )
             origins = state.assignments[batch].copy()
@@ -712,7 +712,7 @@ class TestBinding:
         strided = np.repeat(batch, 2)[::2]
         for window in (frozen, strided):
             _assert_same(
-                KERNELS["native"].batch_moves(graph, state, window, RESOLUTION), want
+                native.KERNEL.batch_moves(graph, state, window, RESOLUTION), want
             )
         targets = want[0].copy()
         targets.flags.writeable = False
@@ -721,7 +721,7 @@ class TestBinding:
 
     def test_library_off_matches_on(self):
         graph, state, batch = _binding_inputs()
-        kernel = KERNELS["native"]
+        kernel = native.KERNEL
         results = []
         for context in (contextlib.nullcontext, _numpy_paths):
             with context():
@@ -760,7 +760,7 @@ class TestBinding:
 
     def test_a_dead_array_whose_memory_is_reused_is_never_read(self):
         graph, state, batch = _binding_inputs()
-        kernel = KERNELS["native"]
+        kernel = native.KERNEL
         kernel.batch_moves(graph, state, batch, RESOLUTION)
         state.apply_moves(batch[:2], np.zeros(2, dtype=np.int64))
         old = [a.ctypes.data for a in
@@ -819,7 +819,7 @@ class TestKernelEdges:
         for lam in (0.0, 0.05, 0.7):
             for escape in (False, True):
                 for swap in (False, True):
-                    got = KERNELS["native"].batch_moves(
+                    got = native.KERNEL.batch_moves(
                         graph, state, batch, lam,
                         allow_escape=escape, swap_avoidance=swap,
                     )
@@ -833,7 +833,7 @@ class TestKernelEdges:
 
     def test_out_of_range_ids_raise_and_leave_scratch_clean(self):
         graph, state, batch = _inputs()
-        kernel = KERNELS["native"]
+        kernel = native.KERNEL
         outside = np.asarray([0, graph.num_vertices], dtype=np.int64)
         with pytest.raises(IndexError):
             kernel.batch_moves(graph, state, outside, RESOLUTION)
@@ -851,10 +851,10 @@ class TestKernelEdges:
         graph, state, _ = _inputs()
         order = np.asarray([0, graph.num_vertices], dtype=np.int64)
         with pytest.raises(IndexError):
-            KERNELS["native"].sweep(graph, state, order, RESOLUTION)
+            native.KERNEL.sweep(graph, state, order, RESOLUTION)
         # The scratch arrays were left clean for the next call.
         _assert_same_sweep(
-            KERNELS["native"], graph,
+            native.KERNEL, graph,
             lambda: ClusterState.from_assignments(graph, state.assignments),
             np.arange(graph.num_vertices, dtype=np.int64),
         )
@@ -872,7 +872,7 @@ class TestKernelEdges:
                 FaultPlan.from_spec(spec, seed=5),
             )
 
-        movers = _assert_same_sweep(KERNELS["native"], graph, faulty, batch)[0]
+        movers = _assert_same_sweep(native.KERNEL, graph, faulty, batch)[0]
         assert movers.size > 0
 
     def test_mismatched_array_sizes_raise(self):
@@ -882,12 +882,12 @@ class TestKernelEdges:
             state.cluster_sizes, state.node_weights,
         )
         with pytest.raises(ValueError, match="sizes"):
-            KERNELS["native"].batch_moves(graph, short, batch, RESOLUTION)
+            native.KERNEL.batch_moves(graph, short, batch, RESOLUTION)
 
     def test_empty_batch(self):
         graph = karate_club_graph()
         state = ClusterState.singletons(graph)
-        targets, gains = KERNELS["native"].batch_moves(
+        targets, gains = native.KERNEL.batch_moves(
             graph, state, np.zeros(0, dtype=np.int64), RESOLUTION
         )
         assert targets.size == 0 and gains.size == 0
@@ -902,7 +902,7 @@ class TestKernelEdges:
             wide[:, 0], state.cluster_weights, state.cluster_sizes,
             state.node_weights,
         )
-        got = KERNELS["native"].batch_moves(graph, view, strided, RESOLUTION)
+        got = native.KERNEL.batch_moves(graph, view, strided, RESOLUTION)
         _assert_same(got, reference_batch_moves(graph, state, batch, RESOLUTION))
 
         # A sweep must write into the view itself, not into a copy.
@@ -914,7 +914,7 @@ class TestKernelEdges:
                 state.cluster_sizes.copy(), state.node_weights,
             )
 
-        _assert_same_sweep(KERNELS["native"], graph, strided_state, strided)
+        _assert_same_sweep(native.KERNEL, graph, strided_state, strided)
 
 
 class TestObservability:
@@ -923,7 +923,7 @@ class TestObservability:
         state = ClusterState.singletons(graph)
         batch = np.arange(graph.num_vertices, dtype=np.int64)
         instr = Instrumentation()
-        KERNELS["native"].batch_moves(
+        native.KERNEL.batch_moves(
             graph, state, batch, RESOLUTION, instr=instr
         )
         hist = instr.metrics.get(M_KERNEL_SEGMENTS)

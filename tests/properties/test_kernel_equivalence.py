@@ -1,5 +1,5 @@
 """Property tests: the native kernel is bit-identical to the reference
-dict kernel.
+dict loops.
 
 DESIGN.md §8's contract is *exact* equality, not tolerance: the C loop
 accumulates each S(v, c') sum in the same left-to-right CSR order as
@@ -12,13 +12,18 @@ deliberately.  Coverage:
   dict sweep move-for-move, including the mutated state;
 * end-to-end: every registry engine, on karate/RMAT/LFR/planted
   workloads across seeds and resolutions, produces identical
-  assignments, objective and simulated time under every kernel;
+  assignments, objective and simulated time with the C library and
+  without it (``native.LIBRARY.load`` returning ``None``, the
+  no-compiler path: the reference loops and the NumPy commit, frontier
+  and compression);
 * the same end-to-end equivalence under fault injection — the sweep
   detects the ``FaultyClusterState`` wrapper and takes the dict loop, so
-  injected hazards perturb every kernel identically;
+  injected hazards perturb both paths identically;
 * the default ``cluster()`` config at a larger scale, on integer and
   fractional weights.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,13 +41,17 @@ from repro.generators.planted import planted_partition_graph
 from repro.generators.rmat import rmat_graph
 from repro.graphs.builders import graph_from_edges
 from repro.graphs.karate import karate_club_graph
-from repro.kernels import KERNELS
+from repro.kernels import native
 from repro.kernels.reference import reference_batch_moves, reference_sweep
 from repro.parallel.scheduler import SimulatedScheduler
 from repro.resilience import FaultPlan, ResilienceContext, ResiliencePolicy
 
 ENGINE_NAMES = sorted(ENGINES)
-FAST_KERNELS = sorted(set(KERNELS) - {"reference"})
+
+
+def _reference_loops():
+    """Run without the C library, as on a host with no compiler."""
+    return mock.patch.object(native.LIBRARY, "load", return_value=None)
 
 
 @st.composite
@@ -86,7 +95,7 @@ class TestBatchKernelEquivalence:
         ref_t, ref_g = reference_batch_moves(
             graph, state, batch, lam, allow_escape=escape, swap_avoidance=swap
         )
-        nat_t, nat_g = KERNELS["native"].batch_moves(
+        nat_t, nat_g = native.KERNEL.batch_moves(
             graph, state, batch, lam, allow_escape=escape, swap_avoidance=swap
         )
         assert ref_t.tobytes() == nat_t.tobytes()
@@ -102,7 +111,7 @@ class TestBatchKernelEquivalence:
         ref_state = ClusterState.from_assignments(graph, labels)
         nat_state = ClusterState.from_assignments(graph, labels)
         ref = reference_sweep(graph, ref_state, order, lam, allow_escape=escape)
-        nat = KERNELS["native"].sweep(
+        nat = native.KERNEL.sweep(
             graph, nat_state, order, lam, allow_escape=escape
         )
         for got, want in zip(nat[:3], ref[:3]):
@@ -113,10 +122,8 @@ class TestBatchKernelEquivalence:
             assert got.tobytes() == want.tobytes(), field
 
 
-def _run_engine(graph, engine, kernel, resolution, seed, plan=None):
-    config = ClusteringConfig(
-        resolution=resolution, seed=seed, kernel=kernel
-    )
+def _run_engine(graph, engine, resolution, seed, plan=None):
+    config = ClusteringConfig(resolution=resolution, seed=seed)
     sched = SimulatedScheduler(num_workers=8)
     resilience = None
     if plan is not None:
@@ -156,31 +163,30 @@ class TestEngineEquivalence:
         self, engine, workload, seed, resolution
     ):
         graph = workload[1](seed)
-        ref_labels, ref_sim = _run_engine(
-            graph, engine, "reference", resolution, seed
-        )
+        with _reference_loops():
+            ref_labels, ref_sim = _run_engine(graph, engine, resolution, seed)
         ref_objective = lambdacc_objective(graph, ref_labels, resolution)
-        for kernel in FAST_KERNELS:
-            labels, sim = _run_engine(graph, engine, kernel, resolution, seed)
-            assert np.array_equal(ref_labels, labels), kernel
-            assert ref_sim == sim  # the cost model never sees the kernel
-            assert lambdacc_objective(graph, labels, resolution) == ref_objective
+        labels, sim = _run_engine(graph, engine, resolution, seed)
+        assert np.array_equal(ref_labels, labels)
+        assert ref_sim == sim  # the cost model never sees which loop ran
+        assert lambdacc_objective(graph, labels, resolution) == ref_objective
 
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_engines_identical_under_fault_injection(self, engine):
         graph = planted_partition_graph(80, seed=5).graph
         spec = "drop-move=0.2,stale-read=0.2,dup-move=0.1"
-        results = {}
-        for kernel in sorted(KERNELS):
-            plan = FaultPlan.from_spec(spec, seed=13)
-            results[kernel] = _run_engine(
-                graph, engine, kernel, 0.05, 7, plan=plan
+        with _reference_loops():
+            ref_labels, ref_sim = _run_engine(
+                graph, engine, 0.05, 7, plan=FaultPlan.from_spec(spec, seed=13)
             )
-        ref_labels, ref_sim = results["reference"]
-        for kernel in FAST_KERNELS:
-            labels, sim = results[kernel]
-            assert np.array_equal(ref_labels, labels), kernel
-            assert ref_sim == sim
+        labels, sim = _run_engine(
+            graph, engine, 0.05, 7, plan=FaultPlan.from_spec(spec, seed=13)
+        )
+        assert np.array_equal(ref_labels, labels)
+        assert ref_sim == sim
+        assert lambdacc_objective(graph, labels, 0.05) == lambdacc_objective(
+            graph, ref_labels, 0.05
+        )
 
 
 def _knn_fractional(seed):
@@ -191,9 +197,9 @@ def _knn_fractional(seed):
 
 
 class TestDefaultConfigParity:
-    """Kernel parity on the default ``cluster()`` config at a larger scale
-    than ``TestEngineEquivalence``'s graphs, on integer and fractional
-    weights."""
+    """Parity with and without the C library on the default ``cluster()``
+    config at a larger scale than ``TestEngineEquivalence``'s graphs, on
+    integer and fractional weights."""
 
     @pytest.mark.parametrize(
         "make_graph",
@@ -202,15 +208,10 @@ class TestDefaultConfigParity:
     )
     def test_default_config_bit_identical(self, make_graph):
         graph = make_graph()
-        results = {
-            kernel: cluster(
-                graph, ClusteringConfig(resolution=0.05, seed=3, kernel=kernel)
-            )
-            for kernel in sorted(KERNELS)
-        }
-        ref = results["reference"]
-        for kernel in FAST_KERNELS:
-            got = results[kernel]
-            assert np.array_equal(ref.assignments, got.assignments), kernel
-            assert ref.objective == got.objective
-            assert ref.sim_time() == got.sim_time()
+        config = ClusteringConfig(resolution=0.05, seed=3)
+        with _reference_loops():
+            ref = cluster(graph, config)
+        got = cluster(graph, config)
+        assert np.array_equal(ref.assignments, got.assignments)
+        assert ref.objective == got.objective
+        assert ref.sim_time() == got.sim_time()

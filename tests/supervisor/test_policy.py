@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import ClusteringConfig
 from repro.core.engines import ENGINES
 from repro.errors import ConfigError
-from repro.kernels import KERNELS
 from repro.supervisor import RunSupervisor, fallback_rungs
 
 pytestmark = pytest.mark.supervisor
@@ -28,7 +27,6 @@ class TestFallbackLadder:
     def test_default_ladder_order(self):
         assert names(fallback_rungs(ClusteringConfig())) == [
             "as-configured",
-            "reference-kernel",
             "sequential-engine",
             "graceful",
         ]
@@ -36,21 +34,15 @@ class TestFallbackLadder:
     def test_ladder_is_cumulative(self):
         bottom = fallback_rungs(ClusteringConfig())[-1]
         assert bottom.graceful
-        assert bottom.kernel == "reference"
         assert bottom.engine == "sequential"
 
     def test_already_at_bottom_skips_those_rungs(self):
-        config = ClusteringConfig(kernel="reference", parallel=False)
+        config = ClusteringConfig(parallel=False)
         assert names(fallback_rungs(config)) == ["as-configured", "graceful"]
 
     def test_sequential_engine_request_skips_engine_rung(self):
         rungs = fallback_rungs(ClusteringConfig(), engine="sequential")
-        assert names(rungs) == ["as-configured", "reference-kernel", "graceful"]
-
-    def test_reference_kernel_skips_kernel_rung(self):
-        config = ClusteringConfig(kernel="reference")
-        rungs = fallback_rungs(config, engine="relaxed")
-        assert names(rungs) == ["as-configured", "sequential-engine", "graceful"]
+        assert names(rungs) == ["as-configured", "graceful"]
 
     def test_same_config_same_ladder(self):
         first = fallback_rungs(ClusteringConfig(), engine="event")
@@ -58,9 +50,9 @@ class TestFallbackLadder:
         assert first == second
 
     def test_ladder_never_empty(self):
-        for kernel in sorted(KERNELS):
+        for parallel in (True, False):
             for engine in (None, *sorted(ENGINES)):
-                config = ClusteringConfig(kernel=kernel)
+                config = ClusteringConfig(parallel=parallel)
                 rungs = fallback_rungs(config, engine=engine)
                 assert rungs[0].name == "as-configured"
                 assert rungs[-1].graceful

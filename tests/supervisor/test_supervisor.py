@@ -90,7 +90,7 @@ class TestRetry:
         assert result.degraded
         assert result.failure_log
         meta = result.extras["supervisor"]
-        assert meta["fallbacks"] == 3  # walked the whole default ladder
+        assert meta["fallbacks"] == 2  # walked the whole default ladder
         assert meta["rung"] in ("graceful", "salvage")
 
     def test_corrupt_resume_checkpoint_falls_back_to_cold_start(

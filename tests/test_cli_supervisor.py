@@ -73,7 +73,7 @@ class TestChaosCommand:
     def test_small_matrix_recovers(self, capsys):
         code = main([
             "chaos", "--karate",
-            "--engines", "relaxed", "--kernels", "native",
+            "--engines", "relaxed",
             "--kinds", "transient", "--no-replay",
         ])
         assert code == 0
@@ -85,7 +85,7 @@ class TestChaosCommand:
         out_path = tmp_path / "report.json"
         code = main([
             "chaos", "--karate",
-            "--engines", "sequential", "--kernels", "reference",
+            "--engines", "sequential",
             "--kinds", "transient", "--no-replay",
             "--json", str(out_path),
         ])
