@@ -134,11 +134,12 @@ native-kernel:
 	    "tests/supervisor/test_chaos.py::TestMatrix::test_all_engines_and_kernels_recover"
 
 ## Run doctor over fresh instrumented runs: a batch clustering (health
-## rules over stats/trace/metrics + registry trend history) and a dynamic
-## update session (serving SLOs: commit/save latency, staleness).  Both
-## legs exit nonzero on any crit finding, and the update session's trace
-## (bootstrap run plus every batch on one set of worker lanes) must
-## validate.
+## rules over stats/trace/metrics + registry trend history), a dynamic
+## update session (serving SLOs: commit/save latency, staleness) and a
+## threaded serve workload (gateway facts, read/write SLOs, serial-replay
+## equivalence of its committed epochs).  Every leg exits nonzero on any
+## crit finding, and the update and serve traces (bootstrap run plus
+## every batch on one set of worker lanes) must validate.
 doctor:
 	rm -rf /tmp/repro-doctor && mkdir -p /tmp/repro-doctor
 	$(PYTHON) -m repro.cli cluster --karate --resolution 0.05 --seed 3 \
@@ -157,6 +158,11 @@ doctor:
 	    --trace /tmp/repro-doctor/update-trace.jsonl \
 	    --snapshot-dir /tmp/repro-doctor/snaps --doctor
 	$(PYTHON) -m repro.cli obs validate-trace /tmp/repro-doctor/update-trace.jsonl
+	$(PYTHON) -m repro.cli serve --karate --resolution 0.1 --seed 3 \
+	    --requests 400 --read-fraction 0.5 --max-batch-updates 64 \
+	    --verify-replay --metrics /tmp/repro-doctor/serve-metrics.jsonl \
+	    --trace /tmp/repro-doctor/serve-trace.jsonl --doctor
+	$(PYTHON) -m repro.cli obs validate-trace /tmp/repro-doctor/serve-trace.jsonl
 
 ## Self-contained HTML observability report (inline CSS/SVG, no scripts)
 ## rendered from the doctor target's artifacts.

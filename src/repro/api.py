@@ -60,7 +60,6 @@ from repro.serving import (
     Request,
     Response,
     ServingGateway,
-    SimulatedDriver,
     ThreadedDriver,
     WorkloadSpec,
     replay_digests,
@@ -101,7 +100,6 @@ __all__ = [
     "Request",
     "Response",
     "ServingGateway",
-    "SimulatedDriver",
     "ThreadedDriver",
     "WorkloadSpec",
     "replay_digests",

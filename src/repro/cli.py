@@ -555,7 +555,6 @@ def _cmd_serve(args) -> int:
     from repro.serving import (
         GatewayPolicy,
         ServingGateway,
-        SimulatedDriver,
         ThreadedDriver,
         WorkloadSpec,
         replay_digests,
@@ -570,7 +569,6 @@ def _cmd_serve(args) -> int:
         max_batch_updates=args.max_batch_updates,
         retry_after_seconds=args.retry_after,
         commit_interval_seconds=args.commit_interval,
-        read_concurrency=args.read_concurrency,
     )
     if args.script:
         from repro.serving.session import run_session
@@ -598,17 +596,12 @@ def _cmd_serve(args) -> int:
     requests = workload.generate(graph0.num_vertices)
     instr = clusterer.instr if clusterer.instr.enabled else None
     gateway = ServingGateway(clusterer, policy)
-    if args.driver == "sim":
-        driver = SimulatedDriver()
-    else:
-        driver = ThreadedDriver(
-            num_threads=args.threads, time_scale=args.time_scale
-        )
+    driver = ThreadedDriver(num_threads=args.threads, time_scale=args.time_scale)
     result = driver.run(gateway, requests)
     summary = result.summary()
     counts = summary["counts"]
     print(
-        f"driver={summary['driver']} requests={summary['num_requests']} "
+        f"threads={args.threads} requests={summary['num_requests']} "
         f"makespan={summary['makespan_seconds']:.4f}s "
         f"epochs={gateway.epoch.index} commits={len(gateway.committed)}"
     )
@@ -911,13 +904,32 @@ def _load_stats_payload(path) -> dict:
 
 
 def _registry_history(records, record) -> List[dict]:
-    """Records before ``record`` with the same workload (trend baselines)."""
-    history = []
+    """Records before ``record`` with the same workload (trend baselines).
+
+    Prints how many earlier records were left out and which workload
+    keys set them apart, so a changed workload field cannot empty the
+    trend history unseen.
+    """
+    workload = record.get("workload") or {}
+    history, left_out, keys = [], 0, set()
     for other in records:
         if other is record:
             break
-        if other.get("workload") == record.get("workload"):
+        theirs = other.get("workload") or {}
+        if theirs == workload:
             history.append(other)
+            continue
+        left_out += 1
+        keys.update(
+            k for k in set(theirs) | set(workload)
+            if (k in theirs, theirs.get(k)) != (k in workload, workload.get(k))
+        )
+    if left_out:
+        print(
+            f"history: {left_out} of {left_out + len(history)} earlier "
+            f"records left out; their workload differs in: "
+            f"{', '.join(sorted(keys))}"
+        )
     return history
 
 
@@ -1466,7 +1478,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workload generator seed (deterministic streams)")
     g = p.add_argument_group("gateway policy")
     g.add_argument("--read-queue-limit", type=int, default=256, metavar="N",
-                   help="waiting reads beyond this are shed (default 256)")
+                   help="reads in flight beyond this are shed (default 256)")
     g.add_argument("--write-queue-limit", type=int, default=1024,
                    metavar="N",
                    help="staged writes beyond this are shed (default 1024)")
@@ -1476,22 +1488,18 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--commit-interval", type=float, default=0.1,
                    metavar="SECONDS",
                    help="seconds between commit cycles (default 0.1)")
-    g.add_argument("--read-concurrency", type=int, default=4, metavar="N",
-                   help="concurrent read servers in the simulated driver")
     g.add_argument("--retry-after", type=float, default=0.05,
                    metavar="SECONDS",
                    help="back-off hint attached to shed responses")
     d = p.add_argument_group("driver")
-    d.add_argument("--driver", choices=["sim", "threads"], default="sim",
-                   help="deterministic simulated clock (sim) or real "
-                        "client threads (threads)")
     d.add_argument("--threads", type=int, default=4, metavar="N",
-                   help="client threads for --driver threads")
+                   help="client threads submitting the workload beside "
+                        "the one commit thread (default 4)")
     d.add_argument("--time-scale", type=float, default=0.0,
                    metavar="FACTOR",
-                   help="threads: stretch the workload's virtual arrival "
-                        "schedule by this factor (0 = submit at full "
-                        "speed)")
+                   help="submit each request at its generated arrival "
+                        "time times FACTOR wall seconds after the start "
+                        "(0 = submit at full speed)")
     p.add_argument("--verify-replay", action="store_true",
                    help="re-apply the committed batches serially from the "
                         "bootstrap state and assert per-epoch label "

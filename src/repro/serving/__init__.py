@@ -10,15 +10,15 @@ Layers, bottom up:
   serving front: write coalescing, commit-time validation, admission
   accounting, save/audit/close, and the committed-batch log the
   equivalence gate replays;
-* :mod:`repro.serving.drivers` — the deterministic simulated-clock
-  driver and the real-thread driver;
+* :mod:`repro.serving.drivers` — the real-thread driver: client
+  threads plus one commit thread on the wall clock;
 * :mod:`repro.serving.session` — scripted single-client sessions
   (``repro serve --script``) with deterministic transcripts;
 * :mod:`repro.serving.workload` — seeded mixed read/write workload
   generation (open/closed-loop arrivals).
 """
 
-from repro.serving.drivers import DriverResult, SimulatedDriver, ThreadedDriver
+from repro.serving.drivers import DriverResult, ThreadedDriver
 from repro.serving.epoch import LabelEpoch, label_digest
 from repro.serving.gateway import GatewayPolicy, ServingGateway, replay_digests
 from repro.serving.requests import Request, Response
@@ -31,7 +31,6 @@ __all__ = [
     "Request",
     "Response",
     "ServingGateway",
-    "SimulatedDriver",
     "ThreadedDriver",
     "WorkloadSpec",
     "label_digest",

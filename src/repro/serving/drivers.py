@@ -1,32 +1,25 @@
-"""Gateway drivers: deterministic simulated clock + real threads.
+"""The gateway driver: real client threads against the wall clock.
 
 The gateway core (:mod:`repro.serving.gateway`) is synchronous and
-time-free; drivers own the clock and the interleaving:
+time-free; the driver owns the clock and the interleaving.
+:class:`ThreadedDriver` runs client threads that submit against the
+wall clock, with a single commit thread as the sole clusterer mutator.
+Snapshot isolation makes reads lock-free (one atomic epoch-reference
+read); admission counters take the gateway lock.  Its latencies are
+measurements on the host it runs on; the wall-clock serving benchmark
+is the ``serve`` workload of ``benchmarks/perf``.
 
-* :class:`SimulatedDriver` — a single-threaded discrete-event loop on a
-  virtual clock.  Read service, commit cost, and arrival times are all
-  modeled seconds, so every run is bit-reproducible: same workload +
-  policy → same interleaving → same responses, shed set, and committed
-  batch sequence.  Its times are a queueing model, not a measurement;
-  wall-clock serving performance is measured by the ``serve`` workload
-  of ``benchmarks/perf``.
-* :class:`ThreadedDriver` — real client threads submitting against the
-  wall clock with a single commit thread as the sole clusterer mutator.
-  Snapshot isolation makes reads lock-free (one atomic epoch-reference
-  read); admission counters take the gateway lock.
-
-Both produce a :class:`DriverResult` with full per-status accounting —
+A run produces a :class:`DriverResult` with full per-status accounting:
 the no-silent-drops invariant (every generated request has exactly one
 terminal response) is asserted by :meth:`DriverResult.check_accounting`.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -34,17 +27,15 @@ from repro.errors import UpdateError
 from repro.serving.gateway import ServingGateway
 from repro.serving.requests import Request, Response, STATUSES
 
-__all__ = ["DriverResult", "SimulatedDriver", "ThreadedDriver"]
+__all__ = ["DriverResult", "ThreadedDriver"]
 
 
 @dataclass
 class DriverResult:
     """Everything one driver run produced."""
 
-    driver: str
     responses: List[Response] = field(default_factory=list)
-    #: Virtual (sim) or wall (threads) seconds from first arrival to the
-    #: last event processed.
+    #: Wall seconds from the driver's start to the last thread joining.
     makespan: float = 0.0
     num_requests: int = 0
 
@@ -101,7 +92,6 @@ class DriverResult:
         write_lat = self.latencies("write", "ok")
         ok_reads = counts["read"]["ok"]
         return {
-            "driver": self.driver,
             "num_requests": self.num_requests,
             "makespan_seconds": self.makespan,
             "counts": counts,
@@ -120,129 +110,14 @@ class DriverResult:
         }
 
 
-# ---------------------------------------------------------------------- #
-# Simulated clock
-# ---------------------------------------------------------------------- #
-
-# Event kinds, in tie-break priority at equal virtual time: reads that
-# reached their start serve before a commit tick publishes a new epoch.
-_EV_READ_START = 0
-_EV_COMMIT = 1
-_EV_ARRIVE = 2
-
-
-class SimulatedDriver:
-    """Deterministic discrete-event execution of one workload.
-
-    Reads get ``policy.read_concurrency`` dedicated lanes and commits
-    their own — snapshot isolation means they never wait on each other.
-    """
-
-    def run(
-        self, gateway: ServingGateway, requests: Sequence[Request]
-    ) -> DriverResult:
-        policy = gateway.policy
-        result = DriverResult(driver="sim", num_requests=len(requests))
-        # Min-heap of per-lane free times (the read "server pool").
-        servers = [0.0] * policy.read_concurrency
-        heapq.heapify(servers)
-        # The commit lane: commits never touch read lanes.
-        commit_free = 0.0
-        # Start times of admitted-but-not-yet-started reads (> now).
-        waiting: List[float] = []
-        seq = 0
-        events = []
-        for req in requests:
-            events.append((req.submitted_at, _EV_ARRIVE, seq, req))
-            seq += 1
-        heapq.heapify(events)
-        arrivals_left = len(requests)
-        if arrivals_left:
-            heapq.heappush(
-                events,
-                (policy.commit_interval_seconds, _EV_COMMIT, seq, None),
-            )
-            seq += 1
-        makespan = 0.0
-
-        while events:
-            now, kind, _, payload = heapq.heappop(events)
-            makespan = max(makespan, now)
-            if kind == _EV_ARRIVE:
-                arrivals_left -= 1
-                req = payload
-                gateway.note_submit(req)
-                if req.klass == "write":
-                    resp = gateway.stage_write(req, now)
-                    if resp is not None:
-                        result.responses.append(resp)
-                    continue
-                # Read admission: shed on queue depth, then expire on
-                # deadline, then reserve a lane and schedule the start.
-                while waiting and waiting[0] <= now:
-                    heapq.heappop(waiting)
-                gateway.observe_queue_depth("read", len(waiting))
-                if len(waiting) >= policy.read_queue_limit:
-                    result.responses.append(gateway.shed(req, now))
-                    continue
-                lane_free = heapq.heappop(servers)
-                start = max(now, lane_free)
-                if req.deadline is not None and start > req.deadline:
-                    heapq.heappush(servers, lane_free)
-                    result.responses.append(
-                        gateway.expire(req, req.deadline)
-                    )
-                    continue
-                heapq.heappush(servers, start + policy.read_service_seconds)
-                heapq.heappush(waiting, start)
-                heapq.heappush(events, (start, _EV_READ_START, seq, req))
-                seq += 1
-            elif kind == _EV_READ_START:
-                # Serve against the epoch current at start; completion
-                # (and latency) lands one modeled service time later.
-                done = now + policy.read_service_seconds
-                makespan = max(makespan, done)
-                result.responses.append(gateway.serve_read(payload, done))
-            else:  # _EV_COMMIT
-                staged = gateway.staged_count
-                if staged:
-                    n = staged
-                    if policy.max_batch_updates > 0:
-                        n = min(n, policy.max_batch_updates)
-                    start = max(now, commit_free)
-                    done = start + policy.commit_cost(n)
-                    commit_free = done
-                    makespan = max(makespan, done)
-                    result.responses.extend(gateway.commit(done))
-                if arrivals_left or gateway.staged_count:
-                    heapq.heappush(
-                        events,
-                        (
-                            now + policy.commit_interval_seconds,
-                            _EV_COMMIT,
-                            seq,
-                            None,
-                        ),
-                    )
-                    seq += 1
-
-        result.makespan = makespan
-        return result
-
-
-# ---------------------------------------------------------------------- #
-# Real threads
-# ---------------------------------------------------------------------- #
-
-
 class ThreadedDriver:
     """Wall-clock execution: client threads + one commit thread.
 
     The commit thread is the *sole* clusterer mutator; client threads
     only stage writes and serve reads against published epochs, so the
     bit-identity guarantee is structural, not lock-discipline luck.
-    ``time_scale`` compresses the workload's virtual arrival schedule
-    (0 = submit as fast as possible).
+    ``time_scale`` multiplies each request's generated ``submitted_at``
+    into its wall-clock submit offset (0 = submit as fast as possible).
     """
 
     def __init__(self, num_threads: int = 4, time_scale: float = 0.0) -> None:
@@ -255,7 +130,7 @@ class ThreadedDriver:
         self, gateway: ServingGateway, requests: Sequence[Request]
     ) -> DriverResult:
         policy = gateway.policy
-        result = DriverResult(driver="threads", num_requests=len(requests))
+        result = DriverResult(num_requests=len(requests))
         responses = result.responses  # list.append is atomic under the GIL
         start_wall = time.perf_counter()
         stop = threading.Event()

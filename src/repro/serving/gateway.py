@@ -12,10 +12,10 @@ and multiplexes many clients over it (DESIGN.md §14):
   per commit cycle; one localized refinement amortizes over the whole
   batch.
 * **Admission control** — per-class bounded queues: writes beyond
-  ``write_queue_limit`` and reads beyond ``read_queue_limit`` are shed
-  with a ``retry_after`` hint; reads still queued past their deadline
-  are dropped as ``expired``.  Every submitted request resolves to
-  exactly one terminal status, counted in
+  ``write_queue_limit`` staged and reads beyond ``read_queue_limit`` in
+  flight are shed with a ``retry_after`` hint; reads that reach a
+  server past their deadline are dropped as ``expired``.  Every
+  submitted request resolves to exactly one terminal status, counted in
   :data:`~repro.obs.instrument.M_GATEWAY_REQUESTS` — no silent drops.
 
 Commit-time validation asks the clusterer
@@ -68,14 +68,13 @@ __all__ = ["GatewayPolicy", "ServingGateway", "replay_digests"]
 
 @dataclass(frozen=True)
 class GatewayPolicy:
-    """Admission-control limits and the simulated-clock cost model.
+    """Admission-control limits and the commit cadence.
 
-    The queue limits and deadlines govern both drivers; the
-    ``*_seconds`` cost-model fields matter only to the simulated-clock
-    driver (the threaded driver measures real time).
+    Read deadlines are not a policy field: each :class:`Request` carries
+    its own (see :class:`~repro.serving.workload.WorkloadSpec`).
     """
 
-    #: Reads allowed to wait for a server before shedding starts.
+    #: Reads allowed in flight before shedding starts.
     read_queue_limit: int = 256
     #: Staged-but-uncommitted writes allowed before shedding starts.
     write_queue_limit: int = 1024
@@ -84,45 +83,29 @@ class GatewayPolicy:
     max_batch_updates: int = 0
     #: Back-off hint attached to shed responses.
     retry_after_seconds: float = 0.05
-    #: Default read deadline when the request carries none (0 = none).
-    read_deadline_seconds: float = 0.0
-    #: Virtual seconds between commit ticks (simulated driver) or real
-    #: seconds between commit-thread cycles (threaded driver).
+    #: Wall seconds between commit-thread cycles.
     commit_interval_seconds: float = 0.1
-    #: Simulated service time of one read.
-    read_service_seconds: float = 0.001
-    #: Simulated fixed cost of one commit ...
-    commit_base_seconds: float = 0.02
-    #: ... plus this much per coalesced update.
-    commit_per_update_seconds: float = 0.0005
-    #: Concurrent read servers in the simulated driver.
-    read_concurrency: int = 4
 
     def __post_init__(self) -> None:
         if self.read_queue_limit < 1 or self.write_queue_limit < 1:
             raise UpdateError("gateway queue limits must be >= 1")
-        if self.read_concurrency < 1:
-            raise UpdateError("read_concurrency must be >= 1")
         if self.commit_interval_seconds <= 0:
             raise UpdateError("commit_interval_seconds must be positive")
-
-    def commit_cost(self, num_updates: int) -> float:
-        """Modeled virtual-clock cost of committing ``num_updates``."""
-        return self.commit_base_seconds + self.commit_per_update_seconds * max(
-            0, num_updates
-        )
 
 
 class ServingGateway:
     """Multi-client serving front for one :class:`DynamicClusterer`.
 
-    The gateway is the synchronous core shared by both drivers: drivers
-    own *time* (virtual or real) and call in with explicit ``now``
-    stamps; the gateway owns state transitions, accounting, and the
-    committed-batch log.  All mutating entry points take ``_lock`` so
-    the threaded driver's client threads and commit thread compose; the
-    simulated driver is single-threaded and pays one uncontended
-    acquire.  ``instrumentation`` defaults to the clusterer's own.
+    The gateway is the synchronous core under every caller: the driver
+    (or a scripted session) owns *time* and calls in with explicit
+    ``now`` stamps; the gateway owns state transitions, accounting, and
+    the committed-batch log.  All mutating entry points take ``_lock``
+    so the threaded driver's client threads and commit thread compose.
+    When instrumented, every metric update also happens under ``_lock``
+    (counters and histograms are read-modify-write); uninstrumented, no
+    metric code runs and no extra lock is taken.  A caller holding its
+    own lock takes it before ``_lock``, never after.
+    ``instrumentation`` defaults to the clusterer's own.
     """
 
     def __init__(
@@ -203,16 +186,19 @@ class ServingGateway:
     def _account(self, klass: str, status: str) -> None:
         with self._lock:
             self.counts[(klass, status)] += 1
-        if self.instr.enabled:
-            self.instr.count(M_GATEWAY_REQUESTS, 1.0, kind=klass, status=status)
+            if self.instr.enabled:
+                self.instr.count(
+                    M_GATEWAY_REQUESTS, 1.0, kind=klass, status=status
+                )
 
     def _observe_latency(self, op: str, latency: float) -> None:
         if self.instr.enabled:
-            self.instr.metrics.histogram(
-                M_SERVE_LATENCY,
-                "Serving-facade op latency in seconds, by op",
-                buckets=SERVE_LATENCY_BUCKETS,
-            ).observe(max(0.0, latency), op=op)
+            with self._lock:
+                self.instr.metrics.histogram(
+                    M_SERVE_LATENCY,
+                    "Serving-facade op latency in seconds, by op",
+                    buckets=SERVE_LATENCY_BUCKETS,
+                ).observe(max(0.0, latency), op=op)
 
     def _op_start(self) -> Optional[float]:
         """Wall-clock start of a timed op; no clock read when uninstrumented."""
@@ -225,7 +211,8 @@ class ServingGateway:
     def observe_queue_depth(self, klass: str, depth: int) -> None:
         """Record the queue depth seen at one admission decision."""
         if self.instr.enabled:
-            self.instr.observe(M_GATEWAY_QUEUE, float(depth), kind=klass)
+            with self._lock:
+                self.instr.observe(M_GATEWAY_QUEUE, float(depth), kind=klass)
 
     def note_submit(self, request: Request) -> None:
         """Count one arrival (drivers call this before any admission)."""

@@ -49,9 +49,8 @@ class Request:
     """One client operation submitted to the gateway.
 
     ``deadline`` is an *absolute* timestamp on the driver's clock
-    (virtual seconds for the simulated driver, ``perf_counter`` seconds
-    for the threaded one); a read still queued past its deadline is
-    dropped as ``expired``.  Writes carry no deadline — once admitted
+    (``perf_counter`` seconds since the threaded driver started); a read
+    that reaches a server past its deadline is dropped as ``expired``.  Writes carry no deadline — once admitted
     they are part of the next commit cycle.
     """
 
@@ -125,7 +124,7 @@ class Response:
     value: object = None
     #: Label epoch a read was answered from / a write was committed into.
     epoch: Optional[int] = None
-    #: Completion latency in driver-clock seconds (service end - submit).
+    #: Latency in driver-clock seconds (terminal status - submit).
     latency: float = 0.0
     #: Back-off hint attached to ``shed`` responses.
     retry_after: Optional[float] = None

@@ -10,9 +10,9 @@ A :class:`WorkloadSpec` describes a mixed read/write request stream:
   self-limiting at ``clients / (service + think)``).
 
 Generation is a pure function of the spec (seeded
-:func:`~repro.utils.rng.make_rng`), so both drivers — and the serial
-replay the equivalence gate compares against — see the identical
-request sequence.  Writes deliberately include a small fraction of
+:func:`~repro.utils.rng.make_rng`), so every driver run — and the
+serial replay the equivalence gate compares against — sees the
+identical request sequence.  Writes deliberately include a small fraction of
 deletes/reweights of edges that may be absent, exercising the gateway's
 ``rejected`` path; reads draw uniformly from the four read kinds over
 random vertices.
@@ -94,8 +94,8 @@ class WorkloadSpec:
         """The request stream for a graph of ``num_vertices`` vertices.
 
         Returned in arrival order with ``submitted_at`` stamped in
-        workload seconds (virtual for the simulated driver; the threaded
-        driver uses them as submission offsets).
+        workload seconds; the threaded driver scales them by its
+        ``time_scale`` into wall-clock submission offsets.
         """
         if num_vertices < 2:
             raise UpdateError("workload needs a graph with >= 2 vertices")

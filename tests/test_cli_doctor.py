@@ -85,6 +85,25 @@ class TestDoctorCommand:
         capsys.readouterr()
         assert main(["doctor", "--last", "--runs", str(runs)]) == 1
 
+    def test_history_says_which_workload_keys_left_records_out(
+        self, tmp_path, capsys
+    ):
+        runs = register_run(tmp_path)
+        records = [json.loads(l) for l in runs.read_text().splitlines()]
+        other = json.loads(json.dumps(records[-1]))
+        other["run_id"] = "other"
+        other["workload"]["extra_field"] = 1
+        with open(runs, "a") as handle:
+            handle.write(json.dumps(other) + "\n")
+        capsys.readouterr()
+        assert main(["doctor", "other", "--runs", str(runs)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "history: 1 of 1 earlier records left out; their workload "
+            "differs in: extra_field"
+        ) in out
+        assert "no comparable history" in out
+
     def test_json_verdict(self, tmp_path, capsys):
         runs = register_run(tmp_path)
         verdict = tmp_path / "verdict.json"
