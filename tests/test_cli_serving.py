@@ -17,6 +17,15 @@ def serve(*extra):
 
 
 class TestServeCommand:
+    def test_sim_driver_with_replay_gate(self, capsys):
+        """A run with no driver flags uses the default threaded driver and
+        passes the replay gate and the no-silent-drops audit."""
+        assert main(serve("--verify-replay")) == 0
+        out = capsys.readouterr().out
+        assert "threads=4" in out
+        assert "bit-identical" in out
+        assert "no silent drops" in out
+
     def test_unseeded_replay_gate_uses_the_drawn_seed(self, capsys):
         argv = [
             "serve", "--karate", "--resolution", "0.1", "--requests", "400",
