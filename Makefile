@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test test-fast test-dynamic test-serving api-check \
 	smoke-obs baselines native-kernel \
 	compare-baselines bench bench-snapshot bench-perf-smoke compare-kernels \
-	chaos bench-overhead bench-dynamic doctor obs-report ci
+	chaos bench-overhead bench-dynamic doctor ci
 
 ## Full test suite (tier 1).
 test:
@@ -133,8 +133,9 @@ native-kernel:
 	    tests/dynamic/test_delta.py tests/dynamic/test_clusterer.py \
 	    "tests/supervisor/test_chaos.py::TestMatrix::test_all_engines_and_kernels_recover"
 
-## Run doctor over fresh instrumented runs: a batch clustering (health
-## rules over stats/trace/metrics + registry trend history), a dynamic
+## Run doctor over fresh instrumented runs with the built-in rule set: a
+## batch clustering (health rules over stats/trace/metrics + registry
+## trend history, then the registry table of that run), a dynamic
 ## update session (serving SLOs: commit/save latency, staleness) and a
 ## threaded serve workload (gateway facts, read/write SLOs, serial-replay
 ## equivalence of its committed epochs).  Every leg exits nonzero on any
@@ -146,12 +147,12 @@ doctor:
 	    --trace /tmp/repro-doctor/trace.jsonl \
 	    --metrics /tmp/repro-doctor/metrics.jsonl \
 	    --register /tmp/repro-doctor/runs.jsonl --run-id doctor-check \
-	    --health-rules benchmarks/health_rules.json
+	    --doctor
 	$(PYTHON) -m repro.cli doctor doctor-check \
 	    --runs /tmp/repro-doctor/runs.jsonl \
 	    --trace /tmp/repro-doctor/trace.jsonl \
-	    --metrics /tmp/repro-doctor/metrics.jsonl --iteration-cap 10 \
-	    --rules benchmarks/health_rules.json
+	    --metrics /tmp/repro-doctor/metrics.jsonl --iteration-cap 10
+	$(PYTHON) -m repro.cli obs report /tmp/repro-doctor/runs.jsonl --last 1
 	$(PYTHON) -m repro.cli update --karate \
 	    --updates benchmarks/updates_karate.jsonl --batch-size 4 --seed 3 \
 	    --metrics /tmp/repro-doctor/update-metrics.jsonl \
@@ -164,27 +165,15 @@ doctor:
 	    --trace /tmp/repro-doctor/serve-trace.jsonl --doctor
 	$(PYTHON) -m repro.cli obs validate-trace /tmp/repro-doctor/serve-trace.jsonl
 
-## Self-contained HTML observability report (inline CSS/SVG, no scripts)
-## rendered from the doctor target's artifacts.
-obs-report: doctor
-	$(PYTHON) -m repro.cli obs report /tmp/repro-doctor/runs.jsonl \
-	    --html /tmp/repro-doctor/report.html \
-	    --trace /tmp/repro-doctor/trace.jsonl \
-	    --metrics /tmp/repro-doctor/metrics.jsonl --iteration-cap 10
-	$(PYTHON) -m repro.cli obs report \
-	    --html /tmp/repro-doctor/update-report.html \
-	    --trace /tmp/repro-doctor/update-trace.jsonl \
-	    --metrics /tmp/repro-doctor/update-metrics.jsonl
-
 ## The full gate a PR must pass: tier-1 tests (which include the serving
 ## suite), the native-kernel build and parity check, the API-surface drift
 ## check, the observability smoke, the committed-baseline regression
 ## compare (including the kernel snapshot), the supervised chaos matrix,
-## the run doctor + HTML report, the dynamic-updates bench, the wall-clock
+## the run doctor, the dynamic-updates bench, the wall-clock
 ## perf harness smoke, and the <3% overhead bench (disabled
 ## instrumentation, no-fault supervision).  Serving equivalence is in
 ## tier-1 (tests/serving/test_equivalence.py); serving wall-clock
 ## performance is the `serve` workload of benchmarks/perf.
 ci: test native-kernel api-check smoke-obs compare-baselines \
 	compare-kernels chaos bench-dynamic bench-perf-smoke \
-	obs-report bench-overhead
+	doctor bench-overhead

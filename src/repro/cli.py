@@ -21,8 +21,8 @@ Subcommands:
   rules and serving SLOs; exit 1 on any crit finding;
 * ``update`` / ``serve`` — dynamic clustering behind the serving
   gateway (DESIGN.md §11, §14);
-* ``obs``      — timelines, trace validation, the runs registry, and the
-  self-contained HTML observability report (``obs report --html``).
+* ``obs``      — the Chrome/Perfetto timeline of a trace, trace
+  validation, and the runs registry (``obs report`` / ``obs diff``).
 
 Exit codes across the gate-like commands follow one convention:
 0 = pass, 1 = gate failure (crit finding, regression, audit issue),
@@ -320,7 +320,7 @@ def _cmd_cluster(args) -> int:
         )
         append_run(args.register, record)
         print(f"registered {run_id} in {args.register}")
-    if args.doctor or args.health_rules:
+    if args.doctor:
         from repro.obs.doctor import DoctorInputs, cluster_decomposition
 
         decomposition = None
@@ -347,8 +347,7 @@ def _cmd_cluster(args) -> int:
             decomposition=decomposition,
             iteration_cap=None if args.converge else args.num_iter,
         )
-        args.doctor_source = _graph_name(args)
-        return _doctor_verdict(args, inputs, rules_path=args.health_rules)
+        return _doctor_verdict(inputs)
     return 0
 
 
@@ -544,8 +543,7 @@ def _cmd_update(args) -> int:
             dynamic_stats=clusterer.stats(),
             slo=load_slo(args.slo) if args.slo else None,
         )
-        args.doctor_source = _dynamic_graph_name(args)
-        return _doctor_verdict(args, inputs)
+        return _doctor_verdict(inputs)
     return 0
 
 
@@ -661,8 +659,7 @@ def _cmd_serve(args) -> int:
             gateway_stats=gateway.stats(),
             slo=load_slo(args.slo) if args.slo else None,
         )
-        args.doctor_source = _dynamic_graph_name(args)
-        doctor_code = _doctor_verdict(args, inputs)
+        doctor_code = _doctor_verdict(inputs)
         exit_code = max(exit_code, doctor_code)
     return exit_code
 
@@ -933,7 +930,7 @@ def _registry_history(records, record) -> List[dict]:
     return history
 
 
-def _doctor_verdict(args, inputs, rules_path=None, json_path=None) -> int:
+def _doctor_verdict(inputs, rules_path=None, json_path=None) -> int:
     """Shared tail of every doctor surface: diagnose, print, gate."""
     from repro.obs.doctor import diagnose
     from repro.obs.health import load_rules
@@ -958,12 +955,6 @@ def _doctor_verdict(args, inputs, rules_path=None, json_path=None) -> int:
             json.dump(doctor.as_dict(), handle, indent=2, default=str)
             handle.write("\n")
         print(f"doctor verdict written to {json_path}")
-    html = getattr(args, "html", None)
-    if html:
-        from repro.obs.report import write_report
-
-        write_report(html, doctor, source=getattr(args, "doctor_source", ""))
-        print(f"report written to {html}")
     return doctor.report.exit_code
 
 
@@ -1014,10 +1005,7 @@ def _cmd_doctor(args) -> int:
         iteration_cap=args.iteration_cap,
         slo=slo,
     )
-    args.doctor_source = args.run_id or args.trace or args.metrics or args.stats or ""
-    return _doctor_verdict(
-        args, inputs, rules_path=args.rules, json_path=args.json
-    )
+    return _doctor_verdict(inputs, rules_path=args.rules, json_path=args.json)
 
 
 def _cmd_obs_timeline(args) -> int:
@@ -1057,54 +1045,11 @@ def _cmd_obs_validate_trace(args) -> int:
 def _cmd_obs_report(args) -> int:
     from repro.obs.registry import RunRegistryError, load_runs
 
-    if args.runs is None and not args.html:
-        print(
-            "error: give a runs.jsonl registry, or --html OUT with "
-            "--trace/--metrics/--stats artifacts",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        records = load_runs(args.runs) if args.runs else []
+        records = load_runs(args.runs)
     except (OSError, RunRegistryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.html:
-        from repro.obs.doctor import DoctorInputs, diagnose, load_trace
-        from repro.obs.report import write_report
-
-        try:
-            stats = _load_stats_payload(args.stats) if args.stats else None
-            trace = load_trace(args.trace) if args.trace else None
-            samples = (
-                _load_metric_samples(args.metrics) if args.metrics else None
-            )
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not (records or stats or trace or samples):
-            print(
-                "error: nothing to report — give a registry and/or "
-                "--trace/--metrics/--stats artifacts",
-                file=sys.stderr,
-            )
-            return 2
-        record = records[-1] if records else None
-        history = _registry_history(records, record) if record else None
-        doctor = diagnose(
-            DoctorInputs(
-                stats=stats,
-                trace=trace,
-                metric_samples=samples,
-                record=record,
-                history=history,
-                iteration_cap=args.iteration_cap,
-            )
-        )
-        source = args.trace or args.metrics or args.stats or args.runs or ""
-        write_report(args.html, doctor, source=source, runs=records or None)
-        print(f"report written to {args.html}")
-        return 0
     if args.last is not None:
         records = records[-args.last:]
     print(
@@ -1164,6 +1109,14 @@ def _cmd_obs_diff(args) -> int:
         print("error: no metrics were comparable", file=sys.stderr)
         return 1
     return 0 if report.ok else 1
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (a usage error, exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1270,9 +1223,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the health-rule doctor on this run's "
                         "artifacts after clustering; exit 1 on any crit "
                         "finding (see 'repro doctor')")
-    o.add_argument("--health-rules", metavar="FILE",
-                   help="health rules JSON for --doctor (default: the "
-                        "built-in ruleset; implies --doctor)")
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("generate", help="generate a synthetic graph")
@@ -1538,8 +1488,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stats JSON (a raw stats dict or a --profile-json "
                         "payload)")
     p.add_argument("--rules", metavar="FILE",
-                   help="health rules JSON (default: the built-in ruleset, "
-                        "mirrored in benchmarks/health_rules.json)")
+                   help="health rules JSON (default: the built-in "
+                        "ruleset, repro.obs.health.DEFAULT_RULES_SPEC)")
     p.add_argument("--slo", metavar="FILE",
                    help="serving SLO spec JSON (forces SLO evaluation "
                         "even without serving samples)")
@@ -1548,8 +1498,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "capped/stalled-level detection from stats")
     p.add_argument("--json", metavar="FILE",
                    help="write the full verdict (findings + facts) as JSON")
-    p.add_argument("--html", metavar="FILE",
-                   help="also render the self-contained HTML report")
     p.set_defaults(func=_cmd_doctor)
 
     p = sub.add_parser(
@@ -1573,27 +1521,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("trace", help="trace JSONL file to validate")
     q.set_defaults(func=_cmd_obs_validate_trace)
 
-    q = obs_sub.add_parser(
-        "report",
-        help="print the registered runs, or render a self-contained "
-             "HTML observability report with --html",
-    )
-    q.add_argument("runs", nargs="?", default=None,
-                   help="runs.jsonl registry file (optional with --html)")
-    q.add_argument("--last", type=int, default=None, metavar="N",
-                   help="only the N most recent runs")
-    q.add_argument("--html", metavar="FILE",
-                   help="write a single-file HTML report (inline CSS/SVG, "
-                        "no scripts) instead of the table")
-    q.add_argument("--trace", metavar="FILE",
-                   help="trace JSONL feeding the span waterfall and "
-                        "convergence panels")
-    q.add_argument("--metrics", metavar="FILE",
-                   help="metrics export feeding metric facts and SLO rows")
-    q.add_argument("--stats", metavar="FILE",
-                   help="stats JSON (raw stats_dict or --profile-json)")
-    q.add_argument("--iteration-cap", type=int, default=None, metavar="N",
-                   help="the run's --num-iter cap for stall detection")
+    q = obs_sub.add_parser("report", help="print the registered runs")
+    q.add_argument("runs", help="runs.jsonl registry file")
+    q.add_argument("--last", type=_positive_int, default=None, metavar="N",
+                   help="only the N most recent runs (N >= 1)")
     q.set_defaults(func=_cmd_obs_report)
 
     q = obs_sub.add_parser(

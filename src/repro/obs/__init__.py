@@ -9,10 +9,11 @@ Public surface (DESIGN.md §7):
   (moves, gains, frontier sizes, compression ratios, CAS retries);
 * :mod:`repro.obs.schema` — trace JSONL validation (the CI smoke gate,
   ``repro obs validate-trace``);
-* :mod:`repro.obs.health` / :mod:`repro.obs.doctor` /
-  :mod:`repro.obs.report` — the run doctor (DESIGN.md §12): declarative
-  health rules + serving SLOs over the artifacts above, and the
-  self-contained HTML report.
+* :mod:`repro.obs.health` / :mod:`repro.obs.doctor` — the run doctor
+  (DESIGN.md §12): declarative health rules + serving SLOs over the
+  artifacts above;
+* :mod:`repro.obs.timeline` — the Chrome/Perfetto span and worker-lane
+  view of a trace (``repro obs timeline``).
 
 The bench harness and its ``BENCH_*.json`` regression compare live in
 :mod:`repro.bench.harness`; the registry and the trend rule reuse it.
@@ -68,7 +69,6 @@ from repro.obs.metrics import (
     sample_quantile,
     samples_from_prometheus,
 )
-from repro.obs.report import render_report, write_report
 from repro.obs.registry import (
     RUNS_SCHEMA,
     RunRegistryError,
@@ -134,11 +134,9 @@ __all__ = [
     "make_run_record",
     "parse_prometheus",
     "parse_prometheus_headers",
-    "render_report",
     "sample_quantile",
     "samples_from_prometheus",
     "span_tree",
     "trace_series",
     "validate_run_record",
-    "write_report",
 ]

@@ -1,18 +1,15 @@
-"""Run doctor: reduce run artifacts to facts, series, and verdicts.
+"""Run doctor: reduce run artifacts to facts and verdicts.
 
 Everything here consumes what the tracer/metrics/registry already
 produce — :meth:`ClusterResult.stats_dict`, the trace JSONL, exported
 metric samples, and ``runs.jsonl`` records — with **no new hooks in the
-hot path**.  The doctor has three outputs:
+hot path**.  The doctor has two outputs:
 
 * a flat ``facts`` dict of dotted names (``run.rounds``,
   ``convergence.stall_levels``, ``metric.repro_cas_retries_total``,
   ``supervisor.fallbacks``, ``dynamic.escalations``,
   ``quality.singleton_fraction``) that the declarative rules in
   :mod:`repro.obs.health` gate on;
-* chart-ready *series* (per-round gain/move-churn/frontier-decay
-  curves, per-level summaries, worker-lane utilization) that
-  :mod:`repro.obs.report` renders;
 * a per-cluster decomposition of the λ-objective
   (:func:`cluster_decomposition`): ``F_c = intra_c − λ(K_c² − K2_c)/2``
   per cluster, summing exactly to ``F`` — top-k worst clusters, size
@@ -71,7 +68,6 @@ class DoctorInputs:
 class DoctorResult:
     report: HealthReport
     facts: Dict[str, float] = field(default_factory=dict)
-    series: Dict[str, object] = field(default_factory=dict)
     slo_rows: List[dict] = field(default_factory=list)
     decomposition: Optional[dict] = None
 
@@ -263,7 +259,7 @@ def gateway_facts(stats: dict) -> Dict[str, float]:
 
 
 # ----------------------------------------------------------------------
-# Trace-derived series
+# Trace-derived facts
 # ----------------------------------------------------------------------
 
 def load_trace(path) -> List[dict]:
@@ -278,31 +274,21 @@ def load_trace(path) -> List[dict]:
 
 
 def trace_series(records: Sequence[dict]) -> Dict[str, object]:
-    """Chart-ready series from trace records.
+    """Round and phase series from trace records.
 
-    Returns ``rounds`` (per-round gain/moves/frontier in execution
-    order), ``phases`` (per best-moves/refine phase round groups, the
-    stall detector's input), ``levels`` (per-level gain totals — the
-    objective-delta series), ``spans`` (completion-ordered span records
-    for the waterfall), and ``workers`` (per-lane busy/total time).
+    Returns ``rounds`` (per-round moves/gain, ordered by phase span and
+    iteration) and ``phases`` (the rounds of each best-moves/refine
+    phase plus its ``stalled`` flag, the stall detector's input).
     """
-    spans = [r for r in records if r.get("type") == "span"]
-    by_id = {s["id"]: s for s in spans}
     rounds = []
-    for span in spans:
-        if span.get("name") != "round":
+    for span in records:
+        if span.get("type") != "span" or span.get("name") != "round":
             continue
         attrs = span.get("attrs", {})
-        parent = by_id.get(span.get("parent"), {})
-        parent_attrs = parent.get("attrs", {})
         rounds.append(
             {
                 "phase_id": span.get("parent"),
-                "phase": parent_attrs.get("phase", ""),
-                "level": parent_attrs.get("level"),
-                "engine": attrs.get("engine", ""),
                 "iteration": attrs.get("iteration", 0),
-                "frontier": attrs.get("frontier", 0),
                 "moves": attrs.get("moves", 0),
                 "gain": attrs.get("gain", 0.0),
             }
@@ -314,13 +300,7 @@ def trace_series(records: Sequence[dict]) -> Dict[str, object]:
     for row in rounds:
         if row["phase_id"] != current_id:
             current_id = row["phase_id"]
-            phases.append(
-                {
-                    "phase": row["phase"],
-                    "level": row["level"],
-                    "rounds": [],
-                }
-            )
+            phases.append({"rounds": []})
         phases[-1]["rounds"].append(row)
     for phase in phases:
         moves = [r["moves"] for r in phase["rounds"]]
@@ -329,49 +309,7 @@ def trace_series(records: Sequence[dict]) -> Dict[str, object]:
             and moves[-1] > 0
             and moves[-1] >= STALL_CHURN_FRACTION * max(moves[0], 1)
         )
-        phase["gain"] = float(sum(r["gain"] for r in phase["rounds"]))
-
-    levels: Dict[object, float] = {}
-    for phase in phases:
-        if phase["level"] is not None:
-            levels[phase["level"]] = levels.get(phase["level"], 0.0) + phase["gain"]
-
-    workers: List[dict] = []
-    lanes: Dict[object, dict] = {}
-    for record in records:
-        if record.get("type") != "worker":
-            continue
-        lane = lanes.setdefault(
-            record.get("worker"),
-            {"worker": record.get("worker"), "chunks": 0, "busy": 0.0,
-             "wait": 0.0, "start": float("inf"), "end": 0.0},
-        )
-        lane["chunks"] += 1
-        start = float(record.get("start", 0.0))
-        end = float(record.get("end", start))
-        lane["busy"] += max(0.0, end - start)
-        lane["wait"] += float(record.get("wait", 0.0))
-        lane["start"] = min(lane["start"], start)
-        lane["end"] = max(lane["end"], end)
-    span_end = max(
-        (lane["end"] for lane in lanes.values()), default=0.0
-    )
-    for worker in sorted(lanes, key=lambda w: (str(type(w)), w)):
-        lane = lanes[worker]
-        lane["total"] = span_end
-        lane["utilization"] = (
-            lane["busy"] / span_end if span_end > 0 else 0.0
-        )
-        del lane["start"], lane["end"]
-        workers.append(lane)
-
-    return {
-        "rounds": rounds,
-        "phases": phases,
-        "levels": sorted(levels.items(), key=lambda kv: str(kv[0])),
-        "spans": spans,
-        "workers": workers,
-    }
+    return {"rounds": rounds, "phases": phases}
 
 
 def trace_facts(series: Dict[str, object]) -> Dict[str, float]:
@@ -530,7 +468,6 @@ def diagnose(
         record=inputs.record,
         history=inputs.history,
     )
-    series = trace_series(inputs.trace) if inputs.trace is not None else {}
     slo_rows: List[dict] = []
     samples = inputs.metric_samples or []
     has_serving = any(
@@ -544,7 +481,6 @@ def diagnose(
     return DoctorResult(
         report=report,
         facts=facts,
-        series=series,
         slo_rows=slo_rows,
         decomposition=inputs.decomposition,
     )

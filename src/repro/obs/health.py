@@ -20,11 +20,12 @@ records with ``ok``/``warn``/``crit`` severities.  Three rule kinds:
     positive *worsening*; ``warn``/``crit`` are relative-worsening
     bounds (0.001 = 0.1%).
 
-Rules load from JSON (schema ``repro.obs.health/v1``; the committed
-reference set is ``benchmarks/health_rules.json``) or from
-:func:`default_rules`.  A missing fact *skips* the rule — an
-uninstrumented run is not unhealthy, it is under-observed — and skips
-are reported separately so they never silently hide a gate.
+The built-in rule set is :data:`DEFAULT_RULES_SPEC` (via
+:func:`default_rules`); a custom set loads from JSON of the same schema
+(``repro.obs.health/v1``) through :func:`load_rules`, which is what
+``repro doctor --rules FILE`` applies.  A missing fact *skips* the
+rule — an uninstrumented run is not unhealthy, it is under-observed —
+and skips are reported separately so they never silently hide a gate.
 
 Serving SLOs are a separate small spec (:class:`SLOSpec`, schema
 ``repro.obs.slo/v1``): per-op p95 latency targets over the
@@ -349,12 +350,12 @@ def load_rules(path) -> List[HealthRule]:
 
 
 def default_rules() -> List[HealthRule]:
-    """The built-in rule set (mirrored by benchmarks/health_rules.json)."""
+    """The built-in rule set, :data:`DEFAULT_RULES_SPEC`."""
     return rules_from_dict(DEFAULT_RULES_SPEC)
 
 
-#: The reference rule set.  ``benchmarks/health_rules.json`` is this
-#: object serialized; tests assert they stay in sync.
+#: The built-in rule set, the one every doctor surface applies unless
+#: ``repro doctor --rules FILE`` names another.
 DEFAULT_RULES_SPEC = {
     "schema": HEALTH_SCHEMA,
     "rules": [
@@ -586,8 +587,9 @@ def evaluate_slos(
 ) -> Tuple[HealthReport, List[dict]]:
     """Evaluate the SLO spec over exported metric *samples*.
 
-    Returns the findings plus the per-op latency table rows the HTML
-    report renders: ``{op, count, p50, p95, target, severity}``.
+    Returns the findings plus the per-op latency table rows the doctor
+    prints and ``--json`` writes: ``{op, count, p50, p95, target,
+    severity}``.
     """
     from repro.obs.instrument import M_SERVE_LATENCY, M_SERVE_STALENESS
 

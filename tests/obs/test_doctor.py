@@ -1,4 +1,4 @@
-"""Run doctor: facts, series, decomposition, and verdicts on canned runs."""
+"""Run doctor: facts, decomposition, and verdicts on canned runs."""
 
 import numpy as np
 import pytest
@@ -240,15 +240,3 @@ class TestFacts:
         facts = collect_facts(inputs)
         # stats sees 2 stalled levels, the trace 1 — max wins.
         assert facts["convergence.stall_levels"] == 2
-
-    def test_worker_utilization_series(self):
-        records = [
-            {"type": "worker", "worker": 0, "start": 0.0, "end": 1.0,
-             "label": "bm", "items": 10, "wait": 0.0},
-            {"type": "worker", "worker": 1, "start": 0.0, "end": 0.5,
-             "label": "bm", "items": 5, "wait": 0.5},
-        ]
-        series = trace_series(records)
-        lanes = {w["worker"]: w for w in series["workers"]}
-        assert lanes[0]["utilization"] == pytest.approx(1.0)
-        assert lanes[1]["utilization"] == pytest.approx(0.5)

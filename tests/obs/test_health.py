@@ -199,12 +199,6 @@ class TestRuleFiles:
         with pytest.raises(HealthRuleError, match="cannot read"):
             load_rules(path)
 
-    def test_committed_ruleset_matches_builtin(self):
-        """benchmarks/health_rules.json is DEFAULT_RULES_SPEC, verbatim."""
-        with open("benchmarks/health_rules.json") as handle:
-            committed = json.load(handle)
-        assert committed == DEFAULT_RULES_SPEC
-
 
 class TestReport:
     def test_exit_code_only_on_crit(self):

@@ -9,7 +9,6 @@ from repro.core.config import ClusteringConfig
 from repro.core.options import RunOptions
 from repro.dynamic import DynamicClusterer, UpdateBatch
 from repro.graphs.karate import karate_club_graph
-from repro.obs.doctor import trace_series
 from repro.obs.instrument import Instrumentation
 from repro.obs.schema import TraceSchemaError, validate_trace_records
 from repro.obs.timeline import (
@@ -74,9 +73,9 @@ def test_lane_busy_total_is_the_per_region_total():
     # Pinned from the timeline that recorded one chunk per charged region:
     # batching the chunks per round keeps every lane's busy time.
     _, instr = _traced_run()
-    lanes = trace_series(instr.tracer.records)["workers"]
-    assert len(lanes) == 33
-    assert sum(lane["busy"] for lane in lanes) == pytest.approx(
+    chunks = instr.tracer.worker_records()
+    assert len({w["worker"] for w in chunks}) == 33
+    assert sum(w["end"] - w["start"] for w in chunks) == pytest.approx(
         3.0154598686778676e-06, rel=1e-9
     )
 

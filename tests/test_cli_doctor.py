@@ -34,27 +34,6 @@ class TestClusterDoctorFlag:
         assert " 0 warn, 0 crit" in out
         assert "CRIT" not in out
 
-    def test_health_rules_file_implies_doctor(self, capsys):
-        assert main(RUN + ["--health-rules",
-                           "benchmarks/health_rules.json"]) == 0
-        assert "doctor:" in capsys.readouterr().out
-
-    def test_custom_rule_trips_on_real_run(self, tmp_path, capsys):
-        rules = tmp_path / "rules.json"
-        rules.write_text(json.dumps({
-            "schema": "repro.obs.health/v1",
-            "rules": [{"id": "too-many-rounds", "kind": "threshold",
-                       "fact": "run.rounds", "direction": "above",
-                       "crit": 1, "description": "paranoid cap"}],
-        }))
-        assert main(RUN + ["--health-rules", str(rules)]) == 1
-        assert "CRIT too-many-rounds" in capsys.readouterr().out
-
-    def test_bad_rules_file_is_usage_error(self, tmp_path, capsys):
-        rules = tmp_path / "rules.json"
-        rules.write_text("{not json")
-        assert main(RUN + ["--health-rules", str(rules)]) == 2
-
 
 class TestDoctorCommand:
     def test_registered_run_with_artifacts(self, tmp_path, capsys):
@@ -115,13 +94,28 @@ class TestDoctorCommand:
         assert payload["worst"] in ("ok", "warn", "crit")
         assert "run.f_objective" in payload["facts"]
 
-    def test_html_report_from_doctor(self, tmp_path, capsys):
+    def test_custom_rule_trips_on_real_run(self, tmp_path, capsys):
         runs = register_run(tmp_path)
-        html = tmp_path / "report.html"
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({
+            "schema": "repro.obs.health/v1",
+            "rules": [{"id": "too-many-rounds", "kind": "threshold",
+                       "fact": "run.rounds", "direction": "above",
+                       "crit": 1, "description": "paranoid cap"}],
+        }))
         capsys.readouterr()
         assert main(["doctor", "base", "--runs", str(runs),
-                     "--html", str(html)]) == 0
-        assert "<script" not in html.read_text().lower()
+                     "--rules", str(rules)]) == 1
+        assert "CRIT too-many-rounds" in capsys.readouterr().out
+
+    def test_bad_rules_file_is_usage_error(self, tmp_path, capsys):
+        runs = register_run(tmp_path)
+        rules = tmp_path / "rules.json"
+        rules.write_text("{not json")
+        capsys.readouterr()
+        assert main(["doctor", "base", "--runs", str(runs),
+                     "--rules", str(rules)]) == 2
+        assert "cannot read rule set" in capsys.readouterr().err
 
     def test_no_inputs_is_usage_error(self, capsys):
         assert main(["doctor"]) == 2

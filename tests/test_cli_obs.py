@@ -157,6 +157,26 @@ def test_register_report_and_diff_flow(tmp_path, capsys):
     assert "0 regression(s)" in capsys.readouterr().out
 
 
+def test_obs_report_last_takes_a_positive_count(tmp_path, capsys):
+    runs = tmp_path / "runs.jsonl"
+    assert _run(["--register", str(runs), "--run-id", "base"]) == 0
+    record = json.loads(runs.read_text().splitlines()[0])
+    record["run_id"] = "newest"
+    with open(runs, "a") as handle:
+        handle.write(json.dumps(record) + "\n")
+    capsys.readouterr()
+
+    assert main(["obs", "report", str(runs), "--last", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "newest" in out and "base" not in out
+
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "report", str(runs), "--last", bad])
+        assert exc.value.code == 2
+        assert f"must be >= 1, got {bad}" in capsys.readouterr().err
+
+
 def test_obs_diff_fails_on_injected_wall_regression(tmp_path, capsys):
     runs = tmp_path / "runs.jsonl"
     assert _run(["--register", str(runs), "--run-id", "base"]) == 0
@@ -213,37 +233,3 @@ def test_obs_diff_compared_zero_exit(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     assert main(["obs", "diff", str(runs), "base", "same"]) == 1
     assert "no metrics were comparable" in capsys.readouterr().err
-
-
-def test_obs_report_html_from_cluster_artifacts(tmp_path, capsys):
-    trace = tmp_path / "t.jsonl"
-    metrics = tmp_path / "m.jsonl"
-    runs = tmp_path / "runs.jsonl"
-    html = tmp_path / "report.html"
-    assert _run(["--trace", str(trace), "--metrics", str(metrics),
-                 "--register", str(runs), "--run-id", "base"]) == 0
-    capsys.readouterr()
-    assert main(["obs", "report", str(runs), "--html", str(html),
-                 "--trace", str(trace), "--metrics", str(metrics),
-                 "--iteration-cap", "10"]) == 0
-    assert f"report written to {html}" in capsys.readouterr().out
-    text = html.read_text()
-    assert "<script" not in text.lower()
-    assert "Span waterfall" in text
-    assert "Registry" in text
-
-
-def test_obs_report_html_without_registry(tmp_path, capsys):
-    trace = tmp_path / "t.jsonl"
-    html = tmp_path / "report.html"
-    assert _run(["--trace", str(trace)]) == 0
-    capsys.readouterr()
-    assert main(["obs", "report", "--html", str(html),
-                 "--trace", str(trace)]) == 0
-    assert html.exists()
-
-
-def test_obs_report_requires_registry_or_html_inputs(capsys):
-    assert main(["obs", "report"]) == 2
-    assert "error" in capsys.readouterr().err
-    assert main(["obs", "report", "--html", "/tmp/x.html"]) == 2
