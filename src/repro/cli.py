@@ -562,10 +562,8 @@ def _cmd_serve(args) -> int:
     store = SnapshotStore(args.snapshot_dir) if args.snapshot_dir else None
     clusterer = _load_dynamic(args, config, store)
     policy = GatewayPolicy(
-        read_queue_limit=args.read_queue_limit,
         write_queue_limit=args.write_queue_limit,
         max_batch_updates=args.max_batch_updates,
-        retry_after_seconds=args.retry_after,
         commit_interval_seconds=args.commit_interval,
     )
     if args.script:
@@ -588,7 +586,6 @@ def _cmd_serve(args) -> int:
         rate=args.rate,
         clients=args.clients,
         think_seconds=args.think,
-        read_deadline_seconds=args.read_deadline,
         seed=args.workload_seed,
     )
     requests = workload.generate(graph0.num_vertices)
@@ -1052,16 +1049,17 @@ def _cmd_obs_report(args) -> int:
         return 2
     if args.last is not None:
         records = records[-args.last:]
+    id_width = max([len("run_id")] + [len(r["run_id"]) for r in records])
     print(
-        f"{'run_id':<18} {'graph':<18} {'engine':<10} {'res':>6} "
-        f"{'wall_s':>8} {'sim_s':>10} {'objective':>12} {'modularity':>10}"
+        f"{'run_id':<{id_width}} {'graph':<18} {'engine':<10} {'res':>6} "
+        f"{'wall_s':>8} {'sim_s':>10} {'f_objective':>12} {'modularity':>10}"
     )
     for record in records:
         workload = record["workload"]
         metrics = record["metrics"]
         degraded = " DEGRADED" if record.get("info", {}).get("degraded") else ""
         print(
-            f"{record['run_id']:<18} {workload['graph']:<18} "
+            f"{record['run_id']:<{id_width}} {workload['graph']:<18} "
             f"{workload['engine']:<10} {workload['resolution']:>6g} "
             f"{metrics['wall_seconds']:>8.3f} "
             f"{metrics['sim_time_seconds']:>10.4g} "
@@ -1396,8 +1394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="drive the serving gateway: snapshot-isolated reads "
-             "multiplexed against coalesced update commits, with "
-             "admission control and load shedding (DESIGN.md §14)",
+             "served beside coalesced update commits, with staged "
+             "writes shed past a queue limit (DESIGN.md §14)",
     )
     add_dynamic_flags(p)
     p.add_argument("--script", metavar="FILE",
@@ -1417,18 +1415,13 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--rate", type=float, default=2000.0, metavar="RPS",
                    help="open-loop offered load in requests/second")
     w.add_argument("--clients", type=int, default=8,
-                   help="logical clients (closed-loop pacing + naming)")
+                   help="logical clients pacing a closed-loop workload "
+                        "(default 8)")
     w.add_argument("--think", type=float, default=0.002, metavar="SECONDS",
                    help="closed-loop per-client think time")
-    w.add_argument("--read-deadline", type=float, default=0.0,
-                   metavar="SECONDS",
-                   help="per-read deadline; queued reads past it are "
-                        "dropped as expired (0 = none)")
     w.add_argument("--workload-seed", type=int, default=0,
                    help="workload generator seed (deterministic streams)")
     g = p.add_argument_group("gateway policy")
-    g.add_argument("--read-queue-limit", type=int, default=256, metavar="N",
-                   help="reads in flight beyond this are shed (default 256)")
     g.add_argument("--write-queue-limit", type=int, default=1024,
                    metavar="N",
                    help="staged writes beyond this are shed (default 1024)")
@@ -1438,9 +1431,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--commit-interval", type=float, default=0.1,
                    metavar="SECONDS",
                    help="seconds between commit cycles (default 0.1)")
-    g.add_argument("--retry-after", type=float, default=0.05,
-                   metavar="SECONDS",
-                   help="back-off hint attached to shed responses")
     d = p.add_argument_group("driver")
     d.add_argument("--threads", type=int, default=4, metavar="N",
                    help="client threads submitting the workload beside "

@@ -225,9 +225,9 @@ def gateway_facts(stats: dict) -> Dict[str, float]:
 
     Per request class the raw terminal-status counts become
     ``gateway.<class>.<status>`` facts plus derived ``shed_rate`` /
-    ``expired_rate`` / ``rejected_rate`` fractions of submissions, so
-    admission-control health rules can threshold on load-independent
-    ratios.
+    ``rejected_rate`` fractions of submissions, so the write-admission
+    health rule can threshold on a load-independent ratio.  Reads are
+    never shed or rejected, so their rates read 0.
     """
     facts: Dict[str, float] = {}
     for src, dst in (
@@ -247,7 +247,7 @@ def gateway_facts(stats: dict) -> Dict[str, float]:
                     facts[f"gateway.{klass}.{status}"] = float(count)
             submitted = float(row.get("submitted") or 0.0)
             if submitted > 0:
-                for status in ("shed", "expired", "rejected"):
+                for status in ("shed", "rejected"):
                     facts[f"gateway.{klass}.{status}_rate"] = (
                         float(row.get(status) or 0.0) / submitted
                     )

@@ -446,24 +446,6 @@ DEFAULT_RULES_SPEC = {
             "description": "incremental objective drifted from recompute",
         },
         {
-            "id": "gateway-read-shed-rate",
-            "kind": "threshold",
-            "fact": "gateway.read.shed_rate",
-            "direction": "above",
-            "warn": 0.05,
-            "crit": 0.25,
-            "description": "admission control shed reads (queue over limit)",
-        },
-        {
-            "id": "gateway-read-expired-rate",
-            "kind": "threshold",
-            "fact": "gateway.read.expired_rate",
-            "direction": "above",
-            "warn": 0.05,
-            "crit": 0.25,
-            "description": "reads dropped past their staleness deadline",
-        },
-        {
             "id": "gateway-write-shed-rate",
             "kind": "threshold",
             "fact": "gateway.write.shed_rate",

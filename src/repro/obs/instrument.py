@@ -94,8 +94,8 @@ M_SERVE_STALENESS = "repro_serve_staleness_updates"
 #: status: ok/shed/expired/rejected (counter).  Every submitted request
 #: lands here exactly once — the no-silent-drops accounting invariant.
 M_GATEWAY_REQUESTS = "repro_gateway_requests_total"
-#: Queue depth observed at each admission decision, labeled by kind:
-#: read/write (histogram).
+#: Staged-write queue depth observed at each write admission decision,
+#: labeled kind=write (histogram).
 M_GATEWAY_QUEUE = "repro_gateway_queue_depth"
 #: Coalesced updates per committed gateway batch (histogram).
 M_GATEWAY_BATCH = "repro_gateway_batch_updates"

@@ -5,13 +5,14 @@ Layers, bottom up:
 * :mod:`repro.serving.epoch` — immutable published label snapshots
   (:class:`LabelEpoch`): the snapshot-isolation mechanism;
 * :mod:`repro.serving.requests` — the request/response vocabulary and
-  the four terminal statuses (ok/shed/expired/rejected);
+  the terminal statuses (ok/shed/rejected);
 * :mod:`repro.serving.gateway` — :class:`ServingGateway`, the one
-  serving front: write coalescing, commit-time validation, admission
-  accounting, save/audit/close, and the committed-batch log the
-  equivalence gate replays;
+  serving front: write coalescing, commit-time validation, write
+  admission, accounting, save/audit/close, and the committed-batch log
+  the equivalence gate replays;
 * :mod:`repro.serving.drivers` — the real-thread driver: client
-  threads plus one commit thread on the wall clock;
+  threads that serve their reads at once, plus one commit thread, on
+  the wall clock;
 * :mod:`repro.serving.session` — scripted single-client sessions
   (``repro serve --script``) with deterministic transcripts;
 * :mod:`repro.serving.workload` — seeded mixed read/write workload

@@ -4,10 +4,11 @@ The gateway core (:mod:`repro.serving.gateway`) is synchronous and
 time-free; the driver owns the clock and the interleaving.
 :class:`ThreadedDriver` runs client threads that submit against the
 wall clock, with a single commit thread as the sole clusterer mutator.
-Snapshot isolation makes reads lock-free (one atomic epoch-reference
-read); admission counters take the gateway lock.  Its latencies are
-measurements on the host it runs on; the wall-clock serving benchmark
-is the ``serve`` workload of ``benchmarks/perf``.
+A client thread serves each of its reads as soon as it submits it:
+snapshot isolation makes the read one atomic epoch-reference read, so
+no read waits in a queue.  Accounting counters take the gateway lock.
+Its latencies are measurements on the host it runs on; the wall-clock
+serving benchmark is the ``serve`` workload of ``benchmarks/perf``.
 
 A run produces a :class:`DriverResult` with full per-status accounting:
 the no-silent-drops invariant (every generated request has exactly one
@@ -134,8 +135,6 @@ class ThreadedDriver:
         responses = result.responses  # list.append is atomic under the GIL
         start_wall = time.perf_counter()
         stop = threading.Event()
-        inflight_lock = threading.Lock()
-        inflight = [0]
 
         def now() -> float:
             return time.perf_counter() - start_wall
@@ -155,41 +154,16 @@ class ThreadedDriver:
                     delay = target - now()
                     if delay > 0:
                         time.sleep(delay)
-                t = now()
-                # Re-stamp onto the wall clock so latency/deadline math
-                # is consistent with this driver's time base.
-                budget = (
-                    req.deadline - req.submitted_at
-                    if req.deadline is not None
-                    else None
-                )
-                req = replace(
-                    req,
-                    submitted_at=t,
-                    deadline=(t + budget) if budget is not None else None,
-                )
+                # Re-stamp onto the wall clock so latencies are measured
+                # on this driver's time base.
+                req = replace(req, submitted_at=now())
                 gateway.note_submit(req)
-                if req.klass == "write":
-                    resp = gateway.stage_write(req, now())
-                    if resp is not None:
-                        responses.append(resp)
+                if req.klass == "read":
+                    responses.append(gateway.serve_read(req, now()))
                     continue
-                with inflight_lock:
-                    depth = inflight[0]
-                    gateway.observe_queue_depth("read", depth)
-                    if depth >= policy.read_queue_limit:
-                        responses.append(gateway.shed(req, now()))
-                        continue
-                    inflight[0] += 1
-                try:
-                    t_serve = now()
-                    if req.deadline is not None and t_serve > req.deadline:
-                        responses.append(gateway.expire(req, t_serve))
-                    else:
-                        responses.append(gateway.serve_read(req, t_serve))
-                finally:
-                    with inflight_lock:
-                        inflight[0] -= 1
+                resp = gateway.stage_write(req, now())
+                if resp is not None:
+                    responses.append(resp)
 
         shards: List[List[Request]] = [[] for _ in range(self.num_threads)]
         for i, req in enumerate(requests):

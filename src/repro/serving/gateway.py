@@ -11,12 +11,11 @@ and multiplexes many clients over it (DESIGN.md §14):
   submission order, into one :class:`~repro.dynamic.updates.UpdateBatch`
   per commit cycle; one localized refinement amortizes over the whole
   batch.
-* **Admission control** — per-class bounded queues: writes beyond
-  ``write_queue_limit`` staged and reads beyond ``read_queue_limit`` in
-  flight are shed with a ``retry_after`` hint; reads that reach a
-  server past their deadline are dropped as ``expired``.  Every
-  submitted request resolves to exactly one terminal status, counted in
-  :data:`~repro.obs.instrument.M_GATEWAY_REQUESTS` — no silent drops.
+* **Write admission** — writes beyond ``write_queue_limit`` staged are
+  shed with a ``retry_after`` hint.  Reads are never queued, so never
+  shed.  Every submitted request resolves to exactly one terminal
+  status, counted in :data:`~repro.obs.instrument.M_GATEWAY_REQUESTS`
+  — no silent drops.
 
 Commit-time validation asks the clusterer
 (:meth:`~repro.dynamic.clusterer.DynamicClusterer.validate`, the rule
@@ -26,7 +25,7 @@ mid-batch and the committed batch log replays cleanly.  That
 filtered-batch log is the equivalence artifact: replaying it serially
 through a fresh clusterer (:func:`replay_digests`) must reproduce the
 gateway's per-epoch label digests bit-identically, under any
-interleaving and any shedding.
+interleaving and any write shedding.
 
 Single-client work goes through the same front: scripted sessions
 (:mod:`repro.serving.session`) and ``repro update`` stage and commit
@@ -65,30 +64,25 @@ from repro.serving.requests import CLASSES, Request, Response, STATUSES
 
 __all__ = ["GatewayPolicy", "ServingGateway", "replay_digests"]
 
+#: Back-off hint, in seconds, attached to shed responses.
+RETRY_AFTER_SECONDS = 0.05
+
 
 @dataclass(frozen=True)
 class GatewayPolicy:
-    """Admission-control limits and the commit cadence.
+    """The write-admission limit, the batch cap and the commit cadence."""
 
-    Read deadlines are not a policy field: each :class:`Request` carries
-    its own (see :class:`~repro.serving.workload.WorkloadSpec`).
-    """
-
-    #: Reads allowed in flight before shedding starts.
-    read_queue_limit: int = 256
     #: Staged-but-uncommitted writes allowed before shedding starts.
     write_queue_limit: int = 1024
     #: Coalesced updates per commit; excess stays staged for the next
     #: cycle (0 = unbounded).
     max_batch_updates: int = 0
-    #: Back-off hint attached to shed responses.
-    retry_after_seconds: float = 0.05
     #: Wall seconds between commit-thread cycles.
     commit_interval_seconds: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.read_queue_limit < 1 or self.write_queue_limit < 1:
-            raise UpdateError("gateway queue limits must be >= 1")
+        if self.write_queue_limit < 1:
+            raise UpdateError("write_queue_limit must be >= 1")
         if self.commit_interval_seconds <= 0:
             raise UpdateError("commit_interval_seconds must be positive")
 
@@ -208,38 +202,22 @@ class ServingGateway:
         if start is not None:
             self._observe_latency(op, time.perf_counter() - start)
 
-    def observe_queue_depth(self, klass: str, depth: int) -> None:
-        """Record the queue depth seen at one admission decision."""
-        if self.instr.enabled:
-            with self._lock:
-                self.instr.observe(M_GATEWAY_QUEUE, float(depth), kind=klass)
-
     def note_submit(self, request: Request) -> None:
-        """Count one arrival (drivers call this before any admission)."""
+        """Count one arrival (callers do this before serving or staging)."""
         with self._lock:
             self.submitted[request.klass] += 1
 
     # -- terminal transitions ------------------------------------------- #
 
     def shed(self, request: Request, now: float) -> Response:
-        """Load-shed ``request`` at admission (class queue full)."""
+        """Load-shed ``request`` at admission (write queue full)."""
         self._account(request.klass, "shed")
         return Response(
             request_id=request.request_id,
             klass=request.klass,
             status="shed",
             latency=max(0.0, now - request.submitted_at),
-            retry_after=self.policy.retry_after_seconds,
-        )
-
-    def expire(self, request: Request, now: float) -> Response:
-        """Drop a read whose deadline passed while it was queued."""
-        self._account(request.klass, "expired")
-        return Response(
-            request_id=request.request_id,
-            klass=request.klass,
-            status="expired",
-            latency=max(0.0, now - request.submitted_at),
+            retry_after=RETRY_AFTER_SECONDS,
         )
 
     def serve_read(self, request: Request, now: float) -> Response:
@@ -269,7 +247,10 @@ class ServingGateway:
         if request.update is None:
             raise UpdateError("stage_write needs a write request")
         with self._lock:
-            self.observe_queue_depth("write", len(self._staged))
+            if self.instr.enabled:
+                self.instr.observe(
+                    M_GATEWAY_QUEUE, float(len(self._staged)), kind="write"
+                )
             if len(self._staged) >= self.policy.write_queue_limit:
                 return self.shed(request, now)
             self._staged.append(request)
@@ -391,9 +372,9 @@ class ServingGateway:
     def stats(self) -> dict:
         """Gateway accounting (feeds DoctorInputs.gateway_stats).
 
-        Invariant: per class, ``submitted == ok + shed + expired +
-        rejected + pending`` where pending is staged writes not yet
-        committed — the no-silent-drops audit the tests assert.
+        Invariant: per class, ``submitted == ok + shed + rejected +
+        pending`` where pending is staged writes not yet committed — the
+        no-silent-drops audit the tests assert.  ``expired`` is always 0.
         """
         by_class = {}
         for klass in CLASSES:

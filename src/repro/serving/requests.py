@@ -15,15 +15,16 @@ equivalence gate audits:
     Served (reads) or committed (writes) — ``value``/``epoch`` hold the
     answer and the label epoch it came from.
 ``shed``
-    Load-shed at admission: the request's class queue was full.
+    A write load-shed at admission: the staged-write queue was full.
     ``retry_after`` tells the client when to try again.
-``expired``
-    A read whose deadline passed before a server picked it up; dropped
-    without evaluation (stale answers are worse than none).
 ``rejected``
     A write whose operation was semantically invalid against the state
     it would have committed into (delete/reweight of an absent edge);
     excluded from the coalesced batch with the error message attached.
+
+The gateway never sheds a read: ``serve_read`` answers it at once from
+the current epoch, so there is no read queue to bound.
+:data:`STATUSES` also lists ``expired``, which nothing produces.
 """
 
 from __future__ import annotations
@@ -37,10 +38,12 @@ from repro.errors import UpdateError
 #: Read operations a request may carry.
 READ_KINDS = ("cluster_of", "same", "members", "stats")
 
-#: Request classes (the admission-control queues).
+#: Request classes (one accounting row each; only writes are queued).
 CLASSES = ("read", "write")
 
 #: Terminal response statuses (every submitted request lands on one).
+#: ``expired`` has no producer; it stays because the ``serve`` benchmark's
+#: accounting check sums ``gateway.stats()`` over all four keys.
 STATUSES = ("ok", "shed", "expired", "rejected")
 
 
@@ -48,19 +51,15 @@ STATUSES = ("ok", "shed", "expired", "rejected")
 class Request:
     """One client operation submitted to the gateway.
 
-    ``deadline`` is an *absolute* timestamp on the driver's clock
-    (``perf_counter`` seconds since the threaded driver started); a read
-    that reaches a server past its deadline is dropped as ``expired``.  Writes carry no deadline — once admitted
-    they are part of the next commit cycle.
+    ``submitted_at`` is on the caller's clock; latencies are measured
+    from it.
     """
 
     request_id: int
     kind: str
     args: Tuple = ()
     update: Optional[EdgeUpdate] = None
-    client: str = ""
     submitted_at: float = 0.0
-    deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.kind == "update":
@@ -83,17 +82,13 @@ class Request:
         request_id: int,
         kind: str,
         *args: int,
-        client: str = "",
         submitted_at: float = 0.0,
-        deadline: Optional[float] = None,
     ) -> "Request":
         return cls(
             request_id=request_id,
             kind=kind,
             args=tuple(int(a) for a in args),
-            client=client,
             submitted_at=submitted_at,
-            deadline=deadline,
         )
 
     @classmethod
@@ -102,14 +97,12 @@ class Request:
         request_id: int,
         update: EdgeUpdate,
         *,
-        client: str = "",
         submitted_at: float = 0.0,
     ) -> "Request":
         return cls(
             request_id=request_id,
             kind="update",
             update=update,
-            client=client,
             submitted_at=submitted_at,
         )
 

@@ -4,7 +4,7 @@ A :class:`WorkloadSpec` describes a mixed read/write request stream:
 
 * **open-loop** arrivals — exponential inter-arrival times at ``rate``
   requests/second, the classic offered-load model (clients do not wait
-  for responses, so queues actually build and shedding engages);
+  for responses, so staged writes can build up and be shed);
 * **closed-loop** arrivals — ``clients`` logical clients that each
   submit, think for ``think_seconds``, and submit again (load is
   self-limiting at ``clients / (service + think)``).
@@ -46,8 +46,6 @@ class WorkloadSpec:
     clients: int = 8
     #: Per-client think time between requests (closed-loop only).
     think_seconds: float = 0.002
-    #: Absolute read deadline = arrival + this (0 = no deadline).
-    read_deadline_seconds: float = 0.0
     #: Fraction of writes that are deletes (may target absent edges).
     delete_fraction: float = 0.15
     #: Fraction of writes that are reweights (may target absent edges).
@@ -103,7 +101,6 @@ class WorkloadSpec:
         times = self._arrival_times(rng)
         requests: List[Request] = []
         for i, at in enumerate(times):
-            client = f"c{i % max(1, self.clients)}"
             if rng.random() < self.read_fraction:
                 kind = READ_KINDS[int(rng.integers(0, len(READ_KINDS)))]
                 if kind == "cluster_of":
@@ -117,21 +114,7 @@ class WorkloadSpec:
                     args = (int(rng.integers(0, num_vertices)),)
                 else:
                     args = ()
-                deadline = (
-                    at + self.read_deadline_seconds
-                    if self.read_deadline_seconds > 0
-                    else None
-                )
-                requests.append(
-                    Request.read(
-                        i,
-                        kind,
-                        *args,
-                        client=client,
-                        submitted_at=at,
-                        deadline=deadline,
-                    )
-                )
+                requests.append(Request.read(i, kind, *args, submitted_at=at))
             else:
                 u = int(rng.integers(0, num_vertices))
                 v = int(rng.integers(0, num_vertices))
@@ -148,11 +131,7 @@ class WorkloadSpec:
                     upd = EdgeUpdate(
                         "insert", u, v, float(rng.uniform(0.5, 1.5))
                     )
-                requests.append(
-                    Request.write(
-                        i, upd, client=client, submitted_at=at
-                    )
-                )
+                requests.append(Request.write(i, upd, submitted_at=at))
         return requests
 
     def describe(self) -> dict:
@@ -163,6 +142,5 @@ class WorkloadSpec:
             "rate": self.rate if self.arrival == "open" else None,
             "clients": self.clients,
             "think_seconds": self.think_seconds,
-            "read_deadline_seconds": self.read_deadline_seconds,
             "seed": self.seed,
         }

@@ -5,9 +5,8 @@ commit time and coalesced over several epochs, the gateway's committed
 label sequence must be bit-identical to a serial replay of the same
 coalesced batches through a fresh clusterer — across two engines and
 two graph families, with full accounting (every submitted request
-reaches exactly one terminal status).  Reads never change a committed
-batch, so read shedding and expiry are checked by the admission tests
-in ``test_drivers.py`` instead.
+reaches exactly one terminal status).  Writes are shed past the staged
+queue limit and rejected at commit time; reads are always served.
 """
 
 import pytest
@@ -31,7 +30,6 @@ NO_GUARD = DriftGuard(recompute_every=0, max_frontier_fraction=1.0)
 #: Tight limits: a small batch cap spreads the writes over several
 #: epochs, so equivalence is checked across commits, not for one batch.
 STRESS_POLICY = GatewayPolicy(
-    read_queue_limit=8,
     write_queue_limit=64,
     max_batch_updates=16,
     commit_interval_seconds=0.02,
@@ -41,7 +39,6 @@ WORKLOAD = WorkloadSpec(
     num_requests=250,
     read_fraction=0.8,
     rate=8000.0,
-    read_deadline_seconds=0.05,
     delete_fraction=0.2,
     reweight_fraction=0.2,
     seed=13,

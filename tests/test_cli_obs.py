@@ -1,12 +1,16 @@
 """CLI observability flags: --trace / --metrics / --profile / --engine."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.obs.schema import validate_trace_text
 from repro.obs.tracer import Tracer
+
+COMMITTED_RUNS = Path(__file__).resolve().parents[1] / "benchmarks" / "runs.jsonl"
 
 
 def _run(argv):
@@ -175,6 +179,23 @@ def test_obs_report_last_takes_a_positive_count(tmp_path, capsys):
             main(["obs", "report", str(runs), "--last", bad])
         assert exc.value.code == 2
         assert f"must be >= 1, got {bad}" in capsys.readouterr().err
+
+
+def test_obs_report_columns_line_up(capsys):
+    """Long run ids widen the id column; the objective is f_objective."""
+    assert main(["obs", "report", str(COMMITTED_RUNS), "--last", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 2
+    assert header.split()[6] == "f_objective"
+    assert max(len(row.split()[0]) for row in rows) > 18
+
+    def edges(line):
+        # Text columns (run_id, graph, engine) align left, numbers right.
+        cells = list(re.finditer(r"\S+", line))
+        return [c.start() for c in cells[:3]] + [c.end() for c in cells[3:8]]
+
+    for row in rows:
+        assert edges(row) == edges(header)
 
 
 def test_obs_diff_fails_on_injected_wall_regression(tmp_path, capsys):

@@ -47,7 +47,8 @@ class TestServeCommand:
     def test_doctor_reports_gateway_facts(self, capsys):
         assert main(serve("--doctor")) == 0
         out = capsys.readouterr().out
-        assert "gateway-read-shed-rate" in out
+        assert "gateway-write-shed-rate" in out
+        assert "gateway-read-" not in out
 
     def test_metrics_include_gateway_series(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.jsonl"
