@@ -120,6 +120,7 @@ native-kernel:
 	    lib = native.KERNEL.library.load(); \
 	    assert lib is not None; \
 	    assert lib.repro_best_moves and lib.repro_sweep and lib.repro_commit; \
+	    assert lib.repro_round; \
 	    assert lib.repro_neighbors and lib.repro_compress; \
 	    assert lib.repro_splice and lib.repro_find_arcs; \
 	    assert lib.repro_pool_stats"
@@ -129,6 +130,7 @@ native-kernel:
 	$(PYTHON) -m pytest -x -q -W error::RuntimeWarning \
 	    tests/properties/test_kernel_equivalence.py \
 	    tests/core/test_kernels.py tests/core/test_native_kernel.py \
+	    tests/core/test_native_round.py \
 	    tests/core/test_best_moves.py \
 	    tests/dynamic/test_delta.py tests/dynamic/test_clusterer.py \
 	    "tests/supervisor/test_chaos.py::TestMatrix::test_all_engines_and_kernels_recover"

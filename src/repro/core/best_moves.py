@@ -24,14 +24,17 @@ frontier and the round barrier; an engine supplies only the round
 function that moves one permuted frontier.  :func:`window_round` is the
 evaluate-and-commit loop over a round's windows, which the relaxed
 engine (both settings; synchronous mode is a single window) and the
-colored engine (one window per color class) run.  Each window costs two
-foreign calls, the kernel through
-:func:`~repro.core.moves.compute_batch_moves` and the commit through
-``ClusterState.apply_moves``; the bookkeeping around them is per round:
-one degree profile gives every window's charge, each window's origins
-and targets go into round-sized arrays, and the movers are picked out
-once after the last window, in window order.  The round's gain is summed
-only when instrumentation is on.
+colored engine (one window per color class) run.  A round is one
+foreign call, ``native.KERNEL.round``: C evaluates each window on the
+pool, commits it, and returns the round's movers in window order plus
+one row of integers per window (its commit's contention, its pair
+count and its degree profile).  Python charges the round from those
+rows through :meth:`~repro.parallel.scheduler.CostLedger.charge_later`,
+so the regions of many rounds are built in one vectorized pass when
+the ledger is read, and replays the per-window metrics when
+instrumentation is on.  Fault runs and the no-compiler path keep the
+per-window loop, with one kernel call and one commit per window.  The
+round's gain is summed only when instrumentation is on.
 """
 
 from __future__ import annotations
@@ -45,14 +48,26 @@ import numpy as np
 from repro.core.config import ClusteringConfig, Mode
 from repro.core.frontier import next_frontier
 from repro.core.moves import (
+    batch_costs,
     compute_batch_moves,
-    degree_profile,
+    fault_free,
     kernel_threads,
     profile_depth,
+    window_profiles,
+    worst_depth,
 )
 from repro.core.state import ClusterState
 from repro.graphs.csr import CSRGraph
-from repro.obs.instrument import instr_of
+from repro.kernels import native
+from repro.obs.instrument import (
+    M_ATOMIC_QUEUE,
+    M_CAS_ATTEMPTS,
+    M_CAS_RETRIES,
+    M_KERNEL_BATCH,
+    M_KERNEL_SEGMENTS,
+    instr_of,
+)
+from repro.parallel.scheduler import CAS_COST
 
 
 @dataclass
@@ -95,14 +110,103 @@ def _window_starts(size: int, config: ClusteringConfig) -> np.ndarray:
     return index * each + np.minimum(index, extra)
 
 
-def _round_gain(gains: np.ndarray, moving: np.ndarray, bounds) -> float:
-    """The movers' gains, summed per window and then over the windows."""
+def _round_gain(gains: np.ndarray, moved: np.ndarray) -> float:
+    """The movers' ``gains``, in window order with ``moved[i]`` of them in
+    window ``i``, summed per window and then over the windows."""
     total = 0.0
-    for start, end in zip(bounds, bounds[1:]):
-        window_moving = moving[start:end]
-        if window_moving.any():
-            total += float(gains[start:end][window_moving].sum())
+    start = 0
+    for count in moved.tolist():
+        if count:
+            total += float(gains[start:start + count].sum())
+            start += count
     return total
+
+
+#: The regions a C round charges, by slot: per window its evaluation,
+#: then its commit's two fetch-and-add windows, each followed by its
+#: contention when it retried (``charge_atomic_window``'s regions); and,
+#: after the round's last window, the round's depth when its windows
+#: charge none.
+_SLOT_LABELS = np.array(
+    ["best-moves", "K-dec", "K-dec-contention", "K-inc", "K-inc-contention",
+     "best-moves-iter"],
+    dtype=object,
+)
+#: Where each slot's (work, depth, serial, items) come from: the columns of
+#: :func:`_round_regions`' per-window table.
+_SLOT_COLUMNS = np.array([
+    16, 17, 18, 6,    # best-moves: batch_costs, vertices
+    0, 19, 18, 0,     # K-dec: one op per mover, depth 1
+    12, 18, 13, 1,    # K-dec-contention: CAS_COST x (retries, longest queue)
+    0, 19, 18, 0,     # K-inc
+    14, 18, 15, 3,    # K-inc-contention
+    18, 20, 18, 18,   # best-moves-iter: depth only
+])
+
+
+def _round_regions(rounds):
+    """The ledger regions of C rounds, built together for
+    :meth:`~repro.parallel.scheduler.CostLedger.charge_later`.
+
+    ``rounds`` lists one ``(windows, charge_depth, num_vertices)`` per
+    round: its :data:`~repro.kernels.native.ROUND_FIELDS` rows, whether
+    each window charges its own depth, and the graph's vertex count.
+    Returns each round's ``(labels, work, depth, serial, items)``
+    columns: the regions the per-window loop charges, in its order, with
+    its values (see :data:`_SLOT_LABELS`).
+    """
+    counts = [r[0].shape[0] for r in rounds]
+    windows = np.concatenate([r[0] for r in rounds])
+    firsts = np.cumsum([0] + counts[:-1])
+    table = np.zeros((windows.shape[0], 21))
+    table[:, :12] = windows
+    table[:, 12:16] = windows[:, 1:5]
+    table[:, 12:16] *= CAS_COST
+    table[:, 16], table[:, 17] = batch_costs(
+        windows[:, 6:], np.repeat([r[1] for r in rounds], counts)
+    )
+    table[:, 19] = 1.0
+    # A round without per-window depth charges its worst kernel once,
+    # plus the frontier's 2 log2 n, after its last window.
+    seq = np.maximum.reduceat(windows[:, 10], firsts).tolist()
+    par = np.maximum.reduceat(windows[:, 8], firsts).tolist()
+    par_max = np.maximum.reduceat(windows[:, 11], firsts).tolist()
+    for i, (_, charge_depth, n) in enumerate(rounds):
+        if not charge_depth:
+            table[firsts[i] + counts[i] - 1, 20] = worst_depth(
+                seq[i], par[i], par_max[i]
+            ) + 2.0 * math.log2(max(n, 2))
+    slots = table[:, _SLOT_COLUMNS].reshape(-1, 6, 4)
+    present = slots[:, :, 3] > 0
+    present[:, 5] = table[:, 20] > 0
+    work, depth, serial, items = slots[present].T
+    items = items.astype(np.int64)
+    labels = _SLOT_LABELS[np.nonzero(present)[1]].tolist()
+    ends = np.cumsum(np.add.reduceat(present.sum(axis=1), firsts)).tolist()
+    return [
+        (labels[a:b], work[a:b], depth[a:b], serial[a:b], items[a:b])
+        for a, b in zip([0] + ends[:-1], ends)
+    ]
+
+
+def _replay_round_metrics(instr, windows: np.ndarray) -> None:
+    """The metrics of each window of a C round, in window order, as
+    ``NativeKernel.batch_moves``, ``compute_batch_moves`` and
+    ``charge_atomic_window`` record them."""
+    for moved, *commit, pairs, size in windows[:, :7].tolist():
+        if not size:
+            continue
+        instr.observe(M_KERNEL_SEGMENTS, float(pairs))
+        instr.observe(M_KERNEL_BATCH, float(size))
+        if not moved:
+            continue
+        for label, retries, longest in (
+            ("K-dec", *commit[:2]), ("K-inc", *commit[2:]),
+        ):
+            instr.count(M_CAS_ATTEMPTS, float(moved), site=label)
+            if retries:
+                instr.count(M_CAS_RETRIES, float(retries))
+                instr.observe(M_ATOMIC_QUEUE, float(longest))
 
 
 def window_round(
@@ -123,24 +227,69 @@ def window_round(
     ``charge_depth`` every window is a barrier and charges its own
     critical path; without it the windows run back to back and the round
     charges one ``best-moves-iter`` depth term after the last window.
+
+    The whole round is one C call (``native.KERNEL.round``); its ledger
+    regions are built from the per-window rows it returns when the
+    ledger is next read (:func:`_round_regions`).  Where that call
+    cannot run (a fault plan on ``sched`` or a ``FaultyClusterState``,
+    see :func:`~repro.core.moves.fault_free`; no C library; state arrays
+    C cannot write in place) the windows run one by one through
+    :func:`~repro.core.moves.compute_batch_moves` and
+    ``state.apply_moves``, the reference path, with the same results,
+    regions, metrics and lane records.
     """
     obs = instr_of(sched)
+    threshold = config.kernel_threshold
+    native_round = None
+    if fault_free(state, sched):
+        native_round = native.KERNEL.round(
+            graph, state, order, starts, resolution, threshold=threshold,
+            allow_escape=config.escape_moves, swap_avoidance=swap_avoidance,
+            threads=native.usable_cores(),
+        )
+    if native_round is not None:
+        movers, origins, targets, gains, windows = native_round
+        if sched is not None:
+            sched.charge_later(
+                _round_regions, (windows, charge_depth, graph.num_vertices)
+            )
+            if obs.enabled:
+                _replay_round_metrics(obs, windows)
+        moved = windows[:, 0]
+    else:
+        movers, origins, targets, gains, moved = _window_loop(
+            graph, state, resolution, config, order, starts, sched,
+            charge_depth, swap_avoidance,
+        )
+    gain = _round_gain(gains, moved) if obs.enabled else 0.0
+    return movers, origins, targets, gain
+
+
+def _window_loop(
+    graph, state, resolution, config, order, starts, sched, charge_depth,
+    swap_avoidance,
+):
+    """:func:`window_round`'s reference path: one kernel call and one
+    commit per window.  Returns the movers in window order with their
+    origins, targets and gains, and each window's mover count."""
     threshold = config.kernel_threshold
     offsets = graph.offsets
     # Bookkeeping is per round: one degree profile for every window, and
     # each window's origins (read at its start, after the windows before
     # it committed) and targets in round-sized arrays, from which the
     # movers come after the last window.
-    profiles = degree_profile(offsets[order + 1] - offsets[order], threshold, starts)
+    profiles = window_profiles(
+        offsets[order + 1] - offsets[order], threshold, starts
+    )
     bounds = starts.tolist() + [order.size]
     origins = np.empty(order.size, dtype=np.int64)
     targets = np.empty(order.size, dtype=np.int64)
-    gains = np.empty(order.size, dtype=np.float64) if obs.enabled else None
+    gains = np.empty(order.size, dtype=np.float64)
     threads = kernel_threads(state, sched)
-    for start, end, profile in zip(bounds, bounds[1:], profiles):
+    for start, end, profile in zip(bounds, bounds[1:], profiles.tolist()):
         window = order[start:end]
         origins[start:end] = state.assignments[window]
-        window_targets, window_gains = compute_batch_moves(
+        targets[start:end], gains[start:end] = compute_batch_moves(
             graph,
             state,
             window,
@@ -153,10 +302,7 @@ def window_round(
             profile=profile,
             threads=threads,
         )
-        targets[start:end] = window_targets
-        if gains is not None:
-            gains[start:end] = window_gains
-        state.apply_moves(window, window_targets, sched=sched)
+        state.apply_moves(window, targets[start:end], sched=sched)
     if sched is not None and not charge_depth:
         sched.charge(
             work=0.0,
@@ -165,8 +311,8 @@ def window_round(
             label="best-moves-iter",
         )
     moving = targets != origins
-    gain = _round_gain(gains, moving, bounds) if gains is not None else 0.0
-    return order[moving], origins[moving], targets[moving], gain
+    moved = np.add.reduceat(moving, starts, dtype=np.int64)
+    return order[moving], origins[moving], targets[moving], gains[moving], moved
 
 
 def iterate_rounds(

@@ -27,7 +27,7 @@ so ``sim_time_seconds`` is the same with and without the C library.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,16 +41,17 @@ from repro.obs.instrument import M_KERNEL_BATCH
 #: One window's degree profile: ``(vertices, degree sum, parallel-branch
 #: vertices, parallel-branch degree sum, largest sequential-branch degree,
 #: largest parallel-branch degree)``; a largest degree is 0 when its
-#: branch is empty.
+#: branch is empty.  A round's profiles are the rows of one int64 array
+#: (:func:`window_profiles`).
 Profile = Tuple[int, int, int, int, int, int]
 
 _ONE_WINDOW = np.zeros(1, dtype=np.int64)
 
 
-def degree_profile(
+def window_profiles(
     degrees: np.ndarray, threshold: int, starts: Optional[np.ndarray] = None
-) -> List[Profile]:
-    """The :data:`Profile` of each window of ``degrees``.
+) -> np.ndarray:
+    """The :data:`Profile` of each window of ``degrees``, one row each.
 
     Windows are the consecutive non-empty runs beginning at ``starts``
     (the whole array when ``None``); a round's windows cost one pass
@@ -59,40 +60,43 @@ def degree_profile(
     Degrees are integers, so every sum is exact.
     """
     if starts is None:
-        sizes = [degrees.size]
         starts = _ONE_WINDOW
-    else:
-        sizes = np.diff(starts, append=degrees.size).tolist()
-    sums = np.add.reduceat(degrees, starts).tolist()
+    profiles = np.zeros((starts.size, 6), dtype=np.int64)
+    profiles[:, 0] = np.diff(starts, append=degrees.size)
+    profiles[:, 1] = np.add.reduceat(degrees, starts)
     par = degrees > threshold
     if par.any():
         par_degrees = np.where(par, degrees, 0)
-        par_counts = np.add.reduceat(par, starts, dtype=np.int64).tolist()
-        par_sums = np.add.reduceat(par_degrees, starts).tolist()
-        seq_maxima = np.maximum.reduceat(degrees - par_degrees, starts).tolist()
-        par_maxima = np.maximum.reduceat(par_degrees, starts).tolist()
+        profiles[:, 2] = np.add.reduceat(par, starts, dtype=np.int64)
+        profiles[:, 3] = np.add.reduceat(par_degrees, starts)
+        profiles[:, 4] = np.maximum.reduceat(degrees - par_degrees, starts)
+        profiles[:, 5] = np.maximum.reduceat(par_degrees, starts)
     else:
-        par_counts = par_sums = par_maxima = [0] * len(sizes)
-        seq_maxima = np.maximum.reduceat(degrees, starts).tolist()
-    return list(zip(sizes, sums, par_counts, par_sums, seq_maxima, par_maxima))
+        profiles[:, 4] = np.maximum.reduceat(degrees, starts)
+    return profiles
 
 
-def profile_depth(profiles: List[Profile]) -> float:
-    """Critical-path depth of evaluating the profiled windows' vertices
-    concurrently: the worst single-vertex kernel (Appendix B).
+def worst_depth(seq_max: int, par_count: int, par_max: int) -> float:
+    """Critical-path depth of evaluating vertices concurrently: the worst
+    single-vertex kernel (Appendix B), given the largest degree of each
+    branch and how many vertices took the parallel one.
 
     The sequential scan's depth is the degree, the parallel hash table's
     ``2 log2(degree)``, clamped to >= 1: a degree-1 vertex routed to the
     hash-table kernel (possible only with ``threshold < 1``) still pays
     at least one step, not ``2*log2(1) = 0``.
     """
-    seq_max = max(p[4] for p in profiles)
-    par_depth = (
-        max(2.0 * math.log2(float(max(p[5] for p in profiles))), 1.0)
-        if any(p[2] for p in profiles)
-        else 0.0
-    )
+    par_depth = max(2.0 * math.log2(float(par_max)), 1.0) if par_count else 0.0
     return max(float(seq_max), par_depth, 1.0)
+
+
+def profile_depth(profiles) -> float:
+    """:func:`worst_depth` over the profiled windows together (rows of
+    :func:`window_profiles`)."""
+    profiles = np.asarray(profiles, dtype=np.int64)
+    return worst_depth(
+        profiles[:, 4].max(), profiles[:, 2].any(), profiles[:, 5].max()
+    )
 
 
 def kernel_depth(degrees: np.ndarray, threshold: int) -> float:
@@ -100,7 +104,7 @@ def kernel_depth(degrees: np.ndarray, threshold: int) -> float:
     (:func:`profile_depth` of one window; 1 for no vertices)."""
     if degrees.size == 0:
         return 1.0
-    return profile_depth(degree_profile(degrees, threshold))
+    return profile_depth(window_profiles(degrees, threshold))
 
 
 #: Space overhead of the parallel branch's presized open-addressing
@@ -112,39 +116,67 @@ TABLE_SLACK = 1.3
 PARALLEL_INSERT_COST = 2.0
 
 
-def _charge_batch(
-    sched, profile: Profile, label: str, include_depth: bool = True
-) -> None:
-    """Charge one batch's best-move cost under the dual-kernel model.
+def batch_costs(
+    profiles: np.ndarray, include_depth
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each profiled window's best-move ``(work, depth)`` under the
+    dual-kernel model, as float64 columns (``profiles`` holds one
+    :data:`Profile` per row).
 
-    ``include_depth=False`` charges work only: asynchronous execution has
-    no barrier between concurrency windows, so the engine charges a single
-    depth term per BEST-MOVES *iteration* instead of per window.
+    A window charges depth only where ``include_depth`` (a bool, or one
+    per window) is true: asynchronous execution has no barrier between
+    concurrency windows, so the engine charges a single depth term per
+    BEST-MOVES *iteration* instead of per window.
     """
-    size, deg_sum, par_count, par_sum, _, _ = profile
+    sizes, sums, par_counts, par_sums, seq_maxima, par_maxima = profiles.T
     # ~5 ops per edge scanned (neighbor load, cluster-id load, hash insert,
     # weight accumulate) plus per-vertex gain arithmetic; an EDGEMAP scan
     # by contrast costs ~1 op per edge, which is why frontier maintenance
     # is cheap relative to move computation.
-    work = 5.0 * float(deg_sum) + 8.0 * size
-    if par_count:
-        work += (PARALLEL_INSERT_COST - 1.0) * float(par_sum)
-        work += TABLE_SLACK * float(par_sum)
-    depth = profile_depth([profile]) if include_depth else 0.0
-    sched.charge(work=work, depth=depth, label=label, items=size)
+    work = 5.0 * sums + 8.0 * sizes
+    depth = np.zeros(sizes.size)
+    parallel = np.flatnonzero(par_counts).tolist()
+    if parallel:
+        # The parallel branch's terms, one after the other; they are 0
+        # for a window without it, and adding 0.0 to the positive work
+        # changes no bit.
+        work += (PARALLEL_INSERT_COST - 1.0) * par_sums
+        work += TABLE_SLACK * par_sums
+    if np.any(include_depth):
+        depth = np.maximum(seq_maxima, 1).astype(np.float64)
+        for i in parallel:
+            depth[i] = worst_depth(seq_maxima[i], 1, par_maxima[i])
+        depth = np.where(include_depth, depth, 0.0)
+    return work, depth
+
+
+def _charge_batch(
+    sched, profile: Profile, label: str, include_depth: bool = True
+) -> None:
+    """Charge one batch's best-move cost (:func:`batch_costs`)."""
+    work, depth = batch_costs(np.array([profile], dtype=np.int64), include_depth)
+    sched.charge(
+        work=float(work[0]), depth=float(depth[0]), label=label, items=profile[0]
+    )
+
+
+def fault_free(state: ClusterState, sched=None) -> bool:
+    """Whether a round may run its windows on the fast paths: no fault
+    plan on ``sched`` (``sched.faults``) and an exact :class:`ClusterState`
+    (not a ``FaultyClusterState``).  Fault runs keep one kernel thread
+    (:func:`kernel_threads`) and the per-window loop of
+    :func:`repro.core.best_moves.window_round`."""
+    return getattr(sched, "faults", None) is None and type(state) is ClusterState
 
 
 def kernel_threads(state: ClusterState, sched=None) -> int:
     """Wall-clock threads a round's kernel windows may use.
 
     One per usable core (:func:`repro.kernels.native.usable_cores`),
-    except under fault injection (``sched.faults``) and for a state
-    other than an exact :class:`ClusterState` (a ``FaultyClusterState``),
-    which keep the single-thread path.  Results never depend on it.
+    except where :func:`fault_free` is false, which keeps the
+    single-thread path.  Results never depend on it.
     """
-    if getattr(sched, "faults", None) is not None or type(state) is not ClusterState:
-        return 1
-    return native.usable_cores()
+    return native.usable_cores() if fault_free(state, sched) else 1
 
 
 def compute_batch_moves(
@@ -168,7 +200,7 @@ def compute_batch_moves(
     cluster when no strict improvement exists) and ``gains[i] >= 0`` is the
     objective improvement (unordered ``F`` scale) of taking that move in
     isolation.  ``profile`` is the
-    batch's :func:`degree_profile` when the caller already has it (a
+    batch's :data:`Profile` when the caller already has it (a
     round profiles all its windows at once).  ``threads`` is how many
     wall-clock threads the kernel may split the batch across
     (:func:`kernel_threads`); the outputs and the charge never depend
@@ -195,7 +227,7 @@ def compute_batch_moves(
         return targets, gains
     if profile is None:
         degrees = graph.offsets[batch + 1] - graph.offsets[batch]
-        profile = degree_profile(degrees, kernel_threshold)[0]
+        profile = window_profiles(degrees, kernel_threshold)[0].tolist()
     _charge_batch(sched, profile, label, include_depth=charge_depth)
     return targets, gains
 

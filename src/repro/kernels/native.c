@@ -26,11 +26,14 @@
  *     move at once, as reference_sweep does through
  *     ClusterState.move_one.
  *
- * Three more run the rest of a round, each matching its NumPy path bit
- * for bit:
+ * Four more run the rest of a round, each matching its Python or NumPy
+ * path bit for bit:
  *
  *   - repro_commit applies one concurrency window of moves
  *     (ClusterState.apply_moves) and counts its fetch-and-add contention;
+ *   - repro_round runs a whole round of windows, each evaluated by
+ *     repro_best_moves and committed by repro_commit, as
+ *     best_moves.window_round's per-window loop does;
  *   - repro_neighbors is the frontier's neighbor set (edge_map);
  *   - repro_compress builds the quotient graph's edges
  *     (graphs/quotient.py) row by row, splitting a large graph's rows
@@ -43,12 +46,12 @@
  *   - repro_splice writes a batch's new CSR in one pass over the rows,
  *     checking every arc it writes as CSRGraph._validate would.
  *
- * The three per-window entry points (repro_best_moves, repro_sweep and
- * repro_commit) read the graph, the state and their scratch through a
- * `struct binding` that the caller fills once per level and thread, so
- * each call passes only its window, its settings and its outputs.  The
- * other four run once per round, level or update batch and take their
- * arrays directly.
+ * The four BEST-MOVES entry points (repro_best_moves, repro_sweep,
+ * repro_commit and repro_round) read the graph, the state and their
+ * scratch through a `struct binding` that the caller fills once per
+ * level and thread, so each call passes only its window or round, its
+ * settings and its outputs.  The other four run once per round, level or
+ * update batch and take their arrays directly.
  *
  * Build with -ffp-contract=off and never -ffast-math: additions must be
  * neither reordered nor fused for the results to be bit-identical; and
@@ -86,7 +89,9 @@
  * counts, and this thread's scratch.  The layout is mirrored by
  * `Binding` in native.py.  A commit binding leaves the graph's CSR
  * pointers null and binds the state's own node weights; it needs only
- * `counts` (zeros over every cluster id between calls).
+ * `counts` (zeros over every cluster id between calls).  A kernel
+ * binding fills every field, so repro_round can both evaluate and
+ * commit through it.
  */
 struct binding {
     const int64_t *offsets;
@@ -834,6 +839,120 @@ int64_t repro_commit(
     contention(origins, origins, targets, size, counts, stats);
     contention(targets, origins, targets, size, counts, stats + 2);
     return moved;
+}
+
+/* The fields of one window's row in repro_round's `out_windows`. */
+enum {
+    W_MOVED, W_DEC_RETRIES, W_DEC_LONGEST, W_INC_RETRIES, W_INC_LONGEST,
+    W_PAIRS, W_SIZE, W_DEGREE_SUM, W_PAR_COUNT, W_PAR_SUM, W_SEQ_MAX,
+    W_PAR_MAX, W_FIELDS
+};
+
+/*
+ * One BEST-MOVES round over `order`, cut into `num_windows` concurrency
+ * windows: window w is order[starts[w], starts[w + 1]), the last one
+ * ending at `order_size`.  Each window is evaluated against the state
+ * the windows before it left (repro_best_moves, split across the pool
+ * as that call splits it) and then committed (repro_commit), so the
+ * round is the per-window loop with no Python between the windows.
+ *
+ * `targets`, `gains` and `origins` are round-sized.  A window's targets
+ * and gains land at its own positions, its commit writes its origins
+ * there, and then its movers are moved to the front, in window order:
+ * on return, entry i < the returned count of `out_movers`, `origins`,
+ * `targets` and `gains` is the round's i-th mover, its origin, its
+ * target and its gain.  Each window also gets a row of W_FIELDS integers
+ * in `out_windows`: its movers; the retries (movers minus distinct
+ * clusters) and the longest queue of its decrement window and of its
+ * increment window (all four 0 when nothing moved); its (vertex, neighbor
+ * cluster) pair count; and its degree profile: vertices, degree sum, the
+ * count and degree sum of vertices of degree above `threshold`, and the
+ * largest degree at or below it and above it (0 when there is none).
+ *
+ * The binding must carry both the kernel's scratch and the commit's
+ * `counts`, and its node weights are the state's.  Returns the round's
+ * movers, or -1 when a window is out of order or an id out of range; the
+ * windows before the failing one stay committed, and the failing one
+ * changes nothing.
+ */
+int64_t repro_round(
+    const struct binding *bound,
+    const int64_t *order,
+    int64_t order_size,
+    const int64_t *starts,
+    int64_t num_windows,
+    double resolution,
+    double gain_eps,
+    int allow_escape,
+    int swap_avoidance,
+    int threads,
+    int64_t threshold,
+    int64_t *targets,
+    double *gains,
+    int64_t *origins,
+    int64_t *out_movers,
+    int64_t *out_windows)
+{
+    const int64_t *offsets = bound->offsets;
+    int64_t movers = 0;
+    for (int64_t w = 0; w < num_windows; ++w) {
+        const int64_t begin = starts[w];
+        const int64_t end = w + 1 < num_windows ? starts[w + 1] : order_size;
+        if (begin < 0 || end < begin || end > order_size) {
+            return -1;
+        }
+        const int64_t size = end - begin;
+        const int64_t *window = order + begin;
+        int64_t *row = out_windows + W_FIELDS * w;
+        const int64_t pairs = repro_best_moves(
+            bound, window, size, resolution, gain_eps, allow_escape,
+            swap_avoidance, threads, targets + begin, gains + begin);
+        if (pairs < 0) {
+            return -1;
+        }
+        int64_t stats[4] = {0, 0, 0, 0};
+        const int64_t moved = repro_commit(
+            bound, window, targets + begin, size, origins + begin, stats);
+        if (moved < 0) {
+            return -1;
+        }
+        row[W_MOVED] = moved;
+        row[W_DEC_RETRIES] = moved - stats[0];
+        row[W_DEC_LONGEST] = stats[1];
+        row[W_INC_RETRIES] = moved - stats[2];
+        row[W_INC_LONGEST] = stats[3];
+        row[W_PAIRS] = pairs;
+        row[W_SIZE] = size;
+        int64_t degree_sum = 0, par_count = 0, par_sum = 0;
+        int64_t seq_max = 0, par_max = 0;
+        for (int64_t i = 0; i < size; ++i) {
+            const int64_t v = window[i];
+            const int64_t degree = offsets[v + 1] - offsets[v];
+            degree_sum += degree;
+            if (degree > threshold) {
+                ++par_count;
+                par_sum += degree;
+                par_max = degree > par_max ? degree : par_max;
+            } else {
+                seq_max = degree > seq_max ? degree : seq_max;
+            }
+            /* Front-pack the movers; `movers` never passes begin + i. */
+            const int64_t j = begin + i;
+            if (origins[j] != targets[j]) {
+                out_movers[movers] = v;
+                origins[movers] = origins[j];
+                targets[movers] = targets[j];
+                gains[movers] = gains[j];
+                ++movers;
+            }
+        }
+        row[W_DEGREE_SUM] = degree_sum;
+        row[W_PAR_COUNT] = par_count;
+        row[W_PAR_SUM] = par_sum;
+        row[W_SEQ_MAX] = seq_max;
+        row[W_PAR_MAX] = par_max;
+    }
+    return movers;
 }
 
 /*

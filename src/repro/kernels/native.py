@@ -22,6 +22,15 @@ quotient's rows over the same pool.  Both use one thread per
 at import or load; they park when idle, and a forked child starts its
 own.  :func:`pool_stats` reads the pool's counters.
 
+One more runs a whole BEST-MOVES round: :meth:`NativeKernel.round`
+(``repro_round``) evaluates each concurrency window as ``batch_moves``
+does, on the pool, commits it as :func:`commit` does, and returns the
+round's movers plus one row of integers per window (the commit's
+contention, the pair count and the degree profile, :data:`ROUND_FIELDS`)
+from which ``best_moves.window_round`` charges the round.  It returns
+``None`` for a state it cannot commit in place, and the caller then runs
+the per-window loop.
+
 Three more entry points run the rest of a round, each bit-identical to
 the NumPy code it replaces, which stays as the no-compiler path and the
 test oracle: :func:`commit` (``ClusterState.apply_moves``),
@@ -32,12 +41,14 @@ way: :func:`find_arcs` (the arc search of ``graphs.delta``) and
 return ``None`` when the library does not load, and the caller runs its
 NumPy path.
 
-The three per-window calls (batch, sweep, commit) read the graph, the
-state and their scratch through a :class:`Binding`, built once per level
-and thread and checked by weak-reference identity on each call; a call
-then marshals only its window, its settings and its outputs, whose
-addresses :func:`_address` takes.  The frontier and the compression run
-once per round or level and pass their arrays directly.
+The four BEST-MOVES calls (batch, sweep, commit, round) read the graph,
+the state and their scratch through a :class:`Binding`, built once per
+level and thread and checked by weak-reference identity on each call; a
+call then marshals only its window or round, its settings and its
+outputs, whose addresses :func:`_address` takes.  A kernel binding also
+carries the commit's contention counts, so a round commits through it.
+The frontier and the compression run once per round or level and pass
+their arrays directly.
 
 The shared library is built lazily, on first use, never at import:
 
@@ -102,9 +113,9 @@ class Binding(ctypes.Structure):
 
     The graph and state pointers, the vertex and cluster-id counts the C
     loops bounds-check against, and the calling thread's scratch (pool
-    helpers keep their own in C).  A kernel binding fills every field
-    but ``counts``; a commit binding leaves the CSR pointers null and
-    binds the state's own node weights and ``counts``.
+    helpers keep their own in C).  A kernel binding fills every field,
+    so a round can commit through it; a commit binding leaves the CSR
+    pointers null and binds the state's own node weights and ``counts``.
     """
 
     _fields_ = [
@@ -124,16 +135,20 @@ class Binding(ctypes.Structure):
     ]
 
 
-#: The three per-window entry points take a binding's address, then only
-#: what changes per call: the window and its size, the settings (the
-#: resolution, GAIN_EPS, flags and, for the batch, the thread count) and
-#: the outputs.  The frontier, the compression, the arc search and the
-#: splice run once per round, level or update batch and take their
-#: arrays.  ``repro_pool_stats`` reads the batch's thread pool.
+#: The four BEST-MOVES entry points take a binding's address, then only
+#: what changes per call: the window (or the round's order and window
+#: starts) and its size, the settings (the resolution, GAIN_EPS, flags
+#: and, for the batch and the round, the thread count; for the round, the
+#: kernel threshold of the degree profile) and the outputs.  The
+#: frontier, the compression, the arc search and the splice run once per
+#: round, level or update batch and take their arrays.
+#: ``repro_pool_stats`` reads the batch's thread pool.
 SIGNATURES = {
     "repro_best_moves": [_P, _P, _I64, _F64, _F64, _INT, _INT, _INT, _P, _P],
     "repro_sweep": [_P, _P, _I64, _F64, _F64, _INT] + [_P] * 4,
     "repro_commit": [_P, _P, _P, _I64, _P, _P],
+    "repro_round": [_P, _P, _I64, _P, _I64, _F64, _F64, _INT, _INT, _INT, _I64]
+    + [_P] * 5,
     "repro_neighbors": [_P, _P, _I64, _P, _I64] + [_P] * 3,
     "repro_compress": [_P, _P, _P, _I64, _P, _I64, _P, _INT] + [_P] * 4,
     "repro_find_arcs": [_P, _P, _I64, _P, _P, _I64, _P, _P],
@@ -311,22 +326,28 @@ class _Bound:
     while :meth:`holds` finds every one of them alive and identical,
     which is every window of a level.  A binding of copies (arrays C
     could not read in place) has no ``refs``, holds its copies in
-    ``copies`` and lasts one call.  ``scratch`` holds the scratch arrays
-    the binding points at.  ``out`` is a commit binding's output: four
+    ``copies`` and lasts one call.  ``scratch`` holds the kernel's
+    scratch arrays the binding points at and ``counts`` the commit's
+    (zeros over every cluster id between calls, since the C commit
+    clears what it counts).  ``out`` is a commit binding's output: four
     contention integers, then room for a window's origins, grown to the
     longest window committed and handed on to the next commit binding.
     """
 
     __slots__ = (
-        "refs", "copies", "struct", "address", "scratch", "out", "out_address",
+        "refs", "copies", "struct", "address", "scratch", "counts", "out",
+        "out_address",
     )
 
-    def __init__(self, arrays, copies, struct, scratch, out=None) -> None:
+    def __init__(
+        self, arrays, copies, struct, scratch, counts=None, out=None
+    ) -> None:
         self.refs = None if copies else tuple(weakref.ref(a) for a in arrays)
         self.copies = copies
         self.struct = struct
         self.address = ctypes.addressof(struct)
         self.scratch = scratch
+        self.counts = counts
         self.out = out
         self.out_address = None if out is None else out.ctypes.data
 
@@ -347,9 +368,9 @@ def _bind_kernel(arrays, previous: Optional[_Bound]) -> _Bound:
     Arrays already contiguous with the kernel's dtype are read in place;
     anything else is copied, and the binding then lasts one call, since a
     copy of the state would go stale.  The scratch (``acc``, ``seen``,
-    ``touched``, covering every cluster id) is ``previous``'s when it is
-    large enough; ``acc`` and ``seen`` hold zeros between calls, because
-    the C loop resets what it touches.
+    ``touched`` and the commit's ``counts``, covering every cluster id)
+    is ``previous``'s when it is large enough; all but ``touched`` hold
+    zeros between calls, because the C loops reset what they touch.
     """
     usable = tuple(
         np.ascontiguousarray(a, dtype=dt) for a, dt in zip(arrays, _INPUT_DTYPES)
@@ -373,15 +394,26 @@ def _bind_kernel(arrays, previous: Optional[_Bound]) -> _Bound:
             np.zeros(size, dtype=np.uint8),
             np.empty(size, dtype=np.int64),
         )
+    counts = _counts(previous, clusters)
     struct = Binding(
         *(a.ctypes.data for a in usable),
         n,
         clusters,
         *(a.ctypes.data for a in scratch),
-        None,
+        counts.ctypes.data,
     )
     in_place = all(u is a for u, a in zip(usable, arrays))
-    return _Bound(arrays, None if in_place else usable, struct, scratch)
+    return _Bound(arrays, None if in_place else usable, struct, scratch, counts)
+
+
+def _counts(previous: Optional[_Bound], clusters: int) -> np.ndarray:
+    """The commit's contention counts over ``clusters`` ids: ``previous``'s
+    when large enough (the C loop leaves them zero), else fresh zeros."""
+    counts = previous.counts if previous is not None else None
+    if counts is None or counts.size < clusters:
+        size = max(clusters, 2 * counts.size if counts is not None else 0)
+        counts = np.zeros(size, dtype=np.int64)
+    return counts
 
 
 class _KernelLocal(threading.local):
@@ -474,54 +506,133 @@ class NativeKernel:
             instr.observe(M_KERNEL_SEGMENTS, float(pairs))
         return targets, gains
 
-    def sweep(self, graph, state, order, resolution, *, allow_escape=True):
+    def _committing(self, graph, state):
+        """``(library, binding)`` for a C loop that commits into
+        ``state``, or ``None`` when it must not: no library, or a state
+        the C commit would not update as Python does.
+
+        The C loops commit as ``ClusterState`` does, with the graph's node
+        weights, into the arrays they read; any other state
+        (``FaultyClusterState`` buffers, delays and duplicates writes), or
+        one whose arrays had to be copied, takes the Python path.
+        """
         from repro.core.state import ClusterState  # it imports this module
 
         lib = self.library.load()
-        # The C loop commits as ``ClusterState.move_one`` does, with the
-        # graph's node weights, into the arrays it reads; any other state
-        # (``FaultyClusterState`` buffers, delays and duplicates writes),
-        # or one whose arrays had to be copied, takes the dict loop.
         if (
-            lib is not None
-            and type(state) is ClusterState
-            and state.node_weights is graph.node_weights
+            lib is None
+            or type(state) is not ClusterState
+            or state.node_weights is not graph.node_weights
         ):
-            bound = self._binding(graph, state)
-            owned = (state.assignments, state.cluster_weights, state.cluster_sizes)
-            copies = bound.copies
-            if copies is None or all(c is a for c, a in zip(copies[4:], owned)):
-                order = np.ascontiguousarray(order, dtype=np.int64)
-                size = order.size
-                movers = np.empty(size, dtype=np.int64)
-                origins = np.empty(size, dtype=np.int64)
-                targets = np.empty(size, dtype=np.int64)
-                total_gain = np.zeros(1, dtype=np.float64)
-                moved = lib.repro_sweep(
-                    bound.address,
-                    _address(order),
-                    size,
-                    float(resolution),
-                    GAIN_EPS,
-                    bool(allow_escape),
-                    _address(movers),
-                    _address(origins),
-                    _address(targets),
-                    _address(total_gain),
-                )
-                if moved < 0:
-                    raise IndexError(
-                        "native kernel: sweep vertex or label out of range"
-                    )
-                return (
-                    movers[:moved],
-                    origins[:moved],
-                    targets[:moved],
-                    float(total_gain[0]),
-                )
-        return reference_sweep(
-            graph, state, order, resolution, allow_escape=allow_escape
+            return None
+        bound = self._binding(graph, state)
+        owned = (state.assignments, state.cluster_weights, state.cluster_sizes)
+        copies = bound.copies
+        if copies is not None and not all(c is a for c, a in zip(copies[4:], owned)):
+            return None
+        return lib, bound
+
+    def sweep(self, graph, state, order, resolution, *, allow_escape=True):
+        committing = self._committing(graph, state)
+        if committing is None:
+            return reference_sweep(
+                graph, state, order, resolution, allow_escape=allow_escape
+            )
+        lib, bound = committing
+        order = np.ascontiguousarray(order, dtype=np.int64)
+        size = order.size
+        movers = np.empty(size, dtype=np.int64)
+        origins = np.empty(size, dtype=np.int64)
+        targets = np.empty(size, dtype=np.int64)
+        total_gain = np.zeros(1, dtype=np.float64)
+        moved = lib.repro_sweep(
+            bound.address,
+            _address(order),
+            size,
+            float(resolution),
+            GAIN_EPS,
+            bool(allow_escape),
+            _address(movers),
+            _address(origins),
+            _address(targets),
+            _address(total_gain),
         )
+        if moved < 0:
+            raise IndexError("native kernel: sweep vertex or label out of range")
+        return movers[:moved], origins[:moved], targets[:moved], float(total_gain[0])
+
+    def round(
+        self,
+        graph,
+        state,
+        order,
+        starts,
+        resolution,
+        *,
+        threshold,
+        allow_escape=True,
+        swap_avoidance=False,
+        threads=1,
+    ):
+        """Evaluate and commit every window of one round in one C call.
+
+        Window ``i`` is ``order[starts[i]:starts[i + 1]]``; each reads the
+        state the windows before it left, as :meth:`batch_moves` followed
+        by ``ClusterState.apply_moves`` per window would.  Returns
+        ``(movers, origins, targets, gains, windows)``: the round's movers
+        in commit order with their origins, targets and gains, and one row
+        of :data:`ROUND_FIELDS` per window (its commit's contention, its
+        pair count and its degree profile, with ``threshold`` splitting
+        the two kernel branches).  Returns ``None``, having changed
+        nothing, where the round cannot run in C: no library, a state
+        other than an exact ``ClusterState`` or with node weights other
+        than the graph's, or state arrays that had to be copied.
+        """
+        committing = self._committing(graph, state)
+        if committing is None:
+            return None
+        lib, bound = committing
+        order = np.ascontiguousarray(order, dtype=np.int64)
+        starts = np.ascontiguousarray(starts, dtype=np.int64)
+        size = order.size
+        targets = np.empty(size, dtype=np.int64)
+        gains = np.empty(size, dtype=np.float64)
+        origins = np.empty(size, dtype=np.int64)
+        movers = np.empty(size, dtype=np.int64)
+        windows = np.empty((starts.size, len(ROUND_FIELDS)), dtype=np.int64)
+        moved = lib.repro_round(
+            bound.address,
+            _address(order),
+            size,
+            _address(starts),
+            starts.size,
+            float(resolution),
+            GAIN_EPS,
+            bool(allow_escape),
+            bool(swap_avoidance),
+            int(threads),
+            int(threshold),
+            _address(targets),
+            _address(gains),
+            _address(origins),
+            _address(movers),
+            _address(windows),
+        )
+        if moved < 0:
+            raise IndexError("native kernel: round vertex or label out of range")
+        return movers[:moved], origins[:moved], targets[:moved], gains[:moved], windows
+
+
+#: The columns of :meth:`NativeKernel.round`'s per-window rows, in
+#: ``repro_round``'s order: the movers, the retries (movers minus distinct
+#: clusters) and longest queue of the decrement and then of the increment
+#: fetch-and-add window, the (vertex, neighbor cluster) pairs evaluated,
+#: and the window's degree profile (``repro.core.moves.Profile``).
+ROUND_FIELDS = (
+    "moved", "dec_retries", "dec_longest", "inc_retries", "inc_longest",
+    "pairs", "sizes", "sums", "par_counts", "par_sums", "seq_maxima",
+    "par_maxima",
+)
 
 
 #: The kernel every engine calls.
@@ -607,10 +718,7 @@ def _commit_binding(state) -> Optional[_Bound]:
     ):
         return None
     clusters = min(cluster_weights.size, cluster_sizes.size)
-    counts = previous.scratch[0] if previous is not None else None
-    if counts is None or counts.size < clusters:
-        size = max(clusters, 2 * counts.size if counts is not None else 0)
-        counts = np.zeros(size, dtype=np.int64)
+    counts = _counts(previous, clusters)
     struct = Binding(
         None,
         None,
@@ -627,7 +735,7 @@ def _commit_binding(state) -> Optional[_Bound]:
         counts.ctypes.data,
     )
     out = previous.out if previous is not None else np.empty(4 + 64, np.int64)
-    bound = _Bound(arrays, None, struct, (counts,), out)
+    bound = _Bound(arrays, None, struct, (), counts, out)
     _ROUND.commit = bound
     return bound
 

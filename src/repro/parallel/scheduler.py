@@ -30,7 +30,9 @@ algorithmic contributions change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import SchedulerError
 
@@ -264,10 +266,25 @@ class Region:
 
     def __post_init__(self) -> None:
         if self.work < 0 or self.depth < 0 or self.serial < 0:
-            raise SchedulerError(
-                f"region costs must be non-negative: {self.label!r} "
-                f"work={self.work} depth={self.depth} serial={self.serial}"
-            )
+            _negative(self.label, self.work, self.depth, self.serial)
+
+
+def _negative(label: str, work: float, depth: float, serial: float) -> None:
+    raise SchedulerError(
+        f"region costs must be non-negative: {label!r} "
+        f"work={work} depth={depth} serial={serial}"
+    )
+
+
+def _validated_rows(labels, work, depth, serial) -> list:
+    """``(label, work, depth, serial)`` rows of these columns; raises on
+    the first region with a negative cost."""
+    costs = np.array((work, depth, serial), dtype=np.float64)
+    negative = (costs < 0).any(axis=0)
+    if negative.any():
+        i = int(negative.argmax())
+        _negative(labels[i], *costs[:, i].tolist())
+    return list(zip(labels, *costs.tolist()))
 
 
 class CostLedger:
@@ -277,10 +294,23 @@ class CostLedger:
     an algorithm runs once, and :meth:`simulated_time` can then be evaluated
     for *any* ``P`` — which is how the thread-scaling figures are produced
     without rerunning the clustering per thread count.
+
+    Regions are kept as ``(label, work, depth, serial)`` rows, and
+    :meth:`regions` builds :class:`Region` objects from them on demand.
+    :meth:`charge` appends one region and :meth:`charge_many` a run of
+    them.  :meth:`charge_later` places regions whose costs are cheaper to
+    compute for many calls at once (a BEST-MOVES round's): they are built
+    when the ledger is next read, together with every other call still
+    pending, and take their place in charge order.  The totals add the
+    regions one at a time in that order, so they carry the same bits
+    however the regions were charged.
     """
 
     def __init__(self) -> None:
-        self._regions: List[Region] = []
+        self._rows: List[Tuple[str, float, float, float]] = []
+        #: ``(row position, build, args)`` of each pending charge_later.
+        self._pending: List[Tuple[int, Callable, object]] = []
+        self._summed = 0
         self._totals: Dict[str, float] = {"work": 0.0, "depth": 0.0, "serial": 0.0}
 
     def charge(
@@ -291,36 +321,90 @@ class CostLedger:
         serial: float = 0.0,
     ) -> None:
         """Record one parallel region's cost."""
-        region = Region(label=label, work=float(work), depth=float(depth), serial=float(serial))
-        self._regions.append(region)
-        self._totals["work"] += region.work
-        self._totals["depth"] += region.depth
-        self._totals["serial"] += region.serial
+        work, depth, serial = float(work), float(depth), float(serial)
+        if work < 0 or depth < 0 or serial < 0:
+            _negative(label, work, depth, serial)
+        self._rows.append((label, work, depth, serial))
+
+    def charge_many(
+        self,
+        labels: Sequence[str],
+        work: np.ndarray,
+        depth: np.ndarray,
+        serial: np.ndarray,
+    ) -> None:
+        """Record regions ``i = 0, 1, ...`` in order, as one :meth:`charge`
+        each would.  A negative cost raises before anything is recorded."""
+        self._rows.extend(_validated_rows(labels, work, depth, serial))
+
+    def charge_later(self, build: Callable, args) -> None:
+        """Record, at this point of the ledger, the regions ``build`` makes
+        of ``args``.
+
+        ``build`` takes a list of such ``args`` and returns, for each, its
+        ``(labels, work, depth, serial, items)`` columns (the ledger keeps
+        the first four); the ledger calls it once for all the calls with
+        the same ``build`` that are pending when its regions or totals are
+        next read.  A negative cost raises then.
+        """
+        self._pending.append((len(self._rows), build, args))
+
+    def _settle(self) -> List[Tuple[str, float, float, float]]:
+        """Build the pending regions into place and bring the totals up
+        to date; returns every row."""
+        rows = self._rows
+        pending = self._pending
+        if pending:
+            self._pending = []
+            groups: Dict[Callable, list] = {}
+            for index, (_, build, args) in enumerate(pending):
+                groups.setdefault(build, []).append((index, args))
+            built = [None] * len(pending)
+            for build, calls in groups.items():
+                columns = build([args for _, args in calls])
+                for (index, _), call_columns in zip(calls, columns):
+                    built[index] = _validated_rows(*call_columns[:4])
+            # Back to front, so the positions of earlier charges hold.
+            for (position, _, _), regions in zip(reversed(pending), reversed(built)):
+                rows[position:position] = regions
+        if self._summed < len(rows):
+            totals = self._totals
+            work, depth, serial = totals["work"], totals["depth"], totals["serial"]
+            for _, w, d, s in rows[self._summed:]:
+                work += w
+                depth += d
+                serial += s
+            totals["work"], totals["depth"], totals["serial"] = work, depth, serial
+            self._summed = len(rows)
+        return rows
 
     @property
     def total_work(self) -> float:
+        self._settle()
         return self._totals["work"]
 
     @property
     def total_depth(self) -> float:
+        self._settle()
         return self._totals["depth"]
 
     @property
     def total_serial(self) -> float:
+        self._settle()
         return self._totals["serial"]
 
     @property
     def num_regions(self) -> int:
-        return len(self._regions)
+        return len(self._settle())
 
     def regions(self) -> Iterator[Region]:
-        return iter(self._regions)
+        return (Region(*row) for row in self._settle())
 
     def work_by_label(self) -> Dict[str, float]:
         """Total work grouped by region label (for profiling benches)."""
         out: Dict[str, float] = {}
-        for region in self._regions:
-            out[region.label] = out.get(region.label, 0.0) + region.work
+        for label, work, _, _ in self._settle():
+            out[label] = out.get(label, 0.0) + work
         return out
 
     def simulated_time(
@@ -350,6 +434,7 @@ class CostLedger:
 
     def snapshot(self) -> Dict[str, float]:
         """Totals as a plain dict (stable API for result records)."""
+        self._settle()
         return dict(self._totals)
 
     def profile(self, top: int = 10) -> List[tuple]:
@@ -414,6 +499,22 @@ class SimulatedScheduler:
         timeline = self._timeline
         if timeline is not None:
             timeline.record(work, depth, serial, items)
+
+    def charge_later(self, build: Callable, args) -> None:
+        """:meth:`CostLedger.charge_later`: the regions ``build`` makes of
+        ``args`` are built when the ledger is next read.  With
+        instrumentation enabled they are built at once, and the lanes
+        record each as :meth:`charge` would."""
+        timeline = self._timeline
+        if timeline is None:
+            self.ledger.charge_later(build, args)
+            return
+        ((labels, work, depth, serial, items),) = build([args])
+        self.ledger.charge_many(labels, work, depth, serial)
+        for region in zip(
+            work.tolist(), depth.tolist(), serial.tolist(), items.tolist()
+        ):
+            timeline.record(*region)
 
     def round_barrier(self, label: str = "round") -> None:
         """Join all simulated workers — engines call this at round ends.

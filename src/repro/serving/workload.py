@@ -133,14 +133,3 @@ class WorkloadSpec:
                     )
                 requests.append(Request.write(i, upd, submitted_at=at))
         return requests
-
-    def describe(self) -> dict:
-        return {
-            "num_requests": self.num_requests,
-            "read_fraction": self.read_fraction,
-            "arrival": self.arrival,
-            "rate": self.rate if self.arrival == "open" else None,
-            "clients": self.clients,
-            "think_seconds": self.think_seconds,
-            "seed": self.seed,
-        }

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from repro.errors import SchedulerError
@@ -99,6 +100,80 @@ class TestCostLedger:
         ledger.charge(5, 1)
         snap = ledger.snapshot()
         assert snap["work"] == 5.0
+
+
+def _rows(ledger):
+    return [(r.label, r.work, r.depth, r.serial) for r in ledger.regions()]
+
+
+#: Costs whose sequential sum differs from NumPy's pairwise one.
+_COSTS = np.random.default_rng(3).random(200) * 1e3
+
+
+class TestLedgerArrayPaths:
+    def _sequential(self, labels, work, depth, serial):
+        ledger = CostLedger()
+        ledger.charge(1.5, 0.25, "before")
+        for row in zip(labels, work, depth, serial):
+            ledger.charge(row[1], row[2], row[0], serial=row[3])
+        ledger.charge(0.1, 0.2, "after", serial=0.3)
+        return ledger
+
+    def test_many_matches_one_charge_each(self):
+        sequential = 0.0
+        for value in _COSTS.tolist():
+            sequential += value
+        assert sequential != float(np.sum(_COSTS))  # the case this covers
+        labels = [f"r{i}" for i in range(_COSTS.size)]
+        work, depth, serial = _COSTS, _COSTS[::-1].copy(), _COSTS * 0.5
+        want = self._sequential(labels, work, depth, serial)
+        got = CostLedger()
+        got.charge(1.5, 0.25, "before")
+        got.charge_many(labels, work, depth, serial)
+        got.charge(0.1, 0.2, "after", serial=0.3)
+        assert _rows(got) == _rows(want)
+        assert got.snapshot() == want.snapshot()
+        assert got.simulated_time(60) == want.simulated_time(60)
+
+    def test_later_regions_take_their_place(self):
+        labels = [f"r{i}" for i in range(_COSTS.size)]
+        columns = (labels, _COSTS, _COSTS * 2.0, _COSTS * 0.5, [1] * _COSTS.size)
+        calls = []
+
+        def build(args):
+            calls.append(list(args))
+            return [tuple(c[a:b] for c in columns) for a, b in args]
+
+        want = CostLedger()
+        want.charge(1.5, 0.25, "before")
+        got = CostLedger()
+        got.charge(1.5, 0.25, "before")
+        for a, b in ((0, 60), (60, 61), (61, 200)):
+            got.charge_later(build, (a, b))
+            got.charge(7.0, 1.0, f"between-{a}")
+            want.charge_many(*(c[a:b] for c in columns[:4]))
+            want.charge(7.0, 1.0, f"between-{a}")
+        assert calls == []  # nothing is built before a read
+        assert got.snapshot() == want.snapshot()
+        assert calls == [[(0, 60), (60, 61), (61, 200)]]  # one build for all
+        assert _rows(got) == _rows(want)
+        got.charge(1.0, 1.0, "end")
+        want.charge(1.0, 1.0, "end")
+        assert got.total_work == want.total_work
+        assert got.num_regions == want.num_regions == 200 + 5
+
+    def test_negative_cost_names_its_label(self):
+        ledger = CostLedger()
+        work = np.array([1.0, 2.0, 3.0])
+        serial = np.array([0.0, -1.0, 0.0])
+        with pytest.raises(SchedulerError, match="'bad'"):
+            ledger.charge_many(["ok", "bad", "late"], work, work, serial)
+        assert ledger.num_regions == 0
+        ledger.charge_later(
+            lambda calls: [(["worse"], -work[:1], work[:1], work[:1], [0])], None
+        )
+        with pytest.raises(SchedulerError, match="'worse'"):
+            ledger.snapshot()
 
 
 class TestSimulatedScheduler:
