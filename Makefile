@@ -104,9 +104,9 @@ bench-dynamic:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_dynamic.py
 
 ## Build the native library, failing when it cannot be built or any of
-## its seven entry points does not resolve (so CI never passes on the
-## reference loops and NumPy paths by accident): the three per-window
-## calls that take a binding (batch, sweep, commit), the two that take
+## its eight entry points does not resolve (so CI never passes on the
+## reference loops and NumPy paths by accident): the four calls that
+## take a binding (batch, sweep, commit, round), the two that take
 ## their arrays (frontier, compression) and the dynamic graph's arc
 ## search and splice, plus the pool's counters.  Compile the source
 ## once more with -Wall -Wextra -Werror and the library's flags

@@ -27,11 +27,11 @@ engine (both settings; synchronous mode is a single window) and the
 colored engine (one window per color class) run.  A round is one
 foreign call, ``native.KERNEL.round``: C evaluates each window on the
 pool, commits it, and returns the round's movers in window order plus
-one row of integers per window (its commit's contention, its pair
-count and its degree profile).  Python charges the round from those
-rows through :meth:`~repro.parallel.scheduler.CostLedger.charge_later`,
-so the regions of many rounds are built in one vectorized pass when
-the ledger is read, and replays the per-window metrics when
+each window's integers (its commit's contention, its pair count and its
+degree profile).  Python charges the round from those through
+:meth:`~repro.parallel.scheduler.CostLedger.charge_later`, so the
+regions of every round charged since the ledger was last read are built
+in one vectorized pass, and replays the per-window metrics when
 instrumentation is on.  Fault runs and the no-compiler path keep the
 per-window loop, with one kernel call and one commit per window.  The
 round's gain is summed only when instrumentation is on.
@@ -59,15 +59,8 @@ from repro.core.moves import (
 from repro.core.state import ClusterState
 from repro.graphs.csr import CSRGraph
 from repro.kernels import native
-from repro.obs.instrument import (
-    M_ATOMIC_QUEUE,
-    M_CAS_ATTEMPTS,
-    M_CAS_RETRIES,
-    M_KERNEL_BATCH,
-    M_KERNEL_SEGMENTS,
-    instr_of,
-)
-from repro.parallel.scheduler import CAS_COST
+from repro.obs.instrument import M_KERNEL_BATCH, M_KERNEL_SEGMENTS, instr_of
+from repro.parallel.atomics import fetch_add_costs, record_fetch_add
 
 
 @dataclass
@@ -122,9 +115,9 @@ def _round_gain(gains: np.ndarray, moved: np.ndarray) -> float:
     return total
 
 
-#: The regions a C round charges, by slot: per window its evaluation,
+#: The regions a C round charges per window, by slot: its evaluation,
 #: then its commit's two fetch-and-add windows, each followed by its
-#: contention when it retried (``charge_atomic_window``'s regions); and,
+#: contention (:func:`~repro.parallel.atomics.fetch_add_costs`); and,
 #: after the round's last window, the round's depth when its windows
 #: charge none.
 _SLOT_LABELS = np.array(
@@ -132,54 +125,59 @@ _SLOT_LABELS = np.array(
      "best-moves-iter"],
     dtype=object,
 )
-#: Where each slot's (work, depth, serial, items) come from: the columns of
-#: :func:`_round_regions`' per-window table.
-_SLOT_COLUMNS = np.array([
-    16, 17, 18, 6,    # best-moves: batch_costs, vertices
-    0, 19, 18, 0,     # K-dec: one op per mover, depth 1
-    12, 18, 13, 1,    # K-dec-contention: CAS_COST x (retries, longest queue)
-    0, 19, 18, 0,     # K-inc
-    14, 18, 15, 3,    # K-inc-contention
-    18, 20, 18, 18,   # best-moves-iter: depth only
-])
 
 
 def _round_regions(rounds):
-    """The ledger regions of C rounds, built together for
+    """The ledger regions of rounds run in C, built together for
     :meth:`~repro.parallel.scheduler.CostLedger.charge_later`.
 
     ``rounds`` lists one ``(windows, charge_depth, num_vertices)`` per
-    round: its :data:`~repro.kernels.native.ROUND_FIELDS` rows, whether
-    each window charges its own depth, and the graph's vertex count.
-    Returns each round's ``(labels, work, depth, serial, items)``
-    columns: the regions the per-window loop charges, in its order, with
-    its values (see :data:`_SLOT_LABELS`).
+    round: its :class:`~repro.kernels.native.RoundWindows`, whether each
+    window charges its own depth, and the graph's vertex count.  Returns
+    each round's ``(labels, work, depth, serial, items)`` columns: the
+    regions the per-window loop charges, in its order, with its values
+    (see :data:`_SLOT_LABELS`).
     """
-    counts = [r[0].shape[0] for r in rounds]
-    windows = np.concatenate([r[0] for r in rounds])
+    counts = [r[0].moved.size for r in rounds]
     firsts = np.cumsum([0] + counts[:-1])
-    table = np.zeros((windows.shape[0], 21))
-    table[:, :12] = windows
-    table[:, 12:16] = windows[:, 1:5]
-    table[:, 12:16] *= CAS_COST
-    table[:, 16], table[:, 17] = batch_costs(
-        windows[:, 6:], np.repeat([r[1] for r in rounds], counts)
+    windows = native.RoundWindows(
+        *map(np.concatenate, zip(*(r[0] for r in rounds)))
     )
-    table[:, 19] = 1.0
-    # A round without per-window depth charges its worst kernel once,
-    # plus the frontier's 2 log2 n, after its last window.
-    seq = np.maximum.reduceat(windows[:, 10], firsts).tolist()
-    par = np.maximum.reduceat(windows[:, 8], firsts).tolist()
-    par_max = np.maximum.reduceat(windows[:, 11], firsts).tolist()
-    for i, (_, charge_depth, n) in enumerate(rounds):
+    moved, profiles = windows.moved, windows.profiles
+    # One (work, depth, serial, items) per window and slot; a slot is
+    # charged where ``present``.
+    table = np.zeros((moved.size, _SLOT_LABELS.size, 4))
+    present = np.zeros(table.shape[:2], dtype=bool)
+    table[:, 0, 0], table[:, 0, 1] = batch_costs(
+        profiles, np.repeat([r[1] for r in rounds], counts)
+    )
+    table[:, 0, 3] = profiles[:, 0]
+    present[:, 0] = profiles[:, 0] > 0
+    commits = (
+        (1, windows.dec_retries, windows.dec_longest),
+        (3, windows.inc_retries, windows.inc_longest),
+    )
+    for slot, retries, longest in commits:
+        regions = fetch_add_costs(moved, retries, longest)
+        for offset, costs in enumerate(regions):
+            for column, values in enumerate(costs):
+                table[:, slot + offset, column] = values
+        present[:, slot] = moved > 0
+        present[:, slot + 1] = (moved > 0) & (retries > 0)
+    # A round without per-window depth charges its worst kernel
+    # (profile_depth over its windows) plus the frontier's 2 log2 n after
+    # its last window.
+    seq_max = np.maximum.reduceat(profiles[:, 4], firsts).tolist()
+    par_count = np.maximum.reduceat(profiles[:, 2], firsts).tolist()
+    par_max = np.maximum.reduceat(profiles[:, 5], firsts).tolist()
+    for i, (_, charge_depth, num_vertices) in enumerate(rounds):
         if not charge_depth:
-            table[firsts[i] + counts[i] - 1, 20] = worst_depth(
-                seq[i], par[i], par_max[i]
-            ) + 2.0 * math.log2(max(n, 2))
-    slots = table[:, _SLOT_COLUMNS].reshape(-1, 6, 4)
-    present = slots[:, :, 3] > 0
-    present[:, 5] = table[:, 20] > 0
-    work, depth, serial, items = slots[present].T
+            last = firsts[i] + counts[i] - 1
+            table[last, 5, 1] = worst_depth(
+                seq_max[i], par_count[i], par_max[i]
+            ) + 2.0 * math.log2(max(num_vertices, 2))
+            present[last, 5] = True
+    work, depth, serial, items = table[present].T
     items = items.astype(np.int64)
     labels = _SLOT_LABELS[np.nonzero(present)[1]].tolist()
     ends = np.cumsum(np.add.reduceat(present.sum(axis=1), firsts)).tolist()
@@ -189,24 +187,23 @@ def _round_regions(rounds):
     ]
 
 
-def _replay_round_metrics(instr, windows: np.ndarray) -> None:
+def _replay_round_metrics(instr, windows: native.RoundWindows) -> None:
     """The metrics of each window of a C round, in window order, as
     ``NativeKernel.batch_moves``, ``compute_batch_moves`` and
     ``charge_atomic_window`` record them."""
-    for moved, *commit, pairs, size in windows[:, :7].tolist():
+    columns = (
+        windows.moved, windows.pairs, windows.profiles[:, 0],
+        windows.dec_retries, windows.dec_longest,
+        windows.inc_retries, windows.inc_longest,
+    )
+    for moved, pairs, size, *commit in zip(*(c.tolist() for c in columns)):
         if not size:
             continue
         instr.observe(M_KERNEL_SEGMENTS, float(pairs))
         instr.observe(M_KERNEL_BATCH, float(size))
-        if not moved:
-            continue
-        for label, retries, longest in (
-            ("K-dec", *commit[:2]), ("K-inc", *commit[2:]),
-        ):
-            instr.count(M_CAS_ATTEMPTS, float(moved), site=label)
-            if retries:
-                instr.count(M_CAS_RETRIES, float(retries))
-                instr.observe(M_ATOMIC_QUEUE, float(longest))
+        if moved:
+            record_fetch_add(instr, moved, *commit[:2], "K-dec")
+            record_fetch_add(instr, moved, *commit[2:], "K-inc")
 
 
 def window_round(
@@ -229,7 +226,7 @@ def window_round(
     charges one ``best-moves-iter`` depth term after the last window.
 
     The whole round is one C call (``native.KERNEL.round``); its ledger
-    regions are built from the per-window rows it returns when the
+    regions are built from the windows' integers it returns when the
     ledger is next read (:func:`_round_regions`).  Where that call
     cannot run (a fault plan on ``sched`` or a ``FaultyClusterState``,
     see :func:`~repro.core.moves.fault_free`; no C library; state arrays
@@ -255,7 +252,7 @@ def window_round(
             )
             if obs.enabled:
                 _replay_round_metrics(obs, windows)
-        moved = windows[:, 0]
+        moved = windows.moved
     else:
         movers, origins, targets, gains, moved = _window_loop(
             graph, state, resolution, config, order, starts, sched,

@@ -841,7 +841,8 @@ int64_t repro_commit(
     return moved;
 }
 
-/* The fields of one window's row in repro_round's `out_windows`. */
+/* The fields of one window's row in repro_round's `out_windows`
+ * (native.RoundWindows names them in this order). */
 enum {
     W_MOVED, W_DEC_RETRIES, W_DEC_LONGEST, W_INC_RETRIES, W_INC_LONGEST,
     W_PAIRS, W_SIZE, W_DEGREE_SUM, W_PAR_COUNT, W_PAR_SUM, W_SEQ_MAX,

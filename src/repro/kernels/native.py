@@ -25,8 +25,8 @@ own.  :func:`pool_stats` reads the pool's counters.
 One more runs a whole BEST-MOVES round: :meth:`NativeKernel.round`
 (``repro_round``) evaluates each concurrency window as ``batch_moves``
 does, on the pool, commits it as :func:`commit` does, and returns the
-round's movers plus one row of integers per window (the commit's
-contention, the pair count and the degree profile, :data:`ROUND_FIELDS`)
+round's movers plus each window's integers (the commit's contention,
+the pair count and the degree profile, by name in :class:`RoundWindows`)
 from which ``best_moves.window_round`` charges the round.  It returns
 ``None`` for a state it cannot commit in place, and the caller then runs
 the per-window loop.
@@ -88,7 +88,7 @@ import time
 import warnings
 import weakref
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -580,10 +580,9 @@ class NativeKernel:
         state the windows before it left, as :meth:`batch_moves` followed
         by ``ClusterState.apply_moves`` per window would.  Returns
         ``(movers, origins, targets, gains, windows)``: the round's movers
-        in commit order with their origins, targets and gains, and one row
-        of :data:`ROUND_FIELDS` per window (its commit's contention, its
-        pair count and its degree profile, with ``threshold`` splitting
-        the two kernel branches).  Returns ``None``, having changed
+        in commit order with their origins, targets and gains, and the
+        windows' :class:`RoundWindows` (each one's commit contention, pair
+        count and degree profile).  Returns ``None``, having changed
         nothing, where the round cannot run in C: no library, a state
         other than an exact ``ClusterState`` or with node weights other
         than the graph's, or state arrays that had to be copied.
@@ -599,7 +598,7 @@ class NativeKernel:
         gains = np.empty(size, dtype=np.float64)
         origins = np.empty(size, dtype=np.int64)
         movers = np.empty(size, dtype=np.int64)
-        windows = np.empty((starts.size, len(ROUND_FIELDS)), dtype=np.int64)
+        rows = np.empty((starts.size, _ROUND_ROW), dtype=np.int64)
         moved = lib.repro_round(
             bound.address,
             _address(order),
@@ -616,23 +615,45 @@ class NativeKernel:
             _address(gains),
             _address(origins),
             _address(movers),
-            _address(windows),
+            _address(rows),
         )
         if moved < 0:
             raise IndexError("native kernel: round vertex or label out of range")
+        windows = RoundWindows(
+            *rows[:, :_ROUND_NAMED].T, rows[:, _ROUND_NAMED:]
+        )
         return movers[:moved], origins[:moved], targets[:moved], gains[:moved], windows
 
 
-#: The columns of :meth:`NativeKernel.round`'s per-window rows, in
-#: ``repro_round``'s order: the movers, the retries (movers minus distinct
-#: clusters) and longest queue of the decrement and then of the increment
-#: fetch-and-add window, the (vertex, neighbor cluster) pairs evaluated,
-#: and the window's degree profile (``repro.core.moves.Profile``).
-ROUND_FIELDS = (
-    "moved", "dec_retries", "dec_longest", "inc_retries", "inc_longest",
-    "pairs", "sizes", "sums", "par_counts", "par_sums", "seq_maxima",
-    "par_maxima",
-)
+class RoundWindows(NamedTuple):
+    """:meth:`NativeKernel.round`'s integers, one entry per window.
+
+    ``repro_round`` writes each window's as one int64 row, in these
+    fields' order (``native.c``'s ``W_*`` enum), and the last six
+    columns, the window's degree profile (``repro.core.moves.Profile``),
+    come as one ``(windows, 6)`` block.
+    """
+
+    #: Movers the window committed.
+    moved: np.ndarray
+    #: The retries (movers minus distinct clusters) and longest queue of
+    #: the commit's decrement fetch-and-add window ...
+    dec_retries: np.ndarray
+    dec_longest: np.ndarray
+    #: ... and of its increment window.
+    inc_retries: np.ndarray
+    inc_longest: np.ndarray
+    #: (vertex, neighbor cluster) pairs evaluated.
+    pairs: np.ndarray
+    #: The degree profiles, with the round's threshold splitting the
+    #: two kernel branches.
+    profiles: np.ndarray
+
+
+#: ``repro_round``'s per-window row (``W_FIELDS`` wide): the named
+#: columns, then the six of the degree profile.
+_ROUND_NAMED = len(RoundWindows._fields) - 1
+_ROUND_ROW = _ROUND_NAMED + 6
 
 
 #: The kernel every engine calls.

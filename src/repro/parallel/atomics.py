@@ -9,11 +9,13 @@ paper identifies as the cause of poor PAR-MOD scaling on twitter
 (Appendix C: average cluster size up to 2.08e7).
 
 This module computes, for a window of concurrent updates, the retries and
-longest queue that :meth:`SimulatedScheduler.charge_cas_contention`
-charges.  :func:`atomic_add_window` is the NumPy path; the default commit
+longest queue, and :func:`fetch_add_costs` turns them into the window's
+regions.  :func:`atomic_add_window` is the NumPy path; the default commit
 (``ClusterState.apply_moves``) applies its windows in C and gets the same
 two integers from there, then charges them through
-:func:`charge_atomic_window` exactly as this path does.
+:func:`charge_atomic_window` exactly as this path does.  A BEST-MOVES
+round run in C gets them for every window at once and builds all its
+windows' regions with the same :func:`fetch_add_costs`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+
+from repro.obs.instrument import M_ATOMIC_QUEUE, M_CAS_ATTEMPTS, M_CAS_RETRIES
+from repro.parallel.scheduler import contention_cost
 
 
 def contention_profile(targets: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -48,26 +53,52 @@ def contention_profile(targets: np.ndarray) -> Tuple[np.ndarray, int]:
     return counts.astype(np.int64), int(counts.max())
 
 
+def fetch_add_costs(size, retries, longest):
+    """The regions of concurrent fetch-and-add windows, each as
+    ``(work, depth, serial, items)``: ``size`` updates at one op each and
+    depth 1, then the contention of ``retries`` retries queued at most
+    ``longest`` deep (:func:`~repro.parallel.scheduler.contention_cost`),
+    which is charged only where ``retries > 0``.  The arguments are one
+    window's integers or per-window arrays."""
+    work, serial = contention_cost(retries, longest)
+    return (size, 1.0, 0.0, size), (work, 0.0, serial, retries)
+
+
+def record_fetch_add(
+    instr, size: int, retries: int, longest: int, label: str
+) -> None:
+    """A fetch-and-add window's metrics: one CAS attempt per update, and,
+    where it retried, its retries and longest queue."""
+    instr.count(M_CAS_ATTEMPTS, float(size), site=label)
+    if retries:
+        instr.count(M_CAS_RETRIES, float(retries))
+        instr.observe(M_ATOMIC_QUEUE, float(longest))
+
+
 def charge_atomic_window(
     sched, size: int, total_retries: int, max_queue: int, label: str
 ) -> None:
     """Charge one window of ``size`` concurrent fetch-and-adds.
 
-    In order: the updates' work, their CAS attempts (instrumentation),
-    the contention of ``total_retries`` retries queued at most
-    ``max_queue`` deep, and any CAS failures the fault plan injects.
+    In order: its :func:`fetch_add_costs` regions (``label`` and, where
+    it retried, ``label-contention``), its metrics (instrumentation) and
+    any CAS failures the fault plan injects.
     """
-    sched.charge(work=float(size), depth=1.0, label=label, items=int(size))
+    updates, contention = fetch_add_costs(size, total_retries, max_queue)
+    work, depth, serial, _ = updates
+    sched.charge(
+        work=float(work), depth=depth, label=label, serial=serial,
+        items=int(size),
+    )
+    if total_retries > 0:
+        work, depth, serial, _ = contention
+        sched.charge(
+            work=work, depth=depth, label=label + "-contention", serial=serial,
+            items=int(total_retries),
+        )
     instr = getattr(sched, "instr", None)
     if instr is not None and instr.enabled:
-        # Every update in the window issues one atomic RMW; retries on
-        # top of these are counted by charge_cas_contention below.
-        from repro.obs.instrument import M_CAS_ATTEMPTS
-
-        instr.count(M_CAS_ATTEMPTS, float(size), site=label)
-    sched.charge_cas_contention(
-        total_retries, max_queue, label=label + "-contention"
-    )
+        record_fetch_add(instr, size, total_retries, max_queue, label)
     faults = getattr(sched, "faults", None)
     if faults is not None:
         # Injected CAS failures: each failed update retries once more,

@@ -47,6 +47,14 @@ DEFAULT_TAU = 3.0
 #: cache-line transfer, ~60-100 cycles on the paper's Xeon-class parts.
 CAS_COST = 64.0
 
+
+def contention_cost(retries, longest):
+    """``(work, serial)`` of ``retries`` CAS retries queued at most
+    ``longest`` deep: :data:`CAS_COST` of work per retry, and per slot of
+    the longest queue on the critical path.  Scalars or arrays."""
+    return CAS_COST * retries, CAS_COST * longest
+
+
 #: Simulated core frequency used to convert operation counts to seconds.
 #: One elementary operation ~ one cycle at 2 GHz; only relative times matter.
 OPS_PER_SECOND = 2.0e9
@@ -543,11 +551,12 @@ class SimulatedScheduler:
         free.
         """
         if total_retries > 0:
+            work, serial = contention_cost(total_retries, max_queue)
             self.charge(
-                work=CAS_COST * total_retries,
+                work=work,
                 depth=0.0,
                 label=label,
-                serial=CAS_COST * max_queue,
+                serial=serial,
                 items=int(total_retries),
             )
             instr = self.instr

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SchedulerError
+from repro.obs.instrument import Instrumentation
 from repro.parallel.scheduler import (
     CostLedger,
     Machine,
@@ -161,6 +162,32 @@ class TestLedgerArrayPaths:
         want.charge(1.0, 1.0, "end")
         assert got.total_work == want.total_work
         assert got.num_regions == want.num_regions == 200 + 5
+
+    def test_instrumented_later_regions_reach_the_lanes_at_once(self):
+        labels = [f"r{i}" for i in range(20)]
+        columns = (
+            labels, _COSTS[:20], _COSTS[20:40] * 1e-3, _COSTS[40:60] * 0.5,
+            np.arange(20),
+        )
+        scheds = [
+            SimulatedScheduler(num_workers=8, instr=Instrumentation())
+            for _ in range(2)
+        ]
+        for label, work, depth, serial, items in zip(*columns):
+            scheds[0].charge(work, depth, label, serial=serial, items=int(items))
+        calls = []
+        scheds[1].charge_later(
+            lambda args: calls.append(args) or [columns for _ in args], None
+        )
+        assert calls == [[None]]  # built before any read
+        for sched in scheds:
+            sched.round_barrier()
+        records = [
+            [r for r in s.instr.tracer.records if r["type"] == "worker"]
+            for s in scheds
+        ]
+        assert records[0] == records[1] != []
+        assert _rows(scheds[0].ledger) == _rows(scheds[1].ledger)
 
     def test_negative_cost_names_its_label(self):
         ledger = CostLedger()
