@@ -104,9 +104,9 @@ bench-dynamic:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_dynamic.py
 
 ## Build the native library, failing when it cannot be built or any of
-## its eight entry points does not resolve (so CI never passes on the
-## reference loops and NumPy paths by accident): the four calls that
-## take a binding (batch, sweep, commit, round), the two that take
+## its seven entry points does not resolve (so CI never passes on the
+## reference loops and NumPy paths by accident): the three calls that
+## take a binding (batch, sweep, round), the two that take
 ## their arrays (frontier, compression) and the dynamic graph's arc
 ## search and splice, plus the pool's counters.  Compile the source
 ## once more with -Wall -Wextra -Werror and the library's flags
@@ -119,7 +119,7 @@ native-kernel:
 	$(PYTHON) -W error::RuntimeWarning -c "from repro.kernels import native; \
 	    lib = native.KERNEL.library.load(); \
 	    assert lib is not None; \
-	    assert lib.repro_best_moves and lib.repro_sweep and lib.repro_commit; \
+	    assert lib.repro_best_moves and lib.repro_sweep; \
 	    assert lib.repro_round; \
 	    assert lib.repro_neighbors and lib.repro_compress; \
 	    assert lib.repro_splice and lib.repro_find_arcs; \

@@ -190,7 +190,7 @@ def _round_regions(rounds):
 def _replay_round_metrics(instr, windows: native.RoundWindows) -> None:
     """The metrics of each window of a C round, in window order, as
     ``NativeKernel.batch_moves``, ``compute_batch_moves`` and
-    ``charge_atomic_window`` record them."""
+    ``atomic_add_window`` record them."""
     columns = (
         windows.moved, windows.pairs, windows.profiles[:, 0],
         windows.dec_retries, windows.dec_longest,

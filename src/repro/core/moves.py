@@ -10,9 +10,10 @@ reachable cluster has negative gain, which negative rescaled weights make
 common).
 
 :func:`compute_batch_moves` evaluates a whole *batch* of vertices against
-one state snapshot; it is both the synchronous step (batch = all of V')
-and the asynchronous concurrency window (batch ~ worker count).  The
-actual evaluation is the native kernel's
+one state snapshot: a window of the per-window reference loop, or a
+prefix engine lookahead.  A default round evaluates its windows inside
+one C call instead (``native.KERNEL.round``) and charges them with
+:func:`batch_costs`.  The actual evaluation is the native kernel's
 (:data:`repro.kernels.native.KERNEL`), which runs the dict-loop
 reference oracle, bit-identical in outputs, where the C library cannot
 be built (DESIGN.md §8).
@@ -150,16 +151,6 @@ def batch_costs(
     return work, depth
 
 
-def _charge_batch(
-    sched, profile: Profile, label: str, include_depth: bool = True
-) -> None:
-    """Charge one batch's best-move cost (:func:`batch_costs`)."""
-    work, depth = batch_costs(np.array([profile], dtype=np.int64), include_depth)
-    sched.charge(
-        work=float(work[0]), depth=float(depth[0]), label=label, items=profile[0]
-    )
-
-
 def fault_free(state: ClusterState, sched=None) -> bool:
     """Whether a round may run its windows on the fast paths: no fault
     plan on ``sched`` (``sched.faults``) and an exact :class:`ClusterState`
@@ -186,7 +177,6 @@ def compute_batch_moves(
     resolution: float,
     sched=None,
     kernel_threshold: int = 512,
-    label: str = "best-moves",
     charge_depth: bool = True,
     allow_escape: bool = True,
     swap_avoidance: bool = False,
@@ -204,7 +194,8 @@ def compute_batch_moves(
     round profiles all its windows at once).  ``threads`` is how many
     wall-clock threads the kernel may split the batch across
     (:func:`kernel_threads`); the outputs and the charge never depend
-    on it.
+    on it.  With ``sched`` the batch is charged as one ``best-moves``
+    region (:func:`batch_costs`).
     """
     batch = np.asarray(batch, dtype=np.int64)
     if batch.size == 0:
@@ -228,7 +219,11 @@ def compute_batch_moves(
     if profile is None:
         degrees = graph.offsets[batch + 1] - graph.offsets[batch]
         profile = window_profiles(degrees, kernel_threshold)[0].tolist()
-    _charge_batch(sched, profile, label, include_depth=charge_depth)
+    work, depth = batch_costs(np.array([profile], dtype=np.int64), charge_depth)
+    sched.charge(
+        work=float(work[0]), depth=float(depth[0]), label="best-moves",
+        items=profile[0],
+    )
     return targets, gains
 
 

@@ -15,8 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.kernels import native
-from repro.parallel.atomics import atomic_add_window, charge_atomic_window
+from repro.parallel.atomics import atomic_add_window
 
 
 class ClusterState:
@@ -79,20 +78,13 @@ class ClusterState:
 
         Models the asynchronous setting's pair of atomic updates per mover
         (leave the old cluster, join the new one), charging CAS contention
-        for concurrent updates within this window.  The moves are applied
-        in C (:func:`repro.kernels.native.commit`) when the library loads,
-        and with NumPy otherwise; both give the same bits and charges, and
-        a window without movers charges nothing.
+        for concurrent updates within this window; a window without movers
+        charges nothing.  A round run in C (``native.KERNEL.round``)
+        commits each of its windows with the same bits and contention
+        integers.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
-        committed = native.commit(self, vertices, targets)
-        if committed is not None:
-            moved, dec, inc = committed
-            if moved and sched is not None:
-                charge_atomic_window(sched, moved, *dec, label="K-dec")
-                charge_atomic_window(sched, moved, *inc, label="K-inc")
-            return moved
         old = self.assignments[vertices]
         moving = old != targets
         if not moving.any():

@@ -16,7 +16,7 @@
  *   - ties go to the lowest cluster id, and the swap-avoidance block and
  *     the escape-to-empty-home-slot rule are the oracle's.
  *
- * Two entry points call it:
+ * Three entry points call it:
  *
  *   - repro_best_moves evaluates a whole batch against one snapshot
  *     (reference_batch_moves), splitting a large batch across a small
@@ -24,16 +24,15 @@
  *     than one thread;
  *   - repro_sweep visits vertices in order and commits each improving
  *     move at once, as reference_sweep does through
- *     ClusterState.move_one.
+ *     ClusterState.move_one;
+ *   - repro_round runs a whole round of concurrency windows, each
+ *     evaluated as repro_best_moves does and committed by commit_window
+ *     exactly as the NumPy body of ClusterState.apply_moves commits it,
+ *     so the round is best_moves.window_round's per-window loop with no
+ *     Python between the windows.
  *
- * Four more run the rest of a round, each matching its Python or NumPy
- * path bit for bit:
+ * Two more each match their NumPy path bit for bit:
  *
- *   - repro_commit applies one concurrency window of moves
- *     (ClusterState.apply_moves) and counts its fetch-and-add contention;
- *   - repro_round runs a whole round of windows, each evaluated by
- *     repro_best_moves and committed by repro_commit, as
- *     best_moves.window_round's per-window loop does;
  *   - repro_neighbors is the frontier's neighbor set (edge_map);
  *   - repro_compress builds the quotient graph's edges
  *     (graphs/quotient.py) row by row, splitting a large graph's rows
@@ -46,8 +45,7 @@
  *   - repro_splice writes a batch's new CSR in one pass over the rows,
  *     checking every arc it writes as CSRGraph._validate would.
  *
- * The four BEST-MOVES entry points (repro_best_moves, repro_sweep,
- * repro_commit and repro_round) read the graph, the state and their
+ * The three BEST-MOVES entry points read the graph, the state and their
  * scratch through a `struct binding` that the caller fills once per
  * level and thread, so each call passes only its window or round, its
  * settings and its outputs.  The other four run once per round, level or
@@ -84,14 +82,11 @@
 #define LABELS_PER_ROW 16
 
 /*
- * The arrays one level's per-window calls read and write, bound once per
+ * The arrays one level's BEST-MOVES calls read and write, bound once per
  * level and thread: the graph, the state, the vertex and cluster-id
- * counts, and this thread's scratch.  The layout is mirrored by
- * `Binding` in native.py.  A commit binding leaves the graph's CSR
- * pointers null and binds the state's own node weights; it needs only
- * `counts` (zeros over every cluster id between calls).  A kernel
- * binding fills every field, so repro_round can both evaluate and
- * commit through it.
+ * counts, and this thread's scratch, whose `counts` (zeros over every
+ * cluster id between calls) are the commit's.  The layout is mirrored by
+ * `Binding` in native.py.
  */
 struct binding {
     const int64_t *offsets;
@@ -768,8 +763,8 @@ static void contention(
 }
 
 /*
- * Commits one concurrency window to the bound state: every vertices[i]
- * whose label differs from targets[i] moves there, as
+ * Commits one concurrency window of repro_round to the bound state:
+ * every vertices[i] whose label differs from targets[i] moves there, as
  * ClusterState.apply_moves does with NumPy, in four steps:
  *
  *   - reads every origin before writing any label, keeping them in
@@ -786,7 +781,7 @@ static void contention(
  * movers, or -1, before changing anything, when an id is out of range.
  * A window without movers returns 0 and leaves `stats` unwritten.
  */
-int64_t repro_commit(
+static int64_t commit_window(
     const struct binding *b,
     const int64_t *vertices,
     const int64_t *targets,
@@ -854,7 +849,7 @@ enum {
  * windows: window w is order[starts[w], starts[w + 1]), the last one
  * ending at `order_size`.  Each window is evaluated against the state
  * the windows before it left (repro_best_moves, split across the pool
- * as that call splits it) and then committed (repro_commit), so the
+ * as that call splits it) and then committed (commit_window), so the
  * round is the per-window loop with no Python between the windows.
  *
  * `targets`, `gains` and `origins` are round-sized.  A window's targets
@@ -870,8 +865,7 @@ enum {
  * count and degree sum of vertices of degree above `threshold`, and the
  * largest degree at or below it and above it (0 when there is none).
  *
- * The binding must carry both the kernel's scratch and the commit's
- * `counts`, and its node weights are the state's.  Returns the round's
+ * The binding's node weights must be the state's.  Returns the round's
  * movers, or -1 when a window is out of order or an id out of range; the
  * windows before the failing one stay committed, and the failing one
  * changes nothing.
@@ -912,7 +906,7 @@ int64_t repro_round(
             return -1;
         }
         int64_t stats[4] = {0, 0, 0, 0};
-        const int64_t moved = repro_commit(
+        const int64_t moved = commit_window(
             bound, window, targets + begin, size, origins + begin, stats);
         if (moved < 0) {
             return -1;

@@ -6,10 +6,11 @@ written as :func:`~repro.kernels.reference.reference_single_move` is:
 the same float operations in the same order, exact comparisons, the same
 ``GAIN_EPS`` (passed in from :mod:`repro.kernels.base`), the same
 lowest-id tiebreak, swap block and escape rule.  So it is bit-identical
-to the dict oracle by construction (DESIGN.md §8).  Two entry points
+to the dict oracle by construction (DESIGN.md §8).  Three entry points
 share it: one ``ctypes`` call evaluates a whole concurrency window
-(``batch_moves``), and one runs a whole sequential sweep with immediate
-commits (``sweep``, Algorithm 2's inner loop).
+(``batch_moves``), one runs a whole sequential sweep with immediate
+commits (``sweep``, Algorithm 2's inner loop), and one runs a whole
+BEST-MOVES round (``round``, below).
 
 ``batch_moves(..., threads=n)`` lets the C loop split a window of at
 least 256 vertices across the calling thread and up to ``n - 1``
@@ -22,33 +23,32 @@ quotient's rows over the same pool.  Both use one thread per
 at import or load; they park when idle, and a forked child starts its
 own.  :func:`pool_stats` reads the pool's counters.
 
-One more runs a whole BEST-MOVES round: :meth:`NativeKernel.round`
-(``repro_round``) evaluates each concurrency window as ``batch_moves``
-does, on the pool, commits it as :func:`commit` does, and returns the
-round's movers plus each window's integers (the commit's contention,
-the pair count and the degree profile, by name in :class:`RoundWindows`)
-from which ``best_moves.window_round`` charges the round.  It returns
-``None`` for a state it cannot commit in place, and the caller then runs
-the per-window loop.
+:meth:`NativeKernel.round` (``repro_round``) evaluates each
+concurrency window as ``batch_moves`` does, on the pool, commits it
+bit for bit as the NumPy body of ``ClusterState.apply_moves`` does, and
+returns the round's movers plus each window's integers (the commit's
+contention, the pair count and the degree profile, by name in
+:class:`RoundWindows`) from which ``best_moves.window_round`` charges
+the round.  It returns ``None`` for a state it cannot commit in place,
+and the caller then runs the per-window loop, whose commit is that
+NumPy body.
 
-Three more entry points run the rest of a round, each bit-identical to
+Two more entry points run the rest of a round, each bit-identical to
 the NumPy code it replaces, which stays as the no-compiler path and the
-test oracle: :func:`commit` (``ClusterState.apply_moves``),
-:func:`neighbors` (``edge_map``) and :func:`compress` (the quotient
-graph's edges).  Two serve the dynamic graph's update batches the same
-way: :func:`find_arcs` (the arc search of ``graphs.delta``) and
+test oracle: :func:`neighbors` (``edge_map``) and :func:`compress` (the
+quotient graph's edges).  Two serve the dynamic graph's update batches
+the same way: :func:`find_arcs` (the arc search of ``graphs.delta``) and
 :func:`splice` (the CSR splice of ``DeltaOverlayGraph.compact``).  They
 return ``None`` when the library does not load, and the caller runs its
 NumPy path.
 
-The four BEST-MOVES calls (batch, sweep, commit, round) read the graph,
-the state and their scratch through a :class:`Binding`, built once per
+The three BEST-MOVES calls (batch, sweep, round) read the graph, the
+state and their scratch through a :class:`Binding`, built once per
 level and thread and checked by weak-reference identity on each call; a
 call then marshals only its window or round, its settings and its
-outputs, whose addresses :func:`_address` takes.  A kernel binding also
-carries the commit's contention counts, so a round commits through it.
-The frontier and the compression run once per round or level and pass
-their arrays directly.
+outputs, whose addresses :func:`_address` takes.  The frontier and the
+compression run once per round or level and pass their arrays
+directly.
 
 The shared library is built lazily, on first use, never at import:
 
@@ -113,9 +113,8 @@ class Binding(ctypes.Structure):
 
     The graph and state pointers, the vertex and cluster-id counts the C
     loops bounds-check against, and the calling thread's scratch (pool
-    helpers keep their own in C).  A kernel binding fills every field,
-    so a round can commit through it; a commit binding leaves the CSR
-    pointers null and binds the state's own node weights and ``counts``.
+    helpers keep their own in C), whose ``counts`` are the round's
+    commit's.
     """
 
     _fields_ = [
@@ -135,7 +134,7 @@ class Binding(ctypes.Structure):
     ]
 
 
-#: The four BEST-MOVES entry points take a binding's address, then only
+#: The three BEST-MOVES entry points take a binding's address, then only
 #: what changes per call: the window (or the round's order and window
 #: starts) and its size, the settings (the resolution, GAIN_EPS, flags
 #: and, for the batch and the round, the thread count; for the round, the
@@ -146,7 +145,6 @@ class Binding(ctypes.Structure):
 SIGNATURES = {
     "repro_best_moves": [_P, _P, _I64, _F64, _F64, _INT, _INT, _INT, _P, _P],
     "repro_sweep": [_P, _P, _I64, _F64, _F64, _INT] + [_P] * 4,
-    "repro_commit": [_P, _P, _P, _I64, _P, _P],
     "repro_round": [_P, _P, _I64, _P, _I64, _F64, _F64, _INT, _INT, _INT, _I64]
     + [_P] * 5,
     "repro_neighbors": [_P, _P, _I64, _P, _I64] + [_P] * 3,
@@ -290,7 +288,7 @@ class NativeLibrary:
         raise OSError("; ".join(errors))
 
 
-#: The process's library: the default kernel, the round's commit,
+#: The process's library: the default kernel and its round, the
 #: frontier and compression, and the dynamic graph's splice all load it.
 LIBRARY = NativeLibrary()
 
@@ -326,30 +324,19 @@ class _Bound:
     while :meth:`holds` finds every one of them alive and identical,
     which is every window of a level.  A binding of copies (arrays C
     could not read in place) has no ``refs``, holds its copies in
-    ``copies`` and lasts one call.  ``scratch`` holds the kernel's
-    scratch arrays the binding points at and ``counts`` the commit's
-    (zeros over every cluster id between calls, since the C commit
-    clears what it counts).  ``out`` is a commit binding's output: four
-    contention integers, then room for a window's origins, grown to the
-    longest window committed and handed on to the next commit binding.
+    ``copies`` and lasts one call.  ``scratch`` holds the scratch arrays
+    the binding points at: ``acc``, ``seen``, ``touched`` and the
+    commit's ``counts``.
     """
 
-    __slots__ = (
-        "refs", "copies", "struct", "address", "scratch", "counts", "out",
-        "out_address",
-    )
+    __slots__ = ("refs", "copies", "struct", "address", "scratch")
 
-    def __init__(
-        self, arrays, copies, struct, scratch, counts=None, out=None
-    ) -> None:
+    def __init__(self, arrays, copies, struct, scratch) -> None:
         self.refs = None if copies else tuple(weakref.ref(a) for a in arrays)
         self.copies = copies
         self.struct = struct
         self.address = ctypes.addressof(struct)
         self.scratch = scratch
-        self.counts = counts
-        self.out = out
-        self.out_address = None if out is None else out.ctypes.data
 
     def holds(self, arrays) -> bool:
         """Whether this binding points at exactly these (live) arrays."""
@@ -393,27 +380,16 @@ def _bind_kernel(arrays, previous: Optional[_Bound]) -> _Bound:
             np.zeros(size, dtype=np.float64),
             np.zeros(size, dtype=np.uint8),
             np.empty(size, dtype=np.int64),
+            np.zeros(size, dtype=np.int64),
         )
-    counts = _counts(previous, clusters)
     struct = Binding(
         *(a.ctypes.data for a in usable),
         n,
         clusters,
         *(a.ctypes.data for a in scratch),
-        counts.ctypes.data,
     )
     in_place = all(u is a for u, a in zip(usable, arrays))
-    return _Bound(arrays, None if in_place else usable, struct, scratch, counts)
-
-
-def _counts(previous: Optional[_Bound], clusters: int) -> np.ndarray:
-    """The commit's contention counts over ``clusters`` ids: ``previous``'s
-    when large enough (the C loop leaves them zero), else fresh zeros."""
-    counts = previous.counts if previous is not None else None
-    if counts is None or counts.size < clusters:
-        size = max(clusters, 2 * counts.size if counts is not None else 0)
-        counts = np.zeros(size, dtype=np.int64)
-    return counts
+    return _Bound(arrays, None if in_place else usable, struct, scratch)
 
 
 class _KernelLocal(threading.local):
@@ -516,7 +492,7 @@ class NativeKernel:
         (``FaultyClusterState`` buffers, delays and duplicates writes), or
         one whose arrays had to be copied, takes the Python path.
         """
-        from repro.core.state import ClusterState  # it imports this module
+        from repro.core.state import ClusterState  # repro.core imports this module
 
         lib = self.library.load()
         if (
@@ -690,15 +666,10 @@ def pool_stats() -> Optional[dict]:
 
 
 class _RoundLocal(threading.local):
-    """One thread's state for the round's C calls.
-
-    ``commit`` is the commit binding (``None`` until the first commit);
-    ``marks`` is :func:`neighbors`' bitmap, one bit per vertex, all zeros
-    between calls, because the C loop clears what it sets.
-    """
+    """One thread's :func:`neighbors` bitmap, one bit per vertex, all
+    zeros between calls, because the C loop clears what it sets."""
 
     def __init__(self) -> None:
-        self.commit: Optional[_Bound] = None
         self.marks = np.zeros(0, dtype=np.uint64)
 
 
@@ -708,101 +679,6 @@ _ROUND = _RoundLocal()
 def _usable(array, dtype) -> bool:
     """Whether C may read and write ``array`` in place."""
     return array.dtype == dtype and array.flags.c_contiguous
-
-
-def _commit_binding(state) -> Optional[_Bound]:
-    """This thread's commit binding of ``state``, or ``None`` when C
-    cannot update its arrays in place.
-
-    Rebuilt only when one of the four arrays it reads was replaced.  Its
-    ``counts`` (zeros over every cluster id between calls, which the C
-    loop restores) are the previous binding's when large enough, and its
-    output buffer is the previous binding's.
-    """
-    arrays = (
-        state.assignments,
-        state.cluster_weights,
-        state.cluster_sizes,
-        state.node_weights,
-    )
-    previous = _ROUND.commit
-    if previous is not None and previous.holds(arrays):
-        return previous
-    assignments, cluster_weights, cluster_sizes, node_weights = arrays
-    if not (
-        _usable(assignments, np.int64)
-        and _usable(cluster_weights, np.float64)
-        and _usable(cluster_sizes, np.int64)
-        and _usable(node_weights, np.float64)
-        and assignments.ndim == 1
-        and node_weights.size >= assignments.size
-    ):
-        return None
-    clusters = min(cluster_weights.size, cluster_sizes.size)
-    counts = _counts(previous, clusters)
-    struct = Binding(
-        None,
-        None,
-        None,
-        node_weights.ctypes.data,
-        assignments.ctypes.data,
-        cluster_weights.ctypes.data,
-        cluster_sizes.ctypes.data,
-        assignments.size,
-        clusters,
-        None,
-        None,
-        None,
-        counts.ctypes.data,
-    )
-    out = previous.out if previous is not None else np.empty(4 + 64, np.int64)
-    bound = _Bound(arrays, None, struct, (), counts, out)
-    _ROUND.commit = bound
-    return bound
-
-
-def commit(state, vertices, targets):
-    """Apply one window of moves to ``state`` in C.
-
-    Bit-identical to the NumPy body of ``ClusterState.apply_moves``:
-    labels, then all decrements and then all increments of
-    ``cluster_weights`` in window order (``np.add.at``'s order), then
-    sizes.  Returns ``(moved, dec, inc)``, where ``dec`` and ``inc`` are
-    the ``(retries, longest queue)`` of the two fetch-and-add windows
-    (``None`` when nothing moved), or ``None`` when the caller must run
-    the NumPy path: no library, state arrays C cannot update in place, or
-    an out-of-range id (left for NumPy to handle as it always has).
-    """
-    lib = LIBRARY.load()
-    if lib is None or vertices.shape != targets.shape or vertices.ndim != 1:
-        return None
-    bound = _commit_binding(state)
-    if bound is None:
-        return None
-    vertices = np.ascontiguousarray(vertices, dtype=np.int64)
-    targets = np.ascontiguousarray(targets, dtype=np.int64)
-    size = vertices.size
-    out = bound.out
-    if out.size < 4 + size:
-        out = np.empty(4 + max(size, 2 * (out.size - 4)), dtype=np.int64)
-        bound.out, bound.out_address = out, out.ctypes.data
-    address = bound.out_address
-    moved = lib.repro_commit(
-        bound.address,
-        _address(vertices),
-        _address(targets),
-        size,
-        address + 32,  # the origins, after the four contention integers
-        address,
-    )
-    if moved <= 0:
-        return None if moved < 0 else (0, None, None)
-    dec_distinct, dec_longest, inc_distinct, inc_longest = out[:4].tolist()
-    return (
-        moved,
-        (moved - dec_distinct, dec_longest),
-        (moved - inc_distinct, inc_longest),
-    )
 
 
 def _marks(words: int) -> np.ndarray:

@@ -10,12 +10,11 @@ paper identifies as the cause of poor PAR-MOD scaling on twitter
 
 This module computes, for a window of concurrent updates, the retries and
 longest queue, and :func:`fetch_add_costs` turns them into the window's
-regions.  :func:`atomic_add_window` is the NumPy path; the default commit
-(``ClusterState.apply_moves``) applies its windows in C and gets the same
-two integers from there, then charges them through
-:func:`charge_atomic_window` exactly as this path does.  A BEST-MOVES
-round run in C gets them for every window at once and builds all its
-windows' regions with the same :func:`fetch_add_costs`.
+regions.  :func:`atomic_add_window` applies and charges one window: the
+commit of ``ClusterState.apply_moves`` and of ``FaultyClusterState``.  A
+BEST-MOVES round run in C gets the same two integers for every window at
+once and builds all its windows' regions with the same
+:func:`fetch_add_costs`.
 """
 
 from __future__ import annotations
@@ -75,42 +74,6 @@ def record_fetch_add(
         instr.observe(M_ATOMIC_QUEUE, float(longest))
 
 
-def charge_atomic_window(
-    sched, size: int, total_retries: int, max_queue: int, label: str
-) -> None:
-    """Charge one window of ``size`` concurrent fetch-and-adds.
-
-    In order: its :func:`fetch_add_costs` regions (``label`` and, where
-    it retried, ``label-contention``), its metrics (instrumentation) and
-    any CAS failures the fault plan injects.
-    """
-    updates, contention = fetch_add_costs(size, total_retries, max_queue)
-    work, depth, serial, _ = updates
-    sched.charge(
-        work=float(work), depth=depth, label=label, serial=serial,
-        items=int(size),
-    )
-    if total_retries > 0:
-        work, depth, serial, _ = contention
-        sched.charge(
-            work=work, depth=depth, label=label + "-contention", serial=serial,
-            items=int(total_retries),
-        )
-    instr = getattr(sched, "instr", None)
-    if instr is not None and instr.enabled:
-        record_fetch_add(instr, size, total_retries, max_queue, label)
-    faults = getattr(sched, "faults", None)
-    if faults is not None:
-        # Injected CAS failures: each failed update retries once more,
-        # paying an extra contended-RMW round trip.  Values stay exact
-        # (fetch-and-add never loses increments); the hazard is time.
-        failures = faults.cas_failures(size)
-        if failures:
-            sched.charge_cas_contention(
-                failures, failures + 1, label=label + "-injected-cas"
-            )
-
-
 def atomic_add_window(
     values: np.ndarray,
     targets: np.ndarray,
@@ -121,7 +84,10 @@ def atomic_add_window(
     """Apply one window of concurrent ``values[targets] += deltas`` updates.
 
     The updates are applied exactly (fetch-and-add never loses increments);
-    what contention costs is *time*, which is charged to ``sched``.
+    what contention costs is *time*, which is charged to ``sched``.  In
+    order: the window's :func:`fetch_add_costs` regions (``label`` and,
+    where it retried, ``label-contention``), its metrics
+    (instrumentation) and any CAS failures the fault plan injects.
     """
     targets = np.asarray(targets, dtype=np.int64)
     deltas = np.asarray(deltas, dtype=values.dtype)
@@ -130,8 +96,32 @@ def atomic_add_window(
             f"targets {targets.shape} and deltas {deltas.shape} must match"
         )
     np.add.at(values, targets, deltas)
-    if sched is not None:
-        queues, max_queue = contention_profile(targets)
-        charge_atomic_window(
-            sched, targets.size, targets.size - queues.size, max_queue, label
+    if sched is None:
+        return
+    size = targets.size
+    queues, max_queue = contention_profile(targets)
+    retries = size - queues.size
+    updates, contention = fetch_add_costs(size, retries, max_queue)
+    work, depth, serial, _ = updates
+    sched.charge(
+        work=float(work), depth=depth, label=label, serial=serial, items=size
+    )
+    if retries > 0:
+        work, depth, serial, _ = contention
+        sched.charge(
+            work=work, depth=depth, label=label + "-contention", serial=serial,
+            items=retries,
         )
+    instr = getattr(sched, "instr", None)
+    if instr is not None and instr.enabled:
+        record_fetch_add(instr, size, retries, max_queue, label)
+    faults = getattr(sched, "faults", None)
+    if faults is not None:
+        # Injected CAS failures: each failed update retries once more,
+        # paying an extra contended-RMW round trip.  Values stay exact
+        # (fetch-and-add never loses increments); the hazard is time.
+        failures = faults.cas_failures(size)
+        if failures:
+            sched.charge_cas_contention(
+                failures, failures + 1, label=label + "-injected-cas"
+            )

@@ -1,5 +1,5 @@
 """The native library: lazy build, cache, fallback, threads, and the
-round's C commit, frontier and compression against their NumPy paths.
+round, frontier and compression against their reference paths.
 
 Parity of the kernel itself against the dict oracle lives in
 ``tests/properties/test_kernel_equivalence.py``; these tests cover how
@@ -10,6 +10,7 @@ returning ``None`` (the no-compiler path), and compare bytes, ledger
 regions and metrics.
 """
 
+import collections
 import contextlib
 import gc
 import os
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.api import cluster
+from repro.core import best_moves
 from repro.core.config import ClusteringConfig, Mode
 from repro.core.engines import ENGINES, multilevel_with_engine
 from repro.core.moves import kernel_threads
@@ -53,6 +55,7 @@ from repro.kernels.reference import (
 )
 from repro.obs.instrument import (
     M_ATOMIC_QUEUE,
+    M_CAS_ATTEMPTS,
     M_CAS_INJECTED,
     M_CAS_RETRIES,
     M_DEDUP_HITS,
@@ -61,7 +64,7 @@ from repro.obs.instrument import (
     Instrumentation,
 )
 from repro.parallel.edge_map import edge_map
-from repro.parallel.scheduler import CAS_COST, SimulatedScheduler
+from repro.parallel.scheduler import CAS_COST, SimulatedScheduler, contention_cost
 from repro.parallel.vertex_subset import VertexSubset
 from repro.resilience import FaultPlan, ResiliencePolicy
 from repro.resilience.faults import FaultyClusterState
@@ -393,7 +396,7 @@ class TestPool:
                 kernel.batch_moves(graph, bad, batch, RESOLUTION, threads=2)
         assert _split_windows() == before + 10
         assert native.pool_stats()["dirty_scratch"] == 0
-        acc, seen, _ = kernel._local.bound.scratch  # the caller's scratch
+        acc, seen, _, _ = kernel._local.bound.scratch  # the caller's scratch
         assert not acc.any() and not seen.any()
         for _ in range(3):
             got = kernel.batch_moves(graph, state, batch, RESOLUTION, threads=2)
@@ -557,20 +560,39 @@ def _binding_inputs(n=40, seed=0):
     return graph, state, batch.astype(np.int64)
 
 
-def _commit_both(state, vertices, targets):
-    """``apply_moves`` natively and on the NumPy path, each on a fresh copy
-    of ``state``; asserts they agree and returns the native copy."""
-    copies = []
-    for context in (contextlib.nullcontext, _numpy_paths):
-        copy = ClusterState(
+def _starts(size, windows=4):
+    """Starts of ``windows`` equal windows over ``size`` vertices."""
+    return np.arange(0, size, max(1, -(-size // windows)), dtype=np.int64)
+
+
+def _round_both(graph, state, order):
+    """One round of ``order`` in four windows, in C (``KERNEL.round``)
+    and as the reference loop (the dict kernel, then ``apply_moves``'
+    NumPy commit, per window), each on a fresh copy of ``state``; asserts
+    they agree and returns the C copy."""
+    got, want = (
+        ClusterState(
             state.assignments.copy(), state.cluster_weights.copy(),
             state.cluster_sizes.copy(), state.node_weights,
         )
-        with context():
-            moved = copy.apply_moves(vertices, targets)
-        copies.append((moved, copy))
-    (got_moved, got), (want_moved, want) = copies
-    assert got_moved == want_moved
+        for _ in range(2)
+    )
+    starts = _starts(len(order))
+    movers, origins, targets, _, windows = native.KERNEL.round(
+        graph, got, order, starts, RESOLUTION, threshold=512
+    )
+    bounds = starts.tolist() + [len(order)]
+    moved, reference = [], []
+    for begin, end in zip(bounds, bounds[1:]):
+        window = np.asarray(order[begin:end], dtype=np.int64)
+        chosen, _ = reference_batch_moves(graph, want, window, RESOLUTION)
+        before = want.assignments[window]
+        moved.append(want.apply_moves(window, chosen))
+        moving = before != chosen
+        reference.append((window[moving], before[moving], chosen[moving]))
+    for x, parts in zip((movers, origins, targets), zip(*reference)):
+        assert x.tobytes() == np.concatenate(parts).tobytes()
+    assert windows.moved.tolist() == moved
     for field in ("assignments", "cluster_weights", "cluster_sizes"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     return got
@@ -609,9 +631,11 @@ class TestBinding:
             kernel.batch_moves(graph, relabelled, batch, RESOLUTION),
             reference_batch_moves(graph, relabelled, batch, RESOLUTION),
         )
-        _commit_both(relabelled, batch[:7], np.full(7, 2, dtype=np.int64))
-        got = _commit_both(relabelled, batch, np.arange(batch.size) % 5)
-        relabelled.apply_moves(batch, np.arange(batch.size) % 5)
+        got = _round_both(graph, relabelled, batch)
+        kernel.round(
+            graph, relabelled, batch, _starts(batch.size), RESOLUTION,
+            threshold=512,
+        )
         assert got.assignments.tobytes() == relabelled.assignments.tobytes()
 
     def test_a_grown_cluster_weights_rebinds(self):
@@ -637,12 +661,12 @@ class TestBinding:
         )
 
     def test_four_threads_two_graphs_each(self):
-        # Each thread alternates between two graphs, so it rebinds on
-        # every call while the others run inside the library; every
-        # kernel result and every commit's charges must match a serial
-        # run.  The commits move a whole graph into one cluster and back,
-        # so the contention counts of concurrent commits would collide if
-        # the threads shared scratch.
+        # Each thread alternates between two graphs and runs a whole round
+        # on a fresh state each time, so it rebinds on every call while
+        # the others run inside the library; every round's movers, state
+        # and per-window rows must match a serial run.  The rounds' commits
+        # count their contention in the binding's scratch, so the counts
+        # of concurrent rounds would collide if the threads shared it.
         graphs = [
             planted_partition_graph(40, seed=1).graph,
             rmat_graph(13, 8 * 2**13, seed=3),
@@ -652,41 +676,36 @@ class TestBinding:
             for k, g in enumerate(graphs)
         ]
 
-        def step(k, i, state, sched=None, threads=1):
+        def step(k, i, threads=1):
             graph, batch = graphs[k], batches[k]
-            moves = native.KERNEL.batch_moves(
-                graph, state, batch, RESOLUTION, threads=threads
+            state = ClusterState.singletons(graph)
+            *moves, windows = native.KERNEL.round(
+                graph, state, batch, _starts(batch.size, 1 + 3 * i),
+                RESOLUTION, threshold=512, threads=threads,
             )
-            origins = state.assignments[batch].copy()
-            state.apply_moves(batch, np.full(batch.size, i, np.int64), sched=sched)
-            state.apply_moves(batch, origins, sched=sched)
-            return moves
+            arrays = [*moves, *windows, state.cluster_weights]
+            return [a.tobytes() for a in arrays], state
 
-        want = {}
-        for k, graph in enumerate(graphs):
-            for i in range(4):
-                sched = SimulatedScheduler(num_workers=8)
-                moves = step(k, i, ClusterState.singletons(graph), sched)
-                want[k, i] = (moves, _regions(sched))
+        want = {
+            (k, i): step(k, i)[0] for k in range(len(graphs)) for i in range(4)
+        }
         errors = []
         barrier = threading.Barrier(4)
 
         def work(i):
             try:
-                states = [ClusterState.singletons(g) for g in graphs]
                 barrier.wait()
                 for n in range(40):
                     k = (n + i) % 2
-                    sched = SimulatedScheduler(num_workers=8)
-                    # The RMAT batch splits, or runs alone while another
+                    # The RMAT windows split, or run alone while another
                     # thread holds the pool.
-                    moves = step(k, i, states[k], sched, threads=2)
-                    _assert_same(moves, want[k, i][0])
-                    assert _regions(sched) == want[k, i][1]
-                last = states[(39 + i) % 2]
-                assert native._ROUND.commit.holds(
-                    (last.assignments, last.cluster_weights,
-                     last.cluster_sizes, last.node_weights)
+                    got, state = step(k, i, threads=2)
+                    assert got == want[k, i]
+                graph = graphs[k]
+                assert native.KERNEL._local.bound.holds(
+                    (graph.offsets, graph.neighbors, graph.weights,
+                     graph.node_weights, state.assignments,
+                     state.cluster_weights, state.cluster_sizes)
                 )
             except BaseException as exc:  # surfaced in the main thread
                 errors.append(exc)
@@ -714,33 +733,41 @@ class TestBinding:
             _assert_same(
                 native.KERNEL.batch_moves(graph, state, window, RESOLUTION), want
             )
-        targets = want[0].copy()
-        targets.flags.writeable = False
-        _commit_both(state, frozen, targets)
-        _commit_both(state, strided, np.repeat(want[0], 2)[::2])
+        for order in (frozen, strided):
+            _round_both(graph, state, order)
 
     def test_library_off_matches_on(self):
         graph, state, batch = _binding_inputs()
         kernel = native.KERNEL
+        config = ClusteringConfig(resolution=RESOLUTION, seed=3)
+        starts = _starts(batch.size)
         results = []
         for context in (contextlib.nullcontext, _numpy_paths):
             with context():
                 copy = ClusterState.from_assignments(graph, state.assignments)
                 moves = kernel.batch_moves(graph, copy, batch, RESOLUTION)
-                committed = native.commit(
-                    ClusterState.from_assignments(graph, state.assignments),
-                    batch, moves[0],
-                )
                 moved = copy.apply_moves(batch, moves[0])
                 swept = ClusterState.from_assignments(graph, state.assignments)
                 sweep = kernel.sweep(graph, swept, batch, RESOLUTION)
-                results.append((moves, committed, moved, copy, sweep, swept))
+                rounded = ClusterState.from_assignments(graph, state.assignments)
+                in_c = kernel.round(
+                    graph, ClusterState.from_assignments(graph, state.assignments),
+                    batch, starts, RESOLUTION, threshold=512,
+                ) is not None
+                round_moves = best_moves.window_round(
+                    graph, rounded, RESOLUTION, config, batch, starts
+                )
+                results.append(
+                    (moves, round_moves, moved, copy, sweep, swept, rounded, in_c)
+                )
         on, off = results
         _assert_same(on[0], off[0])
-        assert on[1] is not None and off[1] is None
+        assert on[7] and not off[7]
+        for a, b in zip(on[1][:3], off[1][:3]):
+            assert a.tobytes() == b.tobytes()
         assert on[2] == off[2] > 0
         for field in ("assignments", "cluster_weights", "cluster_sizes"):
-            for a, b in ((on[3], off[3]), (on[5], off[5])):
+            for a, b in ((on[3], off[3]), (on[5], off[5]), (on[6], off[6])):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
         for a, b in zip(on[4][:3], off[4][:3]):
             assert a.tobytes() == b.tobytes()
@@ -751,12 +778,24 @@ class TestBinding:
         sched = SimulatedScheduler(num_workers=8, instr=Instrumentation())
         before = state.cluster_weights.tobytes()
         stay = state.assignments[batch].copy()
-        assert native.commit(state, batch, stay) == (0, None, None)
         assert state.apply_moves(batch, stay, sched=sched) == 0
         assert state.apply_moves(batch[:0], stay[:0], sched=sched) == 0
         assert _regions(sched) == []
         assert sched.instr.metrics.collect() == []
         assert state.cluster_weights.tobytes() == before
+        # A C round in which nothing moves charges only its evaluation:
+        # under a vanishing resolution no vertex leaves one whole cluster.
+        whole = ClusterState.from_assignments(
+            graph, np.zeros(graph.num_vertices, dtype=np.int64)
+        )
+        sched = SimulatedScheduler(num_workers=8, instr=Instrumentation())
+        movers, *_ = best_moves.window_round(
+            graph, whole, 1e-9, ClusteringConfig(resolution=1e-9, seed=3),
+            batch, _starts(batch.size), sched=sched,
+        )
+        assert movers.size == 0
+        assert {r[0] for r in _regions(sched)} == {"best-moves"}
+        assert sched.instr.metrics.get(M_CAS_ATTEMPTS) is None
 
     def test_a_dead_array_whose_memory_is_reused_is_never_read(self):
         graph, state, batch = _binding_inputs()
@@ -788,16 +827,7 @@ class TestBinding:
             kernel.batch_moves(graph, state, batch, RESOLUTION),
             reference_batch_moves(graph, state, batch, RESOLUTION),
         )
-        _commit_both(state, batch, np.arange(batch.size) % 3)
-
-    def test_commit_binding_does_not_keep_a_finished_state_alive(self):
-        graph, state, batch = _binding_inputs()
-        state.apply_moves(batch[:3], np.zeros(3, dtype=np.int64))
-        assert native._ROUND.commit is not None
-        arrays = [weakref.ref(state.assignments), weakref.ref(state.cluster_weights)]
-        del state
-        gc.collect()
-        assert all(ref() is None for ref in arrays)
+        _round_both(graph, state, batch)
 
 
 class TestKernelEdges:
@@ -1137,23 +1167,66 @@ def _commit_state(rng, n=40, clusters=6):
     )
 
 
-class TestNativeCommit:
-    def _compare(self, windows, plan_spec=None):
-        def run(sched):
-            sched.faults = (
-                FaultPlan.from_spec(plan_spec, seed=9) if plan_spec else None
-            )
-            graph, state = _commit_state(np.random.default_rng(2))
-            moved = [state.apply_moves(v, t, sched=sched) for v, t in windows]
-            return moved, state
+def _reference_commit(state, vertices, targets, plan, regions):
+    """One window's commit in plain Python: every label first, then every
+    decrement and then every increment of ``K_c`` in window order (the
+    order of ``np.add.at`` and of the C round's commit), then the sizes.
+    Appends the window's expected ledger regions to ``regions``, drawing
+    its injected CAS failures from ``plan`` (decrements first); returns
+    the number of movers."""
+    movers = [
+        (v, int(state.assignments[v]), t)
+        for v, t in zip(vertices.tolist(), targets.tolist())
+        if state.assignments[v] != t
+    ]
+    for v, _, t in movers:
+        state.assignments[v] = t
+    for v, o, _ in movers:
+        state.cluster_weights[o] += -state.node_weights[v]
+    for v, _, t in movers:
+        state.cluster_weights[t] += state.node_weights[v]
+    for _, o, t in movers:
+        state.cluster_sizes[o] -= 1
+        state.cluster_sizes[t] += 1
+    if not movers:
+        return 0
+    size = len(movers)
+    for label, column in (("K-dec", 1), ("K-inc", 2)):
+        queues = collections.Counter(m[column] for m in movers)
+        regions.append((label, float(size), 1.0, 0.0))
+        if len(queues) < size:
+            work, serial = contention_cost(size - len(queues), max(queues.values()))
+            regions.append((label + "-contention", work, 0.0, serial))
+        failures = plan.cas_failures(size) if plan is not None else 0
+        if failures:
+            work, serial = contention_cost(failures, failures + 1)
+            regions.append((label + "-injected-cas", work, 0.0, serial))
+    return size
 
-        (got, a), (want, b) = _both(run)
-        assert got[0] == want[0]
+
+class TestNativeCommit:
+    """``ClusterState.apply_moves``, the commit the per-window loop runs
+    and whose bits the C round's commit matches (``test_native_round``),
+    against a plain-Python commit: the state's bits and every region."""
+
+    def _compare(self, windows, plan_spec=None):
+        def plan():
+            return FaultPlan.from_spec(plan_spec, seed=9) if plan_spec else None
+
+        sched = SimulatedScheduler(num_workers=8, instr=Instrumentation())
+        sched.faults = plan()
+        _, state = _commit_state(np.random.default_rng(2))
+        _, want = _commit_state(np.random.default_rng(2))
+        moved = [state.apply_moves(v, t, sched=sched) for v, t in windows]
+        replay, regions = plan(), []
+        assert moved == [
+            _reference_commit(want, v, t, replay, regions) for v, t in windows
+        ]
         for field in ("assignments", "cluster_weights", "cluster_sizes"):
-            g, w = getattr(got[1], field), getattr(want[1], field)
+            g, w = getattr(state, field), getattr(want, field)
             assert g.tobytes() == w.tobytes(), field
-        _assert_same_ledgers(a, b)
-        return got[0], a
+        assert _regions(sched) == regions
+        return moved, sched
 
     def test_repeated_origins_and_targets(self):
         rng = np.random.default_rng(1)
@@ -1212,7 +1285,12 @@ class TestNativeCommit:
             strided[:, 0], state.cluster_weights, state.cluster_sizes,
             state.node_weights,
         )
-        assert native.commit(view, np.arange(3), np.zeros(3, np.int64)) is None
+        # C cannot commit into a strided copy, so a round leaves it to the
+        # per-window loop.
+        order = np.arange(graph.num_vertices, dtype=np.int64)
+        assert native.KERNEL.round(
+            graph, view, order, np.zeros(1, np.int64), RESOLUTION, threshold=512
+        ) is None
         moved = view.apply_moves(np.arange(40), np.zeros(40, dtype=np.int64))
         assert moved > 0 and np.all(strided[:, 0] == 0)
 

@@ -3,9 +3,10 @@
 ``window_round`` runs a whole round through ``native.KERNEL.round`` and
 charges it from the per-window rows C returns; a state that is not an
 exact ``ClusterState`` takes the per-window loop (one kernel call and one
-commit per window), which is the reference here.  Every round's moves,
-the state arrays, every ledger region, and with instrumentation on the
-metrics and the worker-lane records must be the same on both paths.
+NumPy commit, ``ClusterState.apply_moves``, per window), which is the
+reference here.  Every round's moves, the state arrays, every ledger
+region, and with instrumentation on the metrics and the worker-lane
+records must be the same on both paths.
 """
 
 from unittest import mock
@@ -19,6 +20,7 @@ from repro.core.coloring import run_colored_best_moves
 from repro.core.config import ClusteringConfig, Mode
 from repro.core.state import ClusterState
 from repro.generators.lfr import lfr_like_graph
+from repro.generators.planted import planted_partition_graph
 from repro.generators.rmat import rmat_graph
 from repro.graphs.karate import karate_club_graph
 from repro.kernels import native
@@ -34,10 +36,22 @@ class LoopState(ClusterState):
     __slots__ = ()
 
 
+def _fractional_graph(n=400):
+    # Fractional node weights of mixed magnitudes, so the order of the
+    # commit's K_c additions shows in their bits (level-0 and quotient
+    # node weights are integers).
+    graph = planted_partition_graph(n, seed=3).graph
+    magnitudes = np.random.default_rng(8)
+    return graph.with_node_weights(
+        magnitudes.random(n) * 10.0 ** magnitudes.integers(-4, 5, size=n)
+    )
+
+
 _GRAPHS = {
     "karate": karate_club_graph,
     "rmat11": lambda: rmat_graph(11, 8 * 2**11, seed=0),
     "lfr3000": lambda: lfr_like_graph(3000, seed=0).graph,
+    "fractional": _fractional_graph,
 }
 
 
@@ -187,9 +201,8 @@ def test_out_of_range_ids_in_a_round():
                 graph, bad, order, starts, RESOLUTION, threshold=512, threads=2
             )
     assert native.pool_stats()["dirty_scratch"] == 0
-    acc, seen, _ = kernel._local.bound.scratch  # the caller's scratch
-    assert not acc.any() and not seen.any()
-    assert not kernel._local.bound.counts.any()
+    acc, seen, _, counts = kernel._local.bound.scratch  # the caller's scratch
+    assert not acc.any() and not seen.any() and not counts.any()
     # A later round still matches the loop on a fresh copy.
     fresh = ClusterState.from_assignments(graph, labels)
     loop = LoopState(
