@@ -106,9 +106,11 @@ bench-dynamic:
 ## Build the native library, failing when it cannot be built or any of
 ## its seven entry points does not resolve (so CI never passes on the
 ## reference loops and NumPy paths by accident): the three calls that
-## take a binding (batch, sweep, round), the two that take
+## take a per-call binding (batch, sweep, round), the two that take
 ## their arrays (frontier, compression) and the dynamic graph's arc
-## search and splice, plus the pool's counters.  Compile the source
+## search and splice, plus the pool's counters.  All seven pass arrays
+## by one rule: inputs in place or copied, outputs in place or the
+## Python path.  Compile the source
 ## once more with -Wall -Wextra -Werror and the library's flags
 ## (-pthread among them), so a warning in the pool's concurrency code
 ## fails CI.  Then run the kernel, binding, pool and native-round parity

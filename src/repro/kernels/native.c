@@ -46,10 +46,11 @@
  *     checking every arc it writes as CSRGraph._validate would.
  *
  * The three BEST-MOVES entry points read the graph, the state and their
- * scratch through a `struct binding` that the caller fills once per
- * level and thread, so each call passes only its window or round, its
- * settings and its outputs.  The other four run once per round, level or
- * update batch and take their arrays directly.
+ * scratch through a `struct binding` that the caller fills per call, so
+ * each call's arguments are only its window or round, its settings and
+ * its outputs.  The other four take their arrays directly.  Every array
+ * is contiguous with the dtype its pointer names: the caller copies an
+ * input that is not, and never passes an output that is not.
  *
  * Build with -ffp-contract=off and never -ffast-math: additions must be
  * neither reordered nor fused for the results to be bit-identical; and
@@ -82,11 +83,11 @@
 #define LABELS_PER_ROW 16
 
 /*
- * The arrays one level's BEST-MOVES calls read and write, bound once per
- * level and thread: the graph, the state, the vertex and cluster-id
- * counts, and this thread's scratch, whose `counts` (zeros over every
- * cluster id between calls) are the commit's.  The layout is mirrored by
- * `Binding` in native.py.
+ * The arrays one BEST-MOVES call reads and writes, filled per call: the
+ * graph, the state, the vertex and cluster-id counts, and the calling
+ * thread's scratch, whose `counts` (zeros over every cluster id between
+ * calls) are the commit's.  The layout is mirrored by `Binding` in
+ * native.py.
  */
 struct binding {
     const int64_t *offsets;

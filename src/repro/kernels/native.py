@@ -38,17 +38,18 @@ the NumPy code it replaces, which stays as the no-compiler path and the
 test oracle: :func:`neighbors` (``edge_map``) and :func:`compress` (the
 quotient graph's edges).  Two serve the dynamic graph's update batches
 the same way: :func:`find_arcs` (the arc search of ``graphs.delta``) and
-:func:`splice` (the CSR splice of ``DeltaOverlayGraph.compact``).  They
-return ``None`` when the library does not load, and the caller runs its
-NumPy path.
+:func:`splice` (the CSR splice of ``DeltaOverlayGraph.compact``).
 
 The three BEST-MOVES calls (batch, sweep, round) read the graph, the
-state and their scratch through a :class:`Binding`, built once per
-level and thread and checked by weak-reference identity on each call; a
-call then marshals only its window or round, its settings and its
-outputs, whose addresses :func:`_address` takes.  The frontier and the
-compression run once per round or level and pass their arrays
-directly.
+state and this thread's scratch through a :class:`Binding` filled on
+each call, then pass only their window or round, their settings and
+their outputs; the other four take their arrays directly.  All seven
+pass arrays by one rule (:func:`_c_array`): an array C only reads goes
+in place when it is contiguous with the right dtype and is copied
+otherwise; an array C writes must be usable in place.  An entry point
+returns ``None`` when the library does not load or an array it writes
+is not usable in place, and its caller runs the Python path.  Every
+address comes from :func:`_address`.
 
 The shared library is built lazily, on first use, never at import:
 
@@ -67,9 +68,9 @@ The shared library is built lazily, on first use, never at import:
 With no compiler, or when the build fails, :data:`LIBRARY` warns once
 with a ``RuntimeWarning``; the kernel then runs the dict loops of
 :mod:`repro.kernels.reference`, which is legal because the two are
-bit-identical.  The foreign calls release the GIL, so bindings and their
-scratch are per thread; a second Python thread that calls while the pool
-is busy runs its window alone.
+bit-identical.  The foreign calls release the GIL, so the scratch is
+per thread (:class:`_Scratch`); a second Python thread that calls while
+the pool is busy runs its window alone.
 
 Every engine evaluates its windows and sweeps through one instance,
 :data:`KERNEL`.
@@ -86,7 +87,6 @@ import tempfile
 import threading
 import time
 import warnings
-import weakref
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -109,12 +109,13 @@ _F64 = ctypes.c_double
 
 
 class Binding(ctypes.Structure):
-    """``struct binding`` in native.c: what one level's window calls share.
+    """``struct binding`` in native.c: what one BEST-MOVES call reads.
 
     The graph and state pointers, the vertex and cluster-id counts the C
     loops bounds-check against, and the calling thread's scratch (pool
     helpers keep their own in C), whose ``counts`` are the round's
-    commit's.
+    commit's.  :func:`_bind` fills one per call and sets ``arrays`` to the
+    arrays it points at, so any copies live as long as the binding.
     """
 
     _fields_ = [
@@ -134,13 +135,13 @@ class Binding(ctypes.Structure):
     ]
 
 
-#: The three BEST-MOVES entry points take a binding's address, then only
+#: The three BEST-MOVES entry points take a binding by reference, then only
 #: what changes per call: the window (or the round's order and window
 #: starts) and its size, the settings (the resolution, GAIN_EPS, flags
 #: and, for the batch and the round, the thread count; for the round, the
 #: kernel threshold of the degree profile) and the outputs.  The
-#: frontier, the compression, the arc search and the splice run once per
-#: round, level or update batch and take their arrays.
+#: frontier, the compression, the arc search and the splice take their
+#: arrays.
 #: ``repro_pool_stats`` reads the batch's thread pool.
 SIGNATURES = {
     "repro_best_moves": [_P, _P, _I64, _F64, _F64, _INT, _INT, _INT, _P, _P],
@@ -153,11 +154,6 @@ SIGNATURES = {
     "repro_splice": [_P, _P, _P, _I64, _I64] + [_P] * 5 + [_I64, _I64] + [_P] * 3,
     "repro_pool_stats": [_P],
 }
-#: dtypes of graph.offsets / neighbors / weights / node_weights and
-#: state.assignments / cluster_weights / cluster_sizes, read in place.
-_INPUT_DTYPES = (
-    np.int64, np.int64, np.float64, np.float64, np.int64, np.float64, np.int64,
-)
 
 
 def default_cache_dirs():
@@ -316,87 +312,93 @@ def _address(array: np.ndarray) -> int:
         return array.ctypes.data
 
 
-class _Bound:
-    """One thread's :class:`Binding` of one set of arrays.
+def _c_array(array, dtype, written: bool = False):
+    """``array`` as a C entry point takes it: the one rule for all seven.
 
-    ``refs`` weakly references the arrays bound in place, so the binding
-    never keeps a finished run's graph or state alive; it is used only
-    while :meth:`holds` finds every one of them alive and identical,
-    which is every window of a level.  A binding of copies (arrays C
-    could not read in place) has no ``refs``, holds its copies in
-    ``copies`` and lasts one call.  ``scratch`` holds the scratch arrays
-    the binding points at: ``acc``, ``seen``, ``touched`` and the
-    commit's ``counts``.
+    An array C only reads goes in place when it is C-contiguous with
+    ``dtype`` and is copied otherwise.  An array C writes must be usable
+    in place (C-contiguous, ``dtype`` and writeable), or this returns
+    ``None`` and the entry point returns ``None`` for its caller's
+    NumPy path.
     """
-
-    __slots__ = ("refs", "copies", "struct", "address", "scratch")
-
-    def __init__(self, arrays, copies, struct, scratch) -> None:
-        self.refs = None if copies else tuple(weakref.ref(a) for a in arrays)
-        self.copies = copies
-        self.struct = struct
-        self.address = ctypes.addressof(struct)
-        self.scratch = scratch
-
-    def holds(self, arrays) -> bool:
-        """Whether this binding points at exactly these (live) arrays."""
-        refs = self.refs
-        if refs is None:
-            return False
-        for ref, array in zip(refs, arrays):
-            if ref() is not array:
-                return False
-        return True
+    if not written:
+        return np.ascontiguousarray(array, dtype=dtype)
+    usable = (
+        array.dtype == dtype and array.flags.c_contiguous and array.flags.writeable
+    )
+    return array if usable else None
 
 
-def _bind_kernel(arrays, previous: Optional[_Bound]) -> _Bound:
-    """A kernel binding of the seven graph/state ``arrays``.
+def _csr(graph):
+    """``graph``'s ``offsets``, ``neighbors`` and ``weights`` as C reads
+    them, after the one size check every entry point makes."""
+    offsets = _c_array(graph.offsets, np.int64)
+    adjacency = _c_array(graph.neighbors, np.int64)
+    weights = _c_array(graph.weights, np.float64)
+    if offsets.size < 1 or not adjacency.size == weights.size == offsets[-1]:
+        raise ValueError("native: CSR array sizes do not match")
+    return offsets, adjacency, weights
 
-    Arrays already contiguous with the kernel's dtype are read in place;
-    anything else is copied, and the binding then lasts one call, since a
-    copy of the state would go stale.  The scratch (``acc``, ``seen``,
-    ``touched`` and the commit's ``counts``, covering every cluster id)
-    is ``previous``'s when it is large enough; all but ``touched`` hold
-    zeros between calls, because the C loops reset what they touch.
+
+_KERNEL_SCRATCH = (np.float64, np.uint8, np.int64, np.int64)
+
+
+class _Scratch(threading.local):
+    """One thread's scratch for the C calls, grown on demand.
+
+    ``kernel`` is ``acc``, ``seen``, ``touched`` and the commit's
+    ``counts``, ``size`` entries each (one per cluster id), and
+    ``addresses`` theirs, taken once per growth because every binding
+    points at them; ``marks`` is the frontier's bitmap, one bit per
+    vertex.  All but ``touched`` hold zeros between calls, because the C
+    loops reset what they set.  The foreign calls release the GIL, so
+    each thread has its own.
     """
-    usable = tuple(
-        np.ascontiguousarray(a, dtype=dt) for a, dt in zip(arrays, _INPUT_DTYPES)
-    )
-    offsets, neighbors, weights, node_weights, assignments, cw, sizes = usable
-    n = offsets.size - 1
-    if not (
-        n >= 0
-        and neighbors.size == weights.size == offsets[-1]
-        and node_weights.size >= n
-        and assignments.size >= n
-        and sizes.size >= cw.size >= n
-    ):
-        raise ValueError("native kernel: graph and state array sizes do not match")
-    clusters = cw.size
-    scratch = previous.scratch if previous is not None else None
-    if scratch is None or scratch[0].size < clusters:
-        size = max(clusters, 2 * scratch[0].size if scratch else 0)
-        scratch = (
-            np.zeros(size, dtype=np.float64),
-            np.zeros(size, dtype=np.uint8),
-            np.empty(size, dtype=np.int64),
-            np.zeros(size, dtype=np.int64),
-        )
-    struct = Binding(
-        *(a.ctypes.data for a in usable),
-        n,
-        clusters,
-        *(a.ctypes.data for a in scratch),
-    )
-    in_place = all(u is a for u, a in zip(usable, arrays))
-    return _Bound(arrays, None if in_place else usable, struct, scratch)
-
-
-class _KernelLocal(threading.local):
-    """One thread's kernel binding (``None`` until the first call)."""
 
     def __init__(self) -> None:
-        self.bound: Optional[_Bound] = None
+        self.size = -1
+        self.kernel = self.addresses = ()
+        self.marks = np.zeros(0, dtype=np.uint64)
+
+    def clusters(self, size: int):
+        """``addresses``, after growing ``kernel`` to ``size`` ids."""
+        if self.size < size:
+            self.size = max(size, 2 * self.size)
+            self.kernel = tuple(np.zeros(self.size, dtype=dt) for dt in _KERNEL_SCRATCH)
+            self.addresses = tuple(map(_address, self.kernel))
+        return self.addresses
+
+    def bits(self, words: int) -> np.ndarray:
+        if self.marks.size < words:
+            self.marks = np.zeros(max(words, 2 * self.marks.size), dtype=np.uint64)
+        return self.marks
+
+
+_SCRATCH = _Scratch()
+
+
+def _bind(graph, state, written: bool) -> Optional[Binding]:
+    """One call's :class:`Binding` of ``graph``, ``state`` and this
+    thread's scratch; ``None`` when ``written`` (the call commits into
+    ``state``) and a state array is not usable in place."""
+    offsets, adjacency, weights = _csr(graph)
+    node_weights = _c_array(graph.node_weights, np.float64)
+    assignments = _c_array(state.assignments, np.int64, written)
+    cluster_weights = _c_array(state.cluster_weights, np.float64, written)
+    sizes = _c_array(state.cluster_sizes, np.int64, written)
+    if assignments is None or cluster_weights is None or sizes is None:
+        return None
+    n = offsets.size - 1
+    clusters = cluster_weights.size
+    if min(node_weights.size, assignments.size, clusters) < n or sizes.size < clusters:
+        raise ValueError("native kernel: graph and state array sizes do not match")
+    arrays = (
+        offsets, adjacency, weights, node_weights, assignments, cluster_weights, sizes,
+    )
+    scratch = _SCRATCH.clusters(clusters)
+    binding = Binding(*map(_address, arrays), n, clusters, *scratch)
+    binding.arrays = arrays
+    return binding
 
 
 class NativeKernel:
@@ -413,27 +415,6 @@ class NativeKernel:
 
     def __init__(self, library: Optional[NativeLibrary] = None) -> None:
         self.library = library if library is not None else LIBRARY
-        self._local = _KernelLocal()
-
-    def _binding(self, graph, state) -> _Bound:
-        """This thread's binding of ``graph`` and ``state``, rebuilt only
-        when one of the seven arrays it reads was replaced."""
-        arrays = (
-            graph.offsets,
-            graph.neighbors,
-            graph.weights,
-            graph.node_weights,
-            state.assignments,
-            state.cluster_weights,
-            state.cluster_sizes,
-        )
-        local = self._local
-        bound = local.bound
-        if bound is None or not bound.holds(arrays):
-            bound = _bind_kernel(arrays, bound)
-            if bound.copies is None:
-                local.bound = bound
-        return bound
 
     def batch_moves(
         self,
@@ -458,14 +439,13 @@ class NativeKernel:
                 swap_avoidance=swap_avoidance,
                 instr=instr,
             )
-        # ``bound`` keeps any copies it points at alive over the call.
-        bound = self._binding(graph, state)
-        batch = np.ascontiguousarray(batch, dtype=np.int64)
+        binding = _bind(graph, state, written=False)
+        batch = _c_array(batch, np.int64)
         size = batch.size
         targets = np.empty(size, dtype=np.int64)
         gains = np.empty(size, dtype=np.float64)
         pairs = lib.repro_best_moves(
-            bound.address,
+            ctypes.byref(binding),
             _address(batch),
             size,
             float(resolution),
@@ -490,7 +470,8 @@ class NativeKernel:
         The C loops commit as ``ClusterState`` does, with the graph's node
         weights, into the arrays they read; any other state
         (``FaultyClusterState`` buffers, delays and duplicates writes), or
-        one whose arrays had to be copied, takes the Python path.
+        one with a state array C cannot write in place, takes the Python
+        path.
         """
         from repro.core.state import ClusterState  # repro.core imports this module
 
@@ -501,12 +482,8 @@ class NativeKernel:
             or state.node_weights is not graph.node_weights
         ):
             return None
-        bound = self._binding(graph, state)
-        owned = (state.assignments, state.cluster_weights, state.cluster_sizes)
-        copies = bound.copies
-        if copies is not None and not all(c is a for c, a in zip(copies[4:], owned)):
-            return None
-        return lib, bound
+        binding = _bind(graph, state, written=True)
+        return None if binding is None else (lib, binding)
 
     def sweep(self, graph, state, order, resolution, *, allow_escape=True):
         committing = self._committing(graph, state)
@@ -514,15 +491,15 @@ class NativeKernel:
             return reference_sweep(
                 graph, state, order, resolution, allow_escape=allow_escape
             )
-        lib, bound = committing
-        order = np.ascontiguousarray(order, dtype=np.int64)
+        lib, binding = committing
+        order = _c_array(order, np.int64)
         size = order.size
         movers = np.empty(size, dtype=np.int64)
         origins = np.empty(size, dtype=np.int64)
         targets = np.empty(size, dtype=np.int64)
         total_gain = np.zeros(1, dtype=np.float64)
         moved = lib.repro_sweep(
-            bound.address,
+            ctypes.byref(binding),
             _address(order),
             size,
             float(resolution),
@@ -561,14 +538,14 @@ class NativeKernel:
         count and degree profile).  Returns ``None``, having changed
         nothing, where the round cannot run in C: no library, a state
         other than an exact ``ClusterState`` or with node weights other
-        than the graph's, or state arrays that had to be copied.
+        than the graph's, or a state array C cannot write in place.
         """
         committing = self._committing(graph, state)
         if committing is None:
             return None
-        lib, bound = committing
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        starts = np.ascontiguousarray(starts, dtype=np.int64)
+        lib, binding = committing
+        order = _c_array(order, np.int64)
+        starts = _c_array(starts, np.int64)
         size = order.size
         targets = np.empty(size, dtype=np.int64)
         gains = np.empty(size, dtype=np.float64)
@@ -576,7 +553,7 @@ class NativeKernel:
         movers = np.empty(size, dtype=np.int64)
         rows = np.empty((starts.size, _ROUND_ROW), dtype=np.int64)
         moved = lib.repro_round(
-            bound.address,
+            ctypes.byref(binding),
             _address(order),
             size,
             _address(starts),
@@ -661,32 +638,8 @@ def pool_stats() -> Optional[dict]:
     if lib is None:
         return None
     out = np.zeros(len(POOL_STATS), dtype=np.int64)
-    lib.repro_pool_stats(out.ctypes.data)
+    lib.repro_pool_stats(_address(out))
     return dict(zip(POOL_STATS, out.tolist()))
-
-
-class _RoundLocal(threading.local):
-    """One thread's :func:`neighbors` bitmap, one bit per vertex, all
-    zeros between calls, because the C loop clears what it sets."""
-
-    def __init__(self) -> None:
-        self.marks = np.zeros(0, dtype=np.uint64)
-
-
-_ROUND = _RoundLocal()
-
-
-def _usable(array, dtype) -> bool:
-    """Whether C may read and write ``array`` in place."""
-    return array.dtype == dtype and array.flags.c_contiguous
-
-
-def _marks(words: int) -> np.ndarray:
-    marks = _ROUND.marks
-    if marks.size < words:
-        marks = np.zeros(max(words, 2 * marks.size), dtype=np.uint64)
-        _ROUND.marks = marks
-    return marks
 
 
 def neighbors(graph, ids):
@@ -694,29 +647,25 @@ def neighbors(graph, ids):
 
     Returns ``(neighbors, gathered)``, where ``gathered`` counts every
     neighbor of every id, duplicates included; ``None`` without the
-    library or when the CSR arrays are not int64 and contiguous.
+    library.
     """
     lib = LIBRARY.load()
-    offsets, adjacency = graph.offsets, graph.neighbors
-    if lib is None or not (
-        _usable(offsets, np.int64) and _usable(adjacency, np.int64)
-    ):
+    if lib is None:
         return None
+    offsets, adjacency, _ = _csr(graph)
+    ids = _c_array(ids, np.int64)
     n = offsets.size - 1
-    if n < 0 or adjacency.size != offsets[-1]:
-        raise ValueError("native frontier: CSR array sizes do not match")
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
     out = np.empty(n, dtype=np.int64)
     gathered = np.empty(1, dtype=np.int64)
     count = lib.repro_neighbors(
-        offsets.ctypes.data,
-        adjacency.ctypes.data,
+        _address(offsets),
+        _address(adjacency),
         n,
-        ids.ctypes.data,
+        _address(ids),
         ids.size,
-        _marks((n + 63) // 64).ctypes.data,
-        out.ctypes.data,
-        gathered.ctypes.data,
+        _address(_SCRATCH.bits((n + 63) // 64)),
+        _address(out),
+        _address(gathered),
     )
     if count < 0:
         raise IndexError("native frontier: vertex id out of range")
@@ -731,39 +680,35 @@ def compress(graph, labels, num_super: int, self_loops):
     (updated in place) gains the halved intra-class sums.  The rows are
     built on every :func:`usable_cores` core when the graph is large.
     Returns ``(offsets, neighbors, weights, inter-class arcs)``, or
-    ``None`` without the library.
+    ``None`` without the library or when C cannot update ``self_loops``
+    in place.
     """
     lib = LIBRARY.load()
-    if lib is None or not _usable(self_loops, np.float64):
+    self_loops = _c_array(self_loops, np.float64, written=True)
+    if lib is None or self_loops is None:
         return None
-    offsets = np.ascontiguousarray(graph.offsets, dtype=np.int64)
-    adjacency = np.ascontiguousarray(graph.neighbors, dtype=np.int64)
-    weights = np.ascontiguousarray(graph.weights, dtype=np.float64)
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-    m = adjacency.size
-    if not (
-        labels.size == offsets.size - 1
-        and weights.size == m == offsets[-1]
-        and self_loops.size == num_super
-    ):
+    offsets, adjacency, weights = _csr(graph)
+    labels = _c_array(labels, np.int64)
+    if not (labels.size == offsets.size - 1 and self_loops.size == num_super):
         raise ValueError("native compress: graph and label sizes do not match")
+    m = adjacency.size
     out_offsets = np.empty(num_super + 1, dtype=np.int64)
     keys = np.empty(m, dtype=np.int64)
     sums = np.empty(m, dtype=np.float64)
     inter = np.empty(1, dtype=np.int64)
     kept = lib.repro_compress(
-        offsets.ctypes.data,
-        adjacency.ctypes.data,
-        weights.ctypes.data,
+        _address(offsets),
+        _address(adjacency),
+        _address(weights),
         offsets.size - 1,
-        labels.ctypes.data,
+        _address(labels),
         num_super,
-        self_loops.ctypes.data,
+        _address(self_loops),
         usable_cores(),
-        out_offsets.ctypes.data,
-        keys.ctypes.data,
-        sums.ctypes.data,
-        inter.ctypes.data,
+        _address(out_offsets),
+        _address(keys),
+        _address(sums),
+        _address(inter),
     )
     if kept == -1:
         raise IndexError("native compress: label out of range")
@@ -780,19 +725,15 @@ def find_arcs(graph, src, dst):
     sorted rows, in C: the arc's index in ``neighbors``, or its insertion
     point in row ``src[i]``, and whether the row has it.  A source past
     the graph has an empty row at the end.  Bit-identical to the per-arc
-    ``np.searchsorted`` of ``graphs.delta``; ``None`` without the library
-    or when the CSR arrays are not int64 and contiguous.
+    ``np.searchsorted`` of ``graphs.delta``; ``None`` without the
+    library.
     """
     lib = LIBRARY.load()
-    offsets, adjacency = graph.offsets, graph.neighbors
-    if lib is None or not (
-        _usable(offsets, np.int64) and _usable(adjacency, np.int64)
-    ):
+    if lib is None:
         return None
-    if offsets.size < 1 or adjacency.size != offsets[-1]:
-        raise ValueError("native find_arcs: CSR array sizes do not match")
-    src = np.ascontiguousarray(src, dtype=np.int64)
-    dst = np.ascontiguousarray(dst, dtype=np.int64)
+    offsets, adjacency, _ = _csr(graph)
+    src = _c_array(src, np.int64)
+    dst = _c_array(dst, np.int64)
     if src.ndim != 1 or src.shape != dst.shape:
         raise ValueError("native find_arcs: src and dst must be equal 1-D arrays")
     pos = np.empty(src.size, dtype=np.int64)
@@ -827,18 +768,14 @@ def splice(graph, num_vertices: int, arcs, capacity: int):
     lib = LIBRARY.load()
     if lib is None:
         return None
-    offsets = np.ascontiguousarray(graph.offsets, dtype=np.int64)
-    adjacency = np.ascontiguousarray(graph.neighbors, dtype=np.int64)
-    weights = np.ascontiguousarray(graph.weights, dtype=np.float64)
+    offsets, adjacency, weights = _csr(graph)
     src, dst, w, pos, found = (
-        np.ascontiguousarray(a, dtype=dt)
+        _c_array(a, dt)
         for a, dt in zip(arcs, (np.int64, np.int64, np.float64, np.int64, np.bool_))
     )
     count = src.size
     if not (
-        offsets.size >= 1
-        and num_vertices >= offsets.size - 1
-        and weights.size == adjacency.size == offsets[-1]
+        num_vertices >= offsets.size - 1
         and dst.size == w.size == pos.size == found.size == count
     ):
         raise ValueError("native splice: graph and arc array sizes do not match")

@@ -2,10 +2,14 @@
 
 ``benchmarks/perf/layertrace.py`` wraps ``VectorizedKernel.batch_moves``
 and reads ``SMALL_BATCH_WORK`` from this module.  The vectorized kernel
-is gone; both names now point at the native kernel, so the tracer's
-``kernels.*`` metrics time the kernel every engine runs
-(:data:`repro.kernels.native.KERNEL`).  Delete this module once the
-tracer names ``repro.kernels.native`` directly.
+is gone; both names now point at the native kernel.  A relaxed or
+colored round runs in one C call (``NativeKernel.round``), which the
+wrapper does not see, so the tracer's ``kernels.*`` metrics time only
+the paths that still call ``batch_moves``: the per-window loop of
+``best_moves.window_round`` (fault-injection runs, states the C round
+cannot commit into, and runs without the library) and the prefix
+engine.  Delete this module once the tracer names
+``repro.kernels.native`` directly.
 """
 
 from repro.kernels.native import NativeKernel

@@ -396,7 +396,7 @@ class TestPool:
                 kernel.batch_moves(graph, bad, batch, RESOLUTION, threads=2)
         assert _split_windows() == before + 10
         assert native.pool_stats()["dirty_scratch"] == 0
-        acc, seen, _, _ = kernel._local.bound.scratch  # the caller's scratch
+        acc, seen, _, _ = native._SCRATCH.kernel  # the caller's scratch
         assert not acc.any() and not seen.any()
         for _ in range(3):
             got = kernel.batch_moves(graph, state, batch, RESOLUTION, threads=2)
@@ -529,9 +529,19 @@ def test_results_do_not_depend_on_threads(digest_graphs, engine):
 
 
 class TestPointerCache:
-    def test_cache_does_not_keep_a_finished_graph_alive(self):
+    @pytest.mark.parametrize("call", ["batch_moves", "sweep", "round"])
+    def test_cache_does_not_keep_a_finished_graph_alive(self, call):
         graph, state, batch = _inputs()
-        native.KERNEL.batch_moves(graph, state, batch, RESOLUTION)
+        kernel = native.KERNEL
+        if call == "batch_moves":
+            kernel.batch_moves(graph, state, batch, RESOLUTION)
+        elif call == "sweep":
+            assert kernel.sweep(graph, state, batch, RESOLUTION)[0].size > 0
+        else:
+            assert kernel.round(
+                graph, state, batch, _starts(batch.size), RESOLUTION,
+                threshold=512,
+            ) is not None
         arrays = [weakref.ref(graph.neighbors), weakref.ref(state.assignments)]
         del graph, state
         gc.collect()
@@ -541,6 +551,9 @@ class TestPointerCache:
         graph, state, batch = _inputs()
         kernel = native.KERNEL
         kernel.batch_moves(graph, state, batch, RESOLUTION)
+        _round_both(graph, state, batch)
+        # New values in all three arrays, so a call that read the old ones
+        # would show.
         state.assignments = np.zeros_like(state.assignments)
         state.cluster_weights = np.zeros_like(state.cluster_weights)
         state.cluster_weights[0] = graph.node_weights.sum()
@@ -548,11 +561,10 @@ class TestPointerCache:
         state.cluster_sizes[0] = graph.num_vertices
         got = kernel.batch_moves(graph, state, batch, RESOLUTION)
         _assert_same(got, reference_batch_moves(graph, state, batch, RESOLUTION))
+        _round_both(graph, state, batch)
 
 
 def _binding_inputs(n=40, seed=0):
-    # Under 1 KiB per array, so NumPy's small-block cache hands a freed
-    # block straight back to the next array of the same size.
     graph = planted_partition_graph(n, seed=seed + 1).graph
     labels = np.random.default_rng(seed).integers(0, n // 4, graph.num_vertices)
     state = ClusterState.from_assignments(graph, labels)
@@ -578,9 +590,9 @@ def _round_both(graph, state, order):
         for _ in range(2)
     )
     starts = _starts(len(order))
-    movers, origins, targets, _, windows = native.KERNEL.round(
-        graph, got, order, starts, RESOLUTION, threshold=512
-    )
+    result = native.KERNEL.round(graph, got, order, starts, RESOLUTION, threshold=512)
+    assert result is not None  # the round ran in C
+    movers, origins, targets, _, windows = result
     bounds = starts.tolist() + [len(order)]
     moved, reference = [], []
     for begin, end in zip(bounds, bounds[1:]):
@@ -598,8 +610,19 @@ def _round_both(graph, state, order):
     return got
 
 
+def _strided_graph(graph):
+    """``graph`` with strided ``neighbors`` and ``weights``, which C must
+    copy, and the same ``node_weights`` object."""
+    wide = [np.repeat(a, 2)[::2] for a in (graph.neighbors, graph.weights)]
+    assert not any(a.flags.c_contiguous for a in wide)
+    return CSRGraph(
+        graph.offsets, *wide, graph.self_loops, graph.node_weights,
+        graph.node_weight_sq,
+    )
+
+
 class TestBinding:
-    """The per-level, per-thread bindings of the window entry points."""
+    """The per-call bindings of the BEST-MOVES entry points."""
 
     def test_a_new_level_rebinds(self):
         graph, state, batch = _binding_inputs()
@@ -614,11 +637,6 @@ class TestBinding:
         _assert_same(
             kernel.batch_moves(quotient, coarse, order, RESOLUTION),
             reference_batch_moves(quotient, coarse, order, RESOLUTION),
-        )
-        assert kernel._local.bound.holds(
-            (quotient.offsets, quotient.neighbors, quotient.weights,
-             quotient.node_weights, coarse.assignments,
-             coarse.cluster_weights, coarse.cluster_sizes)
         )
 
     def test_from_assignments_rebinds(self):
@@ -662,7 +680,7 @@ class TestBinding:
 
     def test_four_threads_two_graphs_each(self):
         # Each thread alternates between two graphs and runs a whole round
-        # on a fresh state each time, so it rebinds on every call while
+        # on a fresh state each time, binding a new graph and state while
         # the others run inside the library; every round's movers, state
         # and per-window rows must match a serial run.  The rounds' commits
         # count their contention in the binding's scratch, so the counts
@@ -684,10 +702,10 @@ class TestBinding:
                 RESOLUTION, threshold=512, threads=threads,
             )
             arrays = [*moves, *windows, state.cluster_weights]
-            return [a.tobytes() for a in arrays], state
+            return [a.tobytes() for a in arrays]
 
         want = {
-            (k, i): step(k, i)[0] for k in range(len(graphs)) for i in range(4)
+            (k, i): step(k, i) for k in range(len(graphs)) for i in range(4)
         }
         errors = []
         barrier = threading.Barrier(4)
@@ -699,14 +717,7 @@ class TestBinding:
                     k = (n + i) % 2
                     # The RMAT windows split, or run alone while another
                     # thread holds the pool.
-                    got, state = step(k, i, threads=2)
-                    assert got == want[k, i]
-                graph = graphs[k]
-                assert native.KERNEL._local.bound.holds(
-                    (graph.offsets, graph.neighbors, graph.weights,
-                     graph.node_weights, state.assignments,
-                     state.cluster_weights, state.cluster_sizes)
-                )
+                    assert step(k, i, threads=2) == want[k, i]
             except BaseException as exc:  # surfaced in the main thread
                 errors.append(exc)
 
@@ -735,6 +746,12 @@ class TestBinding:
             )
         for order in (frozen, strided):
             _round_both(graph, state, order)
+        # A graph whose CSR arrays C reads through copies.
+        copied = _strided_graph(graph)
+        _assert_same(
+            native.KERNEL.batch_moves(copied, state, batch, RESOLUTION), want
+        )
+        _round_both(copied, state, batch)
 
     def test_library_off_matches_on(self):
         graph, state, batch = _binding_inputs()
@@ -796,38 +813,6 @@ class TestBinding:
         assert movers.size == 0
         assert {r[0] for r in _regions(sched)} == {"best-moves"}
         assert sched.instr.metrics.get(M_CAS_ATTEMPTS) is None
-
-    def test_a_dead_array_whose_memory_is_reused_is_never_read(self):
-        graph, state, batch = _binding_inputs()
-        kernel = native.KERNEL
-        kernel.batch_moves(graph, state, batch, RESOLUTION)
-        state.apply_moves(batch[:2], np.zeros(2, dtype=np.int64))
-        old = [a.ctypes.data for a in
-               (state.assignments, state.cluster_weights, state.cluster_sizes)]
-        labels = state.assignments.copy()
-        state.assignments = state.cluster_weights = state.cluster_sizes = None
-        gc.collect()
-        # Same sizes, so the freed blocks come straight back; the values
-        # differ, so reading through a stale binding would show.
-        assignments = np.empty_like(labels)
-        cluster_weights = np.empty(labels.size)
-        cluster_sizes = np.empty_like(labels)
-        assignments[:] = (labels + 1) % labels.size
-        cluster_weights[:] = 0.0
-        np.add.at(cluster_weights, assignments, graph.node_weights)
-        cluster_sizes[:] = np.bincount(assignments, minlength=labels.size)
-        state.assignments = assignments
-        state.cluster_weights = cluster_weights
-        state.cluster_sizes = cluster_sizes
-        reused = [a.ctypes.data for a in (assignments, cluster_weights, cluster_sizes)]
-        # The scenario under test really happened: every new array sits in
-        # a block a bound array held (not necessarily the same role's).
-        assert sorted(reused) == sorted(old)
-        _assert_same(
-            kernel.batch_moves(graph, state, batch, RESOLUTION),
-            reference_batch_moves(graph, state, batch, RESOLUTION),
-        )
-        _round_both(graph, state, batch)
 
 
 class TestKernelEdges:
@@ -945,6 +930,14 @@ class TestKernelEdges:
             )
 
         _assert_same_sweep(native.KERNEL, graph, strided_state, strided)
+        # The sweep also runs in C on a graph whose CSR arrays C copies.
+        copied = _strided_graph(graph)
+        assert native.KERNEL._committing(copied, state) is not None
+        _assert_same_sweep(
+            native.KERNEL, copied,
+            lambda: ClusterState.from_assignments(graph, state.assignments),
+            batch,
+        )
 
 
 class TestObservability:
@@ -1343,6 +1336,17 @@ class TestNativeFrontier:
         got, gathered = native.neighbors(graph, np.asarray([33]))
         assert got.tolist() == sorted(graph.neighborhood(33)[0].tolist())
         assert gathered == got.size
+
+    def test_strided_csr_is_read_through_copies(self):
+        graph = karate_club_graph()
+        copied = _strided_graph(graph)
+        ids = np.asarray([0, 5, 33])
+        got, want = (native.neighbors(g, ids) for g in (copied, graph))
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        src, dst = np.asarray([0, 0, 33, 40]), np.asarray([1, 9, 2, 3])
+        got, want = (native.find_arcs(g, src, dst) for g in (copied, graph))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 def _knn(seed):

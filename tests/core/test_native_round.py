@@ -201,7 +201,7 @@ def test_out_of_range_ids_in_a_round():
                 graph, bad, order, starts, RESOLUTION, threshold=512, threads=2
             )
     assert native.pool_stats()["dirty_scratch"] == 0
-    acc, seen, _, counts = kernel._local.bound.scratch  # the caller's scratch
+    acc, seen, _, counts = native._SCRATCH.kernel  # the caller's scratch
     assert not acc.any() and not seen.any() and not counts.any()
     # A later round still matches the loop on a fresh copy.
     fresh = ClusterState.from_assignments(graph, labels)
