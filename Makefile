@@ -110,13 +110,17 @@ bench-dynamic:
 ## their arrays (frontier, compression) and the dynamic graph's arc
 ## search and splice, plus the pool's counters.  All seven pass arrays
 ## by one rule: inputs in place or copied, outputs in place or the
-## Python path.  Compile the source
+## Python path.  The pool runs three kinds of job: large BEST-MOVES
+## windows, large quotient compressions and large splices, which check
+## only the arcs they stage (the overlay validates its base once).
+## Compile the source
 ## once more with -Wall -Wextra -Werror and the library's flags
 ## (-pthread among them), so a warning in the pool's concurrency code
 ## fails CI.  Then run the kernel, binding, pool and native-round parity
-## suites, the round-bookkeeping oracle, the splice and
-## dynamic-clusterer suites and the chaos matrix with and without the
-## library with any RuntimeWarning an error.
+## suites, the round-bookkeeping oracle, the splice (serial and split)
+## and dynamic-clusterer suites, the serving suite (whose commit thread
+## splits splices beside its read thread) and the chaos matrix with and
+## without the library with any RuntimeWarning an error.
 native-kernel:
 	$(PYTHON) -W error::RuntimeWarning -c "from repro.kernels import native; \
 	    lib = native.KERNEL.library.load(); \
@@ -135,6 +139,7 @@ native-kernel:
 	    tests/core/test_native_round.py \
 	    tests/core/test_best_moves.py \
 	    tests/dynamic/test_delta.py tests/dynamic/test_clusterer.py \
+	    tests/dynamic/test_serve.py \
 	    "tests/supervisor/test_chaos.py::TestMatrix::test_all_engines_and_kernels_recover"
 
 ## Run doctor over fresh instrumented runs with the built-in rule set: a

@@ -43,7 +43,9 @@ repair stopped being cheaper than re-clustering).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -309,29 +311,56 @@ class DynamicClusterer:
         update is skipped, so later updates see only the valid ones before
         them; the serving gateway commits exactly the valid subset.
         """
-        return [reason for _, _, reason in self._plan(updates)]
+        return self._plan(list(updates))[3]
 
-    def _plan(
-        self, updates: Iterable[EdgeUpdate]
-    ) -> List[Tuple[float, float, Optional[str]]]:
-        """``(current, new, reason)`` edge weights per update, in order.
+    def _plan(self, updates: List[EdgeUpdate]):
+        """``(pairs, current, new, reasons)`` of the updates, in order: the
+        canonical ``(u < v)`` endpoint pairs as a ``(k, 2)`` array, each
+        update's current and new edge weight, and why each is rejected
+        (``None`` = valid; a rejected update's ``new`` is its
+        ``current``).
 
-        ``reason`` is set (and ``new == current``) for a rejected update.
+        An update lands on the weight the valid updates before it left.
+        For an edge the batch names once that is the overlay's weight, and
+        :meth:`EdgeUpdate.weight_after`'s rule runs on arrays; only edges
+        named more than once are folded update by update.
         """
-        updates = list(updates)
-        keys = [upd.key for upd in updates]
-        looked_up = self.overlay.edge_weights(keys)
-        weights: Dict[Tuple[int, int], float] = {}
-        plan: List[Tuple[float, float, Optional[str]]] = []
-        for upd, key, stored in zip(updates, keys, looked_up):
-            current = weights[key] if key in weights else stored
+        count = len(updates)
+        pairs = np.fromiter(
+            chain.from_iterable((upd.u, upd.v) for upd in updates),
+            np.int64,
+            2 * count,
+        ).reshape(-1, 2)
+        pairs.sort(axis=1)
+        weight = np.fromiter((upd.weight for upd in updates), np.float64, count)
+        insert = np.fromiter((upd.op == "insert" for upd in updates), bool, count)
+        delete = np.fromiter((upd.op == "delete" for upd in updates), bool, count)
+        current = np.array(self.overlay.edge_weights(pairs), dtype=np.float64)
+        # weight_after: an insert adds, a delete zeroes, a reweight sets,
+        # and a delete or reweight of an absent edge is rejected.
+        new = np.where(insert, current + weight, np.where(delete, 0.0, weight))
+        rejected = ~insert & (current == 0.0)
+        keys = list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+        if len(set(keys)) < count:
+            named = Counter(keys)
+            folded: Dict[Tuple[int, int], float] = {}
+            for i, key in enumerate(keys):
+                if named[key] > 1:
+                    current[i] = folded.get(key, current[i])
+                    try:
+                        new[i] = folded[key] = updates[i].weight_after(current[i])
+                    except UpdateError:
+                        rejected[i] = True
+                    else:
+                        rejected[i] = False
+        new[rejected] = current[rejected]
+        reasons: List[Optional[str]] = [None] * count
+        for i in np.flatnonzero(rejected).tolist():
             try:
-                new = weights[key] = upd.weight_after(current)
+                updates[i].weight_after(float(current[i]))
             except UpdateError as exc:
-                plan.append((current, current, str(exc)))
-            else:
-                plan.append((current, new, None))
-        return plan
+                reasons[i] = str(exc)
+        return pairs, current, new, reasons
 
     def apply(self, batch: Union[UpdateBatch, List[EdgeUpdate]]) -> UpdateReport:
         """Apply one update batch; localized refinement keeps F current."""
@@ -339,7 +368,7 @@ class DynamicClusterer:
             batch = UpdateBatch(batch)
         start = time.perf_counter()
         old_n = self.graph.num_vertices
-        intra_delta, counts = self._stage(batch, old_n)
+        intra_delta, counts, touched = self._stage(batch, old_n)
 
         graph = self.overlay.compact()
         self._adopt_graph(graph, old_n)
@@ -350,7 +379,6 @@ class DynamicClusterer:
             machine=self.config.machine,
             instr=self.instr if self.instr.enabled else None,
         )
-        touched = batch.touched_vertices()
         seed = seed_frontier(graph, touched, sched=sched)
         before = self.state.assignments.copy()
         before_weights = self.state.cluster_weights.copy()
@@ -424,29 +452,28 @@ class DynamicClusterer:
     # ------------------------------------------------------------------ #
 
     def _stage(self, batch: UpdateBatch, old_n: int):
-        """Stage the batch onto the overlay; returns (intra delta, counts).
+        """Stage the batch onto the overlay; returns (intra delta, counts,
+        the updated edges' endpoints, repeats included).
 
         The whole batch is validated first, so a rejected update raises
         with the overlay untouched.
         """
-        plan = self._plan(batch)
-        for _, _, reason in plan:
+        pairs, current, new, reasons = self._plan(batch.updates)
+        for reason in reasons:
             if reason is not None:
                 raise UpdateError(reason)
-        intra_delta = 0.0
-        counts = {"insert": 0, "delete": 0, "reweight": 0}
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        self.overlay.stage(lo, hi, new)
+        # New vertices enter as fresh singletons, so an edge touching one
+        # is never intra-cluster at staging time.
         assignments = self.state.assignments
-        for upd, (current, new, _) in zip(batch, plan):
-            self.overlay.set_edge(upd.u, upd.v, new)
-            counts[upd.op] += 1
-            # New vertices enter as fresh singletons, so an edge touching
-            # one is never intra-cluster at staging time.
-            if (
-                max(upd.u, upd.v) < old_n
-                and assignments[upd.u] == assignments[upd.v]
-            ):
-                intra_delta += new - current
-        return intra_delta, counts
+        known = np.flatnonzero(hi < old_n)
+        intra = known[assignments[lo[known]] == assignments[hi[known]]]
+        # cumsum adds left to right, as a loop from 0.0 would.
+        intra_delta = 0.0
+        if intra.size:
+            intra_delta += float(np.cumsum(new[intra] - current[intra])[-1])
+        return intra_delta, batch.op_counts(), pairs.ravel()
 
     def _adopt_graph(self, graph: CSRGraph, old_n: int) -> None:
         """Swap in the compacted graph, growing state for new vertices."""

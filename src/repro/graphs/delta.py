@@ -5,28 +5,37 @@ inserts/deletes/reweights without paying a full rebuild per update.  CSR
 is the wrong shape for in-place structural mutation, so mutation is
 staged: a :class:`DeltaOverlayGraph` holds an immutable base CSR plus a
 dictionary of pending canonical ``(u < v) -> target weight`` entries
-(weight ``0`` means "edge absent").  Reads (:meth:`edge_weights`) consult
-the overlay first, then binary-search the base adjacency rows.
+(weight ``0`` means "edge absent"), written a batch at a time from
+arrays (:meth:`~DeltaOverlayGraph.stage`).  Reads
+(:meth:`~DeltaOverlayGraph.edge_weights`) consult the overlay first,
+then binary-search the base adjacency rows.
+
+The overlay validates its base once, when it is created, as
+``CSRGraph._validate`` would, also a base loaded with ``validate=False``.
+Every compaction keeps a valid base valid: an untouched arc keeps its row,
+and its neighbor stays below ``n``, which only grows.  So no splice
+checks the base again.
 
 :meth:`compact` splices the pending deltas into a fresh ``CSRGraph`` and
 rebases the overlay on it.  The p pending pairs expand to 2p arcs ordered
 by ``(src, dst)``; a binary search in each arc's sorted base row finds it
 (O(p log deg), :func:`find_arcs`) and makes it a reweight, a delete or an
-insert.  A structural batch is then one C pass over the rows
-(:func:`repro.kernels.native.splice`): it copies the untouched arcs in
-runs, places and drops the staged ones, writes ``offsets`` as it goes,
-and checks every arc it writes as ``CSRGraph._validate`` would, so the
-result is built without a second validation.  Nothing of size m is
-sorted.  Without a compiler, :func:`splice_arrays` does the same with one
-NumPy delete/insert per array and a cumsum of per-row degree deltas, and
-the result is validated; it is also the C pass's test oracle.  A
-reweight-only batch copies ``weights`` alone and shares
-``offsets``/``neighbors`` with the base, and a batch that adds no vertex
-shares the base's vertex arrays.  The result equals, array for
-array, what :func:`~repro.graphs.builders.graph_from_edges` builds from
-the same edge set (property-tested, with the library on and off).  A
-hand-built base with an unsorted row (no builder or generator emits one)
-has its rows sorted once, when the overlay is created.
+insert.  A structural batch is then one C call
+(:func:`repro.kernels.native.splice`): a serial pass writes ``offsets``
+and checks only the staged arcs as ``CSRGraph._validate`` would, and the
+rows are then copied in runs and merged with the staged arcs, on the
+native pool when the base is large.  The result is built without a
+second validation, and nothing of size m is sorted.  Without a compiler,
+:func:`splice_arrays` does the same with one NumPy delete/insert per
+array and a cumsum of per-row degree deltas, and the result is
+validated; it is also the C call's test oracle.  A reweight-only batch
+copies ``weights`` alone and shares ``offsets``/``neighbors`` with the
+base, and a batch that adds no vertex shares the base's vertex arrays.
+The result equals, array for array, what
+:func:`~repro.graphs.builders.graph_from_edges` builds from the same edge
+set (property-tested, with the library on and off).  A hand-built base
+with an unsorted row (no builder or generator emits one) has its rows
+sorted once, when the overlay is created.
 
 New vertex ids beyond the base simply grow ``n``; they join with unit
 LambdaCC weight (``k_v = 1``, ``k_v^2 = 1``) and no self-loop, matching
@@ -85,6 +94,9 @@ class DeltaOverlayGraph:
     __slots__ = ("base", "_pending", "_num_vertices")
 
     def __init__(self, base: CSRGraph) -> None:
+        # Once per overlay, also for a base built with validate=False:
+        # every splice keeps a valid base valid, so none checks it again.
+        base._validate()
         self.base = _with_sorted_rows(base)
         #: canonical ``(min, max) -> target weight`` (0.0 = absent).
         self._pending: Dict[Tuple[int, int], float] = {}
@@ -119,26 +131,21 @@ class DeltaOverlayGraph:
 
     def edge_weights(self, keys) -> list:
         """Current weights (0.0 if absent) of the canonical ``(u, v)``
-        pairs ``keys``, in order: a pending entry shadows the base, whose
-        rows are searched in one :func:`find_arcs` call."""
-        pending = self._pending
-        weights = [pending.get(key) for key in keys]
-        missing = [i for i, w in enumerate(weights) if w is None]
-        if missing:
-            pairs = np.fromiter(
-                chain.from_iterable(keys[i] for i in missing),
-                np.int64,
-                2 * len(missing),
-            )
-            src, dst = pairs[0::2], pairs[1::2]
-            loops = src[src == dst]
-            if loops.size:
-                raise UpdateError(f"self-loop query on vertex {loops[0]}")
-            pos, found = find_arcs(self.base, src, dst)
-            stored = np.zeros(len(missing))
-            stored[found] = self.base.weights[pos[found]]
-            for i, w in zip(missing, stored.tolist()):
-                weights[i] = w
+        pairs ``keys`` (a sequence of pairs or a ``(k, 2)`` array), in
+        order: a pending entry shadows the base, whose rows are searched
+        in one :func:`find_arcs` call."""
+        pairs = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+        src, dst = pairs[:, 0], pairs[:, 1]
+        loops = src[src == dst]
+        if loops.size:
+            raise UpdateError(f"self-loop query on vertex {loops[0]}")
+        pos, found = find_arcs(self.base, src, dst)
+        weights = np.zeros(src.size)
+        weights[found] = self.base.weights[pos[found]]
+        weights = weights.tolist()
+        if self._pending:
+            for i, key in enumerate(zip(src.tolist(), dst.tolist())):
+                weights[i] = self._pending.get(key, weights[i])
         return weights
 
     # ------------------------------------------------------------------ #
@@ -154,14 +161,34 @@ class DeltaOverlayGraph:
 
     def set_edge(self, u: int, v: int, weight: float) -> None:
         """Stage ``{u, v}``'s weight to ``weight`` (``0`` removes it)."""
-        if u == v:
-            raise UpdateError(f"self-loop update on vertex {u} is not allowed")
-        if not np.isfinite(weight):
-            raise UpdateError(f"non-finite edge weight {weight!r} for ({u}, {v})")
-        self.ensure_vertex(u)
-        self.ensure_vertex(v)
-        key = (u, v) if u < v else (v, u)
-        self._pending[key] = float(weight)
+        self.stage([u], [v], [weight])
+
+    def stage(self, u, v, weights) -> None:
+        """Stage each edge ``{u[i], v[i]}``'s weight to ``weights[i]``, in
+        order, so a later row for the same edge wins (``0`` removes it).
+
+        Vertex ids past the overlay grow it.  Every row is checked before
+        any is staged: a self-loop, a non-finite weight or a negative id
+        raises :class:`UpdateError` for the first bad row, and the
+        overlay is left untouched.
+        """
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        bad = (u == v) | ~np.isfinite(weights) | (u < 0) | (v < 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b, w = int(u[i]), int(v[i]), float(weights[i])
+            if a == b:
+                raise UpdateError(f"self-loop update on vertex {a} is not allowed")
+            if not np.isfinite(w):
+                raise UpdateError(f"non-finite edge weight {w!r} for ({a}, {b})")
+            raise UpdateError(f"negative vertex id {a if a < 0 else b}")
+        if u.size:
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            self._num_vertices = max(self._num_vertices, int(hi.max()) + 1)
+            keys = zip(lo.tolist(), hi.tolist())
+            self._pending.update(zip(keys, weights.tolist()))
 
     # ------------------------------------------------------------------ #
     # Compaction

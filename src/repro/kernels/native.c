@@ -42,8 +42,9 @@
  * array, to its NumPy path:
  *
  *   - repro_find_arcs binary-searches staged arcs in their base rows;
- *   - repro_splice writes a batch's new CSR in one pass over the rows,
- *     checking every arc it writes as CSRGraph._validate would.
+ *   - repro_splice writes a batch's new CSR: a serial pass writes the
+ *     offsets and checks only the staged arcs, as CSRGraph._validate
+ *     would, then the rows are copied and merged on the pool.
  *
  * The three BEST-MOVES entry points read the graph, the state and their
  * scratch through a `struct binding` that the caller fills per call, so
@@ -65,6 +66,7 @@
  * Every entry point returns -1 when a visited vertex or a label is out
  * of range.
  */
+#define _GNU_SOURCE /* sched_getaffinity and CPU_COUNT */
 #include <math.h>
 #include <pthread.h>
 #include <sched.h>
@@ -262,16 +264,19 @@ static int64_t evaluate_range(
 }
 
 /*
- * The pool: one job split across cores (DESIGN.md section 8).  Two kinds
- * of job use it.  Each writes only the output slots of the items it
- * claims and its thread's scratch, so any split gives the serial loop's
- * outputs bit for bit, and the counts it returns are integers, so their
- * sum is too:
+ * The pool: one job split across cores (DESIGN.md section 8).  Three
+ * kinds of job use it.  Each writes only the output slots of the items
+ * it claims and its thread's scratch, so any split gives the serial
+ * loop's outputs bit for bit, and the counts it returns are integers, so
+ * their sum is too:
  *
  *   - a BEST-MOVES window of at least SPLIT_MIN vertices, each of which
  *     reads the window-start snapshot (repro_best_moves);
  *   - the rows of a quotient graph built from at least SPLIT_MIN_ARCS
- *     arcs, each row summed from its own class's arcs (repro_compress).
+ *     arcs, each row summed from its own class's arcs (repro_compress);
+ *   - the rows of a splice whose base has at least SPLIT_MIN_ARCS arcs,
+ *     each copied and merged into the slice of the outputs that the
+ *     serial pass's offsets give it (repro_splice).
  *
  * How it runs:
  *
@@ -346,6 +351,7 @@ static struct {
     _Atomic int sleepers;
     int started;
     int64_t windows;
+    int64_t splices;
     /* The job being split.  The caller sets it before opening any ticket;
      * a helper reads it only while its ticket is JOINED. */
     struct job *job;
@@ -499,6 +505,7 @@ static void after_fork_child(void)
     }
     pool.started = 0;
     pool.windows = 0;
+    pool.splices = 0;
     atomic_store(&pool.sleepers, 0);
     pthread_cond_init(&pool.wake, NULL);
     pthread_mutex_unlock(&pool.lock);
@@ -660,9 +667,9 @@ int64_t repro_best_moves(
 }
 
 /*
- * The pool's counters into out[0..2]: helpers started, BEST-MOVES windows
- * split, and the nonzero entries left in the helpers' scratch (0 between
- * jobs).  Waits for a job in progress.  Returns 0.
+ * The pool's counters into out[0..3]: helpers started, BEST-MOVES windows
+ * split, the nonzero entries left in the helpers' scratch (0 between
+ * jobs) and splices split.  Waits for a job in progress.  Returns 0.
  */
 int64_t repro_pool_stats(int64_t *out)
 {
@@ -680,6 +687,7 @@ int64_t repro_pool_stats(int64_t *out)
     out[0] = pool.started;
     out[1] = pool.windows;
     out[2] = dirty;
+    out[3] = pool.splices;
     pthread_mutex_unlock(&pool.busy);
     return 0;
 }
@@ -1338,54 +1346,6 @@ static inline uint64_t bad_arc(int64_t u, int64_t row, int64_t num_vertices)
     return ((uint64_t)u >= (uint64_t)num_vertices) | (u == row);
 }
 
-/* Arcs per block of verbatim_rows' flat check (its marks fill 8 KiB). */
-#define CHECK_BLOCK 1024
-
-/*
- * The verbatim rows [first, stop) of a splice: writes their out_offsets,
- * each the base offset plus `shift`, and checks each of their arcs with
- * bad_arc, returning nonzero when one fails.  The check runs over the
- * rows' arcs as one flat array, in blocks of CHECK_BLOCK arcs, so a
- * short row costs no loop (and no mispredicted loop exit) of its own:
- * a first loop over the rows starting in the block marks where each
- * starts in `marks`, and the arc loop adds the marks up into each arc's
- * row, clearing them.  Empty rows mark the same arc as the row after
- * them.
- */
-static uint64_t verbatim_rows(
-    const int64_t *offsets, const int64_t *neighbors, int64_t first,
-    int64_t stop, int64_t num_vertices, int64_t shift, int64_t *out_offsets)
-{
-    int64_t marks[CHECK_BLOCK] = {0};
-    uint64_t bad = 0;
-    int64_t row = first - 1; /* the row of the arc being checked */
-    int64_t v = first;       /* the next row to mark */
-    const int64_t end = offsets[stop];
-    for (int64_t b = offsets[first]; b < end; b += CHECK_BLOCK) {
-        const int64_t block_end = end - b < CHECK_BLOCK ? end : b + CHECK_BLOCK;
-        for (; v < stop && offsets[v] < block_end; ++v) {
-            if (offsets[v] <= b) {
-                ++row;
-            } else {
-                ++marks[offsets[v] - b];
-            }
-            out_offsets[v + 1] = offsets[v + 1] + shift;
-        }
-        const int64_t *nbrs = neighbors + b;
-#pragma GCC unroll 4
-        for (int64_t i = 0; i < block_end - b; ++i) {
-            row += marks[i];
-            marks[i] = 0;
-            bad |= bad_arc(nbrs[i], row, num_vertices);
-        }
-    }
-    /* Empty rows at the end of the range. */
-    for (; v < stop; ++v) {
-        out_offsets[v + 1] = offsets[v + 1] + shift;
-    }
-    return bad;
-}
-
 /* Copies the base arcs [from, to) to position `out` of the outputs. */
 static void copy_run(
     const int64_t *neighbors, const double *weights, int64_t from, int64_t to,
@@ -1399,30 +1359,156 @@ static void copy_run(
     }
 }
 
+/* One splice: the job's `arg`.  The base has `base_vertices` rows, the
+ * result `num_vertices`; the `count` staged arcs are ordered by
+ * (src, dst). */
+struct splice {
+    const int64_t *offsets;
+    const int64_t *neighbors;
+    const double *weights;
+    int64_t base_vertices;
+    int64_t num_vertices;
+    const int64_t *src;
+    const int64_t *dst;
+    const double *w;
+    const int64_t *pos;
+    const unsigned char *found;
+    int64_t count;
+    const int64_t *out_offsets;
+    int64_t *out_neighbors;
+    double *out_weights;
+};
+
+/* Rows per item of a splice job, so a 64-item chunk copies 1,024 rows. */
+#define SPLICE_ROWS 16
+
+/*
+ * The serial first pass of a splice, O(num_vertices + count): writes
+ * out_offsets, the arcs written before each row, and checks every staged
+ * arc.  A row keeps its base degree, plus its live arcs not found, less
+ * its found arcs that are not live.  Returns the number of arcs the
+ * splice writes, or -1 on a staged arc out of order or off its row, or a
+ * live one whose neighbor lies outside [0, num_vertices) or equals its
+ * row.
+ */
+static int64_t splice_offsets(const struct splice *s, int64_t *out_offsets)
+{
+    const int64_t *offsets = s->offsets;
+    const int64_t base_vertices = s->base_vertices;
+    const int64_t num_vertices = s->num_vertices;
+    const int64_t m = offsets[base_vertices];
+    int64_t shift = 0; /* arcs written less base arcs read, so far */
+    int64_t k = 0;
+    int64_t v = 0;
+    out_offsets[0] = 0;
+    for (;;) {
+        /* The rows before the next row with staged arcs keep their
+         * degree. */
+        const int64_t next = k < s->count ? s->src[k] : num_vertices;
+        if (next < v || next > num_vertices) {
+            return -1;
+        }
+        const int64_t base_next = next < base_vertices ? next : base_vertices;
+        for (; v < base_next; ++v) {
+            out_offsets[v + 1] = offsets[v + 1] + shift;
+        }
+        for (; v < next; ++v) {
+            out_offsets[v + 1] = m + shift;
+        }
+        if (v == num_vertices) {
+            return k == s->count ? m + shift : -1;
+        }
+        const int64_t hi = v < base_vertices ? offsets[v + 1] : m;
+        /* The first base arc of the row not yet passed. */
+        int64_t e = v < base_vertices ? offsets[v] : m;
+        for (; k < s->count && s->src[k] == v; ++k) {
+            const int64_t p = s->pos[k];
+            if (p < e || p > hi || (s->found[k] && p == hi)
+                || (s->w[k] != 0.0 && bad_arc(s->dst[k], v, num_vertices))) {
+                return -1;
+            }
+            e = p + s->found[k];
+            shift += (s->w[k] != 0.0) - s->found[k];
+        }
+        out_offsets[v + 1] = hi + shift;
+        ++v;
+    }
+}
+
+/* Copies and merges the rows of items [begin, end) of a splice job into
+ * the slice of the outputs that out_offsets gives them; returns 0.  The
+ * staged arcs' positions never decrease, so the base arcs between two of
+ * them, in one row or across verbatim rows, are one run. */
+static int64_t splice_rows(
+    const struct job *job, const struct scratch *own, int64_t begin,
+    int64_t end)
+{
+    (void)own;
+    const struct splice *s = job->arg;
+    const int64_t base_vertices = s->base_vertices;
+    const int64_t first = begin * SPLICE_ROWS;
+    const int64_t stop =
+        end * SPLICE_ROWS < s->num_vertices ? end * SPLICE_ROWS : s->num_vertices;
+    int64_t e = s->offsets[first < base_vertices ? first : base_vertices];
+    int64_t out = s->out_offsets[first];
+    for (int64_t k = lower_bound(s->src, 0, s->count, first);
+         k < s->count && s->src[k] < stop; ++k) {
+        const int64_t p = s->pos[k];
+        copy_run(s->neighbors, s->weights, e, p, s->out_neighbors,
+                 s->out_weights, out);
+        out += p - e;
+        e = p + s->found[k];
+        if (s->w[k] != 0.0) {
+            s->out_neighbors[out] = s->dst[k];
+            s->out_weights[out++] = s->w[k];
+        }
+    }
+    copy_run(s->neighbors, s->weights, e,
+             s->offsets[stop < base_vertices ? stop : base_vertices],
+             s->out_neighbors, s->out_weights, out);
+    return 0;
+}
+
+/* The cores this thread may run on (sched_getaffinity), as
+ * native.usable_cores() counts them; 1 when they cannot be read. */
+static int affinity_cores(void)
+{
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) != 0) {
+        return 1;
+    }
+    return CPU_COUNT(&set);
+}
+
 /*
  * Splices staged arcs into a CSR graph with sorted rows, writing the new
  * graph over `num_vertices >= base_vertices` vertices into out_offsets
  * (num_vertices + 1 entries), out_neighbors and out_weights (`capacity`
- * entries each), in one pass over the rows.  The `count` staged arcs are
- * ordered by (src, dst), with pos and found from repro_find_arcs and a
- * target weight w (0.0 for an absent arc).  A row with staged arcs
- * copies its base arcs in order, and at each staged arc's position:
+ * entries each).  The `count` staged arcs are ordered by (src, dst),
+ * with pos and found from repro_find_arcs and a target weight w (0.0 for
+ * an absent arc).  A row with staged arcs copies its base arcs in order,
+ * and at each staged arc's position:
  *
  *   - a found arc with a live weight is rewritten with that weight;
  *   - a found arc with weight 0.0 is skipped;
  *   - an arc not found is placed there when its weight is live.
  *
  * Rows without staged arcs are copied verbatim, in runs that reach from
- * one row with staged arcs to the next, with one memcpy per array, and
- * checked by verbatim_rows.
+ * one row with staged arcs to the next, with one memcpy per array.
  *
- * Every arc written is checked as CSRGraph._validate checks one, so the
- * result needs no second pass: its neighbor lies in [0, num_vertices)
- * and differs from its row.  out_offsets starts at 0 and never
- * decreases, because it counts the arcs written.  Returns the number of arcs written, which is
- * out_offsets[num_vertices].  Returns -1, leaving the outputs partly
- * written but never past their ends, on a bad arc, a staged arc out of
- * order or off its row, or more arcs than `capacity`.
+ * A serial pass writes out_offsets and checks the staged arcs (see
+ * splice_offsets); the rows are then copied and merged on up to every
+ * core this thread may run on when the base has at least
+ * SPLIT_MIN_ARCS arcs, each chunk of rows into its own slice of the
+ * outputs, so any split writes the serial pass's arrays.  The base is
+ * valid CSR (DeltaOverlayGraph validates it once, and every splice keeps
+ * it valid), so its arcs are not checked again: a verbatim arc keeps its
+ * row, and its neighbor stays below num_vertices, which only grows.
+ * out_offsets starts at 0 and never decreases, because it counts the
+ * arcs written.  Returns the number of arcs written, which is
+ * out_offsets[num_vertices], or -1, with out_neighbors and out_weights
+ * untouched, on a bad staged arc, a staged arc out of order or off its
+ * row, or more arcs than `capacity`.
  */
 int64_t repro_splice(
     const int64_t *offsets,
@@ -1441,79 +1527,22 @@ int64_t repro_splice(
     int64_t *out_neighbors,
     double *out_weights)
 {
-    const int64_t m = offsets[base_vertices];
-    uint64_t bad = 0;
-    int64_t out = 0; /* arcs written */
-    int64_t e = 0;   /* the first base arc not yet copied */
-    int64_t k = 0;   /* the next staged arc */
-    int64_t v = 0;
-    out_offsets[0] = 0;
-    while (v < num_vertices) {
-        /* Verbatim rows up to the next row with staged arcs: the run of
-         * base arcs [e, offsets[stop]) will land at `out`. */
-        int64_t stop = k < count ? src[k] : num_vertices;
-        if (stop < v || stop > num_vertices) {
-            return -1;
-        }
-        const int64_t shift = out - e;
-        const int64_t base_stop = stop < base_vertices ? stop : base_vertices;
-        if (v < base_stop) {
-            bad |= verbatim_rows(offsets, neighbors, v, base_stop,
-                                 num_vertices, shift, out_offsets);
-            v = base_stop;
-        }
-        for (; v < stop; ++v) {
-            out_offsets[v + 1] = m + shift;
-        }
-        if (v == num_vertices) {
-            break;
-        }
-        /* Row v has staged arcs: flush the run, then merge. */
-        const int64_t lo = offsets[v < base_vertices ? v : base_vertices];
-        const int64_t hi = v < base_vertices ? offsets[v + 1] : lo;
-        if (out + (lo - e) > capacity) {
-            return -1;
-        }
-        copy_run(neighbors, weights, e, lo, out_neighbors, out_weights, out);
-        out += lo - e;
-        e = lo;
-        for (; k < count && src[k] == v; ++k) {
-            const int64_t p = pos[k];
-            if (p < e || p > hi || (found[k] && p == hi)) {
-                return -1;
-            }
-            for (; e < p; ++e) {
-                if (out >= capacity) {
-                    return -1;
-                }
-                bad |= bad_arc(neighbors[e], v, num_vertices);
-                out_neighbors[out] = neighbors[e];
-                out_weights[out++] = weights[e];
-            }
-            e += found[k];
-            if (w[k] != 0.0) {
-                if (out >= capacity) {
-                    return -1;
-                }
-                bad |= bad_arc(dst[k], v, num_vertices);
-                out_neighbors[out] = dst[k];
-                out_weights[out++] = w[k];
-            }
-        }
-        for (; e < hi; ++e) {
-            if (out >= capacity) {
-                return -1;
-            }
-            bad |= bad_arc(neighbors[e], v, num_vertices);
-            out_neighbors[out] = neighbors[e];
-            out_weights[out++] = weights[e];
-        }
-        out_offsets[v + 1] = out;
-        ++v;
-    }
-    if (k != count || bad || out + (m - e) > capacity) {
+    struct splice s = {
+        offsets, neighbors, weights, base_vertices, num_vertices, src, dst,
+        w, pos, found, count, out_offsets, out_neighbors, out_weights,
+    };
+    const int64_t written = splice_offsets(&s, out_offsets);
+    if (written < 0 || written > capacity) {
         return -1;
     }
-    copy_run(neighbors, weights, e, m, out_neighbors, out_weights, out);
-    return out + (m - e);
+    const struct scratch own = {0};
+    struct job job = {
+        .run = splice_rows,
+        .arg = &s,
+        .size = (num_vertices + SPLICE_ROWS - 1) / SPLICE_ROWS,
+    };
+    run_job(&job, &own,
+            offsets[base_vertices] >= SPLIT_MIN_ARCS ? affinity_cores() : 1,
+            &pool.splices);
+    return written;
 }

@@ -18,8 +18,9 @@ helper threads of a pool inside ``native.c``, which claim 64-vertex
 chunks through an atomic counter.  Every vertex reads the window-start
 snapshot and writes only its own output slots and its thread's scratch,
 so the outputs do not depend on ``n``.  :func:`compress` splits a large
-quotient's rows over the same pool.  Both use one thread per
-:func:`usable_cores` core.  Helpers start on the first split job, never
+quotient's rows over the same pool, and :func:`splice` a large graph's
+rows.  All three use one thread per :func:`usable_cores` core (the
+splice counts the cores in C, from the same affinity mask).  Helpers start on the first split job, never
 at import or load; they park when idle, and a forked child starts its
 own.  :func:`pool_stats` reads the pool's counters.
 
@@ -614,7 +615,7 @@ KERNEL = NativeKernel()
 
 
 #: The fields :func:`pool_stats` returns, in ``repro_pool_stats``' order.
-POOL_STATS = ("helpers", "split_windows", "dirty_scratch")
+POOL_STATS = ("helpers", "split_windows", "dirty_scratch", "split_splices")
 
 
 def usable_cores() -> int:
@@ -630,9 +631,11 @@ def pool_stats() -> Optional[dict]:
     """The pool's counters in :data:`LIBRARY`.
 
     ``helpers`` threads started, BEST-MOVES windows evaluated on more
-    than one thread (``split_windows``), and ``dirty_scratch``, the
-    nonzero entries left in the helpers' scratch, which is 0 between
-    jobs.  ``None`` without the library.  Starts no thread.
+    than one thread (``split_windows``), ``dirty_scratch``, the nonzero
+    entries left in the helpers' scratch, which is 0 between jobs, and
+    splices whose rows were copied on more than one thread
+    (``split_splices``).  ``None`` without the library.  Starts no
+    thread.
     """
     lib = LIBRARY.load()
     if lib is None:
@@ -761,9 +764,13 @@ def splice(graph, num_vertices: int, arcs, capacity: int):
     as ``DeltaOverlayGraph._pending_arcs`` returns it, and ``capacity``
     the spliced arc count.  Returns ``(offsets, neighbors, weights)``,
     array for array the NumPy splice's, or ``None`` without the library.
-    The C pass checks every arc it writes as ``CSRGraph._validate`` does
-    (in range, not a self-loop) and raises :class:`GraphFormatError` on
-    any violation, so the result needs no second validation.
+    ``graph`` must be valid CSR, as every overlay base is: C checks only
+    the staged arcs, as ``CSRGraph._validate`` would (in range, not a
+    self-loop, in order on their rows), and raises
+    :class:`GraphFormatError` on any violation, so the result needs no
+    second validation.  The rows are copied on every core this thread
+    may run on (:func:`usable_cores`) when the graph has at least 65,536
+    arcs.
     """
     lib = LIBRARY.load()
     if lib is None:

@@ -6,6 +6,7 @@ oracle below is that from-scratch build.
 """
 
 import contextlib
+import os
 from unittest import mock
 
 import numpy as np
@@ -453,7 +454,7 @@ class TestSpliceCases:
 
 def sparse_ids_base():
     """An LFR graph with its ids doubled: every odd vertex is an empty
-    row, and the ~10k arcs span several of the C check's blocks."""
+    row, inside long verbatim runs of ~10k arcs."""
     g = lfr_like_graph(1200, mixing=0.3, seed=3).graph
     u, v, w = g.edge_list()
     return graph_from_edges(
@@ -461,9 +462,18 @@ def sparse_ids_base():
     )
 
 
+def bad_base(fault):
+    """``sparse_ids_base`` built with ``validate=False`` and one bad arc
+    (a self-loop or a neighbor of -1) near its last row."""
+    good = sparse_ids_base()
+    neighbors = good.neighbors.copy()
+    row = good.num_vertices - 2
+    neighbors[good.offsets[row]] = row if fault == "self-loop" else -1
+    return CSRGraph(good.offsets, neighbors, good.weights, validate=False)
+
+
 class TestLargeSplice:
-    """Verbatim runs longer than one block of the C pass's flat check,
-    with empty rows inside them."""
+    """Long verbatim runs with empty rows inside them, and bad bases."""
 
     def test_sparse_rows_equal_oracle(self):
         base = sparse_ids_base()
@@ -473,8 +483,8 @@ class TestLargeSplice:
 
     def test_rows_tracked_across_blocks(self):
         """A path through all but every seventh vertex: each arc's neighbor
-        is one or two ids from its row, so a row miscounted anywhere makes
-        some arc look like a self-loop."""
+        is one or two ids from its row, so an offset off by one anywhere
+        moves an arc to the wrong row."""
         ids = np.array([v for v in range(7000) if v % 7 != 3])
         base = graph_from_edges(np.stack([ids[:-1], ids[1:]], axis=1), num_vertices=7000)
         assert base.num_directed_edges > 2 * 4096
@@ -484,27 +494,151 @@ class TestLargeSplice:
     @pytest.mark.parametrize("mode", LIBRARY_MODES)
     @pytest.mark.parametrize("fault", ["self-loop", "out-of-range"])
     def test_bad_base_arc_far_from_the_staged_rows(self, mode, fault):
-        good = sparse_ids_base()
-        neighbors = good.neighbors.copy()
-        row = good.num_vertices - 2
-        neighbors[good.offsets[row]] = row if fault == "self-loop" else -1
-        base = CSRGraph(
-            good.offsets, neighbors, good.weights, validate=False
-        )
+        """The splice does not check base arcs, so the overlay checks its
+        base once, when it is created: no CSR is built over a bad arc."""
+        base = bad_base(fault)
         with library(mode):
-            overlay = DeltaOverlayGraph(base)
-            overlay.set_edge(0, 1, 1.0)
             with pytest.raises(GraphFormatError):
-                overlay.compact()
+                DeltaOverlayGraph(base)
+
+    @pytest.mark.parametrize("fault", ["self-loop", "out-of-range"])
+    def test_clusterer_on_a_bad_unvalidated_graph(self, fault):
+        base = bad_base(fault)
+        labels = np.arange(base.num_vertices)
+        with pytest.raises(GraphFormatError):
+            DynamicClusterer(base, labels, ClusteringConfig(resolution=0.1, seed=1))
+
+
+#: Arcs from which a splice copies its rows on the pool (native.c's
+#: SPLIT_MIN_ARCS), and rows per chunk of that job (SPLICE_ROWS x CHUNK).
+SPLIT_MIN_ARCS = 65536
+CHUNK_ROWS = 16 * 64
+
+
+def large_base():
+    """An LFR graph of ~72k arcs: its splices split on two cores."""
+    if "large" not in _BASE_CACHE:
+        _BASE_CACHE["large"] = lfr_like_graph(10_000, mixing=0.3, seed=1).graph
+    base = _BASE_CACHE["large"]
+    assert base.num_directed_edges >= SPLIT_MIN_ARCS
+    return base
+
+
+@contextlib.contextmanager
+def one_core():
+    """The calling thread may run on one core only, so its splices stay
+    serial (native.c counts this thread's cores, as usable_cores does)."""
+    cores = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cores)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cores)
+
+
+def needs_two_cores():
+    needs_library()
+    if native.usable_cores() < 2:
+        pytest.skip("a splice splits only on two or more usable cores")
+
+
+def _split_splices():
+    return native.pool_stats()["split_splices"]
+
+
+GUARD = 64
+SENTINEL = -7
+
+
+def guarded_splice(base, n, arcs, capacity):
+    """``repro_splice`` called directly into outputs ``GUARD`` entries
+    longer than ``capacity``, all holding ``SENTINEL``; returns its
+    status and the padded outputs."""
+    lib = native.LIBRARY.load()
+    offsets, neighbors, weights = base.offsets, base.neighbors, base.weights
+    src, dst, w, pos, found = (
+        np.ascontiguousarray(a, dtype=dt)
+        for a, dt in zip(arcs, (np.int64, np.int64, np.float64, np.int64, np.bool_))
+    )
+    out_offsets = np.full(n + 1, SENTINEL, dtype=np.int64)
+    out_neighbors = np.full(capacity + GUARD, SENTINEL, dtype=np.int64)
+    out_weights = np.full(capacity + GUARD, SENTINEL, dtype=np.float64)
+    status = lib.repro_splice(
+        *(native._address(a) for a in (offsets, neighbors, weights)),
+        base.num_vertices,
+        n,
+        *(native._address(a) for a in (src, dst, w, pos, found)),
+        src.size,
+        capacity,
+        *(native._address(a) for a in (out_offsets, out_neighbors, out_weights)),
+    )
+    return status, out_neighbors, out_weights
+
+
+class TestSplitSplice:
+    """A large base's rows are copied on the pool: the result equals the
+    serial splice and the NumPy one, array for array."""
+
+    def _steps(self, base):
+        n = base.num_vertices
+        rows = [0, 15, 16, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
+        rows += [2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS, n - 2, n - 1]
+        steps = []
+        for i, v in enumerate(rows):
+            nbrs, _ = base.neighborhood(v)
+            steps.append((v, int(nbrs[0]), 0.0))  # delete the row's first arc
+            steps.append((v, int(nbrs[-1]), 2.5 + i))  # reweight its last
+            steps.append((v, (v + 7) % n, 1.0))  # insert or reweight
+        steps += [(3, n + 2, 1.5), (n + 1, n + 3, 2.0), (n - 1, n, 0.5)]
+        return steps
+
+    def _arcs(self, base, steps):
+        overlay = DeltaOverlayGraph(base)
+        for u, v, w in steps:
+            overlay.set_edge(u, v, w)
+        return overlay.num_vertices, overlay._pending_arcs()
+
+    def test_split_equals_serial_and_numpy(self):
+        needs_two_cores()
+        base = large_base()
+        n, arcs = self._arcs(base, self._steps(base))
+        want = splice_arrays(base, n, arcs)
+        before = _split_splices()
+        with one_core():
+            serial = native.splice(base, n, arcs, want[1].size)
+        assert _split_splices() == before
+        split = native.splice(base, n, arcs, want[1].size)
+        assert _split_splices() == before + 1
+        for got in (serial, split):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_compaction_splits_and_equals_the_oracle(self):
+        needs_two_cores()
+        before = _split_splices()
+        got = splice_both(large_base(), self._steps(large_base()))
+        assert _split_splices() == before + 1
+        assert got.num_vertices == large_base().num_vertices + 4
+
+    def test_small_bases_stay_serial(self):
+        needs_library()
+        before = _split_splices()
+        splice_both(sparse_ids_base(), [(1, 3, 1.0), (6, 8, 0.0)])
+        assert sparse_ids_base().num_directed_edges < SPLIT_MIN_ARCS
+        assert _split_splices() == before
 
 
 class TestSpliceRejects:
     """Pending entries injected past ``set_edge``'s checks: the C splice
     refuses them and the overlay keeps its base and pending entries."""
 
+    @staticmethod
+    def base():
+        return cached_base("lfr")
+
     def _reject(self, inject):
         needs_library()
-        base = cached_base("lfr")
+        base = self.base()
         overlay = DeltaOverlayGraph(base)
         overlay.set_edge(0, 5, 1.0)
         inject(overlay._pending)
@@ -513,6 +647,14 @@ class TestSpliceRejects:
             overlay.compact()
         assert overlay.base is base
         assert overlay._pending == pending
+        # Nothing was copied: the outputs hold their sentinels.
+        arcs = overlay._pending_arcs()
+        capacity = base.num_directed_edges + 4
+        status, out_neighbors, out_weights = guarded_splice(
+            base, overlay.num_vertices, arcs, capacity
+        )
+        assert status == -1
+        assert (out_neighbors == SENTINEL).all() and (out_weights == SENTINEL).all()
 
     def test_self_loop(self):
         self._reject(lambda pending: pending.__setitem__((3, 3), 1.0))
@@ -522,7 +664,7 @@ class TestSpliceRejects:
 
     def test_capacity_too_small(self):
         needs_library()
-        base = cached_base("lfr")
+        base = self.base()
         overlay = DeltaOverlayGraph(base)
         overlay.set_edge(0, base.num_vertices - 1, 1.0)
         arcs = overlay._pending_arcs()
@@ -530,8 +672,22 @@ class TestSpliceRejects:
         for capacity in (size - 1, size - 2, 0):
             with pytest.raises(GraphFormatError):
                 native.splice(base, base.num_vertices, arcs, capacity)
+            status, out_neighbors, out_weights = guarded_splice(
+                base, base.num_vertices, arcs, capacity
+            )
+            assert status == -1
+            assert (out_neighbors[capacity:] == SENTINEL).all()
+            assert (out_weights[capacity:] == SENTINEL).all()
         offsets, _, _ = native.splice(base, base.num_vertices, arcs, size)
         assert offsets[-1] == size
+
+
+class TestSplitSpliceRejects(TestSpliceRejects):
+    """The same refusals on a base whose splices split on the pool."""
+
+    @staticmethod
+    def base():
+        return large_base()
 
 
 class TestFindArcs:
