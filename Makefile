@@ -103,28 +103,26 @@ bench-overhead:
 bench-dynamic:
 	$(PYTHON) -m pytest -x -q benchmarks/bench_dynamic.py
 
-## Build the native library, failing when it cannot be built or any of
-## its seven entry points does not resolve (so CI never passes on the
-## reference loops and NumPy paths by accident): the three calls that
-## take a per-call binding (batch, sweep, round), the two that take
-## their arrays (frontier, compression) and the dynamic graph's arc
-## search and splice, plus the pool's counters.  All seven pass arrays
-## by one rule: inputs in place or copied, outputs in place or the
-## Python path.  The pool runs three kinds of job: large BEST-MOVES
-## windows, large quotient compressions and large splices, which check
-## only the arcs they stage (the overlay validates its base once).
-## Compile the source
+## Build the native library, failing when it cannot be built (load()
+## raises) or any of its seven entry points does not resolve: the three
+## calls that take a per-call binding (batch, sweep, round), the two
+## that take their arrays (frontier, compression) and the dynamic
+## graph's arc search and splice, plus the pool's counters.  All seven
+## pass arrays by one rule: inputs in place or copied, outputs in place
+## (or the sweep and round leave the state to the Python path).  The
+## pool runs three kinds of job: large BEST-MOVES windows, large
+## quotient compressions and large splices, which check only the arcs
+## they stage (the overlay validates its base once).  Compile the source
 ## once more with -Wall -Wextra -Werror and the library's flags
 ## (-pthread among them), so a warning in the pool's concurrency code
 ## fails CI.  Then run the kernel, binding, pool and native-round parity
-## suites, the round-bookkeeping oracle, the splice (serial and split)
-## and dynamic-clusterer suites, the serving suite (whose commit thread
-## splits splices beside its read thread) and the chaos matrix with and
-## without the library with any RuntimeWarning an error.
+## suites against their references, the round-bookkeeping oracle, the
+## splice (serial and split) and dynamic-clusterer suites, the serving
+## suite (whose commit thread splits splices beside its read thread) and
+## the chaos matrix over every engine, with any RuntimeWarning an error.
 native-kernel:
 	$(PYTHON) -W error::RuntimeWarning -c "from repro.kernels import native; \
 	    lib = native.KERNEL.library.load(); \
-	    assert lib is not None; \
 	    assert lib.repro_best_moves and lib.repro_sweep; \
 	    assert lib.repro_round; \
 	    assert lib.repro_neighbors and lib.repro_compress; \

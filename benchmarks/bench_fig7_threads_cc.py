@@ -81,8 +81,8 @@ def test_fig7_thread_scaling_cc(benchmark):
 
 
 def _split_windows():
-    """Windows the native kernel has split so far (0 without it)."""
-    return (native.pool_stats() or {}).get("split_windows", 0)
+    """Windows the native kernel has split so far."""
+    return native.pool_stats()["split_windows"]
 
 
 def run_kernel_threads_wall(name="amazon", scale=0.5, repeats=3):

@@ -32,9 +32,9 @@ degree profile).  Python charges the round from those through
 :meth:`~repro.parallel.scheduler.CostLedger.charge_later`, so the
 regions of every round charged since the ledger was last read are built
 in one vectorized pass, and replays the per-window metrics when
-instrumentation is on.  Fault runs and the no-compiler path keep the
-per-window loop, with one kernel call and one commit per window.  The
-round's gain is summed only when instrumentation is on.
+instrumentation is on.  Fault runs and states C cannot commit into keep
+the per-window loop, with one kernel call and one commit per window.
+The round's gain is summed only when instrumentation is on.
 """
 
 from __future__ import annotations
@@ -229,8 +229,8 @@ def window_round(
     regions are built from the windows' integers it returns when the
     ledger is next read (:func:`_round_regions`).  Where that call
     cannot run (a fault plan on ``sched`` or a ``FaultyClusterState``,
-    see :func:`~repro.core.moves.fault_free`; no C library; state arrays
-    C cannot write in place) the windows run one by one through
+    see :func:`~repro.core.moves.fault_free`; state arrays C cannot
+    write in place) the windows run one by one through
     :func:`~repro.core.moves.compute_batch_moves` and
     ``state.apply_moves``, the reference path, with the same results,
     regions, metrics and lane records.

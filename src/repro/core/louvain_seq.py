@@ -40,7 +40,8 @@ def _sequential_sweep(
 
     Evaluation (and the exact sequence of ``move_one`` state mutations)
     is the native kernel's ``sweep`` — the C loop, or the bit-identical
-    dict vertex-at-a-time loop where it cannot run (DESIGN.md §8).  The
+    dict vertex-at-a-time loop for a state C cannot commit into, such as
+    a ``FaultyClusterState`` (DESIGN.md §8).  The
     sweep's simulated cost is charged here: pure sequential work, so a
     one-worker run's simulated time is its total work.
 

@@ -14,15 +14,15 @@ one state snapshot: a window of the per-window reference loop, or a
 prefix engine lookahead.  A default round evaluates its windows inside
 one C call instead (``native.KERNEL.round``) and charges them with
 :func:`batch_costs`.  The actual evaluation is the native kernel's
-(:data:`repro.kernels.native.KERNEL`), which runs the dict-loop
-reference oracle, bit-identical in outputs, where the C library cannot
-be built (DESIGN.md §8).
+(:data:`repro.kernels.native.KERNEL`), bit-identical in outputs to the
+dict-loop reference oracle (DESIGN.md §8).
 
 This module owns the *cost model*, which never sees which loop ran:
 cost is charged per the Appendix B kernel split — low-degree vertices
 use a sequential scan (depth = degree), high-degree vertices a parallel
 hash table (depth = O(log degree), extra table-initialization work) —
-so ``sim_time_seconds`` is the same with and without the C library.
+so ``sim_time_seconds`` is the same for the C loops and the reference
+loops.
 """
 
 from __future__ import annotations

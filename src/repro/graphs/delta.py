@@ -19,21 +19,18 @@ checks the base again.
 :meth:`compact` splices the pending deltas into a fresh ``CSRGraph`` and
 rebases the overlay on it.  The p pending pairs expand to 2p arcs ordered
 by ``(src, dst)``; a binary search in each arc's sorted base row finds it
-(O(p log deg), :func:`find_arcs`) and makes it a reweight, a delete or an
-insert.  A structural batch is then one C call
+(O(p log deg), :func:`repro.kernels.native.find_arcs`) and makes it a
+reweight, a delete or an insert.  A structural batch is then one C call
 (:func:`repro.kernels.native.splice`): a serial pass writes ``offsets``
 and checks only the staged arcs as ``CSRGraph._validate`` would, and the
 rows are then copied in runs and merged with the staged arcs, on the
 native pool when the base is large.  The result is built without a
-second validation, and nothing of size m is sorted.  Without a compiler,
-:func:`splice_arrays` does the same with one NumPy delete/insert per
-array and a cumsum of per-row degree deltas, and the result is
-validated; it is also the C call's test oracle.  A reweight-only batch
-copies ``weights`` alone and shares ``offsets``/``neighbors`` with the
-base, and a batch that adds no vertex shares the base's vertex arrays.
-The result equals, array for array, what
+second validation, and nothing of size m is sorted.  A reweight-only
+batch copies ``weights`` alone and shares ``offsets``/``neighbors`` with
+the base, and a batch that adds no vertex shares the base's vertex
+arrays.  The result equals, array for array, what
 :func:`~repro.graphs.builders.graph_from_edges` builds from the same edge
-set (property-tested, with the library on and off).  A hand-built base
+set (property-tested).  A hand-built base
 with an unsorted row (no builder or generator emits one) has its rows
 sorted once, when the overlay is created.
 
@@ -133,13 +130,13 @@ class DeltaOverlayGraph:
         """Current weights (0.0 if absent) of the canonical ``(u, v)``
         pairs ``keys`` (a sequence of pairs or a ``(k, 2)`` array), in
         order: a pending entry shadows the base, whose rows are searched
-        in one :func:`find_arcs` call."""
+        in one :func:`~repro.kernels.native.find_arcs` call."""
         pairs = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
         src, dst = pairs[:, 0], pairs[:, 1]
         loops = src[src == dst]
         if loops.size:
             raise UpdateError(f"self-loop query on vertex {loops[0]}")
-        pos, found = find_arcs(self.base, src, dst)
+        pos, found = native.find_arcs(self.base, src, dst)
         weights = np.zeros(src.size)
         weights[found] = self.base.weights[pos[found]]
         weights = weights.tolist()
@@ -218,7 +215,7 @@ class DeltaOverlayGraph:
         dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
         order = np.lexsort((dst, src))
         src, dst = src[order], dst[order]
-        pos, found = find_arcs(self.base, src, dst)
+        pos, found = native.find_arcs(self.base, src, dst)
         return src, dst, np.concatenate([targets, targets])[order], pos, found
 
     def _splice(self) -> CSRGraph:
@@ -229,17 +226,12 @@ class DeltaOverlayGraph:
         _, _, w, pos, found = arcs
         live = w != 0.0
         grown = n - old_n
-        validate = False
         if grown or np.any(found != live):
             # Inserts (live, not found) less deletes (found, not live).
             capacity = (
                 base.neighbors.size + np.count_nonzero(live) - np.count_nonzero(found)
             )
-            topology = native.splice(base, n, arcs, capacity)
-            if topology is None:
-                topology = splice_arrays(base, n, arcs)
-                validate = True
-            offsets, neighbors, weights = topology
+            offsets, neighbors, weights = native.splice(base, n, arcs, capacity)
         else:
             offsets, neighbors = base.offsets, base.neighbors
             weights = base.weights.copy()
@@ -260,51 +252,6 @@ class DeltaOverlayGraph:
             self_loops=self_loops,
             node_weights=node_weights,
             node_weight_sq=node_weight_sq,
-            validate=validate,
+            validate=False,
         )
 
-
-def find_arcs(graph: CSRGraph, src: np.ndarray, dst: np.ndarray):
-    """``(pos, found)`` of each arc ``(src[i], dst[i])`` in ``graph``'s
-    sorted rows: the arc's index in ``neighbors`` (its insertion point in
-    row ``src[i]`` when absent; a ``src`` beyond the graph has an empty row
-    at the end) and whether the row has it.  One C call when the native
-    library loads, else :func:`search_arcs`."""
-    result = native.find_arcs(graph, src, dst)
-    return result if result is not None else search_arcs(graph, src, dst)
-
-
-def search_arcs(graph: CSRGraph, src: np.ndarray, dst: np.ndarray):
-    """The NumPy path of :func:`find_arcs`: one ``searchsorted`` per arc."""
-    nbrs, n = graph.neighbors, graph.num_vertices
-    lo = graph.offsets[np.minimum(src, n)]
-    hi = graph.offsets[np.minimum(src + 1, n)]
-    rows = zip(lo.tolist(), hi.tolist(), dst.tolist())
-    pos = lo + np.array([np.searchsorted(nbrs[a:b], d) for a, b, d in rows], int)
-    found = pos < hi
-    found[found] = nbrs[pos[found]] == dst[found]
-    return pos, found
-
-
-def splice_arrays(base: CSRGraph, n: int, arcs):
-    """The NumPy path of the structural splice: ``(offsets, neighbors,
-    weights)`` of ``base`` over ``n`` vertices with the staged ``arcs``
-    (``_pending_arcs``' tuple) reweighted, dropped or placed.  The C pass
-    (:func:`repro.kernels.native.splice`) equals it array for array."""
-    src, dst, w, pos, found = arcs
-    live = w != 0.0
-    weights = base.weights.copy()
-    weights[pos[found & live]] = w[found & live]
-    gone, new = found & ~live, ~found & live
-    drop = pos[gone]
-    # Insertion points shift left by the deletions before them.
-    at = pos[new] - np.searchsorted(drop, pos[new])
-    neighbors = np.insert(np.delete(base.neighbors, drop), at, dst[new])
-    weights = np.insert(np.delete(weights, drop), at, w[new])
-    degree_delta = np.bincount(src[new], minlength=n)
-    degree_delta -= np.bincount(src[gone], minlength=n)
-    offsets = np.concatenate(
-        [base.offsets, np.full(n - base.num_vertices, base.offsets[-1])]
-    )
-    offsets[1:] += np.cumsum(degree_delta)
-    return offsets, neighbors, weights

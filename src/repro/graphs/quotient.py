@@ -14,14 +14,13 @@ Two cost models are provided over the same result:
   implementations (NetworKit's, per the paper) that lack the parallel-sort
   compression; used by the PLM baseline and the compression ablation.
 
-Both build the edges the same way.  When the native library loads, one C
-call (:func:`repro.kernels.native.compress`) groups the vertices by
+Both build the edges the same way, in one C call
+(:func:`repro.kernels.native.compress`): it groups the vertices by
 super-vertex and sums each super-vertex's row over its members' arcs in
-arc order from 0.0, then puts the row in ascending order; that is
-``np.bincount``'s order, so the result is bit-identical to the NumPy
-semisort path below, which runs without a compiler.  Large graphs build
-the rows on every usable core.  The
-charges come from :mod:`repro.parallel.sorting`'s cost model either way.
+arc order from 0.0, then puts the row in ascending order, which is what
+a semisort with ``np.bincount`` sums gives.  Large graphs build the rows
+on every usable core.  The charges come from
+:mod:`repro.parallel.sorting`'s cost model.
 """
 
 from __future__ import annotations
@@ -32,11 +31,7 @@ import numpy as np
 
 from repro.graphs.csr import CSRGraph
 from repro.kernels import native
-from repro.parallel.sorting import (
-    charge_naive_aggregate,
-    charge_semisort,
-    parallel_semisort_aggregate,
-)
+from repro.parallel.sorting import charge_naive_aggregate, charge_semisort
 
 
 def _relabel_dense(assignments: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -70,10 +65,9 @@ def _compress(
         sched.charge(work=float(3 * n), depth=np.log2(max(n, 2)), label="compress-nodes")
 
     if graph.num_directed_edges:
-        quotient = native.compress(graph, vertex_to_super, n_super, self_loops)
-        if quotient is None:
-            quotient = _aggregate_edges(graph, vertex_to_super, n_super, self_loops)
-        offsets, new_dst, sums, inter = quotient
+        offsets, new_dst, sums, inter = native.compress(
+            graph, vertex_to_super, n_super, self_loops
+        )
         # The semisort charges its inter-cluster arcs (none: no charge).
         if work_efficient:
             charge_semisort(sched, inter, label="compress-semisort")
@@ -97,37 +91,6 @@ def _compress(
         # reporting stats_dict()["input_repairs"] at every level.
         compressed.repairs = dict(graph.repairs)
     return compressed, vertex_to_super
-
-
-def _aggregate_edges(graph, vertex_to_super, n_super, self_loops):
-    """The NumPy path of the edge aggregation: a semisort over
-    ``(super-source, super-destination)`` keys.
-
-    Returns ``(offsets, neighbors, weights, inter-cluster arcs)`` and adds
-    the halved intra-cluster sums to ``self_loops`` in place.
-    """
-    n = graph.num_vertices
-    # Semisort key construction: map each directed edge's endpoints to
-    # super-vertex ids.
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.offsets))
-    csrc = vertex_to_super[src]
-    cdst = vertex_to_super[graph.neighbors]
-    intra = csrc == cdst
-    if intra.any():
-        # Each undirected intra-cluster edge appears twice in the
-        # directed arrays, so halve the directed sum.
-        self_loops += (
-            np.bincount(csrc[intra], weights=graph.weights[intra], minlength=n_super)
-            / 2.0
-        )
-    keys = csrc[~intra] * np.int64(n_super) + cdst[~intra]
-    unique_keys, sums = parallel_semisort_aggregate(keys, graph.weights[~intra])
-    new_src = (unique_keys // n_super).astype(np.int64)
-    new_dst = (unique_keys % n_super).astype(np.int64)
-    offsets = np.zeros(n_super + 1, dtype=np.int64)
-    counts = np.bincount(new_src, minlength=n_super)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets, new_dst, sums, int(keys.size)
 
 
 def compress_graph(

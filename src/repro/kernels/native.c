@@ -31,7 +31,8 @@
  *     so the round is best_moves.window_round's per-window loop with no
  *     Python between the windows.
  *
- * Two more each match their NumPy path bit for bit:
+ * Two more run the rest of a round, each equal bit for bit to the NumPy
+ * reference the tests keep for it:
  *
  *   - repro_neighbors is the frontier's neighbor set (edge_map);
  *   - repro_compress builds the quotient graph's edges
@@ -39,7 +40,7 @@
  *     across the pool.
  *
  * Two serve the dynamic graph (graphs/delta.py), each equal, array for
- * array, to its NumPy path:
+ * array, to its NumPy reference:
  *
  *   - repro_find_arcs binary-searches staged arcs in their base rows;
  *   - repro_splice writes a batch's new CSR: a serial pass writes the

@@ -32,14 +32,15 @@ contention, the pair count and the degree profile, by name in
 :class:`RoundWindows`) from which ``best_moves.window_round`` charges
 the round.  It returns ``None`` for a state it cannot commit in place,
 and the caller then runs the per-window loop, whose commit is that
-NumPy body.
+NumPy body; ``sweep`` runs the dict sweep of
+:mod:`repro.kernels.reference` for such a state.
 
-Two more entry points run the rest of a round, each bit-identical to
-the NumPy code it replaces, which stays as the no-compiler path and the
-test oracle: :func:`neighbors` (``edge_map``) and :func:`compress` (the
-quotient graph's edges).  Two serve the dynamic graph's update batches
-the same way: :func:`find_arcs` (the arc search of ``graphs.delta``) and
-:func:`splice` (the CSR splice of ``DeltaOverlayGraph.compact``).
+Two more entry points run the rest of a round: :func:`neighbors`
+(``edge_map``) and :func:`compress` (the quotient graph's edges).  Two
+serve the dynamic graph's update batches: :func:`find_arcs` (the arc
+search of ``graphs.delta``) and :func:`splice` (the CSR splice of
+``DeltaOverlayGraph.compact``).  Each is the only implementation of its
+layer; the tests keep NumPy references to compare them against.
 
 The three BEST-MOVES calls (batch, sweep, round) read the graph, the
 state and this thread's scratch through a :class:`Binding` filled on
@@ -47,10 +48,8 @@ each call, then pass only their window or round, their settings and
 their outputs; the other four take their arrays directly.  All seven
 pass arrays by one rule (:func:`_c_array`): an array C only reads goes
 in place when it is contiguous with the right dtype and is copied
-otherwise; an array C writes must be usable in place.  An entry point
-returns ``None`` when the library does not load or an array it writes
-is not usable in place, and its caller runs the Python path.  Every
-address comes from :func:`_address`.
+otherwise; an array C writes must be usable in place.  Every address
+comes from :func:`_address`.
 
 The shared library is built lazily, on first use, never at import:
 
@@ -66,12 +65,13 @@ The shared library is built lazily, on first use, never at import:
   are more than a day old are deleted (:func:`prune_stale`), so the cache
   does not grow with every edit of the source.
 
-With no compiler, or when the build fails, :data:`LIBRARY` warns once
-with a ``RuntimeWarning``; the kernel then runs the dict loops of
-:mod:`repro.kernels.reference`, which is legal because the two are
-bit-identical.  The foreign calls release the GIL, so the scratch is
-per thread (:class:`_Scratch`); a second Python thread that calls while
-the pool is busy runs its window alone.
+The library is required: it builds only on Linux with gcc.  When it
+cannot be built or loaded, the first call that needs it raises
+:class:`RuntimeError` naming the compiler and its error, and every later
+call raises again without running the compiler.  The foreign calls
+release the GIL, so the scratch is per thread (:class:`_Scratch`); a
+second Python thread that calls while the pool is busy runs its window
+alone.
 
 Every engine evaluates its windows and sweeps through one instance,
 :data:`KERNEL`.
@@ -87,7 +87,6 @@ import subprocess
 import tempfile
 import threading
 import time
-import warnings
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -95,7 +94,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.kernels.base import GAIN_EPS
-from repro.kernels.reference import reference_batch_moves, reference_sweep
+from repro.kernels.reference import reference_sweep
 from repro.obs.instrument import M_KERNEL_SEGMENTS
 
 SOURCE = Path(__file__).with_name("native.c")
@@ -230,32 +229,31 @@ class NativeLibrary:
     """The compiled library, loaded once on first use.
 
     ``load()`` returns the ``ctypes`` library with every entry point in
-    :data:`SIGNATURES` bound, or ``None`` after warning once that it
-    cannot be built or loaded.
+    :data:`SIGNATURES` bound.  When the library cannot be built or
+    loaded it raises :class:`RuntimeError`, chained from the cause, and
+    every later call raises again without running the compiler.
     """
 
     def __init__(self, cache_dirs=None) -> None:
         self._cache_dirs = cache_dirs
         self._lock = threading.Lock()
-        self._lib = None
-        self._failed = False
+        self._cdll = None
+        self._error: Optional[Exception] = None
 
     def load(self):
-        if self._lib is None and not self._failed:
+        if self._cdll is None:
             with self._lock:
-                if self._lib is None and not self._failed:
+                if self._cdll is None and self._error is None:
                     try:
-                        self._lib = self._load()
+                        self._cdll = self._load()
                     except (OSError, subprocess.SubprocessError) as exc:
-                        self._failed = True
-                        warnings.warn(
-                            f"native kernel unavailable ({exc}); using the "
-                            "bit-identical reference loops and NumPy "
-                            "paths instead",
-                            RuntimeWarning,
-                            stacklevel=3,
-                        )
-        return self._lib
+                        self._error = exc
+            if self._cdll is None:
+                raise RuntimeError(
+                    f"native library unavailable ({self._error}); repro "
+                    f"needs Linux with {COMPILER} to build {SOURCE.name}"
+                ) from self._error
+        return self._cdll
 
     def _load(self):
         compiler = shutil.which(COMPILER)
@@ -263,7 +261,7 @@ class NativeLibrary:
             raise OSError(f"no C compiler {COMPILER!r} on PATH")
         compiler = os.path.realpath(compiler)
         name = library_name(compiler)
-        errors = []
+        errors, cause = [], None
         for directory in self._cache_dirs or default_cache_dirs():
             try:
                 path = _private_dir(Path(directory)) / name
@@ -276,24 +274,26 @@ class NativeLibrary:
                     lib = ctypes.CDLL(str(path))
             except (OSError, subprocess.SubprocessError) as exc:
                 errors.append(_describe(exc))
+                cause = exc
                 continue
             for symbol, argtypes in SIGNATURES.items():
                 function = getattr(lib, symbol)
                 function.argtypes = argtypes
                 function.restype = ctypes.c_int64
             return lib
-        raise OSError("; ".join(errors))
+        raise OSError("; ".join(errors)) from cause
 
 
 #: The process's library: the default kernel and its round, the
-#: frontier and compression, and the dynamic graph's splice all load it.
+#: frontier and compression, and the dynamic graph's arc search and
+#: splice all load it.
 LIBRARY = NativeLibrary()
 
 
 def _describe(exc: Exception) -> str:
     if isinstance(exc, subprocess.CalledProcessError):
         stderr = (exc.stderr or b"").decode(errors="replace").strip()
-        return f"compiler exited {exc.returncode}: {stderr[:200]}"
+        return f"{exc.cmd[0]} exited {exc.returncode}: {stderr[:200]}"
     return str(exc)
 
 
@@ -319,8 +319,8 @@ def _c_array(array, dtype, written: bool = False):
     An array C only reads goes in place when it is C-contiguous with
     ``dtype`` and is copied otherwise.  An array C writes must be usable
     in place (C-contiguous, ``dtype`` and writeable), or this returns
-    ``None`` and the entry point returns ``None`` for its caller's
-    NumPy path.
+    ``None``: the sweep and the round then leave the state to the Python
+    path, and :func:`compress` raises.
     """
     if not written:
         return np.ascontiguousarray(array, dtype=dtype)
@@ -403,7 +403,7 @@ def _bind(graph, state, written: bool) -> Optional[Binding]:
 
 
 class NativeKernel:
-    """Native batch and sweep loops; the reference loops when it cannot build.
+    """Native batch, sweep and round loops.
 
     ``batch_moves`` returns ``(targets, gains)`` for a window against the
     state snapshot, with ``gains`` relative to staying put; ``threads``
@@ -430,16 +430,6 @@ class NativeKernel:
         threads=1,
     ):
         lib = self.library.load()
-        if lib is None:
-            return reference_batch_moves(
-                graph,
-                state,
-                batch,
-                resolution,
-                allow_escape=allow_escape,
-                swap_avoidance=swap_avoidance,
-                instr=instr,
-            )
         binding = _bind(graph, state, written=False)
         batch = _c_array(batch, np.int64)
         size = batch.size
@@ -465,8 +455,8 @@ class NativeKernel:
 
     def _committing(self, graph, state):
         """``(library, binding)`` for a C loop that commits into
-        ``state``, or ``None`` when it must not: no library, or a state
-        the C commit would not update as Python does.
+        ``state``, or ``None`` for a state the C commit would not update
+        as Python does.
 
         The C loops commit as ``ClusterState`` does, with the graph's node
         weights, into the arrays they read; any other state
@@ -478,8 +468,7 @@ class NativeKernel:
 
         lib = self.library.load()
         if (
-            lib is None
-            or type(state) is not ClusterState
+            type(state) is not ClusterState
             or state.node_weights is not graph.node_weights
         ):
             return None
@@ -537,9 +526,9 @@ class NativeKernel:
         in commit order with their origins, targets and gains, and the
         windows' :class:`RoundWindows` (each one's commit contention, pair
         count and degree profile).  Returns ``None``, having changed
-        nothing, where the round cannot run in C: no library, a state
-        other than an exact ``ClusterState`` or with node weights other
-        than the graph's, or a state array C cannot write in place.
+        nothing, where the round cannot run in C: a state other than an
+        exact ``ClusterState`` or with node weights other than the
+        graph's, or a state array C cannot write in place.
         """
         committing = self._committing(graph, state)
         if committing is None:
@@ -621,25 +610,19 @@ POOL_STATS = ("helpers", "split_windows", "dirty_scratch", "split_splices")
 def usable_cores() -> int:
     """Cores this process may run on (``os.sched_getaffinity``): the
     threads one split job may use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
-def pool_stats() -> Optional[dict]:
+def pool_stats() -> dict:
     """The pool's counters in :data:`LIBRARY`.
 
     ``helpers`` threads started, BEST-MOVES windows evaluated on more
     than one thread (``split_windows``), ``dirty_scratch``, the nonzero
     entries left in the helpers' scratch, which is 0 between jobs, and
     splices whose rows were copied on more than one thread
-    (``split_splices``).  ``None`` without the library.  Starts no
-    thread.
+    (``split_splices``).  Starts no thread.
     """
     lib = LIBRARY.load()
-    if lib is None:
-        return None
     out = np.zeros(len(POOL_STATS), dtype=np.int64)
     lib.repro_pool_stats(_address(out))
     return dict(zip(POOL_STATS, out.tolist()))
@@ -649,12 +632,9 @@ def neighbors(graph, ids):
     """The distinct neighbors of ``ids`` in ``graph``, ascending, in C.
 
     Returns ``(neighbors, gathered)``, where ``gathered`` counts every
-    neighbor of every id, duplicates included; ``None`` without the
-    library.
+    neighbor of every id, duplicates included.
     """
     lib = LIBRARY.load()
-    if lib is None:
-        return None
     offsets, adjacency, _ = _csr(graph)
     ids = _c_array(ids, np.int64)
     n = offsets.size - 1
@@ -678,18 +658,18 @@ def neighbors(graph, ids):
 def compress(graph, labels, num_super: int, self_loops):
     """The quotient graph's edges over the classes ``labels``, in C.
 
-    Bit-identical to the NumPy semisort path of ``graphs.quotient``: the
-    same ``offsets``, ``neighbors`` and ``weights``, and ``self_loops``
-    (updated in place) gains the halved intra-class sums.  The rows are
-    built on every :func:`usable_cores` core when the graph is large.
-    Returns ``(offsets, neighbors, weights, inter-class arcs)``, or
-    ``None`` without the library or when C cannot update ``self_loops``
-    in place.
+    Each super-vertex's row sums its members' arcs per destination class
+    in arc order from 0.0 and lists the classes in ascending order, as a
+    semisort of ``(source class, destination class)`` keys with
+    ``np.bincount`` sums would; ``self_loops`` (a writable contiguous
+    float64 array, updated in place) gains the halved intra-class sums.
+    The rows are built on every :func:`usable_cores` core when the graph
+    is large.  Returns ``(offsets, neighbors, weights, inter-class
+    arcs)``.
     """
     lib = LIBRARY.load()
-    self_loops = _c_array(self_loops, np.float64, written=True)
-    if lib is None or self_loops is None:
-        return None
+    if _c_array(self_loops, np.float64, written=True) is None:
+        raise ValueError("native compress: self_loops is not writable in place")
     offsets, adjacency, weights = _csr(graph)
     labels = _c_array(labels, np.int64)
     if not (labels.size == offsets.size - 1 and self_loops.size == num_super):
@@ -727,13 +707,10 @@ def find_arcs(graph, src, dst):
     """``(pos, found)`` of each arc ``(src[i], dst[i])`` in ``graph``'s
     sorted rows, in C: the arc's index in ``neighbors``, or its insertion
     point in row ``src[i]``, and whether the row has it.  A source past
-    the graph has an empty row at the end.  Bit-identical to the per-arc
-    ``np.searchsorted`` of ``graphs.delta``; ``None`` without the
-    library.
+    the graph has an empty row at the end; as ``np.searchsorted`` in the
+    row would find it.
     """
     lib = LIBRARY.load()
-    if lib is None:
-        return None
     offsets, adjacency, _ = _csr(graph)
     src = _c_array(src, np.int64)
     dst = _c_array(dst, np.int64)
@@ -762,8 +739,7 @@ def splice(graph, num_vertices: int, arcs, capacity: int):
 
     ``arcs`` is ``(src, dst, w, pos, found)`` ordered by ``(src, dst)``,
     as ``DeltaOverlayGraph._pending_arcs`` returns it, and ``capacity``
-    the spliced arc count.  Returns ``(offsets, neighbors, weights)``,
-    array for array the NumPy splice's, or ``None`` without the library.
+    the spliced arc count.  Returns ``(offsets, neighbors, weights)``.
     ``graph`` must be valid CSR, as every overlay base is: C checks only
     the staged arcs, as ``CSRGraph._validate`` would (in range, not a
     self-loop, in order on their rows), and raises
@@ -773,8 +749,6 @@ def splice(graph, num_vertices: int, arcs, capacity: int):
     arcs.
     """
     lib = LIBRARY.load()
-    if lib is None:
-        return None
     offsets, adjacency, weights = _csr(graph)
     src, dst, w, pos, found = (
         _c_array(a, dt)

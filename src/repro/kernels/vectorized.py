@@ -6,9 +6,8 @@ is gone; both names now point at the native kernel.  A relaxed or
 colored round runs in one C call (``NativeKernel.round``), which the
 wrapper does not see, so the tracer's ``kernels.*`` metrics time only
 the paths that still call ``batch_moves``: the per-window loop of
-``best_moves.window_round`` (fault-injection runs, states the C round
-cannot commit into, and runs without the library) and the prefix
-engine.  Delete this module once the tracer names
+``best_moves.window_round`` (fault-injection runs and states the C round
+cannot commit into) and the prefix engine.  Delete this module once the tracer names
 ``repro.kernels.native`` directly.
 """
 

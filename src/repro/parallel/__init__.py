@@ -17,8 +17,8 @@ Components mirror the GBBS primitives the paper relies on:
 
 * :mod:`repro.parallel.scheduler` — cost ledger + machine model;
 * :mod:`repro.parallel.atomics` — CAS/fetch-add contention accounting;
-* :mod:`repro.parallel.primitives` — ragged CSR gather;
-* :mod:`repro.parallel.sorting` — work-efficient semisort aggregation;
+* :mod:`repro.parallel.primitives` — the shared logarithmic depth term;
+* :mod:`repro.parallel.sorting` — the cost model of semisort aggregation;
 * :mod:`repro.parallel.vertex_subset` / :mod:`repro.parallel.edge_map` —
   GBBS's EDGEMAP with sparse/dense representation switching.
 """

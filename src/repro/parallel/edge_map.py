@@ -6,18 +6,15 @@ Given a frontier ``S``, :func:`edge_map` returns the subset of neighbors of
 ``S``, charging the cost of the direction the Ligra rule picks: sparse
 (gather adjacency slices) or dense (a mask pass over all edges).
 
-When the native library loads, the neighbor set comes from one C
-bitmap gather whatever the direction
-(:func:`repro.kernels.native.neighbors`); the two NumPy directions below
-are the no-compiler path.  All three give the same sorted ids.
+The neighbor set comes from one C bitmap gather whatever the direction
+(:func:`repro.kernels.native.neighbors`); the direction decides only
+the charge.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.kernels import native
-from repro.parallel.primitives import log2_depth, ragged_gather_indices
+from repro.parallel.primitives import log2_depth
 from repro.parallel.vertex_subset import VertexSubset, observe_dedup, should_densify
 
 
@@ -38,36 +35,12 @@ def edge_map(graph, frontier: VertexSubset, sched=None, label: str = "edge-map")
     ids = frontier.ids()
     if ids.size == 0:
         return VertexSubset.empty(n)
-    found = native.neighbors(graph, ids)
-    if found is not None:
-        nbrs, deg_sum = found
-        dense = should_densify(ids.size, deg_sum, m)
-        _charge(sched, dense, n, m, ids.size, deg_sum, label)
-        if not dense:
-            observe_dedup(sched, deg_sum, nbrs.size)
-        return VertexSubset(n, ids=nbrs)
-    degs = graph.offsets[ids + 1] - graph.offsets[ids]
-    deg_sum = int(degs.sum())
+    nbrs, deg_sum = native.neighbors(graph, ids)
     dense = should_densify(ids.size, deg_sum, m)
-    if dense:
-        mask = frontier.mask()
-        # A vertex is in the output iff one of its neighbors is in S; scan
-        # all edges once (dense direction reads in-edges, which equals
-        # out-edges for our symmetric graphs).
-        hit = mask[graph.neighbors]
-        out_mask = np.zeros(n, dtype=bool)
-        src = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(graph.offsets).astype(np.int64)
-        )
-        out_mask[src[hit]] = True
-        _charge(sched, dense, n, m, ids.size, deg_sum, label)
-        return VertexSubset(n, mask=out_mask)
-    # Sparse direction: gather adjacency slices of the frontier; the
-    # result is the same concatenated-in-CSR-order array either way.
-    edge_idx, _ = ragged_gather_indices(graph.offsets, ids, lens=degs)
-    nbrs = graph.neighbors[edge_idx]
     _charge(sched, dense, n, m, ids.size, deg_sum, label)
-    return VertexSubset.from_ids(n, nbrs, sched=sched)
+    if not dense:
+        observe_dedup(sched, deg_sum, nbrs.size)
+    return VertexSubset(n, ids=nbrs)
 
 
 def _charge(

@@ -1,7 +1,5 @@
 """Unit tests for the move-evaluation kernel layer (DESIGN.md §8)."""
 
-from unittest import mock
-
 import numpy as np
 
 from repro.api import cluster
@@ -15,6 +13,7 @@ from repro.kernels.reference import reference_sweep
 from repro.obs.instrument import M_KERNEL_BATCH, Instrumentation
 from repro.resilience import FaultPlan
 from repro.resilience.faults import FaultyClusterState
+from tests.oracles import reference_paths
 
 RESOLUTION = 0.05
 
@@ -58,11 +57,11 @@ class TestDispatch:
         assert hist.count() == 1
 
     def test_kernels_agree_via_dispatch(self):
-        # compute_batch_moves with and without the C library.
+        # compute_batch_moves on the C kernel and on the reference loops.
         graph = karate_club_graph()
         state = ClusterState.singletons(graph)
         batch = np.arange(graph.num_vertices, dtype=np.int64)
-        with mock.patch.object(native.LIBRARY, "load", return_value=None):
+        with reference_paths():
             ref = compute_batch_moves(graph, state, batch, RESOLUTION)
         got = compute_batch_moves(graph, state, batch, RESOLUTION)
         assert ref[0].tobytes() == got[0].tobytes()
@@ -71,7 +70,7 @@ class TestDispatch:
     def test_default_config_cluster_matches_reference(self):
         graph = planted_partition_graph(300, seed=4).graph
         config = ClusteringConfig(resolution=RESOLUTION, seed=3)
-        with mock.patch.object(native.LIBRARY, "load", return_value=None):
+        with reference_paths():
             ref = cluster(graph, config)
         got = cluster(graph, config)
         assert np.array_equal(ref.assignments, got.assignments)

@@ -1,12 +1,13 @@
-"""The native library: lazy build, cache, fallback, threads, and the
-round, frontier and compression against their reference paths.
+"""The native library: lazy build, cache, load failure, threads, and the
+round, frontier and compression against their references.
 
 Parity of the kernel itself against the dict oracle lives in
 ``tests/properties/test_kernel_equivalence.py``; these tests cover how
-the shared library is built, cached, loaded and shared, and when the
-sweep takes the dict loop.  The oracle classes at the end run each
-native entry point, then the same call with the library's ``load()``
-returning ``None`` (the no-compiler path), and compare bytes, ledger
+the shared library is built, cached, loaded and shared, that a library
+which cannot be built fails loudly, and when the sweep takes the dict
+loop.  The oracle classes at the end run each native entry point, then
+the same call on the references of ``tests/oracles.py``
+(:func:`~tests.oracles.reference_paths`), and compare bytes, ledger
 regions and metrics.
 """
 
@@ -68,6 +69,7 @@ from repro.parallel.scheduler import CAS_COST, SimulatedScheduler, contention_co
 from repro.parallel.vertex_subset import VertexSubset
 from repro.resilience import FaultPlan, ResiliencePolicy
 from repro.resilience.faults import FaultyClusterState
+from tests.oracles import reference_paths
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 RESOLUTION = 0.05
@@ -108,8 +110,8 @@ def _assert_same_sweep(kernel, graph, make_state, order, **kw):
     return got
 
 
-def _python(code: str, cache: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(cache))
+def _python(code: str, cache: Path, **env) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(cache), **env)
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
@@ -122,7 +124,7 @@ class TestLazyBuild:
             "from repro.kernels import native\n"
             "from repro.core.config import ClusteringConfig\n"
             "ClusteringConfig()\n"
-            "assert native.KERNEL.library._lib is None\n"
+            "assert native.KERNEL.library._cdll is None\n"
             "maps = open('/proc/self/maps').read()\n"
             "assert 'best_moves-' not in maps, 'library mapped at import'\n",
             tmp_path,
@@ -157,7 +159,7 @@ class TestLazyBuild:
             "got = native.KERNEL.batch_moves(g, s, b, 0.05)\n"
             "want = reference_batch_moves(g, s, b, 0.05)\n"
             "assert got[1].tobytes() == want[1].tobytes()\n"
-            "assert native.KERNEL.library._lib is not None\n",
+            "assert native.KERNEL.library._cdll is not None\n",
             tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
@@ -213,36 +215,69 @@ class TestLazyBuild:
         assert (tmp_path / _library_file()).is_file()
 
 
-class TestFallback:
-    @pytest.mark.parametrize("compiler", ["repro-no-such-cc", "false"])
-    def test_warns_once_and_matches_reference(self, tmp_path, monkeypatch, compiler):
-        # A missing compiler, then one whose every build fails.
-        monkeypatch.setattr(native, "COMPILER", compiler)
-        kernel = _kernel(tmp_path)
-        graph, state, batch = _inputs()
-        calls = [
-            dict(allow_escape=True, swap_avoidance=False),
-            dict(allow_escape=False, swap_avoidance=True),
-        ]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = [
-                kernel.batch_moves(graph, state, batch, RESOLUTION, **kw)
-                for kw in calls
-            ]
-            for escape in (True, False):
-                _assert_same_sweep(
-                    kernel, graph,
-                    lambda: ClusterState.from_assignments(graph, state.assignments),
-                    batch, allow_escape=escape,
-                )
-        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(runtime) == 1
-        assert "native kernel unavailable" in str(runtime[0].message)
-        for out, kw in zip(got, calls):
-            want = reference_batch_moves(graph, state, batch, RESOLUTION, **kw)
-            _assert_same(out, want)
-        assert not any(tmp_path.iterdir())  # no library, no leftover temp
+#: Run in a fresh process without a working compiler: ``import repro``
+#: succeeds, the first ``cluster()`` raises ``RuntimeError`` naming the
+#: cause, and so do a second call and a supervised one, without running
+#: the compiler again.  Prints the first error.
+_LOAD_FAILURE = """
+import os
+import repro
+from repro.errors import ReproError
+from repro.graphs.karate import karate_club_graph
+from repro.kernels import native
+from repro.api import ClusteringConfig, RunSupervisor, cluster
+
+def runs():
+    path = os.environ["COMPILER_RUNS"]
+    return len(open(path).read().splitlines()) if os.path.exists(path) else 0
+
+def error(call):
+    try:
+        call()
+    except RuntimeError as exc:
+        assert not isinstance(exc, ReproError), type(exc)
+        assert exc.__cause__ is not None
+        return exc
+    raise AssertionError("ran without the native library")
+
+graph = karate_club_graph()
+config = ClusteringConfig(resolution=0.05, seed=3)
+first = error(lambda: cluster(graph, config))
+before = runs()
+for call in (lambda: cluster(graph, config), lambda: RunSupervisor().run(graph, config)):
+    assert str(error(call)) == str(first)
+assert runs() == before
+assert native.KERNEL.library._cdll is None
+print(first)
+"""
+
+
+class TestLoadFailure:
+    @pytest.mark.parametrize("compiler", ["missing", "failing"])
+    def test_first_use_raises_and_is_remembered(self, tmp_path, compiler):
+        bin_dir, temp = tmp_path / "bin", tmp_path / "tmp"
+        bin_dir.mkdir()
+        temp.mkdir()
+        runs = tmp_path / "compiler-runs"
+        if compiler == "failing":
+            fake = bin_dir / native.COMPILER
+            fake.write_text(
+                f"#!/bin/sh\necho run >> {runs}\n"
+                "echo 'fake-cc: fatal error: cannot build' >&2\nexit 3\n"
+            )
+            fake.chmod(0o755)
+            cause = f"{fake} exited 3: fake-cc: fatal error: cannot build"
+        else:
+            cause = f"no C compiler {native.COMPILER!r} on PATH"
+        proc = _python(
+            _LOAD_FAILURE, tmp_path / "cache", PATH=str(bin_dir),
+            TMPDIR=str(temp), COMPILER_RUNS=str(runs),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "native library unavailable" in proc.stdout
+        assert cause in proc.stdout
+        if compiler == "failing":
+            assert runs.read_text().count("run") >= 1
 
 
 class TestThreads:
@@ -458,14 +493,6 @@ class TestPool:
             tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
-
-    def test_without_the_library_threads_are_ignored(self):
-        graph, state, batch = _split_inputs()
-        with _numpy_paths():
-            got = native.KERNEL.batch_moves(
-                graph, state, batch, RESOLUTION, threads=2
-            )
-        _assert_same(got, reference_batch_moves(graph, state, batch, RESOLUTION))
 
     def test_fault_runs_keep_one_thread(self):
         graph = rmat_graph(11, 8 * 2**11, seed=0)
@@ -759,7 +786,7 @@ class TestBinding:
         config = ClusteringConfig(resolution=RESOLUTION, seed=3)
         starts = _starts(batch.size)
         results = []
-        for context in (contextlib.nullcontext, _numpy_paths):
+        for context in (contextlib.nullcontext, reference_paths):
             with context():
                 copy = ClusterState.from_assignments(graph, state.assignments)
                 moves = kernel.batch_moves(graph, copy, batch, RESOLUTION)
@@ -959,13 +986,8 @@ class TestObservability:
 
 
 # ---------------------------------------------------------------------- #
-# The round's other entry points against their NumPy paths
+# The round's other entry points against their NumPy references
 # ---------------------------------------------------------------------- #
-
-
-def _numpy_paths():
-    """The library unavailable: every caller takes its NumPy path."""
-    return mock.patch.object(native.LIBRARY, "load", return_value=None)
 
 
 def _regions(sched):
@@ -973,10 +995,11 @@ def _regions(sched):
 
 
 def _both(call):
-    """``call(sched)`` natively, then on the NumPy paths, each with a fresh
-    instrumented scheduler; returns ``[(result, sched), (result, sched)]``."""
+    """``call(sched)`` natively, then on the reference paths, each with a
+    fresh instrumented scheduler; returns ``[(result, sched), (result,
+    sched)]``."""
     out = []
-    for context in (contextlib.nullcontext, _numpy_paths):
+    for context in (contextlib.nullcontext, reference_paths):
         sched = SimulatedScheduler(num_workers=8, instr=Instrumentation())
         with context():
             out.append((call(sched), sched))
@@ -1145,6 +1168,15 @@ class TestNativeCompress:
         labels[7] = bad
         with pytest.raises(IndexError):
             native.compress(graph, labels, 3, np.zeros(3))
+
+    def test_self_loops_not_writable_in_place_raise(self):
+        graph = karate_club_graph()
+        labels = np.arange(graph.num_vertices, dtype=np.int64) % 3
+        read_only = np.zeros(3)
+        read_only.flags.writeable = False
+        for self_loops in (read_only, np.zeros(6)[::2], np.zeros(3, np.float32)):
+            with pytest.raises(ValueError, match="self_loops"):
+                native.compress(graph, labels, 3, self_loops)
 
 
 def _commit_state(rng, n=40, clusters=6):

@@ -229,12 +229,3 @@ def test_split_windows_are_counted_per_window():
     )
     assert native.pool_stats()["split_windows"] == before + 4
 
-
-def test_without_the_library_rounds_take_the_loop():
-    graph = karate_club_graph()
-    with mock.patch.object(native.LIBRARY, "load", return_value=None):
-        state = ClusterState.singletons(graph)
-        order = np.arange(graph.num_vertices, dtype=np.int64)
-        assert native.KERNEL.round(
-            graph, state, order, np.zeros(1, np.int64), RESOLUTION, threshold=512
-        ) is None

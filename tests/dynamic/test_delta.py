@@ -7,7 +7,6 @@ oracle below is that from-scratch build.
 
 import contextlib
 import os
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,15 +20,10 @@ from repro.errors import GraphFormatError, UpdateError
 from repro.generators import lfr_like_graph, rmat_graph
 from repro.graphs.builders import graph_from_edges
 from repro.graphs.csr import CSRGraph
-from repro.graphs.delta import (
-    DeltaOverlayGraph,
-    base_edge_weight,
-    find_arcs,
-    search_arcs,
-    splice_arrays,
-)
+from repro.graphs.delta import DeltaOverlayGraph, base_edge_weight
 from repro.graphs.karate import karate_club_graph
 from repro.kernels import native
+from tests.oracles import reference_paths, search_arcs, splice_arrays
 
 pytestmark = pytest.mark.dynamic
 
@@ -60,17 +54,11 @@ def oracle(base, edges, n):
 
 
 def library(mode):
-    """``"native"``: the library as loaded (the C splice and search
-    wherever it builds); ``"numpy"``: the library unavailable, so the
-    overlay takes its NumPy paths."""
+    """``"native"``: the C splice and search; ``"numpy"``: their NumPy
+    references (:func:`tests.oracles.reference_paths`)."""
     if mode == "native":
         return contextlib.nullcontext()
-    return mock.patch.object(native.LIBRARY, "load", return_value=None)
-
-
-def needs_library():
-    if native.LIBRARY.load() is None:
-        pytest.skip("native library unavailable")
+    return reference_paths()
 
 
 LIBRARY_MODES = ("native", "numpy")
@@ -438,7 +426,6 @@ class TestSpliceCases:
         splice_both(base, steps)
 
     def test_native_equals_numpy_splice_arrays(self):
-        needs_library()
         base = cached_base("rmat")
         overlay = DeltaOverlayGraph(base)
         rng = np.random.default_rng(5)
@@ -537,7 +524,6 @@ def one_core():
 
 
 def needs_two_cores():
-    needs_library()
     if native.usable_cores() < 2:
         pytest.skip("a splice splits only on two or more usable cores")
 
@@ -554,7 +540,7 @@ def guarded_splice(base, n, arcs, capacity):
     """``repro_splice`` called directly into outputs ``GUARD`` entries
     longer than ``capacity``, all holding ``SENTINEL``; returns its
     status and the padded outputs."""
-    lib = native.LIBRARY.load()
+    lib = native.KERNEL.library.load()
     offsets, neighbors, weights = base.offsets, base.neighbors, base.weights
     src, dst, w, pos, found = (
         np.ascontiguousarray(a, dtype=dt)
@@ -621,7 +607,6 @@ class TestSplitSplice:
         assert got.num_vertices == large_base().num_vertices + 4
 
     def test_small_bases_stay_serial(self):
-        needs_library()
         before = _split_splices()
         splice_both(sparse_ids_base(), [(1, 3, 1.0), (6, 8, 0.0)])
         assert sparse_ids_base().num_directed_edges < SPLIT_MIN_ARCS
@@ -637,7 +622,6 @@ class TestSpliceRejects:
         return cached_base("lfr")
 
     def _reject(self, inject):
-        needs_library()
         base = self.base()
         overlay = DeltaOverlayGraph(base)
         overlay.set_edge(0, 5, 1.0)
@@ -663,7 +647,6 @@ class TestSpliceRejects:
         self._reject(lambda pending: pending.__setitem__((1, 10_000), 1.0))
 
     def test_capacity_too_small(self):
-        needs_library()
         base = self.base()
         overlay = DeltaOverlayGraph(base)
         overlay.set_edge(0, base.num_vertices - 1, 1.0)
@@ -692,7 +675,6 @@ class TestSplitSpliceRejects(TestSpliceRejects):
 
 class TestFindArcs:
     def test_native_equals_searchsorted(self):
-        needs_library()
         base = cached_base("rmat")
         rng = np.random.default_rng(3)
         src = rng.integers(0, base.num_vertices + 3, size=300)
@@ -700,7 +682,7 @@ class TestFindArcs:
         u, v, _ = base.edge_list()
         src = np.concatenate([src, u, v]).astype(np.int64)
         dst = np.concatenate([dst, v, u]).astype(np.int64)
-        pos, found = find_arcs(base, src, dst)
+        pos, found = native.find_arcs(base, src, dst)
         want_pos, want_found = search_arcs(base, src, dst)
         assert np.array_equal(pos, want_pos)
         assert np.array_equal(found, want_found)
@@ -764,8 +746,8 @@ def update_stream(graph, seed, batches=6, per_batch=30):
 
 
 class TestClustererParity:
-    """A DynamicClusterer session with the library on equals the same
-    session with it off."""
+    """A DynamicClusterer session on the C paths equals the same session
+    on the reference paths."""
 
     def _session(self, mode):
         graph = lfr_like_graph(150, mixing=0.3, seed=2).graph

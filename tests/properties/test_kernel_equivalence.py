@@ -12,18 +12,15 @@ deliberately.  Coverage:
   dict sweep move-for-move, including the mutated state;
 * end-to-end: every registry engine, on karate/RMAT/LFR/planted
   workloads across seeds and resolutions, produces identical
-  assignments, objective and simulated time with the C library and
-  without it (``native.LIBRARY.load`` returning ``None``, the
-  no-compiler path: the reference loops and the NumPy commit, frontier
-  and compression);
+  assignments, objective and simulated time on the C paths and on the
+  reference paths (:func:`tests.oracles.reference_paths`: the reference
+  loops and the NumPy commit, frontier and compression);
 * the same end-to-end equivalence under fault injection — the sweep
   detects the ``FaultyClusterState`` wrapper and takes the dict loop, so
   injected hazards perturb both paths identically;
 * the default ``cluster()`` config at a larger scale, on integer and
   fractional weights.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,13 +42,9 @@ from repro.kernels import native
 from repro.kernels.reference import reference_batch_moves, reference_sweep
 from repro.parallel.scheduler import SimulatedScheduler
 from repro.resilience import FaultPlan, ResilienceContext, ResiliencePolicy
+from tests.oracles import reference_paths
 
 ENGINE_NAMES = sorted(ENGINES)
-
-
-def _reference_loops():
-    """Run without the C library, as on a host with no compiler."""
-    return mock.patch.object(native.LIBRARY, "load", return_value=None)
 
 
 @st.composite
@@ -163,7 +156,7 @@ class TestEngineEquivalence:
         self, engine, workload, seed, resolution
     ):
         graph = workload[1](seed)
-        with _reference_loops():
+        with reference_paths():
             ref_labels, ref_sim = _run_engine(graph, engine, resolution, seed)
         ref_objective = lambdacc_objective(graph, ref_labels, resolution)
         labels, sim = _run_engine(graph, engine, resolution, seed)
@@ -175,7 +168,7 @@ class TestEngineEquivalence:
     def test_engines_identical_under_fault_injection(self, engine):
         graph = planted_partition_graph(80, seed=5).graph
         spec = "drop-move=0.2,stale-read=0.2,dup-move=0.1"
-        with _reference_loops():
+        with reference_paths():
             ref_labels, ref_sim = _run_engine(
                 graph, engine, 0.05, 7, plan=FaultPlan.from_spec(spec, seed=13)
             )
@@ -197,7 +190,7 @@ def _knn_fractional(seed):
 
 
 class TestDefaultConfigParity:
-    """Parity with and without the C library on the default ``cluster()``
+    """Parity of the C and reference paths on the default ``cluster()``
     config at a larger scale than ``TestEngineEquivalence``'s graphs, on
     integer and fractional weights."""
 
@@ -209,7 +202,7 @@ class TestDefaultConfigParity:
     def test_default_config_bit_identical(self, make_graph):
         graph = make_graph()
         config = ClusteringConfig(resolution=0.05, seed=3)
-        with _reference_loops():
+        with reference_paths():
             ref = cluster(graph, config)
         got = cluster(graph, config)
         assert np.array_equal(ref.assignments, got.assignments)

@@ -1,12 +1,9 @@
 """Chaos-matrix invariants: every engine recovers under every fault site."""
 
-from unittest import mock
-
 import pytest
 
 from repro.core.config import ClusteringConfig
 from repro.core.engines import ENGINES
-from repro.kernels import native
 from repro.resilience.chaos import (
     DEFAULT_KINDS,
     FAULT_SITES,
@@ -36,23 +33,14 @@ def _cell(**overrides) -> CellOutcome:
 
 class TestMatrix:
     def test_all_engines_and_kernels_recover(self, karate):
-        # Once with the C library, once on the no-compiler path (the
-        # reference loops and the NumPy commit, frontier and compression).
-        def matrix():
-            return chaos_matrix(
-                karate, CONFIG,
-                engines=sorted(ENGINES),
-                kinds=[FaultKind.TRANSIENT],
-                seed=11,
-            )
-
-        assert native.LIBRARY.load() is not None
-        reports = [matrix()]
-        with mock.patch.object(native.LIBRARY, "load", return_value=None):
-            reports.append(matrix())
-        for report in reports:
-            assert report.num_cells == len(ENGINES) == 5
-            assert report.ok, "\n".join(report.failures())
+        report = chaos_matrix(
+            karate, CONFIG,
+            engines=sorted(ENGINES),
+            kinds=[FaultKind.TRANSIENT],
+            seed=11,
+        )
+        assert report.num_cells == len(ENGINES) == 5
+        assert report.ok, "\n".join(report.failures())
 
     def test_every_fault_site_is_covered(self, karate):
         sites = {FAULT_SITES[kind] for kind in DEFAULT_KINDS}
