@@ -192,7 +192,9 @@ def telemetry_suite(repeats: int = 3) -> BenchSuite:
     produced (worker chunks and lanes, CAS attempts, dedup hits) so a
     refactor that silently stops emitting any of it shows up as a diff in
     the committed ``BENCH_PR3.json``.  Worker chunks are one per busy
-    lane per round (plus one flush at the end of the run).
+    lane per round, laid from the round's ledger rows (plus the rows
+    charged after the last round, laid at the end of the run); a round
+    is busy on one lane per 256 ops of its work, up to the worker count.
     """
     from repro.core.api import cluster
     from repro.core.config import ClusteringConfig

@@ -31,9 +31,11 @@ each window's integers (its commit's contention, its pair count and its
 degree profile).  Python charges the round from those through
 :meth:`~repro.parallel.scheduler.CostLedger.charge_later`, so the
 regions of every round charged since the ledger was last read are built
-in one vectorized pass, and replays the per-window metrics when
-instrumentation is on.  Fault runs and states C cannot commit into keep
-the per-window loop, with one kernel call and one commit per window.
+in one vectorized pass (with instrumentation on, the round barrier
+reads the ledger to lay the worker lanes, so that is once per round),
+and replays the per-window metrics when instrumentation is on.  Fault
+runs and states C cannot commit into keep the per-window loop, with one
+kernel call and one commit per window.
 The round's gain is summed only when instrumentation is on.
 """
 
@@ -134,9 +136,9 @@ def _round_regions(rounds):
     ``rounds`` lists one ``(windows, charge_depth, num_vertices)`` per
     round: its :class:`~repro.kernels.native.RoundWindows`, whether each
     window charges its own depth, and the graph's vertex count.  Returns
-    each round's ``(labels, work, depth, serial, items)`` columns: the
-    regions the per-window loop charges, in its order, with its values
-    (see :data:`_SLOT_LABELS`).
+    each round's ``(labels, work, depth, serial)`` columns: the regions
+    the per-window loop charges, in its order, with its values (see
+    :data:`_SLOT_LABELS`).
     """
     counts = [r[0].moved.size for r in rounds]
     firsts = np.cumsum([0] + counts[:-1])
@@ -144,14 +146,13 @@ def _round_regions(rounds):
         *map(np.concatenate, zip(*(r[0] for r in rounds)))
     )
     moved, profiles = windows.moved, windows.profiles
-    # One (work, depth, serial, items) per window and slot; a slot is
-    # charged where ``present``.
-    table = np.zeros((moved.size, _SLOT_LABELS.size, 4))
+    # One (work, depth, serial) per window and slot; a slot is charged
+    # where ``present``.
+    table = np.zeros((moved.size, _SLOT_LABELS.size, 3))
     present = np.zeros(table.shape[:2], dtype=bool)
     table[:, 0, 0], table[:, 0, 1] = batch_costs(
         profiles, np.repeat([r[1] for r in rounds], counts)
     )
-    table[:, 0, 3] = profiles[:, 0]
     present[:, 0] = profiles[:, 0] > 0
     commits = (
         (1, windows.dec_retries, windows.dec_longest),
@@ -177,12 +178,11 @@ def _round_regions(rounds):
                 seq_max[i], par_count[i], par_max[i]
             ) + 2.0 * math.log2(max(num_vertices, 2))
             present[last, 5] = True
-    work, depth, serial, items = table[present].T
-    items = items.astype(np.int64)
+    work, depth, serial = table[present].T
     labels = _SLOT_LABELS[np.nonzero(present)[1]].tolist()
     ends = np.cumsum(np.add.reduceat(present.sum(axis=1), firsts)).tolist()
     return [
-        (labels[a:b], work[a:b], depth[a:b], serial[a:b], items[a:b])
+        (labels[a:b], work[a:b], depth[a:b], serial[a:b])
         for a, b in zip([0] + ends[:-1], ends)
     ]
 
@@ -247,7 +247,7 @@ def window_round(
     if native_round is not None:
         movers, origins, targets, gains, windows = native_round
         if sched is not None:
-            sched.charge_later(
+            sched.ledger.charge_later(
                 _round_regions, (windows, charge_depth, graph.num_vertices)
             )
             if obs.enabled:
@@ -368,8 +368,9 @@ def iterate_rounds(
             )
             if sched is not None:
                 # Round boundary: every worker feeds the next frontier, so
-                # the simulated lanes join here (recording idle waits).
-                sched.round_barrier()
+                # the simulated lanes join here and the round's rows are
+                # laid onto them.
+                sched.round_barrier(items=frontier_size)
     return stats
 
 

@@ -220,10 +220,7 @@ def compute_batch_moves(
         degrees = graph.offsets[batch + 1] - graph.offsets[batch]
         profile = window_profiles(degrees, kernel_threshold)[0].tolist()
     work, depth = batch_costs(np.array([profile], dtype=np.int64), charge_depth)
-    sched.charge(
-        work=float(work[0]), depth=float(depth[0]), label="best-moves",
-        items=profile[0],
-    )
+    sched.charge(work=float(work[0]), depth=float(depth[0]), label="best-moves")
     return targets, gains
 
 

@@ -54,11 +54,7 @@ from repro.core.config import ClusteringConfig, Objective
 from repro.core.options import RunOptions
 from repro.core.engines import run_engine_restricted
 from repro.core.frontier import seed_frontier
-from repro.core.objective import (
-    cluster_weight_penalty,
-    intra_cluster_edge_weight,
-    lambdacc_objective,
-)
+from repro.core.objective import cluster_weight_penalty, intra_cluster_edge_weight
 from repro.core.state import ClusterState
 from repro.errors import ConfigError, UpdateError
 from repro.graphs.csr import CSRGraph
@@ -183,13 +179,7 @@ class DynamicClusterer:
         self.guard = guard if guard is not None else DriftGuard()
         self.rng = make_rng(config.seed)
         # Incremental objective terms: F = intra - lambda * penalty.
-        self._k2 = np.bincount(
-            self.state.assignments,
-            weights=graph.node_weight_sq,
-            minlength=graph.num_vertices,
-        )
-        self._intra = intra_cluster_edge_weight(graph, self.state.assignments)
-        self._penalty = cluster_weight_penalty(graph, self.state.assignments)
+        self._resync()
         # Counters (persisted by SnapshotStore).
         self.batches_applied = 0
         self.updates_applied = {"insert": 0, "delete": 0, "reweight": 0}
@@ -282,7 +272,17 @@ class DynamicClusterer:
 
     def exact_objective(self) -> float:
         """Full ``F`` recompute from the current graph + assignments."""
-        return lambdacc_objective(self.graph, self.state.assignments, self.resolution)
+        intra, penalty = self._exact_terms()
+        return intra - self.resolution * penalty
+
+    def _exact_terms(self) -> Tuple[float, float]:
+        """``(intra, penalty)`` of ``F`` recomputed from scratch; ``intra
+        - lambda * penalty`` is :func:`lambdacc_objective` bit for bit."""
+        assignments = self.state.assignments
+        return (
+            intra_cluster_edge_weight(self.graph, assignments),
+            cluster_weight_penalty(self.graph, assignments),
+        )
 
     def audit(self, auditor=None) -> List[str]:
         """Run a :class:`StateAuditor` over the live state (empty = clean)."""
@@ -566,7 +566,8 @@ class DynamicClusterer:
         if guard.recompute_every and (
             self.batches_applied % guard.recompute_every == 0
         ):
-            exact = self.exact_objective()
+            intra, penalty = self._exact_terms()
+            exact = intra - self.resolution * penalty
             drift = abs(self.f_objective - exact)
             self.last_drift = drift
             report.drift = drift
@@ -576,13 +577,16 @@ class DynamicClusterer:
             if drift > guard.max_drift * scale:
                 self._escalate("objective-drift", report)
             else:
-                self._resync()
+                self._resync((intra, penalty))
 
-    def _resync(self) -> None:
-        """Adopt exact objective terms (kills float-drift accumulation)."""
+    def _resync(self, terms: Optional[Tuple[float, float]] = None) -> None:
+        """Adopt exact objective terms (kills float-drift accumulation):
+        ``terms`` when the caller has just recomputed them
+        (:meth:`_exact_terms`), else a fresh recompute."""
         graph = self.graph
-        self._intra = intra_cluster_edge_weight(graph, self.state.assignments)
-        self._penalty = cluster_weight_penalty(graph, self.state.assignments)
+        self._intra, self._penalty = (
+            terms if terms is not None else self._exact_terms()
+        )
         self._k2 = np.bincount(
             self.state.assignments,
             weights=graph.node_weight_sq,

@@ -55,7 +55,9 @@ The shared library is built lazily, on first use, never at import:
 
 * ``gcc -O2 -ffp-contract=off -fPIC -shared``, never ``-ffast-math``, so
   float additions are neither reordered nor fused;
-* into a per-user cache directory outside the source tree, named by a
+* into the first usable per-user cache directory outside the source
+  tree (:func:`default_cache_dirs`; only a directory that cannot be
+  used moves the search on, a compiler error raises at once), named by a
   hash of the source, the flags and the compiler's identity (its resolved
   path, size and mtime, which change with its version), so a cached
   library is found again without running the compiler;
@@ -272,8 +274,12 @@ class NativeLibrary:
                     build(compiler, path)
                     prune_stale(path)
                     lib = ctypes.CDLL(str(path))
-            except (OSError, subprocess.SubprocessError) as exc:
-                errors.append(_describe(exc))
+            except subprocess.SubprocessError as exc:
+                # The compiler rejected the source, in any directory.
+                raise OSError(_describe(exc)) from exc
+            except OSError as exc:
+                # This directory cannot be used: try the next one.
+                errors.append(str(exc))
                 cause = exc
                 continue
             for symbol, argtypes in SIGNATURES.items():

@@ -168,7 +168,8 @@ class Instrumentation:
         self.profile = profile
         #: The session's simulated worker lanes
         #: (:class:`~repro.parallel.scheduler.WorkerTimeline`), created by
-        #: the first scheduler attached while enabled.
+        #: the first scheduler attached while enabled and laid at each of
+        #: its schedulers' round barriers from their ledger rows.
         self.timeline = None
 
     # ------------------------------------------------------------------

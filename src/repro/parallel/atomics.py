@@ -54,13 +54,13 @@ def contention_profile(targets: np.ndarray) -> Tuple[np.ndarray, int]:
 
 def fetch_add_costs(size, retries, longest):
     """The regions of concurrent fetch-and-add windows, each as
-    ``(work, depth, serial, items)``: ``size`` updates at one op each and
+    ``(work, depth, serial)``: ``size`` updates at one op each and
     depth 1, then the contention of ``retries`` retries queued at most
     ``longest`` deep (:func:`~repro.parallel.scheduler.contention_cost`),
     which is charged only where ``retries > 0``.  The arguments are one
     window's integers or per-window arrays."""
     work, serial = contention_cost(retries, longest)
-    return (size, 1.0, 0.0, size), (work, 0.0, serial, retries)
+    return (size, 1.0, 0.0), (work, 0.0, serial)
 
 
 def record_fetch_add(
@@ -102,15 +102,12 @@ def atomic_add_window(
     queues, max_queue = contention_profile(targets)
     retries = size - queues.size
     updates, contention = fetch_add_costs(size, retries, max_queue)
-    work, depth, serial, _ = updates
-    sched.charge(
-        work=float(work), depth=depth, label=label, serial=serial, items=size
-    )
+    work, depth, serial = updates
+    sched.charge(work=float(work), depth=depth, label=label, serial=serial)
     if retries > 0:
-        work, depth, serial, _ = contention
+        work, depth, serial = contention
         sched.charge(
-            work=work, depth=depth, label=label + "-contention", serial=serial,
-            items=retries,
+            work=work, depth=depth, label=label + "-contention", serial=serial
         )
     instr = getattr(sched, "instr", None)
     if instr is not None and instr.enabled:

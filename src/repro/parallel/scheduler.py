@@ -25,12 +25,17 @@ the physical core count, the hyper-threading knee, contention collapse when
 few clusters absorb most vertices — are properties of the (work, depth,
 serial) profile the algorithms generate, which is exactly what the paper's
 algorithmic contributions change.
+
+Instrumented runs also draw per-worker lanes (:class:`WorkerTimeline`),
+a view of the same ledger laid once per round at
+:meth:`SimulatedScheduler.round_barrier`; charging a region never
+touches them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,8 +65,9 @@ def contention_cost(retries, longest):
 OPS_PER_SECOND = 2.0e9
 
 #: Smallest chunk of work (elementary ops) worth forking to another
-#: simulated worker; work below ``active * TIMELINE_GRAIN`` stays on fewer
-#: lanes, which is what makes tiny windows render as stragglers.
+#: simulated worker; a round of less than ``active * TIMELINE_GRAIN`` ops
+#: of work stays on fewer lanes, which is what makes small rounds render
+#: as stragglers.
 TIMELINE_GRAIN = 256.0
 
 #: Backstop on recorded worker chunks per run: long runs truncate the
@@ -73,49 +79,40 @@ class WorkerTimeline:
     """Per-worker simulated-time lanes for one instrumented run.
 
     The cost ledger answers *how long*; the timeline answers *who was busy
-    when*.  Every charged region is split into up to ``num_workers`` shares
-    of at least :data:`TIMELINE_GRAIN` ops each and laid onto lanes:
+    when*.  It is a view of the ledger, laid once per round: at each
+    :meth:`SimulatedScheduler.round_barrier`, :meth:`lay` takes the ledger
+    rows charged since the previous barrier, with ``W`` their work and
+    ``C`` their critical path, the sum of ``depth * (1 + tau) + serial``.
+    The round spreads over ``active = clamp(W // TIMELINE_GRAIN, 1, P)``
+    lanes that all start at the session clock.  Each is busy
+    ``W / active`` ops and lane 0 also carries ``C``, so stragglers and
+    CAS queues show up as a busy lane 0; the clock then moves to lane 0's
+    end.  A round's lanes are therefore busy ``(W + C) / OPS_PER_SECOND``
+    seconds in all, its Brent-bound terms at one worker per lane.
 
-    * regions carrying a depth or serial term model a fork/join barrier —
-      all lanes first join at the region start (accumulating idle wait),
-      and the critical path ``depth * (1 + tau) + serial`` rides lane 0,
-      so stragglers and CAS queues show up as a busy lane 0;
-    * pure-work regions (the asynchronous concurrency windows, which the
-      engines charge with ``depth=0``) pipeline onto the least-loaded
-      lanes with no join, mirroring barrier-free window execution.
-
-    Shares are not recorded one by one.  Each lane accumulates its busy
-    time, items and wait until :meth:`barrier` (every round end, and once
-    at the end of a run), which sends one ``worker`` trace record per busy
-    lane to the attached :class:`~repro.obs.instrument.Instrumentation`:
-    ``(worker, start, end, label, items, wait)``.  The chunk ends where
-    the lane's last share ended and starts ``busy`` before that; ``wait``
-    is the idle time the lane sat through before that end, and idle time
-    after it carries into the lane's next chunk.  Per-lane busy and wait
-    totals are therefore those of one chunk per share.
+    Each busy lane sends one ``worker`` trace record per round to the
+    attached :class:`~repro.obs.instrument.Instrumentation`:
+    ``(worker, start, end, label, items, wait)``, where ``items`` is the
+    lane's part of the round's vertex count (split as evenly as integers
+    allow) and ``wait`` the lane's idle time since its own last chunk.
 
     An enabled instrumentation holds one timeline for its whole session
     (see :meth:`of`), so the schedulers of a bootstrap run and of each
-    later update batch continue the same lanes instead of overlapping
-    them, and :data:`MAX_WORKER_CHUNKS` bounds the session.
+    later update batch continue the same clock instead of overlapping
+    their lanes, and :data:`MAX_WORKER_CHUNKS` bounds the session.
     """
 
-    __slots__ = ("instr", "num_workers", "tau", "clock", "idle", "wait",
-                 "busy", "items", "ends", "chunks", "truncated")
+    __slots__ = ("instr", "num_workers", "tau", "clock", "ends", "chunks",
+                 "truncated")
 
     def __init__(self, instr, num_workers: int, tau: float) -> None:
         self.instr = instr
         self.num_workers = num_workers
         self.tau = tau
-        #: Per-lane frontier, simulated seconds since session start.
-        self.clock = [0.0] * num_workers
-        #: Idle time per lane since its last share.
-        self.idle = [0.0] * num_workers
-        #: Per lane since its last chunk: idle time before its last share,
-        #: busy time, items, and where its last share ended.
-        self.wait = [0.0] * num_workers
-        self.busy = [0.0] * num_workers
-        self.items = [0] * num_workers
+        #: Where the latest round ended, simulated seconds since session
+        #: start; the next round's lanes start here.
+        self.clock = 0.0
+        #: Where each lane's last chunk ended.
         self.ends = [0.0] * num_workers
         self.chunks = 0
         self.truncated = False
@@ -126,7 +123,7 @@ class WorkerTimeline:
 
         A timeline with the same worker count and ``tau`` is continued;
         otherwise a new one replaces it, starting every lane at the old
-        timeline's latest lane clock and keeping its chunk count.
+        timeline's clock and keeping its chunk count.
         """
         timeline = instr.timeline
         if (
@@ -137,80 +134,45 @@ class WorkerTimeline:
             return timeline
         fresh = cls(instr, num_workers, tau)
         if timeline is not None:
-            fresh.clock = [max(timeline.clock)] * num_workers
+            fresh.clock = timeline.clock
+            fresh.ends = [timeline.clock] * num_workers
             fresh.chunks = timeline.chunks
             fresh.truncated = timeline.truncated
         instr.timeline = fresh
         return fresh
 
-    def _share(self, lane: int, start: float, end: float, items: int) -> None:
-        self.wait[lane] += self.idle[lane]
-        self.idle[lane] = 0.0
-        self.busy[lane] += end - start
-        self.items[lane] += items
-        self.clock[lane] = self.ends[lane] = end
-
-    def _join(self) -> None:
-        join = max(self.clock)
-        for lane in range(self.num_workers):
-            gap = join - self.clock[lane]
-            if gap > 0.0:
-                self.idle[lane] += gap
-                self.clock[lane] = join
-
-    def barrier(self, label: str) -> None:
-        """Record one chunk per busy lane, then join every lane at the
-        current maximum."""
+    def lay(self, rows, label: str, items: int) -> None:
+        """Record one ``label`` chunk per busy lane for the ledger ``rows``
+        of one round, which covered ``items`` vertices (see the class
+        docstring)."""
         if self.truncated:
             return
-        for lane in range(self.num_workers):
-            busy = self.busy[lane]
-            if busy <= 0.0:
-                continue
+        work = critical = 0.0
+        scale = 1.0 + self.tau
+        for _, w, d, s in rows:
+            work += w
+            critical += d * scale + s
+        if work + critical <= 0.0:
+            return
+        active = max(1, min(self.num_workers, int(work // TIMELINE_GRAIN)))
+        share = (work / active) / OPS_PER_SECOND
+        start = self.clock
+        for lane in range(active):
             if self.chunks >= MAX_WORKER_CHUNKS:
                 self.truncated = True
                 self.instr.event("worker-timeline-truncated", chunks=self.chunks)
                 return
-            end = self.ends[lane]
+            end = start + share
+            if lane == 0:
+                end += critical / OPS_PER_SECOND
+                self.clock = end
             self.instr.worker_chunk(
-                lane, end - busy, end, label, self.items[lane], self.wait[lane]
+                lane, start, end, label,
+                (items * (lane + 1)) // active - (items * lane) // active,
+                start - self.ends[lane],
             )
+            self.ends[lane] = end
             self.chunks += 1
-            self.busy[lane] = self.wait[lane] = 0.0
-            self.items[lane] = 0
-        self._join()
-
-    def record(self, work: float, depth: float, serial: float,
-               items: int) -> None:
-        """Lay one charged region onto the lanes (see class docstring)."""
-        if self.truncated:
-            return
-        if work + serial <= 0.0 and depth <= 0.0:
-            return
-        active = max(1, min(self.num_workers, int(work // TIMELINE_GRAIN) or 1))
-        share = (work / active) / OPS_PER_SECOND
-        critical = (depth * (1.0 + self.tau) + serial) / OPS_PER_SECOND
-        if depth > 0.0 or serial > 0.0:
-            # Fork/join region: all lanes join, lane 0 carries the
-            # critical path, lanes beyond `active` stay idle.
-            self._join()
-            start = self.clock[0]
-            for i in range(active):
-                share_items = (items * (i + 1)) // active - (items * i) // active
-                end = start + share + (critical if i == 0 else 0.0)
-                self._share(i, start, end, share_items)
-        else:
-            # Barrier-free region: greedy assignment to least-loaded lanes.
-            if active >= self.num_workers:
-                lanes = range(self.num_workers)
-            else:
-                lanes = sorted(
-                    range(self.num_workers), key=self.clock.__getitem__
-                )[:active]
-            for i, lane in enumerate(lanes):
-                share_items = (items * (i + 1)) // active - (items * i) // active
-                start = self.clock[lane]
-                self._share(lane, start, start + share, share_items)
 
 
 @dataclass(frozen=True)
@@ -305,13 +267,12 @@ class CostLedger:
 
     Regions are kept as ``(label, work, depth, serial)`` rows, and
     :meth:`regions` builds :class:`Region` objects from them on demand.
-    :meth:`charge` appends one region and :meth:`charge_many` a run of
-    them.  :meth:`charge_later` places regions whose costs are cheaper to
-    compute for many calls at once (a BEST-MOVES round's): they are built
-    when the ledger is next read, together with every other call still
-    pending, and take their place in charge order.  The totals add the
-    regions one at a time in that order, so they carry the same bits
-    however the regions were charged.
+    :meth:`charge` appends one region.  :meth:`charge_later` places
+    regions whose costs are cheaper to compute for many calls at once (a
+    BEST-MOVES round's): they are built when the ledger is next read,
+    together with every other call still pending, and take their place in
+    charge order.  The totals add the regions one at a time in that
+    order, so they carry the same bits however the regions were charged.
     """
 
     def __init__(self) -> None:
@@ -334,26 +295,14 @@ class CostLedger:
             _negative(label, work, depth, serial)
         self._rows.append((label, work, depth, serial))
 
-    def charge_many(
-        self,
-        labels: Sequence[str],
-        work: np.ndarray,
-        depth: np.ndarray,
-        serial: np.ndarray,
-    ) -> None:
-        """Record regions ``i = 0, 1, ...`` in order, as one :meth:`charge`
-        each would.  A negative cost raises before anything is recorded."""
-        self._rows.extend(_validated_rows(labels, work, depth, serial))
-
     def charge_later(self, build: Callable, args) -> None:
         """Record, at this point of the ledger, the regions ``build`` makes
         of ``args``.
 
         ``build`` takes a list of such ``args`` and returns, for each, its
-        ``(labels, work, depth, serial, items)`` columns (the ledger keeps
-        the first four); the ledger calls it once for all the calls with
-        the same ``build`` that are pending when its regions or totals are
-        next read.  A negative cost raises then.
+        ``(labels, work, depth, serial)`` columns; the ledger calls it once
+        for all the calls with the same ``build`` that are pending when
+        its regions or totals are next read.  A negative cost raises then.
         """
         self._pending.append((len(self._rows), build, args))
 
@@ -371,7 +320,7 @@ class CostLedger:
             for build, calls in groups.items():
                 columns = build([args for _, args in calls])
                 for (index, _), call_columns in zip(calls, columns):
-                    built[index] = _validated_rows(*call_columns[:4])
+                    built[index] = _validated_rows(*call_columns)
             # Back to front, so the positions of earlier charges hold.
             for (position, _, _), regions in zip(reversed(pending), reversed(built)):
                 rows[position:position] = regions
@@ -407,6 +356,11 @@ class CostLedger:
 
     def regions(self) -> Iterator[Region]:
         return (Region(*row) for row in self._settle())
+
+    def rows(self, start: int = 0) -> List[Tuple[str, float, float, float]]:
+        """The ``(label, work, depth, serial)`` rows from charge position
+        ``start`` on, every pending region built."""
+        return self._settle()[start:]
 
     def work_by_label(self) -> Dict[str, float]:
         """Total work grouped by region label (for profiling benches)."""
@@ -488,12 +442,14 @@ class SimulatedScheduler:
         self.instr = instr
         #: Per-worker lane recorder, shared by every scheduler of one
         #: *enabled* instrumentation; uninstrumented runs pay one
-        #: ``is None`` check.
+        #: ``is None`` check per round.
         self._timeline = (
             WorkerTimeline.of(instr, num_workers, tau)
             if instr is not None and instr.enabled
             else None
         )
+        #: Ledger rows already laid onto the lanes.
+        self._laid = 0
 
     def charge(
         self,
@@ -501,42 +457,27 @@ class SimulatedScheduler:
         depth: float,
         label: str = "",
         serial: float = 0.0,
-        items: int = 0,
     ) -> None:
+        """Record one parallel region's cost (:meth:`CostLedger.charge`)."""
         self.ledger.charge(work, depth, label=label, serial=serial)
-        timeline = self._timeline
-        if timeline is not None:
-            timeline.record(work, depth, serial, items)
 
-    def charge_later(self, build: Callable, args) -> None:
-        """:meth:`CostLedger.charge_later`: the regions ``build`` makes of
-        ``args`` are built when the ledger is next read.  With
-        instrumentation enabled they are built at once, and the lanes
-        record each as :meth:`charge` would."""
-        timeline = self._timeline
-        if timeline is None:
-            self.ledger.charge_later(build, args)
-            return
-        ((labels, work, depth, serial, items),) = build([args])
-        self.ledger.charge_many(labels, work, depth, serial)
-        for region in zip(
-            work.tolist(), depth.tolist(), serial.tolist(), items.tolist()
-        ):
-            timeline.record(*region)
-
-    def round_barrier(self, label: str = "round") -> None:
+    def round_barrier(self, label: str = "round", items: int = 0) -> None:
         """Join all simulated workers — engines call this at round ends.
 
         A BEST-MOVES round ends in a frontier computation every worker
-        feeds, so lanes synchronize: each lane busy since the last barrier
-        records one ``label`` chunk, and the join's idle gaps go into the
-        ``wait`` of each lane's next chunk.  A run calls it once more at
-        its end for the regions charged after its last round.  No-op (one
-        attribute check) when instrumentation is disabled.
+        feeds, so lanes synchronize.  With instrumentation enabled, the
+        ledger rows charged since the last barrier are laid onto the lanes
+        as one ``label`` chunk per busy lane (:meth:`WorkerTimeline.lay`),
+        ``items`` being the round's vertex count.  A run calls it once
+        more at its end for the rows charged after its last round.
+        Without enabled instrumentation it is one attribute check, and the
+        ledger settles only when it is read.
         """
         timeline = self._timeline
         if timeline is not None:
-            timeline.barrier(label)
+            rows = self.ledger.rows(self._laid)
+            self._laid += len(rows)
+            timeline.lay(rows, label, items)
 
     def charge_cas_contention(
         self, total_retries: int, max_queue: int, label: str = "cas"
@@ -552,13 +493,7 @@ class SimulatedScheduler:
         """
         if total_retries > 0:
             work, serial = contention_cost(total_retries, max_queue)
-            self.charge(
-                work=work,
-                depth=0.0,
-                label=label,
-                serial=serial,
-                items=int(total_retries),
-            )
+            self.charge(work=work, depth=0.0, label=label, serial=serial)
             instr = self.instr
             if instr is not None and instr.enabled:
                 from repro.obs.instrument import (

@@ -6,8 +6,10 @@ import pytest
 from repro.core.config import ClusteringConfig, Objective
 from repro.core.engines import run_engine_restricted
 from repro.core.frontier import seed_frontier
+from repro.core import objective as objective_module
 from repro.core.objective import lambdacc_objective
 from repro.core.state import ClusterState
+from repro.dynamic import clusterer as clusterer_module
 from repro.dynamic.clusterer import DriftGuard, DynamicClusterer
 from repro.dynamic.updates import EdgeUpdate, UpdateBatch
 from repro.errors import ConfigError, UpdateError
@@ -275,6 +277,29 @@ class TestDriftGuard:
         assert report.escalated is None
         assert dc.escalations == 0
         assert dc.last_drift == report.drift
+
+    def test_guard_recomputes_each_term_once(self, monkeypatch):
+        dc = make_clusterer(guard=DriftGuard(recompute_every=1))
+        calls = []
+        for name in ("intra_cluster_edge_weight", "cluster_weight_penalty"):
+            real = getattr(objective_module, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            for module in (objective_module, clusterer_module):
+                monkeypatch.setattr(module, name, counted)
+        for edge in [(0, 9), (5, 20)]:
+            calls.clear()
+            report = dc.apply(UpdateBatch([EdgeUpdate("insert", *edge, 1.0)]))
+            assert report.drift is not None
+            # One pass per term: the drift check and the resync share it.
+            assert sorted(calls) == [
+                "cluster_weight_penalty", "intra_cluster_edge_weight"
+            ]
+            exact = lambdacc_objective(dc.graph, dc.state.assignments, RESOLUTION)
+            assert dc.f_objective == exact == dc.exact_objective()
 
     def test_objective_drift_escalates(self):
         dc = make_clusterer(guard=DriftGuard(recompute_every=1, max_drift=1e-6))

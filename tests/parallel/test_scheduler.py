@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from repro.errors import SchedulerError
-from repro.obs.instrument import Instrumentation
 from repro.parallel.scheduler import (
     CostLedger,
     Machine,
@@ -112,33 +111,13 @@ _COSTS = np.random.default_rng(3).random(200) * 1e3
 
 
 class TestLedgerArrayPaths:
-    def _sequential(self, labels, work, depth, serial):
-        ledger = CostLedger()
-        ledger.charge(1.5, 0.25, "before")
-        for row in zip(labels, work, depth, serial):
-            ledger.charge(row[1], row[2], row[0], serial=row[3])
-        ledger.charge(0.1, 0.2, "after", serial=0.3)
-        return ledger
-
-    def test_many_matches_one_charge_each(self):
+    def test_later_regions_take_their_place(self):
         sequential = 0.0
         for value in _COSTS.tolist():
             sequential += value
         assert sequential != float(np.sum(_COSTS))  # the case this covers
         labels = [f"r{i}" for i in range(_COSTS.size)]
-        work, depth, serial = _COSTS, _COSTS[::-1].copy(), _COSTS * 0.5
-        want = self._sequential(labels, work, depth, serial)
-        got = CostLedger()
-        got.charge(1.5, 0.25, "before")
-        got.charge_many(labels, work, depth, serial)
-        got.charge(0.1, 0.2, "after", serial=0.3)
-        assert _rows(got) == _rows(want)
-        assert got.snapshot() == want.snapshot()
-        assert got.simulated_time(60) == want.simulated_time(60)
-
-    def test_later_regions_take_their_place(self):
-        labels = [f"r{i}" for i in range(_COSTS.size)]
-        columns = (labels, _COSTS, _COSTS * 2.0, _COSTS * 0.5, [1] * _COSTS.size)
+        columns = (labels, _COSTS, _COSTS * 2.0, _COSTS * 0.5)
         calls = []
 
         def build(args):
@@ -152,52 +131,25 @@ class TestLedgerArrayPaths:
         for a, b in ((0, 60), (60, 61), (61, 200)):
             got.charge_later(build, (a, b))
             got.charge(7.0, 1.0, f"between-{a}")
-            want.charge_many(*(c[a:b] for c in columns[:4]))
+            for label, work, depth, serial in zip(*(c[a:b] for c in columns)):
+                want.charge(work, depth, label, serial=serial)
             want.charge(7.0, 1.0, f"between-{a}")
         assert calls == []  # nothing is built before a read
         assert got.snapshot() == want.snapshot()
         assert calls == [[(0, 60), (60, 61), (61, 200)]]  # one build for all
         assert _rows(got) == _rows(want)
+        assert got.rows(1) == _rows(want)[1:]
         got.charge(1.0, 1.0, "end")
         want.charge(1.0, 1.0, "end")
         assert got.total_work == want.total_work
         assert got.num_regions == want.num_regions == 200 + 5
-
-    def test_instrumented_later_regions_reach_the_lanes_at_once(self):
-        labels = [f"r{i}" for i in range(20)]
-        columns = (
-            labels, _COSTS[:20], _COSTS[20:40] * 1e-3, _COSTS[40:60] * 0.5,
-            np.arange(20),
-        )
-        scheds = [
-            SimulatedScheduler(num_workers=8, instr=Instrumentation())
-            for _ in range(2)
-        ]
-        for label, work, depth, serial, items in zip(*columns):
-            scheds[0].charge(work, depth, label, serial=serial, items=int(items))
-        calls = []
-        scheds[1].charge_later(
-            lambda args: calls.append(args) or [columns for _ in args], None
-        )
-        assert calls == [[None]]  # built before any read
-        for sched in scheds:
-            sched.round_barrier()
-        records = [
-            [r for r in s.instr.tracer.records if r["type"] == "worker"]
-            for s in scheds
-        ]
-        assert records[0] == records[1] != []
-        assert _rows(scheds[0].ledger) == _rows(scheds[1].ledger)
+        assert got.simulated_time(60) == want.simulated_time(60)
 
     def test_negative_cost_names_its_label(self):
         ledger = CostLedger()
         work = np.array([1.0, 2.0, 3.0])
-        serial = np.array([0.0, -1.0, 0.0])
-        with pytest.raises(SchedulerError, match="'bad'"):
-            ledger.charge_many(["ok", "bad", "late"], work, work, serial)
-        assert ledger.num_regions == 0
         ledger.charge_later(
-            lambda calls: [(["worse"], -work[:1], work[:1], work[:1], [0])], None
+            lambda calls: [(["worse"], -work[:1], work[:1], work[:1])], None
         )
         with pytest.raises(SchedulerError, match="'worse'"):
             ledger.snapshot()
