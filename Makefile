@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-fast test-dynamic test-serving api-check \
 	smoke-obs baselines native-kernel \
-	compare-baselines bench bench-snapshot bench-perf-smoke compare-kernels \
+	compare-baselines bench figures bench-snapshot bench-perf-smoke compare-kernels \
 	chaos bench-overhead bench-dynamic doctor ci
 
 ## Full test suite (tier 1).
@@ -62,6 +62,12 @@ compare-baselines:
 ## Per-figure benchmark scripts (pytest-benchmark).
 bench:
 	$(PYTHON) -m pytest benchmarks -q
+
+## The paper's figure and table benchmarks (benchmarks/bench_*.py, not
+## the wall-clock harness in benchmarks/perf), each run once with
+## pytest-benchmark's timing off, so their assertions gate the change.
+figures:
+	$(PYTHON) -m pytest -q --benchmark-disable benchmarks/bench_*.py
 
 ## Refresh the committed BENCH_PR3.json / BENCH_PR4.json snapshots
 ## (telemetry coverage + kernel speedups); commit the result.

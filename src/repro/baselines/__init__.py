@@ -22,7 +22,6 @@
 from repro.baselines.c4 import c4_cluster
 from repro.baselines.clusterwild import clusterwild_cluster
 from repro.baselines.kwikcluster import kwikcluster
-from repro.baselines.labelprop import label_propagation
 from repro.baselines.lambdacc_dense import dense_lambdacc_cluster
 from repro.baselines.plm import plm_cluster
 from repro.baselines.scd import scd_cluster
@@ -35,7 +34,6 @@ __all__ = [
     "dense_lambdacc_cluster",
     "edge_triangle_counts",
     "kwikcluster",
-    "label_propagation",
     "plm_cluster",
     "scd_cluster",
     "tectonic_cluster",

@@ -1,4 +1,4 @@
-"""ASCII sparklines and mini-charts for bench output.
+"""ASCII sparklines for bench output.
 
 Figures in this reproduction are printed, not plotted; a sparkline next
 to a series makes the *shape* — near-linear scaling, the SMT knee, a
@@ -32,42 +32,3 @@ def sparkline(values: Sequence[float]) -> str:
         out.append(_BLOCKS[index])
     return "".join(out)
 
-
-def ascii_chart(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    width: int = 50,
-    height: int = 10,
-    label: str = "",
-) -> str:
-    """A small scatter/line chart in ASCII.
-
-    ``xs`` and ``ys`` must align; points map onto a width x height grid
-    with '*' marks, plus simple axis annotations (min/max of each axis).
-    """
-    if len(xs) != len(ys):
-        raise ValueError(f"xs ({len(xs)}) and ys ({len(ys)}) must align")
-    if not xs:
-        return "(empty chart)"
-    if width < 2 or height < 2:
-        raise ValueError("width and height must be at least 2")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for x, y in zip(xs, ys):
-        col = int((x - x_lo) / x_span * (width - 1))
-        row = height - 1 - int((y - y_lo) / y_span * (height - 1))
-        grid[row][col] = "*"
-    lines = []
-    if label:
-        lines.append(label)
-    lines.append(f"{y_hi:>10.3g} ┤" + "".join(grid[0]))
-    for row in grid[1:-1]:
-        lines.append(" " * 10 + " │" + "".join(row))
-    lines.append(f"{y_lo:>10.3g} ┤" + "".join(grid[-1]))
-    lines.append(
-        " " * 12 + f"{x_lo:<.3g}" + " " * max(1, width - 12) + f"{x_hi:>.3g}"
-    )
-    return "\n".join(lines)

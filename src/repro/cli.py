@@ -12,7 +12,6 @@ Subcommands:
 * ``sweep``    — sweep the resolution and print precision/recall per point
   (the Figure 9/10 methodology on your own data);
 * ``hierarchy`` — print the multilevel coarsening hierarchy of one run;
-* ``consensus`` — cluster several seeds and write the consensus labels;
 * ``table1``   — print the surrogate dataset table;
 * ``chaos``    — run the supervised chaos matrix (fault kind x site x
   engine) and assert the recovery invariants;
@@ -22,7 +21,7 @@ Subcommands:
 * ``update`` / ``serve`` — dynamic clustering behind the serving
   gateway (DESIGN.md §11, §14);
 * ``obs``      — the Chrome/Perfetto timeline of a trace, trace
-  validation, and the runs registry (``obs report`` / ``obs diff``).
+  validation, and the runs registry table (``obs report``).
 
 Exit codes across the gate-like commands follow one convention:
 0 = pass, 1 = gate failure (crit finding, regression, audit issue),
@@ -41,8 +40,8 @@ import numpy as np
 
 from repro.core.api import cluster
 from repro.core.options import RunOptions
-from repro.errors import ConfigError, ReproError
-from repro.core.config import ClusteringConfig, Frontier, Mode, Objective
+from repro.errors import ConfigError, ReproError, UpdateError
+from repro.core.config import ClusteringConfig, Objective
 from repro.eval.ari import adjusted_rand_index
 from repro.eval.ground_truth import average_precision_recall
 from repro.eval.nmi import normalized_mutual_information
@@ -416,10 +415,22 @@ def _dynamic_graph_name(args) -> str:
     return f"snapshot-dir:{Path(args.snapshot_dir).name}"
 
 
+def _commit_staged(gateway, now: float):
+    """Run one commit cycle; raise :class:`UpdateError` on a rejected write.
+
+    Returns the committed batch's report, or ``None`` when nothing was
+    staged.
+    """
+    responses = gateway.commit(now)
+    for resp in responses:
+        if resp.status == "rejected":
+            raise UpdateError(resp.error)
+    return gateway.committed[-1]["report"] if responses else None
+
+
 def _cmd_update(args) -> int:
     from repro.dynamic import SnapshotStore, read_update_log, save_snapshot
     from repro.serving import GatewayPolicy, Request, ServingGateway
-    from repro.serving.session import commit_staged
 
     config = _dynamic_config(args)
     store = SnapshotStore(args.snapshot_dir) if args.snapshot_dir else None
@@ -437,7 +448,7 @@ def _cmd_update(args) -> int:
         for rid in range(first, min(first + batch_size, len(updates))):
             request = Request.write(rid, updates[rid], submitted_at=now)
             gateway.stage_write(request, now)
-        report = commit_staged(gateway, time.perf_counter() - start)
+        report = _commit_staged(gateway, time.perf_counter() - start)
         counts = " ".join(
             f"{op}={k}" for op, k in report.op_counts.items() if k
         )
@@ -548,7 +559,7 @@ def _cmd_update(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    """Drive the serving gateway: a scripted session or a generated workload."""
+    """Drive the serving gateway with a generated workload on real threads."""
     from repro.dynamic import SnapshotStore
     from repro.serving import (
         GatewayPolicy,
@@ -566,15 +577,6 @@ def _cmd_serve(args) -> int:
         max_batch_updates=args.max_batch_updates,
         commit_interval_seconds=args.commit_interval,
     )
-    if args.script:
-        from repro.serving.session import run_session
-
-        with ServingGateway(clusterer, policy) as gateway:
-            with open(args.script) as handle:
-                script = handle.readlines()
-            for line in run_session(gateway, script, store=store):
-                print(line)
-        return 0
     # Bootstrap state, captured before any commit: the serial-replay
     # equivalence check re-applies the committed batches from here.
     graph0 = clusterer.graph
@@ -723,37 +725,6 @@ def _cmd_table1(_args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    from repro.eval.conductance import conductance_summary
-    from repro.eval.report import cluster_report
-
-    graph = _load_graph(args)
-    labels = _read_labels(args.labels)
-    if labels.size != graph.num_vertices:
-        raise SystemExit(
-            f"labels file has {labels.size} entries for a graph of "
-            f"{graph.num_vertices} vertices"
-        )
-    communities = read_communities(args.communities) if args.communities else None
-    report = cluster_report(
-        graph, labels, resolution=args.resolution, communities=communities
-    )
-    conductance = conductance_summary(graph, labels)
-    print(f"clusters:            {report.num_clusters}")
-    print(f"max cluster size:    {report.max_cluster_size}")
-    print(f"mean cluster size:   {report.mean_cluster_size:.2f}")
-    print(f"singleton fraction:  {report.singleton_fraction:.3f}")
-    print(f"intra-edge fraction: {report.intra_edge_fraction:.3f}")
-    print(f"CC objective:        {report.cc_objective:.6g}")
-    print(f"modularity:          {report.modularity:.4f}")
-    print(f"mean conductance:    {conductance['mean']:.4f}")
-    if report.precision is not None:
-        print(f"precision:           {report.precision:.4f}")
-        print(f"recall:              {report.recall:.4f}")
-        print(f"f1:                  {report.f1:.4f}")
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     graph = _load_graph(args)
     communities = read_communities(args.communities) if args.communities else None
@@ -796,29 +767,6 @@ def _cmd_hierarchy(args) -> int:
             f"{level.level:>5} {level.num_clusters:>9} {level.objective:>12.4g}"
         )
     print(f"nested: {hierarchy.is_nested()}")
-    return 0
-
-
-def _cmd_consensus(args) -> int:
-    from repro.eval.consensus import consensus_from_runs
-
-    graph = _load_graph(args)
-
-    def run(seed: int) -> np.ndarray:
-        config = ClusteringConfig(
-            objective=Objective(args.objective),
-            resolution=args.resolution,
-            seed=seed,
-        )
-        return cluster(graph, config).assignments
-
-    labels = consensus_from_runs(
-        graph, run, num_runs=args.runs, threshold=args.threshold
-    )
-    print(f"consensus over {args.runs} runs: {int(labels.max()) + 1} clusters")
-    if args.output:
-        _write_labels(labels, args.output)
-        print(f"labels written to {args.output}")
     return 0
 
 
@@ -872,16 +820,6 @@ def _cmd_chaos(args) -> int:
             handle.write("\n")
         print(f"report written to {args.json}")
     return 0 if report.ok else 1
-
-
-def _load_metric_samples(path) -> List[dict]:
-    """Exported metric samples from a --metrics file (JSONL or Prometheus)."""
-    from repro.obs.metrics import MetricsRegistry, samples_from_prometheus
-
-    text = Path(path).read_text()
-    if str(path).endswith((".json", ".jsonl")):
-        return MetricsRegistry.parse_jsonl(text)
-    return samples_from_prometheus(text)
 
 
 def _load_stats_payload(path) -> dict:
@@ -958,6 +896,7 @@ def _doctor_verdict(inputs, rules_path=None, json_path=None) -> int:
 def _cmd_doctor(args) -> int:
     from repro.obs.doctor import DoctorInputs, load_trace
     from repro.obs.health import load_slo
+    from repro.obs.metrics import MetricsRegistry
     from repro.obs.registry import RunRegistryError, find_run, load_runs
 
     record = None
@@ -981,7 +920,10 @@ def _cmd_doctor(args) -> int:
             history = _registry_history(records, record)
         stats = _load_stats_payload(args.stats) if args.stats else None
         trace = load_trace(args.trace) if args.trace else None
-        samples = _load_metric_samples(args.metrics) if args.metrics else None
+        samples = (
+            MetricsRegistry.parse_jsonl(Path(args.metrics).read_text())
+            if args.metrics else None
+        )
         slo = load_slo(args.slo) if args.slo else None
     except (OSError, ValueError, RunRegistryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1067,46 +1009,6 @@ def _cmd_obs_report(args) -> int:
             f"{metrics['modularity']:>10.4f}{degraded}"
         )
     return 0
-
-
-def _cmd_obs_diff(args) -> int:
-    from repro.obs.registry import (
-        OBJECTIVE_TOLERANCE,
-        WALL_TOLERANCE,
-        RunRegistryError,
-        diff_runs,
-        find_run,
-        load_runs,
-    )
-
-    try:
-        records = load_runs(args.runs)
-        baseline = find_run(records, args.baseline)
-        current = find_run(records, args.current)
-    except (OSError, RunRegistryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = diff_runs(
-        baseline,
-        current,
-        wall_tolerance=(
-            WALL_TOLERANCE if args.wall_tolerance is None
-            else args.wall_tolerance
-        ),
-        objective_tolerance=(
-            OBJECTIVE_TOLERANCE if args.objective_tolerance is None
-            else args.objective_tolerance
-        ),
-    )
-    print(f"diff {args.baseline} -> {args.current}")
-    print(report.describe())
-    if report.compared == 0:
-        # Nothing was actually gated — treat a vacuous diff as a failure
-        # rather than a silent pass (exit codes: 0 pass, 1 gate failure,
-        # 2 usage/data error).
-        print("error: no metrics were comparable", file=sys.stderr)
-        return 1
-    return 0 if report.ok else 1
 
 
 def _positive_int(text: str) -> int:
@@ -1200,8 +1102,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the run's nested span trace as JSONL "
                         "(run -> level -> phase -> round)")
     o.add_argument("--metrics", metavar="FILE",
-                   help="write run metrics; .json/.jsonl gets JSONL, "
-                        "anything else Prometheus text format")
+                   help="write run metrics as JSONL")
     o.add_argument("--profile", action="store_true",
                    help="print a per-level timing table, the top "
                         "simulated-work regions, and p50/p95 round "
@@ -1214,7 +1115,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "profile data even without --profile)")
     o.add_argument("--register", metavar="RUNS_JSONL",
                    help="append this run's metrics to the runs registry "
-                        "(see 'repro obs diff')")
+                        "(see 'repro obs report')")
     o.add_argument("--run-id", metavar="ID",
                    help="registry id for --register (default: run-<time>)")
     o.add_argument("--doctor", action="store_true",
@@ -1269,22 +1170,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_source(p)
     p.add_argument("--resolution", type=float, default=0.05)
     p.set_defaults(func=_cmd_hierarchy)
-
-    p = sub.add_parser("consensus", help="consensus clustering over seeds")
-    add_graph_source(p)
-    p.add_argument("--resolution", type=float, default=0.05)
-    p.add_argument("--runs", type=int, default=10,
-                   help="number of seeds (the paper repeats 10x)")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--output", help="write consensus labels")
-    p.set_defaults(func=_cmd_consensus)
-
-    p = sub.add_parser("report", help="quality report for a labels file")
-    add_graph_source(p)
-    p.add_argument("--labels", required=True, help="labels file (one per line)")
-    p.add_argument("--resolution", type=float, default=0.01)
-    p.add_argument("--communities", help="ground-truth communities file")
-    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("table1", help="print the surrogate dataset table")
     p.set_defaults(func=_cmd_table1)
@@ -1376,8 +1261,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the session's span trace (one 'update' span "
                         "per batch) as JSONL")
     p.add_argument("--metrics", metavar="FILE",
-                   help="write repro_dynamic_* metrics; .json/.jsonl gets "
-                        "JSONL, anything else Prometheus text")
+                   help="write repro_dynamic_* metrics as JSONL")
     p.add_argument("--register", metavar="RUNS_JSONL",
                    help="append this session to the runs registry with "
                         "workload.update_batch tags")
@@ -1398,11 +1282,6 @@ def build_parser() -> argparse.ArgumentParser:
              "writes shed past a queue limit (DESIGN.md §14)",
     )
     add_dynamic_flags(p)
-    p.add_argument("--script", metavar="FILE",
-                   help="run a scripted session instead of a generated "
-                        "workload, one command per line (get/same/members/"
-                        "stats/insert/delete/reweight/commit/save/audit); "
-                        "prints one deterministic line per command")
     w = p.add_argument_group("workload")
     w.add_argument("--requests", type=int, default=500, metavar="N",
                    help="total requests to generate (default 500)")
@@ -1447,8 +1326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="FILE",
                    help="write the session's span trace as JSONL")
     p.add_argument("--metrics", metavar="FILE",
-                   help="write gateway + dynamic metrics; .json/.jsonl "
-                        "gets JSONL, anything else Prometheus text")
+                   help="write gateway + dynamic metrics as JSONL")
     p.add_argument("--doctor", action="store_true",
                    help="run the doctor over the session: gateway facts, "
                         "health rules, serving SLOs; exit 1 on crit")
@@ -1473,7 +1351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="FILE",
                    help="trace JSONL written by cluster/update --trace")
     p.add_argument("--metrics", metavar="FILE",
-                   help="metrics export (.json/.jsonl or Prometheus text)")
+                   help="metrics JSONL written by cluster/update/serve "
+                        "--metrics")
     p.add_argument("--stats", metavar="FILE",
                    help="stats JSON (a raw stats dict or a --profile-json "
                         "payload)")
@@ -1517,20 +1396,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only the N most recent runs (N >= 1)")
     q.set_defaults(func=_cmd_obs_report)
 
-    q = obs_sub.add_parser(
-        "diff",
-        help="compare two registered runs; non-zero exit on regression",
-    )
-    q.add_argument("runs", help="runs.jsonl registry file")
-    q.add_argument("baseline", help="run id to compare against")
-    q.add_argument("current", help="run id under test")
-    q.add_argument("--wall-tolerance", type=float, default=None,
-                   help="relative wall/sim worsening that fails "
-                        "(default 0.10)")
-    q.add_argument("--objective-tolerance", type=float, default=None,
-                   help="relative objective/modularity worsening that "
-                        "fails (default 0.001)")
-    q.set_defaults(func=_cmd_obs_diff)
     return parser
 
 

@@ -12,24 +12,13 @@
 """
 
 from repro.eval.ari import adjusted_rand_index
-from repro.eval.bcubed import bcubed
-from repro.eval.conductance import cluster_conductances, conductance_summary
-from repro.eval.consensus import consensus_clustering, consensus_from_runs
 from repro.eval.ground_truth import average_precision_recall, match_communities
 from repro.eval.nmi import normalized_mutual_information
 from repro.eval.pr_curve import pr_curve, pr_dominates
-from repro.eval.report import cluster_report, compare_reports
 
 __all__ = [
     "adjusted_rand_index",
     "average_precision_recall",
-    "bcubed",
-    "cluster_conductances",
-    "cluster_report",
-    "compare_reports",
-    "conductance_summary",
-    "consensus_clustering",
-    "consensus_from_runs",
     "match_communities",
     "normalized_mutual_information",
     "pr_curve",

@@ -4,9 +4,10 @@ This is the original per-vertex best-move computation: accumulate
 ``S(v, c')`` into a Python dict over ``v``'s neighbor clusters, then scan
 the candidates with an exact-comparison, lowest-cluster-id tiebreak.  It
 is deliberately simple — the native kernel is property-tested to match
-it bit-for-bit — and it is what the native kernel delegates to on a
-host where the C library cannot be built.  The event-driven engine
-evaluates its vertices one at a time with :func:`reference_single_move`.
+it bit-for-bit.  The native kernel's ``sweep`` runs
+:func:`reference_sweep` for a state it cannot commit in place (a
+fault-injected one), and the event-driven engine evaluates its vertices
+one at a time with :func:`reference_single_move`.
 
 :func:`accumulate_neighbor_weights` is the single shared accumulation
 helper; ``all_move_gains`` (the debugging API in ``repro.core.moves``)

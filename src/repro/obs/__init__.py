@@ -64,16 +64,12 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    parse_prometheus,
-    parse_prometheus_headers,
     sample_quantile,
-    samples_from_prometheus,
 )
 from repro.obs.registry import (
     RUNS_SCHEMA,
     RunRegistryError,
     append_run,
-    diff_runs,
     find_run,
     load_runs,
     make_run_record,
@@ -123,7 +119,6 @@ __all__ = [
     "collect_facts",
     "default_rules",
     "diagnose",
-    "diff_runs",
     "evaluate_rules",
     "evaluate_slos",
     "find_run",
@@ -132,10 +127,7 @@ __all__ = [
     "load_runs",
     "load_slo",
     "make_run_record",
-    "parse_prometheus",
-    "parse_prometheus_headers",
     "sample_quantile",
-    "samples_from_prometheus",
     "span_tree",
     "trace_series",
     "validate_run_record",

@@ -109,42 +109,6 @@ SERVE_LATENCY_BUCKETS = tuple(
     m * 10.0**e for e in range(-6, 2) for m in (1.0, 2.5, 5.0)
 )
 
-_HELP = {
-    M_MOVES: "Vertex moves applied by BEST-MOVES engines",
-    M_ROUNDS: "BEST-MOVES rounds executed",
-    M_ROUND_GAIN: "Objective improvement per BEST-MOVES round",
-    M_FRONTIER: "Frontier size at the start of each round",
-    M_COMPRESSION: "Coarse/fine vertex-count ratio per compression",
-    M_LEVEL_SECONDS: "Wall seconds spent per coarsening level",
-    M_CAS_RETRIES: "CAS retries charged by contention windows",
-    M_CAS_ATTEMPTS: "Atomic update attempts issued by fetch-and-add windows",
-    M_CAS_INJECTED: "Injected CAS failures from the fault plan",
-    M_ATOMIC_QUEUE: "Queue length on the hottest location per atomic window",
-    M_DEDUP_RATE: "Fraction of frontier candidates removed as duplicates",
-    M_DEDUP_HITS: "Duplicate frontier candidates dropped by dedup",
-    M_RESILIENCE_EVENTS: "Resilience events by kind",
-    M_OBJECTIVE: "Final unordered LambdaCC objective F",
-    M_MODULARITY: "Final modularity",
-    M_KERNEL_BATCH: "Batch size per best-move kernel invocation",
-    M_KERNEL_SEGMENTS: "Distinct (vertex, neighbor cluster) pairs per native batch",
-    M_SUPERVISOR_ATTEMPTS: "Supervised attempts started, by ladder rung",
-    M_SUPERVISOR_RETRIES: "Supervisor retries of a failed attempt, by reason",
-    M_SUPERVISOR_FALLBACKS: "Ladder descents to a lower rung",
-    M_SUPERVISOR_WATCHDOG: "Watchdog deadline fires, by scope",
-    M_DYNAMIC_BATCHES: "Dynamic update batches applied",
-    M_DYNAMIC_UPDATES: "Individual edge updates applied, by op",
-    M_DYNAMIC_SEED: "Seed-frontier size per update batch",
-    M_DYNAMIC_MOVES: "Vertex moves made by localized refinement",
-    M_DYNAMIC_DRIFT: "Absolute objective drift at the last guard check",
-    M_DYNAMIC_ESCALATIONS: "Drift-guard escalations to full re-clustering",
-    M_SERVE_LATENCY: "Serving-facade op latency in seconds, by op",
-    M_SERVE_STALENESS: "Updates applied since the last snapshot save",
-    M_GATEWAY_REQUESTS: "Serving-gateway requests resolved, by kind and status",
-    M_GATEWAY_QUEUE: "Queue depth observed at each gateway admission decision",
-    M_GATEWAY_BATCH: "Coalesced updates per committed gateway batch",
-    M_GATEWAY_EPOCH: "Latest published label epoch index",
-}
-
 
 class Instrumentation:
     """Tracer + metrics registry for one run (see module docstring).
@@ -203,17 +167,15 @@ class Instrumentation:
     # ------------------------------------------------------------------
     def count(self, name: str, value: float = 1.0, **labels) -> None:
         if self.enabled:
-            self.metrics.counter(name, _HELP.get(name, "")).inc(value, **labels)
+            self.metrics.counter(name).inc(value, **labels)
 
     def observe(self, name: str, value: float, **labels) -> None:
         if self.enabled:
-            self.metrics.histogram(name, _HELP.get(name, "")).observe(
-                value, **labels
-            )
+            self.metrics.histogram(name).observe(value, **labels)
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
         if self.enabled:
-            self.metrics.gauge(name, _HELP.get(name, "")).set(value, **labels)
+            self.metrics.gauge(name).set(value, **labels)
 
     def record_round(
         self, engine: str, frontier: int, moves: int, gain: float
@@ -235,11 +197,8 @@ class Instrumentation:
         self.tracer.write_jsonl(path)
 
     def write_metrics(self, path) -> None:
-        """Write metrics; ``.jsonl``/``.json`` get JSONL, else Prometheus."""
-        if str(path).endswith((".jsonl", ".json")):
-            self.metrics.write_jsonl(path)
-        else:
-            self.metrics.write_prometheus(path)
+        """Write the metrics as JSONL, whatever the file is named."""
+        self.metrics.write_jsonl(path)
 
 
 #: Shared always-disabled context used when no instrumentation is attached,

@@ -1,19 +1,14 @@
-"""Metrics registry: counters, gauges, and histograms with two exporters.
+"""Metrics registry: counters, gauges, and histograms with a JSONL exporter.
 
 The registry is deliberately small and dependency-free.  Metrics are
 created lazily (``registry.counter(name)`` returns the existing counter or
-makes one) and support Prometheus-style labels passed as keyword
-arguments: ``counter.inc(5, engine="relaxed")`` keeps one value per
-distinct label set.
+makes one) and support labels passed as keyword arguments:
+``counter.inc(5, engine="relaxed")`` keeps one value per distinct label
+set.
 
-Exporters:
-
-* :meth:`MetricsRegistry.to_jsonl` — one JSON object per sample line,
-  parse-back via :meth:`MetricsRegistry.parse_jsonl` (benches and tests
-  assert on these);
-* :meth:`MetricsRegistry.to_prometheus` — the Prometheus text exposition
-  format (``# HELP`` / ``# TYPE`` headers, ``_bucket``/``_sum``/``_count``
-  series for histograms) so any scraper can ingest a run's metrics file.
+:meth:`MetricsRegistry.to_jsonl` writes one JSON object per sample line,
+and :meth:`MetricsRegistry.parse_jsonl` reads them back (benches, the run
+doctor and tests assert on these).
 
 The clustering pipeline's standard metric names live in
 :mod:`repro.obs.instrument` and are documented in DESIGN.md §7.
@@ -45,39 +40,15 @@ def _label_key(labels: dict) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-def _escape_label_value(value: str) -> str:
-    """Prometheus label-value escaping: backslash, quote, newline."""
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def _escape_help(text: str) -> str:
-    """Prometheus ``# HELP`` escaping: backslash and newline only.
-
-    Quotes stay literal in HELP lines (unlike label values) — a raw
-    newline, though, would split the comment and corrupt the exposition.
-    """
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _format_labels(key: LabelKey) -> str:
-    if not key:
-        return ""
-    body = ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in key)
-    return "{" + body + "}"
-
-
 class Metric:
     """Common bookkeeping for all metric kinds."""
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         self.name = name
-        self.help = help
 
     def samples(self) -> List[dict]:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -88,8 +59,8 @@ class Counter(Metric):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
         self._values: Dict[LabelKey, float] = {}
 
     def inc(self, value: float = 1.0, **labels) -> None:
@@ -122,8 +93,8 @@ class Gauge(Metric):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
         self._values: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels) -> None:
@@ -163,10 +134,9 @@ class Histogram(Metric):
     def __init__(
         self,
         name: str,
-        help: str = "",
         buckets: Optional[Sequence[float]] = None,
     ) -> None:
-        super().__init__(name, help)
+        super().__init__(name)
         bounds = tuple(sorted(buckets)) if buckets else DEFAULT_BUCKETS
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
@@ -321,7 +291,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
 
-    def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Metric:
+    def _get_or_create(self, cls, name: str, **kwargs) -> Metric:
         existing = self._metrics.get(name)
         if existing is not None:
             if not isinstance(existing, cls):
@@ -329,22 +299,20 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as {existing.kind}"
                 )
             return existing
-        metric = cls(name, help, **kwargs)
+        metric = cls(name, **kwargs)
         self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help)
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(Counter, name)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help)
+    def gauge(self, name: str) -> Gauge:
+        return self._get_or_create(Gauge, name)
 
     def histogram(
-        self, name: str, help: str = "", buckets: Optional[Sequence[float]] = None
+        self, name: str, buckets: Optional[Sequence[float]] = None
     ) -> Histogram:
-        if buckets is None:
-            return self._get_or_create(Histogram, name, help)
-        return self._get_or_create(Histogram, name, help, buckets=buckets)
+        return self._get_or_create(Histogram, name, buckets=buckets)
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
@@ -372,228 +340,3 @@ class MetricsRegistry:
     @staticmethod
     def parse_jsonl(text: str) -> List[dict]:
         return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-    # ------------------------------------------------------------------
-    # Prometheus text exporter
-    # ------------------------------------------------------------------
-    def to_prometheus(self) -> str:
-        lines: List[str] = []
-        for name in self.names():
-            metric = self._metrics[name]
-            if metric.help:
-                lines.append(f"# HELP {name} {_escape_help(metric.help)}")
-            lines.append(f"# TYPE {name} {metric.kind}")
-            if isinstance(metric, Histogram):
-                for sample in metric.samples():
-                    base = tuple(sorted(sample["labels"].items()))
-                    for bound, cumulative in sample["buckets"].items():
-                        key = base + (("le", bound),)
-                        lines.append(
-                            f"{name}_bucket{_format_labels(key)} {cumulative}"
-                        )
-                    inf_key = base + (("le", "+Inf"),)
-                    lines.append(
-                        f"{name}_bucket{_format_labels(inf_key)} {sample['count']}"
-                    )
-                    lines.append(
-                        f"{name}_sum{_format_labels(base)} {sample['sum']:g}"
-                    )
-                    lines.append(
-                        f"{name}_count{_format_labels(base)} {sample['count']}"
-                    )
-            else:
-                for sample in metric.samples():
-                    key = tuple(sorted(sample["labels"].items()))
-                    lines.append(
-                        f"{name}{_format_labels(key)} {sample['value']:g}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def write_prometheus(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_prometheus())
-
-
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n"}
-
-
-def _parse_label_body(line: str, start: int) -> Tuple[Dict[str, str], int]:
-    """Parse ``key="value",...}`` from ``line[start:]``.
-
-    Quote-aware: commas, braces, and escaped quotes *inside* a quoted
-    value never terminate it.  Returns ``(labels, index_after_brace)``.
-    """
-    labels: Dict[str, str] = {}
-    i = start
-    while i < len(line) and line[i] != "}":
-        eq = line.index("=", i)
-        key = line[i:eq]
-        if not _LABEL_RE.match(key):
-            raise ValueError(f"invalid label name {key!r} in {line!r}")
-        if eq + 1 >= len(line) or line[eq + 1] != '"':
-            raise ValueError(f"unquoted label value in {line!r}")
-        i = eq + 2
-        chars: List[str] = []
-        while i < len(line) and line[i] != '"':
-            ch = line[i]
-            if ch == "\\":
-                if i + 1 >= len(line):
-                    raise ValueError(f"dangling escape in {line!r}")
-                chars.append(_ESCAPES.get(line[i + 1], line[i + 1]))
-                i += 2
-            else:
-                chars.append(ch)
-                i += 1
-        if i >= len(line):
-            raise ValueError(f"unterminated label value in {line!r}")
-        labels[key] = "".join(chars)
-        i += 1  # closing quote
-        if i < len(line) and line[i] == ",":
-            i += 1
-    if i >= len(line):
-        raise ValueError(f"unterminated label set in {line!r}")
-    return labels, i + 1  # past the closing brace
-
-
-def _unescape_help(text: str) -> str:
-    chars: List[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            chars.append({"\\": "\\", "n": "\n"}.get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            chars.append(ch)
-            i += 1
-    return "".join(chars)
-
-
-def parse_prometheus_headers(text: str) -> Dict[str, Dict[str, str]]:
-    """Parse ``# HELP`` / ``# TYPE`` comment lines back per metric name.
-
-    Returns ``{name: {"help": ..., "type": ...}}`` with HELP text
-    un-escaped — the comment-line half of the exposition round-trip
-    (:func:`parse_prometheus` handles the sample lines).
-    """
-    headers: Dict[str, Dict[str, str]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line.startswith("#"):
-            continue
-        parts = line.split(" ", 3)
-        if len(parts) < 4 or parts[1] not in ("HELP", "TYPE"):
-            continue
-        _, keyword, name, rest = parts
-        entry = headers.setdefault(name, {})
-        if keyword == "HELP":
-            entry["help"] = _unescape_help(rest)
-        else:
-            entry["type"] = rest
-    return headers
-
-
-def samples_from_prometheus(text: str) -> List[dict]:
-    """Reconstruct exporter-shaped samples from Prometheus text.
-
-    Inverse of :meth:`MetricsRegistry.to_prometheus` as far as the
-    format allows: counters and gauges come back as
-    ``{metric, type, labels, value}``; ``_bucket``/``_sum``/``_count``
-    series reassemble into one histogram sample per label set.  The
-    exact observed min/max are not part of the exposition format, so
-    they are approximated conservatively from the occupied buckets —
-    quantile estimates stay inside the reconstructed range but can be
-    coarser than from the JSONL export.
-    """
-    headers = parse_prometheus_headers(text)
-    flat = parse_prometheus(text)
-    out: List[dict] = []
-    histograms: Dict[Tuple[str, LabelKey], dict] = {}
-    for sample in flat:
-        name, labels, value = sample["name"], sample["labels"], sample["value"]
-        base = None
-        for suffix in ("_bucket", "_sum", "_count"):
-            stem = name[: -len(suffix)] if name.endswith(suffix) else None
-            if stem and headers.get(stem, {}).get("type") == "histogram":
-                base = (stem, suffix)
-                break
-        if base is None:
-            out.append(
-                {
-                    "metric": name,
-                    "type": headers.get(name, {}).get("type", "untyped"),
-                    "labels": labels,
-                    "value": value,
-                }
-            )
-            continue
-        stem, suffix = base
-        key_labels = {k: v for k, v in labels.items() if k != "le"}
-        key = (stem, _label_key(key_labels))
-        agg = histograms.get(key)
-        if agg is None:
-            agg = histograms[key] = {
-                "metric": stem,
-                "type": "histogram",
-                "labels": key_labels,
-                "count": 0,
-                "sum": 0.0,
-                "buckets": {},
-            }
-            out.append(agg)
-        if suffix == "_sum":
-            agg["sum"] = value
-        elif suffix == "_count":
-            agg["count"] = int(value)
-        elif labels.get("le") not in (None, "+Inf"):
-            agg["buckets"][labels["le"]] = int(value)
-    for agg in histograms.values():
-        bounds = sorted(agg["buckets"], key=float)
-        agg["buckets"] = {b: agg["buckets"][b] for b in bounds}
-        previous = 0
-        occupied: List[int] = []
-        for i, bound in enumerate(bounds):
-            if agg["buckets"][bound] > previous:
-                occupied.append(i)
-            previous = agg["buckets"][bound]
-        if agg["count"] == 0:
-            agg["min"] = agg["max"] = None
-        elif occupied:
-            first, last = occupied[0], occupied[-1]
-            agg["min"] = float(bounds[first - 1]) if first else min(
-                float(bounds[0]), 0.0
-            )
-            overflow = agg["count"] > agg["buckets"][bounds[-1]]
-            agg["max"] = float(bounds[-1 if overflow else last])
-        else:  # all mass in the implicit +Inf bucket
-            agg["min"] = agg["max"] = float(bounds[-1]) if bounds else 0.0
-    return out
-
-
-def parse_prometheus(text: str) -> List[dict]:
-    """Parse Prometheus text back into ``{name, labels, value}`` samples.
-
-    Supports the subset :meth:`MetricsRegistry.to_prometheus` emits —
-    including escaped quotes/backslashes/newlines and commas or braces
-    inside label values — enough for exporter round-trip tests; not a
-    general scraper.
-    """
-    samples = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        brace = line.find("{")
-        space = line.find(" ")
-        labels: Dict[str, str] = {}
-        if brace != -1 and (space == -1 or brace < space):
-            name = line[:brace]
-            labels, after = _parse_label_body(line, brace + 1)
-            value_part = line[after:].strip()
-        else:
-            name, value_part = line.rsplit(" ", 1)
-        samples.append(
-            {"name": name, "labels": labels, "value": float(value_part)}
-        )
-    return samples

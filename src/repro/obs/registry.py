@@ -7,13 +7,9 @@ metrics the bench baselines use (wall seconds, simulated seconds, the F
 objective, modularity) plus enough workload identity (graph, engine,
 resolution, seed, workers) to know when two runs are comparable at all.
 
-:func:`diff_runs` reuses the bench harness's
-:func:`repro.bench.harness.compare` gate, run twice with different
-tolerances: timing metrics at the standard 10% and quality metrics at
-0.1% — a wall-clock wobble is noise, an objective drop is a bug.
-
 The CLI surface is ``repro cluster --register runs.jsonl [--run-id ID]``
-to append and ``repro obs report`` / ``repro obs diff`` to read back.
+to append, ``repro obs report`` to read back and ``repro doctor`` to
+gate a run against its same-workload history.
 """
 
 from __future__ import annotations
@@ -24,21 +20,10 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.bench.harness import BASELINE_SCHEMA, CompareReport, compare
-
 RUNS_SCHEMA = "repro.obs.runs/v1"
 
-#: Relative worsening on wall/simulated seconds that flags a regression.
-WALL_TOLERANCE = 0.10
-
-#: Relative worsening on objective/modularity that flags a regression.
-OBJECTIVE_TOLERANCE = 0.001
-
-#: Metrics compared at :data:`WALL_TOLERANCE` (lower is better).
-TIMING_METRICS = ("wall_seconds", "sim_time_seconds")
-
-#: Metrics compared at :data:`OBJECTIVE_TOLERANCE` (higher is better).
-QUALITY_METRICS = ("f_objective", "modularity")
+#: Numeric metrics every record carries.
+RUN_METRICS = ("wall_seconds", "sim_time_seconds", "f_objective", "modularity")
 
 _REQUIRED_KEYS = ("schema", "run_id", "timestamp", "workload", "metrics")
 
@@ -67,7 +52,7 @@ def validate_run_record(record: dict) -> List[str]:
     if not isinstance(metrics, dict):
         problems.append("metrics must be an object")
     else:
-        for name in TIMING_METRICS + QUALITY_METRICS:
+        for name in RUN_METRICS:
             if name not in metrics:
                 problems.append(f"metrics missing {name!r}")
             elif not isinstance(metrics[name], (int, float)):
@@ -87,7 +72,8 @@ def make_record(
     ``workload`` may carry arbitrary extra identity keys beyond the
     standard ones — the dynamic subsystem tags its runs with a nested
     ``update_batch`` object (batches, updates per op, escalations) so
-    ``repro obs diff`` only compares dynamic runs against dynamic runs.
+    the doctor's trend history for a dynamic run holds only runs with
+    the same update workload.
     """
     record = {
         "schema": RUNS_SCHEMA,
@@ -148,9 +134,9 @@ def append_run(path, record: dict) -> None:
     The append is crash-safe: the new content is written to a temp file
     in the same directory, fsynced, and renamed over the registry, so a
     run killed mid-append can never leave a torn JSON line that poisons
-    ``repro obs report``/``diff``.  A torn tail left by some *earlier*
-    non-atomic writer (no trailing newline — the newline is the commit
-    marker) is dropped rather than propagated.  Registries are small
+    ``repro obs report`` or the doctor.  A torn tail left by some
+    *earlier* non-atomic writer (no trailing newline — the newline is the
+    commit marker) is dropped rather than propagated.  Registries are small
     (one line per registered run), so the rewrite-on-append cost is noise
     next to the clustering run being registered.
     """
@@ -218,58 +204,3 @@ def find_run(records: List[dict], run_id: str) -> dict:
             return record
     known = ", ".join(sorted({r["run_id"] for r in records})) or "<none>"
     raise RunRegistryError(f"run id {run_id!r} not in registry (have: {known})")
-
-
-def _as_baseline(record: dict, metrics: tuple, direction: str) -> dict:
-    """Shape one run record as a single-row bench baseline payload."""
-    return {
-        "schema": BASELINE_SCHEMA,
-        "name": "runs",
-        "directions": {name: direction for name in metrics},
-        "rows": [
-            {
-                "key": record["run_id"],
-                "metrics": {
-                    name: record["metrics"][name]
-                    for name in metrics
-                    if name in record["metrics"]
-                },
-                "info": record.get("info", {}),
-            }
-        ],
-    }
-
-
-def diff_runs(
-    baseline: dict,
-    current: dict,
-    wall_tolerance: float = WALL_TOLERANCE,
-    objective_tolerance: float = OBJECTIVE_TOLERANCE,
-) -> CompareReport:
-    """Compare two run records; regressions fail (``report.ok``).
-
-    The current record's row key is rewritten to the baseline's so the
-    bench compare machinery pairs them up; workload mismatches are
-    surfaced in ``skipped`` rather than silently compared.
-    """
-    report = CompareReport(suite="runs")
-    if baseline.get("workload") != current.get("workload"):
-        report.skipped.append(
-            f"workloads differ: {baseline.get('workload')} vs "
-            f"{current.get('workload')} (metrics compared anyway)"
-        )
-    current_aligned = dict(current, run_id=baseline["run_id"])
-    for metrics, direction, tolerance in (
-        (TIMING_METRICS, "lower", wall_tolerance),
-        (QUALITY_METRICS, "higher", objective_tolerance),
-    ):
-        partial = compare(
-            _as_baseline(baseline, metrics, direction),
-            _as_baseline(current_aligned, metrics, direction),
-            tolerance=tolerance,
-        )
-        report.regressions.extend(partial.regressions)
-        report.improvements.extend(partial.improvements)
-        report.skipped.extend(partial.skipped)
-        report.compared += partial.compared
-    return report

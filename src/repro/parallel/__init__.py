@@ -26,14 +26,12 @@ Components mirror the GBBS primitives the paper relies on:
 from repro.parallel.atomics import contention_profile
 from repro.parallel.edge_map import edge_map
 from repro.parallel.scheduler import CostLedger, Machine, SimulatedScheduler
-from repro.parallel.union_find import UnionFind
 from repro.parallel.vertex_subset import VertexSubset
 
 __all__ = [
     "CostLedger",
     "Machine",
     "SimulatedScheduler",
-    "UnionFind",
     "VertexSubset",
     "contention_profile",
     "edge_map",

@@ -13,8 +13,6 @@ Layers, bottom up:
 * :mod:`repro.serving.drivers` — the real-thread driver: client
   threads that serve their reads at once, plus one commit thread, on
   the wall clock;
-* :mod:`repro.serving.session` — scripted single-client sessions
-  (``repro serve --script``) with deterministic transcripts;
 * :mod:`repro.serving.workload` — seeded mixed read/write workload
   generation (open/closed-loop arrivals).
 """

@@ -27,10 +27,10 @@ through a fresh clusterer (:func:`replay_digests`) must reproduce the
 gateway's per-epoch label digests bit-identically, under any
 interleaving and any write shedding.
 
-Single-client work goes through the same front: scripted sessions
-(:mod:`repro.serving.session`) and ``repro update`` stage and commit
-here, and :meth:`~ServingGateway.save`, :meth:`~ServingGateway.audit`
-and :meth:`~ServingGateway.close` complete the op surface.  When
+Single-client work goes through the same front: ``repro update``
+stages and commits here, and :meth:`~ServingGateway.save`,
+:meth:`~ServingGateway.audit` and :meth:`~ServingGateway.close`
+complete the op surface.  When
 instrumented, commit/save/audit wall times land in the
 ``repro_serve_op_seconds`` histogram beside the read/write request
 latencies, which the serving SLOs gate on.
@@ -189,9 +189,7 @@ class ServingGateway:
         if self.instr.enabled:
             with self._lock:
                 self.instr.metrics.histogram(
-                    M_SERVE_LATENCY,
-                    "Serving-facade op latency in seconds, by op",
-                    buckets=SERVE_LATENCY_BUCKETS,
+                    M_SERVE_LATENCY, buckets=SERVE_LATENCY_BUCKETS
                 ).observe(max(0.0, latency), op=op)
 
     def _op_start(self) -> Optional[float]:

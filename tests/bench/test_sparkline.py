@@ -1,6 +1,4 @@
-import pytest
-
-from repro.bench.sparkline import ascii_chart, sparkline
+from repro.bench.sparkline import sparkline
 
 
 class TestSparkline:
@@ -21,32 +19,3 @@ class TestSparkline:
         line = sparkline([0, 100, 0])
         assert line == "▁█▁"
 
-
-class TestAsciiChart:
-    def test_contains_points(self):
-        chart = ascii_chart([1, 2, 3], [1, 4, 9], width=20, height=6)
-        assert chart.count("*") == 3
-
-    def test_label_included(self):
-        chart = ascii_chart([1, 2], [1, 2], label="speedup")
-        assert chart.startswith("speedup")
-
-    def test_axis_annotations(self):
-        chart = ascii_chart([0, 10], [0.5, 2.5], width=12, height=4)
-        assert "2.5" in chart
-        assert "0.5" in chart
-
-    def test_misaligned_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_chart([1, 2], [1])
-
-    def test_tiny_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_chart([1], [1], width=1)
-
-    def test_empty(self):
-        assert ascii_chart([], []) == "(empty chart)"
-
-    def test_duplicate_points_collapse(self):
-        chart = ascii_chart([1, 1], [2, 2], width=10, height=4)
-        assert chart.count("*") == 1

@@ -1,7 +1,9 @@
-"""Scripted sessions and single-client ops on the serving gateway."""
+"""Single-client ops on the serving gateway: reads, commits, save, audit."""
 
+import numpy as np
 import pytest
 
+from repro.cli import _commit_staged
 from repro.core.config import ClusteringConfig
 from repro.dynamic.clusterer import DriftGuard, DynamicClusterer
 from repro.dynamic.snapshot import SnapshotStore
@@ -9,7 +11,6 @@ from repro.dynamic.updates import EdgeUpdate
 from repro.errors import UpdateError
 from repro.graphs.karate import karate_club_graph
 from repro.serving import Request, ServingGateway
-from repro.serving.session import run_session
 
 pytestmark = pytest.mark.dynamic
 
@@ -23,104 +24,107 @@ def make_clusterer(seed=1):
     )
 
 
-def session(script, store=None, dc=None):
-    """Run ``script`` on a fresh gateway over ``dc`` (default: new karate)."""
-    gateway = ServingGateway(dc if dc is not None else make_clusterer())
-    return run_session(gateway, script, store)
-
-
 def write(rid, update):
     return Request.write(rid, update)
+
+
+def read(gateway, kind, *args):
+    return gateway.serve_read(Request.read(0, kind, *args), 0.0).value
+
+
+def stage(gateway, *updates):
+    for rid, update in enumerate(updates):
+        assert gateway.stage_write(write(rid, update), 0.0) is None
+
+
+def insert_commit_save(gateway, store):
+    """One write, one commit and one save; the labels and digests it left."""
+    stage(gateway, EdgeUpdate("insert", 0, 9, 1.0))
+    (response,) = gateway.commit(0.0)
+    assert response.status == "ok"
+    gateway.save(store)
+    assert gateway.audit() == []
+    return gateway.clusterer.state.assignments.copy(), list(gateway.epoch_log)
 
 
 class TestQueries:
     def test_get_and_same(self):
         dc = make_clusterer()
-        out = session(["get 0", "same 0 1", "same 0 33"], dc=dc)
-        assert out[0] == f"cluster_of(0) = {dc.state.assignments[0]}"
-        assert out[1].startswith("same(0, 1) = ")
-        assert out[2].startswith("same(0, 33) = ")
+        gateway = ServingGateway(dc)
+        labels = dc.state.assignments
+        assert read(gateway, "cluster_of", 0) == labels[0]
+        assert read(gateway, "same", 0, 1) == (labels[0] == labels[1])
+        assert read(gateway, "same", 0, 33) == (labels[0] == labels[33])
 
     def test_members_and_stats(self):
         dc = make_clusterer()
-        out = session([f"members {dc.state.assignments[0]}", "stats"], dc=dc)
-        assert out[0].startswith("members(")
-        assert "num_vertices=34" in out[1]
-        assert "batches_applied=0" in out[1]
-        # Wall/sim seconds stay out of the transcript (determinism).
-        assert "sim" not in out[1]
-
-    def test_comments_and_blanks_skipped(self):
-        assert session(["# nothing", "", "   "]) == []
+        gateway = ServingGateway(dc)
+        cluster = dc.state.assignments[0]
+        members = read(gateway, "members", cluster)
+        assert 0 in members.tolist()
+        assert np.all(dc.state.assignments[members] == cluster)
+        stats = gateway.stats()["clusterer"]
+        assert stats["num_vertices"] == 34
+        assert stats["batches_applied"] == 0
 
     def test_audit_clean(self):
-        assert session(["audit"]) == ["audit: clean"]
+        assert ServingGateway(make_clusterer()).audit() == []
 
 
 class TestUpdatesAndCommit:
     def test_commit_applies_staged_batch(self):
         dc = make_clusterer()
-        out = session(
-            ["insert 0 9", "reweight 0 1 2.0", "delete 0 2", "commit", "audit"],
-            dc=dc,
+        gateway = ServingGateway(dc)
+        stage(
+            gateway,
+            EdgeUpdate("insert", 0, 9, 1.0),
+            EdgeUpdate("reweight", 0, 1, 2.0),
+            EdgeUpdate("delete", 0, 2),
         )
-        assert out[0] == "staged insert (0, 9) w=1"
-        assert out[1] == "staged reweight (0, 1) w=2"
-        assert out[2] == "staged delete (0, 2)"
-        assert out[3].startswith("commit[0]: updates=3 seed=4 ")
-        assert out[4] == "audit: clean"
+        responses = gateway.commit(0.0)
+        assert [r.status for r in responses] == ["ok"] * 3
+        assert {r.epoch for r in responses} == {1}
+        report = gateway.committed[-1]["report"]
+        assert report.batch_index == 0
+        assert report.num_updates == 3
+        assert report.seed_size == 4
+        assert gateway.audit() == []
         assert dc.batches_applied == 1
+        assert gateway.commit(0.0) == []  # nothing staged
         # Reads after the commit answer from the newly published epoch.
-        (line,) = session(["get 9"], dc=dc)
-        assert line == f"cluster_of(9) = {dc.state.assignments[9]}"
+        response = gateway.serve_read(Request.read(9, "cluster_of", 9), 0.0)
+        assert response.epoch == 1
+        assert response.value == dc.state.assignments[9]
 
-    def test_transcript_is_deterministic(self):
-        script = ["insert 0 9", "commit", "get 9", "stats"]
-        assert session(script) == session(script)
-
-    def test_uncommitted_warning(self):
-        dc = make_clusterer()
-        out = session(["insert 0 9", "commit", "commit"], dc=dc)
-        assert out[-1] == "commit: nothing staged"
-        out = session(["insert 0 10"], dc=dc)
-        assert out[-1] == "warning: 1 staged updates never committed"
-        assert dc.batches_applied == 1
-
-    def test_save_requires_store(self):
-        with pytest.raises(UpdateError, match="snapshot store"):
-            session(["save"])
+    def test_commits_are_deterministic(self, tmp_path):
+        first = insert_commit_save(
+            ServingGateway(make_clusterer()), SnapshotStore(tmp_path / "a")
+        )
+        second = insert_commit_save(
+            ServingGateway(make_clusterer()), SnapshotStore(tmp_path / "b")
+        )
+        assert np.array_equal(first[0], second[0])
+        assert first[1] == second[1]
 
     def test_save_rotates_store(self, tmp_path):
         store = SnapshotStore(tmp_path)
-        out = session(["save", "insert 0 9", "commit", "save"], store)
-        assert out[0] == "saved snap-a.npz"
-        assert out[3] == "saved snap-b.npz"
+        gateway = ServingGateway(make_clusterer())
+        assert gateway.save(store).name == "snap-a.npz"
+        stage(gateway, EdgeUpdate("insert", 0, 9, 1.0))
+        gateway.commit(0.0)
+        assert gateway.save(store).name == "snap-b.npz"
         assert store.latest().name == "snap-b.npz"
 
 
 class TestErrors:
-    def test_unknown_command_reports_line(self):
-        with pytest.raises(UpdateError, match="line 2.*frobnicate"):
-            session(["get 0", "frobnicate"])
-
-    def test_bad_arity(self):
-        with pytest.raises(UpdateError, match="argument"):
-            session(["get 0 1"])
-        with pytest.raises(UpdateError, match="commit takes no"):
-            session(["commit now"])
-        with pytest.raises(UpdateError, match="insert takes"):
-            session(["insert 0"])
-
-    def test_bad_integers(self):
-        with pytest.raises(UpdateError, match="line 1"):
-            session(["get zero"])
-
-    def test_update_error_carries_script_context(self):
-        # The gateway rejects the write at commit time, so the commit line
-        # is blamed; the valid write of the same cycle still committed.
+    def test_rejected_write_raises_after_valid_writes_commit(self):
+        # The gateway rejects the write at commit time; the valid write of
+        # the same cycle still committed before the error is raised.
         dc = make_clusterer()
-        with pytest.raises(UpdateError, match="line 3.*absent"):
-            session(["insert 0 9", "delete 0 20", "commit"], dc=dc)
+        gateway = ServingGateway(dc)
+        stage(gateway, EdgeUpdate("insert", 0, 9, 1.0), EdgeUpdate("delete", 0, 20))
+        with pytest.raises(UpdateError, match="absent"):
+            _commit_staged(gateway, 0.0)
         assert dc.batches_applied == 1
         assert dc.overlay.edge_weight(0, 9) == 1.0
 
@@ -200,18 +204,19 @@ class TestServingTelemetry:
         assert staleness() == 0.0
         assert dc.stats()["updates_since_save"] == 0
 
-    def test_transcripts_identical_with_and_without_telemetry(self, tmp_path):
-        script = ["get 0", "insert 0 9", "commit", "save", "stats", "audit"]
-        plain = session(script, SnapshotStore(tmp_path / "a"))
-        dc, _ = self.make_instrumented()
-        timed = session(script, SnapshotStore(tmp_path / "b"), dc=dc)
-        assert plain == timed
-
-    def test_run_session_accepts_prebuilt_server(self, tmp_path):
-        gateway = ServingGateway(make_clusterer())
-        out = run_session(gateway, ["save"], SnapshotStore(tmp_path))
-        assert out == ["saved snap-a.npz"]
-        assert not gateway.closed
+    def test_labels_and_digests_identical_with_and_without_telemetry(
+        self, tmp_path
+    ):
+        plain = insert_commit_save(
+            ServingGateway(make_clusterer()), SnapshotStore(tmp_path / "a")
+        )
+        dc, instr = self.make_instrumented()
+        timed = insert_commit_save(
+            ServingGateway(dc), SnapshotStore(tmp_path / "b")
+        )
+        assert instr.metrics.collect()
+        assert np.array_equal(plain[0], timed[0])
+        assert plain[1] == timed[1]
 
 
 class TestLifecycle:

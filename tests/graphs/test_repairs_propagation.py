@@ -1,9 +1,8 @@
 """Input-repair provenance must survive every graph derivation.
 
 ``read_edge_list(..., on_malformed="repair")`` attaches ``graph.repairs``;
-a run on any graph derived from it — subgraphs, cores, quotients, weight
-views, delta compactions — must still report
-``stats_dict()["input_repairs"]``.
+a run on any graph derived from it — quotients, weight views, delta
+compactions — must still report ``stats_dict()["input_repairs"]``.
 """
 
 import numpy as np
@@ -13,12 +12,6 @@ from repro.core.api import cluster
 from repro.core.config import ClusteringConfig
 from repro.graphs.karate import karate_club_graph
 from repro.graphs.quotient import compress_graph, compress_graph_naive
-from repro.graphs.transform import (
-    cluster_subgraph,
-    induced_subgraph,
-    k_core,
-    largest_component,
-)
 
 REPAIRS = {"bad_weight": 2, "self_loop": 1}
 
@@ -28,28 +21,6 @@ def repaired_karate():
     graph = karate_club_graph()
     graph.repairs = dict(REPAIRS)
     return graph
-
-
-def test_induced_subgraph(repaired_karate):
-    sub, _ = induced_subgraph(repaired_karate, np.arange(10))
-    assert sub.repairs == REPAIRS
-
-
-def test_cluster_subgraph(repaired_karate):
-    assignments = np.zeros(34, dtype=np.int64)
-    assignments[17:] = 1
-    sub, _ = cluster_subgraph(repaired_karate, assignments, 0)
-    assert sub.repairs == REPAIRS
-
-
-def test_largest_component(repaired_karate):
-    sub, _ = largest_component(repaired_karate)
-    assert sub.repairs == REPAIRS
-
-
-def test_k_core(repaired_karate):
-    core, _ = k_core(repaired_karate, 3)
-    assert core.repairs == REPAIRS
 
 
 @pytest.mark.parametrize("compress", [compress_graph, compress_graph_naive])
@@ -75,8 +46,6 @@ def test_weight_views(repaired_karate):
 
 def test_clean_graphs_stay_clean():
     graph = karate_club_graph()
-    sub, _ = induced_subgraph(graph, np.arange(10))
-    assert sub.repairs is None
     compressed, _ = compress_graph(graph, np.arange(34, dtype=np.int64) % 5)
     assert compressed.repairs is None
     assert graph.with_unit_weights().repairs is None
@@ -89,9 +58,3 @@ def test_multilevel_run_reports_repairs(repaired_karate):
     )
     assert result.stats_dict()["input_repairs"] == REPAIRS
 
-
-def test_preprocessed_run_reports_repairs(repaired_karate):
-    """Preprocess (giant component) then cluster — provenance intact."""
-    sub, _ = largest_component(repaired_karate)
-    result = cluster(sub, ClusteringConfig(resolution=0.1, seed=1))
-    assert result.stats_dict()["input_repairs"] == REPAIRS

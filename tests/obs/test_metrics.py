@@ -1,4 +1,4 @@
-"""Metrics registry: kinds, labels, and both exporter round trips."""
+"""Metrics registry: kinds, labels, quantiles and the JSONL round trip."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    parse_prometheus,
 )
 
 
@@ -69,10 +68,10 @@ def test_registry_lazy_creation_and_kind_conflict():
 
 def _populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
-    registry.counter("moves_total", "moves").inc(7, engine="relaxed")
+    registry.counter("moves_total").inc(7, engine="relaxed")
     registry.counter("moves_total").inc(3, engine="event")
-    registry.gauge("objective_f", "final F").set(12.5)
-    hist = registry.histogram("gain", "round gains", buckets=[1.0, 10.0])
+    registry.gauge("objective_f").set(12.5)
+    hist = registry.histogram("gain", buckets=[1.0, 10.0])
     hist.observe(0.5, engine="relaxed")
     hist.observe(5.0, engine="relaxed")
     return registry
@@ -91,32 +90,9 @@ def test_jsonl_round_trip(tmp_path):
     assert by_metric["gain"][0]["count"] == 2
 
 
-def test_prometheus_round_trip(tmp_path):
-    registry = _populated_registry()
-    path = tmp_path / "metrics.prom"
-    registry.write_prometheus(path)
-    text = path.read_text()
-    assert "# HELP moves_total moves" in text
-    assert "# TYPE gain histogram" in text
-    samples = parse_prometheus(text)
-    by = {
-        (s["name"], tuple(sorted(s["labels"].items()))): s["value"]
-        for s in samples
-    }
-    assert by[("moves_total", (("engine", "relaxed"),))] == 7
-    assert by[("objective_f", ())] == 12.5
-    assert by[("gain_count", (("engine", "relaxed"),))] == 2
-    assert by[("gain_sum", (("engine", "relaxed"),))] == 5.5
-    # Cumulative bucket series, including the implicit +Inf.
-    assert by[("gain_bucket", (("engine", "relaxed"), ("le", "1")))] == 1
-    assert by[("gain_bucket", (("engine", "relaxed"), ("le", "10")))] == 2
-    assert by[("gain_bucket", (("engine", "relaxed"), ("le", "+Inf")))] == 2
-
-
 def test_empty_registry_exports_empty():
     registry = MetricsRegistry()
     assert registry.to_jsonl() == ""
-    assert registry.to_prometheus() == ""
     assert registry.collect() == []
 
 
@@ -155,49 +131,8 @@ def test_histogram_quantile_edge_cases():
         hist.quantile(1.5)
 
 
-def test_prometheus_escaped_label_values_round_trip():
-    registry = MetricsRegistry()
-    nasty = 'say "hi", {a}=b\\c\nnewline'
-    registry.counter("weird_total").inc(4, site=nasty, plain="ok")
-    text = registry.to_prometheus()
-    # The emitted line escapes backslash, quote, and newline.
-    assert '\\"hi\\"' in text
-    assert "\\\\c" in text
-    assert "\\n" in text
-    (sample,) = [s for s in parse_prometheus(text) if s["name"] == "weird_total"]
-    assert sample["labels"] == {"site": nasty, "plain": "ok"}
-    assert sample["value"] == 4
-
-
-def test_prometheus_histogram_bucket_lines_round_trip_with_labels():
-    registry = MetricsRegistry()
-    hist = registry.histogram("probe", buckets=[1.0, 2.5, 5.0])
-    for value in (0.5, 2.0, 2.0, 4.0, 9.0):
-        hist.observe(value, kernel="par", site='a,"b"')
-    samples = parse_prometheus(registry.to_prometheus())
-    buckets = {
-        s["labels"]["le"]: s["value"]
-        for s in samples
-        if s["name"] == "probe_bucket"
-    }
-    assert buckets == {"1": 1, "2.5": 3, "5": 4, "+Inf": 5}
-    for sample in samples:
-        if sample["name"].startswith("probe"):
-            assert sample["labels"]["kernel"] == "par"
-            assert sample["labels"]["site"] == 'a,"b"'
-    (count,) = [s for s in samples if s["name"] == "probe_count"]
-    assert count["value"] == 5
-
-
-def test_parse_prometheus_rejects_malformed_labels():
-    with pytest.raises(ValueError, match="unterminated"):
-        parse_prometheus('bad{site="open 1')
-    with pytest.raises(ValueError, match="unquoted"):
-        parse_prometheus("bad{site=open} 1")
-
-
 # ----------------------------------------------------------------------
-# Quantile edge cases, offline sample quantiles, exposition round trips
+# Quantile edge cases and offline sample quantiles
 # ----------------------------------------------------------------------
 
 def test_quantile_edges_with_all_mass_in_overflow():
@@ -254,76 +189,3 @@ def test_sample_quantile_survives_jsonl_round_trip():
     assert sample_quantile(parsed, 0.95) == pytest.approx(
         hist.quantile(0.95, op="commit")
     )
-
-
-def test_help_text_escaping_round_trip():
-    from repro.obs.metrics import parse_prometheus_headers
-
-    registry = MetricsRegistry()
-    weird = "line one\nline two \\ backslash"
-    registry.counter("c_total", weird).inc(1)
-    registry.gauge("g", "plain help").set(2.0)
-    text = registry.to_prometheus()
-    # The exposition stays single-line per comment.
-    for line in text.splitlines():
-        assert line.count("# HELP") <= 1
-    headers = parse_prometheus_headers(text)
-    assert headers["c_total"] == {"help": weird, "type": "counter"}
-    assert headers["g"] == {"help": "plain help", "type": "gauge"}
-
-
-def test_parse_headers_ignores_short_comment_lines():
-    from repro.obs.metrics import parse_prometheus_headers
-
-    headers = parse_prometheus_headers("# HELP incomplete\n# hello\nx 1\n")
-    assert headers == {}
-
-
-def test_samples_from_prometheus_round_trip():
-    from repro.obs.metrics import samples_from_prometheus
-
-    registry = MetricsRegistry()
-    registry.counter("moves_total", "moves").inc(7, engine="relaxed")
-    registry.gauge("objective", "F").set(54.4)
-    hist = registry.histogram("lat", "latency", buckets=[0.001, 0.01, 0.1])
-    for value in (0.0005, 0.002, 0.004, 0.05):
-        hist.observe(value, op="commit")
-    reconstructed = {
-        (s["metric"], tuple(sorted(s["labels"].items()))): s
-        for s in samples_from_prometheus(registry.to_prometheus())
-    }
-    counter = reconstructed[("moves_total", (("engine", "relaxed"),))]
-    assert counter["type"] == "counter" and counter["value"] == 7
-    gauge = reconstructed[("objective", ())]
-    assert gauge["type"] == "gauge" and gauge["value"] == pytest.approx(54.4)
-    histo = reconstructed[("lat", (("op", "commit"),))]
-    assert histo["type"] == "histogram"
-    assert histo["count"] == 4
-    assert histo["sum"] == pytest.approx(0.0565)
-    assert histo["buckets"] == {"0.001": 1, "0.01": 3, "0.1": 4}
-    # min/max are approximations (the format drops them), but they must
-    # bracket the occupied buckets so sample_quantile stays in range.
-    from repro.obs.metrics import sample_quantile
-
-    assert histo["min"] <= 0.001
-    assert histo["max"] == pytest.approx(0.1)
-    assert 0.0 <= sample_quantile(histo, 0.5) <= 0.1
-
-
-def test_prometheus_fuzzish_label_round_trip():
-    """Property-style sweep: nasty label values survive the exposition."""
-    import itertools
-
-    fragments = ['"', "\\", "\n", ",", "{", "}", "=", " ", "a", "é"]
-    cases = ["".join(combo) for combo in itertools.permutations(fragments, 3)]
-    # Keep runtime sane: a deterministic striding sample of permutations.
-    for i, value in enumerate(cases[::17]):
-        registry = MetricsRegistry()
-        registry.counter("fuzz_total").inc(i + 1, site=value, idx=str(i))
-        parsed = [
-            s for s in parse_prometheus(registry.to_prometheus())
-            if s["name"] == "fuzz_total"
-        ]
-        (sample,) = parsed
-        assert sample["labels"]["site"] == value, repr(value)
-        assert sample["value"] == i + 1

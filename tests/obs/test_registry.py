@@ -1,4 +1,4 @@
-"""Run registry: schema, append/load, and the cross-run diff gate."""
+"""Run registry: schema, append/load and run lookup."""
 
 import json
 
@@ -8,11 +8,9 @@ from repro.core.api import cluster
 from repro.core.config import ClusteringConfig
 from repro.graphs.karate import karate_club_graph
 from repro.obs.registry import (
-    OBJECTIVE_TOLERANCE,
     RUNS_SCHEMA,
     RunRegistryError,
     append_run,
-    diff_runs,
     find_run,
     load_runs,
     make_run_record,
@@ -72,58 +70,6 @@ def test_find_run_latest_wins_on_reused_id(result, tmp_path):
         path, make_run_record(result, run_id="r", graph="karate", timestamp=2.0)
     )
     assert find_run(load_runs(path), "r")["timestamp"] == 2.0
-
-
-def _record(result, run_id, **metric_overrides):
-    record = make_run_record(result, run_id=run_id, graph="karate")
-    record["metrics"].update(metric_overrides)
-    return record
-
-
-def test_diff_passes_identical_runs(result):
-    base = _record(result, "base")
-    report = diff_runs(base, _record(result, "same"))
-    assert report.ok
-    assert report.compared == 4
-
-
-def test_diff_flags_wall_regression_over_ten_percent(result):
-    base = _record(result, "base")
-    slower = _record(
-        result, "slower", wall_seconds=base["metrics"]["wall_seconds"] * 1.2
-    )
-    report = diff_runs(base, slower)
-    assert not report.ok
-    assert [r.metric for r in report.regressions] == ["wall_seconds"]
-    # 5% slower stays within the wall tolerance.
-    ok = _record(
-        result, "ok", wall_seconds=base["metrics"]["wall_seconds"] * 1.05
-    )
-    assert diff_runs(base, ok).ok
-
-
-def test_diff_flags_small_objective_regression(result):
-    base = _record(result, "base")
-    worse = _record(
-        result, "worse", f_objective=base["metrics"]["f_objective"] * 0.995
-    )
-    report = diff_runs(base, worse)
-    assert not report.ok
-    assert [r.metric for r in report.regressions] == ["f_objective"]
-    assert report.regressions[0].change > OBJECTIVE_TOLERANCE
-    # The same 0.5% change on wall time would be far below its tolerance,
-    # which is the point of the split thresholds.
-    jitter = _record(
-        result, "jitter", wall_seconds=base["metrics"]["wall_seconds"] * 1.005
-    )
-    assert diff_runs(base, jitter).ok
-
-
-def test_diff_notes_workload_mismatch(result):
-    base = _record(result, "base")
-    other = make_run_record(result, run_id="other", graph="different-graph")
-    report = diff_runs(base, other)
-    assert any("workloads differ" in note for note in report.skipped)
 
 
 def test_registry_record_is_json_line(result, tmp_path):

@@ -8,7 +8,7 @@ gate ``make smoke-obs`` runs.
 import pytest
 
 from repro.cli import main as cli_main
-from repro.obs.metrics import parse_prometheus
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import validate_trace_file
 from repro.obs.tracer import Tracer, span_tree
 
@@ -16,8 +16,8 @@ pytestmark = pytest.mark.obs
 
 
 def test_traced_cli_clustering_smoke(tmp_path, capsys):
-    trace = tmp_path / "run.jsonl"
-    metrics = tmp_path / "run.prom"
+    trace = tmp_path / "trace.jsonl"
+    metrics = tmp_path / "run.jsonl"
     assert cli_main(
         [
             "cluster", "--karate", "--resolution", "0.05", "--seed", "3",
@@ -39,10 +39,11 @@ def test_traced_cli_clustering_smoke(tmp_path, capsys):
     assert names == {"run", "level", "phase", "round"}
 
     # Metrics parse back with nonzero moves and a final objective.
-    samples = parse_prometheus(metrics.read_text())
+    samples = MetricsRegistry.parse_jsonl(metrics.read_text())
     by_name = {}
     for sample in samples:
-        by_name.setdefault(sample["name"], []).append(sample["value"])
+        if sample["type"] != "histogram":
+            by_name.setdefault(sample["metric"], []).append(sample["value"])
     assert sum(by_name["repro_moves_total"]) > 0
     assert by_name["repro_objective_f"][0] > 0
 

@@ -131,14 +131,6 @@ class TestDoctorCommand:
         assert main(["doctor", "missing", "--runs", str(runs)]) == 2
         assert "not in registry" in capsys.readouterr().err
 
-    def test_prometheus_metrics_file_is_accepted(self, tmp_path, capsys):
-        prom = tmp_path / "m.prom"
-        assert main(RUN + ["--metrics", str(prom)]) == 0
-        capsys.readouterr()
-        assert main(["doctor", "--metrics", str(prom)]) == 0
-        out = capsys.readouterr().out
-        assert "cas-retry-rate" in out
-
     def test_stats_file_from_profile_json(self, tmp_path, capsys):
         payload = tmp_path / "profile.json"
         assert main(RUN + ["--profile-json", str(payload)]) == 0

@@ -1,4 +1,4 @@
-"""CLI: ``repro update``, ``repro serve --script``, and label round-trips."""
+"""CLI: ``repro update`` and label round-trips."""
 
 import json
 
@@ -162,31 +162,3 @@ class TestUpdateCommand:
         log = write_log(tmp_path / "u.jsonl", BASIC_UPDATES[:1])
         with pytest.raises(SystemExit):
             main(["update", "--updates", log])
-
-
-class TestServeSimCommand:
-    def test_scripted_session(self, tmp_path, capsys):
-        script = tmp_path / "session.txt"
-        script.write_text(
-            "get 0\nsame 0 1\ninsert 0 9\ncommit\nstats\naudit\n"
-        )
-        code = main(
-            ["serve", "--karate", "--seed", "1", "--script", str(script)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "cluster_of(0) = " in out
-        assert "commit[0]: updates=1" in out
-        assert "audit: clean" in out
-
-    def test_save_into_store(self, tmp_path, capsys):
-        script = tmp_path / "session.txt"
-        script.write_text("save\n")
-        snapdir = tmp_path / "store"
-        code = main(
-            ["serve", "--karate", "--seed", "1", "--script", str(script),
-             "--snapshot-dir", str(snapdir)]
-        )
-        assert code == 0
-        assert "saved snap-a.npz" in capsys.readouterr().out
-        assert (snapdir / "snap-a.npz").exists()

@@ -1,4 +1,4 @@
-"""Tests for the sweep / hierarchy / consensus CLI subcommands."""
+"""Tests for the sweep / hierarchy CLI subcommands and METIS input."""
 
 import numpy as np
 import pytest
@@ -46,55 +46,6 @@ class TestHierarchyCommand:
         assert main(["hierarchy", "--input", str(path), "--seed", "0"]) == 0
 
 
-class TestReportCommand:
-    def test_report_fields(self, tmp_path, capsys):
-        labels_path = tmp_path / "labels.txt"
-        main(["cluster", "--karate", "--resolution", "0.1", "--seed", "1",
-              "--output", str(labels_path)])
-        capsys.readouterr()
-        assert main(["report", "--karate", "--labels", str(labels_path),
-                     "--resolution", "0.1"]) == 0
-        out = capsys.readouterr().out
-        assert "CC objective" in out
-        assert "modularity" in out
-        assert "conductance" in out
-
-    def test_report_with_communities(self, tmp_path, capsys):
-        labels_path = tmp_path / "labels.txt"
-        labels_path.write_text("\n".join("0" for _ in range(34)) + "\n")
-        comms = tmp_path / "c.txt"
-        write_communities([np.arange(0, 17)], comms)
-        main(["report", "--karate", "--labels", str(labels_path),
-              "--communities", str(comms)])
-        out = capsys.readouterr().out
-        assert "precision" in out
-
-    def test_length_mismatch(self, tmp_path):
-        labels_path = tmp_path / "labels.txt"
-        labels_path.write_text("0\n1\n")
-        with pytest.raises(SystemExit):
-            main(["report", "--karate", "--labels", str(labels_path)])
-
-
-class TestConsensusCommand:
-    def test_consensus_runs(self, capsys):
-        assert main(["consensus", "--karate", "--resolution", "0.1",
-                     "--runs", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "consensus over 3 runs" in out
-
-    def test_output_file(self, tmp_path, capsys):
-        path = tmp_path / "labels.txt"
-        main(["consensus", "--karate", "--resolution", "0.1", "--runs", "2",
-              "--output", str(path)])
-        labels = [int(line) for line in path.read_text().splitlines()]
-        assert len(labels) == 34
-
-    def test_requires_graph_source(self):
-        with pytest.raises(SystemExit):
-            main(["consensus"])
-
-
 class TestMetisInput:
     def test_cluster_metis_file(self, tmp_path, capsys):
         from repro.graphs.io import write_metis
@@ -103,3 +54,20 @@ class TestMetisInput:
         write_metis(karate_club_graph(), path)
         assert main(["cluster", "--input", str(path), "--seed", "1"]) == 0
         assert "clusters" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--karate", "--labels", "labels.txt"],
+        ["consensus", "--karate"],
+        ["obs", "diff", "runs.jsonl", "a", "b"],
+        ["serve", "--karate", "--script", "session.txt"],
+    ],
+    ids=["report", "consensus", "obs-diff", "serve-script"],
+)
+def test_removed_commands_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err

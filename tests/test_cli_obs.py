@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import validate_trace_text
 from repro.obs.tracer import Tracer
 
@@ -25,16 +26,13 @@ def test_trace_flag_writes_valid_jsonl(tmp_path, capsys):
     assert validate_trace_text(trace.read_text()) == []
 
 
-def test_metrics_flag_format_by_extension(tmp_path):
-    jsonl = tmp_path / "m.jsonl"
-    prom = tmp_path / "m.prom"
-    assert _run(["--metrics", str(jsonl)]) == 0
-    assert _run(["--metrics", str(prom)]) == 0
-    # .jsonl: every line is a JSON sample object.
-    samples = [json.loads(line) for line in jsonl.read_text().splitlines()]
+@pytest.mark.parametrize("name", ["m.jsonl", "m.prom"])
+def test_metrics_flag_format_by_extension(tmp_path, name):
+    # JSONL whatever the file is named: every line is a JSON sample.
+    path = tmp_path / name
+    assert _run(["--metrics", str(path)]) == 0
+    samples = MetricsRegistry.parse_jsonl(path.read_text())
     assert any(s["metric"] == "repro_moves_total" for s in samples)
-    # anything else: Prometheus text exposition.
-    assert "# TYPE repro_moves_total counter" in prom.read_text()
 
 
 def test_profile_flag_prints_tables(capsys):
@@ -141,11 +139,10 @@ def test_obs_timeline_rejects_invalid_trace(tmp_path, capsys):
     assert "invalid trace" in capsys.readouterr().err
 
 
-def test_register_report_and_diff_flow(tmp_path, capsys):
+def test_register_and_report_flow(tmp_path, capsys):
     runs = tmp_path / "runs.jsonl"
     assert _run(["--register", str(runs), "--run-id", "base"]) == 0
-    # A second entry with identical metrics (re-running would add real
-    # wall-clock jitter and make the pass/fail assertion flaky).
+    # A second entry with the same metrics under a new id.
     record = json.loads(runs.read_text().splitlines()[0])
     record["run_id"] = "same"
     with open(runs, "a") as handle:
@@ -155,10 +152,6 @@ def test_register_report_and_diff_flow(tmp_path, capsys):
     assert main(["obs", "report", str(runs)]) == 0
     report_out = capsys.readouterr().out
     assert "base" in report_out and "same" in report_out
-
-    # Identical workloads and metrics: the diff gate passes.
-    assert main(["obs", "diff", str(runs), "base", "same"]) == 0
-    assert "0 regression(s)" in capsys.readouterr().out
 
 
 def test_obs_report_last_takes_a_positive_count(tmp_path, capsys):
@@ -196,61 +189,3 @@ def test_obs_report_columns_line_up(capsys):
 
     for row in rows:
         assert edges(row) == edges(header)
-
-
-def test_obs_diff_fails_on_injected_wall_regression(tmp_path, capsys):
-    runs = tmp_path / "runs.jsonl"
-    assert _run(["--register", str(runs), "--run-id", "base"]) == 0
-    record = json.loads(runs.read_text().splitlines()[0])
-    record["run_id"] = "slow"
-    record["metrics"]["wall_seconds"] *= 1.2  # > 10% wall regression
-    with open(runs, "a") as handle:
-        handle.write(json.dumps(record) + "\n")
-    capsys.readouterr()
-    assert main(["obs", "diff", str(runs), "base", "slow"]) == 1
-    assert "REGRESSION" in capsys.readouterr().out
-
-
-def test_obs_diff_unknown_run_id(tmp_path, capsys):
-    runs = tmp_path / "runs.jsonl"
-    assert _run(["--register", str(runs), "--run-id", "base"]) == 0
-    capsys.readouterr()
-    assert main(["obs", "diff", str(runs), "base", "nope"]) == 2
-    assert "not in registry" in capsys.readouterr().err
-
-
-def test_obs_diff_vacuous_compare_fails(tmp_path, capsys):
-    """A diff that compared zero metrics is a failure, not a silent pass."""
-    runs = tmp_path / "runs.jsonl"
-    assert _run(["--register", str(runs), "--run-id", "base"]) == 0
-    record = json.loads(runs.read_text().splitlines()[0])
-    record["run_id"] = "hollow"
-    # Metrics present (schema requires them) but non-numeric after a
-    # hand edit: every comparison row is skipped.
-    for name in list(record["metrics"]):
-        record["metrics"][name] = float("nan")
-    with open(runs, "a") as handle:
-        handle.write(json.dumps(record).replace("NaN", '"x"') + "\n")
-    capsys.readouterr()
-    # The corrupt record is rejected at load time -> data error (2) ...
-    assert main(["obs", "diff", str(runs), "base", "hollow"]) == 2
-
-
-def test_obs_diff_compared_zero_exit(monkeypatch, tmp_path, capsys):
-    """compared == 0 on an otherwise-ok report exits 1."""
-    import repro.obs.registry as registry_mod
-    from repro.bench.harness import CompareReport
-
-    runs = tmp_path / "runs.jsonl"
-    assert _run(["--register", str(runs), "--run-id", "base"]) == 0
-    record = json.loads(runs.read_text().splitlines()[0])
-    record["run_id"] = "same"
-    with open(runs, "a") as handle:
-        handle.write(json.dumps(record) + "\n")
-    monkeypatch.setattr(
-        registry_mod, "diff_runs",
-        lambda *a, **k: CompareReport(suite="runs"),
-    )
-    capsys.readouterr()
-    assert main(["obs", "diff", str(runs), "base", "same"]) == 1
-    assert "no metrics were comparable" in capsys.readouterr().err
